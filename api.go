@@ -35,20 +35,16 @@ type Matrix = gf2.Matrix
 // Vec is a bit vector over GF(2) (component i in bit i).
 type Vec = gf2.Vec
 
-// Permuter performs permutations on records stored across simulated disks.
-// Since v3 it is a compatibility facade — one Engine bound to one Dataset
-// (see NewEngine and CreateDataset for the decoupled halves).
-type Permuter = core.Permuter
-
 // Report pairs a run's measured cost with the paper's bounds.
 type Report = core.Report
 
-// BatchReport carries the per-job reports and aggregate cost of a
-// Permuter.PermuteAll batch, including plan-cache effectiveness.
+// BatchReport carries the per-job reports and aggregate cost of an
+// Engine.PermuteAll or Engine.ExecuteAll batch, including plan-cache
+// effectiveness.
 type BatchReport = core.BatchReport
 
-// CacheStats reports plan-cache hits, misses, and evictions for a
-// Permuter (see Permuter.CacheStats).
+// CacheStats reports plan-cache hits, misses, and evictions for an Engine
+// (see Engine.CacheStats).
 type CacheStats = core.CacheStats
 
 // Detection reports the outcome of run-time BMMC detection (Section 6).
@@ -65,13 +61,16 @@ const (
 	ClassInvMLD   = perm.ClassInvMLD
 )
 
-// Option tunes how a Permuter plans and executes permutations. The
-// execution options (pipelining, scatter workers, concurrent disk
+// Option tunes an Engine (planning and execution) or a Dataset (storage).
+// The execution options (pipelining, scatter workers, concurrent disk
 // dispatch) change wall-clock behavior only: the permuted records and the
 // measured parallel-I/O counts are identical for every setting. The
 // planning options (pass fusion, plan caching) sit above execution: fusion
 // can only lower the measured parallel-I/O count, and caching only skips
 // repeated factorization work — the permuted records are always identical.
+// The storage options (WithBackend, WithConcurrentIO) configure
+// CreateDataset and OpenDataset; the rest configure NewEngine and, per
+// call, Engine methods.
 type Option = core.Option
 
 // WithPipeline enables or disables the double-buffered pass pipeline that
@@ -95,7 +94,7 @@ func WithConcurrentIO(on bool) Option { return core.WithConcurrentIO(on) }
 // On by default.
 func WithFusion(on bool) Option { return core.WithFusion(on) }
 
-// DefaultPlanCacheEntries is the plan-cache capacity a Permuter gets when
+// DefaultPlanCacheEntries is the plan-cache capacity an Engine gets when
 // WithPlanCache is not specified.
 const DefaultPlanCacheEntries = core.DefaultPlanCacheEntries
 
@@ -104,32 +103,15 @@ const DefaultPlanCacheEntries = core.DefaultPlanCacheEntries
 // caching. The default is DefaultPlanCacheEntries.
 func WithPlanCache(n int) Option { return core.WithPlanCache(n) }
 
-// NewPermuter creates a disk system holding the canonical records
-// MakeRecord(0..N-1). Storage defaults to RAM; select files, sharded
-// directories, or custom storage with WithBackend. Replace the canonical
-// records with your own data via Permuter.Load.
-func NewPermuter(cfg Config, opts ...Option) (*Permuter, error) {
-	return core.NewPermuter(cfg, opts...)
-}
-
-// NewFilePermuter creates a file-backed disk system (one file per disk in
-// dir) holding the canonical records.
-//
-// Deprecated: use NewPermuter(cfg, WithBackend(FileBackend(dir))). Kept as
-// a thin wrapper for v1 callers.
-func NewFilePermuter(cfg Config, dir string, opts ...Option) (*Permuter, error) {
-	return core.NewFilePermuter(cfg, dir, opts...)
-}
-
 // MakeRecord returns the canonical record for a source address.
 func MakeRecord(key uint64) Record { return pdm.MakeRecord(key) }
 
-// RecordBytes is the wire size of one record: the unit of Permuter.Load,
-// Permuter.Dump, and the file backends' on-disk layout.
+// RecordBytes is the wire size of one record: the unit of Dataset.Load,
+// Dataset.Dump, and the file backends' on-disk layout.
 const RecordBytes = pdm.RecordBytes
 
 // DecodeRecord reads a record from RecordBytes little-endian bytes — the
-// inverse of Record.Encode and the format Permuter.Dump emits.
+// inverse of Record.Encode and the format Dataset.Dump emits.
 func DecodeRecord(src []byte) Record { return pdm.DecodeRecord(src) }
 
 // New validates a characteristic matrix and complement vector and returns

@@ -10,19 +10,26 @@ import (
 
 var apiConfig = bmmc.Config{N: 1 << 12, D: 4, B: 8, M: 1 << 8}
 
-func TestPermuterLifecycle(t *testing.T) {
-	p, err := bmmc.NewPermuter(apiConfig)
+// newAPIDataset returns a canonical dataset on apiConfig, closed at
+// cleanup.
+func newAPIDataset(t *testing.T, opts ...bmmc.Option) *bmmc.Dataset {
+	t.Helper()
+	ds, err := bmmc.CreateDataset(apiConfig, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
+	t.Cleanup(func() { ds.Close() })
+	return ds
+}
 
+func TestPermuterLifecycle(t *testing.T) {
+	ds := newAPIDataset(t)
 	rev := bmmc.BitReversal(apiConfig.LgN())
-	rep, err := p.Permute(rev)
+	rep, err := bmmc.NewEngine().Permute(context.Background(), ds, rev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Verify(rev); err != nil {
+	if err := ds.Verify(rev); err != nil {
 		t.Fatal(err)
 	}
 	if rep.ParallelIOs <= 0 || rep.ParallelIOs > rep.UpperBound {
@@ -34,32 +41,26 @@ func TestPermuterLifecycle(t *testing.T) {
 }
 
 func TestPermuterComposesAcrossCalls(t *testing.T) {
-	p, err := bmmc.NewPermuter(apiConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
+	ds := newAPIDataset(t)
+	eng := bmmc.NewEngine()
+	ctx := context.Background()
 	n := apiConfig.LgN()
 	g := bmmc.GrayCode(n)
 	r := bmmc.RotateBits(n, 3)
-	if _, err := p.Permute(g); err != nil {
+	if _, err := eng.Permute(ctx, ds, g); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Permute(r); err != nil {
+	if _, err := eng.Permute(ctx, ds, r); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Verify(r.Compose(g)); err != nil {
+	if err := ds.Verify(r.Compose(g)); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestPermuterGrayCodeOnePass(t *testing.T) {
-	p, err := bmmc.NewPermuter(apiConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	rep, err := p.Permute(bmmc.GrayCode(apiConfig.LgN()))
+	ds := newAPIDataset(t)
+	rep, err := bmmc.NewEngine().Permute(context.Background(), ds, bmmc.GrayCode(apiConfig.LgN()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,35 +72,20 @@ func TestPermuterGrayCodeOnePass(t *testing.T) {
 	}
 }
 
-func TestFilePermuter(t *testing.T) {
-	p, err := bmmc.NewFilePermuter(apiConfig, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	tr := bmmc.Transpose(6, 6)
-	if _, err := p.Permute(tr); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Verify(tr); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPermuteGeneral(t *testing.T) {
-	p, err := bmmc.NewPermuter(apiConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
+	ds := newAPIDataset(t)
 	rng := rand.New(rand.NewSource(7))
 	target := rng.Perm(apiConfig.N)
 	targetOf := func(x uint64) uint64 { return uint64(target[x]) }
-	if _, err := p.PermuteGeneral(context.Background(), targetOf); err != nil {
+	rep, err := bmmc.NewEngine().PermuteGeneral(context.Background(), ds, targetOf)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.VerifyMapping(targetOf); err != nil {
+	if err := ds.VerifyMapping(targetOf); err != nil {
 		t.Fatal(err)
+	}
+	if rep.Passes < 2 || rep.ParallelIOs != ds.Stats().ParallelIOs() {
+		t.Errorf("sort report %d passes / %d I/Os, dataset measured %d", rep.Passes, rep.ParallelIOs, ds.Stats().ParallelIOs())
 	}
 }
 
@@ -141,10 +127,9 @@ func TestBoundHelpers(t *testing.T) {
 	if bmmc.SortBoundIOs(apiConfig) <= 0 {
 		t.Error("sort bound not positive")
 	}
-	// Identity is free via the auto path.
-	p, _ := bmmc.NewPermuter(apiConfig)
-	defer p.Close()
-	rep, err := p.Permute(bmmc.Identity(apiConfig.LgN()))
+	// Identity is free via the dispatch policy.
+	ds := newAPIDataset(t)
+	rep, err := bmmc.NewEngine().Permute(context.Background(), ds, bmmc.Identity(apiConfig.LgN()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,14 +139,13 @@ func TestBoundHelpers(t *testing.T) {
 }
 
 func TestPermuteFactoredForcesFullAlgorithm(t *testing.T) {
-	p, _ := bmmc.NewPermuter(apiConfig)
-	defer p.Close()
+	ds := newAPIDataset(t)
 	g := bmmc.GrayCode(apiConfig.LgN())
-	rep, err := p.PermuteFactored(context.Background(), g)
+	rep, err := bmmc.NewEngine().PermuteFactored(context.Background(), ds, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Verify(g); err != nil {
+	if err := ds.Verify(g); err != nil {
 		t.Fatal(err)
 	}
 	if rep.Passes != 1 { // Gray code is MRC: even the factored path is 1 pass
@@ -174,19 +158,17 @@ func TestPermuteFactoredForcesFullAlgorithm(t *testing.T) {
 // re-factorizing, PermuteAll reports per-job and aggregate costs, and the
 // fusion and cache options are accepted at construction.
 func TestPlanLayerAPI(t *testing.T) {
-	p, err := bmmc.NewPermuter(apiConfig, bmmc.WithFusion(true), bmmc.WithPlanCache(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
+	ds := newAPIDataset(t)
+	eng := bmmc.NewEngine(bmmc.WithFusion(true), bmmc.WithPlanCache(8))
+	ctx := context.Background()
 	n := apiConfig.LgN()
 	rev := bmmc.BitReversal(n)
 
-	first, err := p.Permute(rev)
+	first, err := eng.Permute(ctx, ds, rev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := p.Permute(rev)
+	second, err := eng.Permute(ctx, ds, rev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,17 +178,17 @@ func TestPlanLayerAPI(t *testing.T) {
 	if first.Passes != second.Passes || first.ParallelIOs != second.ParallelIOs {
 		t.Errorf("cached run cost diverged: %v vs %v", first, second)
 	}
-	var stats bmmc.CacheStats = p.CacheStats()
+	var stats bmmc.CacheStats = eng.CacheStats()
 	if stats.Hits != 1 || stats.Misses != 1 {
 		t.Errorf("cache stats %+v", stats)
 	}
 	// Two reversals cancel; the records are back in the identity layout.
-	if err := p.Verify(bmmc.Identity(n)); err != nil {
+	if err := ds.Verify(bmmc.Identity(n)); err != nil {
 		t.Fatal(err)
 	}
 
 	var batch *bmmc.BatchReport
-	batch, err = p.PermuteAll(context.Background(), []bmmc.Permutation{rev, bmmc.GrayCode(n), rev})
+	batch, err = eng.PermuteAll(ctx, ds, []bmmc.Permutation{rev, bmmc.GrayCode(n), rev})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +203,7 @@ func TestPlanLayerAPI(t *testing.T) {
 		t.Errorf("aggregate I/Os %d != job sum %d", batch.ParallelIOs, sum)
 	}
 	g := bmmc.GrayCode(n)
-	if err := p.VerifyMapping(func(x uint64) uint64 {
+	if err := ds.VerifyMapping(func(x uint64) uint64 {
 		return rev.Apply(g.Apply(rev.Apply(x)))
 	}); err != nil {
 		t.Fatal(err)

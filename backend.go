@@ -5,7 +5,7 @@ import (
 	"repro/internal/pdm"
 )
 
-// Backend abstracts the storage a Permuter's D simulated disks live on, at
+// Backend abstracts the storage a Dataset's D simulated disks live on, at
 // parallel-block granularity: every counted parallel I/O reaches the
 // backend as one ReadBlocks or WriteBlocks call carrying at most one block
 // per disk. Implement it to put the record store on anything — object
@@ -26,7 +26,7 @@ type Backend = pdm.Backend
 type BlockXfer = pdm.BlockXfer
 
 // MemBackend returns the RAM storage backend — the default for
-// NewPermuter, and the fastest way to simulate.
+// CreateDataset, and the fastest way to simulate.
 func MemBackend() Backend { return pdm.MemBackend() }
 
 // FileBackend returns the file storage backend: one file per simulated
@@ -60,6 +60,6 @@ type RangeBackend = pdm.RangeBackend
 // a simulated adversarial-storage fault from a genuine backend error.
 var ErrInjectedFault = pdm.ErrInjectedFault
 
-// WithBackend selects the Permuter's storage backend. The Permuter opens
-// and owns it: Close closes it. The default is MemBackend().
+// WithBackend selects a Dataset's storage backend. The Dataset opens and
+// owns it: Dataset.Close closes it. The default is MemBackend().
 func WithBackend(b Backend) Option { return core.WithBackend(b) }

@@ -4,8 +4,8 @@
 // multi-block range transfers that move only a prefix before failing
 // (TornRange). Third-party backend authors compose them around their own
 // implementation and drive the result through backendtest.RunChaos — or
-// through a full Permuter via bmmc.WithBackend — to certify that faults
-// surface cleanly and that zero-fault wrappers are byte-transparent.
+// through a Dataset (bmmc.WithBackend) and an Engine — to certify that
+// faults surface cleanly and that zero-fault wrappers are byte-transparent.
 //
 // Every injected failure wraps ErrInjectedFault. Determinism contract:
 // probability-driven decisions (Rate, Jitter, tear points) are pure

@@ -25,28 +25,30 @@ import (
 // quick while still spanning multiple memoryloads and swap/erase rounds.
 var benchConfig = pdm.Config{N: 1 << 14, D: 8, B: 8, M: 1 << 9}
 
+// runPermBench permutes a fresh canonical dataset by p each iteration:
+// through the paper's dispatch (unfused), or with force through the
+// verbatim Section 5 factoring.
 func runPermBench(b *testing.B, cfg pdm.Config, p perm.BMMC, force bool) {
 	b.Helper()
+	eng := bmmc.NewEngine(bmmc.WithFusion(false))
+	ctx := context.Background()
 	var ios int
 	for i := 0; i < b.N; i++ {
-		sys, err := pdm.NewMemSystem(cfg)
+		ds, err := bmmc.CreateDataset(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := engine.LoadSequential(sys); err != nil {
-			b.Fatal(err)
-		}
-		var res *engine.Result
+		var rep *bmmc.Report
 		if force {
-			res, err = engine.RunBMMC(context.Background(), sys, p)
+			rep, err = eng.PermuteFactored(ctx, ds, p)
 		} else {
-			res, err = engine.RunAuto(context.Background(), sys, p)
+			rep, err = eng.Permute(ctx, ds, p)
 		}
 		if err != nil {
 			b.Fatal(err)
 		}
-		ios = res.ParallelIOs
-		sys.Close()
+		ios = rep.ParallelIOs
+		ds.Close()
 	}
 	b.ReportMetric(float64(ios), "pios")
 	b.ReportMetric(float64(bounds.UpperBound(cfg, p.RankGamma(cfg.LgB()))), "bound-pios")
@@ -102,7 +104,7 @@ func BenchmarkTheorem15MLD(b *testing.B) {
 		if err := engine.LoadSequential(sys); err != nil {
 			b.Fatal(err)
 		}
-		if err := engine.RunMLDPass(context.Background(), sys, p); err != nil {
+		if err := engine.RunMLDPass(context.Background(), sys, p, engine.DefaultOptions()); err != nil {
 			b.Fatal(err)
 		}
 		ios = sys.Stats().ParallelIOs()
@@ -132,7 +134,7 @@ func BenchmarkCrossover(b *testing.B) {
 				if err := engine.LoadSequential(sys); err != nil {
 					b.Fatal(err)
 				}
-				res, err := engine.GeneralPermute(context.Background(), sys, p.Apply)
+				res, err := engine.GeneralPermute(context.Background(), sys, p.Apply, engine.DefaultOptions())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -215,7 +217,11 @@ func BenchmarkAblationGrouping(b *testing.B) {
 			if err := engine.LoadSequential(sys); err != nil {
 				b.Fatal(err)
 			}
-			res, err := engine.RunBMMCUngrouped(context.Background(), sys, p)
+			passes, err := factor.FactorizeUngrouped(p, cfg.LgB(), cfg.LgM())
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := engine.RunPlan(context.Background(), sys, &factor.Plan{Passes: passes}, engine.DefaultOptions())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -245,7 +251,7 @@ func BenchmarkInverseMLD(b *testing.B) {
 		if err := engine.LoadSequential(sys); err != nil {
 			b.Fatal(err)
 		}
-		if err := engine.RunMLDInversePass(context.Background(), sys, p); err != nil {
+		if err := engine.RunMLDInversePass(context.Background(), sys, p, engine.DefaultOptions()); err != nil {
 			b.Fatal(err)
 		}
 		ios = sys.Stats().ParallelIOs()

@@ -211,8 +211,8 @@ func TestClusterEndToEnd(t *testing.T) {
 		bmmc.Record{Key: uint64(i)*0x9e3779b9 + 13, Tag: uint64(i)}.Encode(input[i*bmmc.RecordBytes:])
 	}
 
-	// Oracle: the same chain on a single in-process permuter.
-	oracle, err := bmmc.NewPermuter(cfg)
+	// Oracle: the same chain on a single in-process dataset.
+	oracle, err := bmmc.CreateDataset(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,8 +220,9 @@ func TestClusterEndToEnd(t *testing.T) {
 	if err := oracle.Load(context.Background(), bytes.NewReader(input)); err != nil {
 		t.Fatal(err)
 	}
+	eng := bmmc.NewEngine()
 	for _, p := range []bmmc.Permutation{gray, rev} {
-		if _, err := oracle.Permute(p); err != nil {
+		if _, err := eng.Permute(context.Background(), oracle, p); err != nil {
 			t.Fatal(err)
 		}
 	}

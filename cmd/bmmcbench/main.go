@@ -58,7 +58,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "scatter worker goroutines (0 = GOMAXPROCS)")
 		concurrent = flag.Bool("concurrent", false, "dispatch per-disk transfers on goroutines (SetConcurrent)")
 		fuse       = flag.Bool("fuse", false, "run factored-driver workloads through the plan-fusion optimizer")
-		cache      = flag.Int("cache", experiments.PlanCacheSize, "plan-cache capacity for the plancache experiment")
+		cache      = flag.Int("cache", experiments.DefaultHarness().PlanCacheSize, "plan-cache capacity for the plancache experiment")
 
 		compare   = flag.Bool("compare", false, "compare two -json snapshots (old new) instead of running experiments")
 		tolerance = flag.Float64("tolerance", 0.10, "with -compare: max tolerated wall-clock regression as a fraction")
@@ -82,10 +82,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	experiments.Exec = engine.Options{Pipeline: *pipeline, Workers: *workers}
-	experiments.ConcurrentIO = *concurrent
-	experiments.Fuse = *fuse
-	experiments.PlanCacheSize = *cache
+	h := experiments.Harness{
+		Exec:          engine.Options{Pipeline: *pipeline, Workers: *workers},
+		ConcurrentIO:  *concurrent,
+		Fuse:          *fuse,
+		PlanCacheSize: *cache,
+	}
 	if !*jsonOut {
 		fmt.Printf("BMMC permutation experiments on %v (seed %d, pipeline %v, workers %d, concurrent I/O %v, fuse %v)\n\n",
 			cfg, *seed, *pipeline, *workers, *concurrent, *fuse)
@@ -105,7 +107,7 @@ func main() {
 	}
 	if *name == "all" {
 		for _, gn := range experiments.Names() {
-			tbl, err := timed(experiments.ByName(gn))
+			tbl, err := timed(h.ByName(gn))
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "experiment %s: %v\n", gn, err)
 				os.Exit(1)
@@ -113,7 +115,7 @@ func main() {
 			tables = append(tables, tbl)
 		}
 	} else {
-		gen := experiments.ByName(*name)
+		gen := h.ByName(*name)
 		if gen == nil {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *name)
 			os.Exit(2)

@@ -128,12 +128,12 @@ func TestBmmcdEndToEnd(t *testing.T) {
 	p := bmmc.Transpose(cfg.LgN()/2, cfg.LgN()-cfg.LgN()/2)
 
 	// Oracle: the same permutation run directly through the library.
-	oracle, err := bmmc.NewPermuter(cfg)
+	oracle, err := bmmc.CreateDataset(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer oracle.Close()
-	rep, err := oracle.Permute(p)
+	rep, err := bmmc.NewEngine().Permute(context.Background(), oracle, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,8 @@ import (
 
 // Dataset is records at rest: N records living on a storage Backend under
 // one machine Config, with no planning state and no execution options
-// attached. It is the data half of the v3 API split — an Engine supplies
-// the compute, and the two meet only at Engine.Execute/Engine.Permute.
+// attached. It is the data half of the API — an Engine supplies the
+// compute, and the two meet only at Engine.Execute/Engine.Permute.
 //
 // A Dataset is safe for concurrent use: reads of data-at-rest (Dump,
 // Records, Verify) take a shared lock and may overlap freely, while

@@ -48,107 +48,107 @@ func classCases(t *testing.T, cfg bmmc.Config) []struct {
 	}
 }
 
-// TestEngineDatasetMatchesPermuter pins the v3 acceptance equivalence:
-// Engine.Execute on a Dataset is record- and Stats-identical to the v1/v2
-// Permuter.Permute path for every engine class, and the reports agree on
-// class, passes, and cost.
-func TestEngineDatasetMatchesPermuter(t *testing.T) {
+// TestPermuteMatchesPlanExecute pins the single execution path:
+// Engine.Permute is Engine.Plan followed by Engine.Execute, so for every
+// engine class plus the identity, on RAM and file storage, the two leave
+// identical records and Stats and return DeepEqual Reports. The reports
+// also carry the paper's dispatch: the identity is free, one-pass classes
+// cost exactly 2N/BD, and factored permutations cost what their plan
+// quotes, within the Theorem 21 guarantee.
+func TestPermuteMatchesPlanExecute(t *testing.T) {
 	cfg := v3Config
-	for _, tc := range classCases(t, cfg) {
+	cases := append(classCases(t, cfg), struct {
+		name  string
+		class bmmc.Class
+		perm  bmmc.Permutation
+	}{"identity", bmmc.ClassIdentity, bmmc.Identity(cfg.LgN())})
+	backends := []struct {
+		name    string
+		backend func(t *testing.T) bmmc.Backend
+	}{
+		{"mem", func(*testing.T) bmmc.Backend { return bmmc.MemBackend() }},
+		{"file", func(t *testing.T) bmmc.Backend { return bmmc.FileBackend(t.TempDir()) }},
+	}
+	ctx := context.Background()
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// v1/v2 path: a welded Permuter.
-			pm, err := bmmc.NewPermuter(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer pm.Close()
-			repV2, err := pm.Permute(tc.perm)
-			if err != nil {
-				t.Fatal(err)
-			}
+			for _, be := range backends {
+				t.Run(be.name, func(t *testing.T) {
+					open := func() *bmmc.Dataset {
+						ds, err := bmmc.CreateDataset(cfg, bmmc.WithBackend(be.backend(t)))
+						if err != nil {
+							t.Fatal(err)
+						}
+						t.Cleanup(func() { ds.Close() })
+						return ds
+					}
+					dsPermute, dsExecute := open(), open()
+					// Fresh engines on both sides, so both plans are cold
+					// and the reports' PlanCached flags agree.
+					repPermute, err := bmmc.NewEngine().Permute(ctx, dsPermute, tc.perm)
+					if err != nil {
+						t.Fatal(err)
+					}
+					eng := bmmc.NewEngine()
+					pl, err := eng.Plan(cfg, tc.perm)
+					if err != nil {
+						t.Fatal(err)
+					}
+					repExecute, err := eng.Execute(ctx, pl, dsExecute)
+					if err != nil {
+						t.Fatal(err)
+					}
 
-			// v3 path: a Dataset driven by a separate stateless Engine.
-			ds, err := bmmc.CreateDataset(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ds.Close()
-			eng := bmmc.NewEngine()
-			pl, err := eng.Plan(cfg, tc.perm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			repV3, err := eng.Execute(context.Background(), pl, ds)
-			if err != nil {
-				t.Fatal(err)
-			}
+					if !reflect.DeepEqual(repPermute, repExecute) {
+						t.Fatalf("reports diverged:\n  Permute: %+v\n  Execute: %+v", repPermute, repExecute)
+					}
+					recsPermute, err := dsPermute.Records()
+					if err != nil {
+						t.Fatal(err)
+					}
+					recsExecute, err := dsExecute.Records()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(recsPermute, recsExecute) {
+						t.Fatal("records diverged between Permute and Plan+Execute")
+					}
+					if a, b := dsPermute.Stats(), dsExecute.Stats(); !reflect.DeepEqual(a, b) {
+						t.Fatalf("stats diverged:\n  Permute: %v\n  Execute: %v", a, b)
+					}
+					if err := dsPermute.Verify(tc.perm); err != nil {
+						t.Fatal(err)
+					}
 
-			if repV3.Class != tc.class || repV2.Class != tc.class {
-				t.Fatalf("class dispatch: v2 %v, v3 %v, want %v", repV2.Class, repV3.Class, tc.class)
-			}
-			if repV3.Passes != repV2.Passes || repV3.ParallelIOs != repV2.ParallelIOs {
-				t.Fatalf("report diverged: v2 %d passes/%d I/Os, v3 %d passes/%d I/Os",
-					repV2.Passes, repV2.ParallelIOs, repV3.Passes, repV3.ParallelIOs)
-			}
-			v2Recs, err := pm.Records()
-			if err != nil {
-				t.Fatal(err)
-			}
-			v3Recs, err := ds.Records()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(v2Recs, v3Recs) {
-				t.Fatal("records diverged between the Permuter and the Dataset/Engine path")
-			}
-			if v2, v3 := pm.Stats(), ds.Stats(); !reflect.DeepEqual(v2, v3) {
-				t.Fatalf("stats diverged:\n  v2: %v\n  v3: %v", v2, v3)
+					rep := repPermute
+					if rep.Class != tc.class || pl.Class() != tc.class {
+						t.Fatalf("dispatched as %v (plan %v), want %v", rep.Class, pl.Class(), tc.class)
+					}
+					if rep.ParallelIOs != pl.CostIOs() || rep.Passes != pl.PassCount() {
+						t.Fatalf("measured %d passes / %d I/Os, plan quoted %d / %d",
+							rep.Passes, rep.ParallelIOs, pl.PassCount(), pl.CostIOs())
+					}
+					switch tc.class {
+					case bmmc.ClassIdentity:
+						if rep.ParallelIOs != 0 {
+							t.Fatalf("identity cost %d I/Os", rep.ParallelIOs)
+						}
+					case bmmc.ClassBMMC:
+						if rep.ParallelIOs <= cfg.PassIOs() || rep.ParallelIOs > rep.UpperBound {
+							t.Fatalf("factored cost %d outside (2N/BD, UB=%d]", rep.ParallelIOs, rep.UpperBound)
+						}
+					default:
+						if rep.Passes != 1 || rep.ParallelIOs != cfg.PassIOs() {
+							t.Fatalf("one-pass class ran %d passes / %d I/Os, want 1 / %d",
+								rep.Passes, rep.ParallelIOs, cfg.PassIOs())
+						}
+					}
+					if rep.String() == "" {
+						t.Error("empty report string")
+					}
+				})
 			}
 		})
-	}
-}
-
-// TestEngineDatasetGeneralSortMatchesPermuter covers the remaining engine
-// class — the external merge-sort baseline for arbitrary bijections.
-func TestEngineDatasetGeneralSortMatchesPermuter(t *testing.T) {
-	cfg := v3Config
-	rng := bmmc.NewRand(5)
-	target := rng.Perm(cfg.N)
-	targetOf := func(x uint64) uint64 { return uint64(target[x]) }
-
-	pm, err := bmmc.NewPermuter(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pm.Close()
-	repV2, err := pm.PermuteGeneral(context.Background(), targetOf)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ds, err := bmmc.CreateDataset(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds.Close()
-	eng := bmmc.NewEngine()
-	repV3, err := eng.PermuteGeneral(context.Background(), ds, targetOf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.VerifyMapping(targetOf); err != nil {
-		t.Fatal(err)
-	}
-	if repV3.Passes != repV2.Passes || repV3.ParallelIOs != repV2.ParallelIOs {
-		t.Fatalf("sort reports diverged: v2 %+v, v3 %+v", repV2, repV3)
-	}
-	v2Recs, _ := pm.Records()
-	v3Recs, _ := ds.Records()
-	if !reflect.DeepEqual(v2Recs, v3Recs) {
-		t.Fatal("sorted records diverged")
-	}
-	if v2, v3 := pm.Stats(), ds.Stats(); !reflect.DeepEqual(v2, v3) {
-		t.Fatalf("sort stats diverged:\n  v2: %v\n  v3: %v", v2, v3)
 	}
 }
 

@@ -24,9 +24,10 @@
 //
 // # Quick start
 //
-// The v3 API has three first-class nouns: a Dataset (records at rest on a
+// The API has three first-class nouns: a Dataset (records at rest on a
 // storage Backend), a stateless Engine (execution options plus the plan
-// cache), and the Plan joining them.
+// cache), and the Plan joining them. Engine.Permute is Engine.Plan followed
+// by Engine.Execute.
 //
 //	cfg := bmmc.Config{N: 1 << 16, D: 8, B: 16, M: 1 << 11}
 //	ds, err := bmmc.CreateDataset(cfg)    // N records on 8 simulated disks
@@ -48,12 +49,9 @@
 //	_, err = eng.Permute(ctx, ds, bmmc.Transpose(9, 7)) // step 2, same data
 //	err = ds.Dump(ctx, output)
 //
-// The v1/v2 Permuter remains fully supported as a facade — one Engine
-// bound to one Dataset (reach them via Permuter.Engine and
-// Permuter.Dataset):
-//
-//	p, err := bmmc.NewPermuter(cfg)
-//	rep, err := p.Permute(bmmc.BitReversal(cfg.LgN()))
+// Lemma 1 composition is a value operation: q.Compose(p) is the single
+// BMMC permutation "p, then q", and permuting by it costs what its own
+// rank gamma dictates — never more than running p and q one at a time.
 //
 // # Plans, Backends, context, user data
 //
@@ -141,8 +139,8 @@
 //	err = c.DownloadDataset(ctx, dset.ID, outWriter) // composed result
 //	_, err = c.DeleteDataset(ctx, dset.ID)
 //
-// Per-job storage (the v2 flow: Submit with a Backend kind, Upload,
-// Download, AwaitInput) remains fully supported. Per-job reports and the
+// Per-job storage (Submit with a Backend kind, Upload, Download,
+// AwaitInput) remains fully supported. Per-job reports and the
 // daemon's aggregate /v1/metrics count exactly the parallel I/Os a direct
 // Engine.Execute of the same plan would measure. examples/service runs
 // daemon and client end to end in one process.

@@ -4,7 +4,7 @@ import (
 	"repro/internal/core"
 )
 
-// Engine is the stateless compute half of the v3 API: it holds only
+// Engine is the stateless compute half of the API: it holds only
 // execution options (pipelining, scatter workers, progress) and the LRU
 // plan cache — never any records or storage. One Engine drives any number
 // of Datasets from any number of goroutines; every Execute takes its

@@ -8,39 +8,40 @@ import (
 	bmmc "repro"
 )
 
-// Example demonstrates the basic workflow: create a simulated parallel
-// disk system, permute, and inspect the cost.
+// Example demonstrates the basic workflow: create a dataset on a simulated
+// parallel disk system, permute it with an Engine, and inspect the cost.
 func Example() {
 	cfg := bmmc.Config{N: 1 << 12, D: 4, B: 8, M: 1 << 8}
-	p, err := bmmc.NewPermuter(cfg)
+	ds, err := bmmc.CreateDataset(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer p.Close()
+	defer ds.Close()
 
-	rep, err := p.Permute(bmmc.BitReversal(cfg.LgN()))
+	rep, err := bmmc.NewEngine().Permute(context.Background(), ds, bmmc.BitReversal(cfg.LgN()))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("passes=%d ios=%d rank=%d\n", rep.Passes, rep.ParallelIOs, rep.RankGamma)
-	fmt.Println(p.Verify(bmmc.BitReversal(cfg.LgN())) == nil)
+	fmt.Println(ds.Verify(bmmc.BitReversal(cfg.LgN())) == nil)
 	// Output:
 	// passes=2 ios=512 rank=3
 	// true
 }
 
-// ExamplePermuter_Plan shows the v2 separation of planning from
-// execution: the plan is inspected before any data moves and executed
-// repeatedly without re-planning.
-func ExamplePermuter_Plan() {
+// ExampleEngine_Plan shows the separation of planning from execution: the
+// plan is inspected before any data moves and executed repeatedly without
+// re-planning.
+func ExampleEngine_Plan() {
 	cfg := bmmc.Config{N: 1 << 12, D: 4, B: 8, M: 1 << 8}
-	p, err := bmmc.NewPermuter(cfg)
+	ds, err := bmmc.CreateDataset(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer p.Close()
+	defer ds.Close()
+	eng := bmmc.NewEngine()
 
-	plan, err := p.Plan(bmmc.BitReversal(cfg.LgN()))
+	plan, err := eng.Plan(cfg, bmmc.BitReversal(cfg.LgN()))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,11 +51,11 @@ func ExamplePermuter_Plan() {
 	// Bit reversal is an involution: executing the plan twice restores
 	// the layout. Both runs reuse the factorization computed above.
 	for i := 0; i < 2; i++ {
-		if _, err := p.Execute(context.Background(), plan); err != nil {
+		if _, err := eng.Execute(context.Background(), plan, ds); err != nil {
 			log.Fatal(err)
 		}
 	}
-	fmt.Println(p.Verify(bmmc.Identity(cfg.LgN())) == nil)
+	fmt.Println(ds.Verify(bmmc.Identity(cfg.LgN())) == nil)
 	// Output:
 	// class=BMMC passes=2 cost=512 (UB 768)
 	// true
@@ -63,10 +64,10 @@ func ExamplePermuter_Plan() {
 // ExampleGrayCode shows that MRC permutations cost exactly one pass.
 func ExampleGrayCode() {
 	cfg := bmmc.Config{N: 1 << 12, D: 4, B: 8, M: 1 << 8}
-	p, _ := bmmc.NewPermuter(cfg)
-	defer p.Close()
+	ds, _ := bmmc.CreateDataset(cfg)
+	defer ds.Close()
 
-	rep, _ := p.Permute(bmmc.GrayCode(cfg.LgN()))
+	rep, _ := bmmc.NewEngine().Permute(context.Background(), ds, bmmc.GrayCode(cfg.LgN()))
 	fmt.Printf("class=%v passes=%d ios=%d (one pass = %d)\n",
 		rep.Class, rep.Passes, rep.ParallelIOs, cfg.PassIOs())
 	// Output:

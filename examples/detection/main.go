@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -34,16 +35,16 @@ func main() {
 	fmt.Println("  recovered the exact characteristic matrix and complement vector")
 
 	// The payoff: run it with the BMMC algorithm instead of sorting.
-	p, err := bmmc.NewPermuter(cfg)
+	ds, err := bmmc.CreateDataset(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer p.Close()
-	rep, err := p.Permute(det.Perm)
+	defer ds.Close()
+	rep, err := bmmc.NewEngine().Permute(context.Background(), ds, det.Perm)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := p.Verify(secret); err != nil {
+	if err := ds.Verify(secret); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  executed detected permutation: %v\n", rep)

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,17 +17,19 @@ func main() {
 	cfg := bmmc.Config{N: 1 << 15, D: 8, B: 16, M: 1 << 10}
 	n := cfg.LgN()
 
-	p, err := bmmc.NewPermuter(cfg)
+	ds, err := bmmc.CreateDataset(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer p.Close()
+	defer ds.Close()
+	eng := bmmc.NewEngine()
+	ctx := context.Background()
 
 	gray := bmmc.GrayCode(n)
 	fmt.Printf("machine: %v\n", cfg)
 	fmt.Printf("gray code characteristic matrix is unit upper triangular -> MRC\n\n")
 
-	rep, err := p.Permute(gray)
+	rep, err := eng.Permute(ctx, ds, gray)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -34,27 +37,29 @@ func main() {
 	if rep.ParallelIOs != cfg.PassIOs() {
 		log.Fatalf("expected exactly one pass (%d I/Os), got %d", cfg.PassIOs(), rep.ParallelIOs)
 	}
-	if err := p.Verify(gray); err != nil {
+	if err := ds.Verify(gray); err != nil {
 		log.Fatal(err)
 	}
 
 	// Neighboring Gray codes differ in one bit: spot-check the layout.
-	recs, err := p.Records()
+	recs, err := ds.Records()
 	if err != nil {
 		log.Fatal(err)
 	}
 	for x := uint64(0); x < 8; x++ {
+		if recs[gray.Apply(x)].Key != x {
+			log.Fatalf("record %d not at address %d", x, gray.Apply(x))
+		}
 		fmt.Printf("  record %d now at address %d (gray(%d) = %d)\n", x, gray.Apply(x), x, x^(x>>1))
 	}
-	_ = recs
 
 	// The inverse is also MRC: one more pass returns to binary order.
-	inv, err := p.Permute(bmmc.GrayCodeInverse(n))
+	inv, err := eng.Permute(ctx, ds, bmmc.GrayCodeInverse(n))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ninverse gray:  %v\n", inv)
-	if err := p.Verify(bmmc.Identity(n)); err != nil {
+	if err := ds.Verify(bmmc.Identity(n)); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("round trip verified in two passes total")

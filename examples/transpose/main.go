@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -32,19 +33,21 @@ func main() {
 	}
 	defer os.RemoveAll(vol2)
 
-	p, err := bmmc.NewPermuter(cfg,
+	ds, err := bmmc.CreateDataset(cfg,
 		bmmc.WithBackend(bmmc.ShardedBackend(vol1, vol2)),
 		bmmc.WithConcurrentIO(true))
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer p.Close()
+	defer ds.Close()
+	eng := bmmc.NewEngine()
+	ctx := context.Background()
 	fmt.Printf("machine: %v (disks sharded across %s and %s)\n", cfg, vol1, vol2)
 	fmt.Printf("matrix:  %d x %d row-major, element (i,j) at address i*%d+j\n\n",
 		1<<lgR, 1<<lgS, 1<<lgS)
 
 	tr := bmmc.Transpose(lgR, lgS)
-	rep, err := p.Permute(tr)
+	rep, err := eng.Permute(ctx, ds, tr)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,7 +55,7 @@ func main() {
 	fmt.Printf("the general-permutation (merge sort) baseline would cost %d parallel I/Os\n\n", rep.SortBaseline)
 
 	// Spot-check: element (i, j) must now live at address j*R + i.
-	recs, err := p.Records()
+	recs, err := ds.Records()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,17 +68,17 @@ func main() {
 		}
 		fmt.Printf("element (%3d,%3d): source address %6d -> target address %6d  ok\n", i, j, i*S+j, at)
 	}
-	if err := p.Verify(tr); err != nil {
+	if err := ds.Verify(tr); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nfull verification passed: every element transposed")
 
 	// Transposing back restores the original layout.
 	back := bmmc.Transpose(lgS, lgR)
-	if _, err := p.Permute(back); err != nil {
+	if _, err := eng.Permute(ctx, ds, back); err != nil {
 		log.Fatal(err)
 	}
-	if err := p.Verify(bmmc.Identity(cfg.LgN())); err != nil {
+	if err := ds.Verify(bmmc.Identity(cfg.LgN())); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("round trip verified: transpose of transpose is the identity")

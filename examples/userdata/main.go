@@ -1,4 +1,4 @@
-// User data through the v2 pipeline: Load -> Plan -> Execute -> Dump.
+// User data through the library: Load -> Plan -> Execute -> Dump.
 //
 // A "log" of 65536 fixed-size events is written in arrival order, loaded
 // onto a file-backed disk system, reorganized with a planned BMMC
@@ -30,11 +30,12 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	p, err := bmmc.NewPermuter(cfg, bmmc.WithBackend(bmmc.FileBackend(dir)))
+	ds, err := bmmc.CreateDataset(cfg, bmmc.WithBackend(bmmc.FileBackend(dir)))
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer p.Close()
+	defer ds.Close()
+	eng := bmmc.NewEngine()
 	ctx := context.Background()
 
 	// Encode the event log in the wire format Load reads: 16 bytes per
@@ -49,20 +50,20 @@ func main() {
 			in.Write(buf)
 		}
 	}
-	if err := p.Load(ctx, &in); err != nil {
+	if err := ds.Load(ctx, &in); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("loaded %d user events (%d bytes) in time-major order\n", cfg.N, cfg.N*bmmc.RecordBytes)
 
 	// Plan the time-major -> source-major regrouping once; inspect it
 	// before moving a single block.
-	plan, err := p.Plan(bmmc.Transpose(lgT, lgS))
+	plan, err := eng.Plan(cfg, bmmc.Transpose(lgT, lgS))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("plan: %v\n", plan)
 
-	rep, err := p.Execute(ctx, plan)
+	rep, err := eng.Execute(ctx, plan, ds)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func main() {
 	// Dump and check: address s*128+t must now hold event (t, s) with its
 	// payload intact.
 	var out bytes.Buffer
-	if err := p.Dump(ctx, &out); err != nil {
+	if err := ds.Dump(ctx, &out); err != nil {
 		log.Fatal(err)
 	}
 	data := out.Bytes()

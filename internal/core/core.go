@@ -1,47 +1,32 @@
 // Package core assembles the paper's contribution into the objects the
-// public API exposes. Since v3 those are two decoupled nouns: a Dataset
-// (records at rest on a storage Backend under one machine Config) and a
-// stateless Engine (execution options plus the plan cache) that drives any
-// number of Datasets; Plan remains the first-class planning result joining
-// them. The v1/v2 Permuter survives as a thin compatibility facade — one
-// Engine bound to one Dataset — so existing callers keep working
-// unchanged. Run-time BMMC detection (Section 6) rounds the package out.
+// public API exposes: a Dataset (records at rest on a storage Backend under
+// one machine Config), a stateless Engine (execution options plus the plan
+// cache) that drives any number of Datasets, and the Plan joining them.
+// Run-time BMMC detection (Section 6) rounds the package out.
 package core
 
 import (
-	"context"
 	"fmt"
-	"io"
 
 	"repro/internal/detect"
 	"repro/internal/engine"
-	"repro/internal/factor"
 	"repro/internal/pdm"
 	"repro/internal/perm"
 )
 
-// DefaultPlanCacheEntries is the plan-cache capacity an Engine (or
-// Permuter) gets when WithPlanCache is not specified.
+// DefaultPlanCacheEntries is the plan-cache capacity an Engine gets when
+// WithPlanCache is not specified.
 const DefaultPlanCacheEntries = 32
 
-// Permuter is the v1/v2 compatibility facade: one Engine bound to one
-// Dataset, so the welded data-plus-compute API keeps working while new
-// code reaches for the decoupled halves via Engine() and Dataset() — or
-// constructs them directly with NewEngine and CreateDataset.
-type Permuter struct {
-	eng *Engine
-	ds  *Dataset
-}
-
-// Option configures an Engine, a Dataset, or a Permuter at construction
-// (and, for Engine methods, per call). The execution options
-// (WithPipeline, WithWorkers, WithConcurrentIO) tune wall-clock speed only
+// Option configures an Engine or a Dataset at construction (and, for
+// Engine methods, per call). The execution options (WithPipeline,
+// WithWorkers, WithConcurrentIO) tune wall-clock speed only
 // and never change the permuted result or the measured parallel-I/O
 // counts. The planning options (WithFusion, WithPlanCache) sit above
 // execution: fusion can only lower the measured cost — never the result —
 // and caching only skips repeated planning work. The storage options
 // (WithBackend, WithConcurrentIO) are read by Dataset constructors;
-// everything else by Engine constructors; a Permuter reads all of them.
+// everything else by Engine constructors.
 type Option func(*settings)
 
 type settings struct {
@@ -73,7 +58,7 @@ func WithWorkers(n int) Option {
 // WithConcurrentIO dispatches the per-disk transfers inside each parallel
 // I/O on one goroutine per disk, letting file-backed disks overlap real
 // storage latency the way D physical spindles would. Off by default. A
-// storage option: read by Dataset (and Permuter) constructors.
+// storage option: read by Dataset constructors.
 func WithConcurrentIO(on bool) Option {
 	return func(s *settings) { s.concurrentIO = on }
 }
@@ -89,7 +74,7 @@ func WithFusion(on bool) Option {
 }
 
 // WithPlanCache sets the capacity of the LRU plan cache, in plans. A
-// Permute of a factored permutation whose plan is cached skips the GF(2)
+// Plan of a factored permutation whose plan is cached skips the GF(2)
 // factorization (and fusion) entirely. n <= 0 disables caching. The default
 // is DefaultPlanCacheEntries.
 func WithPlanCache(n int) Option {
@@ -113,128 +98,8 @@ func WithProgress(fn func(engine.PassEvent)) Option {
 	return func(s *settings) { s.opt.Progress = fn }
 }
 
-// NewPermuter returns a Permuter — a fresh Engine bound to a fresh Dataset
-// loaded with the canonical records MakeRecord(0..N-1). The storage
-// defaults to RAM; pass WithBackend to put the records on files, sharded
-// directories, or custom storage.
-func NewPermuter(cfg pdm.Config, opts ...Option) (*Permuter, error) {
-	ds, err := CreateDataset(cfg, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return &Permuter{eng: NewEngine(opts...), ds: ds}, nil
-}
-
-// NewFilePermuter returns a Permuter whose D disks are files in dir. It
-// is the v1 constructor the root package keeps as a deprecated wrapper;
-// new code uses NewPermuter with WithBackend(pdm.FileBackend(dir)).
-func NewFilePermuter(cfg pdm.Config, dir string, opts ...Option) (*Permuter, error) {
-	return NewPermuter(cfg, append([]Option{WithBackend(pdm.FileBackend(dir))}, opts...)...)
-}
-
-// Engine returns the execution engine half of the facade; it may be shared
-// with other Datasets.
-func (p *Permuter) Engine() *Engine { return p.eng }
-
-// Dataset returns the record-storage half of the facade; it may be driven
-// by other Engines.
-func (p *Permuter) Dataset() *Dataset { return p.ds }
-
-// Close releases the underlying storage backend.
-func (p *Permuter) Close() error { return p.ds.Close() }
-
-// Sync flushes the storage backend's buffered writes to stable storage.
-func (p *Permuter) Sync() error { return p.ds.Sync() }
-
-// Config returns the machine geometry.
-func (p *Permuter) Config() pdm.Config { return p.ds.Config() }
-
-// System exposes the underlying disk system for advanced use (custom I/O
-// schedules, direct stats access).
-func (p *Permuter) System() *pdm.System { return p.ds.System() }
-
-// Stats returns the accumulated I/O statistics.
-func (p *Permuter) Stats() pdm.Stats { return p.ds.Stats() }
-
-// ResetStats zeroes the I/O counters.
-func (p *Permuter) ResetStats() { p.ds.ResetStats() }
-
-// Permute applies the BMMC permutation to the stored records using the
-// cheapest applicable algorithm (identity: free; MRC/MLD/inverse-MLD: one
-// pass; otherwise the factoring algorithm of Section 5, planned through
-// the plan cache and pass fusion when enabled). The returned Report
-// carries the measured cost next to the paper's bounds.
-func (p *Permuter) Permute(bp perm.BMMC) (*Report, error) {
-	//lint:allow ctxio -- compatibility facade; cancelable path is PermuteContext
-	return p.eng.Permute(context.Background(), p.ds, bp)
-}
-
-// PermuteContext is Permute with a context checked between memoryloads.
-// Cancellation aborts the run with ctx's error before the next memoryload
-// is read: no counted parallel I/O is cut short, the pipeline's prefetch
-// goroutine is drained, and the stored records are exactly the state after
-// the last completed pass, so the Permuter remains usable.
-func (p *Permuter) PermuteContext(ctx context.Context, bp perm.BMMC) (*Report, error) {
-	return p.eng.Permute(ctx, p.ds, bp)
-}
-
-// plan returns the planning result Permute will execute for bp, consulting
-// the engine's plan cache; the boolean reports a cache hit.
-func (p *Permuter) plan(bp perm.BMMC) (*cachedPlan, bool, error) {
-	return p.eng.planCached(p.ds.Config(), bp, p.eng.s.fuse)
-}
-
-// buildPlan is the uncached planning step shared by Engine.planCached and
-// PlanFor: classify bp, synthesize the single pass for one-pass classes,
-// and run the Section 5 factorization (plus fusion when enabled) for full
-// BMMC permutations. Pure GF(2) computation; no disk system involved.
-func buildPlan(cfg pdm.Config, bp perm.BMMC, fuse bool) (*cachedPlan, error) {
-	if bp.Bits() != cfg.LgN() {
-		return nil, fmt.Errorf("core: permutation on %d-bit addresses, system has n=%d", bp.Bits(), cfg.LgN())
-	}
-	b, m := cfg.LgB(), cfg.LgM()
-	cp := &cachedPlan{}
-	switch class, ok := bp.OnePassClass(b, m); {
-	case ok && class == perm.ClassIdentity:
-		cp.class = class
-	case ok:
-		cp.class = class
-		cp.plan = &factor.Plan{Passes: []factor.Pass{{Perm: bp, Kind: class}}}
-	default:
-		cp.class = perm.ClassBMMC
-		plan, err := factor.Factorize(bp, b, m)
-		if err != nil {
-			return nil, err
-		}
-		if fuse {
-			plan = factor.Fuse(plan, b, m)
-		}
-		cp.plan = plan
-	}
-	return cp, nil
-}
-
-// CacheStats returns the plan cache's hit/miss/eviction counters.
-func (p *Permuter) CacheStats() CacheStats { return p.eng.CacheStats() }
-
-// PermuteFactored forces the full Section 5 factoring algorithm even for
-// permutations that have a cheaper class, for measurement purposes. It
-// bypasses the plan cache and fusion so the measured cost is exactly the
-// unoptimized Theorem 21 algorithm. ctx follows the PermuteContext
-// cancellation contract.
-func (p *Permuter) PermuteFactored(ctx context.Context, bp perm.BMMC) (*Report, error) {
-	return p.eng.PermuteFactored(ctx, p.ds, bp)
-}
-
-// PermuteComposed applies a sequence of BMMC permutations (perms[0] first)
-// as a single composed permutation, which by Lemma 1 is again BMMC.
-func (p *Permuter) PermuteComposed(perms ...perm.BMMC) (*Report, error) {
-	//lint:allow ctxio -- compatibility facade; cancelable path is PermuteComposedContext
-	return p.eng.PermuteComposed(context.Background(), p.ds, perms...)
-}
-
-// BatchReport pairs the per-job reports of a PermuteAll run with the
-// aggregate cost and the plan-cache effectiveness over the batch.
+// BatchReport pairs the per-job reports of a PermuteAll or ExecuteAll run
+// with the aggregate cost and the plan-cache effectiveness over the batch.
 type BatchReport struct {
 	Jobs        []*Report // one per input permutation, in order
 	Passes      int       // total one-pass permutations performed
@@ -247,53 +112,6 @@ func (r *BatchReport) String() string {
 	return fmt.Sprintf("batch: %d jobs, %d passes, %d parallel I/Os (%d plans cached, %d planned)",
 		len(r.Jobs), r.Passes, r.ParallelIOs, r.CacheHits, r.Planned)
 }
-
-// PermuteAll applies each permutation in order — the stored records end up
-// permuted by the composition, with every intermediate state materialized
-// on disk, unlike PermuteComposed. All jobs are planned up front through
-// the plan cache; execution then reuses the prepared plans. ctx follows
-// the PermuteContext cancellation contract.
-func (p *Permuter) PermuteAll(ctx context.Context, perms []perm.BMMC) (*BatchReport, error) {
-	return p.eng.PermuteAll(ctx, p.ds, perms)
-}
-
-// PermuteGeneral applies an arbitrary bijection on addresses using the
-// external merge-sort baseline. targetOf must map 0..N-1 onto itself.
-// ctx follows the PermuteContext cancellation contract.
-func (p *Permuter) PermuteGeneral(ctx context.Context, targetOf func(uint64) uint64) (*Report, error) {
-	return p.eng.PermuteGeneral(ctx, p.ds, targetOf)
-}
-
-// Verify checks that the stored records are exactly the image of the
-// canonical initial layout under the given cumulative permutation.
-func (p *Permuter) Verify(bp perm.BMMC) error { return p.ds.Verify(bp) }
-
-// VerifyMapping checks the stored records against an arbitrary bijection.
-func (p *Permuter) VerifyMapping(targetOf func(uint64) uint64) error {
-	return p.ds.VerifyMapping(targetOf)
-}
-
-// Records returns the stored records in address order (diagnostic; not
-// counted as I/O). It always reads the system's current source portion —
-// the portion holding the output of the most recent permutation. The
-// source and target portions swap roles after every pass, so after an odd
-// number of passes the records physically sit in PortionB; callers never
-// need to track this, but code addressing the System directly does.
-func (p *Permuter) Records() ([]pdm.Record, error) { return p.ds.Records() }
-
-// LoadRecords replaces the stored records (diagnostic; not counted as
-// I/O). Like Records, it targets the current source portion — the records
-// the next Permute call will read — regardless of how many passes have run
-// and which physical portion that currently is.
-func (p *Permuter) LoadRecords(recs []pdm.Record) error { return p.ds.LoadRecords(recs) }
-
-// Load replaces the Permuter's stored records with exactly N records read
-// from r in the library's wire format; see Dataset.Load.
-func (p *Permuter) Load(ctx context.Context, r io.Reader) error { return p.ds.Load(ctx, r) }
-
-// Dump writes the stored records to w in address order in the wire format;
-// see Dataset.Dump.
-func (p *Permuter) Dump(ctx context.Context, w io.Writer) error { return p.ds.Dump(ctx, w) }
 
 // Report pairs a run's measured cost with the paper's bound expressions
 // and the planning metadata of the run.

@@ -15,14 +15,21 @@ import (
 
 var coreConfig = pdm.Config{N: 1 << 11, D: 4, B: 8, M: 1 << 7}
 
-func TestPermuterReportFields(t *testing.T) {
-	p, err := NewPermuter(coreConfig)
+// newTestDataset returns a canonical mem-backed dataset closed at cleanup.
+func newTestDataset(t *testing.T, cfg pdm.Config) *Dataset {
+	t.Helper()
+	ds, err := CreateDataset(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
+	t.Cleanup(func() { ds.Close() })
+	return ds
+}
+
+func TestPermuterReportFields(t *testing.T) {
+	ds := newTestDataset(t, coreConfig)
 	rev := perm.BitReversal(coreConfig.LgN())
-	rep, err := p.Permute(rev)
+	rep, err := NewEngine().Permute(context.Background(), ds, rev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,51 +48,63 @@ func TestPermuterReportFields(t *testing.T) {
 	if !strings.Contains(rep.String(), "passes") {
 		t.Errorf("report string %q", rep.String())
 	}
-	if err := p.Verify(rev); err != nil {
+	if err := ds.Verify(rev); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestPermuterStatsAndReset(t *testing.T) {
-	p, _ := NewPermuter(coreConfig)
-	defer p.Close()
-	if _, err := p.Permute(perm.GrayCode(coreConfig.LgN())); err != nil {
+	ds := newTestDataset(t, coreConfig)
+	if _, err := NewEngine().Permute(context.Background(), ds, perm.GrayCode(coreConfig.LgN())); err != nil {
 		t.Fatal(err)
 	}
-	if p.Stats().ParallelIOs() == 0 {
+	if ds.Stats().ParallelIOs() == 0 {
 		t.Error("no I/Os recorded")
 	}
-	p.ResetStats()
-	if p.Stats().ParallelIOs() != 0 {
+	ds.ResetStats()
+	if ds.Stats().ParallelIOs() != 0 {
 		t.Error("reset failed")
 	}
-	if p.Config() != coreConfig {
+	if ds.Config() != coreConfig {
 		t.Error("config mismatch")
 	}
-	if p.System() == nil {
+	if ds.System() == nil {
 		t.Error("nil system")
 	}
 }
 
+// TestPermuterRejectsWrongWidth: every entry point that takes a
+// permutation rejects one whose width is not lg N, including a plan-cache
+// hit for a permutation planned on a wider geometry.
 func TestPermuterRejectsWrongWidth(t *testing.T) {
-	p, _ := NewPermuter(coreConfig)
-	defer p.Close()
-	if _, err := p.Permute(perm.BitReversal(coreConfig.LgN() + 1)); err == nil {
-		t.Fatal("wrong address width accepted")
+	ds := newTestDataset(t, coreConfig)
+	eng := NewEngine()
+	ctx := context.Background()
+	wide := perm.BitReversal(coreConfig.LgN() + 1)
+	if _, err := eng.Permute(ctx, ds, wide); err == nil {
+		t.Fatal("wrong address width accepted by Permute")
+	}
+	if _, err := eng.PermuteFactored(ctx, ds, wide); err == nil {
+		t.Fatal("wrong address width accepted by PermuteFactored")
+	}
+	if _, err := eng.PermuteAll(ctx, ds, []perm.BMMC{wide}); err == nil {
+		t.Fatal("wrong address width accepted by PermuteAll")
+	}
+	if _, err := PlanFor(coreConfig, wide, true); err == nil {
+		t.Fatal("wrong address width accepted by PlanFor")
 	}
 }
 
 func TestPermuterLoadRecordsRoundTrip(t *testing.T) {
-	p, _ := NewPermuter(coreConfig)
-	defer p.Close()
+	ds := newTestDataset(t, coreConfig)
 	recs := make([]pdm.Record, coreConfig.N)
 	for i := range recs {
 		recs[i] = pdm.Record{Key: uint64(i) * 3, Tag: 7}
 	}
-	if err := p.LoadRecords(recs); err != nil {
+	if err := ds.LoadRecords(recs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.Records()
+	got, err := ds.Records()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,8 +116,12 @@ func TestPermuterLoadRecordsRoundTrip(t *testing.T) {
 }
 
 func TestPermuterInvalidConfig(t *testing.T) {
-	if _, err := NewPermuter(pdm.Config{N: 100, D: 3, B: 5, M: 7}); err == nil {
-		t.Fatal("invalid config accepted")
+	bad := pdm.Config{N: 100, D: 3, B: 5, M: 7}
+	if _, err := CreateDataset(bad); err == nil {
+		t.Fatal("invalid config accepted by CreateDataset")
+	}
+	if _, err := NewEngine().Plan(bad, perm.Identity(7)); err == nil {
+		t.Fatal("invalid config accepted by Plan")
 	}
 }
 
@@ -113,49 +136,48 @@ func TestDetectTargetsCore(t *testing.T) {
 	}
 }
 
-// TestPermuterFaultSurface: a permuter built over a failing disk surfaces
-// the injected error through Permute instead of corrupting data.
+// TestPermuterFaultSurface: a dataset built over a failing disk surfaces
+// the injected error through Engine.Permute instead of corrupting data.
 func TestPermuterFaultSurface(t *testing.T) {
 	sys, err := pdm.NewSystem(coreConfig, pdm.FaultyFactory(pdm.MemDiskFactory, 0, coreConfig.BlocksPerDisk()*2+4, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Build the permuter by hand around the faulty system: LoadRecords
+	// Build the dataset by hand around the faulty system: LoadRecords
 	// bypasses counting but still writes blocks, so give it headroom and
 	// then trip the fault during the permutation.
-	p := &Permuter{eng: NewEngine(), ds: &Dataset{sys: sys}}
-	defer p.Close()
+	ds := &Dataset{sys: sys}
+	defer ds.Close()
 	recs := make([]pdm.Record, coreConfig.N)
 	for i := range recs {
 		recs[i] = pdm.MakeRecord(uint64(i))
 	}
-	if err := p.LoadRecords(recs); err != nil {
+	if err := ds.LoadRecords(recs); err != nil {
 		// Load itself tripped the fault; equally acceptable.
 		if !errors.Is(err, pdm.ErrInjectedFault) {
 			t.Fatalf("unexpected error: %v", err)
 		}
 		return
 	}
-	_, err = p.Permute(perm.BitReversal(coreConfig.LgN()))
+	_, err = NewEngine().Permute(context.Background(), ds, perm.BitReversal(coreConfig.LgN()))
 	if !errors.Is(err, pdm.ErrInjectedFault) {
 		t.Fatalf("fault not surfaced: %v", err)
 	}
 }
 
 func TestPermuteGeneralRandom(t *testing.T) {
-	p, _ := NewPermuter(coreConfig)
-	defer p.Close()
+	ds := newTestDataset(t, coreConfig)
 	rng := rand.New(rand.NewSource(9))
 	target := rng.Perm(coreConfig.N)
 	targetOf := func(x uint64) uint64 { return uint64(target[x]) }
-	rep, err := p.PermuteGeneral(context.Background(), targetOf)
+	rep, err := NewEngine().PermuteGeneral(context.Background(), ds, targetOf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Passes < 2 {
 		t.Errorf("sort finished in %d passes", rep.Passes)
 	}
-	if err := p.VerifyMapping(targetOf); err != nil {
+	if err := ds.VerifyMapping(targetOf); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -169,9 +191,8 @@ func TestPermuterInverseMLDDispatch(t *testing.T) {
 	if inv.IsMLD(b, m) || inv.IsMRC(m) {
 		t.Skip("inverse degenerated to a forward one-pass class")
 	}
-	p, _ := NewPermuter(cfg)
-	defer p.Close()
-	rep, err := p.Permute(inv)
+	ds := newTestDataset(t, cfg)
+	rep, err := NewEngine().Permute(context.Background(), ds, inv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,21 +202,29 @@ func TestPermuterInverseMLDDispatch(t *testing.T) {
 	if rep.Class != perm.ClassInvMLD {
 		t.Errorf("report class %v, want %v", rep.Class, perm.ClassInvMLD)
 	}
-	if err := p.Verify(inv); err != nil {
+	if err := ds.Verify(inv); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestPermuteComposedBatching: composing a sequence before running it is
-// never more expensive than running it step by step, and a permutation
-// followed by its inverse is free.
+// TestPermuteComposedBatching: composing a sequence with Compose before
+// running it (Lemma 1) is never more expensive than running it step by
+// step, and a permutation followed by its inverse is free.
 func TestPermuteComposedBatching(t *testing.T) {
 	n := coreConfig.LgN()
 	rev := perm.BitReversal(n)
+	eng := NewEngine()
+	ctx := context.Background()
+	compose := func(seq ...perm.BMMC) perm.BMMC {
+		out := perm.Identity(n)
+		for _, q := range seq {
+			out = q.Compose(out)
+		}
+		return out
+	}
 
-	batched, _ := NewPermuter(coreConfig)
-	defer batched.Close()
-	rep, err := batched.PermuteComposed(rev, perm.GrayCode(n), perm.GrayCode(n).Inverse(), rev)
+	batched := newTestDataset(t, coreConfig)
+	rep, err := eng.Permute(ctx, batched, compose(rev, perm.GrayCode(n), perm.GrayCode(n).Inverse(), rev))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,24 +235,27 @@ func TestPermuteComposedBatching(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A non-trivial batch must still land correctly.
-	b2, _ := NewPermuter(coreConfig)
-	defer b2.Close()
+	// A non-trivial batch lands correctly and costs no more than the steps.
 	seq := []perm.BMMC{perm.GrayCode(n), rev, perm.RotateBits(n, 3)}
-	if _, err := b2.PermuteComposed(seq...); err != nil {
+	b2 := newTestDataset(t, coreConfig)
+	rep, err = eng.Permute(ctx, b2, compose(seq...))
+	if err != nil {
 		t.Fatal(err)
 	}
 	want := seq[2].Compose(seq[1]).Compose(seq[0])
 	if err := b2.Verify(want); err != nil {
 		t.Fatal(err)
 	}
-
-	// Empty batch is the identity.
-	b3, _ := NewPermuter(coreConfig)
-	defer b3.Close()
-	rep, err = b3.PermuteComposed()
-	if err != nil || rep.ParallelIOs != 0 {
-		t.Fatalf("empty batch: %v, %d I/Os", err, rep.ParallelIOs)
+	stepwise := newTestDataset(t, coreConfig)
+	batch, err := eng.PermuteAll(ctx, stepwise, seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ParallelIOs > batch.ParallelIOs {
+		t.Errorf("composed run cost %d I/Os, step by step %d", rep.ParallelIOs, batch.ParallelIOs)
+	}
+	if err := stepwise.Verify(want); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -234,9 +266,9 @@ func TestPermuteAllPerJob(t *testing.T) {
 	rev := perm.BitReversal(n)
 	gray := perm.GrayCode(n)
 
-	p, _ := NewPermuter(coreConfig)
-	defer p.Close()
-	batch, err := p.PermuteAll(context.Background(), []perm.BMMC{rev, gray, rev, rev})
+	ds := newTestDataset(t, coreConfig)
+	eng := NewEngine()
+	batch, err := eng.PermuteAll(context.Background(), ds, []perm.BMMC{rev, gray, rev, rev})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,12 +294,12 @@ func TestPermuteAllPerJob(t *testing.T) {
 	}
 	// The stored records reflect the full applied sequence.
 	want := rev.Compose(rev.Compose(gray.Compose(rev)))
-	if err := p.Verify(want); err != nil {
+	if err := ds.Verify(want); err != nil {
 		t.Fatal(err)
 	}
 	// Two misses: bitrev's factorization plus the cached one-pass
 	// classification of the Gray code.
-	if got := p.CacheStats(); got.Hits != 2 || got.Misses != 2 || got.Size != 2 {
+	if got := eng.CacheStats(); got.Hits != 2 || got.Misses != 2 || got.Size != 2 {
 		t.Errorf("cache stats %+v", got)
 	}
 	if len(batch.String()) == 0 {

@@ -7,11 +7,12 @@ import (
 
 	"repro/internal/bounds"
 	"repro/internal/engine"
+	"repro/internal/factor"
 	"repro/internal/pdm"
 	"repro/internal/perm"
 )
 
-// Engine is the stateless compute half of the v3 Dataset/Engine split: it
+// Engine is the stateless compute half of the Dataset/Engine split: it
 // holds only execution options (pipelining, scatter workers, progress) and
 // the LRU plan cache — never any records or storage. One Engine drives any
 // number of Datasets from any number of goroutines; every Execute takes
@@ -52,45 +53,13 @@ func (e *Engine) overlay(opts []Option) settings {
 // CacheStats returns the plan cache's hit/miss/eviction counters.
 func (e *Engine) CacheStats() CacheStats { return e.cache.snapshot() }
 
-// planCached returns the planning result for bp on cfg — the dispatched
-// class plus, for factored permutations, the (possibly fused) plan —
-// consulting the plan cache first. A cache hit skips classification and
-// factorization entirely; the boolean reports it.
-func (e *Engine) planCached(cfg pdm.Config, bp perm.BMMC, fuse bool) (*cachedPlan, bool, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, false, err
-	}
-	// The key deliberately omits n = lg N (the pass structure depends only
-	// on the permutation and lg B / lg M), so the width check must happen
-	// before the lookup: a hit would otherwise smuggle a wrong-sized
-	// permutation past the validation that lives in buildPlan.
-	if bp.Bits() != cfg.LgN() {
-		return nil, false, fmt.Errorf("core: permutation on %d-bit addresses, system has n=%d", bp.Bits(), cfg.LgN())
-	}
-	key := planKey(bp, cfg, fuse)
-	if cp := e.cache.get(key); cp != nil {
-		return cp, true, nil
-	}
-	cp, err := buildPlan(cfg, bp, fuse)
-	if err != nil {
-		return nil, false, err
-	}
-	e.cache.put(key, cp)
-	return cp, false, nil
-}
-
 // Plan classifies and (for full BMMC permutations) factorizes bp for the
 // given geometry, consulting the engine's plan cache, and returns the plan
 // without executing it. Plans are immutable and portable: a Plan built
 // here executes on any Dataset with the same Config, through this Engine
 // or any other.
 func (e *Engine) Plan(cfg pdm.Config, bp perm.BMMC, opts ...Option) (*Plan, error) {
-	s := e.overlay(opts)
-	cp, hit, err := e.planCached(cfg, bp, s.fuse)
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{perm: bp, cfg: cfg, class: cp.class, fplan: cp.plan, cached: hit}, nil
+	return plan(e.cache, cfg, bp, e.overlay(opts).fuse)
 }
 
 // checkTarget validates an execution target against a plan's geometry.
@@ -107,22 +76,13 @@ func checkTarget(pl *Plan, ds *Dataset) error {
 	return nil
 }
 
-// runPlan executes a prepared plan on a dataset's disk system. The caller
-// holds the dataset's run lock; the identity (nil plan) is free.
-func runPlan(ctx context.Context, sys *pdm.System, cp *cachedPlan, opt engine.Options) (*engine.Result, error) {
-	if cp.plan == nil {
-		return &engine.Result{}, nil
-	}
-	return engine.RunPlanOpt(ctx, sys, cp.plan, opt)
-}
-
 // Execute runs a prepared plan against ds's stored records and reports the
 // measured cost. No planning happens here: the pass list is taken from pl
 // as-is, so N Execute calls of one Plan factorize exactly once (at Plan
-// time) and yield records and Stats identical to N Permute calls. The
-// dataset's run lock is held for the whole run: concurrent Executes on one
-// Dataset serialize (each seeing the previous run's output), and reads
-// wait for the run to finish.
+// time) and yield records, Stats and Reports identical to N Permute calls
+// (Permute is Plan followed by Execute). The dataset's run lock is held
+// for the whole run: concurrent Executes on one Dataset serialize (each
+// seeing the previous run's output), and reads wait for the run to finish.
 //
 // ctx is checked between memoryloads; cancellation aborts the run with
 // ctx's error before the next memoryload is read — no counted parallel
@@ -137,11 +97,11 @@ func (e *Engine) Execute(ctx context.Context, pl *Plan, ds *Dataset, opts ...Opt
 	s := e.overlay(opts)
 	ds.sys.AcquireRun()
 	defer ds.sys.ReleaseRun()
-	res, err := runPlan(ctx, ds.sys, &cachedPlan{class: pl.class, plan: pl.fplan}, s.opt)
+	res, err := engine.RunPlan(ctx, ds.sys, pl.fplan, s.opt)
 	if err != nil {
 		return nil, err
 	}
-	return buildReport(ds.Config(), pl.perm, pl.class, res, pl.cached), nil
+	return buildReport(pl, res), nil
 }
 
 // ExecuteAll runs a prepared plan sequence in order on one Dataset with
@@ -164,106 +124,69 @@ func (e *Engine) ExecuteAll(ctx context.Context, plans []*Plan, ds *Dataset, opt
 	return batch, nil
 }
 
-// Permute plans bp through the engine's cache and executes it on ds — the
-// fused plan-and-run call. The returned Report carries the measured cost
-// next to the paper's bounds. ctx follows the Execute cancellation
-// contract.
+// Permute plans bp through the engine's cache and executes it on ds: Plan
+// followed by Execute. The returned Report carries the measured cost next
+// to the paper's bounds. ctx follows the Execute cancellation contract.
 func (e *Engine) Permute(ctx context.Context, ds *Dataset, bp perm.BMMC, opts ...Option) (*Report, error) {
-	s := e.overlay(opts)
-	cp, hit, err := e.planCached(ds.Config(), bp, s.fuse)
+	pl, err := e.Plan(ds.Config(), bp, opts...)
 	if err != nil {
 		return nil, err
 	}
-	ds.sys.AcquireRun()
-	defer ds.sys.ReleaseRun()
-	res, err := runPlan(ctx, ds.sys, cp, s.opt)
-	if err != nil {
-		return nil, err
-	}
-	return buildReport(ds.Config(), bp, cp.class, res, hit), nil
+	return e.Execute(ctx, pl, ds, opts...)
 }
 
 // PermuteAll applies each permutation in order on ds — the stored records
 // end up permuted by the composition, with every intermediate state
-// materialized on disk, unlike PermuteComposed. All jobs are planned up
-// front through the plan cache, so a batch with repeated permutations
-// factorizes each distinct one once; execution then reuses the prepared
-// plans. ctx follows the Execute cancellation contract; on error the
-// records hold the state after the last completed pass.
+// materialized on disk (compose first with q.Compose(p) to pay for the
+// composite instead). All jobs are planned up front through the plan
+// cache, so a batch with repeated permutations factorizes each distinct
+// one once; the plans then run through ExecuteAll. ctx follows the Execute
+// cancellation contract; on error the records hold the state after the
+// last completed pass.
 func (e *Engine) PermuteAll(ctx context.Context, ds *Dataset, perms []perm.BMMC, opts ...Option) (*BatchReport, error) {
-	s := e.overlay(opts)
-	batch := &BatchReport{}
-	type job struct {
-		cp  *cachedPlan
-		hit bool
-	}
-	jobs := make([]job, len(perms))
+	plans := make([]*Plan, len(perms))
 	for i, bp := range perms {
-		cp, hit, err := e.planCached(ds.Config(), bp, s.fuse)
+		pl, err := e.Plan(ds.Config(), bp, opts...)
 		if err != nil {
 			return nil, fmt.Errorf("core: planning job %d/%d: %w", i+1, len(perms), err)
 		}
-		jobs[i] = job{cp: cp, hit: hit}
-		if cp.class == perm.ClassBMMC {
-			if hit {
-				batch.CacheHits++
-			} else {
-				batch.Planned++
-			}
-		}
+		plans[i] = pl
 	}
-	for i, bp := range perms {
-		rep, err := func() (*Report, error) {
-			ds.sys.AcquireRun()
-			defer ds.sys.ReleaseRun()
-			res, err := runPlan(ctx, ds.sys, jobs[i].cp, s.opt)
-			if err != nil {
-				return nil, err
-			}
-			return buildReport(ds.Config(), bp, jobs[i].cp.class, res, jobs[i].hit), nil
-		}()
-		if err != nil {
-			return nil, fmt.Errorf("core: job %d/%d: %w", i+1, len(perms), err)
+	batch, err := e.ExecuteAll(ctx, plans, ds, opts...)
+	if err != nil {
+		return nil, err
+	}
+	for _, pl := range plans {
+		switch {
+		case pl.class != perm.ClassBMMC:
+		case pl.cached:
+			batch.CacheHits++
+		default:
+			batch.Planned++
 		}
-		batch.Jobs = append(batch.Jobs, rep)
-		batch.Passes += rep.Passes
-		batch.ParallelIOs += rep.ParallelIOs
 	}
 	return batch, nil
-}
-
-// PermuteComposed applies a sequence of BMMC permutations (perms[0] first)
-// as a single composed permutation, which by Lemma 1 is again BMMC.
-// Because the cost depends only on the composite's rank gamma, composing
-// is never more expensive than running the sequence one call at a time,
-// and is usually much cheaper (e.g. a permutation followed by its inverse
-// costs nothing).
-func (e *Engine) PermuteComposed(ctx context.Context, ds *Dataset, perms ...perm.BMMC) (*Report, error) {
-	if len(perms) == 0 {
-		return e.Permute(ctx, ds, perm.Identity(ds.Config().LgN()))
-	}
-	composite := perms[0]
-	for _, q := range perms[1:] {
-		composite = q.Compose(composite)
-	}
-	return e.Permute(ctx, ds, composite)
 }
 
 // PermuteFactored forces the full Section 5 factoring algorithm even for
 // permutations that have a cheaper class, for measurement purposes. It
 // bypasses the plan cache and fusion so the measured cost is exactly the
-// unoptimized Theorem 21 algorithm. ctx follows the Execute cancellation
-// contract.
+// unoptimized Theorem 21 algorithm; only the identity stays free. ctx
+// follows the Execute cancellation contract.
 func (e *Engine) PermuteFactored(ctx context.Context, ds *Dataset, bp perm.BMMC, opts ...Option) (*Report, error) {
-	s := e.overlay(opts)
-	ds.sys.AcquireRun()
-	defer ds.sys.ReleaseRun()
-	res, err := engine.RunBMMCOpt(ctx, ds.sys, bp, s.opt)
-	if err != nil {
+	cfg := ds.Config()
+	if err := checkWidth(cfg, bp); err != nil {
 		return nil, err
 	}
-	cfg := ds.Config()
-	return buildReport(cfg, bp, bp.Classify(cfg.LgB(), cfg.LgM()), res, false), nil
+	pl := &Plan{perm: bp, cfg: cfg, class: bp.Classify(cfg.LgB(), cfg.LgM())}
+	if !bp.IsIdentity() {
+		fplan, err := factor.Factorize(bp, cfg.LgB(), cfg.LgM())
+		if err != nil {
+			return nil, err
+		}
+		pl.fplan = fplan
+	}
+	return e.Execute(ctx, pl, ds, opts...)
 }
 
 // PermuteGeneral applies an arbitrary bijection on addresses using the
@@ -273,22 +196,23 @@ func (e *Engine) PermuteGeneral(ctx context.Context, ds *Dataset, targetOf func(
 	s := e.overlay(opts)
 	ds.sys.AcquireRun()
 	defer ds.sys.ReleaseRun()
-	res, err := engine.GeneralPermuteOpt(ctx, ds.sys, targetOf, s.opt)
+	res, err := engine.GeneralPermute(ctx, ds.sys, targetOf, s.opt)
 	if err != nil {
 		return nil, err
 	}
 	return &Report{Passes: res.Passes, ParallelIOs: res.ParallelIOs}, nil
 }
 
-// buildReport pairs a run's measured cost with the paper's bound
-// expressions and the planning metadata of the run.
-func buildReport(cfg pdm.Config, bp perm.BMMC, class perm.Class, res *engine.Result, cached bool) *Report {
-	g := bp.RankGamma(cfg.LgB())
-	rep := &Report{
-		Class:        class,
+// buildReport pairs the measured cost of running pl with the paper's
+// bound expressions and the plan's planning metadata.
+func buildReport(pl *Plan, res *engine.Result) *Report {
+	cfg, g := pl.cfg, pl.RankGamma()
+	return &Report{
+		Class:        pl.class,
 		Passes:       res.Passes,
 		ParallelIOs:  res.ParallelIOs,
-		PlanCached:   cached,
+		PlanCached:   pl.cached,
+		FusedFrom:    pl.FusedFrom(),
 		RankGamma:    g,
 		LowerBound:   bounds.LowerBound(cfg, g),
 		RefinedLB:    bounds.RefinedLowerBound(cfg, g),
@@ -296,8 +220,4 @@ func buildReport(cfg pdm.Config, bp perm.BMMC, class perm.Class, res *engine.Res
 		SortBound:    bounds.SortBound(cfg),
 		SortBaseline: bounds.MergeSortIOs(cfg),
 	}
-	if res.Plan != nil {
-		rep.FusedFrom = res.Plan.FusedFrom
-	}
-	return rep
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -12,11 +11,12 @@ import (
 )
 
 // Plan is a first-class execution plan: the complete, inspectable answer
-// to "how will this Permuter perform this permutation on this geometry".
-// It carries the dispatched class, the (possibly fused) one-pass sequence,
-// and the paper's cost bounds. A Plan is immutable and reusable — plan
-// once with Permuter.Plan, execute many times with Permuter.Execute, and
-// the factorization/classification work is paid exactly once.
+// to "how will this permutation run on this geometry". It carries the
+// dispatched class, the (possibly fused) one-pass sequence, and the paper's
+// cost bounds. A Plan is immutable and reusable — plan once with
+// Engine.Plan, execute many times with Engine.Execute on any Dataset of the
+// same Config, and the classification/factorization work is paid exactly
+// once.
 type Plan struct {
 	perm   perm.BMMC
 	cfg    pdm.Config
@@ -25,92 +25,54 @@ type Plan struct {
 	cached bool
 }
 
-// Plan classifies and (for full BMMC permutations) factorizes bp for this
-// Permuter's geometry, consulting the plan cache, and returns the plan
-// without executing it. The returned Plan stays valid for the life of the
-// process and may be executed any number of times, on this Permuter or on
-// any other with the same Config.
-func (p *Permuter) Plan(bp perm.BMMC) (*Plan, error) {
-	return p.eng.Plan(p.ds.Config(), bp)
-}
-
 // PlanFor classifies and (for full BMMC permutations) factorizes bp for an
-// arbitrary valid geometry without a Permuter: pure GF(2) planning with no
-// disk system, no plan cache, and no I/O. It is how services and tools
-// summarize a permutation's execution cost before any storage exists;
-// Permuter.Plan is the cached, Permuter-bound equivalent and produces an
-// identical plan.
+// arbitrary valid geometry: pure GF(2) planning with no disk system, no
+// plan cache, and no I/O. It is how services and tools summarize a
+// permutation's execution cost before any storage exists; Engine.Plan is
+// the cached equivalent and produces an identical plan.
 func PlanFor(cfg pdm.Config, bp perm.BMMC, fuse bool) (*Plan, error) {
+	return plan(nil, cfg, bp, fuse)
+}
+
+// plan is the one planning path behind Engine.Plan and PlanFor: validate
+// the geometry and the permutation's width, consult the cache (nil: none),
+// and otherwise run factor.Dispatch and remember the result.
+func plan(cache *planCache, cfg pdm.Config, bp perm.BMMC, fuse bool) (*Plan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cp, err := buildPlan(cfg, bp, fuse)
-	if err != nil {
+	// The cache key deliberately omits n = lg N (the pass structure depends
+	// only on the permutation and lg B / lg M), so the width check must
+	// happen before the lookup: a hit would otherwise smuggle a wrong-sized
+	// permutation onto this geometry.
+	if err := checkWidth(cfg, bp); err != nil {
 		return nil, err
-	}
-	return &Plan{perm: bp, cfg: cfg, class: cp.class, fplan: cp.plan}, nil
-}
-
-// PlanCache is a standalone, concurrency-safe LRU cache of prepared Plans
-// for callers that plan outside any Permuter — services planning on behalf
-// of many tenants, tools quoting costs. It shares the Permuter cache's
-// machinery (binary (A, c, lgB, lgM, fuse) keys, LRU eviction, CacheStats),
-// and since the cached factorization depends only on the permutation and
-// (lg B, lg M), one cache serves every geometry sharing those splits; the
-// returned Plan is always stamped with the exact Config requested.
-type PlanCache struct{ c *planCache }
-
-// NewPlanCache returns a plan cache holding up to capacity plans;
-// capacity <= 0 disables caching (every PlanFor plans from scratch).
-func NewPlanCache(capacity int) *PlanCache {
-	return &PlanCache{c: newPlanCache(capacity)}
-}
-
-// PlanFor returns the plan for bp on cfg, serving the pass structure from
-// the cache when present; the boolean reports a hit. Cached pass lists are
-// immutable and shared, so concurrent callers may Execute one plan freely.
-func (pc *PlanCache) PlanFor(cfg pdm.Config, bp perm.BMMC, fuse bool) (*Plan, bool, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, false, err
-	}
-	// The key deliberately omits n = lg N (the pass structure depends only
-	// on the permutation and lg B / lg M), so the width check must happen
-	// before the lookup: a hit would otherwise smuggle a wrong-sized
-	// permutation past the validation that lives in buildPlan.
-	if bp.Bits() != cfg.LgN() {
-		return nil, false, fmt.Errorf("core: permutation on %d-bit addresses, system has n=%d", bp.Bits(), cfg.LgN())
 	}
 	key := planKey(bp, cfg, fuse)
-	if cp := pc.c.get(key); cp != nil {
-		return &Plan{perm: bp, cfg: cfg, class: cp.class, fplan: cp.plan, cached: true}, true, nil
+	if cp := cache.get(key); cp != nil {
+		return &Plan{perm: bp, cfg: cfg, class: cp.class, fplan: cp.plan, cached: true}, nil
 	}
-	cp, err := buildPlan(cfg, bp, fuse)
+	class, fplan, err := factor.Dispatch(bp, cfg.LgB(), cfg.LgM(), fuse)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	pc.c.put(key, cp)
-	return &Plan{perm: bp, cfg: cfg, class: cp.class, fplan: cp.plan}, false, nil
+	cache.put(key, &cachedPlan{class: class, plan: fplan})
+	return &Plan{perm: bp, cfg: cfg, class: class, fplan: fplan}, nil
 }
 
-// Stats returns the cache's hit/miss/eviction counters.
-func (pc *PlanCache) Stats() CacheStats { return pc.c.snapshot() }
-
-// Execute runs a prepared plan against the stored records and reports the
-// measured cost. No planning happens here: the pass list is taken from pl
-// as-is, so N Execute calls of one Plan factorize exactly once (at Plan
-// time) and yield records and Stats identical to N Permute calls.
-//
-// ctx is checked between memoryloads; see PermuteContext for the
-// cancellation contract. The plan's geometry must equal the Permuter's.
-func (p *Permuter) Execute(ctx context.Context, pl *Plan) (*Report, error) {
-	return p.eng.Execute(ctx, pl, p.ds)
+// checkWidth rejects a permutation whose address width is not lg N.
+func checkWidth(cfg pdm.Config, bp perm.BMMC) error {
+	if bp.Bits() != cfg.LgN() {
+		return fmt.Errorf("core: permutation on %d-bit addresses, system has n=%d", bp.Bits(), cfg.LgN())
+	}
+	return nil
 }
 
 // Permutation returns the permutation the plan performs.
 func (pl *Plan) Permutation() perm.BMMC { return pl.perm }
 
 // Geometry returns the machine configuration the plan was built for; a
-// plan only executes on Permuters with this exact Config.
+// plan only executes on Datasets with this exact Config.
 func (pl *Plan) Geometry() pdm.Config { return pl.cfg }
 
 // Class returns the class the permutation was dispatched as (identity,
@@ -145,8 +107,8 @@ func (pl *Plan) FusedFrom() int {
 	return pl.fplan.FusedFrom
 }
 
-// Cached reports whether planning was served from the Permuter's plan
-// cache rather than paying for classification and factorization.
+// Cached reports whether planning was served from the Engine's plan cache
+// rather than paying for classification and factorization.
 func (pl *Plan) Cached() bool { return pl.cached }
 
 // RankGamma returns rank A_{b..n-1,0..b-1}, the quantity the paper's
@@ -187,14 +149,4 @@ func (pl *Plan) Describe() string {
 		return pl.String() + "\n  (identity: nothing to do)"
 	}
 	return pl.String() + "\n" + pl.fplan.String()
-}
-
-// ExecuteAll runs a prepared plan sequence in order with one context and
-// aggregates the per-plan reports, stopping at the first error. It is the
-// plan-level analogue of PermuteAll for callers that separate planning
-// from execution. Because all planning happened at Plan time, no planning
-// work occurs in the batch: the report's CacheHits/Planned counters stay
-// zero (they describe planning done by the call itself).
-func (p *Permuter) ExecuteAll(ctx context.Context, plans []*Plan) (*BatchReport, error) {
-	return p.eng.ExecuteAll(ctx, plans, p.ds)
 }

@@ -10,12 +10,12 @@ import (
 	"repro/internal/perm"
 )
 
-// cachedPlan is everything Permute needs to know about how to run a
-// permutation: the dispatched class and the execution plan — the
-// (possibly fused) factoring for ClassBMMC, a synthesized single pass for
-// the one-pass classes, nil only for the identity. Caching one-pass
-// classes still saves the classification work, which includes a full
-// GF(2) matrix inversion for the inverse-MLD check.
+// cachedPlan is what factor.Dispatch decided for a permutation: the
+// dispatched class and the execution plan — the (possibly fused) factoring
+// for ClassBMMC, a synthesized single pass for the one-pass classes, nil
+// only for the identity. Caching one-pass classes still saves the
+// classification work, which includes a full GF(2) matrix inversion for
+// the inverse-MLD check.
 type cachedPlan struct {
 	class perm.Class
 	plan  *factor.Plan // nil only for the identity
@@ -24,7 +24,7 @@ type cachedPlan struct {
 // planCache is an LRU cache of planning results keyed by the binary
 // encoding of the permutation plus the machine geometry and the fusion
 // setting. Cached values are immutable once built, so they are shared
-// freely across Permute calls; the cache only saves planning work
+// freely across Plan calls; the cache only saves planning work
 // (classification and Gaussian elimination over GF(2)), never changes
 // what a plan computes.
 type planCache struct {
@@ -42,8 +42,8 @@ type planEntry struct {
 
 // CacheStats reports plan-cache effectiveness: every miss corresponds to
 // one planning pass (classification, plus factorization and fusion for
-// factored permutations); every hit is a Permute call that skipped
-// planning entirely.
+// factored permutations); every hit is a Plan (or Permute) call that
+// skipped planning entirely.
 type CacheStats struct {
 	Hits      int // plans served without re-factorizing
 	Misses    int // plans computed and inserted
@@ -92,7 +92,8 @@ func appendVec(buf []byte, v uint64) []byte {
 		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 }
 
-// get returns the cached planning result for key, or nil.
+// get returns the cached planning result for key, or nil (always nil on a
+// nil or disabled cache).
 func (c *planCache) get(key string) *cachedPlan {
 	if c == nil || c.cap <= 0 {
 		return nil

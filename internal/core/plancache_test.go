@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -23,31 +24,27 @@ func randomFactoredPerm(rng *rand.Rand, cfg pdm.Config) perm.BMMC {
 // permutation returns the identical *factor.Plan value — pointer equality
 // proves no GF(2) elimination ran — and the stats record it as a hit.
 func TestPlanCacheHitSkipsRefactorization(t *testing.T) {
-	p, err := NewPermuter(coreConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
+	eng := NewEngine()
 	bp := randomFactoredPerm(rand.New(rand.NewSource(40)), coreConfig)
 
-	cp1, hit1, err := p.plan(bp)
+	pl1, err := eng.Plan(coreConfig, bp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp2, hit2, err := p.plan(bp)
+	pl2, err := eng.Plan(coreConfig, bp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hit1 || !hit2 {
-		t.Errorf("hit flags: first %v, second %v; want false, true", hit1, hit2)
+	if pl1.Cached() || !pl2.Cached() {
+		t.Errorf("hit flags: first %v, second %v; want false, true", pl1.Cached(), pl2.Cached())
 	}
-	if cp1 != cp2 || cp1.plan != cp2.plan {
+	if pl1.fplan != pl2.fplan {
 		t.Error("second planning returned a different plan value: re-factorized despite the cache")
 	}
-	if cp1.plan == nil {
+	if pl1.fplan == nil {
 		t.Error("factored permutation cached without a plan")
 	}
-	if s := p.CacheStats(); s.Hits != 1 || s.Misses != 1 || s.Size != 1 {
+	if s := eng.CacheStats(); s.Hits != 1 || s.Misses != 1 || s.Size != 1 {
 		t.Errorf("cache stats %+v", s)
 	}
 }
@@ -55,35 +52,34 @@ func TestPlanCacheHitSkipsRefactorization(t *testing.T) {
 // TestPlanCacheLRUEviction: with capacity 2, planning a third distinct
 // permutation evicts the least recently used one, which then misses again.
 func TestPlanCacheLRUEviction(t *testing.T) {
-	p, err := NewPermuter(coreConfig, WithPlanCache(2))
-	if err != nil {
-		t.Fatal(err)
+	eng := NewEngine(WithPlanCache(2))
+	hit := func(bp perm.BMMC) bool {
+		t.Helper()
+		pl, err := eng.Plan(coreConfig, bp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pl.Cached()
 	}
-	defer p.Close()
 	rng := rand.New(rand.NewSource(41))
 	a := randomFactoredPerm(rng, coreConfig)
 	b := randomFactoredPerm(rng, coreConfig)
 	c := randomFactoredPerm(rng, coreConfig)
 
-	for _, bp := range []perm.BMMC{a, b} {
-		if _, _, err := p.plan(bp); err != nil {
-			t.Fatal(err)
-		}
-	}
+	hit(a)
+	hit(b)
 	// Touch a so b becomes the LRU entry, then insert c to evict b.
-	if _, hit, _ := p.plan(a); !hit {
+	if !hit(a) {
 		t.Fatal("a missed while resident")
 	}
-	if _, _, err := p.plan(c); err != nil {
-		t.Fatal(err)
-	}
-	if _, hit, _ := p.plan(a); !hit {
+	hit(c)
+	if !hit(a) {
 		t.Error("a was evicted despite being recently used")
 	}
-	if _, hit, _ := p.plan(b); hit {
+	if hit(b) {
 		t.Error("b survived past capacity")
 	}
-	s := p.CacheStats()
+	s := eng.CacheStats()
 	if s.Evictions < 1 || s.Size != 2 || s.Capacity != 2 {
 		t.Errorf("cache stats %+v", s)
 	}
@@ -92,14 +88,15 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 // TestPlanCacheDisabled: capacity zero plans every call from scratch and
 // never reports a cached plan.
 func TestPlanCacheDisabled(t *testing.T) {
-	p, err := NewPermuter(coreConfig, WithPlanCache(0))
+	eng := NewEngine(WithPlanCache(0))
+	ds, err := CreateDataset(coreConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
+	defer ds.Close()
 	bp := randomFactoredPerm(rand.New(rand.NewSource(42)), coreConfig)
 	for call := 0; call < 2; call++ {
-		rep, err := p.Permute(bp)
+		rep, err := eng.Permute(context.Background(), ds, bp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +104,7 @@ func TestPlanCacheDisabled(t *testing.T) {
 			t.Fatalf("call %d reported a cached plan with caching disabled", call+1)
 		}
 	}
-	if s := p.CacheStats(); s.Size != 0 || s.Hits != 0 {
+	if s := eng.CacheStats(); s.Size != 0 || s.Hits != 0 {
 		t.Errorf("disabled cache has state: %+v", s)
 	}
 }
@@ -115,7 +112,7 @@ func TestPlanCacheDisabled(t *testing.T) {
 // TestFusionShrinksMultiPassPlan: at a tight-memory geometry
 // (lg(M/B) = 2) the greedy factoring over-splits a known seeded random
 // permutation into three passes where two suffice; WithFusion(true) must
-// deliver the smaller measured cost through the public Permute path, with
+// deliver the smaller measured cost through Engine.Permute, with
 // the records verifying either way.
 func TestFusionShrinksMultiPassPlan(t *testing.T) {
 	cfg := pdm.Config{N: 1 << 10, D: 2, B: 4, M: 1 << 4}
@@ -128,16 +125,16 @@ func TestFusionShrinksMultiPassPlan(t *testing.T) {
 	}
 
 	run := func(fuse bool) *Report {
-		p, err := NewPermuter(cfg, WithFusion(fuse))
+		ds, err := CreateDataset(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer p.Close()
-		rep, err := p.Permute(bp)
+		defer ds.Close()
+		rep, err := NewEngine(WithFusion(fuse)).Permute(context.Background(), ds, bp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Verify(bp); err != nil {
+		if err := ds.Verify(bp); err != nil {
 			t.Fatal(err)
 		}
 		return rep
@@ -174,17 +171,13 @@ func BenchmarkPlanColdVsCached(b *testing.B) {
 		}
 	})
 	b.Run("cache-hit", func(b *testing.B) {
-		p, err := NewPermuter(pdm.Config{N: 1 << 20, D: 8, B: 16, M: 1 << 14})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer p.Close()
-		if _, _, err := p.plan(bp); err != nil { // warm the cache
+		eng := NewEngine()
+		if _, err := eng.Plan(cfg, bp); err != nil { // warm the cache
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, hit, _ := p.plan(bp); !hit {
+			if pl, _ := eng.Plan(cfg, bp); !pl.Cached() {
 				b.Fatal("cache miss on warmed cache")
 			}
 		}

@@ -37,7 +37,7 @@ func benchmarkFileBMMC(b *testing.B, opt Options, concurrent bool) {
 	b.SetBytes(int64(benchCfg.N) * pdm.RecordBytes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := RunBMMCOpt(context.Background(), sys, p, opt)
+		res, err := runFactored(context.Background(), sys, p, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func benchmarkMemBMMC(b *testing.B, opt Options) {
 	b.SetBytes(int64(benchCfg.N) * pdm.RecordBytes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunBMMCOpt(context.Background(), sys, p, opt); err != nil {
+		if _, err := runFactored(context.Background(), sys, p, opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -119,7 +119,7 @@ func benchmarkScatterKernel(b *testing.B, force bool) {
 	b.SetBytes(int64(cfg.N) * pdm.RecordBytes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := RunMRCPassOpt(context.Background(), sys, p, opt); err != nil {
+		if err := RunMRCPass(context.Background(), sys, p, opt); err != nil {
 			b.Fatal(err)
 		}
 	}

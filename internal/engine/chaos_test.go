@@ -52,24 +52,24 @@ func chaosPathsFor(cfg pdm.Config) []chaosPath {
 	targetOf := func(x uint64) uint64 { return uint64(target[x]) }
 	return []chaosPath{
 		{"MRC", func(ctx context.Context, sys *pdm.System, opt Options) error {
-			return RunMRCPassOpt(ctx, sys, mrc, opt)
+			return RunMRCPass(ctx, sys, mrc, opt)
 		}, func(sys *pdm.System) error { return VerifyBMMC(sys, sys.Source(), mrc) }},
 		{"MLD", func(ctx context.Context, sys *pdm.System, opt Options) error {
-			return RunMLDPassOpt(ctx, sys, mld, opt)
+			return RunMLDPass(ctx, sys, mld, opt)
 		}, func(sys *pdm.System) error { return VerifyBMMC(sys, sys.Source(), mld) }},
 		{"invMLD", func(ctx context.Context, sys *pdm.System, opt Options) error {
-			return RunMLDInversePassOpt(ctx, sys, inv, opt)
+			return RunMLDInversePass(ctx, sys, inv, opt)
 		}, func(sys *pdm.System) error { return VerifyBMMC(sys, sys.Source(), inv) }},
 		{"BMMC", func(ctx context.Context, sys *pdm.System, opt Options) error {
-			_, err := RunBMMCOpt(ctx, sys, bmmc, opt)
+			_, err := runFactored(ctx, sys, bmmc, opt)
 			return err
 		}, func(sys *pdm.System) error { return VerifyBMMC(sys, sys.Source(), bmmc) }},
 		{"sort", func(ctx context.Context, sys *pdm.System, opt Options) error {
-			_, err := GeneralPermuteOpt(ctx, sys, targetOf, opt)
+			_, err := GeneralPermute(ctx, sys, targetOf, opt)
 			return err
 		}, func(sys *pdm.System) error { return VerifyMapping(sys, sys.Source(), targetOf) }},
 		{"naive", func(ctx context.Context, sys *pdm.System, opt Options) error {
-			_, err := NaivePermuteOpt(ctx, sys, targetOf, opt)
+			_, err := NaivePermute(ctx, sys, targetOf, opt)
 			return err
 		}, func(sys *pdm.System) error { return VerifyMapping(sys, sys.Source(), targetOf) }},
 	}
@@ -322,7 +322,7 @@ func TestChaosEngineCancelOnSlowDisk(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(99))
 	mrc := perm.MustNew(gf2.RandomMRC(rng, chaosCfg.LgN(), chaosCfg.LgM()), gf2.RandomVec(rng, chaosCfg.LgN()))
-	if err := RunMRCPassOpt(ctx, sys, mrc, opt); !errors.Is(err, context.Canceled) {
+	if err := RunMRCPass(ctx, sys, mrc, opt); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 
@@ -337,7 +337,7 @@ func TestChaosEngineCancelOnSlowDisk(t *testing.T) {
 	}
 
 	// And the system still completes the permutation when asked again.
-	if err := RunMRCPassOpt(context.Background(), sys, mrc, pipeOpt); err != nil {
+	if err := RunMRCPass(context.Background(), sys, mrc, pipeOpt); err != nil {
 		t.Fatal(err)
 	}
 	if err := VerifyBMMC(sys, sys.Source(), mrc); err != nil {
@@ -381,7 +381,7 @@ func TestChaosLatencySkewPipelineWins(t *testing.T) {
 		}
 		lb.Arm()
 		start := time.Now()
-		if err := RunMRCPassOpt(context.Background(), sys, mrc, opts); err != nil {
+		if err := RunMRCPass(context.Background(), sys, mrc, opts); err != nil {
 			t.Fatal(err)
 		}
 		elapsed := time.Since(start)

@@ -112,43 +112,62 @@ func TestDifferentialConformance(t *testing.T) {
 		b, m := cfg.LgB(), cfg.LgM()
 		for pi, p := range perms {
 			want := inMemoryOracle(cfg, p)
+			// The six engine entry points. RunPlan is driven by every plan
+			// shape the library builds — the dispatch policy (unfused and
+			// fused), the verbatim factoring, its fused form, and the
+			// ungrouped ablation.
+			plan := func(build func() (*factor.Plan, error)) func(*pdm.System) error {
+				return func(s *pdm.System) error {
+					pl, err := build()
+					if err == nil {
+						_, err = engine.RunPlan(context.Background(), s, pl, opt)
+					}
+					return err
+				}
+			}
 			paths := []struct {
 				name string
 				cond bool
 				run  func(*pdm.System) error
 			}{
-				{"auto", true, func(s *pdm.System) error {
-					_, err := engine.RunAutoOpt(context.Background(), s, p, opt)
-					return err
-				}},
-				{"factored-unfused", true, func(s *pdm.System) error {
-					_, err := engine.RunBMMCOpt(context.Background(), s, p, opt)
-					return err
-				}},
-				{"factored-fused", true, func(s *pdm.System) error {
-					_, err := engine.RunBMMCFusedOpt(context.Background(), s, p, opt)
-					return err
-				}},
-				{"factored-ungrouped", true, func(s *pdm.System) error {
-					_, err := engine.RunBMMCUngroupedOpt(context.Background(), s, p, opt)
-					return err
-				}},
+				{"dispatch", true, plan(func() (*factor.Plan, error) {
+					_, pl, err := factor.Dispatch(p, b, m, false)
+					return pl, err
+				})},
+				{"dispatch-fused", true, plan(func() (*factor.Plan, error) {
+					_, pl, err := factor.Dispatch(p, b, m, true)
+					return pl, err
+				})},
+				{"factored-unfused", true, plan(func() (*factor.Plan, error) {
+					return factor.Factorize(p, b, m)
+				})},
+				{"factored-fused", true, plan(func() (*factor.Plan, error) {
+					pl, err := factor.Factorize(p, b, m)
+					if err != nil {
+						return nil, err
+					}
+					return factor.Fuse(pl, b, m), nil
+				})},
+				{"factored-ungrouped", true, plan(func() (*factor.Plan, error) {
+					passes, err := factor.FactorizeUngrouped(p, b, m)
+					return &factor.Plan{Passes: passes}, err
+				})},
 				{"merge-sort", true, func(s *pdm.System) error {
-					_, err := engine.GeneralPermuteOpt(context.Background(), s, p.Apply, opt)
+					_, err := engine.GeneralPermute(context.Background(), s, p.Apply, opt)
 					return err
 				}},
 				{"naive-oracle", true, func(s *pdm.System) error {
-					_, err := engine.NaivePermuteOpt(context.Background(), s, p.Apply, opt)
+					_, err := engine.NaivePermute(context.Background(), s, p.Apply, opt)
 					return err
 				}},
 				{"mrc-pass", p.IsMRC(m), func(s *pdm.System) error {
-					return engine.RunMRCPassOpt(context.Background(), s, p, opt)
+					return engine.RunMRCPass(context.Background(), s, p, opt)
 				}},
 				{"mld-pass", p.IsMLD(b, m), func(s *pdm.System) error {
-					return engine.RunMLDPassOpt(context.Background(), s, p, opt)
+					return engine.RunMLDPass(context.Background(), s, p, opt)
 				}},
 				{"inverse-mld-pass", p.Inverse().IsMLD(b, m), func(s *pdm.System) error {
-					return engine.RunMLDInversePassOpt(context.Background(), s, p, opt)
+					return engine.RunMLDInversePass(context.Background(), s, p, opt)
 				}},
 			}
 			for _, path := range paths {
@@ -164,14 +183,16 @@ func TestDifferentialConformance(t *testing.T) {
 }
 
 // TestCachedPathConformance covers the core plan-cache path: the same
-// permutation executed repeatedly through one fused, caching Permuter must
-// match the in-memory oracle on every call — in particular on the second,
-// when the plan is served from the cache without re-factorization.
+// permutation executed repeatedly on one Dataset through one fused,
+// caching Engine must match the in-memory oracle on every call — in
+// particular on the second, when the plan is served from the cache without
+// re-factorization.
 func TestCachedPathConformance(t *testing.T) {
 	for gi, cfg := range conformanceGeometries {
 		perms := conformancePerms(int64(2000+gi), cfg)
 		for pi, p := range perms {
-			pr, err := core.NewPermuter(cfg, core.WithFusion(true), core.WithPlanCache(8))
+			eng := core.NewEngine(core.WithFusion(true), core.WithPlanCache(8))
+			ds, err := core.CreateDataset(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,15 +205,15 @@ func TestCachedPathConformance(t *testing.T) {
 					for x := range recs {
 						recs[x] = pdm.MakeRecord(uint64(x))
 					}
-					if err := pr.LoadRecords(recs); err != nil {
+					if err := ds.LoadRecords(recs); err != nil {
 						t.Fatal(err)
 					}
 				}
-				rep, err := pr.Permute(p)
+				rep, err := eng.Permute(context.Background(), ds, p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := pr.Records()
+				got, err := ds.Records()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -202,7 +223,7 @@ func TestCachedPathConformance(t *testing.T) {
 					t.Fatalf("geometry %v perm %d call %d: PlanCached = %v", cfg, pi, call+1, rep.PlanCached)
 				}
 			}
-			pr.Close()
+			ds.Close()
 		}
 	}
 }
@@ -244,7 +265,7 @@ func TestBoundsConformance(t *testing.T) {
 				}{{"unfused", plan}, {"fused", fused}} {
 					var ios int
 					runEngine(t, cfg, func(s *pdm.System) error {
-						res, err := engine.RunPlanOpt(context.Background(), s, mode.pl, engine.DefaultOptions())
+						res, err := engine.RunPlan(context.Background(), s, mode.pl, engine.DefaultOptions())
 						if err == nil {
 							ios = res.ParallelIOs
 							err = engine.VerifyBMMC(s, s.Source(), p)

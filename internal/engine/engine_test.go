@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/factor"
 	"repro/internal/gf2"
 	"repro/internal/pdm"
 	"repro/internal/perm"
@@ -31,6 +32,65 @@ func newLoaded(t *testing.T, cfg pdm.Config) *pdm.System {
 	return sys
 }
 
+// runPlanned builds a plan for p at sys's geometry and executes it through
+// RunPlan — the only multi-pass entry point.
+func runPlanned(ctx context.Context, sys *pdm.System, p perm.BMMC, opt Options, build func(p perm.BMMC, b, m int) (*factor.Plan, error)) (*Result, error) {
+	cfg := sys.Config()
+	plan, err := build(p, cfg.LgB(), cfg.LgM())
+	if err != nil {
+		return nil, err
+	}
+	return RunPlan(ctx, sys, plan, opt)
+}
+
+// runAuto runs p under the paper's dispatch (factor.Dispatch, unfused).
+func runAuto(ctx context.Context, sys *pdm.System, p perm.BMMC, opt Options) (*Result, error) {
+	return runPlanned(ctx, sys, p, opt, func(p perm.BMMC, b, m int) (*factor.Plan, error) {
+		_, plan, err := factor.Dispatch(p, b, m, false)
+		return plan, err
+	})
+}
+
+// factored is the verbatim Section 5 factoring, even for one-pass
+// classes; the identity stays free.
+func factored(p perm.BMMC, b, m int) (*factor.Plan, error) {
+	if p.IsIdentity() {
+		return nil, nil
+	}
+	return factor.Factorize(p, b, m)
+}
+
+// runFactored runs the verbatim Section 5 factoring of p.
+func runFactored(ctx context.Context, sys *pdm.System, p perm.BMMC, opt Options) (*Result, error) {
+	return runPlanned(ctx, sys, p, opt, factored)
+}
+
+// runFused runs the Section 5 factoring of p after factor.Fuse.
+func runFused(ctx context.Context, sys *pdm.System, p perm.BMMC, opt Options) (*Result, error) {
+	return runPlanned(ctx, sys, p, opt, func(p perm.BMMC, b, m int) (*factor.Plan, error) {
+		plan, err := factored(p, b, m)
+		if plan == nil || err != nil {
+			return plan, err
+		}
+		return factor.Fuse(plan, b, m), nil
+	})
+}
+
+// runUngrouped runs the Theorem 17 ablation: the same factorization with
+// every factor as its own pass (2g+2 passes instead of g+1).
+func runUngrouped(ctx context.Context, sys *pdm.System, p perm.BMMC, opt Options) (*Result, error) {
+	return runPlanned(ctx, sys, p, opt, func(p perm.BMMC, b, m int) (*factor.Plan, error) {
+		if p.IsIdentity() {
+			return nil, nil
+		}
+		passes, err := factor.FactorizeUngrouped(p, b, m)
+		if err != nil {
+			return nil, err
+		}
+		return &factor.Plan{Passes: passes}, nil
+	})
+}
+
 // randomMLD constructs a random MLD permutation for the given geometry.
 func randomMLD(rng *rand.Rand, n, b, m int) perm.BMMC {
 	return perm.MustNew(gf2.RandomMLD(rng, n, b, m), gf2.RandomVec(rng, n))
@@ -40,7 +100,7 @@ func TestMRCPassGrayCode(t *testing.T) {
 	for _, cfg := range testConfigs {
 		sys := newLoaded(t, cfg)
 		p := perm.GrayCode(cfg.LgN())
-		if err := RunMRCPass(context.Background(), sys, p); err != nil {
+		if err := RunMRCPass(context.Background(), sys, p, DefaultOptions()); err != nil {
 			t.Fatalf("%v: %v", cfg, err)
 		}
 		if err := VerifyBMMC(sys, sys.Source(), p); err != nil {
@@ -58,7 +118,7 @@ func TestMRCPassRandom(t *testing.T) {
 		for trial := 0; trial < 5; trial++ {
 			sys := newLoaded(t, cfg)
 			p := perm.MustNew(gf2.RandomMRC(rng, cfg.LgN(), cfg.LgM()), gf2.RandomVec(rng, cfg.LgN()))
-			if err := RunMRCPass(context.Background(), sys, p); err != nil {
+			if err := RunMRCPass(context.Background(), sys, p, DefaultOptions()); err != nil {
 				t.Fatalf("%v: %v", cfg, err)
 			}
 			if err := VerifyBMMC(sys, sys.Source(), p); err != nil {
@@ -71,7 +131,7 @@ func TestMRCPassRandom(t *testing.T) {
 func TestMRCPassRejectsNonMRC(t *testing.T) {
 	cfg := testConfigs[0]
 	sys := newLoaded(t, cfg)
-	if err := RunMRCPass(context.Background(), sys, perm.BitReversal(cfg.LgN())); err == nil {
+	if err := RunMRCPass(context.Background(), sys, perm.BitReversal(cfg.LgN()), DefaultOptions()); err == nil {
 		t.Fatal("bit reversal accepted as MRC pass")
 	}
 }
@@ -86,7 +146,7 @@ func TestMLDPassRandom(t *testing.T) {
 		for trial := 0; trial < 5; trial++ {
 			sys := newLoaded(t, cfg)
 			p := randomMLD(rng, n, b, m)
-			if err := RunMLDPass(context.Background(), sys, p); err != nil {
+			if err := RunMLDPass(context.Background(), sys, p, DefaultOptions()); err != nil {
 				t.Fatalf("%v: %v", cfg, err)
 			}
 			if err := VerifyBMMC(sys, sys.Source(), p); err != nil {
@@ -115,7 +175,7 @@ func TestMLDPassRejectsNonMLD(t *testing.T) {
 	if p.IsMLD(cfg.LgB(), cfg.LgM()) {
 		t.Skip("unexpectedly MLD for this geometry")
 	}
-	if err := RunMLDPass(context.Background(), sys, p); err == nil {
+	if err := RunMLDPass(context.Background(), sys, p, DefaultOptions()); err == nil {
 		t.Fatal("non-MLD permutation accepted")
 	}
 }
@@ -130,7 +190,7 @@ func TestRunBMMCRandom(t *testing.T) {
 		for trial := 0; trial < 5; trial++ {
 			sys := newLoaded(t, cfg)
 			p := perm.MustNew(gf2.RandomNonsingular(rng, n), gf2.RandomVec(rng, n))
-			res, err := RunBMMC(context.Background(), sys, p)
+			res, err := runFactored(context.Background(), sys, p, DefaultOptions())
 			if err != nil {
 				t.Fatalf("%v: %v", cfg, err)
 			}
@@ -166,7 +226,7 @@ func TestRunBMMCCatalog(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			sys := newLoaded(t, cfg)
-			res, err := RunBMMC(context.Background(), sys, c.p)
+			res, err := runFactored(context.Background(), sys, c.p, DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,14 +247,14 @@ func TestRunAutoDispatch(t *testing.T) {
 
 	// Identity: free.
 	sys := newLoaded(t, cfg)
-	res, err := RunAuto(context.Background(), sys, perm.Identity(n))
+	res, err := runAuto(context.Background(), sys, perm.Identity(n), DefaultOptions())
 	if err != nil || res.ParallelIOs != 0 {
 		t.Fatalf("identity: %v, %d I/Os", err, res.ParallelIOs)
 	}
 
 	// MRC: one pass.
 	sys = newLoaded(t, cfg)
-	res, err = RunAuto(context.Background(), sys, perm.GrayCode(n))
+	res, err = runAuto(context.Background(), sys, perm.GrayCode(n), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +268,7 @@ func TestRunAutoDispatch(t *testing.T) {
 		t.Skip("sampled MLD degenerated to MRC")
 	}
 	sys = newLoaded(t, cfg)
-	res, err = RunAuto(context.Background(), sys, p)
+	res, err = runAuto(context.Background(), sys, p, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +281,7 @@ func TestRunAutoDispatch(t *testing.T) {
 
 	// General BMMC.
 	sys = newLoaded(t, cfg)
-	res, err = RunAuto(context.Background(), sys, perm.BitReversal(n))
+	res, err = runAuto(context.Background(), sys, perm.BitReversal(n), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +302,7 @@ func TestGeneralPermuteRandomBijection(t *testing.T) {
 		target := rng.Perm(cfg.N) // arbitrary, almost surely non-BMMC
 		targetOf := func(x uint64) uint64 { return uint64(target[x]) }
 		sys := newLoaded(t, cfg)
-		res, err := GeneralPermute(context.Background(), sys, targetOf)
+		res, err := GeneralPermute(context.Background(), sys, targetOf, DefaultOptions())
 		if err != nil {
 			t.Fatalf("%v: %v", cfg, err)
 		}
@@ -268,7 +328,7 @@ func TestGeneralPermuteBMMCTarget(t *testing.T) {
 	cfg := pdm.Config{N: 1 << 10, D: 4, B: 8, M: 1 << 7}
 	p := perm.BitReversal(cfg.LgN())
 	sys := newLoaded(t, cfg)
-	if _, err := GeneralPermute(context.Background(), sys, p.Apply); err != nil {
+	if _, err := GeneralPermute(context.Background(), sys, p.Apply, DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	if err := VerifyBMMC(sys, sys.Source(), p); err != nil {
@@ -282,7 +342,7 @@ func TestNaivePermute(t *testing.T) {
 	target := rng.Perm(cfg.N)
 	targetOf := func(x uint64) uint64 { return uint64(target[x]) }
 	sys := newLoaded(t, cfg)
-	res, err := NaivePermute(context.Background(), sys, targetOf)
+	res, err := NaivePermute(context.Background(), sys, targetOf, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +365,7 @@ func TestNaivePermuteBMMCTarget(t *testing.T) {
 	cfg := pdm.Config{N: 1 << 10, D: 4, B: 8, M: 1 << 7}
 	p := perm.Transpose(5, 5)
 	sys := newLoaded(t, cfg)
-	if _, err := NaivePermute(context.Background(), sys, p.Apply); err != nil {
+	if _, err := NaivePermute(context.Background(), sys, p.Apply, DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	if err := VerifyBMMC(sys, sys.Source(), p); err != nil {
@@ -321,10 +381,10 @@ func TestChainedPasses(t *testing.T) {
 	n := cfg.LgN()
 	p1 := perm.GrayCode(n)
 	p2 := perm.BitReversal(n)
-	if _, err := RunBMMC(context.Background(), sys, p1); err != nil {
+	if _, err := runFactored(context.Background(), sys, p1, DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunBMMC(context.Background(), sys, p2); err != nil {
+	if _, err := runFactored(context.Background(), sys, p2, DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	if err := VerifyBMMC(sys, sys.Source(), p2.Compose(p1)); err != nil {
@@ -344,7 +404,7 @@ func TestFileBackedBMMC(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := perm.BitReversal(cfg.LgN())
-	if _, err := RunBMMC(context.Background(), sys, p); err != nil {
+	if _, err := runFactored(context.Background(), sys, p, DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	if err := VerifyBMMC(sys, sys.Source(), p); err != nil {

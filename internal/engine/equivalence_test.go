@@ -49,8 +49,8 @@ func TestMRCPassAgreesWithMLDPass(t *testing.T) {
 	rng := rand.New(rand.NewSource(190))
 	for trial := 0; trial < 6; trial++ {
 		p := perm.MustNew(gf2.RandomMRC(rng, cfg.LgN(), cfg.LgM()), gf2.RandomVec(rng, cfg.LgN()))
-		viaMRC := finalLayout(t, cfg, func(s *pdm.System) error { return RunMRCPass(context.Background(), s, p) })
-		viaMLD := finalLayout(t, cfg, func(s *pdm.System) error { return RunMLDPass(context.Background(), s, p) })
+		viaMRC := finalLayout(t, cfg, func(s *pdm.System) error { return RunMRCPass(context.Background(), s, p, DefaultOptions()) })
+		viaMLD := finalLayout(t, cfg, func(s *pdm.System) error { return RunMLDPass(context.Background(), s, p, DefaultOptions()) })
 		sameLayout(t, viaMRC, viaMLD, "MRC vs MLD executor")
 	}
 }
@@ -63,11 +63,11 @@ func TestBMMCAgreesWithGeneralSort(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		p := perm.MustNew(gf2.RandomNonsingular(rng, cfg.LgN()), gf2.RandomVec(rng, cfg.LgN()))
 		viaBMMC := finalLayout(t, cfg, func(s *pdm.System) error {
-			_, err := RunBMMC(context.Background(), s, p)
+			_, err := runFactored(context.Background(), s, p, DefaultOptions())
 			return err
 		})
 		viaSort := finalLayout(t, cfg, func(s *pdm.System) error {
-			_, err := GeneralPermute(context.Background(), s, p.Apply)
+			_, err := GeneralPermute(context.Background(), s, p.Apply, DefaultOptions())
 			return err
 		})
 		sameLayout(t, viaBMMC, viaSort, "BMMC vs sort")
@@ -81,11 +81,11 @@ func TestBMMCAgreesWithNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(192))
 	p := perm.MustNew(gf2.RandomNonsingular(rng, cfg.LgN()), gf2.RandomVec(rng, cfg.LgN()))
 	viaBMMC := finalLayout(t, cfg, func(s *pdm.System) error {
-		_, err := RunBMMC(context.Background(), s, p)
+		_, err := runFactored(context.Background(), s, p, DefaultOptions())
 		return err
 	})
 	viaNaive := finalLayout(t, cfg, func(s *pdm.System) error {
-		_, err := NaivePermute(context.Background(), s, p.Apply)
+		_, err := NaivePermute(context.Background(), s, p.Apply, DefaultOptions())
 		return err
 	})
 	sameLayout(t, viaBMMC, viaNaive, "BMMC vs naive")
@@ -99,11 +99,11 @@ func TestGroupedAgreesWithUngrouped(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		p := perm.MustNew(gf2.RandomNonsingular(rng, cfg.LgN()), gf2.RandomVec(rng, cfg.LgN()))
 		grouped := finalLayout(t, cfg, func(s *pdm.System) error {
-			_, err := RunBMMC(context.Background(), s, p)
+			_, err := runFactored(context.Background(), s, p, DefaultOptions())
 			return err
 		})
 		ungrouped := finalLayout(t, cfg, func(s *pdm.System) error {
-			_, err := RunBMMCUngrouped(context.Background(), s, p)
+			_, err := runUngrouped(context.Background(), s, p, DefaultOptions())
 			return err
 		})
 		sameLayout(t, grouped, ungrouped, "grouped vs ungrouped")
@@ -125,11 +125,11 @@ func TestFusedAgreesWithUnfused(t *testing.T) {
 	}
 	for i, p := range perms {
 		unfused := finalLayout(t, cfg, func(s *pdm.System) error {
-			_, err := RunBMMC(context.Background(), s, p)
+			_, err := runFactored(context.Background(), s, p, DefaultOptions())
 			return err
 		})
 		fused := finalLayout(t, cfg, func(s *pdm.System) error {
-			_, err := RunBMMCFused(context.Background(), s, p)
+			_, err := runFused(context.Background(), s, p, DefaultOptions())
 			return err
 		})
 		sameLayout(t, unfused, fused, fmt.Sprintf("unfused vs fused (perm %d)", i))
@@ -144,7 +144,7 @@ func traceRun(t *testing.T, cfg pdm.Config, plan *factor.Plan, opt Options, conc
 	sys := newLoaded(t, cfg)
 	sys.SetConcurrent(concurrent)
 	tr := new(pdm.Trace).Attach(sys)
-	if _, err := RunPlanOpt(context.Background(), sys, plan, opt); err != nil {
+	if _, err := RunPlan(context.Background(), sys, plan, opt); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := sys.DumpRecords(sys.Source())
@@ -235,12 +235,12 @@ func TestConcurrentDispatchAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(194))
 	p := perm.MustNew(gf2.RandomNonsingular(rng, cfg.LgN()), gf2.RandomVec(rng, cfg.LgN()))
 	seq := finalLayout(t, cfg, func(s *pdm.System) error {
-		_, err := RunBMMC(context.Background(), s, p)
+		_, err := runFactored(context.Background(), s, p, DefaultOptions())
 		return err
 	})
 	con := finalLayout(t, cfg, func(s *pdm.System) error {
 		s.SetConcurrent(true)
-		_, err := RunBMMC(context.Background(), s, p)
+		_, err := runFactored(context.Background(), s, p, DefaultOptions())
 		return err
 	})
 	sameLayout(t, seq, con, "sequential vs concurrent dispatch")

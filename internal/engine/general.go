@@ -21,16 +21,11 @@ import (
 // the substitution.
 //
 // Records must carry their source address in Key (see LoadSequential);
-// targetOf maps source to target addresses and must be a bijection.
-func GeneralPermute(ctx context.Context, sys *pdm.System, targetOf func(uint64) uint64) (*Result, error) {
-	return GeneralPermuteOpt(ctx, sys, targetOf, DefaultOptions())
-}
-
-// GeneralPermuteOpt is GeneralPermute with explicit execution options. The
+// targetOf maps source to target addresses and must be a bijection. The
 // run-formation pass goes through the pipelined pass runner (prefetching
 // the next memoryload while the current one sorts); the merge passes stream
 // stripes and stay sequential.
-func GeneralPermuteOpt(ctx context.Context, sys *pdm.System, targetOf func(uint64) uint64, opt Options) (*Result, error) {
+func GeneralPermute(ctx context.Context, sys *pdm.System, targetOf func(uint64) uint64, opt Options) (*Result, error) {
 	cfg := sys.Config()
 	stripeRecs := cfg.B * cfg.D
 	fanIn := cfg.M/stripeRecs - 1

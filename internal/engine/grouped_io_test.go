@@ -53,17 +53,17 @@ func TestGroupedIOMatchesUngrouped(t *testing.T) {
 	bitrev := perm.BitReversal(cfg.LgN())
 	cases := map[string]func(*pdm.System) error{
 		"bmmc-bitrev": func(s *pdm.System) error {
-			_, err := RunBMMCOpt(ctx, s, bitrev, opt)
+			_, err := runFactored(ctx, s, bitrev, opt)
 			return err
 		},
 		"mrc": func(s *pdm.System) error {
-			return RunMRCPassOpt(ctx, s, perm.GrayCode(cfg.LgN()), opt)
+			return RunMRCPass(ctx, s, perm.GrayCode(cfg.LgN()), opt)
 		},
 		"mld": func(s *pdm.System) error {
-			return RunMLDPassOpt(ctx, s, mld, opt)
+			return RunMLDPass(ctx, s, mld, opt)
 		},
 		"mld-inverse": func(s *pdm.System) error {
-			return RunMLDInversePassOpt(ctx, s, invMLD, opt)
+			return RunMLDInversePass(ctx, s, invMLD, opt)
 		},
 	}
 	for _, backend := range []string{"mem", "file"} {

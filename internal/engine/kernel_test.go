@@ -64,7 +64,7 @@ func TestCoalescedMRCMatchesRecordKernel(t *testing.T) {
 		if got := p.ContiguousRunBits(); got < k {
 			t.Fatalf("k=%d: constructed permutation has run bits %d", k, got)
 		}
-		runBothKernels(t, cfg, "MRC", func(s *pdm.System) error { return RunMRCPass(context.Background(), s, p) })
+		runBothKernels(t, cfg, "MRC", func(s *pdm.System) error { return RunMRCPass(context.Background(), s, p, DefaultOptions()) })
 	}
 }
 
@@ -82,7 +82,7 @@ func TestCoalescedMLDMatchesRecordKernel(t *testing.T) {
 		if !p.IsMLD(b, m) {
 			t.Fatalf("k=%d: lifted permutation lost MLD membership", k)
 		}
-		runBothKernels(t, cfg, "MLD", func(s *pdm.System) error { return RunMLDPass(context.Background(), s, p) })
+		runBothKernels(t, cfg, "MLD", func(s *pdm.System) error { return RunMLDPass(context.Background(), s, p, DefaultOptions()) })
 	}
 }
 
@@ -98,7 +98,7 @@ func TestCoalescedInvMLDMatchesRecordKernel(t *testing.T) {
 		if !p.Inverse().IsMLD(b, m) {
 			t.Fatalf("k=%d: inverse lost MLD membership", k)
 		}
-		runBothKernels(t, cfg, "MLD^-1", func(s *pdm.System) error { return RunMLDInversePass(context.Background(), s, p) })
+		runBothKernels(t, cfg, "MLD^-1", func(s *pdm.System) error { return RunMLDInversePass(context.Background(), s, p, DefaultOptions()) })
 	}
 }
 
@@ -115,7 +115,7 @@ func TestPassEventReportsKernel(t *testing.T) {
 		kernel := ""
 		opt := DefaultOptions()
 		opt.Progress = func(ev PassEvent) { kernel = ev.Kernel }
-		if err := RunMRCPassOpt(context.Background(), sys, p, opt); err != nil {
+		if err := RunMRCPass(context.Background(), sys, p, opt); err != nil {
 			t.Fatal(err)
 		}
 		return kernel
@@ -140,7 +140,7 @@ func TestPassEventReportsKernel(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Progress = func(ev PassEvent) { kernel = ev.Kernel }
 	sys := newLoaded(t, cfg)
-	if _, err := RunBMMCOpt(context.Background(), sys, rev, opt); err != nil {
+	if _, err := runFactored(context.Background(), sys, rev, opt); err != nil {
 		t.Fatal(err)
 	}
 	if kernel == "" {

@@ -19,12 +19,7 @@ import (
 // writes emit the memoryload. Exactly 2N/BD parallel I/Os.
 //
 // p itself is the permutation to perform; its inverse must be MLD.
-func RunMLDInversePass(ctx context.Context, sys *pdm.System, p perm.BMMC) error {
-	return RunMLDInversePassOpt(ctx, sys, p, DefaultOptions())
-}
-
-// RunMLDInversePassOpt is RunMLDInversePass with explicit execution options.
-func RunMLDInversePassOpt(ctx context.Context, sys *pdm.System, p perm.BMMC, opt Options) error {
+func RunMLDInversePass(ctx context.Context, sys *pdm.System, p perm.BMMC, opt Options) error {
 	cfg := sys.Config()
 	if err := checkGeometry(cfg, p); err != nil {
 		return err

@@ -16,13 +16,9 @@ import (
 // block size B is small.
 //
 // Memory use: D output frames plus up to D input frames per read wave,
-// which requires M >= 2BD.
-func NaivePermute(ctx context.Context, sys *pdm.System, targetOf func(uint64) uint64) (*Result, error) {
-	return NaivePermuteOpt(ctx, sys, targetOf, DefaultOptions())
-}
-
-// NaivePermuteOpt is NaivePermute with explicit execution options.
-func NaivePermuteOpt(ctx context.Context, sys *pdm.System, targetOf func(uint64) uint64, opt Options) (*Result, error) {
+// which requires M >= 2BD. Tests use it as an independently implemented
+// oracle for every other engine path.
+func NaivePermute(ctx context.Context, sys *pdm.System, targetOf func(uint64) uint64, opt Options) (*Result, error) {
 	cfg := sys.Config()
 	if cfg.Frames() < 2*cfg.D {
 		return nil, fmt.Errorf("engine: naive permute needs M >= 2BD (M=%d, BD=%d)", cfg.M, cfg.B*cfg.D)

@@ -12,12 +12,7 @@ import (
 // memoryload, read its M/BD stripes (striped reads), permute the records in
 // memory, and write them to the (possibly different) target memoryload with
 // striped writes. Exactly 2N/BD parallel I/Os.
-func RunMRCPass(ctx context.Context, sys *pdm.System, p perm.BMMC) error {
-	return RunMRCPassOpt(ctx, sys, p, DefaultOptions())
-}
-
-// RunMRCPassOpt is RunMRCPass with explicit execution options.
-func RunMRCPassOpt(ctx context.Context, sys *pdm.System, p perm.BMMC, opt Options) error {
+func RunMRCPass(ctx context.Context, sys *pdm.System, p perm.BMMC, opt Options) error {
 	cfg := sys.Config()
 	if err := checkGeometry(cfg, p); err != nil {
 		return err
@@ -127,12 +122,7 @@ func (st *mrcStrategy) writes(ml int, _ loadPlan, shards []any) ([][]pdm.BlockIO
 // parallel I/Os. The three MLD properties are asserted at run time, so
 // calling this with a non-MLD permutation returns an error rather than
 // corrupting data.
-func RunMLDPass(ctx context.Context, sys *pdm.System, p perm.BMMC) error {
-	return RunMLDPassOpt(ctx, sys, p, DefaultOptions())
-}
-
-// RunMLDPassOpt is RunMLDPass with explicit execution options.
-func RunMLDPassOpt(ctx context.Context, sys *pdm.System, p perm.BMMC, opt Options) error {
+func RunMLDPass(ctx context.Context, sys *pdm.System, p perm.BMMC, opt Options) error {
 	cfg := sys.Config()
 	if err := checkGeometry(cfg, p); err != nil {
 		return err

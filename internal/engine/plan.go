@@ -9,17 +9,28 @@ import (
 	"repro/internal/perm"
 )
 
-// RunPlanOpt executes an already-computed factoring plan: each pass is
-// dispatched to the one-pass executor its kind names (MRC, MLD, or
-// inverse-MLD for fused plans), ping-ponging between the two portions. The
-// caller owns the plan — typically it comes from factor.Factorize, an
-// optional factor.Fuse, or a plan cache — so repeated permutations never
-// pay for re-factorization.
+// Result summarizes one permutation run: the pass structure and the exact
+// parallel-I/O cost measured by the disk system.
+type Result struct {
+	Passes      int // one-pass permutations performed
+	ParallelIOs int // parallel I/Os consumed by this run
+}
+
+// RunPlan executes a plan: each pass is dispatched to the one-pass
+// executor its kind names (MRC, MLD, or inverse-MLD), ping-ponging between
+// the two portions. A nil plan is the identity and costs nothing. The
+// caller owns the plan — factor.Dispatch, factor.Factorize, an optional
+// factor.Fuse, or a plan cache built it — so repeated permutations never
+// pay for re-factorization. The measured cost of a factored plan is at
+// most 2N/BD * (ceil(rank gamma / lg(M/B)) + 2) parallel I/Os (Theorem 21).
 //
 // ctx is checked between memoryloads; cancellation mid-pass leaves the
 // portion roles unswapped, so the stored records are exactly the state
 // after the last completed pass.
-func RunPlanOpt(ctx context.Context, sys *pdm.System, plan *factor.Plan, opt Options) (*Result, error) {
+func RunPlan(ctx context.Context, sys *pdm.System, plan *factor.Plan, opt Options) (*Result, error) {
+	if plan == nil {
+		return &Result{}, nil
+	}
 	before := sys.Stats().ParallelIOs()
 	for i, pass := range plan.Passes {
 		popt := opt
@@ -33,11 +44,11 @@ func RunPlanOpt(ctx context.Context, sys *pdm.System, plan *factor.Plan, opt Opt
 		var err error
 		switch pass.Kind {
 		case perm.ClassMRC:
-			err = RunMRCPassOpt(ctx, sys, pass.Perm, popt)
+			err = RunMRCPass(ctx, sys, pass.Perm, popt)
 		case perm.ClassMLD:
-			err = RunMLDPassOpt(ctx, sys, pass.Perm, popt)
+			err = RunMLDPass(ctx, sys, pass.Perm, popt)
 		case perm.ClassInvMLD:
-			err = RunMLDInversePassOpt(ctx, sys, pass.Perm, popt)
+			err = RunMLDInversePass(ctx, sys, pass.Perm, popt)
 		default:
 			err = fmt.Errorf("engine: pass %d has unexpected class %v", i, pass.Kind)
 		}
@@ -48,30 +59,5 @@ func RunPlanOpt(ctx context.Context, sys *pdm.System, plan *factor.Plan, opt Opt
 	return &Result{
 		Passes:      plan.PassCount(),
 		ParallelIOs: sys.Stats().ParallelIOs() - before,
-		Plan:        plan,
 	}, nil
-}
-
-// RunBMMCFused is RunBMMC with the plan-fusion optimization: the factored
-// pass list is re-segmented over GF(2) into the fewest adjacent-composable
-// one-pass permutations before execution, so permutations the greedy
-// factoring over-splits cost measurably fewer parallel I/Os.
-func RunBMMCFused(ctx context.Context, sys *pdm.System, p perm.BMMC) (*Result, error) {
-	return RunBMMCFusedOpt(ctx, sys, p, DefaultOptions())
-}
-
-// RunBMMCFusedOpt is RunBMMCFused with explicit execution options.
-func RunBMMCFusedOpt(ctx context.Context, sys *pdm.System, p perm.BMMC, opt Options) (*Result, error) {
-	cfg := sys.Config()
-	if err := checkGeometry(cfg, p); err != nil {
-		return nil, err
-	}
-	if p.IsIdentity() {
-		return &Result{}, nil
-	}
-	plan, err := factor.Factorize(p, cfg.LgB(), cfg.LgM())
-	if err != nil {
-		return nil, err
-	}
-	return RunPlanOpt(ctx, sys, factor.Fuse(plan, cfg.LgB(), cfg.LgM()), opt)
 }

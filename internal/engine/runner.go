@@ -1,8 +1,10 @@
-// Package engine executes permutations on a simulated parallel disk system:
-// the one-pass MRC and MLD algorithms, the asymptotically optimal BMMC
-// driver built on the Section 5 factoring, and two baselines (striped
-// external merge sort for general permutations, and a naive record-gather
-// scheme realizing the N/D term).
+// Package engine executes permutations on a simulated parallel disk system.
+// It has six entry points, all taking Options: the plan executor RunPlan
+// (which runs whatever pass list factor.Dispatch or a caller built), the
+// three one-pass executors RunMRCPass, RunMLDPass and RunMLDInversePass,
+// and two baselines — GeneralPermute (striped external merge sort for
+// general permutations) and NaivePermute (a record-gather scheme realizing
+// the N/D term, also the tests' oracle).
 //
 // Every engine reads records from the system's source portion and writes
 // the permuted records to the target portion, then swaps the portion roles,

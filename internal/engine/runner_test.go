@@ -85,22 +85,22 @@ func TestPipelinedFileBackedMatchesSequentialRAM(t *testing.T) {
 
 	mrc := perm.MustNew(gf2.RandomMRC(rng, n, m), gf2.RandomVec(rng, n))
 	runBoth(t, cfg, "MRC", func(sys *pdm.System, opt Options) error {
-		return RunMRCPassOpt(context.Background(), sys, mrc, opt)
+		return RunMRCPass(context.Background(), sys, mrc, opt)
 	})
 
 	mld := randomMLD(rng, n, b, m)
 	runBoth(t, cfg, "MLD", func(sys *pdm.System, opt Options) error {
-		return RunMLDPassOpt(context.Background(), sys, mld, opt)
+		return RunMLDPass(context.Background(), sys, mld, opt)
 	})
 
 	inv := randomMLD(rng, n, b, m).Inverse()
 	runBoth(t, cfg, "inverse-MLD", func(sys *pdm.System, opt Options) error {
-		return RunMLDInversePassOpt(context.Background(), sys, inv, opt)
+		return RunMLDInversePass(context.Background(), sys, inv, opt)
 	})
 
 	bmmc := perm.MustNew(gf2.RandomNonsingular(rng, n), gf2.RandomVec(rng, n))
 	runBoth(t, cfg, "factored BMMC", func(sys *pdm.System, opt Options) error {
-		_, err := RunBMMCOpt(context.Background(), sys, bmmc, opt)
+		_, err := runFactored(context.Background(), sys, bmmc, opt)
 		return err
 	})
 }
@@ -112,11 +112,11 @@ func TestPipelinedBaselinesMatchSequential(t *testing.T) {
 	targetOf := func(x uint64) uint64 { return uint64(target[x]) }
 
 	runBoth(t, cfg, "merge sort", func(sys *pdm.System, opt Options) error {
-		_, err := GeneralPermuteOpt(context.Background(), sys, targetOf, opt)
+		_, err := GeneralPermute(context.Background(), sys, targetOf, opt)
 		return err
 	})
 	runBoth(t, cfg, "naive gather", func(sys *pdm.System, opt Options) error {
-		_, err := NaivePermuteOpt(context.Background(), sys, targetOf, opt)
+		_, err := NaivePermute(context.Background(), sys, targetOf, opt)
 		return err
 	})
 }
@@ -138,10 +138,10 @@ func TestPipelinedChainedPasses(t *testing.T) {
 	n := cfg.LgN()
 	p1 := perm.GrayCode(n)
 	p2 := perm.BitReversal(n)
-	if err := RunMRCPassOpt(context.Background(), sys, p1, pipeOpt); err != nil {
+	if err := RunMRCPass(context.Background(), sys, p1, pipeOpt); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunBMMCOpt(context.Background(), sys, p2, pipeOpt); err != nil {
+	if _, err := runFactored(context.Background(), sys, p2, pipeOpt); err != nil {
 		t.Fatal(err)
 	}
 	if err := VerifyBMMC(sys, sys.Source(), p2.Compose(p1)); err != nil {
@@ -165,7 +165,7 @@ func TestStatsPollingDuringPipelinedRun(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunBMMCOpt(context.Background(), sys, perm.BitReversal(cfg.LgN()), pipeOpt)
+		_, err := runFactored(context.Background(), sys, perm.BitReversal(cfg.LgN()), pipeOpt)
 		done <- err
 	}()
 	var last int
@@ -215,7 +215,7 @@ func TestRunnerErrorPropagation(t *testing.T) {
 			sys.Close()
 			t.Fatal(err)
 		}
-		err = RunMRCPassOpt(context.Background(), sys, perm.GrayCode(cfg.LgN()), pipeOpt)
+		err = RunMRCPass(context.Background(), sys, perm.GrayCode(cfg.LgN()), pipeOpt)
 		sys.Close()
 		if err == nil {
 			t.Fatalf("failAt=%d: fault did not surface", failAt)
@@ -237,16 +237,16 @@ func TestRunnerClassChecksUnderOptions(t *testing.T) {
 	}
 	p := perm.BitReversal(cfg.LgN())
 	for _, opt := range []Options{seqOpt, pipeOpt} {
-		if err := RunMRCPassOpt(context.Background(), sys, p, opt); err == nil {
+		if err := RunMRCPass(context.Background(), sys, p, opt); err == nil {
 			t.Fatal("bit reversal accepted as MRC")
 		}
-		if err := RunMLDPassOpt(context.Background(), sys, p, opt); err == nil {
+		if err := RunMLDPass(context.Background(), sys, p, opt); err == nil {
 			t.Fatal("bit reversal accepted as MLD")
 		}
 		if p.Inverse().IsMLD(cfg.LgB(), cfg.LgM()) {
 			continue
 		}
-		if err := RunMLDInversePassOpt(context.Background(), sys, p, opt); err == nil {
+		if err := RunMLDInversePass(context.Background(), sys, p, opt); err == nil {
 			t.Fatal("bit reversal accepted as inverse-MLD")
 		}
 	}

@@ -22,34 +22,40 @@ import (
 // specify one: N=2^16 records, D=8 disks, B=16 records/block, M=2^11.
 var DefaultConfig = pdm.Config{N: 1 << 16, D: 8, B: 16, M: 1 << 11}
 
-// Exec is the execution mode every experiment runs under. The harness
-// (cmd/bmmcbench) sets it from the -pipeline/-workers flags; the measured
-// parallel-I/O counts are identical for every mode, so the tables are
-// unaffected — only wall-clock changes.
-var Exec = engine.DefaultOptions()
+// Harness is the execution environment every experiment generator runs
+// under. cmd/bmmcbench builds one from its flags; the parallel-I/O counts
+// in the tables are identical for every Exec and ConcurrentIO setting, so
+// only wall-clock changes. Generators are methods on a Harness value, so
+// experiments with different settings may run concurrently.
+type Harness struct {
+	// Exec is the pass-runner mode (prefetching, scatter workers).
+	Exec engine.Options
+	// ConcurrentIO toggles per-disk goroutine dispatch on the systems the
+	// experiments build, matching pdm.System.SetConcurrent.
+	ConcurrentIO bool
+	// Fuse makes every factored-driver run execute the fused plan instead
+	// of the verbatim Section 5 pass list. Off by default so the tables
+	// reproduce the paper's unoptimized algorithm; the fusion experiment
+	// always compares both modes regardless of this setting.
+	Fuse bool
+	// PlanCacheSize is the plan-cache capacity of the Engine the plancache
+	// experiment builds.
+	PlanCacheSize int
+}
 
-// ConcurrentIO toggles per-disk goroutine dispatch on the systems the
-// experiments build, matching pdm.System.SetConcurrent.
-var ConcurrentIO bool
-
-// Fuse makes every factored-driver run (runBMMC) execute the fused plan
-// instead of the verbatim Section 5 pass list. Off by default so the
-// tables reproduce the paper's unoptimized algorithm; cmd/bmmcbench's
-// -fuse flag turns it on. The fusion experiment always compares both
-// modes regardless of this setting.
-var Fuse bool
-
-// PlanCacheSize is the plan-cache capacity for experiments that build a
-// core.Permuter; cmd/bmmcbench's -cache flag overrides it.
-var PlanCacheSize = core.DefaultPlanCacheEntries
+// DefaultHarness returns the default environment: the default pass-runner
+// mode, serial disk dispatch, no fusion, and the default plan-cache size.
+func DefaultHarness() Harness {
+	return Harness{Exec: engine.DefaultOptions(), PlanCacheSize: core.DefaultPlanCacheEntries}
+}
 
 // newSystem builds a loaded memory-backed system honoring ConcurrentIO.
-func newSystem(cfg pdm.Config) (*pdm.System, error) {
+func (h Harness) newSystem(cfg pdm.Config) (*pdm.System, error) {
 	sys, err := pdm.NewMemSystem(cfg)
 	if err != nil {
 		return nil, err
 	}
-	sys.SetConcurrent(ConcurrentIO)
+	sys.SetConcurrent(h.ConcurrentIO)
 	if err := engine.LoadSequential(sys); err != nil {
 		sys.Close()
 		return nil, err
@@ -57,32 +63,55 @@ func newSystem(cfg pdm.Config) (*pdm.System, error) {
 	return sys, nil
 }
 
-// runAuto, runBMMC, and runUngrouped adapt the engine entry points to the
-// experiment-wide execution mode.
-func runAuto(ctx context.Context, sys *pdm.System, p perm.BMMC) (*engine.Result, error) {
-	return engine.RunAutoOpt(ctx, sys, p, Exec)
+// planner builds the plan one experiment row executes for p at lg B = b,
+// lg M = m; a nil plan is the identity.
+type planner func(p perm.BMMC, b, m int) (*factor.Plan, error)
+
+// auto is the paper's dispatch: identity free, one-pass classes in one
+// pass, everything else factored.
+func auto(p perm.BMMC, b, m int) (*factor.Plan, error) {
+	_, plan, err := factor.Dispatch(p, b, m, false)
+	return plan, err
 }
 
-func runBMMC(ctx context.Context, sys *pdm.System, p perm.BMMC) (*engine.Result, error) {
-	if Fuse {
-		return engine.RunBMMCFusedOpt(ctx, sys, p, Exec)
+// factored is the Section 5 factoring even for one-pass classes (the
+// identity stays free), fused when the harness asks for it.
+func (h Harness) factored(p perm.BMMC, b, m int) (*factor.Plan, error) {
+	if p.IsIdentity() {
+		return nil, nil
 	}
-	return engine.RunBMMCOpt(ctx, sys, p, Exec)
+	plan, err := factor.Factorize(p, b, m)
+	if err != nil || !h.Fuse {
+		return plan, err
+	}
+	return factor.Fuse(plan, b, m), nil
 }
 
-func runUngrouped(ctx context.Context, sys *pdm.System, p perm.BMMC) (*engine.Result, error) {
-	return engine.RunBMMCUngroupedOpt(ctx, sys, p, Exec)
+// ungrouped is the Theorem 17 ablation: every factor its own pass.
+func ungrouped(p perm.BMMC, b, m int) (*factor.Plan, error) {
+	if p.IsIdentity() {
+		return nil, nil
+	}
+	passes, err := factor.FactorizeUngrouped(p, b, m)
+	if err != nil {
+		return nil, err
+	}
+	return &factor.Plan{Passes: passes}, nil
 }
 
-// run executes p on a fresh memory-backed system, verifies every record
-// landed correctly, and returns the engine result.
-func run(ctx context.Context, cfg pdm.Config, p perm.BMMC, algo func(context.Context, *pdm.System, perm.BMMC) (*engine.Result, error)) (*engine.Result, error) {
-	sys, err := newSystem(cfg)
+// run plans p, executes the plan on a fresh memory-backed system, verifies
+// every record landed correctly, and returns the engine result.
+func (h Harness) run(ctx context.Context, cfg pdm.Config, p perm.BMMC, plan planner) (*engine.Result, error) {
+	pl, err := plan(p, cfg.LgB(), cfg.LgM())
+	if err != nil {
+		return nil, err
+	}
+	sys, err := h.newSystem(cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer sys.Close()
-	res, err := algo(ctx, sys, p)
+	res, err := engine.RunPlan(ctx, sys, pl, h.Exec)
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +124,7 @@ func run(ctx context.Context, cfg pdm.Config, p perm.BMMC, algo func(context.Con
 // Table1 reproduces the class/pass-count comparison of Table 1: for each
 // permutation class, the measured pass count of this paper's algorithm next
 // to the upper bounds of the earlier algorithms in [4].
-func Table1(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
+func (h Harness) Table1(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
 	rng := rand.New(rand.NewSource(seed))
 	n, b, m := cfg.LgN(), cfg.LgB(), cfg.LgM()
 	t := &Table{
@@ -123,7 +152,7 @@ func Table1(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
 		{"BMMC", "random BMMC", perm.MustNew(gf2.RandomNonsingular(rng, n), gf2.RandomVec(rng, n))},
 	}
 	for _, e := range entries {
-		res, err := run(ctx, cfg, e.p, runAuto)
+		res, err := h.run(ctx, cfg, e.p, auto)
 		if err != nil {
 			return nil, fmt.Errorf("%s %s: %w", e.class, e.name, err)
 		}
@@ -151,7 +180,7 @@ func Table1(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
 // TightBounds reproduces the headline result (Theorems 3 and 21): sweeping
 // rank gamma, the measured I/O count of the algorithm sits between the
 // refined lower bound of Section 7 and the exact upper bound of Theorem 21.
-func TightBounds(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
+func (h Harness) TightBounds(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
 	rng := rand.New(rand.NewSource(seed))
 	n, b := cfg.LgN(), cfg.LgB()
 	t := &Table{
@@ -172,7 +201,7 @@ func TightBounds(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error
 		}
 		a := gf2.RandomNonsingularWithGamma(rng, n, b, g)
 		p := perm.MustNew(a, gf2.RandomVec(rng, n))
-		res, err := run(ctx, cfg, p, runBMMC)
+		res, err := h.run(ctx, cfg, p, h.factored)
 		if err != nil {
 			return nil, err
 		}
@@ -191,7 +220,7 @@ func TightBounds(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error
 // Crossover reproduces the Section 1 comparison: for low rank gamma the
 // BMMC algorithm beats the general-permutation (sorting) cost; the series
 // shows where the advantage shrinks as rank grows.
-func Crossover(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
+func (h Harness) Crossover(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
 	rng := rand.New(rand.NewSource(seed))
 	n, b := cfg.LgN(), cfg.LgB()
 	t := &Table{
@@ -210,15 +239,15 @@ func Crossover(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) 
 	for g := 0; g <= maxG; g++ {
 		a := gf2.RandomNonsingularWithGamma(rng, n, b, g)
 		p := perm.MustNew(a, gf2.RandomVec(rng, n))
-		res, err := run(ctx, cfg, p, runBMMC)
+		res, err := h.run(ctx, cfg, p, h.factored)
 		if err != nil {
 			return nil, err
 		}
-		sys, err := newSystem(cfg)
+		sys, err := h.newSystem(cfg)
 		if err != nil {
 			return nil, err
 		}
-		sortRes, err := engine.GeneralPermuteOpt(ctx, sys, p.Apply, Exec)
+		sortRes, err := engine.GeneralPermute(ctx, sys, p.Apply, h.Exec)
 		if err != nil {
 			sys.Close()
 			return nil, err
@@ -238,7 +267,7 @@ func Crossover(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) 
 
 // MLDOnePass reproduces Theorem 15: every MLD permutation completes in
 // exactly one pass (2N/BD parallel I/Os) with balanced independent writes.
-func MLDOnePass(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
+func (h Harness) MLDOnePass(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
 	rng := rand.New(rand.NewSource(seed))
 	n, b, m := cfg.LgN(), cfg.LgB(), cfg.LgM()
 	t := &Table{
@@ -248,11 +277,11 @@ func MLDOnePass(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error)
 	}
 	for trial := 0; trial < 6; trial++ {
 		p := perm.MustNew(gf2.RandomMLD(rng, n, b, m), gf2.RandomVec(rng, n))
-		sys, err := newSystem(cfg)
+		sys, err := h.newSystem(cfg)
 		if err != nil {
 			return nil, err
 		}
-		if err := engine.RunMLDPassOpt(ctx, sys, p, Exec); err != nil {
+		if err := engine.RunMLDPass(ctx, sys, p, h.Exec); err != nil {
 			sys.Close()
 			return nil, err
 		}
@@ -269,7 +298,7 @@ func MLDOnePass(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error)
 
 // Detection reproduces the Section 6 cost: detecting a BMMC permutation
 // costs N/BD + ceil((lg(N/B)+1)/D) parallel reads, and rejection is cheap.
-func Detection(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
+func (h Harness) Detection(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
 	rng := rand.New(rand.NewSource(seed))
 	n := cfg.LgN()
 	t := &Table{
@@ -321,7 +350,7 @@ func Detection(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) 
 // Potential reproduces the Section 2 potential argument: the enumerated
 // initial potential matches equation (9) and yields the Section 7 lower
 // bound.
-func Potential(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
+func (h Harness) Potential(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
 	rng := rand.New(rand.NewSource(seed))
 	n, b := cfg.LgN(), cfg.LgB()
 	t := &Table{
@@ -352,7 +381,7 @@ func Potential(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) 
 // TransposeShapes reproduces the Vitter-Shriver transposition comparison:
 // the BMMC algorithm's measured cost tracks the transposition bound across
 // matrix shapes.
-func TransposeShapes(ctx context.Context, cfg pdm.Config, _ int64) (*Table, error) {
+func (h Harness) TransposeShapes(ctx context.Context, cfg pdm.Config, _ int64) (*Table, error) {
 	n := cfg.LgN()
 	t := &Table{
 		ID:      "E11 (transposition)",
@@ -363,7 +392,7 @@ func TransposeShapes(ctx context.Context, cfg pdm.Config, _ int64) (*Table, erro
 	for lgR := 1; lgR < n; lgR++ {
 		lgS := n - lgR
 		p := perm.Transpose(lgR, lgS)
-		res, err := run(ctx, cfg, p, runBMMC)
+		res, err := h.run(ctx, cfg, p, h.factored)
 		if err != nil {
 			return nil, err
 		}
@@ -379,7 +408,7 @@ func TransposeShapes(ctx context.Context, cfg pdm.Config, _ int64) (*Table, erro
 // embedded into successively larger address spaces (identity on the new
 // high bits, preserving rank gamma and the full pass structure) costs
 // exactly proportionally more I/Os.
-func Scaling(ctx context.Context, base pdm.Config, seed int64) (*Table, error) {
+func (h Harness) Scaling(ctx context.Context, base pdm.Config, seed int64) (*Table, error) {
 	rng := rand.New(rand.NewSource(seed))
 	t := &Table{
 		ID:      "E5b (N/BD scaling)",
@@ -398,7 +427,7 @@ func Scaling(ctx context.Context, base pdm.Config, seed int64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := run(ctx, cfg, p, runBMMC)
+		res, err := h.run(ctx, cfg, p, h.factored)
 		if err != nil {
 			return nil, err
 		}
@@ -411,7 +440,7 @@ func Scaling(ctx context.Context, base pdm.Config, seed int64) (*Table, error) {
 // Ablation measures what Theorem 17's pass grouping buys: the same
 // factorization executed with every factor as its own pass (2g+2 passes)
 // versus the grouped MLD passes (g+1).
-func Ablation(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
+func (h Harness) Ablation(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
 	rng := rand.New(rand.NewSource(seed))
 	n, b := cfg.LgN(), cfg.LgB()
 	t := &Table{
@@ -430,11 +459,11 @@ func Ablation(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
 		if p.IsMRC(cfg.LgM()) {
 			continue
 		}
-		grouped, err := run(ctx, cfg, p, runBMMC)
+		grouped, err := h.run(ctx, cfg, p, h.factored)
 		if err != nil {
 			return nil, err
 		}
-		ungrouped, err := run(ctx, cfg, p, runUngrouped)
+		ungrouped, err := h.run(ctx, cfg, p, ungrouped)
 		if err != nil {
 			return nil, err
 		}
@@ -450,7 +479,7 @@ func Ablation(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
 // InverseOnePass demonstrates the Section 7 extension implemented by this
 // library: inverses of MLD permutations also run in a single pass, using
 // independent reads and striped writes.
-func InverseOnePass(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
+func (h Harness) InverseOnePass(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
 	rng := rand.New(rand.NewSource(seed))
 	n, b, m := cfg.LgN(), cfg.LgB(), cfg.LgM()
 	t := &Table{
@@ -461,7 +490,7 @@ func InverseOnePass(ctx context.Context, cfg pdm.Config, seed int64) (*Table, er
 	for trial := 0; trial < 4; trial++ {
 		mld := perm.MustNew(gf2.RandomMLD(rng, n, b, m), gf2.RandomVec(rng, n))
 		inv := mld.Inverse()
-		res, err := run(ctx, cfg, inv, runAuto)
+		res, err := h.run(ctx, cfg, inv, auto)
 		if err != nil {
 			return nil, err
 		}
@@ -474,7 +503,7 @@ func InverseOnePass(ctx context.Context, cfg pdm.Config, seed int64) (*Table, er
 // Lemma9Table reproduces the universality experiment: even a BMMC
 // permutation differing from the identity in a single matrix entry moves at
 // least half of all records.
-func Lemma9Table(ctx context.Context, cfg pdm.Config, _ int64) (*Table, error) {
+func (h Harness) Lemma9Table(ctx context.Context, cfg pdm.Config, _ int64) (*Table, error) {
 	n := cfg.LgN()
 	t := &Table{
 		ID:      "E12 (Lemma 9)",
@@ -508,7 +537,7 @@ func Lemma9Table(ctx context.Context, cfg pdm.Config, _ int64) (*Table, error) {
 // is identical in both modes — the PASS column asserts that the
 // parallel-I/O counts match exactly and that both runs produced the
 // correct layout — so the only thing allowed to differ is elapsed time.
-func PipelineSpeed(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
+func (h Harness) PipelineSpeed(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
 	rng := rand.New(rand.NewSource(seed))
 	n, b := cfg.LgN(), cfg.LgB()
 	g := b
@@ -516,6 +545,10 @@ func PipelineSpeed(ctx context.Context, cfg pdm.Config, seed int64) (*Table, err
 		g = n - b
 	}
 	p := perm.MustNew(gf2.RandomNonsingularWithGamma(rng, n, b, g), gf2.RandomVec(rng, n))
+	plan, err := factor.Factorize(p, b, cfg.LgM())
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		ID:      "E15 (pipelined pass runner)",
 		Title:   fmt.Sprintf("sequential vs pipelined execution, file-backed, rank gamma %d on %v", g, cfg),
@@ -533,7 +566,7 @@ func PipelineSpeed(ctx context.Context, cfg pdm.Config, seed int64) (*Table, err
 		concurrent bool
 	}{
 		{"sequential", engine.Options{Pipeline: false, Workers: 1}, false},
-		{"pipelined", engine.DefaultOptions(), ConcurrentIO},
+		{"pipelined", engine.DefaultOptions(), h.ConcurrentIO},
 	}
 	var elapsed [2]time.Duration
 	var ios [2]int
@@ -557,7 +590,7 @@ func PipelineSpeed(ctx context.Context, cfg pdm.Config, seed int64) (*Table, err
 				return err
 			}
 			start := time.Now()
-			res, err := engine.RunBMMCOpt(ctx, sys, p, mode.opt)
+			res, err := engine.RunPlan(ctx, sys, plan, mode.opt)
 			if err != nil {
 				return err
 			}
@@ -613,7 +646,7 @@ func randomNonMRCMLD(rng *rand.Rand, n, b, m int) perm.BMMC {
 // over-splits (MLD and inverse-MLD permutations, which Factorize has no
 // fast path for, plus a fraction of random BMMC matrices) it strictly
 // reduces the measured parallel-I/O count.
-func Fusion(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
+func (h Harness) Fusion(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
 	rng := rand.New(rand.NewSource(seed))
 	n, b, m := cfg.LgN(), cfg.LgB(), cfg.LgM()
 	t := &Table{
@@ -663,12 +696,12 @@ func Fusion(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
 			return nil, fmt.Errorf("%s: fused plan composes to a different permutation", e.name)
 		}
 		exec := func(pl *factor.Plan) (int, error) {
-			sys, err := newSystem(cfg)
+			sys, err := h.newSystem(cfg)
 			if err != nil {
 				return 0, err
 			}
 			defer sys.Close()
-			res, err := engine.RunPlanOpt(ctx, sys, pl, Exec)
+			res, err := engine.RunPlan(ctx, sys, pl, h.Exec)
 			if err != nil {
 				return 0, err
 			}
@@ -696,12 +729,13 @@ func Fusion(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
 	return t, nil
 }
 
-// PlanCache measures what the core plan cache buys: the same factored
-// permutation is permuted twice through one Permuter, and the second call
+// PlanReuse measures what the core plan cache buys: the same factored
+// permutation is permuted twice on one Dataset through one Engine sized by
+// the harness's PlanCacheSize, and the second call
 // must be served from the cache — zero re-factorizations — while producing
 // the identical pass structure. The planning-only cost (factorize + fuse,
 // no I/O) is timed directly for the note.
-func PlanCache(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
+func (h Harness) PlanReuse(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
 	rng := rand.New(rand.NewSource(seed))
 	n, b, m := cfg.LgN(), cfg.LgB(), cfg.LgM()
 	t := &Table{
@@ -718,14 +752,15 @@ func PlanCache(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) 
 	factor.Fuse(plan, b, m)
 	planCost := time.Since(planStart)
 
-	pr, err := core.NewPermuter(cfg, core.WithPlanCache(PlanCacheSize))
+	eng := core.NewEngine(core.WithPlanCache(h.PlanCacheSize))
+	ds, err := core.CreateDataset(cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer pr.Close()
+	defer ds.Close()
 	// With the cache disabled (-cache 0) every call plans from scratch and
 	// the expected "plan cached" column flips to all-false.
-	caching := PlanCacheSize > 0
+	caching := h.PlanCacheSize > 0
 	jobs := []struct {
 		name string
 		p    perm.BMMC
@@ -738,7 +773,7 @@ func PlanCache(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) 
 	}
 	var prev *core.Report
 	for i, job := range jobs {
-		rep, err := pr.PermuteContext(ctx, job.p)
+		rep, err := eng.Permute(ctx, ds, job.p)
 		if err != nil {
 			return nil, err
 		}
@@ -750,7 +785,7 @@ func PlanCache(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) 
 			itoa(rep.Passes), itoa(rep.ParallelIOs), passFail(ok))
 		prev = rep
 	}
-	stats := pr.CacheStats()
+	stats := eng.CacheStats()
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("planning (factorize+fuse, no I/O) costs %.2fms once; %s", float64(planCost.Microseconds())/1000, stats),
 	)
@@ -764,12 +799,12 @@ func PlanCache(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) 
 	return t, nil
 }
 
-// BackendSpeed (E18) compares the storage backends of the v2 API on the
+// BackendSpeed (E18) compares the storage backends on the
 // identical factored workload: RAM, single-directory files, and a sharded
 // two-directory layout. The parallel-I/O counts — the model's only cost —
 // must match across all three (the PASS column asserts it); wall-clock
 // shows what each backend's real I/O path costs.
-func BackendSpeed(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
+func (h Harness) BackendSpeed(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
 	rng := rand.New(rand.NewSource(seed))
 	n, b := cfg.LgN(), cfg.LgB()
 	g := b
@@ -777,6 +812,10 @@ func BackendSpeed(ctx context.Context, cfg pdm.Config, seed int64) (*Table, erro
 		g = n - b
 	}
 	p := perm.MustNew(gf2.RandomNonsingularWithGamma(rng, n, b, g), gf2.RandomVec(rng, n))
+	plan, err := factor.Factorize(p, b, cfg.LgM())
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		ID:      "E18 (storage backends)",
 		Title:   fmt.Sprintf("mem vs file vs sharded backends, rank gamma %d on %v", g, cfg),
@@ -811,12 +850,12 @@ func BackendSpeed(ctx context.Context, cfg pdm.Config, seed int64) (*Table, erro
 				return err
 			}
 			defer sys.Close()
-			sys.SetConcurrent(ConcurrentIO)
+			sys.SetConcurrent(h.ConcurrentIO)
 			if err := engine.LoadSequential(sys); err != nil {
 				return err
 			}
 			start := time.Now()
-			res, err := engine.RunBMMCOpt(ctx, sys, p, Exec)
+			res, err := engine.RunPlan(ctx, sys, plan, h.Exec)
 			if err != nil {
 				return err
 			}
@@ -849,16 +888,16 @@ func BackendSpeed(ctx context.Context, cfg pdm.Config, seed int64) (*Table, erro
 	return t, nil
 }
 
-// Chain (E19) measures what the v3 Dataset/Engine split buys multi-step
-// pipelines: a two-step permutation chain run the v3 way — upload once
+// Chain (E19) measures what the Dataset/Engine split buys multi-step
+// pipelines: a two-step permutation chain run on one dataset — upload once
 // onto one file-backed Dataset, execute both steps back-to-back, download
-// once — against the v2-era flow that provisions fresh storage per job and
+// once — against the per-job flow that provisions fresh storage per job and
 // re-streams the records between steps (download step 1, upload into step
 // 2). Parallel-I/O counts are identical by construction (the model charges
 // only counted I/O); the chained flow moves 2N records over the data plane
 // instead of 4N and skips a storage provisioning, which is the wall-clock
 // gap the table reports.
-func Chain(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
+func (h Harness) Chain(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
 	rng := rand.New(rand.NewSource(seed))
 	n := cfg.LgN()
 	steps := []perm.BMMC{perm.BitReversal(n), perm.Transpose(n/2, n-n/2)}
@@ -987,10 +1026,10 @@ func Names() []string {
 // All runs every experiment generator on the given configuration. ctx
 // cancellation aborts between memoryloads of whichever experiment is
 // running.
-func All(ctx context.Context, cfg pdm.Config, seed int64) ([]*Table, error) {
+func (h Harness) All(ctx context.Context, cfg pdm.Config, seed int64) ([]*Table, error) {
 	var out []*Table
 	for _, name := range Names() {
-		tbl, err := ByName(name)(ctx, cfg, seed)
+		tbl, err := h.ByName(name)(ctx, cfg, seed)
 		if err != nil {
 			return nil, fmt.Errorf("experiment %s: %w", name, err)
 		}
@@ -999,41 +1038,41 @@ func All(ctx context.Context, cfg pdm.Config, seed int64) ([]*Table, error) {
 	return out, nil
 }
 
-// ByName returns the generator with the given name, or nil.
-func ByName(name string) func(context.Context, pdm.Config, int64) (*Table, error) {
+// ByName returns the generator with the given name bound to h, or nil.
+func (h Harness) ByName(name string) func(context.Context, pdm.Config, int64) (*Table, error) {
 	switch name {
 	case "table1":
-		return Table1
+		return h.Table1
 	case "tightbounds":
-		return TightBounds
+		return h.TightBounds
 	case "crossover":
-		return Crossover
+		return h.Crossover
 	case "mld":
-		return MLDOnePass
+		return h.MLDOnePass
 	case "detect":
-		return Detection
+		return h.Detection
 	case "potential":
-		return Potential
+		return h.Potential
 	case "transpose":
-		return TransposeShapes
+		return h.TransposeShapes
 	case "scaling":
-		return Scaling
+		return h.Scaling
 	case "lemma9":
-		return Lemma9Table
+		return h.Lemma9Table
 	case "ablation":
-		return Ablation
+		return h.Ablation
 	case "inverse":
-		return InverseOnePass
+		return h.InverseOnePass
 	case "pipeline":
-		return PipelineSpeed
+		return h.PipelineSpeed
 	case "fusion":
-		return Fusion
+		return h.Fusion
 	case "plancache":
-		return PlanCache
+		return h.PlanReuse
 	case "backend":
-		return BackendSpeed
+		return h.BackendSpeed
 	case "chain":
-		return Chain
+		return h.Chain
 	default:
 		return nil
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -29,7 +30,8 @@ func checkAllPass(t *testing.T, tbl *Table) {
 }
 
 func TestAllExperiments(t *testing.T) {
-	tables, err := All(context.Background(), smallConfig, 1)
+	t.Parallel()
+	tables, err := DefaultHarness().All(context.Background(), smallConfig, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,6 +44,7 @@ func TestAllExperiments(t *testing.T) {
 }
 
 func TestTableRendering(t *testing.T) {
+	t.Parallel()
 	tbl := &Table{
 		ID:      "X",
 		Title:   "demo",
@@ -60,12 +63,14 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range []string{"table1", "tightbounds", "crossover", "mld", "detect", "potential", "transpose", "scaling", "lemma9", "ablation", "inverse", "pipeline", "fusion", "plancache"} {
-		if ByName(name) == nil {
+	t.Parallel()
+	h := DefaultHarness()
+	for _, name := range Names() {
+		if h.ByName(name) == nil {
 			t.Errorf("ByName(%q) = nil", name)
 		}
 	}
-	if ByName("nope") != nil {
+	if h.ByName("nope") != nil {
 		t.Error("unknown name returned a generator")
 	}
 }
@@ -74,7 +79,8 @@ func TestByName(t *testing.T) {
 // algorithm must beat the sort baseline by a wide margin, and the speedup
 // must shrink (weakly) as rank grows.
 func TestCrossoverShape(t *testing.T) {
-	tbl, err := Crossover(context.Background(), smallConfig, 2)
+	t.Parallel()
+	tbl, err := DefaultHarness().Crossover(context.Background(), smallConfig, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +110,8 @@ func TestCrossoverShape(t *testing.T) {
 // families guarantee it at every geometry, since Factorize has no fast
 // path for them and emits two passes where fusion needs one.
 func TestFusionShowsStrictWin(t *testing.T) {
-	tbl, err := Fusion(context.Background(), smallConfig, 3)
+	t.Parallel()
+	tbl, err := DefaultHarness().Fusion(context.Background(), smallConfig, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,13 +136,42 @@ func TestFusionShowsStrictWin(t *testing.T) {
 }
 
 // TestPlanCacheTable: the plan-cache experiment's hit/miss pattern holds
-// at the small geometry too.
+// at the small geometry too, with the cache on and off.
 func TestPlanCacheTable(t *testing.T) {
-	tbl, err := PlanCache(context.Background(), smallConfig, 4)
-	if err != nil {
-		t.Fatal(err)
+	t.Parallel()
+	for _, size := range []int{DefaultHarness().PlanCacheSize, 0} {
+		h := DefaultHarness()
+		h.PlanCacheSize = size
+		tbl, err := h.PlanReuse(context.Background(), smallConfig, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAllPass(t, tbl)
 	}
-	checkAllPass(t, tbl)
+}
+
+// TestHarnessSettingsRunConcurrently runs the same experiments under
+// differently configured harnesses at once (under -race this proves the
+// settings are per-value, not shared state): only wall-clock may differ,
+// so every table must pass and the fused harness may only lower pass
+// counts.
+func TestHarnessSettingsRunConcurrently(t *testing.T) {
+	t.Parallel()
+	fused := DefaultHarness()
+	fused.Fuse, fused.ConcurrentIO = true, true
+	fused.Exec.Pipeline, fused.Exec.Workers = false, 1
+	for _, h := range []Harness{DefaultHarness(), fused} {
+		t.Run(fmt.Sprintf("fuse=%v", h.Fuse), func(t *testing.T) {
+			t.Parallel()
+			for _, name := range []string{"tightbounds", "transpose", "ablation"} {
+				tbl, err := h.ByName(name)(context.Background(), smallConfig, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkAllPass(t, tbl)
+			}
+		})
+	}
 }
 
 func parseInt(s string, out *int) (int, error) {

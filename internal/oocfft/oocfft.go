@@ -27,6 +27,7 @@ import (
 	"math/cmplx"
 
 	"repro/internal/engine"
+	"repro/internal/factor"
 	"repro/internal/pdm"
 	"repro/internal/perm"
 )
@@ -98,7 +99,7 @@ func FFT(ctx context.Context, sys *pdm.System, inverse bool) (*Result, error) {
 	before := sys.Stats().ParallelIOs()
 
 	// Step 1: transpose j1 + N1*j2 -> j2 + N2*j1.
-	if _, err := engine.RunAuto(ctx, sys, perm.RotateBits(n, lgN1)); err != nil {
+	if err := permute(ctx, sys, perm.RotateBits(n, lgN1)); err != nil {
 		return nil, fmt.Errorf("oocfft: transpose 1: %w", err)
 	}
 	res.TransposeIOs = sys.Stats().ParallelIOs() - before
@@ -122,7 +123,7 @@ func FFT(ctx context.Context, sys *pdm.System, inverse bool) (*Result, error) {
 
 	// Step 3: transpose back to j1 + N1*k2.
 	mark := sys.Stats().ParallelIOs()
-	if _, err := engine.RunAuto(ctx, sys, perm.RotateBits(n, lgN2)); err != nil {
+	if err := permute(ctx, sys, perm.RotateBits(n, lgN2)); err != nil {
 		return nil, fmt.Errorf("oocfft: transpose 2: %w", err)
 	}
 	res.TransposeIOs += sys.Stats().ParallelIOs() - mark
@@ -137,7 +138,7 @@ func FFT(ctx context.Context, sys *pdm.System, inverse bool) (*Result, error) {
 
 	// Step 5: transpose k1 + N1*k2 -> k2 + N2*k1 (natural order).
 	mark = sys.Stats().ParallelIOs()
-	if _, err := engine.RunAuto(ctx, sys, perm.RotateBits(n, lgN1)); err != nil {
+	if err := permute(ctx, sys, perm.RotateBits(n, lgN1)); err != nil {
 		return nil, fmt.Errorf("oocfft: transpose 3: %w", err)
 	}
 	res.TransposeIOs += sys.Stats().ParallelIOs() - mark
@@ -145,6 +146,17 @@ func FFT(ctx context.Context, sys *pdm.System, inverse bool) (*Result, error) {
 	res.ParallelIOs = sys.Stats().ParallelIOs() - before
 	res.ComputePassIOs = res.ParallelIOs - res.TransposeIOs
 	return res, nil
+}
+
+// permute performs p on sys under the paper's dispatch policy.
+func permute(ctx context.Context, sys *pdm.System, p perm.BMMC) error {
+	cfg := sys.Config()
+	_, plan, err := factor.Dispatch(p, cfg.LgB(), cfg.LgM(), false)
+	if err != nil {
+		return err
+	}
+	_, err = engine.RunPlan(ctx, sys, plan, engine.DefaultOptions())
+	return err
 }
 
 // computePass streams the data through memory one memoryload at a time

@@ -26,6 +26,7 @@ import (
 	"math"
 
 	"repro/internal/engine"
+	"repro/internal/factor"
 	"repro/internal/pdm"
 	"repro/internal/perm"
 )
@@ -117,11 +118,23 @@ func (m *Matrix) Transpose(ctx context.Context) error {
 	if m.tileMajor {
 		return fmt.Errorf("oocmatrix: transpose requires row-major layout")
 	}
-	if _, err := engine.RunAuto(ctx, m.sys, perm.Transpose(m.lgR, m.lgS)); err != nil {
+	if err := m.permute(ctx, perm.Transpose(m.lgR, m.lgS)); err != nil {
 		return err
 	}
 	m.lgR, m.lgS = m.lgS, m.lgR
 	return nil
+}
+
+// permute performs p on the matrix's disks under the paper's dispatch
+// policy.
+func (m *Matrix) permute(ctx context.Context, p perm.BMMC) error {
+	cfg := m.sys.Config()
+	_, plan, err := factor.Dispatch(p, cfg.LgB(), cfg.LgM(), false)
+	if err != nil {
+		return err
+	}
+	_, err = engine.RunPlan(ctx, m.sys, plan, engine.DefaultOptions())
+	return err
 }
 
 // tileMajorPerm returns the BPC permutation converting the row-major
@@ -156,7 +169,7 @@ func (m *Matrix) toTileMajor(ctx context.Context, lt int) error {
 	if err != nil {
 		return err
 	}
-	if _, err := engine.RunAuto(ctx, m.sys, p); err != nil {
+	if err := m.permute(ctx, p); err != nil {
 		return err
 	}
 	m.tileMajor, m.lgTileSide = true, lt
@@ -169,7 +182,7 @@ func (m *Matrix) toRowMajor(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	if _, err := engine.RunAuto(ctx, m.sys, p.Inverse()); err != nil {
+	if err := m.permute(ctx, p.Inverse()); err != nil {
 		return err
 	}
 	m.tileMajor = false

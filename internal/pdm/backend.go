@@ -121,7 +121,7 @@ func NewDiskBackend(factory DiskFactory) Backend {
 }
 
 // MemBackend returns the RAM storage backend: one in-memory block array per
-// disk. It is the default backend of a Permuter.
+// disk. It is the default backend of a Dataset.
 func MemBackend() Backend { return NewDiskBackend(MemDiskFactory) }
 
 // FileBackend returns the single-directory file storage backend: one file

@@ -1,6 +1,7 @@
 package pdm
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -81,5 +82,46 @@ func TestBackendUnopenedTransfer(t *testing.T) {
 	buf := make([]Record, 4)
 	if err := be.ReadBlocks([]BlockXfer{{Disk: 0, Block: 0, Data: buf}}); err == nil {
 		t.Fatal("ReadBlocks before Open unexpectedly succeeded")
+	}
+}
+
+// TestMemDiskCloseReleasesRecords: Close drops a MemDisk's record array,
+// and every later transfer — single block, range, or block view — fails
+// instead of touching freed storage.
+func TestMemDiskCloseReleasesRecords(t *testing.T) {
+	d := NewMemDisk(8, 4)
+	buf := make([]Record, 4)
+	if err := d.WriteBlock(1, buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d.data != nil {
+		t.Fatal("closed MemDisk still holds its records")
+	}
+	if err := d.ReadBlock(1, buf); !errors.Is(err, errDiskClosed) {
+		t.Errorf("ReadBlock after Close: %v", err)
+	}
+	if err := d.WriteBlock(1, buf); !errors.Is(err, errDiskClosed) {
+		t.Errorf("WriteBlock after Close: %v", err)
+	}
+	if err := d.ReadBlockRange(0, make([]Record, 8)); !errors.Is(err, errDiskClosed) {
+		t.Errorf("ReadBlockRange after Close: %v", err)
+	}
+	if _, ok := d.BlockView(1); ok {
+		t.Error("BlockView after Close returned a view")
+	}
+
+	// The same holds one layer up: a closed mem backend rejects reads.
+	be := MemBackend()
+	if err := be.Open(2, 8, 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := be.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := be.ReadBlocks([]BlockXfer{{Disk: 0, Block: 0, Data: buf}}); !errors.Is(err, errDiskClosed) {
+		t.Errorf("ReadBlocks on a closed mem backend: %v", err)
 	}
 }

@@ -1,6 +1,12 @@
 package pdm
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
+
+// errDiskClosed is returned by every transfer on a MemDisk after Close.
+var errDiskClosed = errors.New("pdm: disk closed")
 
 // Disk abstracts one of the D independent disks. Blocks are numbered from 0;
 // each holds exactly B records. Implementations must be safe for sequential
@@ -33,10 +39,11 @@ type BlockRangeIO interface {
 	WriteBlockRange(block0 int, src []Record) error
 }
 
-// MemDisk is a RAM-backed Disk used for fast simulation.
+// MemDisk is a RAM-backed Disk used for fast simulation. Close releases
+// its records; every later transfer fails.
 type MemDisk struct {
 	blockSize int
-	data      []Record
+	data      []Record // nil once closed
 }
 
 // NewMemDisk returns a zero-filled RAM disk with the given geometry.
@@ -98,10 +105,17 @@ func (d *MemDisk) WriteBlockRange(block0 int, src []Record) error {
 // NumBlocks implements Disk.
 func (d *MemDisk) NumBlocks() int { return len(d.data) / d.blockSize }
 
-// Close implements Disk; a MemDisk holds no external resources.
-func (d *MemDisk) Close() error { return nil }
+// Close implements Disk by dropping the record array, so a closed disk
+// holds no memory even while something still references it.
+func (d *MemDisk) Close() error {
+	d.data = nil
+	return nil
+}
 
 func (d *MemDisk) check(blockNum, n int) error {
+	if d.data == nil {
+		return errDiskClosed
+	}
 	if blockNum < 0 || blockNum >= d.NumBlocks() {
 		return fmt.Errorf("pdm: block %d out of range [0,%d)", blockNum, d.NumBlocks())
 	}
@@ -112,6 +126,9 @@ func (d *MemDisk) check(blockNum, n int) error {
 }
 
 func (d *MemDisk) checkRange(block0, n int) error {
+	if d.data == nil {
+		return errDiskClosed
+	}
 	if n <= 0 || n%d.blockSize != 0 {
 		return fmt.Errorf("pdm: range of %d records is not a positive multiple of block size %d", n, d.blockSize)
 	}

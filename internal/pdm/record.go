@@ -35,7 +35,7 @@ func (r Record) CheckIntegrity() bool { return r.Tag == TagFor(r.Key) }
 
 // Encode writes the record into dst (at least RecordBytes long),
 // little-endian — the wire format of the file backends and of
-// Permuter.Load/Dump.
+// Dataset.Load/Dump.
 func (r Record) Encode(dst []byte) {
 	binary.LittleEndian.PutUint64(dst[0:8], r.Key)
 	binary.LittleEndian.PutUint64(dst[8:16], r.Tag)

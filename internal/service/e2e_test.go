@@ -36,7 +36,7 @@ func startDaemon(t *testing.T, cfg service.ManagerConfig) (*client.Client, *serv
 
 // TestServiceEndToEnd is the PR's acceptance run: Submit + Upload + Watch
 // + Download of a 2^20-record bit-reversal against a sharded file backend
-// must be record-identical to a direct Permuter.Execute of the same data,
+// must be record-identical to a direct Engine.Execute of the same data,
 // with identical parallel-I/O statistics reported by /v1/metrics — for two
 // concurrent jobs on one daemon.
 func TestServiceEndToEnd(t *testing.T) {
@@ -53,7 +53,7 @@ func TestServiceEndToEnd(t *testing.T) {
 	}
 
 	// Oracle: the library used directly, in memory.
-	oracle, err := bmmc.NewPermuter(cfg)
+	oracle, err := bmmc.CreateDataset(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +61,12 @@ func TestServiceEndToEnd(t *testing.T) {
 	if err := oracle.Load(context.Background(), bytes.NewReader(input)); err != nil {
 		t.Fatal(err)
 	}
-	pl, err := oracle.Plan(p)
+	eng := bmmc.NewEngine()
+	pl, err := eng.Plan(cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracleRep, err := oracle.Execute(context.Background(), pl)
+	oracleRep, err := eng.Execute(context.Background(), pl, oracle)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,7 +151,7 @@ func (j *Job) setStateLocked(s State) {
 	}
 }
 
-// onProgress is the job Permuter's WithProgress callback: it runs on the
+// onProgress is the job's per-Execute WithProgress callback: it runs on the
 // executing goroutine between counted parallel I/Os, updates the snapshot,
 // and fans the event out without blocking.
 func (j *Job) onProgress(ev bmmc.PassEvent) {

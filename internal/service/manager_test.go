@@ -547,3 +547,61 @@ func TestEventStream(t *testing.T) {
 		t.Fatal("no progress events observed")
 	}
 }
+
+// TestReleasedMemJobsFreeStorage pins that releasing a mem-backed job
+// returns its records to the heap even though the manager keeps the job's
+// metadata (and through it the Dataset) queryable: 32 jobs at 2^18
+// records run and release one after another, 8 mem datasets are created
+// and deleted, and afterwards the live heap has grown by less than two
+// jobs' worth of records (2N x 16 B each).
+func TestReleasedMemJobsFreeStorage(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: skipping 32 x 2^18-record jobs")
+	}
+	cfg := bmmc.Config{N: 1 << 18, D: 4, B: 64, M: 1 << 14}
+	jobBytes := uint64(2 * cfg.N * bmmc.RecordBytes)
+	m := newTestManager(t, ManagerConfig{Workers: 1, QueueDepth: 4})
+	gray := bmmc.GrayCode(cfg.LgN())
+	runAndRelease := func() {
+		t.Helper()
+		j, err := m.Submit(submitReq(t, cfg, gray))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := waitTerminal(t, j); s != StateDone {
+			t.Fatalf("job finished %s (%s), want done", s, j.Status().Error)
+		}
+		if _, err := m.Cancel(j.ID()); err != nil { // releases a terminal job
+			t.Fatal(err)
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+
+	runAndRelease() // warm the plan cache, pools and buffers
+	before := heap()
+	for i := 0; i < 32; i++ {
+		runAndRelease()
+	}
+	for i := 0; i < 8; i++ {
+		d, err := m.CreateDataset(CreateDatasetRequest{Config: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.DeleteDataset(d.id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := heap()
+	if after > before && after-before >= 2*jobBytes {
+		t.Fatalf("heap grew %d MiB over 32 released jobs and 8 deleted datasets; one job's records are %d MiB",
+			(after-before)>>20, jobBytes>>20)
+	}
+	if got := len(m.Jobs()); got != 33 {
+		t.Fatalf("manager lists %d jobs, want all 33 still queryable", got)
+	}
+}

@@ -186,7 +186,7 @@ type Progress struct {
 
 // RunReport is the measured outcome of a completed job: the executed pass
 // count and the parallel-I/O statistics of the job's private disk system,
-// exactly what a direct Permuter.Execute of the same plan would measure.
+// exactly what a direct Engine.Execute of the same plan would measure.
 type RunReport struct {
 	Passes         int  `json:"passes"`
 	ParallelIOs    int  `json:"parallel_ios"`
@@ -218,7 +218,7 @@ type JobStatus struct {
 // Metrics is the daemon-wide gauge set: GET /v1/metrics. Aggregate I/O
 // counters sum the per-job disk statistics of every job that reached a
 // terminal state, so they equal what the same sequence of direct
-// Permuter.Execute calls would have measured.
+// Engine.Execute calls would have measured.
 type Metrics struct {
 	JobsSubmitted int `json:"jobs_submitted"`
 	JobsQueued    int `json:"jobs_queued"`

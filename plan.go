@@ -10,40 +10,29 @@ import (
 // geometry: the dispatched class, the (possibly fused) one-pass sequence,
 // and the paper's cost bounds, as an inspectable, immutable value.
 //
-// Plans separate the paper's two phases in the public API: Permuter.Plan
-// pays for classification and GF(2) factorization once, Permuter.Execute
-// runs the prepared passes as many times as the caller likes — on the
-// planning Permuter or any other with the same Config — with records and
-// Stats identical to the fused Permute call.
+// Plans separate the paper's two phases in the public API: Engine.Plan
+// pays for classification and GF(2) factorization once, Engine.Execute
+// runs the prepared passes as many times as the caller likes — on any
+// Dataset with the same Config — with records, Stats and Reports identical
+// to Engine.Permute, which is exactly Plan followed by Execute.
 //
-//	pl, err := p.Plan(bmmc.BitReversal(cfg.LgN()))
-//	fmt.Println(pl)                  // passes, exact cost, Thm 3 / Thm 21 bounds
-//	for _, pass := range pl.Passes() // inspect each one-pass permutation
+//	pl, err := eng.Plan(cfg, bmmc.BitReversal(cfg.LgN()))
+//	fmt.Println(pl)                     // passes, exact cost, Thm 3 / Thm 21 bounds
+//	for _, pass := range pl.Passes()    // inspect each one-pass permutation
 //	    ...
-//	rep, err := p.Execute(ctx, pl)   // run it; plan again never
+//	rep, err := eng.Execute(ctx, pl, ds) // run it; plan again never
 type Plan = core.Plan
 
 // PlanFor classifies and (for full BMMC permutations) factorizes p for an
-// arbitrary valid geometry without a Permuter: pure GF(2) planning with no
-// disk system and no I/O. The returned Plan is identical to what
-// Permuter.Plan would build on that geometry (modulo plan-cache metadata)
-// and may be executed on any Permuter with the same Config. Services and
-// tools use it to quote a permutation's class, pass structure, and cost
-// bounds before any storage exists.
+// arbitrary valid geometry without an Engine: pure GF(2) planning with no
+// plan cache, no disk system and no I/O. The returned Plan is identical to
+// what Engine.Plan builds on that geometry (modulo plan-cache metadata)
+// and may be executed on any Dataset with the same Config. Tools use it to
+// quote a permutation's class, pass structure, and cost bounds before any
+// storage exists.
 func PlanFor(cfg Config, p Permutation, fuse bool) (*Plan, error) {
 	return core.PlanFor(cfg, p, fuse)
 }
-
-// PlanCache is a standalone LRU cache of prepared Plans for callers that
-// plan outside any Permuter (a service planning for many tenants, a tool
-// quoting costs). It reuses the Permuter plan cache's keying and eviction;
-// see NewPlanCache.
-type PlanCache = core.PlanCache
-
-// NewPlanCache returns a concurrency-safe plan cache holding up to n
-// plans; n <= 0 disables caching. PlanCache.PlanFor is the cached
-// equivalent of PlanFor, and Stats exposes the CacheStats counters.
-func NewPlanCache(n int) *PlanCache { return core.NewPlanCache(n) }
 
 // PlanPass is one one-pass permutation within a Plan: the permutation to
 // apply and the class (MRC, MLD, or inverse-MLD) whose executor runs it.

@@ -15,9 +15,20 @@ import (
 
 var planConfig = bmmc.Config{N: 1 << 12, D: 4, B: 8, M: 1 << 8}
 
-// TestPlanExecuteMatchesPermute is the v2 acceptance invariant: planning
-// once and calling Execute N times yields byte-identical records and Stats
-// versus N Permute calls, and the planning work happens exactly once — the
+// newPlanDataset returns a canonical dataset on cfg, closed at cleanup.
+func newPlanDataset(tb testing.TB, cfg bmmc.Config, opts ...bmmc.Option) *bmmc.Dataset {
+	tb.Helper()
+	ds, err := bmmc.CreateDataset(cfg, opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { ds.Close() })
+	return ds
+}
+
+// TestPlanExecuteMatchesPermute: planning once and calling Execute N times
+// yields byte-identical records and Stats versus N Permute calls that
+// re-plan every time, and the planning work happens exactly once — the
 // plan cache sees no further traffic from Execute.
 func TestPlanExecuteMatchesPermute(t *testing.T) {
 	const reps = 3
@@ -30,30 +41,23 @@ func TestPlanExecuteMatchesPermute(t *testing.T) {
 		{"random", bmmc.RandomPermutation(bmmc.NewRand(11), 12)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			planned, err := bmmc.NewPermuter(planConfig)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer planned.Close()
-			fused, err := bmmc.NewPermuter(planConfig, bmmc.WithPlanCache(0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer fused.Close()
+			planned, replanned := newPlanDataset(t, planConfig), newPlanDataset(t, planConfig)
+			eng := bmmc.NewEngine()
+			uncached := bmmc.NewEngine(bmmc.WithPlanCache(0))
 
-			plan, err := planned.Plan(tc.perm)
+			plan, err := eng.Plan(planConfig, tc.perm)
 			if err != nil {
 				t.Fatal(err)
 			}
-			statsAfterPlan := planned.CacheStats()
+			statsAfterPlan := eng.CacheStats()
 
 			ctx := context.Background()
 			for rep := 0; rep < reps; rep++ {
-				repA, err := planned.Execute(ctx, plan)
+				repA, err := eng.Execute(ctx, plan, planned)
 				if err != nil {
 					t.Fatalf("Execute rep %d: %v", rep, err)
 				}
-				repB, err := fused.Permute(tc.perm)
+				repB, err := uncached.Permute(ctx, replanned, tc.perm)
 				if err != nil {
 					t.Fatalf("Permute rep %d: %v", rep, err)
 				}
@@ -65,19 +69,19 @@ func TestPlanExecuteMatchesPermute(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				recsB, err := fused.Records()
+				recsB, err := replanned.Records()
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(recsA, recsB) {
 					t.Fatalf("rep %d: records diverge between Execute and Permute", rep)
 				}
-				if a, b := planned.Stats(), fused.Stats(); !reflect.DeepEqual(a, b) {
+				if a, b := planned.Stats(), replanned.Stats(); !reflect.DeepEqual(a, b) {
 					t.Fatalf("rep %d: stats diverge: Execute %+v, Permute %+v", rep, a, b)
 				}
 			}
 			// Execute must never re-plan: no cache traffic after Plan.
-			if got := planned.CacheStats(); got != statsAfterPlan {
+			if got := eng.CacheStats(); got != statsAfterPlan {
 				t.Errorf("Execute touched the plan cache: before %+v, after %+v", statsAfterPlan, got)
 			}
 		})
@@ -87,13 +91,8 @@ func TestPlanExecuteMatchesPermute(t *testing.T) {
 // TestPlanInspectable pins the plan's introspection surface: class, pass
 // list, exact cost, and the Theorem 3 / Theorem 21 sandwich.
 func TestPlanInspectable(t *testing.T) {
-	p, err := bmmc.NewPermuter(planConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	plan, err := p.Plan(bmmc.BitReversal(12))
+	eng := bmmc.NewEngine()
+	plan, err := eng.Plan(planConfig, bmmc.BitReversal(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +122,7 @@ func TestPlanInspectable(t *testing.T) {
 	}
 
 	// An identity plan is free and empty.
-	idPlan, err := p.Plan(bmmc.Identity(12))
+	idPlan, err := eng.Plan(planConfig, bmmc.Identity(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,59 +131,48 @@ func TestPlanInspectable(t *testing.T) {
 	}
 }
 
-// TestPlanPortableAcrossPermuters executes one plan on a second Permuter
-// with the same geometry, and rejects executing on a different geometry.
+// TestPlanPortableAcrossPermuters executes one Engine's plan through a
+// second Engine on a Dataset with the same geometry, and rejects executing
+// on a different geometry.
 func TestPlanPortableAcrossPermuters(t *testing.T) {
-	a, err := bmmc.NewPermuter(planConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := bmmc.NewPermuter(planConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
+	b := newPlanDataset(t, planConfig)
 	tr := bmmc.Transpose(6, 6)
-	plan, err := a.Plan(tr)
+	plan, err := bmmc.NewEngine().Plan(planConfig, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Execute(context.Background(), plan); err != nil {
-		t.Fatalf("executing a's plan on b: %v", err)
+	other := bmmc.NewEngine()
+	ctx := context.Background()
+	if _, err := other.Execute(ctx, plan, b); err != nil {
+		t.Fatalf("executing the plan through another engine: %v", err)
 	}
 	if err := b.Verify(tr); err != nil {
-		t.Errorf("b's records wrong after executing a's plan: %v", err)
+		t.Errorf("records wrong after executing a portable plan: %v", err)
 	}
 
-	other, err := bmmc.NewPermuter(bmmc.Config{N: 1 << 13, D: 4, B: 8, M: 1 << 8})
-	if err != nil {
-		t.Fatal(err)
+	wider := newPlanDataset(t, bmmc.Config{N: 1 << 13, D: 4, B: 8, M: 1 << 8})
+	if _, err := other.Execute(ctx, plan, wider); err == nil {
+		t.Error("executing a 2^12-record plan on a 2^13-record Dataset unexpectedly succeeded")
 	}
-	defer other.Close()
-	if _, err := other.Execute(context.Background(), plan); err == nil {
-		t.Error("executing a 2^12-record plan on a 2^13-record Permuter unexpectedly succeeded")
-	}
-	if _, err := a.Execute(context.Background(), nil); err == nil {
+	if _, err := other.Execute(ctx, nil, b); err == nil {
 		t.Error("executing a nil plan unexpectedly succeeded")
+	}
+	if _, err := other.Execute(ctx, plan, nil); err == nil {
+		t.Error("executing on a nil Dataset unexpectedly succeeded")
 	}
 }
 
 // TestExecuteCancellation cancels a multi-pass run mid-pass (from a
 // progress callback, so the cancellation lands between memoryloads of a
 // specific pass) and checks the contract: ctx's error comes back, no
-// goroutine leaks, the stored records are usable, and the same Permuter
+// goroutine leaks, the stored records are usable, and the same Dataset
 // completes the permutation afterwards.
 func TestExecuteCancellation(t *testing.T) {
-	p, err := bmmc.NewPermuter(planConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
+	p := newPlanDataset(t, planConfig)
+	eng := bmmc.NewEngine()
 
 	bitrev := bmmc.BitReversal(12)
-	plan, err := p.Plan(bitrev)
+	plan, err := eng.Plan(planConfig, bitrev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,21 +186,21 @@ func TestExecuteCancellation(t *testing.T) {
 	// Cancel as soon as the first pass reports its second memoryload.
 	for rep := 0; rep < 4; rep++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		cp, err := bmmc.NewPermuter(planConfig, bmmc.WithProgress(func(ev bmmc.PassEvent) {
+		cp, err := bmmc.CreateDataset(planConfig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = eng.Execute(ctx, plan, cp, bmmc.WithProgress(func(ev bmmc.PassEvent) {
 			if ev.Pass == 1 && ev.Load >= 2 {
 				cancel()
 			}
 		}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = cp.Execute(ctx, plan)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("rep %d: Execute returned %v, want context.Canceled", rep, err)
 		}
 		// The interrupted pass never swapped portions: the stored records
-		// are exactly the pre-Execute state, and the Permuter still works.
+		// are exactly the pre-Execute state, and the Dataset still works.
 		got, err := cp.Records()
 		if err != nil {
 			t.Fatal(err)
@@ -220,7 +208,7 @@ func TestExecuteCancellation(t *testing.T) {
 		if !reflect.DeepEqual(got, before) {
 			t.Fatalf("rep %d: canceled Execute disturbed the stored records", rep)
 		}
-		if _, err := cp.Execute(context.Background(), plan); err != nil {
+		if _, err := eng.Execute(context.Background(), plan, cp); err != nil {
 			t.Fatalf("rep %d: Execute after cancellation: %v", rep, err)
 		}
 		if err := cp.Verify(bitrev); err != nil {
@@ -243,7 +231,7 @@ func TestExecuteCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ios := p.Stats().ParallelIOs()
-	if _, err := p.Execute(ctx, plan); !errors.Is(err, context.Canceled) {
+	if _, err := eng.Execute(ctx, plan, p); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled Execute returned %v", err)
 	}
 	if got := p.Stats().ParallelIOs(); got != ios {
@@ -265,11 +253,8 @@ func TestLoadDumpRoundTrip(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p, err := bmmc.NewPermuter(planConfig, bmmc.WithBackend(tc.backend(t)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer p.Close()
+			p := newPlanDataset(t, planConfig, bmmc.WithBackend(tc.backend(t)))
+			eng := bmmc.NewEngine()
 			ctx := context.Background()
 
 			// Arbitrary user records: keys out of order, payload tags that
@@ -290,10 +275,10 @@ func TestLoadDumpRoundTrip(t *testing.T) {
 			}
 
 			rot := bmmc.RotateBits(12, 5)
-			if _, err := p.Permute(rot); err != nil {
+			if _, err := eng.Permute(ctx, p, rot); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := p.Permute(rot.Inverse()); err != nil {
+			if _, err := eng.Permute(ctx, p, rot.Inverse()); err != nil {
 				t.Fatal(err)
 			}
 			if err := p.Sync(); err != nil {
@@ -329,50 +314,45 @@ func TestLoadDumpRoundTrip(t *testing.T) {
 	}
 }
 
-// BenchmarkExecutePrepared measures the steady state the v2 API buys:
-// the plan is built once outside the loop, so iterations pay only for
+// BenchmarkExecutePrepared measures the steady state planning buys: the
+// plan is built once outside the loop, so iterations pay only for
 // execution.
 func BenchmarkExecutePrepared(b *testing.B) {
-	p, err := bmmc.NewPermuter(planConfig)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Close()
-	plan, err := p.Plan(bmmc.BitReversal(12))
+	ds := newPlanDataset(b, planConfig)
+	eng := bmmc.NewEngine()
+	plan, err := eng.Plan(planConfig, bmmc.BitReversal(12))
 	if err != nil {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Execute(ctx, plan); err != nil {
+		if _, err := eng.Execute(ctx, plan, ds); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkPermuteReplanned is the v1 shape with caching disabled: every
+// BenchmarkPermuteReplanned is Permute with caching disabled: every
 // iteration re-classifies and re-factorizes. The gap to
 // BenchmarkExecutePrepared is the planning cost Execute amortizes away.
 func BenchmarkPermuteReplanned(b *testing.B) {
-	p, err := bmmc.NewPermuter(planConfig, bmmc.WithPlanCache(0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Close()
+	ds := newPlanDataset(b, planConfig)
+	eng := bmmc.NewEngine(bmmc.WithPlanCache(0))
 	bitrev := bmmc.BitReversal(12)
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Permute(bitrev); err != nil {
+		if _, err := eng.Permute(ctx, ds, bitrev); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// TestPlanForMatchesPermuterPlan pins the Permuter-free planning entry
-// point: PlanFor builds the same plan Permuter.Plan does — identical class,
+// TestPlanForMatchesPermuterPlan pins the Engine-free planning entry
+// point: PlanFor builds the same plan Engine.Plan does — identical class,
 // pass structure, and cost — and the resulting plan executes on any
-// Permuter with the same Config, producing the same records and Stats.
+// Dataset with the same Config, producing the quoted cost and records.
 func TestPlanForMatchesPermuterPlan(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -389,20 +369,17 @@ func TestPlanForMatchesPermuterPlan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := bmmc.NewPermuter(planConfig)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer p.Close()
-			bound, err := p.Plan(tc.perm)
+			p := newPlanDataset(t, planConfig)
+			eng := bmmc.NewEngine()
+			bound, err := eng.Plan(planConfig, tc.perm)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if free.Class() != bound.Class() || free.PassCount() != bound.PassCount() ||
 				free.CostIOs() != bound.CostIOs() || free.FusedFrom() != bound.FusedFrom() {
-				t.Fatalf("PlanFor %v != Permuter.Plan %v", free, bound)
+				t.Fatalf("PlanFor %v != Engine.Plan %v", free, bound)
 			}
-			rep, err := p.Execute(context.Background(), free)
+			rep, err := eng.Execute(context.Background(), free, p)
 			if err != nil {
 				t.Fatalf("executing a PlanFor plan: %v", err)
 			}
@@ -428,30 +405,30 @@ func TestPlanForMatchesPermuterPlan(t *testing.T) {
 // omits lg N (the pass structure depends only on the permutation and
 // lg B / lg M), so a cache hit must still reject a permutation whose width
 // does not match the requested geometry — otherwise a daemon sharing one
-// cache across tenants would execute a wrong-sized plan.
+// Engine across tenants would execute a wrong-sized plan.
 func TestPlanCacheWidthCheck(t *testing.T) {
-	pc := bmmc.NewPlanCache(8)
+	eng := bmmc.NewEngine(bmmc.WithPlanCache(8))
 	p12 := bmmc.BitReversal(12)
 	cfg12 := bmmc.Config{N: 1 << 12, D: 4, B: 8, M: 1 << 8}
 	cfg16 := bmmc.Config{N: 1 << 16, D: 4, B: 8, M: 1 << 8} // same lg B, lg M
 
-	if _, hit, err := pc.PlanFor(cfg12, p12, true); err != nil || hit {
-		t.Fatalf("cold PlanFor: hit=%v err=%v", hit, err)
+	if pl, err := eng.Plan(cfg12, p12); err != nil || pl.Cached() {
+		t.Fatalf("cold Plan: %v err=%v", pl, err)
 	}
 	// Same permutation, wider geometry: identical cache key, but the hit
 	// path must still reject the width mismatch.
-	if _, _, err := pc.PlanFor(cfg16, p12, true); err == nil {
-		t.Fatal("PlanFor accepted a 12-bit permutation on a 16-bit geometry via the cache")
+	if _, err := eng.Plan(cfg16, p12); err == nil {
+		t.Fatal("Plan accepted a 12-bit permutation on a 16-bit geometry via the cache")
 	}
 	// The legitimate repeat is a hit with full stats.
-	pl, hit, err := pc.PlanFor(cfg12, p12, true)
-	if err != nil || !hit {
-		t.Fatalf("repeat PlanFor: hit=%v err=%v", hit, err)
+	pl, err := eng.Plan(cfg12, p12)
+	if err != nil || !pl.Cached() {
+		t.Fatalf("repeat Plan: %v err=%v", pl, err)
 	}
-	if !pl.Cached() || pl.Geometry() != cfg12 {
-		t.Fatalf("cached plan misstamped: cached=%v geometry=%v", pl.Cached(), pl.Geometry())
+	if pl.Geometry() != cfg12 {
+		t.Fatalf("cached plan misstamped: geometry=%v", pl.Geometry())
 	}
-	if cs := pc.Stats(); cs.Hits != 1 || cs.Misses != 1 {
+	if cs := eng.CacheStats(); cs.Hits != 1 || cs.Misses != 1 {
 		t.Fatalf("cache stats %+v, want 1 hit / 1 miss", cs)
 	}
 }

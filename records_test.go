@@ -1,6 +1,7 @@
 package bmmc_test
 
 import (
+	"context"
 	"testing"
 
 	bmmc "repro"
@@ -14,11 +15,13 @@ import (
 // chain of permutations consumed.
 func TestRecordsTrackPortionAcrossChainedPasses(t *testing.T) {
 	cfg := bmmc.Config{N: 1 << 12, D: 4, B: 8, M: 1 << 8}
-	p, err := bmmc.NewPermuter(cfg)
+	p, err := bmmc.CreateDataset(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	eng := bmmc.NewEngine()
+	ctx := context.Background()
 	n := cfg.LgN()
 
 	checkImage := func(stage string, cumulative bmmc.Permutation) {
@@ -36,7 +39,7 @@ func TestRecordsTrackPortionAcrossChainedPasses(t *testing.T) {
 
 	// One pass (odd): Gray code is MRC.
 	gray := bmmc.GrayCode(n)
-	rep, err := p.Permute(gray)
+	rep, err := eng.Permute(ctx, p, gray)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +52,7 @@ func TestRecordsTrackPortionAcrossChainedPasses(t *testing.T) {
 	// total pass count over the chain is odd or even depending on the
 	// factoring — Records must not care.
 	bitrev := bmmc.BitReversal(n)
-	if _, err := p.Permute(bitrev); err != nil {
+	if _, err := eng.Permute(ctx, p, bitrev); err != nil {
 		t.Fatal(err)
 	}
 	cumulative := bitrev.Compose(gray)
@@ -78,7 +81,7 @@ func TestRecordsTrackPortionAcrossChainedPasses(t *testing.T) {
 
 	// And one more permutation still runs correctly from the loaded state.
 	rev := bmmc.VectorReversal(n)
-	if _, err := p.Permute(rev); err != nil {
+	if _, err := eng.Permute(ctx, p, rev); err != nil {
 		t.Fatal(err)
 	}
 	final, err := p.Records()
