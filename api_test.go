@@ -22,7 +22,7 @@ func newAPIDataset(t *testing.T, opts ...bmmc.Option) *bmmc.Dataset {
 	return ds
 }
 
-func TestPermuterLifecycle(t *testing.T) {
+func TestEngineLifecycle(t *testing.T) {
 	ds := newAPIDataset(t)
 	rev := bmmc.BitReversal(apiConfig.LgN())
 	rep, err := bmmc.NewEngine().Permute(context.Background(), ds, rev)
@@ -40,7 +40,7 @@ func TestPermuterLifecycle(t *testing.T) {
 	}
 }
 
-func TestPermuterComposesAcrossCalls(t *testing.T) {
+func TestEngineComposesAcrossCalls(t *testing.T) {
 	ds := newAPIDataset(t)
 	eng := bmmc.NewEngine()
 	ctx := context.Background()
@@ -58,7 +58,7 @@ func TestPermuterComposesAcrossCalls(t *testing.T) {
 	}
 }
 
-func TestPermuterGrayCodeOnePass(t *testing.T) {
+func TestEngineGrayCodeOnePass(t *testing.T) {
 	ds := newAPIDataset(t)
 	rep, err := bmmc.NewEngine().Permute(context.Background(), ds, bmmc.GrayCode(apiConfig.LgN()))
 	if err != nil {

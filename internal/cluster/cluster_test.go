@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -27,6 +28,10 @@ var testCfg = bmmc.Config{N: 1 << 12, D: 4, B: 16, M: 1 << 8}
 
 const hbInterval = 20 * time.Millisecond
 
+// downAfter keeps the failure detector from evicting a worker whose
+// heartbeats stall under -race load; no test here relies on eviction.
+const downAfter = 10 * time.Second
+
 // testWorker is one in-process bmmcd: a manager, its HTTP surface, and
 // its cluster membership.
 type testWorker struct {
@@ -44,6 +49,7 @@ type testCluster struct {
 	coordSrv *http.Server
 	coordURL string
 	workers  []*testWorker
+	wrapHTTP func(i int, h http.Handler) http.Handler
 	torn     atomic.Bool
 }
 
@@ -52,8 +58,16 @@ type testCluster struct {
 // hook for worker i — the chaos injection seam.
 func startTestCluster(t *testing.T, n int, wrap func(i int) func(string, bmmc.Backend) bmmc.Backend) *testCluster {
 	t.Helper()
-	tc := &testCluster{t: t}
-	tc.coord = cluster.New(cluster.Options{HeartbeatInterval: hbInterval, Seed: 42})
+	return startTestClusterHTTP(t, n, wrap, nil)
+}
+
+// startTestClusterHTTP is startTestCluster with worker i's HTTP surface
+// served through wrapHTTP(i, h) when wrapHTTP is non-nil — the seam for a
+// worker whose data plane misbehaves without a transport error.
+func startTestClusterHTTP(t *testing.T, n int, wrap func(i int) func(string, bmmc.Backend) bmmc.Backend, wrapHTTP func(i int, h http.Handler) http.Handler) *testCluster {
+	t.Helper()
+	tc := &testCluster{t: t, wrapHTTP: wrapHTTP}
+	tc.coord = cluster.New(cluster.Options{HeartbeatInterval: hbInterval, DownAfter: downAfter, Seed: 42})
 	tc.coordSrv, tc.coordURL = serveCoord(t, tc.coord, "127.0.0.1:0")
 	for i := 0; i < n; i++ {
 		tc.addWorker(i, wrap)
@@ -91,7 +105,11 @@ func (tc *testCluster) addWorker(i int, wrap func(i int) func(string, bmmc.Backe
 	if err != nil {
 		tc.t.Fatal(err)
 	}
-	srv := httptest.NewServer(service.NewHandler(mgr, nil))
+	var h http.Handler = service.NewHandler(mgr, nil)
+	if tc.wrapHTTP != nil {
+		h = tc.wrapHTTP(i, h)
+	}
+	srv := httptest.NewServer(h)
 	w := &testWorker{id: fmt.Sprintf("w%d", i+1), mgr: mgr, srv: srv}
 	w.member = cluster.StartMember(tc.coordURL, w.id, srv.URL, nil)
 	tc.workers = append(tc.workers, w)
@@ -345,12 +363,25 @@ func TestClusterRebalanceAndLeave(t *testing.T) {
 	}
 	inputs[firstID] = applyPerm(gray, inputs[firstID])
 
+	// The joiner's rebalance may still be handing datasets off after it
+	// shows healthy; a dataset mid-handoff answers 503, which a client
+	// retries.
 	verify := func(stage string) {
 		t.Helper()
 		for id, want := range inputs {
 			var got bytes.Buffer
-			if err := c.DownloadDataset(ctx, id, &got); err != nil {
-				t.Fatalf("%s: downloading %s: %v", stage, id, err)
+			for deadline := time.Now().Add(10 * time.Second); ; {
+				got.Reset()
+				err := c.DownloadDataset(ctx, id, &got)
+				var ae *client.APIError
+				if errors.As(err, &ae) && ae.Status == http.StatusServiceUnavailable && time.Now().Before(deadline) {
+					time.Sleep(5 * time.Millisecond)
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s: downloading %s: %v", stage, id, err)
+				}
+				break
 			}
 			if !bytes.Equal(got.Bytes(), want) {
 				t.Fatalf("%s: dataset %s lost bytes", stage, id)
@@ -415,7 +446,7 @@ func TestCoordinatorRestartRediscovers(t *testing.T) {
 	tc.coord.Shutdown()
 
 	// A fresh coordinator with empty state on the same address.
-	tc.coord = cluster.New(cluster.Options{HeartbeatInterval: hbInterval, Seed: 43})
+	tc.coord = cluster.New(cluster.Options{HeartbeatInterval: hbInterval, DownAfter: downAfter, Seed: 43})
 	var (
 		ln      net.Listener
 		bindErr error

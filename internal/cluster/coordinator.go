@@ -61,6 +61,14 @@ type placement struct {
 	stripes []stripeLoc
 	jobsRun int
 	created time.Time
+
+	// The striped-job turnstile (see bind). nowServing is the ticket
+	// allowed to execute; retired holds tickets retired ahead of their
+	// turn; turn is closed and replaced whenever the turnstile moves.
+	nextTicket int
+	nowServing int
+	retired    map[int]bool
+	turn       chan struct{}
 }
 
 type stripeLoc struct {
@@ -254,8 +262,12 @@ func (c *Coordinator) Join(id, addr string) error {
 		return apiErr(http.StatusBadRequest, "join needs a worker id and an advertise URL")
 	}
 	addr = strings.TrimRight(addr, "/")
-	isNew := c.reg.upsert(id, addr)
+	// Registry and ring change in one critical section: a dataset placed
+	// once the worker shows up in the registry already hashes onto it,
+	// rather than landing on the old ring and being moved by the
+	// rebalance below.
 	c.mu.Lock()
+	isNew := c.reg.upsert(id, addr)
 	c.ring.add(id) // no-op when already present
 	c.mu.Unlock()
 	if isNew {

@@ -127,7 +127,7 @@ func (sj *stripedJob) addRef(worker, jobID string) {
 }
 
 // stitchedTrace assembles a striped job's trace: the coordinator's own
-// stripe/gather/scatter spans plus every worker sub-job's spans, each
+// stripe/gather/route/scatter spans plus every worker sub-job's spans, each
 // stamped with the worker and sub-job id that produced it, merged under
 // the striped job's trace id in start-time order. Unreachable workers
 // lose their spans, not the trace.

@@ -105,17 +105,34 @@ func TestClusterStitchedTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gather, scatter := 0, 0
+		var gathers, routes, scatters []obs.Span
 		for _, s := range tr2.Spans {
 			switch s.Name {
 			case obs.SpanGather:
-				gather++
+				gathers = append(gathers, s)
+			case obs.SpanRoute:
+				routes = append(routes, s)
 			case obs.SpanScatter:
-				scatter++
+				scatters = append(scatters, s)
 			}
 		}
-		if gather != stripes || scatter != stripes {
-			t.Errorf("exchange trace has %d gather / %d scatter spans, want %d each", gather, scatter, stripes)
+		if len(gathers) != stripes || len(scatters) != stripes {
+			t.Errorf("exchange trace has %d gather / %d scatter spans, want %d each", len(gathers), len(scatters), stripes)
+		}
+		if len(routes) != 1 {
+			t.Fatalf("exchange trace has %d route spans, want 1", len(routes))
+		}
+		// Gather, route and scatter are three phases: the route starts after
+		// the last stripe arrived and ends before the first leaves.
+		for _, g := range gathers {
+			if routes[0].Start.Before(g.End) {
+				t.Errorf("route span starts at %v, before gather span ends at %v", routes[0].Start, g.End)
+			}
+		}
+		for _, s := range scatters {
+			if routes[0].End.After(s.Start) {
+				t.Errorf("route span ends at %v, after scatter span starts at %v", routes[0].End, s.Start)
+			}
 		}
 
 		// The coordinator's Prometheus endpoint merges its own families

@@ -8,7 +8,10 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
+	"runtime"
+	"sync"
 
 	bmmc "repro"
 	"repro/internal/gf2"
@@ -82,16 +85,56 @@ func decompose(p bmmc.Permutation, kappa int) (locals []bmmc.Permutation, nodeMa
 	return locals, nodeMap, true, nil
 }
 
-// permuteRecords applies y = p(x) to a full record image in the 16-byte
+// routeCheck is how many records a router goroutine moves between
+// cancellation checks.
+const routeCheck = 1 << 14
+
+// routeRecords applies y = p(x) to a full record image in the 16-byte
 // wire format — the coordinator-mediated exchange for permutations whose
-// A_hl block mixes stripe and local bits. O(N) coordinator memory, the
-// documented cost of the general path.
-func permuteRecords(p bmmc.Permutation, in []byte) []byte {
+// A_hl block mixes stripe and local bits. It fills the output in
+// destination order, out[y] = in[p⁻¹(y)], through the compiled byte
+// tables of the inverse (itself BMMC): writes are sequential and each
+// address costs eight table lookups. The target range is cut into one
+// contiguous chunk per GOMAXPROCS; chunks write disjoint bytes, so they
+// need no locks. O(N) coordinator memory, the documented cost of the
+// general path. in must hold exactly 2^p.Bits() records.
+func routeRecords(ctx context.Context, p bmmc.Permutation, in []byte) ([]byte, error) {
+	inv := p.Inverse().Compile()
 	n := uint64(len(in)) / bmmc.RecordBytes
 	out := make([]byte, len(in))
-	for x := uint64(0); x < n; x++ {
-		y := p.Apply(x)
-		copy(out[y*bmmc.RecordBytes:(y+1)*bmmc.RecordBytes], in[x*bmmc.RecordBytes:(x+1)*bmmc.RecordBytes])
+	procs := uint64(runtime.GOMAXPROCS(0))
+	chunk := (n + procs - 1) / procs
+	var wg sync.WaitGroup
+	for lo := uint64(0); lo < n; lo += chunk {
+		wg.Add(1)
+		go func(lo, hi uint64) {
+			defer wg.Done()
+			for sub := lo; sub < hi && ctx.Err() == nil; sub += routeCheck {
+				for y := sub; y < min(sub+routeCheck, hi); y++ {
+					x := inv.Apply(y)
+					*(*[bmmc.RecordBytes]byte)(out[y*bmmc.RecordBytes:]) = *(*[bmmc.RecordBytes]byte)(in[x*bmmc.RecordBytes:])
+				}
+			}
+		}(lo, min(lo+chunk, n))
 	}
-	return out
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// stripeWriter receives one gathered stripe into its fixed section of the
+// coordinator's record image, refusing bytes past the section's end.
+type stripeWriter struct {
+	sec []byte
+	n   int
+}
+
+func (w *stripeWriter) Write(b []byte) (int, error) {
+	if len(b) > len(w.sec)-w.n {
+		return 0, fmt.Errorf("long download: more than %d bytes", len(w.sec))
+	}
+	w.n += copy(w.sec[w.n:], b)
+	return len(b), nil
 }

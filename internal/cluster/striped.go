@@ -25,7 +25,7 @@ type stripedJob struct {
 	submitted time.Time
 	ctx       context.Context
 	cancelFn  context.CancelFunc
-	trace     *obs.TraceBuffer // coordinator-side spans (stripe/gather/scatter)
+	trace     *obs.TraceBuffer // coordinator-side spans (stripe/gather/route/scatter)
 
 	mu       sync.Mutex
 	state    service.State
@@ -138,18 +138,25 @@ func (c *Coordinator) submitStriped(req service.SubmitRequest, p *placement) (*s
 		return nil, apiErr(http.StatusServiceUnavailable, "coordinator is shutting down")
 	}
 	c.sjobs[sj.id] = sj
+	ticket := p.bind()
 	c.mu.Unlock()
 
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
-		c.runStriped(sj, perm, p)
+		c.runStriped(sj, perm, p, ticket)
 	}()
 	return sj.status(), nil
 }
 
-// runStriped drives one striped job to a terminal state.
-func (c *Coordinator) runStriped(sj *stripedJob, perm bmmc.Permutation, p *placement) {
+// runStriped drives one striped job to a terminal state once every job
+// submitted before it on the same dataset has finished.
+func (c *Coordinator) runStriped(sj *stripedJob, perm bmmc.Permutation, p *placement, ticket int) {
+	defer c.retire(p, ticket)
+	if err := c.waitTurn(sj.ctx, p, ticket); err != nil {
+		sj.setState(service.StateCanceled, "canceled")
+		return
+	}
 	sj.setState(service.StateRunning, "")
 	kappa := 0
 	for 1<<kappa < len(p.stripes) {
@@ -176,6 +183,53 @@ func (c *Coordinator) runStriped(sj *stripedJob, perm bmmc.Permutation, p *place
 	default:
 		sj.setState(service.StateFailed, err.Error())
 	}
+}
+
+// bind reserves p's next execution-order ticket. Striped jobs on one
+// dataset execute in ticket order, so a chain composes the way it was
+// submitted and each job sees the stripe order its predecessor left. The
+// caller holds c.mu.
+func (p *placement) bind() int {
+	if p.turn == nil {
+		p.turn = make(chan struct{})
+		p.retired = make(map[int]bool)
+	}
+	t := p.nextTicket
+	p.nextTicket++
+	return t
+}
+
+// waitTurn blocks until ticket is being served on p or ctx ends.
+func (c *Coordinator) waitTurn(ctx context.Context, p *placement, ticket int) error {
+	for {
+		c.mu.Lock()
+		serving, turn := p.nowServing, p.turn
+		c.mu.Unlock()
+		if serving == ticket {
+			return nil
+		}
+		select {
+		case <-turn:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+}
+
+// retire takes ticket out of p's turnstile — after its job ran, or was
+// canceled before its turn. Retirement may arrive out of order; the
+// turnstile advances past every consecutively retired ticket and wakes
+// the waiters.
+func (c *Coordinator) retire(p *placement, ticket int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p.retired[ticket] = true
+	for p.retired[p.nowServing] {
+		delete(p.retired, p.nowServing)
+		p.nowServing++
+	}
+	close(p.turn)
+	p.turn = make(chan struct{})
 }
 
 // runStripedLocal is the decomposed path: stripe s runs the local BMMC
@@ -268,40 +322,90 @@ func (c *Coordinator) runSubJob(ctx context.Context, sj *stripedJob, s stripeLoc
 // runStripedExchange is the general path for permutations whose A_hl
 // block mixes stripe and local bits: gather every stripe, route records
 // in coordinator memory, scatter the stripes back.
+//
+// Every stripe downloads concurrently into its own fixed section of one
+// N-record image, and must fill it exactly; the router writes a second
+// image; every stripe then uploads concurrently from its section, as a
+// replayable body the internal retry policy may resend. The first failing
+// transfer cancels its siblings.
 func (c *Coordinator) runStripedExchange(sj *stripedJob, perm bmmc.Permutation, p *placement) error {
 	c.mu.Lock()
 	stripes := append([]stripeLoc(nil), p.stripes...)
 	scfg := p.scfg
 	c.mu.Unlock()
-	per := int64(scfg.N) * bmmc.RecordBytes
-	buf := bytes.NewBuffer(make([]byte, 0, per*int64(len(stripes))))
-	for _, s := range stripes {
-		wc, err := c.clientFor(s.worker)
-		if err != nil {
-			return err
-		}
+	per := scfg.N * bmmc.RecordBytes
+	in := make([]byte, per*len(stripes))
+	err := c.eachStripe(sj.ctx, stripes, func(ctx context.Context, j int, wc *client.Client) error {
 		start := time.Now()
-		if err := wc.DownloadDataset(sj.ctx, s.dsID, buf); err != nil {
+		w := &stripeWriter{sec: in[j*per : (j+1)*per]}
+		if err := wc.DownloadDataset(ctx, stripes[j].dsID, w); err != nil {
 			return asGatewayErr(err)
 		}
-		sj.addSpan(spanSince(obs.SpanGather, s.worker, start))
+		if w.n != per {
+			return fmt.Errorf("short download: %d of %d bytes", w.n, per)
+		}
+		sj.addSpan(spanSince(obs.SpanGather, stripes[j].worker, start))
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	out := permuteRecords(perm, buf.Bytes())
-	for j, s := range stripes {
-		wc, err := c.clientFor(s.worker)
-		if err != nil {
-			return err
-		}
+	start := time.Now()
+	out, err := routeRecords(sj.ctx, perm, in)
+	if err != nil {
+		return err
+	}
+	sj.addSpan(spanSince(obs.SpanRoute, "", start))
+	err = c.eachStripe(sj.ctx, stripes, func(ctx context.Context, j int, wc *client.Client) error {
 		start := time.Now()
-		if err := wc.UploadDataset(sj.ctx, s.dsID, bytes.NewReader(out[int64(j)*per:int64(j+1)*per])); err != nil {
+		if err := wc.UploadDataset(ctx, stripes[j].dsID, bytes.NewReader(out[j*per:(j+1)*per])); err != nil {
 			return asGatewayErr(err)
 		}
-		sj.addSpan(spanSince(obs.SpanScatter, s.worker, start))
+		sj.addSpan(spanSince(obs.SpanScatter, stripes[j].worker, start))
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	sj.mu.Lock()
 	sj.report = &service.RunReport{Passes: 1}
 	sj.mu.Unlock()
 	return nil
+}
+
+// eachStripe runs fn for every stripe concurrently under a context derived
+// from ctx, with a client for the stripe's worker. The first error, named
+// after its stripe, cancels the remaining calls and is returned once all
+// have finished.
+func (c *Coordinator) eachStripe(ctx context.Context, stripes []stripeLoc, fn func(ctx context.Context, j int, wc *client.Client) error) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		first error
+	)
+	for j, s := range stripes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			wc, err := c.clientFor(s.worker)
+			if err == nil {
+				err = fn(ctx, j, wc)
+			}
+			if err == nil {
+				return
+			}
+			mu.Lock()
+			if first == nil {
+				first = fmt.Errorf("stripe %d (%s on %s): %w", j, s.dsID, s.worker, err)
+				cancel()
+			}
+			mu.Unlock()
+		}()
+	}
+	wg.Wait()
+	return first
 }
 
 // createDataset places a new dataset: one worker for ordinary datasets,

@@ -9,13 +9,14 @@ import (
 // "load" one memoryload wave inside a pass, "io" one grouped backend
 // batch (a ParallelReadGroup/ParallelWriteGroup issue), and the cluster
 // layer adds "stripe" (a per-worker sub-job of a striped job) plus
-// "gather"/"scatter" for the coordinator-relayed exchange path.
+// "gather"/"route"/"scatter" for the coordinator-relayed exchange path.
 const (
 	SpanPass    = "pass"
 	SpanLoad    = "load"
 	SpanIO      = "io"
 	SpanStripe  = "stripe"
 	SpanGather  = "gather"
+	SpanRoute   = "route"
 	SpanScatter = "scatter"
 )
 

@@ -131,10 +131,10 @@ func TestPlanInspectable(t *testing.T) {
 	}
 }
 
-// TestPlanPortableAcrossPermuters executes one Engine's plan through a
+// TestPlanPortableAcrossDatasets executes one Engine's plan through a
 // second Engine on a Dataset with the same geometry, and rejects executing
 // on a different geometry.
-func TestPlanPortableAcrossPermuters(t *testing.T) {
+func TestPlanPortableAcrossDatasets(t *testing.T) {
 	b := newPlanDataset(t, planConfig)
 	tr := bmmc.Transpose(6, 6)
 	plan, err := bmmc.NewEngine().Plan(planConfig, tr)
