@@ -82,8 +82,9 @@ func WithPipeline(on bool) Option { return core.WithPipeline(on) }
 // scatter; zero or negative selects runtime.GOMAXPROCS (the default).
 func WithWorkers(n int) Option { return core.WithWorkers(n) }
 
-// WithConcurrentIO dispatches the per-disk transfers of each parallel I/O
-// on one goroutine per disk, so file-backed disks overlap real storage
+// WithConcurrentIO moves every transfer of each storage batch — the
+// per-disk blocks of a parallel I/O, or the coalesced runs of a group of
+// them — on its own goroutine, so file-backed disks overlap real storage
 // latency like D independent spindles. Off by default.
 func WithConcurrentIO(on bool) Option { return core.WithConcurrentIO(on) }
 

@@ -5,25 +5,28 @@ import (
 	"repro/internal/pdm"
 )
 
-// Backend abstracts the storage a Dataset's D simulated disks live on, at
-// parallel-block granularity: every counted parallel I/O reaches the
-// backend as one ReadBlocks or WriteBlocks call carrying at most one block
-// per disk. Implement it to put the record store on anything — object
-// storage, a network block service, compressed files — without touching
-// the permutation engines; the disk system above the backend performs all
-// validation and cost accounting.
+// Backend abstracts the storage a Dataset's D simulated disks live on.
+// Every transfer reaches the backend as a ReadBlocks or WriteBlocks batch
+// of RangeXfer runs — one counted parallel I/O, the coalesced runs of a
+// group of them, or a stripe of a bulk load or dump — and one batch may
+// carry several runs for the same disk. Implement it to put the record
+// store on anything — object storage, a network block service, compressed
+// files — without touching the permutation engines; the disk system above
+// the backend performs all validation and cost accounting.
 //
 // Implementations must tolerate ReadBlocks/WriteBlocks calls from distinct
 // goroutines (the pipelined pass runner overlaps a prefetch read with an
-// in-flight write) and must serialize per-disk access themselves; see the
-// interface documentation in internal/pdm for the full contract. The three
-// built-in backends — MemBackend, FileBackend, ShardedBackend — cover RAM,
+// in-flight write, and WithConcurrentIO moves each run on its own
+// goroutine) and must serialize per-disk access themselves; see README
+// "Implementing a Backend" for the full contract. The three built-in
+// backends — MemBackend, FileBackend, ShardedBackend — cover RAM,
 // single-directory, and multi-volume layouts.
 type Backend = pdm.Backend
 
-// BlockXfer is one block transfer within a Backend batch: physical block
-// Block of disk Disk moves to or from the Data slice.
-type BlockXfer = pdm.BlockXfer
+// RangeXfer is one transfer within a Backend batch: the len(Data)/blockSize
+// consecutive physical blocks of disk Disk starting at Block move to or
+// from the Data slice. A single block is a run of one.
+type RangeXfer = pdm.RangeXfer
 
 // MemBackend returns the RAM storage backend — the default for
 // CreateDataset, and the fastest way to simulate.
@@ -42,18 +45,6 @@ func FileBackend(dir string) Backend { return pdm.FileBackend(dir) }
 // separate physical volume and the model's "D independent disks" become D
 // independently seeking spindles.
 func ShardedBackend(dirs ...string) Backend { return pdm.ShardedFileBackend(dirs...) }
-
-// RangeXfer is one multi-block transfer within a RangeBackend batch:
-// len(Data)/blockSize consecutive physical blocks of disk Disk starting
-// at Block move to or from the Data slice in one operation.
-type RangeXfer = pdm.RangeXfer
-
-// RangeBackend is the optional coalesced-transfer extension of Backend.
-// When a backend implements it, the disk system merges runs of
-// consecutive physical blocks within a grouped parallel I/O into single
-// range transfers — one pread/pwrite per run on file-backed storage —
-// without changing the model's operation counts.
-type RangeBackend = pdm.RangeBackend
 
 // ErrInjectedFault is the sentinel wrapped by every failure the chaos
 // wrappers in repro/backendtest/chaos inject. Errors.Is-match it to tell

@@ -11,16 +11,18 @@
 //	}
 //
 // The harness exercises exactly the guarantees the disk system above the
-// backend relies on: geometry sizing at Open, full-block read/write round
-// trips, tolerance of concurrent ReadBlocks/WriteBlocks calls from
-// distinct goroutines with per-disk serialization owned by the backend,
-// independence from the caller's transfer buffers after a call returns,
-// and Sync/Close semantics. The library's own MemBackend, FileBackend,
+// backend relies on: geometry sizing at Open, block and multi-block run
+// round trips, batches carrying several runs for one disk, tolerance of
+// concurrent ReadBlocks/WriteBlocks calls from distinct goroutines with
+// per-disk serialization owned by the backend, independence from the
+// caller's transfer buffers after a call returns, and Sync/Close
+// semantics. The library's own MemBackend, FileBackend,
 // and ShardedBackend pass this harness in CI (see the package tests).
 package backendtest
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -77,11 +79,11 @@ func open(t *testing.T, factory Factory) bmmc.Backend {
 func writeAll(t *testing.T, be bmmc.Backend, gen int) {
 	t.Helper()
 	for block := 0; block < numBlocks; block++ {
-		xfers := make([]bmmc.BlockXfer, numDisks)
+		xfers := make([]bmmc.RangeXfer, numDisks)
 		for disk := 0; disk < numDisks; disk++ {
 			data := make([]bmmc.Record, blockSize)
 			fill(data, gen, disk, block)
-			xfers[disk] = bmmc.BlockXfer{Disk: disk, Block: block, Data: data}
+			xfers[disk] = bmmc.RangeXfer{Disk: disk, Block: block, Data: data}
 		}
 		if err := be.WriteBlocks(xfers); err != nil {
 			t.Fatalf("WriteBlocks(stripe %d): %v", block, err)
@@ -94,9 +96,9 @@ func writeAll(t *testing.T, be bmmc.Backend, gen int) {
 func checkAll(t *testing.T, be bmmc.Backend, gen int) {
 	t.Helper()
 	for block := 0; block < numBlocks; block++ {
-		xfers := make([]bmmc.BlockXfer, numDisks)
+		xfers := make([]bmmc.RangeXfer, numDisks)
 		for disk := 0; disk < numDisks; disk++ {
-			xfers[disk] = bmmc.BlockXfer{Disk: disk, Block: block, Data: make([]bmmc.Record, blockSize)}
+			xfers[disk] = bmmc.RangeXfer{Disk: disk, Block: block, Data: make([]bmmc.Record, blockSize)}
 		}
 		if err := be.ReadBlocks(xfers); err != nil {
 			t.Fatalf("ReadBlocks(stripe %d): %v", block, err)
@@ -107,6 +109,31 @@ func checkAll(t *testing.T, be bmmc.Backend, gen int) {
 					t.Fatalf("disk %d block %d record %d: got %+v, want %+v", disk, block, i, got, want)
 				}
 			}
+		}
+	}
+}
+
+// run returns generation gen's canonical content for the n blocks of disk
+// starting at block0, laid out as one run.
+func run(gen, disk, block0, n int) []bmmc.Record {
+	data := make([]bmmc.Record, n*blockSize)
+	for b := 0; b < n; b++ {
+		fill(data[b*blockSize:(b+1)*blockSize], gen, disk, block0+b)
+	}
+	return data
+}
+
+// checkRun reads the n blocks of disk starting at block0 as one run and
+// verifies generation gen's content.
+func checkRun(t *testing.T, be bmmc.Backend, gen, disk, block0, n int) {
+	t.Helper()
+	got := make([]bmmc.Record, n*blockSize)
+	if err := be.ReadBlocks([]bmmc.RangeXfer{{Disk: disk, Block: block0, Data: got}}); err != nil {
+		t.Fatalf("ReadBlocks(disk %d blocks [%d,%d)): %v", disk, block0, block0+n, err)
+	}
+	for i, g := range got {
+		if want := rec(gen, disk, block0+i/blockSize, i%blockSize); g != want {
+			t.Fatalf("disk %d block %d record %d: got %+v, want %+v", disk, block0+i/blockSize, i%blockSize, g, want)
 		}
 	}
 }
@@ -132,7 +159,7 @@ func Run(t *testing.T, factory Factory) {
 		buf := make([]bmmc.Record, blockSize)
 		for block := 0; block < numBlocks; block++ {
 			fill(buf, 3, 0, block)
-			if err := be.WriteBlocks([]bmmc.BlockXfer{{Disk: 0, Block: block, Data: buf}}); err != nil {
+			if err := be.WriteBlocks([]bmmc.RangeXfer{{Disk: 0, Block: block, Data: buf}}); err != nil {
 				t.Fatalf("WriteBlocks(block %d): %v", block, err)
 			}
 			// Scribble over the shared buffer before the next use.
@@ -142,7 +169,7 @@ func Run(t *testing.T, factory Factory) {
 		}
 		for block := 0; block < numBlocks; block++ {
 			got := make([]bmmc.Record, blockSize)
-			if err := be.ReadBlocks([]bmmc.BlockXfer{{Disk: 0, Block: block, Data: got}}); err != nil {
+			if err := be.ReadBlocks([]bmmc.RangeXfer{{Disk: 0, Block: block, Data: got}}); err != nil {
 				t.Fatalf("ReadBlocks(block %d): %v", block, err)
 			}
 			for i, g := range got {
@@ -167,9 +194,9 @@ func Run(t *testing.T, factory Factory) {
 			defer wg.Done()
 			for round := 0; round < 8; round++ {
 				for block := 0; block < half; block++ {
-					xfers := make([]bmmc.BlockXfer, numDisks)
+					xfers := make([]bmmc.RangeXfer, numDisks)
 					for disk := 0; disk < numDisks; disk++ {
-						xfers[disk] = bmmc.BlockXfer{Disk: disk, Block: block, Data: make([]bmmc.Record, blockSize)}
+						xfers[disk] = bmmc.RangeXfer{Disk: disk, Block: block, Data: make([]bmmc.Record, blockSize)}
 					}
 					if err := be.ReadBlocks(xfers); err != nil {
 						errs <- fmt.Errorf("concurrent read: %w", err)
@@ -190,11 +217,11 @@ func Run(t *testing.T, factory Factory) {
 			defer wg.Done()
 			for round := 0; round < 8; round++ {
 				for block := half; block < numBlocks; block++ {
-					xfers := make([]bmmc.BlockXfer, numDisks)
+					xfers := make([]bmmc.RangeXfer, numDisks)
 					for disk := 0; disk < numDisks; disk++ {
 						data := make([]bmmc.Record, blockSize)
 						fill(data, 5+round, disk, block)
-						xfers[disk] = bmmc.BlockXfer{Disk: disk, Block: block, Data: data}
+						xfers[disk] = bmmc.RangeXfer{Disk: disk, Block: block, Data: data}
 					}
 					if err := be.WriteBlocks(xfers); err != nil {
 						errs <- fmt.Errorf("concurrent write: %w", err)
@@ -213,7 +240,7 @@ func Run(t *testing.T, factory Factory) {
 		for block := half; block < numBlocks; block++ {
 			got := make([]bmmc.Record, blockSize)
 			for disk := 0; disk < numDisks; disk++ {
-				if err := be.ReadBlocks([]bmmc.BlockXfer{{Disk: disk, Block: block, Data: got}}); err != nil {
+				if err := be.ReadBlocks([]bmmc.RangeXfer{{Disk: disk, Block: block, Data: got}}); err != nil {
 					t.Fatal(err)
 				}
 				for i, g := range got {
@@ -240,11 +267,11 @@ func Run(t *testing.T, factory Factory) {
 				got := make([]bmmc.Record, blockSize)
 				for round := 0; round < 16; round++ {
 					fill(data, 100+round, 1, block)
-					if err := be.WriteBlocks([]bmmc.BlockXfer{{Disk: 1, Block: block, Data: data}}); err != nil {
+					if err := be.WriteBlocks([]bmmc.RangeXfer{{Disk: 1, Block: block, Data: data}}); err != nil {
 						errs <- fmt.Errorf("write disk 1 block %d: %w", block, err)
 						return
 					}
-					if err := be.ReadBlocks([]bmmc.BlockXfer{{Disk: 1, Block: block, Data: got}}); err != nil {
+					if err := be.ReadBlocks([]bmmc.RangeXfer{{Disk: 1, Block: block, Data: got}}); err != nil {
 						errs <- fmt.Errorf("read disk 1 block %d: %w", block, err)
 						return
 					}
@@ -262,6 +289,106 @@ func Run(t *testing.T, factory Factory) {
 		for err := range errs {
 			t.Fatal(err)
 		}
+	})
+
+	t.Run("RangeRoundTrip", func(t *testing.T) {
+		// A multi-block run moves exactly the records the equivalent
+		// one-block transfers would: a run written whole reads back block
+		// by block without spilling onto its neighbors, and blocks written
+		// one by one read back as one run.
+		be := open(t, factory)
+		writeAll(t, be, 1)
+		if err := be.WriteBlocks([]bmmc.RangeXfer{{Disk: 2, Block: 1, Data: run(20, 2, 1, numBlocks-2)}}); err != nil {
+			t.Fatalf("WriteBlocks(disk 2 blocks [1,%d)): %v", numBlocks-1, err)
+		}
+		for block := 0; block < numBlocks; block++ {
+			gen := 20
+			if block == 0 || block == numBlocks-1 {
+				gen = 1
+			}
+			checkRun(t, be, gen, 2, block, 1)
+		}
+		for block := 2; block < 6; block++ {
+			if err := be.WriteBlocks([]bmmc.RangeXfer{{Disk: 3, Block: block, Data: run(21, 3, block, 1)}}); err != nil {
+				t.Fatalf("WriteBlocks(disk 3 block %d): %v", block, err)
+			}
+		}
+		checkRun(t, be, 21, 3, 2, 4)
+	})
+
+	t.Run("SameDiskRuns", func(t *testing.T) {
+		// One batch may carry several runs for one disk: here two
+		// non-adjacent runs on disk 1 around a run on disk 0, written in
+		// one call and read back in one call.
+		be := open(t, factory)
+		writeAll(t, be, 1)
+		shape := [][3]int{{1, 5, 2}, {0, 0, 3}, {1, 1, 2}} // disk, first block, blocks
+		xfers := make([]bmmc.RangeXfer, len(shape))
+		for i, r := range shape {
+			xfers[i] = bmmc.RangeXfer{Disk: r[0], Block: r[1], Data: run(30, r[0], r[1], r[2])}
+		}
+		if err := be.WriteBlocks(xfers); err != nil {
+			t.Fatalf("WriteBlocks(%v): %v", shape, err)
+		}
+		for block := 0; block < numBlocks; block++ {
+			gen := 1
+			if block == 1 || block == 2 || block == 5 || block == 6 {
+				gen = 30
+			}
+			checkRun(t, be, gen, 1, block, 1)
+		}
+		for i, r := range shape {
+			xfers[i].Data = make([]bmmc.Record, r[2]*blockSize)
+		}
+		if err := be.ReadBlocks(xfers); err != nil {
+			t.Fatalf("ReadBlocks(%v): %v", shape, err)
+		}
+		for i, r := range shape {
+			if want := run(30, r[0], r[1], r[2]); !slices.Equal(xfers[i].Data, want) {
+				t.Fatalf("run %d of one batch (disk %d blocks [%d,%d)) read back wrong", i, r[0], r[1], r[1]+r[2])
+			}
+		}
+	})
+
+	t.Run("ConcurrentRanges", func(t *testing.T) {
+		// Concurrent dispatch moves each run of a batch on its own
+		// goroutine, so a run read and a run write may reach one disk at
+		// once; the backend serializes them (run this harness under -race).
+		be := open(t, factory)
+		writeAll(t, be, 4)
+		const half, rounds = numBlocks / 2, 16
+		var wg sync.WaitGroup
+		errs := make(chan error, 2)
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			got := make([]bmmc.Record, half*blockSize)
+			for round := 0; round < rounds; round++ {
+				if err := be.ReadBlocks([]bmmc.RangeXfer{{Disk: 2, Block: 0, Data: got}}); err != nil {
+					errs <- fmt.Errorf("concurrent run read: %w", err)
+					return
+				}
+				if !slices.Equal(got, run(4, 2, 0, half)) {
+					errs <- fmt.Errorf("run read of disk 2 blocks [0,%d) torn by a concurrent run write", half)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				if err := be.WriteBlocks([]bmmc.RangeXfer{{Disk: 2, Block: half, Data: run(40+round, 2, half, half)}}); err != nil {
+					errs <- fmt.Errorf("concurrent run write: %w", err)
+					return
+				}
+			}
+		}()
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		checkRun(t, be, 40+rounds-1, 2, half, half)
 	})
 
 	t.Run("SyncClose", func(t *testing.T) {

@@ -1,7 +1,7 @@
 // Package chaos wraps any bmmc.Backend in deterministic storage
-// adversaries: seeded per-operation fault injection (Flaky), simulated
+// adversaries: seeded per-transfer fault injection (Flaky), simulated
 // per-disk service time with skew and jitter (Latency), and torn
-// multi-block range transfers that move only a prefix before failing
+// multi-block transfers that move only a prefix before failing
 // (TornRange). Third-party backend authors compose them around their own
 // implementation and drive the result through backendtest.RunChaos — or
 // through a Dataset (bmmc.WithBackend) and an Engine — to certify that
@@ -71,7 +71,7 @@ const (
 	FaultWriteOnly = pdm.FaultWriteOnly // inject into writes only
 )
 
-// Flaky wraps inner so operations fail per o: hash-seeded with
+// Flaky wraps inner so transfers fail per o: hash-seeded with
 // probability Rate, or deterministically inside the FailAfterN /
 // RecoverAfter count window. Batched transfers before the first faulted
 // one still land; the faulted and later ones are not attempted.
@@ -79,10 +79,13 @@ func Flaky(inner bmmc.Backend, o FlakyOptions) *FlakyBackend {
 	return pdm.NewFlakyBackend(inner, o)
 }
 
-// Latency wraps inner so every operation pays a deterministic simulated
+// Latency wraps inner so every transfer pays a deterministic simulated
 // service time: PerBlock per block moved, scaled by the disk's skew
-// factor and seeded jitter. Under concurrent dispatch the per-disk delays
-// overlap like independent spindles; sequential callers pay the sum.
+// factor and seeded jitter, slept on the calling goroutine. Under
+// concurrent dispatch (bmmc.WithConcurrentIO) every transfer of a batch
+// runs on its own goroutine, so all of their delays overlap — several
+// runs on one disk included, unlike a real spindle; sequential callers
+// pay the sum.
 func Latency(inner bmmc.Backend, o LatencyOptions) *LatencyBackend {
 	return pdm.NewLatencyBackend(inner, o)
 }
@@ -104,14 +107,14 @@ func Pareto(scale time.Duration, alpha float64, cap time.Duration) LatencyDist {
 	return pdm.ParetoLatency(scale, alpha, cap)
 }
 
-// TornRange wraps inner so multi-block range transfers tear: a seeded
-// prefix of the range's blocks is moved, then the operation fails.
-// Single-block operations stay atomic, as on a real block device.
+// TornRange wraps inner so multi-block transfers tear: a seeded prefix of
+// the run's blocks is moved, then the batch fails. One-block transfers
+// stay atomic, as on a real block device.
 func TornRange(inner bmmc.Backend, o TornOptions) *TornRangeBackend {
 	return pdm.NewTornRangeBackend(inner, o)
 }
 
-// Faulty wraps inner so the operation with 0-based ordinal failAfter and
+// Faulty wraps inner so the transfer with 0-based ordinal failAfter and
 // every later one fail — the simplest adversary, sufficient for "does a
 // mid-run fault surface and leave the dataset usable" checks.
 func Faulty(inner bmmc.Backend, failAfter int) *FlakyBackend {

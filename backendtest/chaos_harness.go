@@ -36,7 +36,7 @@ func RunChaos(t *testing.T, factory Factory) {
 		})
 		buf := make([]bmmc.Record, blockSize)
 		fill(buf, 1, 0, 0)
-		err := be.WriteBlocks([]bmmc.BlockXfer{{Disk: 0, Block: 0, Data: buf}})
+		err := be.WriteBlocks([]bmmc.RangeXfer{{Disk: 0, Block: 0, Data: buf}})
 		if !errors.Is(err, chaos.ErrInjectedFault) || !errors.Is(err, bmmc.ErrInjectedFault) {
 			t.Fatalf("want an error wrapping ErrInjectedFault, got %v", err)
 		}
@@ -99,7 +99,7 @@ func RunChaos(t *testing.T, factory Factory) {
 		for b := 0; b < runLen; b++ {
 			fill(data[b*blockSize:(b+1)*blockSize], 2, 0, b)
 		}
-		err := tb.WriteBlockRanges([]bmmc.RangeXfer{{Disk: 0, Block: 0, Data: data}})
+		err := tb.WriteBlocks([]bmmc.RangeXfer{{Disk: 0, Block: 0, Data: data}})
 		if !errors.Is(err, chaos.ErrInjectedFault) {
 			t.Fatalf("want a torn-range fault, got %v", err)
 		}
@@ -108,7 +108,7 @@ func RunChaos(t *testing.T, factory Factory) {
 		sawOld := false
 		for b := 0; b < runLen; b++ {
 			got := make([]bmmc.Record, blockSize)
-			if err := be.ReadBlocks([]bmmc.BlockXfer{{Disk: 0, Block: b, Data: got}}); err != nil {
+			if err := be.ReadBlocks([]bmmc.RangeXfer{{Disk: 0, Block: b, Data: got}}); err != nil {
 				t.Fatal(err)
 			}
 			gen := 0
@@ -143,14 +143,14 @@ func RunChaos(t *testing.T, factory Factory) {
 		buf := make([]bmmc.Record, blockSize)
 		for op := 0; op < 3; op++ {
 			fill(buf, 3, 0, op)
-			err := be.WriteBlocks([]bmmc.BlockXfer{{Disk: 0, Block: op, Data: buf}})
+			err := be.WriteBlocks([]bmmc.RangeXfer{{Disk: 0, Block: op, Data: buf}})
 			if wantFault := op == 1; (err != nil) != wantFault {
 				t.Fatalf("op %d: err=%v, want fault=%v", op, err, wantFault)
 			}
 		}
 		for _, block := range []int{0, 2} {
 			got := make([]bmmc.Record, blockSize)
-			if err := be.ReadBlocks([]bmmc.BlockXfer{{Disk: 0, Block: block, Data: got}}); err != nil {
+			if err := be.ReadBlocks([]bmmc.RangeXfer{{Disk: 0, Block: block, Data: got}}); err != nil {
 				t.Fatal(err)
 			}
 			for i, g := range got {
@@ -213,9 +213,9 @@ func chaosTranscript(be bmmc.Backend) string {
 				var err error
 				if kind == "W" {
 					fill(buf, 9, disk, block)
-					err = be.WriteBlocks([]bmmc.BlockXfer{{Disk: disk, Block: block, Data: buf}})
+					err = be.WriteBlocks([]bmmc.RangeXfer{{Disk: disk, Block: block, Data: buf}})
 				} else {
-					err = be.ReadBlocks([]bmmc.BlockXfer{{Disk: disk, Block: block, Data: buf}})
+					err = be.ReadBlocks([]bmmc.RangeXfer{{Disk: disk, Block: block, Data: buf}})
 				}
 				out += fmt.Sprintf("%s d%d b%d err=%v\n", kind, disk, block, err)
 			}

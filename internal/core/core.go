@@ -55,10 +55,10 @@ func WithWorkers(n int) Option {
 	return func(s *settings) { s.opt.Workers = n }
 }
 
-// WithConcurrentIO dispatches the per-disk transfers inside each parallel
-// I/O on one goroutine per disk, letting file-backed disks overlap real
-// storage latency the way D physical spindles would. Off by default. A
-// storage option: read by Dataset constructors.
+// WithConcurrentIO moves every transfer of each storage batch on its own
+// goroutine (pdm.System.SetConcurrent), letting file-backed disks overlap
+// real storage latency the way D physical spindles would. Off by default.
+// A storage option: read by Dataset constructors.
 func WithConcurrentIO(on bool) Option {
 	return func(s *settings) { s.concurrentIO = on }
 }

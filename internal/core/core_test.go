@@ -136,29 +136,28 @@ func TestDetectTargetsCore(t *testing.T) {
 	}
 }
 
-// TestPermuterFaultSurface: a dataset built over a failing disk surfaces
+// TestPermuterFaultSurface: a dataset built over a failing backend surfaces
 // the injected error through Engine.Permute instead of corrupting data.
 func TestPermuterFaultSurface(t *testing.T) {
-	sys, err := pdm.NewSystem(coreConfig, pdm.FaultyFactory(pdm.MemDiskFactory, 0, coreConfig.BlocksPerDisk()*2+4, nil))
+	faulty := pdm.NewFaultyBackend(pdm.MemBackend(), 4)
+	sys, err := pdm.NewSystem(coreConfig, faulty)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Build the dataset by hand around the faulty system: LoadRecords
-	// bypasses counting but still writes blocks, so give it headroom and
-	// then trip the fault during the permutation.
+	// Build the dataset by hand around the faulty system, loading the
+	// records with injection disarmed, then trip the fault during the
+	// permutation.
 	ds := &Dataset{sys: sys}
 	defer ds.Close()
 	recs := make([]pdm.Record, coreConfig.N)
 	for i := range recs {
 		recs[i] = pdm.MakeRecord(uint64(i))
 	}
+	faulty.Disarm()
 	if err := ds.LoadRecords(recs); err != nil {
-		// Load itself tripped the fault; equally acceptable.
-		if !errors.Is(err, pdm.ErrInjectedFault) {
-			t.Fatalf("unexpected error: %v", err)
-		}
-		return
+		t.Fatal(err)
 	}
+	faulty.Arm()
 	_, err = NewEngine().Permute(context.Background(), ds, perm.BitReversal(coreConfig.LgN()))
 	if !errors.Is(err, pdm.ErrInjectedFault) {
 		t.Fatalf("fault not surfaced: %v", err)

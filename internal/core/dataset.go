@@ -58,7 +58,7 @@ func OpenDataset(cfg pdm.Config, opts ...Option) (*Dataset, error) {
 	if be == nil {
 		be = pdm.MemBackend()
 	}
-	sys, err := pdm.NewSystemBackend(cfg, be)
+	sys, err := pdm.NewSystem(cfg, be)
 	if err != nil {
 		return nil, err
 	}

@@ -25,7 +25,7 @@ func benchmarkFileBMMC(b *testing.B, opt Options, concurrent bool) {
 	p := perm.MustNew(
 		gf2.RandomNonsingularWithGamma(rng, benchCfg.LgN(), benchCfg.LgB(), benchCfg.LgB()),
 		gf2.RandomVec(rng, benchCfg.LgN()))
-	sys, err := pdm.NewSystem(benchCfg, pdm.FileDiskFactory(b.TempDir()))
+	sys, err := pdm.NewSystem(benchCfg, pdm.FileBackend(b.TempDir()))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -103,7 +103,7 @@ func TestChaosEngineFaultSurfacesEveryPath(t *testing.T) {
 		for _, path := range chaosPathsFor(chaosCfg) {
 			t.Run(backend.name+"/"+path.name, func(t *testing.T) {
 				fb := pdm.NewFlakyBackend(backend.make(t), pdm.FlakyOptions{FailAfterN: 3})
-				sys, err := pdm.NewSystemBackend(chaosCfg, fb)
+				sys, err := pdm.NewSystem(chaosCfg, fb)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -147,19 +147,25 @@ func TestChaosEngineFaultSurfacesEveryPath(t *testing.T) {
 // through every combination of scatter kernel (run-coalescing vs
 // per-record) and I/O shape (grouped range transfers vs one-at-a-time),
 // pinning that injection semantics do not depend on which inner loop or
-// I/O path the runner picked.
+// I/O path the runner picked. The ungrouped shape stacks a torn-range
+// adversary at rate 1 under the flaky one, so every coalesced group
+// replays wave by wave.
 func TestChaosEngineKernelGroupingMatrix(t *testing.T) {
-	defer func(rk, ug bool) { forceRecordKernel, forceUngroupedIO = rk, ug }(forceRecordKernel, forceUngroupedIO)
+	defer func(rk bool) { forceRecordKernel = rk }(forceRecordKernel)
 	paths := chaosPathsFor(chaosCfg)
 	for _, recordKernel := range []bool{false, true} {
 		for _, ungrouped := range []bool{false, true} {
 			name := map[bool]string{false: "run", true: "record"}[recordKernel] +
 				"/" + map[bool]string{false: "grouped", true: "ungrouped"}[ungrouped]
 			t.Run(name, func(t *testing.T) {
-				forceRecordKernel, forceUngroupedIO = recordKernel, ungrouped
+				forceRecordKernel = recordKernel
 				for _, path := range paths[:4] { // MRC, MLD, invMLD, BMMC use the runner's kernels
-					fb := pdm.NewFlakyBackend(pdm.MemBackend(), pdm.FlakyOptions{FailAfterN: 5})
-					sys, err := pdm.NewSystemBackend(chaosCfg, fb)
+					inner := pdm.MemBackend()
+					if ungrouped {
+						inner = pdm.NewTornRangeBackend(inner, pdm.TornOptions{Rate: 1})
+					}
+					fb := pdm.NewFlakyBackend(inner, pdm.FlakyOptions{FailAfterN: 5})
+					sys, err := pdm.NewSystem(chaosCfg, fb)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -206,7 +212,7 @@ func TestChaosEngineZeroFaultByteIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				cleanTrace := (&pdm.Trace{}).Attach(clean)
-				chaotic, err := pdm.NewSystemBackend(chaosCfg,
+				chaotic, err := pdm.NewSystem(chaosCfg,
 					pdm.NewFlakyBackend(
 						pdm.NewTornRangeBackend(
 							pdm.NewLatencyBackend(pdm.MemBackend(), pdm.LatencyOptions{Seed: 17}),
@@ -261,7 +267,7 @@ func TestChaosEngineTornRangeRecovers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		torn, err := pdm.NewSystemBackend(chaosCfg,
+		torn, err := pdm.NewSystem(chaosCfg,
 			pdm.NewTornRangeBackend(pdm.MemBackend(), pdm.TornOptions{Seed: 5, Rate: 1}))
 		if err != nil {
 			t.Fatal(err)
@@ -300,7 +306,7 @@ func TestChaosEngineCancelOnSlowDisk(t *testing.T) {
 		PerBlock:    200 * time.Microsecond,
 		DiskFactors: []float64{10, 1, 1, 1},
 	})
-	sys, err := pdm.NewSystemBackend(chaosCfg, lb)
+	sys, err := pdm.NewSystem(chaosCfg, lb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +375,7 @@ func TestChaosLatencySkewPipelineWins(t *testing.T) {
 			PerBlock:    100 * time.Microsecond,
 			DiskFactors: []float64{10, 1, 1, 1},
 		})
-		sys, err := pdm.NewSystemBackend(cfg, lb)
+		sys, err := pdm.NewSystem(cfg, lb)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -395,7 +395,7 @@ func TestChainedPasses(t *testing.T) {
 // TestFileBackedBMMC runs the full algorithm against file-backed disks.
 func TestFileBackedBMMC(t *testing.T) {
 	cfg := pdm.Config{N: 1 << 9, D: 4, B: 4, M: 1 << 6}
-	sys, err := pdm.NewSystem(cfg, pdm.FileDiskFactory(t.TempDir()))
+	sys, err := pdm.NewSystem(cfg, pdm.FileBackend(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}

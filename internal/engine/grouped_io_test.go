@@ -11,20 +11,25 @@ import (
 )
 
 // The runner hands whole memoryloads of operations to the grouped parallel
-// I/O path; these tests pin it against the one-operation-at-a-time path via
-// the forceUngroupedIO hook, requiring identical records, Stats, and traces
-// for every pass kind on both the RAM and file backends. Sequential options
-// keep the trace order deterministic.
+// I/O path; these tests pin it against the one-operation-at-a-time path,
+// requiring identical records, Stats, and traces for every pass kind on
+// both the RAM and file backends. The ungrouped side runs over a backend
+// that tears every multi-block transfer, so the System serves each
+// coalesced group through its wave-by-wave replay. Sequential options keep
+// the trace order deterministic.
 
 // runConformance executes fn on a freshly loaded system and returns the
 // final record layout, the model stats, and the full parallel-I/O trace.
-func runConformance(t *testing.T, cfg pdm.Config, backend string, fn func(*pdm.System) error) ([]pdm.Record, pdm.Stats, []pdm.TraceEntry) {
+func runConformance(t *testing.T, cfg pdm.Config, backend string, ungrouped bool, fn func(*pdm.System) error) ([]pdm.Record, pdm.Stats, []pdm.TraceEntry) {
 	t.Helper()
-	factory := pdm.MemDiskFactory
+	be := pdm.MemBackend()
 	if backend == "file" {
-		factory = pdm.FileDiskFactory(t.TempDir())
+		be = pdm.FileBackend(t.TempDir())
 	}
-	sys, err := pdm.NewSystem(cfg, factory)
+	if ungrouped {
+		be = pdm.NewTornRangeBackend(be, pdm.TornOptions{Rate: 1})
+	}
+	sys, err := pdm.NewSystem(cfg, be)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +74,8 @@ func TestGroupedIOMatchesUngrouped(t *testing.T) {
 	for _, backend := range []string{"mem", "file"} {
 		for name, fn := range cases {
 			t.Run(backend+"/"+name, func(t *testing.T) {
-				recsG, statsG, traceG := runConformance(t, cfg, backend, fn)
-				defer func() { forceUngroupedIO = false }()
-				forceUngroupedIO = true
-				recsU, statsU, traceU := runConformance(t, cfg, backend, fn)
-				forceUngroupedIO = false
+				recsG, statsG, traceG := runConformance(t, cfg, backend, false, fn)
+				recsU, statsU, traceU := runConformance(t, cfg, backend, true, fn)
 				if !reflect.DeepEqual(recsG, recsU) {
 					t.Error("grouped I/O produced a different record layout")
 				}

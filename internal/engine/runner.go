@@ -270,25 +270,10 @@ func kernelName(run int) string {
 	return fmt.Sprintf("run%d", run)
 }
 
-// forceUngroupedIO routes the runner's reads and writes through one
-// ParallelReadInto/ParallelWriteFrom call per operation instead of the
-// grouped syscall-batching path, so equivalence tests can pin the grouped
-// path byte-for-byte (records, Stats, trace) against the one-at-a-time
-// semantics. Never set outside tests.
-var forceUngroupedIO = false
-
 func readLoad(sys *pdm.System, src pdm.Portion, plan loadPlan, in *pdm.Buffer) error {
-	if forceUngroupedIO {
-		for _, ios := range plan.reads {
-			if err := sys.ParallelReadInto(src, ios, in); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	// The whole load's reads are known up front, so the System can coalesce
-	// their per-disk blocks into range transfers while still counting and
-	// tracing each operation individually.
+	// their per-disk blocks into runs while still counting and tracing each
+	// operation individually.
 	return sys.ParallelReadGroup(src, plan.reads, in)
 }
 
@@ -300,14 +285,6 @@ func scatterAndWrite(sys *pdm.System, tgt pdm.Portion, st passStrategy, ml int, 
 	writes, err := st.writes(ml, plan, shards)
 	if err != nil {
 		return err
-	}
-	if forceUngroupedIO {
-		for _, ios := range writes {
-			if err := sys.ParallelWriteFrom(tgt, ios, out); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
 	return sys.ParallelWriteGroup(tgt, writes, out)
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -47,7 +48,7 @@ func runBoth(t *testing.T, cfg pdm.Config, what string, run func(*pdm.System, Op
 		t.Fatal(err)
 	}
 
-	file, err := pdm.NewSystem(cfg, pdm.FileDiskFactory(t.TempDir()))
+	file, err := pdm.NewSystem(cfg, pdm.FileBackend(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestPipelinedBaselinesMatchSequential(t *testing.T) {
 // composite permutation landed correctly.
 func TestPipelinedChainedPasses(t *testing.T) {
 	cfg := pdm.Config{N: 1 << 12, D: 4, B: 8, M: 1 << 8}
-	sys, err := pdm.NewSystem(cfg, pdm.FileDiskFactory(t.TempDir()))
+	sys, err := pdm.NewSystem(cfg, pdm.FileBackend(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,34 +192,27 @@ func TestStatsPollingDuringPipelinedRun(t *testing.T) {
 
 // TestRunnerErrorPropagation: an I/O error raised mid-pass on the prefetch
 // reader surfaces as an error (with the injected-fault sentinel intact)
-// instead of deadlocking or corrupting the pipeline. LoadSequential writes
-// Stripes() blocks per disk before the pass starts, so FailAfter is offset
-// past them to arm the fault at various points of the pass itself.
+// instead of deadlocking or corrupting the pipeline. The fault backend is
+// disarmed while LoadSequential writes the input, so failAt counts only the
+// pass's own transfers.
 func TestRunnerErrorPropagation(t *testing.T) {
 	cfg := pdm.Config{N: 1 << 10, D: 4, B: 8, M: 1 << 7}
-	loadOps := cfg.Stripes() // setup writes per disk, uncounted as I/O
 	for _, failAt := range []int{0, 3, cfg.Stripes() - 1} {
-		var faulty *pdm.FaultyDisk
-		factory := func(disk, numBlocks, blockSize int) (pdm.Disk, error) {
-			inner, _ := pdm.MemDiskFactory(disk, numBlocks, blockSize)
-			if disk == 1 {
-				faulty = pdm.NewFaultyDisk(inner, loadOps+failAt)
-				return faulty, nil
-			}
-			return inner, nil
-		}
-		sys, err := pdm.NewSystem(cfg, factory)
+		faulty := pdm.NewFaultyBackend(pdm.MemBackend(), failAt)
+		sys, err := pdm.NewSystem(cfg, faulty)
 		if err != nil {
 			t.Fatal(err)
 		}
+		faulty.Disarm()
 		if err := LoadSequential(sys); err != nil {
 			sys.Close()
 			t.Fatal(err)
 		}
+		faulty.Arm()
 		err = RunMRCPass(context.Background(), sys, perm.GrayCode(cfg.LgN()), pipeOpt)
 		sys.Close()
-		if err == nil {
-			t.Fatalf("failAt=%d: fault did not surface", failAt)
+		if !errors.Is(err, pdm.ErrInjectedFault) {
+			t.Fatalf("failAt=%d: fault did not surface: %v", failAt, err)
 		}
 	}
 }

@@ -580,7 +580,7 @@ func (h Harness) PipelineSpeed(ctx context.Context, cfg pdm.Config, seed int64) 
 		// comparison from being dominated by cold caches and scheduler
 		// noise.
 		run := func(timed bool) error {
-			sys, err := pdm.NewSystem(cfg, pdm.FileDiskFactory(dir))
+			sys, err := pdm.NewSystem(cfg, pdm.FileBackend(dir))
 			if err != nil {
 				return err
 			}
@@ -845,7 +845,7 @@ func (h Harness) BackendSpeed(ctx context.Context, cfg pdm.Config, seed int64) (
 			}
 		}
 		run := func(timed bool) error {
-			sys, err := pdm.NewSystemBackend(cfg, mode.backend(dirs))
+			sys, err := pdm.NewSystem(cfg, mode.backend(dirs))
 			if err != nil {
 				return err
 			}

@@ -30,10 +30,10 @@ type Span struct {
 	Kernel string    `json:"kernel,omitempty"` // scatter kernel for pass/load spans
 	Pass   int       `json:"pass,omitempty"`   // 1-based pass number
 	Load   int       `json:"load,omitempty"`   // 1-based memoryload within the pass
-	Op     string    `json:"op,omitempty"`     // io spans: read|write|range_read|range_write
+	Op     string    `json:"op,omitempty"`     // io spans: read or write
 	Disks  int       `json:"disks,omitempty"`  // io spans: distinct disks touched
 	Blocks int       `json:"blocks,omitempty"` // io spans: blocks moved
-	Runs   int       `json:"runs,omitempty"`   // io spans: coalesced runs issued
+	Runs   int       `json:"runs,omitempty"`   // io spans: transfers (runs of blocks) issued
 	IOs    int       `json:"ios,omitempty"`    // pass spans: counted parallel I/Os
 	Worker string    `json:"worker,omitempty"` // stitched traces: owning worker id
 	JobID  string    `json:"job,omitempty"`    // stitched traces: worker-local sub-job id

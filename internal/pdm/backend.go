@@ -1,79 +1,53 @@
 package pdm
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 )
 
-// BlockXfer names one block transfer within a batch handed to a Backend:
-// the physical block Block of disk Disk moves to or from Data (exactly one
-// block, len(Data) == blockSize). Block numbers are physical — the System
-// resolves portion-relative positions before calling the backend.
-type BlockXfer struct {
-	Disk  int
-	Block int
-	Data  []Record
-}
-
-// Backend abstracts the storage a System's D disks live on, at
-// parallel-block granularity: each ReadBlocks/WriteBlocks call carries the
-// per-disk transfers of one parallel I/O, so a backend sees exactly the
-// operations the model counts and may service the transfers of one call in
-// any order or in parallel (they touch distinct disks by construction).
-//
-// Implementations must tolerate concurrent ReadBlocks/WriteBlocks calls
-// from distinct goroutines: the pipelined pass runner overlaps a prefetch
-// read with an in-flight write. Concurrent calls never touch the same
-// (disk, block) pair in conflicting ways during a correctly synchronized
-// pass, but they may touch the same disk, so per-disk serialization is the
-// backend's responsibility.
-//
-// The System layered on top performs all validation (one block per disk
-// per operation, bounds) and all cost accounting; a Backend only moves
-// bytes.
-type Backend interface {
-	// Open sizes the backend before any transfer: numDisks disks, each
-	// holding numBlocks blocks of blockSize records. Called exactly once.
-	Open(numDisks, numBlocks, blockSize int) error
-	// ReadBlocks fills each transfer's Data from its (Disk, Block).
-	ReadBlocks(xfers []BlockXfer) error
-	// WriteBlocks stores each transfer's Data at its (Disk, Block).
-	WriteBlocks(xfers []BlockXfer) error
-	// Sync flushes buffered writes to stable storage.
-	Sync() error
-	// Close releases the backend's resources. No transfers follow.
-	Close() error
-}
-
-// RangeXfer names one contiguous run of physical blocks moving to or from a
-// single disk: blocks [Block, Block+len(Data)/B) of disk Disk. The System's
-// grouped parallel-I/O path coalesces a group's per-disk blocks into such
-// runs so file-backed disks service each run with a single syscall.
+// RangeXfer names one transfer within a batch handed to a Backend: the run
+// of consecutive physical blocks [Block, Block+len(Data)/B) of disk Disk
+// moves to or from Data. A single block is a run of one. Block numbers are
+// physical — the System resolves portion-relative positions before calling
+// the backend.
 type RangeXfer struct {
 	Disk  int
 	Block int
 	Data  []Record // a whole number of blocks, len(Data) % blockSize == 0
 }
 
-// RangeBackend is an optional Backend extension: backends that can service
-// runs of consecutive blocks move each transfer's run in one operation.
-// Unlike ReadBlocks/WriteBlocks batches, one call may carry several
-// transfers for the same disk (distinct runs); per-disk serialization
-// remains the backend's responsibility. Implementations must move exactly
-// the records the equivalent per-block sequence would — range transfers
-// carry no accounting of their own, because the System counts and traces
-// the model's parallel I/Os before regrouping them into runs.
-type RangeBackend interface {
-	// ReadBlockRanges fills each transfer's Data from its run of blocks.
-	ReadBlockRanges(xfers []RangeXfer) error
-	// WriteBlockRanges stores each transfer's Data at its run of blocks.
-	WriteBlockRanges(xfers []RangeXfer) error
-}
-
-// concurrentSetter is implemented by backends that can toggle concurrent
-// per-disk dispatch within one batch; System.SetConcurrent forwards to it.
-type concurrentSetter interface {
-	SetConcurrent(on bool)
+// Backend abstracts the storage a System's D disks live on. Every transfer
+// the System makes reaches the backend as a ReadBlocks or WriteBlocks batch
+// of runs: a counted parallel I/O (at most one block per disk), the
+// coalesced runs of a whole group of them, or a stripe of a bulk load or
+// dump. One batch may carry several runs for the same disk; the backend
+// may service a batch's runs in any order, and the System never puts two
+// runs that overlap in conflicting ways into one batch.
+//
+// Implementations must tolerate concurrent calls from distinct goroutines:
+// the pipelined pass runner overlaps a prefetch read with an in-flight
+// write, and concurrent dispatch (System.SetConcurrent) moves each run of
+// a batch on its own goroutine. Concurrent calls never touch the same
+// block in conflicting ways during a correctly synchronized pass, but they
+// may touch the same disk, so per-disk serialization is the backend's
+// responsibility.
+//
+// The System layered on top performs all validation of the model's rules
+// and all cost accounting; a Backend only moves bytes, and must move
+// exactly the records the equivalent sequence of one-block transfers would.
+type Backend interface {
+	// Open sizes the backend before any transfer: numDisks disks, each
+	// holding numBlocks blocks of blockSize records. Called exactly once.
+	Open(numDisks, numBlocks, blockSize int) error
+	// ReadBlocks fills each transfer's Data from its run of blocks.
+	ReadBlocks(xfers []RangeXfer) error
+	// WriteBlocks stores each transfer's Data at its run of blocks.
+	WriteBlocks(xfers []RangeXfer) error
+	// Sync flushes buffered writes to stable storage.
+	Sync() error
+	// Close releases the backend's resources. No transfers follow.
+	Close() error
 }
 
 // BlockViewer is an optional Backend extension: backends whose storage is
@@ -89,191 +63,46 @@ type BlockViewer interface {
 	BlockView(disk, block int) ([]Record, bool)
 }
 
-// blockViewer is the per-disk analog BlockViewer delegates to (MemDisk
-// implements it).
-type blockViewer interface {
-	BlockView(block int) ([]Record, bool)
+// errDiskClosed is returned by every transfer on a closed mem backend.
+var errDiskClosed = errors.New("pdm: disk closed")
+
+// diskArray is the bookkeeping the built-in backends share: the geometry
+// fixed at Open and one mutex per disk, which serializes the disk's
+// transfers (the model has one I/O channel per disk).
+type diskArray struct {
+	numBlocks, blockSize int
+	mu                   []sync.Mutex
 }
 
-// syncer is the optional flush hook a Disk may implement (FileDisk does);
-// diskBackend.Sync calls it on every disk that has one.
-type syncer interface {
-	Sync() error
-}
-
-// diskBackend adapts the per-disk Disk/DiskFactory abstraction to the
-// batch-level Backend interface. It owns the per-disk serialization (the
-// model has one I/O channel per disk) and the optional concurrent dispatch
-// of a batch's transfers across goroutines.
-type diskBackend struct {
-	factory    DiskFactory
-	disks      []Disk
-	mu         []sync.Mutex
-	blockSize  int
-	concurrent bool
-}
-
-// NewDiskBackend returns a Backend whose disks are created one at a time by
-// factory — the bridge that lets every per-disk Disk implementation
-// (MemDisk, FileDisk, FaultyDisk wrappers, ...) serve as a storage backend.
-func NewDiskBackend(factory DiskFactory) Backend {
-	return &diskBackend{factory: factory}
-}
-
-// MemBackend returns the RAM storage backend: one in-memory block array per
-// disk. It is the default backend of a Dataset.
-func MemBackend() Backend { return NewDiskBackend(MemDiskFactory) }
-
-// FileBackend returns the single-directory file storage backend: one file
-// per disk inside dir, named disk0000.dat, disk0001.dat, ....
-func FileBackend(dir string) Backend { return NewDiskBackend(FileDiskFactory(dir)) }
-
-// ShardedFileBackend returns a multi-volume file storage backend: disk i's
-// file lives in dirs[i mod len(dirs)], so the D simulated disks spread
-// round-robin across the given directories — mount each on a separate
-// physical volume and the model's "D independent disks" become D
-// independently seeking spindles.
-func ShardedFileBackend(dirs ...string) Backend {
-	return NewDiskBackend(ShardedFileFactory(dirs...))
-}
-
-// ShardedFileFactory returns a DiskFactory placing disk i's file in
-// dirs[i mod len(dirs)]. File names stay globally unique (disk%04d.dat with
-// the global disk number), so distinct dirs may share a filesystem.
-func ShardedFileFactory(dirs ...string) DiskFactory {
-	return func(disk, numBlocks, blockSize int) (Disk, error) {
-		if len(dirs) == 0 {
-			return nil, fmt.Errorf("pdm: sharded file backend needs at least one directory")
-		}
-		return FileDiskFactory(dirs[disk%len(dirs)])(disk, numBlocks, blockSize)
-	}
-}
-
-// Open implements Backend.
-func (b *diskBackend) Open(numDisks, numBlocks, blockSize int) error {
-	if b.disks != nil {
+func (a *diskArray) open(numDisks, numBlocks, blockSize int) error {
+	if a.mu != nil {
 		return fmt.Errorf("pdm: backend opened twice")
 	}
-	b.disks = make([]Disk, numDisks)
-	b.mu = make([]sync.Mutex, numDisks)
-	b.blockSize = blockSize
-	for i := 0; i < numDisks; i++ {
-		d, err := b.factory(i, numBlocks, blockSize)
-		if err != nil {
-			b.Close()
-			return fmt.Errorf("pdm: disk %d: %w", i, err)
-		}
-		if d.NumBlocks() < numBlocks {
-			d.Close()
-			b.Close()
-			return fmt.Errorf("pdm: disk %d too small: %d blocks, need %d", i, d.NumBlocks(), numBlocks)
-		}
-		b.disks[i] = d
-	}
+	a.numBlocks, a.blockSize = numBlocks, blockSize
+	a.mu = make([]sync.Mutex, numDisks)
 	return nil
 }
 
-// SetConcurrent toggles per-disk goroutine dispatch within one batch.
-func (b *diskBackend) SetConcurrent(on bool) { b.concurrent = on }
-
-// BlockView implements BlockViewer by delegating to the disk when its
-// implementation offers a copy-free view (MemDisk does; file-backed disks
-// do not).
-func (b *diskBackend) BlockView(disk, block int) ([]Record, bool) {
-	if disk < 0 || disk >= len(b.disks) {
-		return nil, false
-	}
-	v, ok := b.disks[disk].(blockViewer)
-	if !ok {
-		return nil, false
-	}
-	return v.BlockView(block)
-}
-
-// ReadBlocks implements Backend.
-func (b *diskBackend) ReadBlocks(xfers []BlockXfer) error {
-	return dispatch(b, xfers, func(x BlockXfer) error {
-		b.mu[x.Disk].Lock()
-		defer b.mu[x.Disk].Unlock()
-		return b.disks[x.Disk].ReadBlock(x.Block, x.Data)
-	})
-}
-
-// WriteBlocks implements Backend.
-func (b *diskBackend) WriteBlocks(xfers []BlockXfer) error {
-	return dispatch(b, xfers, func(x BlockXfer) error {
-		b.mu[x.Disk].Lock()
-		defer b.mu[x.Disk].Unlock()
-		return b.disks[x.Disk].WriteBlock(x.Block, x.Data)
-	})
-}
-
-// ReadBlockRanges implements RangeBackend. Disks that support BlockRangeIO
-// (MemDisk, FileDisk) service a run in one operation; wrapped or custom
-// disks fall back to per-block calls, preserving their semantics — a fault
-// injector still sees every block.
-func (b *diskBackend) ReadBlockRanges(xfers []RangeXfer) error {
-	return dispatch(b, xfers, func(x RangeXfer) error {
-		b.mu[x.Disk].Lock()
-		defer b.mu[x.Disk].Unlock()
-		d := b.disks[x.Disk]
-		if r, ok := d.(BlockRangeIO); ok {
-			return r.ReadBlockRange(x.Block, x.Data)
-		}
-		for i := 0; i*b.blockSize < len(x.Data); i++ {
-			if err := d.ReadBlock(x.Block+i, x.Data[i*b.blockSize:(i+1)*b.blockSize]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// WriteBlockRanges implements RangeBackend (see ReadBlockRanges).
-func (b *diskBackend) WriteBlockRanges(xfers []RangeXfer) error {
-	return dispatch(b, xfers, func(x RangeXfer) error {
-		b.mu[x.Disk].Lock()
-		defer b.mu[x.Disk].Unlock()
-		d := b.disks[x.Disk]
-		if r, ok := d.(BlockRangeIO); ok {
-			return r.WriteBlockRange(x.Block, x.Data)
-		}
-		for i := 0; i*b.blockSize < len(x.Data); i++ {
-			if err := d.WriteBlock(x.Block+i, x.Data[i*b.blockSize:(i+1)*b.blockSize]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// dispatch runs one transfer per element, sequentially or on one goroutine
-// per transfer, and returns the first error. Block batches touch distinct
-// disks (System.validate enforces it) so their transfers commute; range
-// batches may repeat a disk, where the per-disk mutex inside op serializes.
-func dispatch[T any](b *diskBackend, xfers []T, op func(T) error) error {
-	if b.disks == nil {
+// serve checks every transfer of a batch and runs move on it in order,
+// holding the transfer's disk lock; the first error ends the batch.
+func (a *diskArray) serve(xfers []RangeXfer, move func(RangeXfer) error) error {
+	if a.mu == nil {
 		return fmt.Errorf("pdm: backend not opened")
 	}
-	if !b.concurrent || len(xfers) == 1 {
-		for _, x := range xfers {
-			if err := op(x); err != nil {
-				return err
-			}
+	for _, x := range xfers {
+		if x.Disk < 0 || x.Disk >= len(a.mu) {
+			return fmt.Errorf("pdm: disk %d out of range [0,%d)", x.Disk, len(a.mu))
 		}
-		return nil
-	}
-	errs := make([]error, len(xfers))
-	var wg sync.WaitGroup
-	for i, x := range xfers {
-		wg.Add(1)
-		go func(i int, x T) {
-			defer wg.Done()
-			errs[i] = op(x)
-		}(i, x)
-	}
-	wg.Wait()
-	for _, err := range errs {
+		n := len(x.Data)
+		if n <= 0 || n%a.blockSize != 0 {
+			return fmt.Errorf("pdm: range of %d records is not a positive multiple of block size %d", n, a.blockSize)
+		}
+		if end := x.Block + n/a.blockSize; x.Block < 0 || end > a.numBlocks {
+			return fmt.Errorf("pdm: block range [%d,%d) out of range [0,%d)", x.Block, end, a.numBlocks)
+		}
+		a.mu[x.Disk].Lock()
+		err := move(x)
+		a.mu[x.Disk].Unlock()
 		if err != nil {
 			return err
 		}
@@ -281,31 +110,72 @@ func dispatch[T any](b *diskBackend, xfers []T, op func(T) error) error {
 	return nil
 }
 
-// Sync implements Backend, flushing every disk that supports it.
-func (b *diskBackend) Sync() error {
-	var firstErr error
-	for _, d := range b.disks {
-		s, ok := d.(syncer)
-		if !ok {
-			continue
-		}
-		if err := s.Sync(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+// memBackend keeps each disk's blocks in one record array.
+type memBackend struct {
+	diskArray
+	disks [][]Record // nil entries once closed
 }
 
-// Close implements Backend.
-func (b *diskBackend) Close() error {
-	var firstErr error
-	for _, d := range b.disks {
-		if d == nil {
-			continue
-		}
-		if err := d.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+// MemBackend returns the RAM storage backend: one in-memory record array
+// per disk. It is the default backend of a Dataset. Close drops the
+// records, so a closed backend holds no memory even while something still
+// references it; every later transfer fails.
+func MemBackend() Backend { return &memBackend{} }
+
+// Open implements Backend.
+func (m *memBackend) Open(numDisks, numBlocks, blockSize int) error {
+	if err := m.open(numDisks, numBlocks, blockSize); err != nil {
+		return err
 	}
-	return firstErr
+	m.disks = make([][]Record, numDisks)
+	for i := range m.disks {
+		m.disks[i] = make([]Record, numBlocks*blockSize)
+	}
+	return nil
+}
+
+// ReadBlocks implements Backend: one copy per run.
+func (m *memBackend) ReadBlocks(xfers []RangeXfer) error {
+	return m.serve(xfers, func(x RangeXfer) error {
+		d := m.disks[x.Disk]
+		if d == nil {
+			return errDiskClosed
+		}
+		copy(x.Data, d[x.Block*m.blockSize:])
+		return nil
+	})
+}
+
+// WriteBlocks implements Backend: one copy per run.
+func (m *memBackend) WriteBlocks(xfers []RangeXfer) error {
+	return m.serve(xfers, func(x RangeXfer) error {
+		d := m.disks[x.Disk]
+		if d == nil {
+			return errDiskClosed
+		}
+		copy(d[x.Block*m.blockSize:], x.Data)
+		return nil
+	})
+}
+
+// BlockView implements BlockViewer. The view aliases the stored records:
+// it is safe to read only while no concurrent write targets the block —
+// the dataset-level read lock guarantees that on every bulk dump path,
+// which is where the copy-free view pays off.
+func (m *memBackend) BlockView(disk, block int) ([]Record, bool) {
+	if disk < 0 || disk >= len(m.disks) || m.disks[disk] == nil || block < 0 || block >= m.numBlocks {
+		return nil, false
+	}
+	return m.disks[disk][block*m.blockSize : (block+1)*m.blockSize], true
+}
+
+// Sync implements Backend; RAM has nothing to flush.
+func (m *memBackend) Sync() error { return nil }
+
+// Close implements Backend by dropping every disk's records.
+func (m *memBackend) Close() error {
+	for i := range m.disks {
+		m.disks[i] = nil
+	}
+	return nil
 }

@@ -2,10 +2,10 @@ package pdm
 
 import "testing"
 
-func benchSystem(b *testing.B, factory DiskFactory) *System {
+func benchSystem(b *testing.B, be Backend) *System {
 	b.Helper()
 	cfg := Config{N: 1 << 14, D: 8, B: 16, M: 1 << 10}
-	sys, err := NewSystem(cfg, factory)
+	sys, err := NewSystem(cfg, be)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -35,27 +35,27 @@ func benchStripeSweep(b *testing.B, sys *System) {
 }
 
 func BenchmarkStripeIOMem(b *testing.B) {
-	benchStripeSweep(b, benchSystem(b, MemDiskFactory))
+	benchStripeSweep(b, benchSystem(b, MemBackend()))
 }
 
 func BenchmarkStripeIOMemConcurrent(b *testing.B) {
-	sys := benchSystem(b, MemDiskFactory)
+	sys := benchSystem(b, MemBackend())
 	sys.SetConcurrent(true)
 	benchStripeSweep(b, sys)
 }
 
 func BenchmarkStripeIOFile(b *testing.B) {
-	benchStripeSweep(b, benchSystem(b, FileDiskFactory(b.TempDir())))
+	benchStripeSweep(b, benchSystem(b, FileBackend(b.TempDir())))
 }
 
 func BenchmarkStripeIOFileConcurrent(b *testing.B) {
-	sys := benchSystem(b, FileDiskFactory(b.TempDir()))
+	sys := benchSystem(b, FileBackend(b.TempDir()))
 	sys.SetConcurrent(true)
 	benchStripeSweep(b, sys)
 }
 
 func BenchmarkIndependentRead(b *testing.B) {
-	sys := benchSystem(b, MemDiskFactory)
+	sys := benchSystem(b, MemBackend())
 	cfg := sys.Config()
 	ios := make([]BlockIO, cfg.D)
 	b.ResetTimer()

@@ -4,18 +4,18 @@ package pdm
 // wrappers. The paper's parallel-disk model assumes D independent,
 // uniformly fast, always-correct disks; these wrappers let every engine
 // path and the daemon's job/dataset lifecycle be exercised under disks
-// that are slow, skewed, flaky, or tear range transfers midway — with the
-// whole adversarial schedule reproducible from a single seed, so a
-// failing chaos run shrinks to a replayable case.
+// that are slow, skewed, flaky, or tear multi-block transfers midway —
+// with the whole adversarial schedule reproducible from a single seed, so
+// a failing chaos run shrinks to a replayable case.
 //
 // Composability: each wrapper takes any Backend and is itself a Backend,
 // so adversaries stack over MemBackend, FileBackend, ShardedFileBackend,
-// a custom third-party backend, or each other. Every wrapper also
-// implements RangeBackend — forwarding coalesced range transfers when the
-// inner backend supports them, or emulating them block-by-block when it
-// does not — so wrapping never hides the grouped parallel-I/O path:
-// fault injection composes with BlockRangeIO coalescing instead of
-// silently disabling it.
+// a custom third-party backend, or each other. A wrapper makes one
+// decision per transfer — inject, delay, or tear — whether the transfer is
+// a single block or a coalesced run of them, so adversaries compose with
+// the grouped parallel-I/O path instead of disabling it. No wrapper offers
+// BlockView: bulk dumps through a wrapper move every block as a transfer
+// and stay exposed to the adversary.
 //
 // Determinism contract:
 //
@@ -36,12 +36,18 @@ package pdm
 // phases (initial record loads) that should run clean.
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
+
+// ErrInjectedFault is the sentinel wrapped by every fault an adversarial
+// wrapper injects, so callers can errors.Is for it.
+var ErrInjectedFault = errors.New("pdm: injected disk fault")
 
 // FaultMode selects which operation kinds an adversary injects on.
 type FaultMode int
@@ -65,6 +71,14 @@ func (m FaultMode) matches(kind IOKind) bool {
 	return true
 }
 
+// word names an operation kind in fault messages.
+func word(kind IOKind) string {
+	if kind == IOWrite {
+		return "write"
+	}
+	return "read"
+}
+
 // ChaosOp records one backend operation observed by an adversarial
 // wrapper: its ordinal among the wrapper's armed operations, the blocks it
 // addressed, its per-(kind,disk,block) visit number, and the fault it
@@ -74,7 +88,7 @@ type ChaosOp struct {
 	Kind   IOKind // read or write
 	Disk   int    // disk addressed
 	Block  int    // first block of the operation
-	Blocks int    // blocks covered (1 for single-block ops, >1 for ranges)
+	Blocks int    // blocks the transfer covers: 1 for a single block, more for a run
 	Visit  int    // prior armed ops on the same (kind, disk, block)
 	Fault  string // injected fault description, "" when the op ran clean
 
@@ -200,8 +214,7 @@ type visitKey struct {
 // armed flag, the attempt ordinal, per-coordinate visit counts, and the
 // optional schedule log.
 type chaosState struct {
-	seed int64
-	log  *ChaosLog
+	log *ChaosLog
 
 	mu     sync.Mutex
 	armed  bool
@@ -209,8 +222,8 @@ type chaosState struct {
 	visits map[visitKey]int
 }
 
-func newChaosState(seed int64, log *ChaosLog) *chaosState {
-	return &chaosState{seed: seed, log: log, armed: true, visits: make(map[visitKey]int)}
+func newChaosState(log *ChaosLog) *chaosState {
+	return &chaosState{log: log, armed: true, visits: make(map[visitKey]int)}
 }
 
 // next assigns the operation its ordinal and visit number. Disarmed
@@ -264,59 +277,63 @@ func (c *chaosState) Ops() int {
 	return c.ops
 }
 
-// chaosInner is the capability-preserving view of a wrapped backend:
-// forwarding for Sync/Close/SetConcurrent, and range transfers served by
-// the inner backend when it is range-capable or emulated block-by-block
-// when it is not (the emulation moves exactly the records the equivalent
-// per-block sequence would, per the BlockRangeIO contract).
-type chaosInner struct {
-	be Backend
-	rb RangeBackend // nil when the inner backend has no range support
-	bs int          // block size, captured at Open
+// chaosBase is what every adversarial wrapper shares: the wrapped backend,
+// the block size captured at Open, and the schedule state behind Arm,
+// Disarm, Reset and Ops. Sync and Close pass straight through.
+type chaosBase struct {
+	*chaosState
+	inner Backend
+	bs    int
 }
 
-func (ci *chaosInner) open(numDisks, numBlocks, blockSize int) error {
-	ci.bs = blockSize
-	return ci.be.Open(numDisks, numBlocks, blockSize)
+func newChaosBase(inner Backend, log *ChaosLog) chaosBase {
+	return chaosBase{chaosState: newChaosState(log), inner: inner}
 }
 
-func (ci *chaosInner) setConcurrent(on bool) {
-	if cs, ok := ci.be.(concurrentSetter); ok {
-		cs.SetConcurrent(on)
+// Open implements Backend.
+func (c *chaosBase) Open(numDisks, numBlocks, blockSize int) error {
+	c.bs = blockSize
+	return c.inner.Open(numDisks, numBlocks, blockSize)
+}
+
+// Sync implements Backend.
+func (c *chaosBase) Sync() error { return c.inner.Sync() }
+
+// Close implements Backend.
+func (c *chaosBase) Close() error { return c.inner.Close() }
+
+// move hands a batch to the wrapped backend.
+func (c *chaosBase) move(kind IOKind, xfers []RangeXfer) error {
+	if kind == IORead {
+		return c.inner.ReadBlocks(xfers)
 	}
+	return c.inner.WriteBlocks(xfers)
 }
 
-// readRange serves one range transfer through the inner backend.
-func (ci *chaosInner) readRange(x RangeXfer) error {
-	if ci.rb != nil {
-		return ci.rb.ReadBlockRanges([]RangeXfer{x})
-	}
-	for i := 0; i*ci.bs < len(x.Data); i++ {
-		xf := []BlockXfer{{Disk: x.Disk, Block: x.Block + i, Data: x.Data[i*ci.bs : (i+1)*ci.bs]}}
-		if err := ci.be.ReadBlocks(xf); err != nil {
-			return err
+// serve decides the batch's transfers in order and moves what survives:
+// the whole batch when no decision faults; otherwise the transfers before
+// the first faulted one, then the first cut blocks of the faulted one, and
+// the fault — later transfers are not attempted.
+func (c *chaosBase) serve(kind IOKind, xfers []RangeXfer, decide func(IOKind, RangeXfer) (cut int, err error)) error {
+	for i, x := range xfers {
+		cut, err := decide(kind, x)
+		if err == nil {
+			continue
 		}
-	}
-	return nil
-}
-
-// writeRange serves one range transfer through the inner backend.
-func (ci *chaosInner) writeRange(x RangeXfer) error {
-	if ci.rb != nil {
-		return ci.rb.WriteBlockRanges([]RangeXfer{x})
-	}
-	for i := 0; i*ci.bs < len(x.Data); i++ {
-		xf := []BlockXfer{{Disk: x.Disk, Block: x.Block + i, Data: x.Data[i*ci.bs : (i+1)*ci.bs]}}
-		if err := ci.be.WriteBlocks(xf); err != nil {
-			return err
+		if i > 0 {
+			if merr := c.move(kind, xfers[:i]); merr != nil {
+				return merr
+			}
 		}
+		if cut > 0 {
+			prefix := []RangeXfer{{Disk: x.Disk, Block: x.Block, Data: x.Data[:cut*c.bs]}}
+			if merr := c.move(kind, prefix); merr != nil {
+				return merr
+			}
+		}
+		return err
 	}
-	return nil
-}
-
-func wrapInner(be Backend) chaosInner {
-	rb, _ := be.(RangeBackend)
-	return chaosInner{be: be, rb: rb}
+	return c.move(kind, xfers)
 }
 
 // ---------------------------------------------------------------------------
@@ -348,151 +365,65 @@ type FlakyOptions struct {
 	Log *ChaosLog
 }
 
-// FlakyBackend injects seeded failures into any Backend: per-op fault
-// probability, fail-after-N, read-only/write-only modes, and
+// FlakyBackend injects seeded failures into any Backend: per-transfer
+// fault probability, fail-after-N, read-only/write-only modes, and
 // transient-then-recover windows. Injected errors wrap ErrInjectedFault
 // and abort the batch at the faulted transfer: transfers earlier in the
 // batch land, later ones are not attempted.
 type FlakyBackend struct {
-	inner chaosInner
-	o     FlakyOptions
-	st    *chaosState
+	chaosBase
+	o FlakyOptions
 }
 
-// NewFlakyBackend wraps inner with seeded fault injection. The wrapper is
-// range-capable regardless of inner (see the package comment on
-// composability) and starts armed.
+// NewFlakyBackend wraps inner with seeded fault injection. The wrapper
+// starts armed.
 func NewFlakyBackend(inner Backend, o FlakyOptions) *FlakyBackend {
-	return &FlakyBackend{inner: wrapInner(inner), o: o, st: newChaosState(o.Seed, o.Log)}
+	return &FlakyBackend{chaosBase: newChaosBase(inner, o.Log), o: o}
 }
 
-// NewFaultyBackend wraps inner so every operation from number failAfter
-// (0-based, reads and writes combined) onward fails — the Backend-level
-// analog of NewFaultyDisk, composing with sharded and range-capable
-// backends instead of a single disk.
+// NewFaultyBackend wraps inner so every transfer from number failAfter
+// (0-based, reads and writes combined) onward fails.
 func NewFaultyBackend(inner Backend, failAfter int) *FlakyBackend {
 	return NewFlakyBackend(inner, FlakyOptions{FailAfterN: failAfter + 1})
 }
 
-// Arm enables injection (wrappers start armed).
-func (f *FlakyBackend) Arm() { f.st.Arm() }
+// ReadBlocks implements Backend: the transfers before the first injected
+// fault land, the faulted and following ones do not.
+func (f *FlakyBackend) ReadBlocks(xfers []RangeXfer) error {
+	return f.serve(IORead, xfers, f.inject)
+}
 
-// Disarm makes the wrapper transparent until Arm.
-func (f *FlakyBackend) Disarm() { f.st.Disarm() }
+// WriteBlocks implements Backend (see ReadBlocks).
+func (f *FlakyBackend) WriteBlocks(xfers []RangeXfer) error {
+	return f.serve(IOWrite, xfers, f.inject)
+}
 
-// Reset restarts the fault schedule from operation 0.
-func (f *FlakyBackend) Reset() { f.st.Reset() }
-
-// Ops returns the number of armed operations observed.
-func (f *FlakyBackend) Ops() int { return f.st.Ops() }
-
-// inject decides the fate of one operation, logging it either way.
-func (f *FlakyBackend) inject(kind IOKind, disk, block, blocks int) error {
-	op, visit, armed := f.st.next(kind, disk, block)
+// inject decides the fate of one transfer, logging it either way. A
+// faulted transfer moves none of its blocks.
+func (f *FlakyBackend) inject(kind IOKind, x RangeXfer) (int, error) {
+	op, visit, armed := f.next(kind, x.Disk, x.Block)
 	if !armed {
-		return nil
+		return 0, nil
 	}
 	fault := ""
 	if f.o.Mode.matches(kind) {
 		if f.o.FailAfterN > 0 && op >= f.o.FailAfterN-1 &&
 			(f.o.RecoverAfter <= 0 || op < f.o.FailAfterN-1+f.o.RecoverAfter) {
 			fault = "count"
-		} else if chance(f.o.Rate, chaosHash(f.o.Seed, saltFault, kind, disk, block, visit)) {
+		} else if chance(f.o.Rate, chaosHash(f.o.Seed, saltFault, kind, x.Disk, x.Block, visit)) {
 			fault = "rate"
 		}
 	}
+	ent := ChaosOp{Op: op, Kind: kind, Disk: x.Disk, Block: x.Block, Blocks: len(x.Data) / f.bs, Visit: visit}
 	var err error
 	if fault != "" {
-		word := "read"
-		if kind == IOWrite {
-			word = "write"
-		}
 		err = fmt.Errorf("%w: flaky %s of disk %d block %d (%s, visit %d)",
-			ErrInjectedFault, word, disk, block, fault, visit)
-	}
-	ent := ChaosOp{Op: op, Kind: kind, Disk: disk, Block: block, Blocks: blocks, Visit: visit}
-	if err != nil {
+			ErrInjectedFault, word(kind), x.Disk, x.Block, fault, visit)
 		ent.Fault = err.Error()
 	}
-	f.st.log.add(ent)
-	return err
+	f.log.add(ent)
+	return 0, err
 }
-
-// Open implements Backend.
-func (f *FlakyBackend) Open(numDisks, numBlocks, blockSize int) error {
-	return f.inner.open(numDisks, numBlocks, blockSize)
-}
-
-// ReadBlocks implements Backend: the transfers before the first injected
-// fault land, the faulted and following ones do not.
-func (f *FlakyBackend) ReadBlocks(xfers []BlockXfer) error {
-	n, ferr := 0, error(nil)
-	for _, x := range xfers {
-		if ferr = f.inject(IORead, x.Disk, x.Block, 1); ferr != nil {
-			break
-		}
-		n++
-	}
-	if n > 0 {
-		if err := f.inner.be.ReadBlocks(xfers[:n]); err != nil {
-			return err
-		}
-	}
-	return ferr
-}
-
-// WriteBlocks implements Backend (see ReadBlocks).
-func (f *FlakyBackend) WriteBlocks(xfers []BlockXfer) error {
-	n, ferr := 0, error(nil)
-	for _, x := range xfers {
-		if ferr = f.inject(IOWrite, x.Disk, x.Block, 1); ferr != nil {
-			break
-		}
-		n++
-	}
-	if n > 0 {
-		if err := f.inner.be.WriteBlocks(xfers[:n]); err != nil {
-			return err
-		}
-	}
-	return ferr
-}
-
-// ReadBlockRanges implements RangeBackend; each range transfer is one
-// injection decision, so faults compose with coalesced grouped I/O.
-func (f *FlakyBackend) ReadBlockRanges(xfers []RangeXfer) error {
-	for _, x := range xfers {
-		if err := f.inject(IORead, x.Disk, x.Block, len(x.Data)/f.inner.bs); err != nil {
-			return err
-		}
-		if err := f.inner.readRange(x); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteBlockRanges implements RangeBackend (see ReadBlockRanges).
-func (f *FlakyBackend) WriteBlockRanges(xfers []RangeXfer) error {
-	for _, x := range xfers {
-		if err := f.inject(IOWrite, x.Disk, x.Block, len(x.Data)/f.inner.bs); err != nil {
-			return err
-		}
-		if err := f.inner.writeRange(x); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SetConcurrent forwards the dispatch toggle to the inner backend.
-func (f *FlakyBackend) SetConcurrent(on bool) { f.inner.setConcurrent(on) }
-
-// Sync implements Backend.
-func (f *FlakyBackend) Sync() error { return f.inner.be.Sync() }
-
-// Close implements Backend.
-func (f *FlakyBackend) Close() error { return f.inner.be.Close() }
 
 // ---------------------------------------------------------------------------
 // LatencyBackend
@@ -598,44 +529,41 @@ func distUniform(h uint64) float64 {
 	return (float64(h>>11) + 1) / float64(1<<53)
 }
 
-// LatencyBackend delays every operation of any Backend by a seeded,
-// per-disk-skewed service time. It honors the concurrent-dispatch toggle:
-// with SetConcurrent(true) a batch's per-disk delays overlap the way D
-// independent spindles would, so pipelining and concurrency win exactly
-// when they would on real skewed hardware; sequential dispatch pays the
-// sum. Latency changes wall-clock only — records, counts, and traces are
-// untouched.
+// LatencyBackend delays every transfer of any Backend by a seeded,
+// per-disk-skewed service time, sleeping on the calling goroutine before
+// the batch moves. Under the System's concurrent dispatch every transfer
+// arrives on its own goroutine, so every transfer's delay overlaps every
+// other's — several runs on one disk included; sequential dispatch pays
+// the sum. Latency changes wall-clock only — records, counts, and traces
+// are untouched.
 type LatencyBackend struct {
-	inner      chaosInner
-	o          LatencyOptions
-	st         *chaosState
-	mu         sync.Mutex
-	concurrent bool
+	chaosBase
+	o LatencyOptions
 }
 
 // NewLatencyBackend wraps inner with deterministic injected latency. The
-// wrapper is range-capable regardless of inner and starts armed.
+// wrapper starts armed.
 func NewLatencyBackend(inner Backend, o LatencyOptions) *LatencyBackend {
-	return &LatencyBackend{inner: wrapInner(inner), o: o, st: newChaosState(o.Seed, o.Log)}
+	return &LatencyBackend{chaosBase: newChaosBase(inner, o.Log), o: o}
 }
 
-// Arm enables latency injection (wrappers start armed).
-func (l *LatencyBackend) Arm() { l.st.Arm() }
+// ReadBlocks implements Backend: each transfer's delay, then the batch.
+func (l *LatencyBackend) ReadBlocks(xfers []RangeXfer) error {
+	return l.serve(IORead, xfers, l.delay)
+}
 
-// Disarm makes the wrapper transparent until Arm.
-func (l *LatencyBackend) Disarm() { l.st.Disarm() }
+// WriteBlocks implements Backend: each transfer's delay, then the batch.
+func (l *LatencyBackend) WriteBlocks(xfers []RangeXfer) error {
+	return l.serve(IOWrite, xfers, l.delay)
+}
 
-// Reset restarts the schedule from operation 0.
-func (l *LatencyBackend) Reset() { l.st.Reset() }
-
-// Ops returns the number of armed operations observed.
-func (l *LatencyBackend) Ops() int { return l.st.Ops() }
-
-// delay sleeps the operation's deterministic service time and logs it.
-func (l *LatencyBackend) delay(kind IOKind, disk, block, blocks int) {
-	op, visit, armed := l.st.next(kind, disk, block)
+// delay sleeps one transfer's deterministic service time and logs it: a
+// run of k blocks pays k blocks of latency. It never faults.
+func (l *LatencyBackend) delay(kind IOKind, x RangeXfer) (int, error) {
+	disk, block, blocks := x.Disk, x.Block, len(x.Data)/l.bs
+	op, visit, armed := l.next(kind, disk, block)
 	if !armed {
-		return
+		return 0, nil
 	}
 	var d float64
 	if l.o.Dist != nil {
@@ -652,98 +580,13 @@ func (l *LatencyBackend) delay(kind IOKind, disk, block, blocks int) {
 	if len(l.o.DiskFactors) > 0 {
 		d *= l.o.DiskFactors[disk%len(l.o.DiskFactors)]
 	}
-	l.st.log.add(ChaosOp{Op: op, Kind: kind, Disk: disk, Block: block, Blocks: blocks, Visit: visit,
+	l.log.add(ChaosOp{Op: op, Kind: kind, Disk: disk, Block: block, Blocks: blocks, Visit: visit,
 		Delay: time.Duration(d)})
 	if d > 0 {
 		time.Sleep(time.Duration(d))
 	}
+	return 0, nil
 }
-
-// each runs one operation per index, concurrently when the backend is in
-// concurrent-dispatch mode (so per-disk delays overlap like real
-// spindles), and returns the first error by index order.
-func (l *LatencyBackend) each(n int, op func(int) error) error {
-	l.mu.Lock()
-	conc := l.concurrent
-	l.mu.Unlock()
-	if !conc || n == 1 {
-		for i := 0; i < n; i++ {
-			if err := op(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = op(i)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Open implements Backend.
-func (l *LatencyBackend) Open(numDisks, numBlocks, blockSize int) error {
-	return l.inner.open(numDisks, numBlocks, blockSize)
-}
-
-// ReadBlocks implements Backend.
-func (l *LatencyBackend) ReadBlocks(xfers []BlockXfer) error {
-	return l.each(len(xfers), func(i int) error {
-		l.delay(IORead, xfers[i].Disk, xfers[i].Block, 1)
-		return l.inner.be.ReadBlocks(xfers[i : i+1])
-	})
-}
-
-// WriteBlocks implements Backend.
-func (l *LatencyBackend) WriteBlocks(xfers []BlockXfer) error {
-	return l.each(len(xfers), func(i int) error {
-		l.delay(IOWrite, xfers[i].Disk, xfers[i].Block, 1)
-		return l.inner.be.WriteBlocks(xfers[i : i+1])
-	})
-}
-
-// ReadBlockRanges implements RangeBackend: a k-block range pays k blocks
-// of latency in one delay, then moves through the inner backend.
-func (l *LatencyBackend) ReadBlockRanges(xfers []RangeXfer) error {
-	return l.each(len(xfers), func(i int) error {
-		l.delay(IORead, xfers[i].Disk, xfers[i].Block, len(xfers[i].Data)/l.inner.bs)
-		return l.inner.readRange(xfers[i])
-	})
-}
-
-// WriteBlockRanges implements RangeBackend (see ReadBlockRanges).
-func (l *LatencyBackend) WriteBlockRanges(xfers []RangeXfer) error {
-	return l.each(len(xfers), func(i int) error {
-		l.delay(IOWrite, xfers[i].Disk, xfers[i].Block, len(xfers[i].Data)/l.inner.bs)
-		return l.inner.writeRange(xfers[i])
-	})
-}
-
-// SetConcurrent switches the wrapper (and the inner backend) between
-// sequential and overlapped per-disk dispatch.
-func (l *LatencyBackend) SetConcurrent(on bool) {
-	l.mu.Lock()
-	l.concurrent = on
-	l.mu.Unlock()
-	l.inner.setConcurrent(on)
-}
-
-// Sync implements Backend.
-func (l *LatencyBackend) Sync() error { return l.inner.be.Sync() }
-
-// Close implements Backend.
-func (l *LatencyBackend) Close() error { return l.inner.be.Close() }
 
 // ---------------------------------------------------------------------------
 // TornRangeBackend
@@ -752,135 +595,77 @@ func (l *LatencyBackend) Close() error { return l.inner.be.Close() }
 type TornOptions struct {
 	// Seed drives the tear probability and the tear point.
 	Seed int64
-	// Rate is the probability a multi-block range transfer tears midway,
+	// Rate is the probability a multi-block transfer tears midway,
 	// decided deterministically per (kind, disk, block, visit). 0 disables.
 	Rate float64
-	// TearNth, when > 0, tears the N'th armed multi-block range transfer
+	// TearNth, when > 0, tears the N'th armed multi-block transfer
 	// (1-based) regardless of Rate. 0 disables count-triggered tears.
 	TearNth int
 	// Mode restricts tearing to reads or writes. The zero value tears both.
 	Mode FaultMode
-	// Log, when non-nil, records the range-transfer schedule.
+	// Log, when non-nil, records the transfer schedule.
 	Log *ChaosLog
 }
 
-// TornRangeBackend tears coalesced range transfers midway: a torn k-block
-// range moves only its first 1..k-1 blocks (the tear point is seeded),
-// then fails with a wrapped ErrInjectedFault. Single-block operations are
-// never torn — blocks land atomically, exactly the failure surface the
-// grouped parallel-I/O path must survive: per-wave accounting must not
-// double-count or lose operations, and the fallback-to-loop path must
-// leave the records exactly as the per-block reference semantics would.
+// TornRangeBackend tears multi-block transfers midway: a torn k-block run
+// moves only its first 1..k-1 blocks (the tear point is seeded), then
+// fails with a wrapped ErrInjectedFault. One-block transfers are never
+// torn — blocks land atomically, exactly the failure surface the grouped
+// parallel-I/O path must survive: per-wave accounting must not
+// double-count or lose operations, and the wave-by-wave replay must leave
+// the records exactly as the one-at-a-time reference semantics would.
 type TornRangeBackend struct {
-	inner chaosInner
-	o     TornOptions
-	st    *chaosState
-
-	mu     sync.Mutex
-	ranges int // armed multi-block range transfers seen, for TearNth
+	chaosBase
+	o      TornOptions
+	ranges atomic.Int64 // armed multi-block transfers seen, for TearNth
 }
 
-// NewTornRangeBackend wraps inner with seeded torn range transfers. The
-// wrapper is range-capable regardless of inner and starts armed.
+// NewTornRangeBackend wraps inner with seeded torn transfers. The wrapper
+// starts armed.
 func NewTornRangeBackend(inner Backend, o TornOptions) *TornRangeBackend {
-	return &TornRangeBackend{inner: wrapInner(inner), o: o, st: newChaosState(o.Seed, o.Log)}
+	return &TornRangeBackend{chaosBase: newChaosBase(inner, o.Log), o: o}
 }
-
-// Arm enables tearing (wrappers start armed).
-func (tb *TornRangeBackend) Arm() { tb.st.Arm() }
-
-// Disarm makes the wrapper transparent until Arm.
-func (tb *TornRangeBackend) Disarm() { tb.st.Disarm() }
 
 // Reset restarts the tear schedule from operation 0.
 func (tb *TornRangeBackend) Reset() {
-	tb.st.Reset()
-	tb.mu.Lock()
-	tb.ranges = 0
-	tb.mu.Unlock()
+	tb.chaosState.Reset()
+	tb.ranges.Store(0)
 }
 
-// Ops returns the number of armed range transfers observed.
-func (tb *TornRangeBackend) Ops() int { return tb.st.Ops() }
+// ReadBlocks implements Backend: the transfers before the first torn one
+// move whole, the torn one moves only its prefix, and the batch fails.
+func (tb *TornRangeBackend) ReadBlocks(xfers []RangeXfer) error {
+	return tb.serve(IORead, xfers, tb.tear)
+}
 
-// tearRange serves one range transfer, torn or whole.
-func (tb *TornRangeBackend) tearRange(kind IOKind, x RangeXfer, move func(RangeXfer) error) error {
-	blocks := len(x.Data) / tb.inner.bs
-	op, visit, armed := tb.st.next(kind, x.Disk, x.Block)
+// WriteBlocks implements Backend (see ReadBlocks).
+func (tb *TornRangeBackend) WriteBlocks(xfers []RangeXfer) error {
+	return tb.serve(IOWrite, xfers, tb.tear)
+}
+
+// tear decides whether one transfer tears and where, logging it either
+// way; a torn transfer reports the blocks that still land.
+func (tb *TornRangeBackend) tear(kind IOKind, x RangeXfer) (int, error) {
+	blocks := len(x.Data) / tb.bs
+	op, visit, armed := tb.next(kind, x.Disk, x.Block)
 	if !armed {
-		return move(x)
+		return 0, nil
 	}
 	cut := 0
 	if blocks > 1 && tb.o.Mode.matches(kind) {
-		tb.mu.Lock()
-		tb.ranges++
-		nth := tb.ranges
-		tb.mu.Unlock()
+		nth := tb.ranges.Add(1)
 		h := chaosHash(tb.o.Seed, saltTear, kind, x.Disk, x.Block, visit)
-		if (tb.o.TearNth > 0 && nth == tb.o.TearNth) || chance(tb.o.Rate, chaosHash(tb.o.Seed, saltFault, kind, x.Disk, x.Block, visit)) {
+		if (tb.o.TearNth > 0 && nth == int64(tb.o.TearNth)) || chance(tb.o.Rate, chaosHash(tb.o.Seed, saltFault, kind, x.Disk, x.Block, visit)) {
 			cut = 1 + int(h%uint64(blocks-1)) // 1..blocks-1 blocks land
 		}
 	}
 	ent := ChaosOp{Op: op, Kind: kind, Disk: x.Disk, Block: x.Block, Blocks: blocks, Visit: visit}
-	if cut == 0 {
-		tb.st.log.add(ent)
-		return move(x)
+	var err error
+	if cut > 0 {
+		err = fmt.Errorf("%w: torn %s of disk %d blocks [%d,%d): only %d of %d blocks transferred",
+			ErrInjectedFault, word(kind), x.Disk, x.Block, x.Block+blocks, cut, blocks)
+		ent.Fault = err.Error()
 	}
-	word := "read"
-	if kind == IOWrite {
-		word = "write"
-	}
-	err := fmt.Errorf("%w: torn %s of disk %d blocks [%d,%d): only %d of %d blocks transferred",
-		ErrInjectedFault, word, x.Disk, x.Block, x.Block+blocks, cut, blocks)
-	ent.Fault = err.Error()
-	tb.st.log.add(ent)
-	prefix := RangeXfer{Disk: x.Disk, Block: x.Block, Data: x.Data[:cut*tb.inner.bs]}
-	if merr := move(prefix); merr != nil {
-		return merr
-	}
-	return err
+	tb.log.add(ent)
+	return cut, err
 }
-
-// Open implements Backend.
-func (tb *TornRangeBackend) Open(numDisks, numBlocks, blockSize int) error {
-	return tb.inner.open(numDisks, numBlocks, blockSize)
-}
-
-// ReadBlocks implements Backend; single-block operations pass through.
-func (tb *TornRangeBackend) ReadBlocks(xfers []BlockXfer) error {
-	return tb.inner.be.ReadBlocks(xfers)
-}
-
-// WriteBlocks implements Backend; single-block operations pass through.
-func (tb *TornRangeBackend) WriteBlocks(xfers []BlockXfer) error {
-	return tb.inner.be.WriteBlocks(xfers)
-}
-
-// ReadBlockRanges implements RangeBackend, tearing scheduled transfers.
-func (tb *TornRangeBackend) ReadBlockRanges(xfers []RangeXfer) error {
-	for _, x := range xfers {
-		if err := tb.tearRange(IORead, x, tb.inner.readRange); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteBlockRanges implements RangeBackend, tearing scheduled transfers.
-func (tb *TornRangeBackend) WriteBlockRanges(xfers []RangeXfer) error {
-	for _, x := range xfers {
-		if err := tb.tearRange(IOWrite, x, tb.inner.writeRange); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SetConcurrent forwards the dispatch toggle to the inner backend.
-func (tb *TornRangeBackend) SetConcurrent(on bool) { tb.inner.setConcurrent(on) }
-
-// Sync implements Backend.
-func (tb *TornRangeBackend) Sync() error { return tb.inner.be.Sync() }
-
-// Close implements Backend.
-func (tb *TornRangeBackend) Close() error { return tb.inner.be.Close() }

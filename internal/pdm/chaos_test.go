@@ -40,7 +40,7 @@ func chaosFill(t *testing.T, be Backend) {
 			for i := range data {
 				data[i] = chaosRec(disk, block, i)
 			}
-			if err := be.WriteBlocks([]BlockXfer{{Disk: disk, Block: block, Data: data}}); err != nil {
+			if err := be.WriteBlocks([]RangeXfer{{Disk: disk, Block: block, Data: data}}); err != nil {
 				t.Fatalf("fill disk %d block %d: %v", disk, block, err)
 			}
 		}
@@ -64,18 +64,17 @@ func chaosScript(be Backend) []string {
 			for i := range buf {
 				buf[i] = chaosRec(disk, block, i)
 			}
-			note(be.WriteBlocks([]BlockXfer{{Disk: disk, Block: block, Data: buf}}))
+			note(be.WriteBlocks([]RangeXfer{{Disk: disk, Block: block, Data: buf}}))
 		}
 	}
 	for block := 0; block < chaosBlocks; block++ {
 		for disk := 0; disk < chaosDisks; disk++ {
-			note(be.ReadBlocks([]BlockXfer{{Disk: disk, Block: block, Data: buf}}))
+			note(be.ReadBlocks([]RangeXfer{{Disk: disk, Block: block, Data: buf}}))
 		}
 	}
-	rb := be.(RangeBackend)
 	span := make([]Record, 4*chaosBS)
 	for disk := 0; disk < chaosDisks; disk++ {
-		note(rb.ReadBlockRanges([]RangeXfer{{Disk: disk, Block: 2, Data: span}}))
+		note(be.ReadBlocks([]RangeXfer{{Disk: disk, Block: 2, Data: span}}))
 	}
 	return errs
 }
@@ -86,7 +85,7 @@ func TestChaosFlakyBackendModes(t *testing.T) {
 		chaosOpen(t, fb)
 		buf := make([]Record, chaosBS)
 		for op := 0; op < 4; op++ {
-			err := fb.WriteBlocks([]BlockXfer{{Disk: 0, Block: op % chaosBlocks, Data: buf}})
+			err := fb.WriteBlocks([]RangeXfer{{Disk: 0, Block: op % chaosBlocks, Data: buf}})
 			if op < 2 && err != nil {
 				t.Fatalf("op %d before the window: %v", op, err)
 			}
@@ -107,7 +106,7 @@ func TestChaosFlakyBackendModes(t *testing.T) {
 		chaosOpen(t, fb)
 		buf := make([]Record, chaosBS)
 		for op := 0; op < 8; op++ {
-			err := fb.ReadBlocks([]BlockXfer{{Disk: 0, Block: 0, Data: buf}})
+			err := fb.ReadBlocks([]RangeXfer{{Disk: 0, Block: 0, Data: buf}})
 			inWindow := op == 3 || op == 4
 			if inWindow && !errors.Is(err, ErrInjectedFault) {
 				t.Fatalf("op %d: want injected fault, got %v", op, err)
@@ -131,8 +130,8 @@ func TestChaosFlakyBackendModes(t *testing.T) {
 			fb := NewFlakyBackend(MemBackend(), FlakyOptions{FailAfterN: 1, Mode: tc.mode})
 			chaosOpen(t, fb)
 			buf := make([]Record, chaosBS)
-			werr := fb.WriteBlocks([]BlockXfer{{Disk: 0, Block: 0, Data: buf}})
-			rerr := fb.ReadBlocks([]BlockXfer{{Disk: 0, Block: 0, Data: buf}})
+			werr := fb.WriteBlocks([]RangeXfer{{Disk: 0, Block: 0, Data: buf}})
+			rerr := fb.ReadBlocks([]RangeXfer{{Disk: 0, Block: 0, Data: buf}})
 			if got := errors.Is(rerr, ErrInjectedFault); got != tc.readFails {
 				t.Errorf("mode %v: read fault = %v, want %v", tc.mode, got, tc.readFails)
 			}
@@ -153,7 +152,7 @@ func TestChaosFlakyBackendModes(t *testing.T) {
 		}
 		fb.Arm()
 		buf := make([]Record, chaosBS)
-		if err := fb.ReadBlocks([]BlockXfer{{Disk: 0, Block: 0, Data: buf}}); !errors.Is(err, ErrInjectedFault) {
+		if err := fb.ReadBlocks([]RangeXfer{{Disk: 0, Block: 0, Data: buf}}); !errors.Is(err, ErrInjectedFault) {
 			t.Fatalf("armed op: want injected fault, got %v", err)
 		}
 	})
@@ -169,7 +168,7 @@ func TestChaosFlakyBackendModes(t *testing.T) {
 			data0[i] = chaosRec(0, 0, i)
 			data1[i] = chaosRec(1, 0, i)
 		}
-		err := fb.WriteBlocks([]BlockXfer{
+		err := fb.WriteBlocks([]RangeXfer{
 			{Disk: 0, Block: 0, Data: data0},
 			{Disk: 1, Block: 0, Data: data1},
 		})
@@ -178,7 +177,7 @@ func TestChaosFlakyBackendModes(t *testing.T) {
 		}
 		fb.Disarm()
 		got := make([]Record, chaosBS)
-		if err := fb.ReadBlocks([]BlockXfer{{Disk: 0, Block: 0, Data: got}}); err != nil {
+		if err := fb.ReadBlocks([]RangeXfer{{Disk: 0, Block: 0, Data: got}}); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, data0) {
@@ -200,7 +199,7 @@ func TestChaosTornRange(t *testing.T) {
 		for i := range span {
 			span[i] = Record{Key: 0xbeef00 + uint64(i), Tag: 1}
 		}
-		err := tb.WriteBlockRanges([]RangeXfer{{Disk: 0, Block: 1, Data: span}})
+		err := tb.WriteBlocks([]RangeXfer{{Disk: 0, Block: 1, Data: span}})
 		if !errors.Is(err, ErrInjectedFault) {
 			t.Fatalf("want torn-range fault, got %v", err)
 		}
@@ -212,7 +211,7 @@ func TestChaosTornRange(t *testing.T) {
 		tb.Disarm()
 		got := make([]Record, chaosBS)
 		for b := 0; b < 4; b++ {
-			if err := tb.ReadBlocks([]BlockXfer{{Disk: 0, Block: 1 + b, Data: got}}); err != nil {
+			if err := tb.ReadBlocks([]RangeXfer{{Disk: 0, Block: 1 + b, Data: got}}); err != nil {
 				t.Fatal(err)
 			}
 			for i, g := range got {
@@ -240,7 +239,7 @@ func TestChaosTornRange(t *testing.T) {
 		for i := range span {
 			span[i] = sentinel
 		}
-		err := tb.ReadBlockRanges([]RangeXfer{{Disk: 1, Block: 2, Data: span}})
+		err := tb.ReadBlocks([]RangeXfer{{Disk: 1, Block: 2, Data: span}})
 		if !errors.Is(err, ErrInjectedFault) {
 			t.Fatalf("want torn-range fault, got %v", err)
 		}
@@ -264,12 +263,12 @@ func TestChaosTornRange(t *testing.T) {
 		chaosOpen(t, tb)
 		buf := make([]Record, chaosBS)
 		for i := 0; i < 8; i++ {
-			if err := tb.WriteBlockRanges([]RangeXfer{{Disk: 0, Block: i, Data: buf}}); err != nil {
-				t.Fatalf("single-block range %d torn: %v", i, err)
+			if err := tb.WriteBlocks([]RangeXfer{{Disk: 0, Block: i, Data: buf}}); err != nil {
+				t.Fatalf("single-block transfer %d torn: %v", i, err)
 			}
 		}
-		if err := tb.WriteBlocks([]BlockXfer{{Disk: 0, Block: 0, Data: buf}}); err != nil {
-			t.Fatalf("block write torn: %v", err)
+		if err := tb.WriteBlocks([]RangeXfer{{Disk: 0, Block: 0, Data: buf}, {Disk: 1, Block: 0, Data: buf}}); err != nil {
+			t.Fatalf("batch of single blocks torn: %v", err)
 		}
 	})
 }
@@ -341,20 +340,18 @@ func TestChaosSeedReproducibility(t *testing.T) {
 	}
 }
 
-// TestChaosFaultyBackendComposes pins the satellite fix: Backend-level
-// fault injection wraps sharded, range-capable backends without hiding
-// their coalesced-transfer path, unlike FaultyFactory's single wrapped
-// disk.
+// TestChaosFaultyBackendComposes: Backend-level fault injection wraps a
+// sharded file backend and forwards its multi-block runs intact.
 func TestChaosFaultyBackendComposes(t *testing.T) {
 	dirs := []string{t.TempDir(), t.TempDir()}
 	fb := NewFaultyBackend(ShardedFileBackend(dirs...), 1<<30)
 	chaosOpen(t, fb)
 	chaosFill(t, fb)
 
-	// The wrapper serves range transfers (forwarding to the sharded
-	// backend's own range path) — grouped I/O stays grouped under injection.
+	// The wrapper forwards a run to the sharded backend whole — grouped
+	// I/O stays grouped under injection.
 	span := make([]Record, 3*chaosBS)
-	if err := fb.ReadBlockRanges([]RangeXfer{{Disk: 1, Block: 2, Data: span}}); err != nil {
+	if err := fb.ReadBlocks([]RangeXfer{{Disk: 1, Block: 2, Data: span}}); err != nil {
 		t.Fatalf("range read through faulty wrapper: %v", err)
 	}
 	for b := 0; b < 3; b++ {
@@ -365,63 +362,13 @@ func TestChaosFaultyBackendComposes(t *testing.T) {
 		}
 	}
 
-	// And the count trigger behaves like FaultyDisk's, one level up.
+	// And the count trigger fires from the very first transfer.
 	fb2 := NewFaultyBackend(MemBackend(), 0)
 	chaosOpen(t, fb2)
-	if err := fb2.ReadBlocks([]BlockXfer{{Disk: 0, Block: 0, Data: span[:chaosBS]}}); !errors.Is(err, ErrInjectedFault) {
+	if err := fb2.ReadBlocks([]RangeXfer{{Disk: 0, Block: 0, Data: span[:chaosBS]}}); !errors.Is(err, ErrInjectedFault) {
 		t.Fatalf("failAfter=0: want immediate fault, got %v", err)
 	}
 }
-
-// TestChaosRangeEmulation pins that wrapping a backend with no range
-// support still yields a range-capable composite whose emulated transfers
-// move exactly the right records.
-func TestChaosRangeEmulation(t *testing.T) {
-	inner := &blockOnlyBackend{inner: MemBackend()}
-	fb := NewFlakyBackend(inner, FlakyOptions{})
-	chaosOpen(t, fb)
-	chaosFill(t, fb)
-	span := make([]Record, 4*chaosBS)
-	if err := fb.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 3, Data: span}}); err != nil {
-		t.Fatal(err)
-	}
-	for b := 0; b < 4; b++ {
-		for i := 0; i < chaosBS; i++ {
-			if want := chaosRec(0, 3+b, i); span[b*chaosBS+i] != want {
-				t.Fatalf("emulated range block %d record %d: got %+v, want %+v", 3+b, i, span[b*chaosBS+i], want)
-			}
-		}
-	}
-	for i := range span {
-		span[i] = Record{Key: 0xabc0 + uint64(i)}
-	}
-	if err := fb.WriteBlockRanges([]RangeXfer{{Disk: 1, Block: 0, Data: span}}); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]Record, chaosBS)
-	for b := 0; b < 4; b++ {
-		if err := fb.ReadBlocks([]BlockXfer{{Disk: 1, Block: b, Data: got}}); err != nil {
-			t.Fatal(err)
-		}
-		for i, g := range got {
-			if want := span[b*chaosBS+i]; g != want {
-				t.Fatalf("emulated range write block %d record %d: got %+v, want %+v", b, i, g, want)
-			}
-		}
-	}
-}
-
-// blockOnlyBackend hides any range/viewer capability of its inner backend,
-// leaving the bare Backend contract.
-type blockOnlyBackend struct{ inner Backend }
-
-func (b *blockOnlyBackend) Open(numDisks, numBlocks, blockSize int) error {
-	return b.inner.Open(numDisks, numBlocks, blockSize)
-}
-func (b *blockOnlyBackend) ReadBlocks(xfers []BlockXfer) error  { return b.inner.ReadBlocks(xfers) }
-func (b *blockOnlyBackend) WriteBlocks(xfers []BlockXfer) error { return b.inner.WriteBlocks(xfers) }
-func (b *blockOnlyBackend) Sync() error                         { return b.inner.Sync() }
-func (b *blockOnlyBackend) Close() error                        { return b.inner.Close() }
 
 // TestChaosLatencyBackend pins that injected latency changes wall-clock
 // only: records round-trip untouched, the schedule is logged, and a skewed
@@ -446,7 +393,7 @@ func TestChaosLatencyBackend(t *testing.T) {
 	timeDisk := func(disk int) time.Duration {
 		start := time.Now()
 		for block := 0; block < chaosBlocks; block++ {
-			if err := lb.ReadBlocks([]BlockXfer{{Disk: disk, Block: block, Data: got}}); err != nil {
+			if err := lb.ReadBlocks([]RangeXfer{{Disk: disk, Block: block, Data: got}}); err != nil {
 				t.Fatal(err)
 			}
 			for i, g := range got {
@@ -471,7 +418,7 @@ func TestChaosLatencyBackend(t *testing.T) {
 
 // TestChaosFileMmapPaths runs a faulting workload over file-backed disks
 // with the mmap fast path both on and off: injection and recovery must be
-// identical regardless of how FileDisk serves its blocks.
+// identical regardless of how the file backend serves its blocks.
 func TestChaosFileMmapPaths(t *testing.T) {
 	defer func(old bool) { fileDiskMmap = old }(fileDiskMmap)
 	for _, mmapOn := range []bool{true, false} {
@@ -485,13 +432,13 @@ func TestChaosFileMmapPaths(t *testing.T) {
 			chaosOpen(t, fb)
 			chaosFill(t, fb) // exactly 16 ops (2 disks x 8 blocks), all clean
 			buf := make([]Record, chaosBS)
-			if err := fb.ReadBlocks([]BlockXfer{{Disk: 0, Block: 0, Data: buf}}); !errors.Is(err, ErrInjectedFault) {
+			if err := fb.ReadBlocks([]RangeXfer{{Disk: 0, Block: 0, Data: buf}}); !errors.Is(err, ErrInjectedFault) {
 				t.Fatalf("op 17: want injected fault, got %v", err)
 			}
-			if err := fb.ReadBlocks([]BlockXfer{{Disk: 0, Block: 0, Data: buf}}); !errors.Is(err, ErrInjectedFault) {
+			if err := fb.ReadBlocks([]RangeXfer{{Disk: 0, Block: 0, Data: buf}}); !errors.Is(err, ErrInjectedFault) {
 				t.Fatalf("op 18: want injected fault, got %v", err)
 			}
-			if err := fb.ReadBlocks([]BlockXfer{{Disk: 0, Block: 0, Data: buf}}); err != nil {
+			if err := fb.ReadBlocks([]RangeXfer{{Disk: 0, Block: 0, Data: buf}}); err != nil {
 				t.Fatalf("op 19 after recovery: %v", err)
 			}
 			for i, g := range buf {

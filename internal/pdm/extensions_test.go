@@ -8,45 +8,50 @@ import (
 
 func TestFaultyDiskInjection(t *testing.T) {
 	cfg := testConfig()
-	var faulty *FaultyDisk
-	sys, err := NewSystem(cfg, FaultyFactory(MemDiskFactory, 1, 2, &faulty))
+	faulty := NewFaultyBackend(MemBackend(), 2)
+	sys, err := NewSystem(cfg, faulty)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	if faulty == nil {
-		t.Fatal("faulty disk not captured")
-	}
-	// LoadRecords writes blocks to every disk; disk 1 receives
-	// BlocksPerDisk writes, far beyond the fault threshold of 2.
+	// LoadRecords writes BlocksPerDisk stripes of D blocks, far beyond the
+	// fault threshold of 2.
 	if err := sys.LoadRecords(PortionA, sequentialRecords(cfg.N)); err == nil {
-		t.Fatal("load through faulty disk succeeded")
+		t.Fatal("load through faulty backend succeeded")
 	} else if !errors.Is(err, ErrInjectedFault) {
 		t.Fatalf("fault not wrapped: %v", err)
 	}
 }
 
 func TestFaultyDiskThreshold(t *testing.T) {
-	inner := NewMemDisk(8, 4)
-	d := NewFaultyDisk(inner, 3)
+	d := NewFaultyBackend(MemBackend(), 3)
+	if err := d.Open(1, 8, 4); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
 	buf := make([]Record, 4)
+	xs := []RangeXfer{{Disk: 0, Block: 0, Data: buf}}
 	for i := 0; i < 3; i++ {
-		if err := d.ReadBlock(0, buf); err != nil {
+		if err := d.ReadBlocks(xs); err != nil {
 			t.Fatalf("op %d failed before threshold: %v", i, err)
 		}
 	}
-	if err := d.ReadBlock(0, buf); !errors.Is(err, ErrInjectedFault) {
+	if err := d.ReadBlocks(xs); !errors.Is(err, ErrInjectedFault) {
 		t.Fatalf("op 3 did not fault: %v", err)
 	}
 	if d.Ops() != 4 {
 		t.Errorf("ops = %d, want 4", d.Ops())
 	}
 	// Read-only faults leave writes working.
-	d2 := &FaultyDisk{Inner: inner, FailAfter: 0, FailReads: true}
-	if err := d2.WriteBlock(0, buf); err != nil {
+	d2 := NewFlakyBackend(MemBackend(), FlakyOptions{FailAfterN: 1, Mode: FaultReadOnly})
+	if err := d2.Open(1, 8, 4); err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if err := d2.WriteBlocks(xs); err != nil {
 		t.Errorf("write failed with read-only faults: %v", err)
 	}
-	if err := d2.ReadBlock(0, buf); !errors.Is(err, ErrInjectedFault) {
+	if err := d2.ReadBlocks(xs); !errors.Is(err, ErrInjectedFault) {
 		t.Error("read did not fault")
 	}
 }
@@ -55,8 +60,9 @@ func TestFaultyDiskThreshold(t *testing.T) {
 // ParallelRead and the operation is not counted.
 func TestFaultPropagatesThroughParallelIO(t *testing.T) {
 	cfg := testConfig()
-	var faulty *FaultyDisk
-	sys, err := NewSystem(cfg, FaultyFactory(MemDiskFactory, 2, 0, &faulty))
+	// Only the first transfer faults; the backend recovers after it.
+	faulty := NewFlakyBackend(MemBackend(), FlakyOptions{FailAfterN: 1, RecoverAfter: 1})
+	sys, err := NewSystem(cfg, faulty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +124,7 @@ func TestConcurrentDispatchEquivalence(t *testing.T) {
 // dispatch.
 func TestConcurrentFaultPropagation(t *testing.T) {
 	cfg := testConfig()
-	sys, err := NewSystem(cfg, FaultyFactory(MemDiskFactory, 1, 0, nil))
+	sys, err := NewSystem(cfg, NewFaultyBackend(MemBackend(), 1))
 	if err != nil {
 		t.Fatal(err)
 	}

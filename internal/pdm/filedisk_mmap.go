@@ -7,7 +7,7 @@ import (
 	"syscall"
 )
 
-// canMmapDisks reports whether this host can serve a FileDisk from a shared
+// canMmapDisks reports whether this host can serve a file disk from a shared
 // memory mapping of its file: a 64-bit little-endian unix, so the mapping
 // fits the address space and the record slab view applies to the mapped
 // bytes directly. The pread/pwrite implementation remains the portable

@@ -8,7 +8,7 @@ import (
 )
 
 // canMmapDisks: this host lacks mmap support or a 64-bit little-endian
-// layout; FileDisk serves every block through pread/pwrite.
+// layout; file disks serve every run through pread/pwrite.
 const canMmapDisks = false
 
 func mmapFile(*os.File, int64) ([]byte, error) {

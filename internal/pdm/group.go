@@ -6,9 +6,10 @@ import "sort"
 // operations at once (the M/BD striped reads of a load, or an MLD pass's
 // M/BD independent write waves), so instead of issuing them one at a time it
 // hands the group to the System, which regroups the blocks per disk,
-// coalesces runs of consecutive physical blocks, and moves each run through
-// one backend range transfer — a single pread/pwrite on file-backed disks
-// instead of one syscall per block.
+// coalesces runs of consecutive physical blocks, and moves each run as one
+// backend transfer — a single pread/pwrite on file-backed disks instead of
+// one syscall per block. A single parallel I/O is a group of one wave, whose
+// blocks move straight between their frames and the backend.
 //
 // Grouping is strictly a wall-clock optimization, like pipelining and
 // worker sharding: the model's accounting is byte-identical to issuing the
@@ -16,19 +17,104 @@ import "sort"
 // as its own parallel I/O, and traced in group order. Any shape the
 // regrouping cannot reproduce faithfully — a frame reused across the
 // group's operations, or a write landing twice on one block, both
-// order-dependent — falls back to the one-at-a-time path, as do backends
-// without range support.
+// order-dependent — is served wave by wave instead.
 //
-// Error paths match the loop too: when a coalesced range transfer fails —
-// a flaky disk, a torn range that moved only a prefix — the group degrades
-// to the one-at-a-time reference path and replays the whole group from
-// scratch. Reads are idempotent and writes re-send the same bytes from the
-// unchanged buffer frames, so the replay is safe; it counts exactly the
-// waves that complete before its own failure (no double-count — the failed
-// batched attempt counted nothing) and lets transient faults that spare
-// the per-block path recover entirely. Validation errors surface before
-// any transfer and count nothing, same as the loop's up-front validation
-// of its first wave would abort it.
+// Error paths match the wave-by-wave reference too: when a coalesced
+// transfer fails — a flaky disk, a torn run that moved only a prefix — the
+// group replays wave by wave from scratch. Reads are idempotent and writes
+// re-send the same bytes from the unchanged buffer frames, so the replay is
+// safe; it counts exactly the waves that complete before its own failure
+// (no double-count — the failed coalesced attempt counted nothing) and lets
+// transient faults that spare the one-block transfers recover entirely.
+// Validation errors surface before any transfer and count nothing.
+
+// ParallelReadGroup performs the given sequence of parallel reads into buf,
+// equivalent in records, counts, and trace to performing them one at a time
+// in order. A nil buf targets the system memory.
+//
+// Distinct goroutines may issue buffer-targeted I/O concurrently (e.g. a
+// prefetch read overlapping an in-flight write): the backend serializes
+// per disk, and the counters and trace observer are updated atomically
+// per operation.
+func (s *System) ParallelReadGroup(p Portion, group [][]BlockIO, buf *Buffer) error {
+	return s.parallelIO(IORead, p, group, buf)
+}
+
+// ParallelWriteGroup performs the given sequence of parallel writes from
+// buf, equivalent in records, counts, and trace to performing them one at a
+// time in order. A nil buf targets the system memory.
+func (s *System) ParallelWriteGroup(p Portion, group [][]BlockIO, buf *Buffer) error {
+	return s.parallelIO(IOWrite, p, group, buf)
+}
+
+// parallelIO is the one implementation behind every counted transfer, reads
+// and writes alike: it moves a group of parallel I/Os between portion p and
+// buf, coalesced when the group has several waves, and counts and traces
+// each wave only once the backend has moved it.
+func (s *System) parallelIO(kind IOKind, p Portion, group [][]BlockIO, buf *Buffer) error {
+	if buf == nil {
+		buf = s.memBuf
+	}
+	for _, ios := range group {
+		if err := s.validate(p, ios); err != nil {
+			return err
+		}
+	}
+	bs := s.cfg.B
+	var xfers []RangeXfer
+	var runs []groupRun
+	switch len(group) {
+	case 0:
+		return nil
+	case 1:
+		// validate ruled out a repeated disk or frame within the wave, so
+		// every block is an independent run of one, moved in place. The
+		// batch lives in the buffer's scratch slice — safe because a Buffer
+		// never serves two parallel I/Os concurrently (its frames would
+		// race first) — keeping the per-operation hot path allocation-free.
+		ios := group[0]
+		if cap(buf.xbuf) < len(ios) {
+			buf.xbuf = make([]RangeXfer, s.cfg.D)
+		}
+		xfers = buf.xbuf[:len(ios)]
+		for i, io := range ios {
+			xfers[i] = RangeXfer{Disk: io.Disk, Block: s.physBlock(p, io.Block), Data: buf.Frame(io.Frame)}
+		}
+	default:
+		perDisk, total := s.groupRefs(kind, p, group)
+		if perDisk == nil {
+			return s.replay(kind, p, group, buf)
+		}
+		slab := AcquireSlab(total * bs)
+		defer ReleaseSlab(slab)
+		xfers, runs = buildRuns(perDisk, slab, bs, buf)
+		if kind == IOWrite {
+			copyRuns(kind, runs, bs, buf)
+		}
+	}
+	if err := s.transfer(kind, xfers); err != nil {
+		if len(group) == 1 {
+			return err
+		}
+		return s.replay(kind, p, group, buf)
+	}
+	if kind == IORead {
+		copyRuns(kind, runs, bs, buf)
+	}
+	s.account(kind, p, group)
+	return nil
+}
+
+// replay performs the group wave by wave, each wave a group of one; it
+// stops at the first failing wave with exactly the earlier waves counted.
+func (s *System) replay(kind IOKind, p Portion, group [][]BlockIO, buf *Buffer) error {
+	for w := range group {
+		if err := s.parallelIO(kind, p, group[w:w+1], buf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // rangeRef locates one block of a grouped parallel I/O: its physical block
 // number on its disk, and the buffer frame it moves to or from.
@@ -36,125 +122,36 @@ type rangeRef struct {
 	phys, frame int
 }
 
-// ParallelReadGroup performs the given sequence of parallel reads into buf,
-// equivalent in records, counts, and trace to calling ParallelReadInto on
-// each element of group in order. A nil buf targets the system memory.
-func (s *System) ParallelReadGroup(p Portion, group [][]BlockIO, buf *Buffer) error {
-	if buf == nil {
-		buf = s.memBuf
-	}
-	rb, ok := s.be.(RangeBackend)
-	if !ok || len(group) <= 1 {
-		return s.readGroupLoop(p, group, buf)
-	}
-	perDisk, total, err := s.groupRuns(p, group, false)
-	if err != nil {
-		return err
-	}
-	if perDisk == nil {
-		return s.readGroupLoop(p, group, buf)
-	}
-	bs := s.cfg.B
-	slab := AcquireSlab(total * bs)
-	xfers, runs := buildRuns(perDisk, slab, bs, buf)
-	if err := rb.ReadBlockRanges(xfers); err != nil {
-		// The batched transfer failed partway; nothing was counted. Replay
-		// the group through the per-block reference path: reads are
-		// idempotent, so the replay either completes (transient fault) or
-		// stops at a wave boundary with exactly the completed waves counted.
-		ReleaseSlab(slab)
-		return s.readGroupLoop(p, group, buf)
-	}
-	// Scatter each multi-block run from its scratch span to the frames the
-	// individual operations addressed. Single-block runs already landed in
-	// their frame directly.
-	for _, r := range runs {
-		for k, ref := range r.refs {
-			copy(buf.Frame(ref.frame), r.data[k*bs:(k+1)*bs])
-		}
-	}
-	ReleaseSlab(slab)
-	s.accountGroup(IORead, p, group)
-	return nil
-}
-
-// ParallelWriteGroup performs the given sequence of parallel writes from
-// buf, equivalent in records, counts, and trace to calling
-// ParallelWriteFrom on each element of group in order. A nil buf targets
-// the system memory.
-func (s *System) ParallelWriteGroup(p Portion, group [][]BlockIO, buf *Buffer) error {
-	if buf == nil {
-		buf = s.memBuf
-	}
-	rb, ok := s.be.(RangeBackend)
-	if !ok || len(group) <= 1 {
-		return s.writeGroupLoop(p, group, buf)
-	}
-	perDisk, total, err := s.groupRuns(p, group, true)
-	if err != nil {
-		return err
-	}
-	if perDisk == nil {
-		return s.writeGroupLoop(p, group, buf)
-	}
-	bs := s.cfg.B
-	slab := AcquireSlab(total * bs)
-	xfers, runs := buildRuns(perDisk, slab, bs, buf)
-	// Gather each multi-block run's frames into its scratch span before the
-	// batched write; single-block runs write from their frame directly.
-	for _, r := range runs {
-		for k, ref := range r.refs {
-			copy(r.data[k*bs:(k+1)*bs], buf.Frame(ref.frame))
-		}
-	}
-	err = rb.WriteBlockRanges(xfers)
-	ReleaseSlab(slab)
-	if err != nil {
-		// The batched transfer failed partway (possibly mid-range); nothing
-		// was counted. Replay through the per-block reference path, which
-		// re-sends the same bytes from the unchanged buffer frames: every
-		// block lands whole, and only completed waves are counted.
-		return s.writeGroupLoop(p, group, buf)
-	}
-	s.accountGroup(IOWrite, p, group)
-	return nil
-}
-
-// groupRuns validates every operation of the group and regroups its blocks
-// per disk, sorted by physical block. A nil slice with a nil error reports
-// a hazard the caller must serve with the one-at-a-time fallback: a frame
-// reused across operations, or (for writes) a block written more than once,
-// both of which make the group's outcome depend on operation order.
-func (s *System) groupRuns(p Portion, group [][]BlockIO, write bool) ([][]rangeRef, int, error) {
+// groupRefs regroups the group's blocks per disk, sorted by physical block,
+// and counts them. A nil result reports a hazard that makes the group's
+// outcome depend on operation order — a frame reused across operations, or
+// (for writes) a block written more than once — so the caller must serve
+// the group wave by wave.
+func (s *System) groupRefs(kind IOKind, p Portion, group [][]BlockIO) ([][]rangeRef, int) {
 	total := 0
-	for _, ios := range group {
-		if err := s.validate(p, ios); err != nil {
-			return nil, 0, err
-		}
-		total += len(ios)
-	}
 	perDisk := make([][]rangeRef, s.cfg.D)
 	frameSeen := make([]bool, s.cfg.Frames())
 	for _, ios := range group {
 		for _, io := range ios {
 			if frameSeen[io.Frame] {
-				return nil, 0, nil
+				return nil, 0
 			}
 			frameSeen[io.Frame] = true
 			perDisk[io.Disk] = append(perDisk[io.Disk], rangeRef{phys: s.physBlock(p, io.Block), frame: io.Frame})
+			total++
 		}
 	}
 	for _, refs := range perDisk {
 		sort.Slice(refs, func(i, j int) bool { return refs[i].phys < refs[j].phys })
-		if write {
+		if kind == IOWrite {
 			for i := 1; i < len(refs); i++ {
 				if refs[i].phys == refs[i-1].phys {
-					return nil, 0, nil
+					return nil, 0
 				}
 			}
 		}
 	}
-	return perDisk, total, nil
+	return perDisk, total
 }
 
 // groupRun is one coalesced multi-block run: the operations' refs in block
@@ -166,8 +163,8 @@ type groupRun struct {
 
 // buildRuns walks each disk's sorted refs and splits them into runs of
 // consecutive physical blocks. Multi-block runs are backed by disjoint
-// spans of slab and returned for the caller's gather/scatter copies;
-// single-block runs transfer directly against their buffer frame.
+// spans of slab and returned for copyRuns; single-block runs transfer
+// directly against their buffer frame.
 func buildRuns(perDisk [][]rangeRef, slab []Record, bs int, buf *Buffer) ([]RangeXfer, []groupRun) {
 	xfers := make([]RangeXfer, 0, len(perDisk))
 	var runs []groupRun
@@ -192,9 +189,25 @@ func buildRuns(perDisk [][]rangeRef, slab []Record, bs int, buf *Buffer) ([]Rang
 	return xfers, runs
 }
 
-// accountGroup counts and traces the group's operations in order, exactly
-// as the individual calls would, under one acquisition of the lock.
-func (s *System) accountGroup(kind IOKind, p Portion, group [][]BlockIO) {
+// copyRuns moves records between each multi-block run's scratch span and
+// the frames its blocks address: into the span before a write, out of it
+// after a read.
+func copyRuns(kind IOKind, runs []groupRun, bs int, buf *Buffer) {
+	for _, r := range runs {
+		for k, ref := range r.refs {
+			span, frame := r.data[k*bs:(k+1)*bs], buf.Frame(ref.frame)
+			if kind == IOWrite {
+				copy(span, frame)
+			} else {
+				copy(frame, span)
+			}
+		}
+	}
+}
+
+// account counts and traces the group's operations in order, exactly as
+// performing them one at a time would, under one acquisition of the lock.
+func (s *System) account(kind IOKind, p Portion, group [][]BlockIO) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, ios := range group {
@@ -213,26 +226,4 @@ func (s *System) accountGroup(kind IOKind, p Portion, group [][]BlockIO) {
 		}
 		s.notifyLocked(kind, p, ios)
 	}
-}
-
-// readGroupLoop is the one-at-a-time fallback (and the semantic reference)
-// for ParallelReadGroup.
-func (s *System) readGroupLoop(p Portion, group [][]BlockIO, buf *Buffer) error {
-	for _, ios := range group {
-		if err := s.ParallelReadInto(p, ios, buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeGroupLoop is the one-at-a-time fallback (and the semantic reference)
-// for ParallelWriteGroup.
-func (s *System) writeGroupLoop(p Portion, group [][]BlockIO, buf *Buffer) error {
-	for _, ios := range group {
-		if err := s.ParallelWriteFrom(p, ios, buf); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -3,14 +3,14 @@ package pdm
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
 
 // Wave-accounting regression suite: a fault in wave k of a grouped parallel
 // I/O must leave Stats equal to exactly the k completed waves — no
-// double-count from the failed batched attempt, no lost count from the
-// replay — on both the grouped (range-coalesced, then fallback-to-loop)
-// path and the plain one-at-a-time fallback path.
+// double-count from the failed coalesced attempt, no lost count from the
+// replay — whether the coalesced attempt or the replay's own wave faults.
 
 // chaosGroupCfg gives 4 waves of D=4 single-block ops per group.
 var chaosGroupCfg = Config{N: 512, D: 4, B: 4, M: 64}
@@ -37,7 +37,7 @@ func chaosGroup(cfg Config) [][]BlockIO {
 // operation afterwards belongs to the test's group.
 func newChaosGroupSystem(t *testing.T, be Backend, disarm func(), arm func()) *System {
 	t.Helper()
-	sys, err := NewSystemBackend(chaosGroupCfg, be)
+	sys, err := NewSystem(chaosGroupCfg, be)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,17 +79,19 @@ func assertWaves(t *testing.T, sys *System, trace *Trace, kind IOKind, k int) {
 	}
 }
 
-// TestChaosGroupFallbackWaveAccounting drives the one-at-a-time fallback
-// path (the backend hides its range support) with a fault landing in each
-// possible wave, reads and writes both.
+// TestChaosGroupFallbackWaveAccounting drives the wave-by-wave replay with
+// a fault landing in each possible wave, reads and writes both. A torn-range
+// adversary at rate 1 sits on top, so every group's first coalesced run
+// tears: its prefix moves through the flaky backend as op 0 and the group
+// replays wave by wave from op 1, whose one-block transfers never tear.
 func TestChaosGroupFallbackWaveAccounting(t *testing.T) {
 	waves := chaosGroupCfg.StripesPerMemoryload()
 	d := chaosGroupCfg.D
 	for _, kind := range []IOKind{IORead, IOWrite} {
 		for k := 0; k < waves; k++ {
-			fb := NewFlakyBackend(MemBackend(), FlakyOptions{FailAfterN: k*d + 1})
+			fb := NewFlakyBackend(MemBackend(), FlakyOptions{FailAfterN: k*d + 2})
 			fb.Disarm()
-			sys := newChaosGroupSystem(t, &blockOnlyBackend{inner: fb}, fb.Disarm, func() {
+			sys := newChaosGroupSystem(t, NewTornRangeBackend(fb, TornOptions{Rate: 1}), fb.Disarm, func() {
 				fb.Reset()
 				fb.Arm()
 			})
@@ -101,8 +103,8 @@ func TestChaosGroupFallbackWaveAccounting(t *testing.T) {
 			} else {
 				err = sys.ParallelWriteGroup(PortionA, group, nil)
 			}
-			if !errors.Is(err, ErrInjectedFault) {
-				t.Fatalf("%v fault in wave %d: want wrapped ErrInjectedFault, got %v", kind, k, err)
+			if !errors.Is(err, ErrInjectedFault) || strings.Contains(err.Error(), "torn") {
+				t.Fatalf("%v fault in wave %d: want the flaky backend's ErrInjectedFault, got %v", kind, k, err)
 			}
 			assertWaves(t, sys, trace, kind, k)
 		}
@@ -110,8 +112,8 @@ func TestChaosGroupFallbackWaveAccounting(t *testing.T) {
 }
 
 // TestChaosGroupGroupedWaveAccounting drives the grouped path: the
-// coalesced range transfer faults, the group degrades to the per-block
-// replay, and the replay's own fault leaves exactly its completed waves
+// coalesced range transfer faults, the group replays wave by wave, and
+// the replay's own fault leaves exactly its completed waves
 // counted. With FailAfterN and no recovery every replayed operation faults
 // too, so zero waves complete — the grouped attempt must not have counted
 // anything.

@@ -1,26 +1,25 @@
 package pdm
 
 import (
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 )
 
-// The grouped parallel-I/O path promises to be indistinguishable from the
-// one-at-a-time loop in everything the model can observe: records moved,
-// Stats, and the trace. These tests run both paths side by side over the RAM
-// and file backends and require exact agreement.
+// The grouped parallel-I/O path promises to be indistinguishable from
+// performing its waves one at a time, each a group of one, in everything the
+// model can observe: records moved, Stats, and the trace. These tests run
+// both side by side over the RAM and file backends and require exact
+// agreement.
 
 // newGroupSystem builds a system over the named backend, loads sequential
 // records into PortionA, and attaches a trace.
 func newGroupSystem(t *testing.T, backend string, cfg Config) (*System, *Trace) {
 	t.Helper()
-	factory := MemDiskFactory
+	be := MemBackend()
 	if backend == "file" {
-		factory = FileDiskFactory(t.TempDir())
+		be = FileBackend(t.TempDir())
 	}
-	sys, err := NewSystem(cfg, factory)
+	sys, err := NewSystem(cfg, be)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +71,7 @@ func TestParallelReadGroupMatchesLoop(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, ios := range group {
-					if err := sysL.ParallelReadInto(PortionA, ios, bufL); err != nil {
+					if err := sysL.ParallelReadGroup(PortionA, [][]BlockIO{ios}, bufL); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -106,7 +105,7 @@ func TestParallelWriteGroupMatchesLoop(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, ios := range group {
-					if err := sysL.ParallelWriteFrom(PortionA, ios, bufL); err != nil {
+					if err := sysL.ParallelWriteGroup(PortionA, [][]BlockIO{ios}, bufL); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -150,7 +149,7 @@ func TestParallelReadGroupDuplicateFrameFallsBack(t *testing.T) {
 	// The reference: frame 0 holds block 2 of disk 0, read on its own.
 	ref, _ := newGroupSystem(t, "mem", cfg)
 	want := ref.AcquireBuffer()
-	if err := ref.ParallelReadInto(PortionA, []BlockIO{{Disk: 0, Block: 2, Frame: 0}}, want); err != nil {
+	if err := ref.ParallelReadGroup(PortionA, [][]BlockIO{{{Disk: 0, Block: 2, Frame: 0}}}, want); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(buf.Frame(0), want.Frame(0)) {
@@ -178,7 +177,7 @@ func TestParallelWriteGroupDuplicateBlockFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := sys.AcquireBuffer()
-	if err := sys.ParallelReadInto(PortionA, []BlockIO{{Disk: 1, Block: 3, Frame: 0}}, got); err != nil {
+	if err := sys.ParallelReadGroup(PortionA, [][]BlockIO{{{Disk: 1, Block: 3, Frame: 0}}}, got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got.Frame(0), buf.Frame(1)) {
@@ -189,137 +188,98 @@ func TestParallelWriteGroupDuplicateBlockFallsBack(t *testing.T) {
 	}
 }
 
-// TestBlockRangeBounds: both BlockRangeIO implementations reject ranges that
-// are empty, misaligned, or out of bounds, on reads and writes alike.
-func TestBlockRangeBounds(t *testing.T) {
-	const nb, bs = 4, 8
-	fd, err := NewFileDisk(filepath.Join(t.TempDir(), "d.dat"), nb, bs)
-	if err != nil {
-		t.Fatal(err)
+// fuzzGroup decodes data into a valid group for cfg: up to 16 waves, each
+// on a rotating set of 1..D disks with distinct frames. Per disk, a block
+// repeats the disk's previous block, extends a run, or jumps past a gap,
+// and frames are free to recur across waves — every shape the coalescer
+// must either merge or hand to the wave-by-wave replay.
+func fuzzGroup(cfg Config, data []byte) [][]BlockIO {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
 	}
-	t.Cleanup(func() { fd.Close() })
-	disks := map[string]BlockRangeIO{"mem": NewMemDisk(nb, bs), "file": fd}
-	cases := []struct {
-		name   string
-		block0 int
-		recs   int
-	}{
-		{"negative block", -1, bs},
-		{"empty range", 0, 0},
-		{"misaligned range", 0, bs + 1},
-		{"past the end", 3, 2 * bs},
-	}
-	for name, d := range disks {
-		for _, c := range cases {
-			buf := make([]Record, c.recs)
-			if err := d.ReadBlockRange(c.block0, buf); err == nil {
-				t.Errorf("%s: ReadBlockRange accepted %s", name, c.name)
+	last := make([]int, cfg.D)
+	group := make([][]BlockIO, 1+next()%16)
+	for w := range group {
+		h := next()
+		n, first := 1+h%cfg.D, h/cfg.D%cfg.D
+		used := make([]bool, cfg.Frames())
+		for i := 0; i < n; i++ {
+			disk, step := (first+i)%cfg.D, next()
+			switch step % 4 {
+			case 0: // the disk's previous block again
+			case 1:
+				last[disk]++ // extend a run
+			default:
+				last[disk] += 2 + step/4 // skip a gap
 			}
-			if err := d.WriteBlockRange(c.block0, buf); err == nil {
-				t.Errorf("%s: WriteBlockRange accepted %s", name, c.name)
+			last[disk] %= cfg.BlocksPerDisk()
+			f := next() % cfg.Frames()
+			for used[f] {
+				f = (f + 1) % cfg.Frames()
 			}
+			used[f] = true
+			group[w] = append(group[w], BlockIO{Disk: disk, Block: last[disk], Frame: f})
 		}
 	}
+	return group
 }
 
-// TestFileDiskMmapMatchesPread pins the mapped fast path against the
-// pread/pwrite reference: the same writes must leave byte-identical files,
-// and each path must read back what the other wrote.
-func TestFileDiskMmapMatchesPread(t *testing.T) {
-	if !canMmapDisks || !RecordSlabViews {
-		t.Skip("no mapped fast path on this host")
-	}
-	const nb, bs = 6, 8
-	payload := func(blk int) []Record {
-		recs := make([]Record, bs)
-		for i := range recs {
-			recs[i] = MakeRecord(uint64(blk*1000 + i))
+// FuzzParallelGroupMatchesLoop: for any valid group, running it as one
+// group and running it wave by wave leave identical records in both
+// portions and in the buffer, identical Stats, and identical traces.
+func FuzzParallelGroupMatchesLoop(f *testing.F) {
+	cfg := testConfig()
+	f.Fuzz(func(t *testing.T, data []byte, write, file bool) {
+		group := fuzzGroup(cfg, data)
+		backend := "mem"
+		if file {
+			backend = "file"
 		}
-		return recs
-	}
-	writeAll := func(t *testing.T, path string) {
-		t.Helper()
-		d, err := NewFileDisk(path, nb, bs)
-		if err != nil {
+		sysG, trG := newGroupSystem(t, backend, cfg)
+		sysL, trL := newGroupSystem(t, backend, cfg)
+		bufG, bufL := sysG.AcquireBuffer(), sysL.AcquireBuffer()
+		for i := range bufG.Records() {
+			bufG.Records()[i] = MakeRecord(uint64(300000 + i))
+			bufL.Records()[i] = MakeRecord(uint64(300000 + i))
+		}
+		run := (*System).ParallelReadGroup
+		if write {
+			run = (*System).ParallelWriteGroup
+		}
+		if err := run(sysG, PortionA, group, bufG); err != nil {
 			t.Fatal(err)
 		}
-		// Mix the single-block and range entry points.
-		for blk := 0; blk < 3; blk++ {
-			if err := d.WriteBlock(blk, payload(blk)); err != nil {
+		for w := range group {
+			if err := run(sysL, PortionA, group[w:w+1], bufL); err != nil {
 				t.Fatal(err)
 			}
 		}
-		run := append(append(append([]Record{}, payload(3)...), payload(4)...), payload(5)...)
-		if err := d.WriteBlockRange(3, run); err != nil {
-			t.Fatal(err)
+		if !reflect.DeepEqual(bufG.Records(), bufL.Records()) {
+			t.Error("buffers diverge")
 		}
-		if err := d.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	readAll := func(t *testing.T, path string, wantMapped bool) {
-		t.Helper()
-		d, err := NewFileDisk(path, nb, bs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer d.Close()
-		if mapped := d.raw != nil; mapped != wantMapped {
-			t.Fatalf("mapped = %v, want %v", mapped, wantMapped)
-		}
-		if _, ok := d.BlockView(0); ok != wantMapped {
-			t.Errorf("BlockView availability = %v, want %v", ok, wantMapped)
-		}
-		for blk := 0; blk < nb; blk++ {
-			got := make([]Record, bs)
-			if err := d.ReadBlock(blk, got); err != nil {
+		for _, p := range []Portion{PortionA, PortionB} {
+			recsG, err := sysG.DumpRecords(p)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, payload(blk)) {
-				t.Errorf("block %d read back wrong records", blk)
+			recsL, err := sysL.DumpRecords(p)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if view, ok := d.BlockView(blk); ok && !reflect.DeepEqual(view, payload(blk)) {
-				t.Errorf("block %d view holds wrong records", blk)
-			}
-		}
-		run := make([]Record, 3*bs)
-		if err := d.ReadBlockRange(2, run); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 3; i++ {
-			if !reflect.DeepEqual(run[i*bs:(i+1)*bs], payload(2+i)) {
-				t.Errorf("range read block %d wrong", 2+i)
+			if !reflect.DeepEqual(recsG, recsL) {
+				t.Errorf("portion %d records diverge", p)
 			}
 		}
-	}
-
-	defer func(old bool) { fileDiskMmap = old }(fileDiskMmap)
-	dir := t.TempDir()
-	mapped, pread := filepath.Join(dir, "mapped.dat"), filepath.Join(dir, "pread.dat")
-
-	fileDiskMmap = true
-	writeAll(t, mapped)
-	fileDiskMmap = false
-	writeAll(t, pread)
-
-	a, err := os.ReadFile(mapped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(pread)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("mapped and pread paths wrote different file bytes")
-	}
-
-	// Cross-read: each path reads what the other wrote.
-	fileDiskMmap = true
-	readAll(t, pread, true)
-	fileDiskMmap = false
-	readAll(t, mapped, false)
+		if g, l := sysG.Stats(), sysL.Stats(); !reflect.DeepEqual(g, l) {
+			t.Errorf("stats diverge: grouped %+v, wave by wave %+v", g, l)
+		}
+		if !reflect.DeepEqual(trG.Entries, trL.Entries) {
+			t.Errorf("traces diverge:\ngrouped:\n%s\nwave by wave:\n%s", trG, trL)
+		}
+	})
 }

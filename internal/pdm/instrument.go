@@ -3,16 +3,15 @@ package pdm
 import "time"
 
 // OpSample describes one timed backend call: the operation shape plus its
-// wall-clock duration. For block batches every transfer is one block and
-// Runs == Blocks; for range batches Runs counts the coalesced runs the
-// grouped-I/O path issued. PerDisk holds, for each disk touched, the
-// number of blocks moved on that disk (used for per-disk latency labels —
-// the whole batch shares one duration because the backend services its
-// transfers as a unit).
+// wall-clock duration. Runs counts the call's transfers and Blocks the
+// blocks they moved; PerDisk holds, for each disk touched, the number of
+// blocks moved on that disk (used for per-disk latency labels — the whole
+// batch shares one duration because the backend services its transfers as
+// a unit).
 type OpSample struct {
-	Op      string // "read" | "write" | "range_read" | "range_write"
+	Op      string // "read" | "write"
 	Blocks  int    // total blocks moved
-	Runs    int    // transfers issued (coalesced runs for range ops)
+	Runs    int    // transfers issued
 	PerDisk map[int]int
 	Start   time.Time
 	Dur     time.Duration
@@ -26,27 +25,23 @@ func (s OpSample) End() time.Time { return s.Start.Add(s.Dur) }
 // not call back into the backend.
 type OpObserver func(OpSample)
 
-// InstrumentBackend wraps be so every Backend (and, when be supports it,
-// RangeBackend) call is timed and reported to obs. The wrapper preserves
-// the inner backend's optional capabilities: it implements RangeBackend,
-// BlockViewer, and SetConcurrent only by delegation, and the range
-// variant is returned only when the inner backend has one — mirroring how
-// chaos wrappers keep the grouped-I/O path conditional.
+// InstrumentBackend wraps be so every successful ReadBlocks and
+// WriteBlocks call is timed and reported to obs. A System with concurrent
+// dispatch on calls its backend once per transfer, so each sample then
+// covers a single run. The wrapper forwards BlockView to the inner
+// backend, so copy-free dumps survive instrumentation (view access is not
+// a counted operation and is deliberately untimed).
 func InstrumentBackend(be Backend, obs OpObserver) Backend {
 	if obs == nil {
 		return be
 	}
-	in := &instrumented{be: be, obs: obs}
-	if rb, ok := be.(RangeBackend); ok {
-		return &instrumentedRange{instrumented: in, rb: rb}
-	}
-	return in
+	return &instrumented{be: be, obs: obs}
 }
 
 type instrumented struct {
 	be  Backend
 	obs OpObserver
-	bs  int // block size, captured at Open for range block accounting
+	bs  int // block size, captured at Open for block accounting
 }
 
 func (i *instrumented) Open(numDisks, numBlocks, blockSize int) error {
@@ -57,15 +52,6 @@ func (i *instrumented) Open(numDisks, numBlocks, blockSize int) error {
 func (i *instrumented) Sync() error  { return i.be.Sync() }
 func (i *instrumented) Close() error { return i.be.Close() }
 
-// SetConcurrent forwards when the inner backend supports it.
-func (i *instrumented) SetConcurrent(on bool) {
-	if cs, ok := i.be.(concurrentSetter); ok {
-		cs.SetConcurrent(on)
-	}
-}
-
-// BlockView delegates so the zero-copy dump path survives instrumentation
-// (view access is not a counted operation and is deliberately untimed).
 func (i *instrumented) BlockView(disk, block int) ([]Record, bool) {
 	if v, ok := i.be.(BlockViewer); ok {
 		return v.BlockView(disk, block)
@@ -73,64 +59,28 @@ func (i *instrumented) BlockView(disk, block int) ([]Record, bool) {
 	return nil, false
 }
 
-func (i *instrumented) ReadBlocks(xfers []BlockXfer) error {
+func (i *instrumented) ReadBlocks(xfers []RangeXfer) error {
 	start := time.Now()
 	err := i.be.ReadBlocks(xfers)
 	if err == nil {
-		i.obs(blockSample("read", xfers, start))
+		i.obs(i.sample("read", xfers, start))
 	}
 	return err
 }
 
-func (i *instrumented) WriteBlocks(xfers []BlockXfer) error {
+func (i *instrumented) WriteBlocks(xfers []RangeXfer) error {
 	start := time.Now()
 	err := i.be.WriteBlocks(xfers)
 	if err == nil {
-		i.obs(blockSample("write", xfers, start))
+		i.obs(i.sample("write", xfers, start))
 	}
 	return err
 }
 
-type instrumentedRange struct {
-	*instrumented
-	rb RangeBackend
-}
-
-func (i *instrumentedRange) ReadBlockRanges(xfers []RangeXfer) error {
-	start := time.Now()
-	err := i.rb.ReadBlockRanges(xfers)
-	if err == nil {
-		i.obs(rangeSample("range_read", xfers, i.bs, start))
-	}
-	return err
-}
-
-func (i *instrumentedRange) WriteBlockRanges(xfers []RangeXfer) error {
-	start := time.Now()
-	err := i.rb.WriteBlockRanges(xfers)
-	if err == nil {
-		i.obs(rangeSample("range_write", xfers, i.bs, start))
-	}
-	return err
-}
-
-func blockSample(op string, xfers []BlockXfer, start time.Time) OpSample {
+func (i *instrumented) sample(op string, xfers []RangeXfer, start time.Time) OpSample {
 	s := OpSample{Op: op, Runs: len(xfers), PerDisk: make(map[int]int, len(xfers)), Start: start}
 	for _, x := range xfers {
-		s.Blocks++
-		s.PerDisk[x.Disk]++
-	}
-	s.Dur = time.Since(start)
-	return s
-}
-
-func rangeSample(op string, xfers []RangeXfer, blockSize int, start time.Time) OpSample {
-	s := OpSample{Op: op, Runs: len(xfers), PerDisk: make(map[int]int, len(xfers)), Start: start}
-	for _, x := range xfers {
-		n := 1
-		if blockSize > 0 {
-			n = len(x.Data) / blockSize
-		}
+		n := len(x.Data) / i.bs
 		s.Blocks += n
 		s.PerDisk[x.Disk] += n
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 // TestInstrumentBackendSamples checks the wrapper times every call with
-// exact block accounting and preserves the inner backend's capabilities.
+// exact block and run accounting and keeps the inner backend's block views.
 func TestInstrumentBackendSamples(t *testing.T) {
 	var mu sync.Mutex
 	var samples []OpSample
@@ -16,9 +16,6 @@ func TestInstrumentBackendSamples(t *testing.T) {
 		mu.Unlock()
 	})
 
-	if _, ok := be.(RangeBackend); !ok {
-		t.Fatal("instrumented mem backend lost RangeBackend")
-	}
 	if _, ok := be.(BlockViewer); !ok {
 		t.Fatal("instrumented mem backend lost BlockViewer")
 	}
@@ -30,14 +27,14 @@ func TestInstrumentBackendSamples(t *testing.T) {
 	defer be.Close()
 
 	buf := make([]Record, 2*bs)
-	if err := be.WriteBlocks([]BlockXfer{
+	if err := be.WriteBlocks([]RangeXfer{
 		{Disk: 0, Block: 0, Data: buf[:bs]},
 		{Disk: 1, Block: 3, Data: buf[bs:]},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	rbuf := make([]Record, 3*bs)
-	if err := be.(RangeBackend).ReadBlockRanges([]RangeXfer{
+	if err := be.ReadBlocks([]RangeXfer{
 		{Disk: 0, Block: 0, Data: rbuf[:2*bs]},
 		{Disk: 1, Block: 3, Data: rbuf[2*bs:]},
 	}); err != nil {
@@ -54,8 +51,8 @@ func TestInstrumentBackendSamples(t *testing.T) {
 		t.Fatalf("write sample: %+v", w)
 	}
 	r := samples[1]
-	if r.Op != "range_read" || r.Blocks != 3 || r.Runs != 2 || r.PerDisk[0] != 2 || r.PerDisk[1] != 1 {
-		t.Fatalf("range read sample: %+v", r)
+	if r.Op != "read" || r.Blocks != 3 || r.Runs != 2 || r.PerDisk[0] != 2 || r.PerDisk[1] != 1 {
+		t.Fatalf("run read sample: %+v", r)
 	}
 	if r.Dur < 0 || r.End().Before(r.Start) {
 		t.Fatalf("nonsensical timing: %+v", r)

@@ -21,7 +21,7 @@ func driveDistSchedule(t *testing.T, seed int64, dist LatencyDist) []time.Durati
 	got := make([]Record, chaosBS)
 	for disk := 0; disk < chaosDisks; disk++ {
 		for block := 0; block < chaosBlocks; block++ {
-			if err := lb.ReadBlocks([]BlockXfer{{Disk: disk, Block: block, Data: got}}); err != nil {
+			if err := lb.ReadBlocks([]RangeXfer{{Disk: disk, Block: block, Data: got}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -130,7 +130,7 @@ func TestChaosLatencyDistConstantUnchanged(t *testing.T) {
 	chaosFill(t, lb)
 	lb.Arm()
 	got := make([]Record, chaosBS)
-	if err := lb.ReadBlocks([]BlockXfer{{Disk: 0, Block: 0, Data: got}}); err != nil {
+	if err := lb.ReadBlocks([]RangeXfer{{Disk: 0, Block: 0, Data: got}}); err != nil {
 		t.Fatal(err)
 	}
 	ops := log.Ops()

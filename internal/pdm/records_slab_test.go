@@ -18,9 +18,9 @@ func randomRecords(rng *rand.Rand, n int) []Record {
 
 // TestRecordsToBytesMatchesEncode pins the slab view to the wire format:
 // whatever RecordsToBytes returns must be byte-identical to encoding each
-// record with Record.Encode. This is the contract that lets FileDisk write
-// slabs directly and stay compatible with files written by the portable
-// per-record path (and by earlier releases).
+// record with Record.Encode. This is the contract that lets the file
+// backend write slabs directly and stay compatible with files written by
+// the portable per-record path (and by earlier releases).
 func TestRecordsToBytesMatchesEncode(t *testing.T) {
 	rng := rand.New(rand.NewSource(510))
 	for _, n := range []int{0, 1, 2, 7, 64, 1000} {

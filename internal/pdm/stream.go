@@ -28,8 +28,8 @@ func (s *System) chunkStripes() int {
 // disks — and it is the bulk path under Dataset.Load and every bmmcd
 // upload: the stream is read chunk-wise into a pooled record arena (on
 // little-endian hosts the bytes land in the records with no per-record
-// decode) and committed to the backend a whole stripe per WriteBlocks
-// call, with the transfer slices aliasing the arena.
+// decode) and committed to the backend a whole stripe per batch, with the
+// transfer slices aliasing the arena.
 //
 // The reader is consumed exactly N*RecordBytes bytes; fewer is an error
 // (io.ErrUnexpectedEOF). ctx cancellation and short reads abort before
@@ -53,18 +53,10 @@ func (s *System) LoadFrom(ctx context.Context, p Portion, r io.Reader) (int64, e
 	// The full stream arrived; commit it stripe-wise. Transfer slices
 	// alias the arena, so the backend copies each block exactly once (and
 	// file backends write the slab bytes as-is).
-	stripeRecs := cfg.B * cfg.D
-	xs := make([]BlockXfer, cfg.D)
+	xs := make([]RangeXfer, cfg.D)
 	for stripe := 0; stripe < cfg.Stripes(); stripe++ {
-		base := stripe * stripeRecs
-		for disk := 0; disk < cfg.D; disk++ {
-			xs[disk] = BlockXfer{
-				Disk:  disk,
-				Block: s.physBlock(p, stripe),
-				Data:  slab[base+disk*cfg.B : base+(disk+1)*cfg.B],
-			}
-		}
-		if err := s.be.WriteBlocks(xs); err != nil {
+		s.stripeXfers(xs, p, stripe, slab)
+		if err := s.transfer(IOWrite, xs); err != nil {
 			return read, err
 		}
 	}
@@ -85,7 +77,7 @@ func (s *System) DumpTo(ctx context.Context, p Portion, w io.Writer) (int64, err
 	slab := AcquireSlab(cs * stripeRecs)
 	defer ReleaseSlab(slab)
 	viewer, _ := s.be.(BlockViewer)
-	xs := make([]BlockXfer, 0, cfg.D)
+	xs := make([]RangeXfer, 0, cfg.D)
 	var written int64
 	for stripe0 := 0; stripe0 < cfg.Stripes(); stripe0 += cs {
 		if err := ctx.Err(); err != nil {
@@ -103,10 +95,10 @@ func (s *System) DumpTo(ctx context.Context, p Portion, w io.Writer) (int64, err
 						continue
 					}
 				}
-				xs = append(xs, BlockXfer{Disk: disk, Block: s.physBlock(p, stripe0+sw), Data: dst})
+				xs = append(xs, RangeXfer{Disk: disk, Block: s.physBlock(p, stripe0+sw), Data: dst})
 			}
 			if len(xs) > 0 {
-				if err := s.be.ReadBlocks(xs); err != nil {
+				if err := s.transfer(IORead, xs); err != nil {
 					return written, err
 				}
 			}

@@ -20,7 +20,7 @@ func benchWire(cfg Config) []byte {
 }
 
 func BenchmarkLoadFromMem(b *testing.B) {
-	sys := benchSystem(b, MemDiskFactory)
+	sys := benchSystem(b, MemBackend())
 	wire := benchWire(sys.Config())
 	b.SetBytes(int64(len(wire)))
 	b.ResetTimer()
@@ -32,7 +32,7 @@ func BenchmarkLoadFromMem(b *testing.B) {
 }
 
 func BenchmarkLoadFromFile(b *testing.B) {
-	sys := benchSystem(b, FileDiskFactory(b.TempDir()))
+	sys := benchSystem(b, FileBackend(b.TempDir()))
 	wire := benchWire(sys.Config())
 	b.SetBytes(int64(len(wire)))
 	b.ResetTimer()
@@ -44,7 +44,7 @@ func BenchmarkLoadFromFile(b *testing.B) {
 }
 
 func BenchmarkDumpToMem(b *testing.B) {
-	sys := benchSystem(b, MemDiskFactory)
+	sys := benchSystem(b, MemBackend())
 	b.SetBytes(int64(sys.Config().N) * RecordBytes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -55,7 +55,7 @@ func BenchmarkDumpToMem(b *testing.B) {
 }
 
 func BenchmarkDumpToFile(b *testing.B) {
-	sys := benchSystem(b, FileDiskFactory(b.TempDir()))
+	sys := benchSystem(b, FileBackend(b.TempDir()))
 	b.SetBytes(int64(sys.Config().N) * RecordBytes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -6,8 +6,6 @@ import (
 	"errors"
 	"io"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -26,7 +24,7 @@ func TestLoadFromDumpToRoundTrip(t *testing.T) {
 		"mem":  MemBackend(),
 		"file": FileBackend(t.TempDir()),
 	} {
-		s, err := NewSystemBackend(cfg, be)
+		s, err := NewSystem(cfg, be)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,76 +132,5 @@ func TestDumpToCanceled(t *testing.T) {
 	cancel()
 	if _, err := s.DumpTo(ctx, PortionA, io.Discard); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled DumpTo error = %v, want context.Canceled", err)
-	}
-}
-
-// TestFileDiskWireFormat pins the on-disk bytes of the file backend: a
-// block written through WriteBlock must appear in the file as the
-// per-record Encode sequence, whichever record path (slab view or portable
-// copy) the build uses. A change here would silently break files written
-// by other builds or earlier releases.
-func TestFileDiskWireFormat(t *testing.T) {
-	dir := t.TempDir()
-	const blocks, bsize = 4, 8
-	d, err := NewFileDisk(filepath.Join(dir, "d0.blk"), blocks, bsize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(521))
-	recs := randomRecords(rng, bsize)
-	if err := d.WriteBlock(2, recs); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, "d0.blk"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]byte, bsize*RecordBytes)
-	for i, r := range recs {
-		r.Encode(want[i*RecordBytes:])
-	}
-	off := 2 * bsize * RecordBytes
-	if !bytes.Equal(raw[off:off+len(want)], want) {
-		t.Fatal("file bytes diverge from per-record Encode wire format")
-	}
-	got := make([]Record, bsize)
-	if err := d.ReadBlock(2, got); err != nil {
-		t.Fatal(err)
-	}
-	for i := range recs {
-		if got[i] != recs[i] {
-			t.Fatalf("ReadBlock diverges at %d", i)
-		}
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestMemDiskBlockView: the copy-free view aliases the stored block and
-// rejects out-of-range block numbers.
-func TestMemDiskBlockView(t *testing.T) {
-	d := NewMemDisk(2, 4)
-	recs := sequentialRecords(4)
-	if err := d.WriteBlock(1, recs); err != nil {
-		t.Fatal(err)
-	}
-	v, ok := d.BlockView(1)
-	if !ok || len(v) != 4 {
-		t.Fatalf("BlockView(1) = (%d records, %v)", len(v), ok)
-	}
-	for i := range recs {
-		if v[i] != recs[i] {
-			t.Fatalf("view diverges at %d", i)
-		}
-	}
-	if _, ok := d.BlockView(2); ok {
-		t.Fatal("BlockView accepted an out-of-range block")
-	}
-	if _, ok := d.BlockView(-1); ok {
-		t.Fatal("BlockView accepted a negative block")
 	}
 }

@@ -19,9 +19,6 @@ const (
 	PortionB Portion = 1
 )
 
-// DiskFactory constructs the backing store for one simulated disk.
-type DiskFactory func(disk, numBlocks, blockSize int) (Disk, error)
-
 // BlockIO names one block transfer within a parallel I/O: the block at
 // position Block on disk Disk (relative to a portion) moves to or from
 // memory frame Frame.
@@ -54,22 +51,16 @@ type System struct {
 	source   Portion
 	observer Observer // optional per-operation trace hook
 
+	concurrent bool // dispatch a batch's transfers on one goroutine each
+
 	mu    sync.Mutex   // guards stats and observer across overlapping operations
 	runMu sync.RWMutex // dataset lock: writers are runs, readers are dumps
 }
 
-// NewSystem builds a System over the given configuration. factory is called
-// once per disk; pass MemDiskFactory for RAM-backed simulation or
-// FileDiskFactory(dir) for file-backed disks. It is shorthand for
-// NewSystemBackend with the disk-array backend over factory.
-func NewSystem(cfg Config, factory DiskFactory) (*System, error) {
-	return NewSystemBackend(cfg, NewDiskBackend(factory))
-}
-
-// NewSystemBackend builds a System whose block storage is the given
-// Backend. The backend is opened here (D disks, 2N/BD blocks each) and
-// owned by the System from then on: Close closes it.
-func NewSystemBackend(cfg Config, be Backend) (*System, error) {
+// NewSystem builds a System whose block storage is the given Backend. The
+// backend is opened here (D disks, 2N/BD blocks each) and owned by the
+// System from then on: Close closes it.
+func NewSystem(cfg Config, be Backend) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -90,8 +81,51 @@ func NewSystemBackend(cfg Config, be Backend) (*System, error) {
 	return s, nil
 }
 
-// NewMemSystem is shorthand for NewSystem(cfg, MemDiskFactory).
-func NewMemSystem(cfg Config) (*System, error) { return NewSystem(cfg, MemDiskFactory) }
+// NewMemSystem is shorthand for NewSystem(cfg, MemBackend()).
+func NewMemSystem(cfg Config) (*System, error) { return NewSystem(cfg, MemBackend()) }
+
+// SetConcurrent switches between sequential and concurrent dispatch of the
+// transfers inside one backend batch. Call it before the System's first
+// transfer. The model semantics and the I/O counts are identical either
+// way — a batch's transfers share no memory and never write one block
+// twice, so they commute — but concurrent dispatch moves every transfer on
+// its own goroutine, letting file-backed disks overlap real storage
+// latency the way D physical spindles would.
+func (s *System) SetConcurrent(on bool) { s.concurrent = on }
+
+// transfer hands one batch to the backend; every backend call the System
+// makes goes through it. Sequential dispatch moves the whole batch in one
+// call. Concurrent dispatch moves each transfer on its own goroutine —
+// several runs on one disk included — and returns the first error in
+// batch order.
+func (s *System) transfer(kind IOKind, xfers []RangeXfer) error {
+	if !s.concurrent || len(xfers) == 1 {
+		return s.move(kind, xfers)
+	}
+	errs := make([]error, len(xfers))
+	var wg sync.WaitGroup
+	for i := range xfers {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = s.move(kind, xfers[i:i+1])
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (s *System) move(kind IOKind, xfers []RangeXfer) error {
+	if kind == IORead {
+		return s.be.ReadBlocks(xfers)
+	}
+	return s.be.WriteBlocks(xfers)
+}
 
 // Close closes the storage backend. The System must not be used afterwards.
 func (s *System) Close() error { return s.be.Close() }
@@ -207,13 +241,13 @@ func (s *System) physBlock(p Portion, block int) int {
 // per disk) is copied from portion p into its memory frame. It counts as
 // exactly one parallel I/O regardless of how many disks participate.
 func (s *System) ParallelRead(p Portion, ios []BlockIO) error {
-	return s.ParallelReadInto(p, ios, s.memBuf)
+	return s.parallelIO(IORead, p, [][]BlockIO{ios}, s.memBuf)
 }
 
 // ParallelWrite performs one parallel write: every listed memory frame is
 // copied to its block (at most one per disk) in portion p. One parallel I/O.
 func (s *System) ParallelWrite(p Portion, ios []BlockIO) error {
-	return s.ParallelWriteFrom(p, ios, s.memBuf)
+	return s.parallelIO(IOWrite, p, [][]BlockIO{ios}, s.memBuf)
 }
 
 // ReadStripe reads stripe `stripe` of portion p — one block from every disk
@@ -239,6 +273,17 @@ func (s *System) WriteStripe(p Portion, stripe, frame0 int) error {
 // The helpers below bypass the I/O accounting. They exist for test setup and
 // post-run verification only — algorithms must never call them.
 
+// stripeXfers points xs at stripe `stripe` of portion p, one block per disk,
+// with the transfer slices aliasing the stripe's records in recs, laid out
+// in address order: within a stripe that is exactly D consecutive blocks,
+// so nothing is staged through a scratch block.
+func (s *System) stripeXfers(xs []RangeXfer, p Portion, stripe int, recs []Record) {
+	for disk := range xs {
+		base := s.cfg.Addr(stripe, disk, 0)
+		xs[disk] = RangeXfer{Disk: disk, Block: s.physBlock(p, stripe), Data: recs[base : base+uint64(s.cfg.B)]}
+	}
+}
+
 // LoadRecords fills portion p with the given N records laid out per
 // Figure 1 (striped, record index varying fastest within a block). Not
 // counted as I/O. As with DumpRecords, p names a fixed physical portion:
@@ -247,17 +292,10 @@ func (s *System) LoadRecords(p Portion, records []Record) error {
 	if len(records) != s.cfg.N {
 		return fmt.Errorf("pdm: LoadRecords got %d records, want N = %d", len(records), s.cfg.N)
 	}
-	// Hand the backend one whole stripe per call, with the transfer
-	// slices aliasing the caller's records — address order within a
-	// stripe is exactly D consecutive blocks, one per disk, so nothing
-	// needs staging through a scratch block.
-	xs := make([]BlockXfer, s.cfg.D)
+	xs := make([]RangeXfer, s.cfg.D)
 	for stripe := 0; stripe < s.cfg.Stripes(); stripe++ {
-		for disk := 0; disk < s.cfg.D; disk++ {
-			base := s.cfg.Addr(stripe, disk, 0)
-			xs[disk] = BlockXfer{Disk: disk, Block: s.physBlock(p, stripe), Data: records[base : base+uint64(s.cfg.B)]}
-		}
-		if err := s.be.WriteBlocks(xs); err != nil {
+		s.stripeXfers(xs, p, stripe, records)
+		if err := s.transfer(IOWrite, xs); err != nil {
 			return err
 		}
 	}
@@ -272,13 +310,10 @@ func (s *System) LoadRecords(p Portion, records []Record) error {
 // portion holding the output of the most recent pass.
 func (s *System) DumpRecords(p Portion) ([]Record, error) {
 	out := make([]Record, s.cfg.N)
-	xs := make([]BlockXfer, s.cfg.D)
+	xs := make([]RangeXfer, s.cfg.D)
 	for stripe := 0; stripe < s.cfg.Stripes(); stripe++ {
-		for disk := 0; disk < s.cfg.D; disk++ {
-			base := s.cfg.Addr(stripe, disk, 0)
-			xs[disk] = BlockXfer{Disk: disk, Block: s.physBlock(p, stripe), Data: out[base : base+uint64(s.cfg.B)]}
-		}
-		if err := s.be.ReadBlocks(xs); err != nil {
+		s.stripeXfers(xs, p, stripe, out)
+		if err := s.transfer(IORead, xs); err != nil {
 			return nil, err
 		}
 	}
@@ -298,8 +333,7 @@ func (s *System) RecordAt(p Portion, x uint64) (Record, error) {
 	}
 	buf := AcquireSlab(s.cfg.B)
 	defer ReleaseSlab(buf)
-	xf := []BlockXfer{{Disk: disk, Block: block, Data: buf}}
-	if err := s.be.ReadBlocks(xf); err != nil {
+	if err := s.transfer(IORead, []RangeXfer{{Disk: disk, Block: block, Data: buf}}); err != nil {
 		return Record{}, err
 	}
 	return buf[s.cfg.Offset(x)], nil

@@ -206,7 +206,7 @@ func TestPerDiskCounters(t *testing.T) {
 func TestFileDiskMatchesMemDisk(t *testing.T) {
 	cfg := Config{N: 1 << 8, D: 2, B: 4, M: 1 << 5}
 	dir := t.TempDir()
-	fs, err := NewSystem(cfg, FileDiskFactory(dir))
+	fs, err := NewSystem(cfg, FileBackend(dir))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,11 @@
 // Package rawbackend pins the I/O-accounting integrity invariant: every
 // block transfer must route through pdm.System (which validates the
 // one-block-per-disk discipline and counts the parallel I/O) or through
-// pdm.InstrumentBackend. A raw Backend.ReadBlocks/WriteBlocks or
-// RangeBackend.ReadBlockRanges/WriteBlockRanges call anywhere else moves
-// records the model never counts — and from that moment the Theorem 3/21
-// bounds comparisons exported on /metrics silently lie.
+// pdm.InstrumentBackend. A raw Backend.ReadBlocks/WriteBlocks anywhere
+// else — called directly, or taken as a method value or method expression
+// and called later — moves records the model never counts, and from that
+// moment the Theorem 3/21 bounds comparisons exported on /metrics silently
+// lie.
 //
 // The backend conformance harness (repro/backendtest) is the one
 // principled exception: its whole purpose is to exercise Backend
@@ -23,9 +24,9 @@ import (
 
 const doc = `forbid raw Backend transfer calls outside the accounting layer
 
-ReadBlocks/WriteBlocks/ReadBlockRanges/WriteBlockRanges move records the
-cost model must count; only pdm.System and pdm.InstrumentBackend may call
-them. Everything else goes through the System so /metrics stays honest.`
+ReadBlocks/WriteBlocks move records the cost model must count; only
+pdm.System and pdm.InstrumentBackend may call them or take them as method
+values. Everything else goes through the System so /metrics stays honest.`
 
 var Analyzer = &analysis.Analyzer{
 	Name: "rawbackend",
@@ -47,11 +48,8 @@ func init() {
 		"comma-separated anchored regexps of packages allowed to call transfer methods directly")
 }
 
-// xferMethods are the Backend/RangeBackend methods that move records.
-var xferMethods = map[string]bool{
-	"ReadBlocks": true, "WriteBlocks": true,
-	"ReadBlockRanges": true, "WriteBlockRanges": true,
-}
+// xferMethods are the Backend methods that move records.
+var xferMethods = map[string]bool{"ReadBlocks": true, "WriteBlocks": true}
 
 func run(pass *analysis.Pass) (any, error) {
 	if lintutil.PathMatches(pass.Pkg.Path(), allowpkgs) {
@@ -59,17 +57,16 @@ func run(pass *analysis.Pass) (any, error) {
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
+			// Any selection of a transfer method counts, called or not: a
+			// method value or method expression moves the same records once
+			// its holder calls it.
+			sel, ok := n.(*ast.SelectorExpr)
 			if !ok || !xferMethods[sel.Sel.Name] {
 				return true
 			}
 			selection, ok := pass.TypesInfo.Selections[sel]
 			if !ok {
-				return true // package-qualified call, not a method
+				return true // package-qualified identifier, not a method
 			}
 			fn, ok := selection.Obj().(*types.Func)
 			if !ok {
@@ -78,7 +75,7 @@ func run(pass *analysis.Pass) (any, error) {
 			if !fromBackendPkg(fn) && !recvFromBackendPkg(selection.Recv()) {
 				return true
 			}
-			lintutil.Report(pass, "rawbackend", call,
+			lintutil.Report(pass, "rawbackend", sel,
 				"raw backend transfer %s bypasses pdm.System's I/O accounting: route through System (or InstrumentBackend)", sel.Sel.Name)
 			return true
 		})

@@ -12,6 +12,17 @@ func LeakWrite(s *pdm.System) error {
 	return s.B.WriteBlocks(0, nil) // want "raw backend transfer WriteBlocks bypasses"
 }
 
+// MethodValue takes the transfer as a value and calls it later: the
+// records move all the same.
+func MethodValue(be pdm.Backend) error {
+	f := be.ReadBlocks // want "raw backend transfer ReadBlocks bypasses"
+	return f(0, nil)
+}
+
+func MethodExpr(be pdm.Backend) error {
+	return pdm.Backend.WriteBlocks(be, 0, nil) // want "raw backend transfer WriteBlocks bypasses"
+}
+
 func Routed(s *pdm.System, disk int, blocks []int) error {
 	return s.Load(disk, blocks) // ok: routed through the accounting layer
 }
