@@ -74,7 +74,10 @@ const (
 // Flaky wraps inner so transfers fail per o: hash-seeded with
 // probability Rate, or deterministically inside the FailAfterN /
 // RecoverAfter count window. Batched transfers before the first faulted
-// one still land; the faulted and later ones are not attempted.
+// one still land; the faulted and later ones are not attempted. Under
+// concurrent dispatch (bmmc.WithConcurrentIO) every transfer reaches the
+// wrapper on its own, so each fails or lands independently and
+// FailAfterN counts transfers in goroutine scheduling order.
 func Flaky(inner bmmc.Backend, o FlakyOptions) *FlakyBackend {
 	return pdm.NewFlakyBackend(inner, o)
 }

@@ -29,6 +29,13 @@ package pdm
 //     the wrapper-global attempt ordinal, which is deterministic whenever
 //     the backend observes a deterministic operation order — sequential,
 //     unpipelined execution, as used by the golden-schedule tests.
+//   - A batch's transfers are decided and served in batch order, so a
+//     fault stops the batch: earlier transfers land, later ones are not
+//     attempted. That holds for sequential dispatch only. Under the
+//     System's concurrent dispatch each transfer reaches the wrapper as a
+//     batch of its own on its own goroutine, so every unfaulted transfer
+//     lands and count-trigger ordinals follow goroutine scheduling rather
+//     than batch order.
 //
 // Every injected failure wraps ErrInjectedFault, so callers at any layer
 // (System, engine, Engine.Execute, the bmmcd job manager) can
@@ -313,7 +320,8 @@ func (c *chaosBase) move(kind IOKind, xfers []RangeXfer) error {
 // serve decides the batch's transfers in order and moves what survives:
 // the whole batch when no decision faults; otherwise the transfers before
 // the first faulted one, then the first cut blocks of the faulted one, and
-// the fault — later transfers are not attempted.
+// the fault — later transfers are not attempted. (Concurrent dispatch
+// sends batches of one, so there a fault spares every other transfer.)
 func (c *chaosBase) serve(kind IOKind, xfers []RangeXfer, decide func(IOKind, RangeXfer) (cut int, err error)) error {
 	for i, x := range xfers {
 		cut, err := decide(kind, x)
@@ -369,7 +377,9 @@ type FlakyOptions struct {
 // fault probability, fail-after-N, read-only/write-only modes, and
 // transient-then-recover windows. Injected errors wrap ErrInjectedFault
 // and abort the batch at the faulted transfer: transfers earlier in the
-// batch land, later ones are not attempted.
+// batch land, later ones are not attempted. Under the System's concurrent
+// dispatch every transfer is a batch of its own, so each fails or lands
+// on its own.
 type FlakyBackend struct {
 	chaosBase
 	o FlakyOptions

@@ -59,74 +59,67 @@ func groupShapes(cfg Config) map[string][][]BlockIO {
 	return map[string][][]BlockIO{"striped": striped, "scattered": scattered}
 }
 
-func TestParallelReadGroupMatchesLoop(t *testing.T) {
+// matchesWaveByWave runs group once whole and once wave by wave, each on
+// a fresh system over backend, and requires identical buffers, records in
+// both portions, Stats and traces.
+func matchesWaveByWave(t *testing.T, backend string, group [][]BlockIO, write bool) {
+	t.Helper()
 	cfg := testConfig()
+	sysG, trG := newGroupSystem(t, backend, cfg)
+	sysL, trL := newGroupSystem(t, backend, cfg)
+	bufG, bufL := sysG.AcquireBuffer(), sysL.AcquireBuffer()
+	for i := range bufG.Records() {
+		bufG.Records()[i] = MakeRecord(uint64(300000 + i))
+		bufL.Records()[i] = MakeRecord(uint64(300000 + i))
+	}
+	run := (*System).ParallelReadGroup
+	if write {
+		run = (*System).ParallelWriteGroup
+	}
+	if err := run(sysG, PortionA, group, bufG); err != nil {
+		t.Fatal(err)
+	}
+	for w := range group {
+		if err := run(sysL, PortionA, group[w:w+1], bufL); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(bufG.Records(), bufL.Records()) {
+		t.Error("buffers diverge")
+	}
+	for _, p := range []Portion{PortionA, PortionB} {
+		recsG, err := sysG.DumpRecords(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recsL, err := sysL.DumpRecords(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(recsG, recsL) {
+			t.Errorf("portion %d records diverge", p)
+		}
+	}
+	if g, l := sysG.Stats(), sysL.Stats(); !reflect.DeepEqual(g, l) {
+		t.Errorf("stats diverge: grouped %+v, wave by wave %+v", g, l)
+	}
+	if !reflect.DeepEqual(trG.Entries, trL.Entries) {
+		t.Errorf("traces diverge:\ngrouped:\n%s\nwave by wave:\n%s", trG, trL)
+	}
+}
+
+func TestParallelReadGroupMatchesLoop(t *testing.T) {
 	for _, backend := range []string{"mem", "file"} {
-		for shape, group := range groupShapes(cfg) {
-			t.Run(backend+"/"+shape, func(t *testing.T) {
-				sysG, trG := newGroupSystem(t, backend, cfg)
-				sysL, trL := newGroupSystem(t, backend, cfg)
-				bufG, bufL := sysG.AcquireBuffer(), sysL.AcquireBuffer()
-				if err := sysG.ParallelReadGroup(PortionA, group, bufG); err != nil {
-					t.Fatal(err)
-				}
-				for _, ios := range group {
-					if err := sysL.ParallelReadGroup(PortionA, [][]BlockIO{ios}, bufL); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if !reflect.DeepEqual(bufG.Records(), bufL.Records()) {
-					t.Error("grouped read delivered different records than the loop")
-				}
-				if g, l := sysG.Stats(), sysL.Stats(); !reflect.DeepEqual(g, l) {
-					t.Errorf("stats diverge: grouped %+v, loop %+v", g, l)
-				}
-				if !reflect.DeepEqual(trG.Entries, trL.Entries) {
-					t.Errorf("traces diverge:\ngrouped:\n%s\nloop:\n%s", trG, trL)
-				}
-			})
+		for shape, group := range groupShapes(testConfig()) {
+			t.Run(backend+"/"+shape, func(t *testing.T) { matchesWaveByWave(t, backend, group, false) })
 		}
 	}
 }
 
 func TestParallelWriteGroupMatchesLoop(t *testing.T) {
-	cfg := testConfig()
 	for _, backend := range []string{"mem", "file"} {
-		for shape, group := range groupShapes(cfg) {
-			t.Run(backend+"/"+shape, func(t *testing.T) {
-				sysG, trG := newGroupSystem(t, backend, cfg)
-				sysL, trL := newGroupSystem(t, backend, cfg)
-				bufG, bufL := sysG.AcquireBuffer(), sysL.AcquireBuffer()
-				for i := range bufG.Records() {
-					bufG.Records()[i] = MakeRecord(uint64(100000 + i))
-					bufL.Records()[i] = MakeRecord(uint64(100000 + i))
-				}
-				if err := sysG.ParallelWriteGroup(PortionA, group, bufG); err != nil {
-					t.Fatal(err)
-				}
-				for _, ios := range group {
-					if err := sysL.ParallelWriteGroup(PortionA, [][]BlockIO{ios}, bufL); err != nil {
-						t.Fatal(err)
-					}
-				}
-				recsG, err := sysG.DumpRecords(PortionA)
-				if err != nil {
-					t.Fatal(err)
-				}
-				recsL, err := sysL.DumpRecords(PortionA)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(recsG, recsL) {
-					t.Error("grouped write left different records than the loop")
-				}
-				if g, l := sysG.Stats(), sysL.Stats(); !reflect.DeepEqual(g, l) {
-					t.Errorf("stats diverge: grouped %+v, loop %+v", g, l)
-				}
-				if !reflect.DeepEqual(trG.Entries, trL.Entries) {
-					t.Errorf("traces diverge:\ngrouped:\n%s\nloop:\n%s", trG, trL)
-				}
-			})
+		for shape, group := range groupShapes(testConfig()) {
+			t.Run(backend+"/"+shape, func(t *testing.T) { matchesWaveByWave(t, backend, group, true) })
 		}
 	}
 }
@@ -233,53 +226,11 @@ func fuzzGroup(cfg Config, data []byte) [][]BlockIO {
 // group and running it wave by wave leave identical records in both
 // portions and in the buffer, identical Stats, and identical traces.
 func FuzzParallelGroupMatchesLoop(f *testing.F) {
-	cfg := testConfig()
 	f.Fuzz(func(t *testing.T, data []byte, write, file bool) {
-		group := fuzzGroup(cfg, data)
 		backend := "mem"
 		if file {
 			backend = "file"
 		}
-		sysG, trG := newGroupSystem(t, backend, cfg)
-		sysL, trL := newGroupSystem(t, backend, cfg)
-		bufG, bufL := sysG.AcquireBuffer(), sysL.AcquireBuffer()
-		for i := range bufG.Records() {
-			bufG.Records()[i] = MakeRecord(uint64(300000 + i))
-			bufL.Records()[i] = MakeRecord(uint64(300000 + i))
-		}
-		run := (*System).ParallelReadGroup
-		if write {
-			run = (*System).ParallelWriteGroup
-		}
-		if err := run(sysG, PortionA, group, bufG); err != nil {
-			t.Fatal(err)
-		}
-		for w := range group {
-			if err := run(sysL, PortionA, group[w:w+1], bufL); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !reflect.DeepEqual(bufG.Records(), bufL.Records()) {
-			t.Error("buffers diverge")
-		}
-		for _, p := range []Portion{PortionA, PortionB} {
-			recsG, err := sysG.DumpRecords(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			recsL, err := sysL.DumpRecords(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(recsG, recsL) {
-				t.Errorf("portion %d records diverge", p)
-			}
-		}
-		if g, l := sysG.Stats(), sysL.Stats(); !reflect.DeepEqual(g, l) {
-			t.Errorf("stats diverge: grouped %+v, wave by wave %+v", g, l)
-		}
-		if !reflect.DeepEqual(trG.Entries, trL.Entries) {
-			t.Errorf("traces diverge:\ngrouped:\n%s\nwave by wave:\n%s", trG, trL)
-		}
+		matchesWaveByWave(t, backend, fuzzGroup(testConfig(), data), write)
 	})
 }

@@ -26,11 +26,12 @@ func (s OpSample) End() time.Time { return s.Start.Add(s.Dur) }
 type OpObserver func(OpSample)
 
 // InstrumentBackend wraps be so every successful ReadBlocks and
-// WriteBlocks call is timed and reported to obs. A System with concurrent
-// dispatch on calls its backend once per transfer, so each sample then
-// covers a single run. The wrapper forwards BlockView to the inner
-// backend, so copy-free dumps survive instrumentation (view access is not
-// a counted operation and is deliberately untimed).
+// WriteBlocks call is timed and reported to obs. A System given the
+// wrapper times each of its batches itself and reports it as one sample,
+// so Runs counts the batch's transfers under concurrent dispatch too. The
+// wrapper forwards BlockView to the inner backend, so copy-free dumps
+// survive instrumentation (view access is not a counted operation and is
+// deliberately untimed).
 func InstrumentBackend(be Backend, obs OpObserver) Backend {
 	if obs == nil {
 		return be
@@ -63,7 +64,7 @@ func (i *instrumented) ReadBlocks(xfers []RangeXfer) error {
 	start := time.Now()
 	err := i.be.ReadBlocks(xfers)
 	if err == nil {
-		i.obs(i.sample("read", xfers, start))
+		i.obs(sample(IORead, xfers, i.bs, start))
 	}
 	return err
 }
@@ -72,15 +73,29 @@ func (i *instrumented) WriteBlocks(xfers []RangeXfer) error {
 	start := time.Now()
 	err := i.be.WriteBlocks(xfers)
 	if err == nil {
-		i.obs(i.sample("write", xfers, start))
+		i.obs(sample(IOWrite, xfers, i.bs, start))
 	}
 	return err
 }
 
-func (i *instrumented) sample(op string, xfers []RangeXfer, start time.Time) OpSample {
-	s := OpSample{Op: op, Runs: len(xfers), PerDisk: make(map[int]int, len(xfers)), Start: start}
+// observedDispatch dispatches one batch of the System and, if it
+// succeeds, reports it to the instrumented backend's observer as one
+// sample.
+func (s *System) observedDispatch(kind IOKind, xfers []RangeXfer) error {
+	start := time.Now()
+	err := s.dispatch(kind, xfers)
+	if err == nil {
+		s.observeIO(sample(kind, xfers, s.cfg.B, start))
+	}
+	return err
+}
+
+// sample describes a successful batch of bs-record blocks that started at
+// start and has just finished.
+func sample(kind IOKind, xfers []RangeXfer, bs int, start time.Time) OpSample {
+	s := OpSample{Op: word(kind), Runs: len(xfers), PerDisk: make(map[int]int, len(xfers)), Start: start}
 	for _, x := range xfers {
-		n := len(x.Data) / i.bs
+		n := len(x.Data) / bs
 		s.Blocks += n
 		s.PerDisk[x.Disk] += n
 	}

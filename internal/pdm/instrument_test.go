@@ -64,3 +64,49 @@ func TestInstrumentBackendSamples(t *testing.T) {
 		t.Fatal("nil observer should return the inner backend")
 	}
 }
+
+// TestInstrumentedSystemSamplesBatches: a System over an instrumented
+// backend reports each of its batches as one sample, also when concurrent
+// dispatch moves every transfer of the batch on its own goroutine.
+func TestInstrumentedSystemSamplesBatches(t *testing.T) {
+	cfg := testConfig()
+	for _, concurrent := range []bool{false, true} {
+		var mu sync.Mutex
+		var samples []OpSample
+		sys, err := NewSystem(cfg, InstrumentBackend(MemBackend(), func(s OpSample) {
+			mu.Lock()
+			samples = append(samples, s)
+			mu.Unlock()
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sys.Close()
+		sys.SetConcurrent(concurrent)
+		if err := sys.LoadRecords(PortionA, sequentialRecords(cfg.N)); err != nil {
+			t.Fatal(err)
+		}
+		if len(samples) != cfg.Stripes() {
+			t.Fatalf("concurrent=%v: load gave %d samples, want one per stripe (%d)", concurrent, len(samples), cfg.Stripes())
+		}
+		samples = nil
+		// Four striped waves coalesce into one run per disk: one batch of
+		// D transfers. The write is one wave: one batch of D single blocks.
+		if err := sys.ParallelReadGroup(PortionA, groupShapes(cfg)["striped"], nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.WriteStripe(PortionB, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		waves := cfg.FramesPerDisk()
+		if len(samples) != 2 {
+			t.Fatalf("concurrent=%v: got %d samples, want 2: %+v", concurrent, len(samples), samples)
+		}
+		if r := samples[0]; r.Op != "read" || r.Runs != cfg.D || r.Blocks != waves*cfg.D || r.PerDisk[0] != waves {
+			t.Errorf("concurrent=%v: read sample %+v", concurrent, r)
+		}
+		if w := samples[1]; w.Op != "write" || w.Runs != cfg.D || w.Blocks != cfg.D || w.PerDisk[cfg.D-1] != 1 {
+			t.Errorf("concurrent=%v: write sample %+v", concurrent, w)
+		}
+	}
+}

@@ -51,7 +51,8 @@ type System struct {
 	source   Portion
 	observer Observer // optional per-operation trace hook
 
-	concurrent bool // dispatch a batch's transfers on one goroutine each
+	concurrent bool       // dispatch a batch's transfers on one goroutine each
+	observeIO  OpObserver // InstrumentBackend's observer, fed one sample per batch
 
 	mu    sync.Mutex   // guards stats and observer across overlapping operations
 	runMu sync.RWMutex // dataset lock: writers are runs, readers are dumps
@@ -78,6 +79,12 @@ func NewSystem(cfg Config, be Backend) (*System, error) {
 	if err := be.Open(cfg.D, 2*cfg.BlocksPerDisk(), cfg.B); err != nil {
 		return nil, err
 	}
+	// The System times an instrumented backend's batches itself, so that
+	// concurrent dispatch, which calls the backend once per transfer,
+	// still reports one sample per batch.
+	if in, ok := be.(*instrumented); ok {
+		s.be, s.observeIO = in.be, in.obs
+	}
 	return s, nil
 }
 
@@ -97,8 +104,16 @@ func (s *System) SetConcurrent(on bool) { s.concurrent = on }
 // makes goes through it. Sequential dispatch moves the whole batch in one
 // call. Concurrent dispatch moves each transfer on its own goroutine —
 // several runs on one disk included — and returns the first error in
-// batch order.
+// batch order. Either way an instrumented backend's observer sees the
+// batch as one sample.
 func (s *System) transfer(kind IOKind, xfers []RangeXfer) error {
+	if s.observeIO != nil {
+		return s.observedDispatch(kind, xfers)
+	}
+	return s.dispatch(kind, xfers)
+}
+
+func (s *System) dispatch(kind IOKind, xfers []RangeXfer) error {
 	if !s.concurrent || len(xfers) == 1 {
 		return s.move(kind, xfers)
 	}
