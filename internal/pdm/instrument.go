@@ -2,12 +2,11 @@ package pdm
 
 import "time"
 
-// OpSample describes one timed backend call: the operation shape plus its
-// wall-clock duration. Runs counts the call's transfers and Blocks the
-// blocks they moved; PerDisk holds, for each disk touched, the number of
-// blocks moved on that disk (used for per-disk latency labels — the whole
-// batch shares one duration because the backend services its transfers as
-// a unit).
+// OpSample describes one timed backend batch: the operation shape plus
+// its wall-clock duration. Runs counts the batch's transfers and Blocks
+// the blocks they moved; PerDisk holds, for each disk touched, the number
+// of blocks moved on that disk (used for per-disk latency labels — the
+// whole batch shares one duration because it is timed as a unit).
 type OpSample struct {
 	Op      string // "read" | "write"
 	Blocks  int    // total blocks moved
@@ -20,9 +19,9 @@ type OpSample struct {
 // End returns the completion time of the sampled call.
 func (s OpSample) End() time.Time { return s.Start.Add(s.Dur) }
 
-// OpObserver receives one sample per backend call. It runs on the calling
-// goroutine (the engine's reader or writer), so it must be fast and must
-// not call back into the backend.
+// OpObserver receives one sample per backend batch. It runs on the
+// goroutine that issued the batch (the engine's reader or writer), so it
+// must be fast and must not call back into the backend.
 type OpObserver func(OpSample)
 
 // InstrumentBackend wraps be so every successful ReadBlocks and
