@@ -142,8 +142,13 @@ func (s *System) move(kind IOKind, xfers []RangeXfer) error {
 	return s.be.WriteBlocks(xfers)
 }
 
-// Close closes the storage backend. The System must not be used afterwards.
-func (s *System) Close() error { return s.be.Close() }
+// Close closes the storage backend and drops the M-record memoryload, so
+// a closed System that is still referenced pins no records. The System
+// must not be used afterwards.
+func (s *System) Close() error {
+	s.mem, s.memBuf = nil, nil
+	return s.be.Close()
+}
 
 // Sync flushes the storage backend's buffered writes to stable storage.
 func (s *System) Sync() error { return s.be.Sync() }

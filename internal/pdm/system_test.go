@@ -276,3 +276,22 @@ func TestRecordEncodeDecode(t *testing.T) {
 		t.Fatalf("encode/decode roundtrip: %+v", got)
 	}
 }
+
+// TestCloseDropsMemoryload: a closed System releases its M-record
+// memoryload along with the backend, so holders of a closed System (a
+// daemon keeping released jobs queryable) pin no records.
+func TestCloseDropsMemoryload(t *testing.T) {
+	s, err := NewMemSystem(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Mem() == nil {
+		t.Fatal("open System has no memoryload")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Mem() != nil || s.memBuf != nil {
+		t.Fatal("closed System still holds its memoryload")
+	}
+}

@@ -11,16 +11,23 @@ import (
 )
 
 // dsEntry is one daemon-resident dataset: a bmmc.Dataset on provisioned
-// storage plus the service-level bookkeeping that lets many jobs chain on
-// it safely. The entry owns three invariants:
+// storage plus the service-level bookkeeping that lets jobs run on it
+// safely. Every job runs on an entry. A shared entry is created through
+// POST /v1/datasets, registered in the manager's dataset table and chained
+// on by any number of jobs. A private entry belongs to one standalone job:
+// it is never registered, so only its job's data plane reaches it, and the
+// job's release deletes it. The entry owns three invariants:
 //
 //   - Jobs bound to one dataset execute in submission order (the ticket
 //     turnstile), so a chain "bit-reversal then its inverse" composes the
 //     way the submitter wrote it even with a multi-worker pool.
-//   - The data plane and the job plane exclude each other: uploads and
-//     downloads are admitted only while no job is active, and jobs are
-//     admitted only while no stream is in flight, so a stream never
-//     observes (or feeds) a half-permuted dataset.
+//   - The data plane and the job plane exclude each other. A shared entry
+//     admits uploads and downloads only while no job is active, and jobs
+//     only while no stream is in flight, so a stream never observes (or
+//     feeds) a half-permuted dataset. A private entry leaves admission to
+//     its job, which accepts an upload only while it is queued and
+//     unclaimed and a download only once it is done; the worker claims
+//     the job only while the entry is idle.
 //   - Deletion is refused (409) while jobs are active, waits for in-flight
 //     streams to drain, and is idempotent; Shutdown drains datasets the
 //     same way it drains jobs.
@@ -28,9 +35,10 @@ type dsEntry struct {
 	id      string
 	backend string
 	cfg     bmmc.Config
-	ds      *bmmc.Dataset
-	dir     string  // provisioned storage directory ("" for mem)
-	sink    *ioSink // routes instrumented-backend samples to the running job
+	private bool          // owned by one standalone job; absent from the dataset table
+	ds      *bmmc.Dataset // nil only while provisioning fails
+	dir     string        // provisioned storage directory ("" for mem)
+	sink    *ioSink       // routes instrumented-backend samples to the running job
 	created time.Time
 
 	mu         sync.Mutex
@@ -46,8 +54,8 @@ type dsEntry struct {
 	released   bool         // storage closed and removed (or being removed)
 }
 
-func newDSEntry(id, backend string, cfg bmmc.Config, ds *bmmc.Dataset, dir string) *dsEntry {
-	d := &dsEntry{id: id, backend: backend, cfg: cfg, ds: ds, dir: dir,
+func newDSEntry(id, backend string, cfg bmmc.Config, private bool) *dsEntry {
+	d := &dsEntry{id: id, backend: backend, cfg: cfg, private: private, sink: &ioSink{},
 		created: time.Now(), retired: make(map[int]bool)}
 	d.cond = sync.NewCond(&d.mu)
 	return d
@@ -124,15 +132,17 @@ func (d *dsEntry) ran() {
 	d.mu.Unlock()
 }
 
-// startStream admits an upload or download: only while the dataset is
-// alive and no job is queued or running on it.
+// startStream admits an upload or download while the dataset is alive and
+// not being handed off. A shared entry also refuses while a job is queued
+// or running on it; a private entry's job has already vetted the stream
+// (see Job.Upload and Job.openOutput).
 func (d *dsEntry) startStream() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.released {
 		return d.errGone()
 	}
-	if d.active > 0 {
+	if d.active > 0 && !d.private {
 		return &httpError{http.StatusConflict, "dataset " + d.id + " has active jobs: wait for them before streaming data"}
 	}
 	if d.handoff {
@@ -140,6 +150,22 @@ func (d *dsEntry) startStream() error {
 	}
 	d.streams++
 	return nil
+}
+
+// idle reports whether no stream is in flight.
+func (d *dsEntry) idle() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.streams == 0
+}
+
+// waitIdle blocks until no stream is in flight.
+func (d *dsEntry) waitIdle() {
+	d.mu.Lock()
+	for d.streams > 0 {
+		d.cond.Wait()
+	}
+	d.mu.Unlock()
 }
 
 // errHandoff is the wrong-state error for calls racing a handoff; 503
@@ -219,11 +245,14 @@ func (d *dsEntry) Upload(ctx context.Context, r io.Reader) error {
 }
 
 // Download streams the dataset's current records — the output of the most
-// recent chained job — to w in the wire format. The HTTP layer admits the
-// stream itself (startStream before committing headers) and uses the
-// parts directly; this composed form serves in-process callers and tests.
+// recent chained job — to w in the wire format.
 func (d *dsEntry) Download(ctx context.Context, w io.Writer) error {
-	if err := d.startStream(); err != nil {
+	return d.download(ctx, w, d.startStream)
+}
+
+// download admits a stream with open, then dumps the records to w.
+func (d *dsEntry) download(ctx context.Context, w io.Writer, open func() error) error {
+	if err := open(); err != nil {
 		return err
 	}
 	defer d.endStream(false)

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strings"
 	"time"
 
@@ -54,14 +53,7 @@ func (m *Manager) HandoffDataset(ctx context.Context, id string, req HandoffRequ
 		return nil, err
 	}
 	if owner {
-		if cerr := d.ds.Close(); cerr != nil {
-			m.log.Warn("closing dataset storage after handoff", "dataset", id, "err", cerr)
-		}
-		if d.dir != "" {
-			if rerr := os.RemoveAll(d.dir); rerr != nil {
-				m.log.Warn("removing dataset dir after handoff", "dataset", id, "err", rerr)
-			}
-		}
+		m.teardown(d)
 	}
 	m.log.Info("dataset handed off", "dataset", id, "target", req.Target, "dest", destID, "deleted", owner)
 	return d, nil

@@ -11,28 +11,23 @@ import (
 	"repro/internal/obs"
 )
 
-// Job is one admitted permutation job: an execution target (either a
-// private per-job Dataset with its own storage, or a handle on a shared
-// daemon Dataset for chained jobs), a prepared plan from the manager's
-// shared Engine, and a lifecycle the worker pool drives through the State
-// machine. All mutable fields are guarded by mu; the cond gates the worker
-// and the release path on in-flight input uploads.
+// Job is one admitted permutation job: the dataset entry it runs on (a
+// shared daemon Dataset for chained jobs, or a private entry provisioned
+// for this job alone and deleted on its release), a prepared plan from the
+// manager's shared Engine, and a lifecycle the worker pool drives through
+// the State machine. All mutable fields are guarded by mu; a standalone
+// job's uploads and downloads are counted as streams on its entry.
 type Job struct {
-	id      string
-	cfg     bmmc.Config
-	backend string // BackendMem, BackendFile, or BackendSharded
-	perm    bmmc.Permutation
-	fuse    bool
+	id   string
+	perm bmmc.Permutation
+	fuse bool
 
 	summary    *PlanSummary
 	plan       *bmmc.Plan
 	planShared bool // plan came from the manager's shared Engine cache
 
-	ds      *bmmc.Dataset // execution target
-	ownsDS  bool          // per-job storage: release closes and removes it
-	dsEntry *dsEntry      // non-nil for dataset-handle jobs (shared storage)
-	ticket  int           // execution-order ticket on dsEntry
-	dir     string        // job-private storage directory ("" for mem/shared)
+	dsEntry *dsEntry // execution target: its storage, geometry and backend kind
+	ticket  int      // execution-order ticket on dsEntry
 	ctx     context.Context
 	cancel  context.CancelFunc
 	events  *broadcaster
@@ -43,13 +38,13 @@ type Job struct {
 
 	statsBefore bmmc.Stats // dataset stats at claim time; the job's cost is the delta
 
-	// Observability. traceBuf is the job's bounded span ring; sink routes
-	// instrumented-backend samples into it while the job executes; mobs is
-	// the manager's registry handle (nil only in bare-constructed tests).
-	// The span bookkeeping below is touched by onProgress and finish only,
-	// both on the job's executing worker goroutine.
+	// Observability. traceBuf is the job's bounded span ring, which the
+	// entry's sink feeds instrumented-backend samples while the job
+	// executes; mobs is the manager's registry handle (nil only in
+	// bare-constructed tests). The span bookkeeping below is touched by
+	// onProgress and finish only, both on the job's executing worker
+	// goroutine.
 	traceBuf     *obs.TraceBuffer
-	sink         *ioSink
 	mobs         *managerObs
 	passStart    time.Time // wall-clock start of the current pass
 	loadMark     time.Time // end of the previous memoryload event
@@ -57,12 +52,9 @@ type Job struct {
 	lastKernel   string    // kernel of the most recent pass event
 
 	mu          sync.Mutex
-	cond        *sync.Cond // signaled when an upload finishes
 	state       State
 	errMsg      string
 	pending     bool // awaiting input: holds an admission slot, not yet runnable
-	uploading   bool
-	downloads   int // output streams in flight; release waits for them
 	inputLoaded bool
 	claimed     bool // a worker started processing (planning or beyond)
 	released    bool // storage closed and removed
@@ -94,15 +86,13 @@ func (j *Job) Status() *JobStatus {
 		ID:          j.id,
 		State:       j.state,
 		Error:       j.errMsg,
-		Config:      j.cfg,
-		Backend:     j.backend,
+		Config:      j.dsEntry.cfg,
+		Backend:     j.dsEntry.backend,
+		Dataset:     j.datasetID(),
 		Plan:        j.summary,
 		InputLoaded: j.inputLoaded,
 		Released:    j.released,
 		Submitted:   j.submitted,
-	}
-	if j.dsEntry != nil {
-		st.Dataset = j.dsEntry.id
 	}
 	if j.progress != nil {
 		p := *j.progress
@@ -123,6 +113,15 @@ func (j *Job) Status() *JobStatus {
 	return st
 }
 
+// datasetID names the shared dataset the job runs on, or "" for a
+// standalone job on its private entry.
+func (j *Job) datasetID() string {
+	if j.dsEntry.private {
+		return ""
+	}
+	return j.dsEntry.id
+}
+
 // Subscribe attaches to the job's event stream. The first event a new
 // subscriber should synthesize is the current state (see Status); the
 // channel then carries transitions and progress until the terminal event,
@@ -131,7 +130,7 @@ func (j *Job) Subscribe() (<-chan Event, func()) { return j.events.subscribe() }
 
 // setState transitions the job and publishes the state event; terminal
 // states also stamp the finish time, close the event stream, and drop the
-// job's active reference on its shared dataset (so deletes and new streams
+// job's active reference on its dataset entry (so deletes and new streams
 // unblock the moment the chain's last job finishes). Callers hold j.mu.
 func (j *Job) setStateLocked(s State) {
 	wasTerminal := j.state.Terminal()
@@ -145,7 +144,7 @@ func (j *Job) setStateLocked(s State) {
 	j.events.publish(Event{Type: EventState, JobID: j.id, State: s, Error: j.errMsg})
 	if s.Terminal() {
 		j.events.close()
-		if j.dsEntry != nil && !wasTerminal {
+		if !wasTerminal {
 			j.dsEntry.jobDone()
 		}
 	}
@@ -180,7 +179,7 @@ func (j *Job) observePass(ev bmmc.PassEvent) {
 	j.lastKernel = ev.Kernel
 	if ev.Load == 0 {
 		j.passStart, j.loadMark = now, now
-		j.passStartIOs = j.ds.Stats().ParallelIOs()
+		j.passStartIOs = j.dsEntry.ds.Stats().ParallelIOs()
 		return
 	}
 	j.traceBuf.Add(obs.Span{
@@ -191,7 +190,7 @@ func (j *Job) observePass(ev bmmc.PassEvent) {
 	if ev.Load != ev.Loads {
 		return
 	}
-	ios := j.ds.Stats().ParallelIOs() - j.passStartIOs
+	ios := j.dsEntry.ds.Stats().ParallelIOs() - j.passStartIOs
 	span := obs.Span{
 		Name: obs.SpanPass, Kind: ev.Kind, Kernel: ev.Kernel,
 		Pass: ev.Pass, IOs: ios, Start: j.passStart, End: now,
@@ -217,36 +216,23 @@ func (j *Job) Trace() *JobTrace {
 }
 
 // Upload replaces the job's stored records with N records read from r in
-// the 16-byte wire format. Only queued jobs accept input — once a worker
-// claims the job the data is sealed — and one upload may be in flight at a
-// time. ctx is the transport context (the HTTP request); the job's own
-// context also aborts the read when the job is canceled mid-upload.
+// the 16-byte wire format. Only queued standalone jobs accept input — once
+// a worker claims the job the data is sealed — and one upload may be in
+// flight at a time. ctx is the transport context (the HTTP request); the
+// job's own context also aborts the read when the job is canceled
+// mid-upload.
 func (j *Job) Upload(ctx context.Context, r io.Reader) error {
-	if j.dsEntry != nil {
-		return &httpError{http.StatusConflict,
-			"job " + j.id + " runs on dataset " + j.dsEntry.id + ": upload via PUT /v1/datasets/" + j.dsEntry.id + "/input before submitting"}
+	if err := j.openInput(); err != nil {
+		return err
 	}
-	j.mu.Lock()
-	if j.state != StateQueued || j.claimed {
-		st := j.state
-		j.mu.Unlock()
-		return &httpError{http.StatusConflict, "job " + j.id + " is " + string(st) + ": input accepted only while queued"}
-	}
-	if j.uploading {
-		j.mu.Unlock()
-		return &httpError{http.StatusConflict, "job " + j.id + " already has an upload in flight"}
-	}
-	j.uploading = true
-	j.mu.Unlock()
-
+	d := j.dsEntry
 	loadCtx, cancelLoad := context.WithCancel(ctx)
 	stop := context.AfterFunc(j.ctx, cancelLoad) // job cancellation aborts the read too
-	err := j.ds.Load(loadCtx, r)
+	err := d.ds.Load(loadCtx, r)
 	stop()
 	cancelLoad()
 
 	j.mu.Lock()
-	j.uploading = false
 	release := false
 	if err == nil {
 		j.inputLoaded = true
@@ -258,7 +244,7 @@ func (j *Job) Upload(ctx context.Context, r io.Reader) error {
 			}
 		}
 	}
-	j.cond.Broadcast()
+	d.endStream(err == nil) // wakes a worker waiting to claim the job
 	j.mu.Unlock()
 	if release {
 		j.enqueue(j)
@@ -269,57 +255,50 @@ func (j *Job) Upload(ctx context.Context, r io.Reader) error {
 	return nil
 }
 
-// outputReadyLocked reports whether the job currently has downloadable
-// output: it must be done, own its storage (dataset-handle jobs serve
-// output through the dataset resource), and not be released. Callers hold
-// j.mu.
-func (j *Job) outputReadyLocked() error {
-	if j.dsEntry != nil {
-		return &httpError{http.StatusConflict,
-			"job " + j.id + " runs on dataset " + j.dsEntry.id + ": download via GET /v1/datasets/" + j.dsEntry.id + "/output"}
-	}
-	if j.state != StateDone {
-		return &httpError{http.StatusConflict, "job " + j.id + " is " + string(j.state) + ": output available only when done"}
-	}
-	if j.released {
-		return &httpError{http.StatusGone, "job " + j.id + " storage has been released"}
-	}
-	return nil
-}
-
-// outputReady is outputReadyLocked for external probes (the HTTP layer
-// checks before committing response headers).
-func (j *Job) outputReady() error {
+// openInput admits an upload: the job must be a standalone job that is
+// queued, unclaimed and not already receiving one. The worker claims a
+// job under j.mu only while its entry is idle, so a stream started under
+// j.mu never overlaps a claim.
+func (j *Job) openInput() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.outputReadyLocked()
+	d := j.dsEntry
+	switch {
+	case !d.private:
+		return &httpError{http.StatusConflict,
+			"job " + j.id + " runs on dataset " + d.id + ": upload via PUT /v1/datasets/" + d.id + "/input before submitting"}
+	case j.state != StateQueued || j.claimed:
+		return &httpError{http.StatusConflict, "job " + j.id + " is " + string(j.state) + ": input accepted only while queued"}
+	case !d.idle():
+		return &httpError{http.StatusConflict, "job " + j.id + " already has an upload in flight"}
+	}
+	return d.startStream()
+}
+
+// openOutput admits a download of the job's output: the job must be done,
+// run on its private entry (dataset-handle jobs serve output through the
+// dataset resource), and not be released. The admitted stream holds off
+// release until it ends.
+func (j *Job) openOutput() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	d := j.dsEntry
+	switch {
+	case !d.private:
+		return &httpError{http.StatusConflict,
+			"job " + j.id + " runs on dataset " + d.id + ": download via GET /v1/datasets/" + d.id + "/output"}
+	case j.state != StateDone:
+		return &httpError{http.StatusConflict, "job " + j.id + " is " + string(j.state) + ": output available only when done"}
+	case j.released:
+		return &httpError{http.StatusGone, "job " + j.id + " storage has been released"}
+	}
+	return d.startStream()
 }
 
 // Download streams the job's permuted records to w in the wire format.
 // Only done jobs whose storage has not been released have output; the
-// stream registers itself so a concurrent release (DELETE, Shutdown)
-// waits for it rather than closing storage mid-read.
+// stream registers on the job's entry so a concurrent release (DELETE,
+// Shutdown) waits for it rather than closing storage mid-read.
 func (j *Job) Download(ctx context.Context, w io.Writer) error {
-	j.mu.Lock()
-	if err := j.outputReadyLocked(); err != nil {
-		j.mu.Unlock()
-		return err
-	}
-	j.downloads++
-	j.mu.Unlock()
-	defer func() {
-		j.mu.Lock()
-		j.downloads--
-		j.cond.Broadcast()
-		j.mu.Unlock()
-	}()
-	return j.ds.Dump(ctx, w)
-}
-
-// waitIdleLocked blocks until no upload or download is in flight. Callers
-// hold j.mu.
-func (j *Job) waitIdleLocked() {
-	for j.uploading || j.downloads > 0 {
-		j.cond.Wait()
-	}
+	return j.dsEntry.download(ctx, w, j.openOutput)
 }

@@ -162,13 +162,13 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 }
 
 // Submit validates, plans (through the shared Engine's plan cache),
-// binds the job to its execution target — a freshly provisioned per-job
-// Dataset, or the shared daemon Dataset named by req.Dataset — and
-// enqueues it. It returns the admitted job, whose Plan summary quotes
-// class, pass structure, and cost bounds before a single I/O happens, or
-// ErrQueueFull when the admission queue is at capacity. Jobs referencing
-// one dataset execute in submission order, so chained permutations
-// compose the way they were submitted.
+// binds the job to its execution target — a freshly provisioned private
+// entry, or the shared daemon Dataset named by req.Dataset — and enqueues
+// it. It returns the admitted job, whose Plan summary quotes class, pass
+// structure, and cost bounds before a single I/O happens, or ErrQueueFull
+// when the admission queue is at capacity. Jobs referencing one dataset
+// execute in submission order, so chained permutations compose the way
+// they were submitted.
 func (m *Manager) Submit(req SubmitRequest) (*Job, error) {
 	p, err := bmmc.ParsePermutation([]byte(req.Perm))
 	if err != nil {
@@ -196,16 +196,13 @@ func (m *Manager) Submit(req SubmitRequest) (*Job, error) {
 			return nil, &httpError{http.StatusBadRequest,
 				fmt.Sprintf("request geometry %v does not match dataset %s geometry %v (omit config to inherit it)", cfg, entry.id, entry.cfg)}
 		}
-		cfg, backend = entry.cfg, entry.backend
+		cfg = entry.cfg
 	} else {
 		if err := cfg.Validate(); err != nil {
 			return nil, &httpError{http.StatusBadRequest, err.Error()}
 		}
-		if backend == "" {
-			backend = BackendMem
-		}
-		if backend != BackendMem && backend != BackendFile && backend != BackendSharded {
-			return nil, &httpError{http.StatusBadRequest, fmt.Sprintf("unknown backend %q (want mem, file, or sharded)", backend)}
+		if backend, err = backendKind(backend); err != nil {
+			return nil, err
 		}
 	}
 
@@ -230,82 +227,56 @@ func (m *Manager) Submit(req SubmitRequest) (*Job, error) {
 	id := fmt.Sprintf("j%04d-%06x", m.seq, m.rng.Uint32()&0xffffff)
 	m.mu.Unlock()
 
+	if entry == nil {
+		// A standalone job gets a private entry. An await-input job skips
+		// the canonical fill: it cannot run before an upload of all N
+		// records overwrites it.
+		entry, err = m.provision(id, backend, cfg, true, !req.AwaitInput)
+	}
+	// Take an execution-order ticket and an active reference. On a shared
+	// dataset no storage is provisioned and no data moves.
+	var ticket int
+	if err == nil {
+		ticket, err = entry.bind()
+	}
+	if err != nil {
+		m.freeSlot()
+		return nil, err
+	}
+
 	// The job outlives the submitting RPC; its root is canceled by
 	// CancelJob or manager shutdown, not by the submitter hanging up.
 	//lint:allow ctxio -- job-lifetime root; canceled via CancelJob/Close
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &Job{
-		id:         id,
-		cfg:        cfg,
-		backend:    backend,
-		perm:       p,
-		fuse:       fuse,
-		summary:    Summarize(pl),
-		plan:       pl,
-		planShared: shared,
-		ctx:        ctx,
-		cancel:     cancel,
-		events:     newBroadcaster(),
-		hook:       m.cfg.hook,
-		enqueue:    m.enqueue,
-		state:      StateQueued,
-		pending:    req.AwaitInput,
-		submitted:  time.Now(),
-		mobs:       m.obs,
-		traceBuf:   obs.NewTraceBuffer(id, 0),
-	}
-	j.cond = sync.NewCond(&j.mu)
-
-	if entry != nil {
-		// Bind to the shared dataset: take an execution-order ticket and an
-		// active reference. No storage is provisioned and no data moves.
-		ticket, err := entry.bind()
-		if err != nil {
-			cancel()
-			m.mu.Lock()
-			m.queueLen--
-			m.mu.Unlock()
-			return nil, err
-		}
-		j.ds, j.dsEntry, j.ticket = entry.ds, entry, ticket
-		j.sink = entry.sink
-		j.inputLoaded = entry.Status().InputLoaded
-	} else {
-		be, dir, sink, err := m.provision("job-"+id, backend)
-		if err == nil {
-			j.dir = dir
-			j.ownsDS = true
-			j.sink = sink
-			j.ds, err = bmmc.CreateDataset(cfg, bmmc.WithBackend(be))
-		}
-		if err != nil {
-			cancel()
-			if dir != "" {
-				os.RemoveAll(dir)
-			}
-			m.mu.Lock()
-			m.queueLen--
-			m.mu.Unlock()
-			// A provisioning failure is the daemon's problem (full volume,
-			// permissions), not the caller's: surface it as a server error.
-			return nil, &httpError{http.StatusInternalServerError, "provisioning job storage: " + err.Error()}
-		}
+		id:          id,
+		perm:        p,
+		fuse:        fuse,
+		summary:     Summarize(pl),
+		plan:        pl,
+		planShared:  shared,
+		dsEntry:     entry,
+		ticket:      ticket,
+		ctx:         ctx,
+		cancel:      cancel,
+		events:      newBroadcaster(),
+		hook:        m.cfg.hook,
+		enqueue:     m.enqueue,
+		state:       StateQueued,
+		pending:     req.AwaitInput,
+		inputLoaded: entry.Status().InputLoaded,
+		submitted:   time.Now(),
+		mobs:        m.obs,
+		traceBuf:    obs.NewTraceBuffer(id, 0),
 	}
 
 	m.mu.Lock()
 	if m.closed { // shutdown raced the binding above
 		m.queueLen--
 		m.mu.Unlock()
-		cancel()
-		if j.dsEntry != nil {
-			j.dsEntry.retire(j.ticket) // hand the unused ticket through
-			j.dsEntry.jobDone()
-		} else {
-			j.ds.Close()
-			if j.dir != "" {
-				os.RemoveAll(j.dir)
-			}
-		}
+		entry.retire(ticket) // hand the unused ticket through
+		entry.jobDone()
+		m.release(j)
 		return nil, ErrShuttingDown
 	}
 	m.jobs[id] = j
@@ -325,10 +296,17 @@ func (m *Manager) Submit(req SubmitRequest) (*Job, error) {
 		}
 		j.mu.Unlock()
 	}
-	m.log.Info("job queued", "job", id, "backend", backend, "dataset", req.Dataset,
+	m.log.Info("job queued", "job", id, "backend", entry.backend, "dataset", req.Dataset,
 		"config", cfg.String(), "class", j.summary.Class, "passes", j.summary.PassCount,
 		"cost_ios", j.summary.CostIOs, "plan_shared", shared, "await_input", req.AwaitInput)
 	return j, nil
+}
+
+// freeSlot returns a reserved admission-queue slot.
+func (m *Manager) freeSlot() {
+	m.mu.Lock()
+	m.queueLen--
+	m.mu.Unlock()
 }
 
 // enqueue hands an await-input job to the workers once its upload lands.
@@ -345,41 +323,95 @@ func (m *Manager) enqueue(j *Job) {
 	m.queue <- j
 }
 
-// provision creates the storage a backend kind needs, under a uniquely
-// named directory for file-backed kinds ("" for mem). Every backend is
-// wrapped with the timing instrumentation outermost — after any
-// WrapBackend chaos adversary — so the latency histograms measure the
-// full storage path a job actually experiences. The returned sink routes
-// the instrumented samples to whichever job runs on the backend.
-func (m *Manager) provision(name, kind string) (bmmc.Backend, string, *ioSink, error) {
-	var be bmmc.Backend
-	var dir string
+// backendKind vets a requested storage kind; empty selects BackendMem.
+func backendKind(kind string) (string, error) {
 	switch kind {
-	case BackendFile:
-		dir = filepath.Join(m.baseDir, name)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, "", nil, err
+	case "":
+		return BackendMem, nil
+	case BackendMem, BackendFile, BackendSharded:
+		return kind, nil
+	}
+	return "", &httpError{http.StatusBadRequest, fmt.Sprintf("unknown backend %q (want mem, file, or sharded)", kind)}
+}
+
+// provision builds the entry for a shared dataset or, when private, for
+// one standalone job: storage of the given kind, under a uniquely named
+// directory for file-backed kinds, opened as a dataset holding the
+// canonical records — or, without fill, nothing until an upload lands.
+// Every backend is wrapped with the timing instrumentation outermost —
+// after any WrapBackend chaos adversary — so the latency histograms
+// measure the full storage path a job actually experiences; the entry's
+// sink routes the instrumented samples to whichever job runs on it.
+func (m *Manager) provision(id, kind string, cfg bmmc.Config, private, fill bool) (*dsEntry, error) {
+	d := newDSEntry(id, kind, cfg, private)
+	var be bmmc.Backend
+	var err error
+	if kind == BackendMem {
+		be = bmmc.MemBackend()
+	} else {
+		name := "ds-" + id
+		if private {
+			name = "job-" + id
 		}
-		be = bmmc.FileBackend(dir)
-	case BackendSharded:
-		dir = filepath.Join(m.baseDir, name)
-		shards := make([]string, m.cfg.Shards)
-		for i := range shards {
-			shards[i] = filepath.Join(dir, fmt.Sprintf("shard-%02d", i))
-			if err := os.MkdirAll(shards[i], 0o755); err != nil {
-				return nil, "", nil, err
+		d.dir = filepath.Join(m.baseDir, name)
+		dirs := []string{d.dir}
+		if kind == BackendSharded {
+			dirs = make([]string, m.cfg.Shards)
+			for i := range dirs {
+				dirs[i] = filepath.Join(d.dir, fmt.Sprintf("shard-%02d", i))
 			}
 		}
-		be = bmmc.ShardedBackend(shards...)
-	default:
-		be = bmmc.MemBackend()
+		for _, dir := range dirs {
+			if err = os.MkdirAll(dir, 0o755); err != nil {
+				break
+			}
+		}
+		be = bmmc.ShardedBackend(dirs...)
 	}
-	if m.cfg.WrapBackend != nil {
-		be = m.cfg.WrapBackend(kind, be)
+	if err == nil {
+		if m.cfg.WrapBackend != nil {
+			be = m.cfg.WrapBackend(kind, be)
+		}
+		be = pdm.InstrumentBackend(be, m.obs.opObserver(d.sink))
+		open := bmmc.OpenDataset
+		if fill {
+			open = bmmc.CreateDataset
+		}
+		d.ds, err = open(cfg, bmmc.WithBackend(be))
 	}
-	sink := &ioSink{}
-	be = pdm.InstrumentBackend(be, m.obs.opObserver(sink))
-	return be, dir, sink, nil
+	if err != nil {
+		m.teardown(d)
+		// A provisioning failure is the daemon's problem (full volume,
+		// permissions), not the caller's: surface it as a server error.
+		return nil, &httpError{http.StatusInternalServerError, "provisioning storage: " + err.Error()}
+	}
+	return d, nil
+}
+
+// teardown closes an entry's storage and removes its directory. Every
+// path that retires storage ends here, once it alone owns the entry.
+func (m *Manager) teardown(d *dsEntry) {
+	if d.ds != nil {
+		if err := d.ds.Close(); err != nil {
+			m.log.Warn("closing storage", "entry", d.id, "err", err)
+		}
+	}
+	if d.dir != "" {
+		if err := os.RemoveAll(d.dir); err != nil {
+			m.log.Warn("removing storage dir", "entry", d.id, "err", err)
+		}
+	}
+}
+
+// dropEntry deletes an entry: refused with 409 while jobs are bound to
+// it, it waits for in-flight streams to drain and then tears the storage
+// down. Dropping an already-deleted entry is a no-op.
+func (m *Manager) dropEntry(d *dsEntry) error {
+	owner, err := d.tryRelease()
+	if owner {
+		m.teardown(d)
+	}
+	return err
 }
 
 // CreateDataset validates, provisions storage, and registers a new shared
@@ -388,12 +420,9 @@ func (m *Manager) CreateDataset(req CreateDatasetRequest) (*dsEntry, error) {
 	if err := req.Config.Validate(); err != nil {
 		return nil, &httpError{http.StatusBadRequest, err.Error()}
 	}
-	backend := req.Backend
-	if backend == "" {
-		backend = BackendMem
-	}
-	if backend != BackendMem && backend != BackendFile && backend != BackendSharded {
-		return nil, &httpError{http.StatusBadRequest, fmt.Sprintf("unknown backend %q (want mem, file, or sharded)", backend)}
+	backend, err := backendKind(req.Backend)
+	if err != nil {
+		return nil, err
 	}
 	if req.Stripes > 1 {
 		return nil, &httpError{http.StatusBadRequest, "striped datasets exist only behind a cluster coordinator: a single daemon holds whole datasets"}
@@ -416,22 +445,12 @@ func (m *Manager) CreateDataset(req CreateDatasetRequest) (*dsEntry, error) {
 	}
 	m.mu.Unlock()
 
-	be, dir, sink, err := m.provision("ds-"+id, backend)
-	var ds *bmmc.Dataset
-	if err == nil {
-		ds, err = bmmc.CreateDataset(req.Config, bmmc.WithBackend(be))
-	}
+	entry, err := m.provision(id, backend, req.Config, false, true)
 	if err != nil {
-		if dir != "" {
-			os.RemoveAll(dir)
-		}
-		return nil, &httpError{http.StatusInternalServerError, "provisioning dataset storage: " + err.Error()}
+		return nil, err
 	}
-	entry := newDSEntry(id, backend, req.Config, ds, dir)
-	entry.sink = sink
 
 	m.mu.Lock()
-	err = nil
 	switch old, exists := m.datasets[id]; {
 	case m.closed: // shutdown raced the provisioning above
 		err = ErrShuttingDown
@@ -448,10 +467,7 @@ func (m *Manager) CreateDataset(req CreateDatasetRequest) (*dsEntry, error) {
 	}
 	m.mu.Unlock()
 	if err != nil {
-		ds.Close()
-		if dir != "" {
-			os.RemoveAll(dir)
-		}
+		m.teardown(entry)
 		return nil, err
 	}
 	m.log.Info("dataset created", "dataset", id, "backend", backend, "config", req.Config.String())
@@ -507,20 +523,8 @@ func (m *Manager) DeleteDataset(id string) (*dsEntry, error) {
 	if !ok {
 		return nil, errUnknownDataset(id)
 	}
-	owner, err := d.tryRelease()
-	if err != nil {
+	if err := m.dropEntry(d); err != nil {
 		return nil, err
-	}
-	if !owner {
-		return d, nil
-	}
-	if err := d.ds.Close(); err != nil {
-		m.log.Warn("closing dataset storage", "dataset", id, "err", err)
-	}
-	if d.dir != "" {
-		if err := os.RemoveAll(d.dir); err != nil {
-			m.log.Warn("removing dataset dir", "dataset", id, "err", err)
-		}
 	}
 	m.log.Info("dataset deleted", "dataset", id)
 	return d, nil
@@ -540,9 +544,7 @@ func (m *Manager) expirePending(j *Job, wait time.Duration) {
 	j.pending = false
 	j.cancel()
 	j.mu.Unlock()
-	m.mu.Lock()
-	m.queueLen--
-	m.mu.Unlock()
+	m.freeSlot()
 	m.release(j)
 	m.log.Info("await-input job expired", "job", j.id, "wait", wait.String())
 }
@@ -574,9 +576,7 @@ func (m *Manager) worker() {
 		case <-m.quit:
 			return
 		case j := <-m.queue:
-			m.mu.Lock()
-			m.queueLen--
-			m.mu.Unlock()
+			m.freeSlot()
 			m.run(j)
 		}
 	}
@@ -584,21 +584,25 @@ func (m *Manager) worker() {
 
 // run drives one dequeued job through planning, execution, and its
 // terminal state. A job canceled while queued is only released here —
-// never planned, never executed. Dataset-handle jobs first wait for their
-// execution-order ticket, so a chain on one dataset runs in submission
-// order no matter how many workers race, and always retire the ticket on
-// the way out.
+// never planned, never executed. Jobs first wait for their execution-order
+// ticket, so a chain on one dataset runs in submission order no matter how
+// many workers race, and always retire the ticket on the way out.
 func (m *Manager) run(j *Job) {
+	d := j.dsEntry
 	j.mu.Lock()
-	j.waitIdleLocked()
+	// A standalone job's upload may still be streaming: claim the job only
+	// once its entry is idle, so the input is sealed before planning.
+	for j.state == StateQueued && !d.idle() {
+		j.mu.Unlock()
+		d.waitIdle()
+		j.mu.Lock()
+	}
 	if j.state != StateQueued { // canceled while queued
 		j.mu.Unlock()
 		// Never executed: hand the unused execution ticket through so
 		// later jobs on the dataset are not blocked, and release without
 		// pinning this worker behind the dataset's running predecessors.
-		if j.dsEntry != nil {
-			j.dsEntry.retire(j.ticket)
-		}
+		d.retire(j.ticket)
 		m.release(j)
 		return
 	}
@@ -608,29 +612,25 @@ func (m *Manager) run(j *Job) {
 	j.mu.Unlock()
 	m.obs.queueWait.Observe(j.started.Sub(j.submitted).Seconds())
 
-	// Chained jobs wait for their execution-order ticket here — after the
-	// claim, so a cancellation during the wait still resolves through the
-	// ctx check below — and always retire the ticket on the way out.
-	if j.dsEntry != nil {
-		j.dsEntry.waitTurn(j.ticket)
-		defer j.dsEntry.retire(j.ticket)
-	}
+	// Jobs wait for their execution-order ticket here — after the claim,
+	// so a cancellation during the wait still resolves through the ctx
+	// check below — and always retire the ticket on the way out.
+	d.waitTurn(j.ticket)
+	defer d.retire(j.ticket)
 	// The job's cost is the delta its run adds to the dataset's counters —
 	// snapshot after winning the turnstile, so chained predecessors'
-	// I/O is excluded exactly (for per-job storage the dataset is fresh
-	// and the delta is the total). finish always subtracts this snapshot,
-	// including on the canceled-before-execution path below.
-	j.statsBefore = j.ds.Stats()
+	// I/O is excluded exactly (a private entry is fresh and the delta is
+	// the total). finish always subtracts this snapshot, including on the
+	// canceled-before-execution path below.
+	j.statsBefore = d.ds.Stats()
 	// Per-pass attribution starts from the same snapshot; finish charges
 	// any residual I/O past the last pass boundary to the job's counters.
 	j.passStartIOs = j.statsBefore.ParallelIOs()
-	if j.sink != nil {
-		// Route the backend's io spans into this job's trace for the
-		// duration of the run. Jobs on one dataset are serialized by the
-		// turnstile above, so the sink has one owner at a time.
-		j.sink.buf.Store(j.traceBuf)
-		defer j.sink.buf.Store(nil)
-	}
+	// Route the backend's io spans into this job's trace for the duration
+	// of the run. Jobs on one dataset are serialized by the turnstile
+	// above, so the sink has one owner at a time.
+	d.sink.buf.Store(j.traceBuf)
+	defer d.sink.buf.Store(nil)
 
 	// The plan itself was prepared at submit time through the shared
 	// Engine; the planning state covers claiming the job, sealing its
@@ -644,10 +644,8 @@ func (m *Manager) run(j *Job) {
 	j.mu.Unlock()
 	m.log.Info("job running", "job", j.id, "input_loaded", j.Status().InputLoaded)
 
-	if j.dsEntry != nil {
-		j.dsEntry.ran()
-	}
-	rep, err := m.eng.Execute(j.ctx, j.plan, j.ds, bmmc.WithProgress(j.onProgress))
+	d.ran()
+	rep, err := m.eng.Execute(j.ctx, j.plan, d.ds, bmmc.WithProgress(j.onProgress))
 	m.finish(j, rep, err)
 }
 
@@ -658,8 +656,8 @@ func (m *Manager) run(j *Job) {
 func (m *Manager) finish(j *Job, rep *bmmc.Report, err error) {
 	// The job's cost is the delta over the dataset's counters at claim
 	// time: exact because jobs on one dataset are serialized by the ticket
-	// turnstile (and per-job datasets see only their own job).
-	stats := j.ds.Stats()
+	// turnstile (and a private entry sees only its own job).
+	stats := j.dsEntry.ds.Stats()
 	// Charge any I/O past the last pass-boundary event (a pass aborted by
 	// cancellation, or a plan with no progress events) to the pass counter
 	// under the last seen kernel, so the job's bmmc_pass_ios total equals
@@ -714,13 +712,13 @@ func (m *Manager) finish(j *Job, rep *bmmc.Report, err error) {
 		m.obs.bounds.With("lower").Add(j.summary.LowerBoundIOs)
 		m.obs.bounds.With("upper").Add(float64(j.summary.UpperBoundIOs))
 		m.log.Info("job done", "job", j.id, "passes", rep.Passes, "parallel_ios", rep.ParallelIOs)
-		if j.dsEntry != nil {
-			// Nothing to download from the job itself; the chained output
-			// lives on the dataset. Mark the job released immediately.
-			m.release(j)
-		}
 	} else {
 		m.log.Info("job finished", "job", j.id, "state", string(state), "err", j.Status().Error)
+	}
+	// A done standalone job keeps its storage until its output is
+	// downloaded and the job released; a dataset job's output lives on
+	// the dataset, and a job that did not complete has none.
+	if state != StateDone || !j.dsEntry.private {
 		m.release(j)
 	}
 }
@@ -750,9 +748,7 @@ func (m *Manager) Cancel(id string) (*Job, error) {
 		if wasPending {
 			// Never handed to the workers: free its admission slot and
 			// release its storage here.
-			m.mu.Lock()
-			m.queueLen--
-			m.mu.Unlock()
+			m.freeSlot()
 			m.release(j)
 		}
 		// Otherwise storage is released when a worker dequeues the job (or
@@ -770,31 +766,21 @@ func (m *Manager) Cancel(id string) (*Job, error) {
 	return j, nil
 }
 
-// release retires a job's hold on storage. For per-job storage it closes
-// the Dataset and removes the private directory; for dataset-handle jobs
-// the shared dataset stays untouched (its lifecycle is DeleteDataset's).
-// It waits for in-flight uploads and downloads to drain first (marking the
-// job released up front so no new stream can start) and is idempotent.
+// release retires a job's hold on storage and is idempotent. A private
+// entry is deleted once its in-flight upload or downloads drain (the job
+// is marked released up front so no new download can start); a shared
+// dataset stays untouched (its lifecycle is DeleteDataset's).
 func (m *Manager) release(j *Job) {
 	j.mu.Lock()
 	if j.released {
 		j.mu.Unlock()
 		return
 	}
-	j.released = true // outputReadyLocked now refuses new downloads
-	j.waitIdleLocked()
+	j.released = true // openOutput now refuses new downloads
 	j.mu.Unlock()
 	j.cancel()
-	if !j.ownsDS {
-		return
-	}
-	if err := j.ds.Close(); err != nil {
-		m.log.Warn("closing job storage", "job", j.id, "err", err)
-	}
-	if j.dir != "" {
-		if err := os.RemoveAll(j.dir); err != nil {
-			m.log.Warn("removing job dir", "job", j.id, "err", err)
-		}
+	if j.dsEntry.private {
+		m.dropEntry(j.dsEntry)
 	}
 }
 
@@ -903,15 +889,10 @@ func (m *Manager) Shutdown(ctx context.Context) {
 		m.release(j)
 	}
 	// Every job is terminal, so each dataset's active count is zero:
-	// tryRelease only has to wait out in-flight download streams, exactly
-	// the way job release drains its data plane.
+	// dropping it only has to wait out in-flight download streams, exactly
+	// the way job release drains a private entry.
 	for _, d := range datasets {
-		if owner, err := d.tryRelease(); err == nil && owner {
-			d.ds.Close()
-			if d.dir != "" {
-				os.RemoveAll(d.dir)
-			}
-		}
+		m.dropEntry(d)
 	}
 	if m.ownsDir {
 		os.RemoveAll(m.baseDir)

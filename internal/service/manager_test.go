@@ -8,10 +8,12 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	bmmc "repro"
+	"repro/internal/pdm"
 )
 
 // testConfig is small enough that a mem-backed job completes in
@@ -132,6 +134,35 @@ func TestJobLifecycleDone(t *testing.T) {
 	if mt.JobsDone != 1 || mt.ParallelIOs != st.Report.ParallelIOs || mt.Passes != st.Report.Passes {
 		t.Errorf("metrics do not aggregate the job's stats: %+v vs report %+v", mt, st.Report)
 	}
+
+	// The job's private storage is reachable only through the job and is
+	// deleted when the job is released.
+	if _, err := m.Cancel(j.ID()); err != nil { // releases a terminal job
+		t.Fatal(err)
+	}
+	assertNoDatasets(t, m)
+	if st := j.Status(); st.Dataset != "" {
+		t.Errorf("standalone job names dataset %q", st.Dataset)
+	}
+	if _, ok := m.Dataset(j.dsEntry.id); ok {
+		t.Error("standalone job's storage is addressable as a dataset")
+	}
+	if !j.dsEntry.Status().Released {
+		t.Error("released job's private storage was not deleted")
+	}
+}
+
+// assertNoDatasets checks that standalone jobs left no trace in the
+// dataset table or the dataset gauges.
+func assertNoDatasets(t *testing.T, m *Manager) {
+	t.Helper()
+	if ds := m.Datasets(); len(ds) != 0 {
+		t.Errorf("standalone jobs registered %d datasets", len(ds))
+	}
+	if mt := m.Metrics(); mt.DatasetsCreated != 0 || mt.DatasetsActive != 0 || mt.DatasetJobsRun != 0 {
+		t.Errorf("standalone jobs counted as datasets: created=%d active=%d jobs_run=%d",
+			mt.DatasetsCreated, mt.DatasetsActive, mt.DatasetJobsRun)
+	}
 }
 
 // TestUploadedDataRoundTrip pins the data plane plus the worker's upload
@@ -162,9 +193,7 @@ func TestUploadedDataRoundTrip(t *testing.T) {
 	// claim j and park on the upload gate until the data finishes.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		j.mu.Lock()
-		uploading := j.uploading
-		j.mu.Unlock()
+		uploading := !j.dsEntry.idle()
 		if uploading {
 			break
 		}
@@ -327,6 +356,58 @@ func TestAwaitInputLifecycle(t *testing.T) {
 	}
 	if s := waitTerminal(t, j2); s != StateDone {
 		t.Fatalf("uploaded await-input job finished %s, want done", s)
+	}
+	if _, err := m.Cancel(j2.ID()); err != nil { // releases a terminal job
+		t.Fatal(err)
+	}
+	assertNoDatasets(t, m)
+}
+
+// TestAwaitInputSkipsCanonicalFill pins that an await-input job's storage
+// is opened without the canonical fill its upload would overwrite: the
+// backend sees no block written between Submit and the upload, and the
+// job's output is exactly the upload, permuted.
+func TestAwaitInputSkipsCanonicalFill(t *testing.T) {
+	var written atomic.Int64
+	m := newTestManager(t, ManagerConfig{Workers: 1, QueueDepth: 2,
+		WrapBackend: func(_ string, be bmmc.Backend) bmmc.Backend {
+			return pdm.InstrumentBackend(be, func(s pdm.OpSample) {
+				if s.Op == "write" {
+					written.Add(int64(s.Blocks))
+				}
+			})
+		}})
+	p := bmmc.BitReversal(testConfig.LgN())
+	req := submitReq(t, testConfig, p)
+	req.Backend = BackendFile
+	req.AwaitInput = true
+	j, err := m.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := written.Load(); n != 0 {
+		t.Fatalf("submit wrote %d records before any upload, want none", n*int64(testConfig.B))
+	}
+
+	recs := make([]bmmc.Record, testConfig.N)
+	for i := range recs {
+		recs[i] = bmmc.Record{Key: uint64(i)*0x9e3779b9 + 1, Tag: uint64(i)}
+	}
+	if err := j.Upload(context.Background(), bytes.NewReader(encodeRecords(recs))); err != nil {
+		t.Fatal(err)
+	}
+	if s := waitTerminal(t, j); s != StateDone {
+		t.Fatalf("job finished %s (%s), want done", s, j.Status().Error)
+	}
+	var out bytes.Buffer
+	if err := j.Download(context.Background(), &out); err != nil {
+		t.Fatal(err)
+	}
+	data := out.Bytes()
+	for x := range recs {
+		if got := bmmc.DecodeRecord(data[p.Apply(uint64(x))*bmmc.RecordBytes:]); got != recs[x] {
+			t.Fatalf("address %d holds %+v, want uploaded record %d %+v", p.Apply(uint64(x)), got, x, recs[x])
+		}
 	}
 }
 

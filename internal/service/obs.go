@@ -91,12 +91,8 @@ func newManagerObs(m *Manager) *managerObs {
 // so it touches only immutable job fields and lock-free metric handles.
 func (o *managerObs) jobTransition(j *Job, to State, errMsg string) {
 	o.transitions.With(string(to)).Inc()
-	dataset := ""
-	if j.dsEntry != nil {
-		dataset = j.dsEntry.id
-	}
 	o.log.Info("audit: job transition",
-		"job", j.id, "dataset", dataset, "tenant", "default",
+		"job", j.id, "dataset", j.datasetID(), "tenant", "default",
 		"state", string(to), "class", j.summary.Class, "error", errMsg)
 }
 

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -70,8 +71,8 @@ func NewHandler(m *Manager, logger *slog.Logger) http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", s.status)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.events)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.cancel)
-	mux.HandleFunc("PUT /v1/jobs/{id}/input", s.input)
-	mux.HandleFunc("GET /v1/jobs/{id}/output", s.output)
+	mux.HandleFunc("PUT /v1/jobs/{id}/input", s.jobInput)
+	mux.HandleFunc("GET /v1/jobs/{id}/output", s.jobOutput)
 	mux.HandleFunc("POST /v1/datasets", s.createDataset)
 	mux.HandleFunc("GET /v1/datasets", s.listDatasets)
 	mux.HandleFunc("GET /v1/datasets/{id}", s.datasetStatus)
@@ -187,39 +188,49 @@ func (s *server) cancel(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, j.Status())
 }
 
-func (s *server) input(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.job(w, r)
-	if !ok {
-		return
+func (s *server) jobInput(w http.ResponseWriter, r *http.Request) {
+	if j, ok := s.job(w, r); ok {
+		s.input(w, r, j.dsEntry.cfg.N, j.Upload)
 	}
-	if want := int64(j.cfg.N) * bmmc.RecordBytes; r.ContentLength >= 0 && r.ContentLength != want {
+}
+
+func (s *server) jobOutput(w http.ResponseWriter, r *http.Request) {
+	if j, ok := s.job(w, r); ok {
+		s.output(w, r, j.dsEntry, j.openOutput)
+	}
+}
+
+// input serves a job's or a dataset's PUT .../input: exactly n records in
+// the wire format, handed to upload.
+func (s *server) input(w http.ResponseWriter, r *http.Request, n int, upload func(context.Context, io.Reader) error) {
+	if want := int64(n) * bmmc.RecordBytes; r.ContentLength >= 0 && r.ContentLength != want {
 		s.writeErr(w, &httpError{http.StatusBadRequest,
 			fmt.Sprintf("input must be exactly N*%d = %d bytes, got Content-Length %d", bmmc.RecordBytes, want, r.ContentLength)})
 		return
 	}
-	if err := j.Upload(r.Context(), s.inBytes(r.Body)); err != nil {
+	if err := upload(r.Context(), s.inBytes(r.Body)); err != nil {
 		s.writeErr(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
-func (s *server) output(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.job(w, r)
-	if !ok {
-		return
-	}
-	// Probe readiness before committing headers so wrong-state requests
-	// get a clean JSON error instead of a broken byte stream.
-	if err := j.outputReady(); err != nil {
+// output serves a job's or a dataset's GET .../output: it streams d's
+// records once open admits the stream. Admitting before committing headers
+// means that once open succeeds the entry cannot gain a job or be deleted
+// under us, so wrong-state requests get a clean JSON error and admitted
+// requests get the full byte stream — never a 200 with a truncated body.
+func (s *server) output(w http.ResponseWriter, r *http.Request, d *dsEntry, open func() error) {
+	if err := open(); err != nil {
 		s.writeErr(w, err)
 		return
 	}
+	defer d.endStream(false)
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", fmt.Sprint(int64(j.cfg.N)*bmmc.RecordBytes))
-	if err := j.Download(r.Context(), s.outBytes(w)); err != nil {
+	w.Header().Set("Content-Length", fmt.Sprint(int64(d.cfg.N)*bmmc.RecordBytes))
+	if err := d.ds.Dump(r.Context(), s.outBytes(w)); err != nil {
 		// Headers are committed; log and cut the stream short.
-		s.log.Warn("output stream aborted", "job", j.ID(), "err", err)
+		s.log.Warn("output stream aborted", "entry", d.id, "err", err)
 	}
 }
 
@@ -283,20 +294,15 @@ func (s *server) deleteDataset(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) datasetInput(w http.ResponseWriter, r *http.Request) {
-	d, ok := s.dataset(w, r)
-	if !ok {
-		return
+	if d, ok := s.dataset(w, r); ok {
+		s.input(w, r, d.cfg.N, d.Upload)
 	}
-	if want := int64(d.cfg.N) * bmmc.RecordBytes; r.ContentLength >= 0 && r.ContentLength != want {
-		s.writeErr(w, &httpError{http.StatusBadRequest,
-			fmt.Sprintf("input must be exactly N*%d = %d bytes, got Content-Length %d", bmmc.RecordBytes, want, r.ContentLength)})
-		return
+}
+
+func (s *server) datasetOutput(w http.ResponseWriter, r *http.Request) {
+	if d, ok := s.dataset(w, r); ok {
+		s.output(w, r, d, d.startStream)
 	}
-	if err := d.Upload(r.Context(), s.inBytes(r.Body)); err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (s *server) datasetHandoff(w http.ResponseWriter, r *http.Request) {
@@ -312,28 +318,6 @@ func (s *server) datasetHandoff(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeJSON(w, http.StatusOK, d.Status())
-}
-
-func (s *server) datasetOutput(w http.ResponseWriter, r *http.Request) {
-	d, ok := s.dataset(w, r)
-	if !ok {
-		return
-	}
-	// Admit the stream before committing headers: once startStream
-	// succeeds the dataset cannot gain a job or be deleted under us, so
-	// wrong-state requests get a clean JSON error and admitted requests
-	// get the full byte stream — never a 200 with a truncated body.
-	if err := d.startStream(); err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	defer d.endStream(false)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", fmt.Sprint(int64(d.cfg.N)*bmmc.RecordBytes))
-	if err := d.ds.Dump(r.Context(), s.outBytes(w)); err != nil {
-		// Headers are committed; log and cut the stream short.
-		s.log.Warn("dataset output stream aborted", "dataset", d.id, "err", err)
-	}
 }
 
 // events streams a job's lifecycle as server-sent events: one "data:" line

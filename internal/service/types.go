@@ -8,10 +8,16 @@
 // The parallel disk model is naturally multi-tenant — independent jobs
 // contend for the same D disks — so the daemon owns what individual
 // library consumers cannot: admission control (a FIFO queue with
-// backpressure), per-job storage isolation (every job gets its own
-// Backend: RAM, a private file directory, or sharded directories), per-job
-// I/O accounting, and a shared plan cache so repeated permutations across
-// tenants are factorized once.
+// backpressure), storage isolation, per-job I/O accounting, and a shared
+// plan cache so repeated permutations across tenants are factorized once.
+//
+// Every job runs on a dataset entry: a Dataset on provisioned storage
+// (RAM, a file directory, or sharded directories). A job submitted with a
+// dataset handle runs on that shared entry, chained with the dataset's
+// other jobs. A standalone job runs on a private entry provisioned for it
+// alone: the dataset table never lists it, and releasing the job deletes
+// it. A private entry for an await-input job skips the canonical fill,
+// since the job cannot run before its upload replaces every record.
 //
 // A job moves through the states queued -> planning -> running ->
 // done/failed/canceled. Planning in the paper's sense (classification and
@@ -51,8 +57,8 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
-// Backend kinds a job may request. The daemon provisions the storage
-// per job and destroys it when the job is released.
+// Backend kinds a job or dataset may request. The daemon provisions the
+// storage for a standalone job and destroys it when the job is released.
 const (
 	BackendMem     = "mem"     // RAM-backed disks (the default)
 	BackendFile    = "file"    // one file per disk in a job-private directory
@@ -77,12 +83,15 @@ type SubmitRequest struct {
 	// and Backend/AwaitInput must be: the dataset owns storage and data.
 	Dataset string `json:"dataset,omitempty"`
 	// AwaitInput holds the job out of the execution queue — while still
-	// occupying an admission slot — until a PUT /input upload completes, so
-	// workers never race ahead of the data plane. The daemon cancels the
-	// job if no upload lands within its input-wait deadline, so idle
-	// submitters cannot hold admission slots forever. Without AwaitInput
-	// the job is runnable immediately and permutes the canonical records
-	// (or whatever an upload managed to land while it sat queued).
+	// occupying an admission slot — until a PUT /input upload of all N
+	// records completes, so workers never race ahead of the data plane.
+	// The job's storage starts empty rather than canonical, since nothing
+	// runs on it or downloads from it before that upload. The daemon
+	// cancels the job if no upload lands within its input-wait deadline,
+	// so idle submitters cannot hold admission slots forever. Without
+	// AwaitInput the job is runnable immediately and permutes the
+	// canonical records (or whatever an upload managed to land while it
+	// sat queued).
 	AwaitInput bool `json:"await_input,omitempty"`
 }
 
