@@ -62,12 +62,12 @@ const (
 )
 
 // Option tunes an Engine (planning and execution) or a Dataset (storage).
-// The execution options (pipelining, scatter workers, concurrent disk
-// dispatch) change wall-clock behavior only: the permuted records and the
-// measured parallel-I/O counts are identical for every setting. The
-// planning options (pass fusion, plan caching) sit above execution: fusion
-// can only lower the measured parallel-I/O count, and caching only skips
-// repeated factorization work — the permuted records are always identical.
+// The execution options (pipelining, concurrent disk dispatch) change
+// wall-clock behavior only: the permuted records and the measured
+// parallel-I/O counts are identical for every setting. The planning
+// options (pass fusion, plan caching) sit above execution: fusion can only
+// lower the measured parallel-I/O count, and caching only skips repeated
+// factorization work — the permuted records are always identical.
 // The storage options (WithBackend, WithConcurrentIO) configure
 // CreateDataset and OpenDataset; the rest configure NewEngine and, per
 // call, Engine methods.
@@ -77,10 +77,6 @@ type Option = core.Option
 // prefetches the next memoryload while the current one is permuted and
 // written. On by default.
 func WithPipeline(on bool) Option { return core.WithPipeline(on) }
-
-// WithWorkers sets the number of goroutines sharding each in-memory
-// scatter; zero or negative selects runtime.GOMAXPROCS (the default).
-func WithWorkers(n int) Option { return core.WithWorkers(n) }
 
 // WithConcurrentIO moves every transfer of each storage batch — the
 // per-disk blocks of a parallel I/O, or the coalesced runs of a group of

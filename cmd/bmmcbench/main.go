@@ -6,7 +6,7 @@
 // Usage:
 //
 //	bmmcbench [-experiment name] [-N n] [-D d] [-B b] [-M m] [-seed s]
-//	          [-json] [-pipeline] [-workers w] [-concurrent] [-fuse] [-cache c]
+//	          [-json] [-pipeline] [-concurrent] [-fuse] [-cache c]
 //	bmmcbench -compare old.json new.json [-tolerance frac]
 //
 // Experiment names: table1, tightbounds, crossover, mld, detect, potential,
@@ -19,15 +19,15 @@
 // (default 0.10, i.e. 10%). Sub-noise-floor experiments never fail the
 // gate. CI runs it against the checked-in BENCH_*.json baselines.
 //
-// -pipeline, -workers and -concurrent select the execution mode of the
-// pass runner (prefetching, scatter worker pool, per-disk goroutine
-// dispatch). They change wall-clock time only; every parallel-I/O count in
-// the tables is identical across modes. -fuse runs every factored-driver
-// workload through the plan-fusion optimizer (pass counts may drop below
-// the verbatim Section 5 factoring, never rise); -cache sets the plan-cache
-// capacity used by the plancache experiment. -json emits the tables as a
-// JSON array with per-experiment elapsed time, for archiving perf
-// trajectories (BENCH_*.json) across revisions.
+// -pipeline and -concurrent select the execution mode of the pass runner
+// (prefetching, per-disk goroutine dispatch). They change wall-clock time
+// only; every parallel-I/O count in the tables is identical across modes.
+// -fuse runs every factored-driver workload through the plan-fusion
+// optimizer (pass counts may drop below the verbatim Section 5 factoring,
+// never rise); -cache sets the plan-cache capacity used by the plancache
+// experiment. -json emits the tables as a JSON array with per-experiment
+// elapsed time, for archiving perf trajectories (BENCH_*.json) across
+// revisions.
 package main
 
 import (
@@ -55,7 +55,6 @@ func main() {
 
 		jsonOut    = flag.Bool("json", false, "emit tables as JSON with per-experiment wall-clock")
 		pipeline   = flag.Bool("pipeline", true, "prefetch the next memoryload while the current one is permuted")
-		workers    = flag.Int("workers", 0, "scatter worker goroutines (0 = GOMAXPROCS)")
 		concurrent = flag.Bool("concurrent", false, "dispatch per-disk transfers on goroutines (SetConcurrent)")
 		fuse       = flag.Bool("fuse", false, "run factored-driver workloads through the plan-fusion optimizer")
 		cache      = flag.Int("cache", experiments.DefaultHarness().PlanCacheSize, "plan-cache capacity for the plancache experiment")
@@ -83,14 +82,14 @@ func main() {
 		os.Exit(2)
 	}
 	h := experiments.Harness{
-		Exec:          engine.Options{Pipeline: *pipeline, Workers: *workers},
+		Exec:          engine.Options{Pipeline: *pipeline},
 		ConcurrentIO:  *concurrent,
 		Fuse:          *fuse,
 		PlanCacheSize: *cache,
 	}
 	if !*jsonOut {
-		fmt.Printf("BMMC permutation experiments on %v (seed %d, pipeline %v, workers %d, concurrent I/O %v, fuse %v)\n\n",
-			cfg, *seed, *pipeline, *workers, *concurrent, *fuse)
+		fmt.Printf("BMMC permutation experiments on %v (seed %d, pipeline %v, concurrent I/O %v, fuse %v)\n\n",
+			cfg, *seed, *pipeline, *concurrent, *fuse)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

@@ -99,18 +99,16 @@
 // # Execution
 //
 // All engines run through a pipelined pass runner: while one memoryload is
-// permuted in memory (sharded across a worker pool) and written out, the
-// next memoryload is prefetched on a reader goroutine into an independent
-// buffer. Pipelining is on by default and is configured per Engine (or per
-// call) with functional options; the storage options configure the
-// Dataset:
+// permuted in memory and written out, the next memoryload is prefetched on
+// a reader goroutine into an independent buffer. Pipelining is on by
+// default and is configured per Engine (or per call) with functional
+// options; the storage options configure the Dataset:
 //
 //	ds, err := bmmc.CreateDataset(cfg,
 //	    bmmc.WithBackend(bmmc.FileBackend(dir)),
 //	    bmmc.WithConcurrentIO(true))  // per-disk dispatch (default off)
 //	eng := bmmc.NewEngine(
-//	    bmmc.WithPipeline(true),      // double-buffered prefetch (default)
-//	    bmmc.WithWorkers(8))          // scatter goroutines (default GOMAXPROCS)
+//	    bmmc.WithPipeline(true))      // double-buffered prefetch (default)
 //
 // Execution options never change what the paper's theorems measure: the
 // permuted result, the parallel-I/O counts, and the per-disk totals are

@@ -5,12 +5,12 @@ import (
 )
 
 // Engine is the stateless compute half of the API: it holds only
-// execution options (pipelining, scatter workers, progress) and the LRU
-// plan cache — never any records or storage. One Engine drives any number
-// of Datasets from any number of goroutines; every Execute takes its
-// target Dataset's run lock for the duration of the run, so executions on
-// distinct Datasets proceed in parallel while two executions on one
-// Dataset serialize in arrival order.
+// execution options (pipelining, progress) and the LRU plan cache — never
+// any records or storage. One Engine drives any number of Datasets from
+// any number of goroutines; every Execute takes its target Dataset's run
+// lock for the duration of the run, so executions on distinct Datasets
+// proceed in parallel while two executions on one Dataset serialize in
+// arrival order.
 //
 // Engine methods accept per-call Option overrides layered over the
 // construction-time settings — a service installs a per-job WithProgress
@@ -25,9 +25,9 @@ import (
 type Engine = core.Engine
 
 // NewEngine builds an execution engine from the planning and execution
-// options (WithPipeline, WithWorkers, WithFusion, WithPlanCache,
-// WithProgress). Storage options (WithBackend, WithConcurrentIO) belong to
-// CreateDataset and are ignored here. Engines are safe for concurrent use
-// and are meant to be shared: one Engine per process is the norm, so every
-// caller benefits from one plan cache.
+// options (WithPipeline, WithFusion, WithPlanCache, WithProgress). Storage
+// options (WithBackend, WithConcurrentIO) belong to CreateDataset and are
+// ignored here. Engines are safe for concurrent use and are meant to be
+// shared: one Engine per process is the norm, so every caller benefits
+// from one plan cache.
 func NewEngine(opts ...Option) *Engine { return core.NewEngine(opts...) }

@@ -76,6 +76,16 @@ type stripeLoc struct {
 	dsID   string // dataset id on that worker
 }
 
+// names reports whether p places its copy dsID on worker.
+func (p *placement) names(worker, dsID string) bool {
+	for _, s := range p.stripes {
+		if s.worker == worker && s.dsID == dsID {
+			return true
+		}
+	}
+	return false
+}
+
 // jobRoute remembers which worker executes a proxied job.
 type jobRoute struct {
 	worker    string
@@ -318,9 +328,11 @@ func (c *Coordinator) Leave(id string) error {
 // adopt pulls a joining worker's existing datasets into the placement
 // table — the coordinator-restart recovery path. Stripe datasets (ids of
 // the form "<base>-s<j>of<k>") are grouped back into their striped
-// placement; whole datasets adopt directly. Ids already placed elsewhere
-// are left alone: the established placement wins and the stale copy is
-// deleted from the joiner.
+// placement; whole datasets adopt directly. A copy the established
+// placement already names on this worker — a stripe provisioned while the
+// listing was in flight, or a re-join — is the live copy and stays. Ids
+// placed on a different worker are left alone: the established placement
+// wins and the stale copy is deleted from the joiner.
 func (c *Coordinator) adopt(workerID, addr string) {
 	// Adoption is driven by the worker heartbeat, not an inbound request:
 	// there is no caller context to inherit.
@@ -340,8 +352,10 @@ func (c *Coordinator) adopt(workerID, addr string) {
 		}
 		base, j, k, striped := parseStripeID(ds.ID)
 		if !striped {
-			if _, exists := c.placements[ds.ID]; exists {
-				stale = append(stale, ds.ID)
+			if p, exists := c.placements[ds.ID]; exists {
+				if !p.names(workerID, ds.ID) {
+					stale = append(stale, ds.ID)
+				}
 				continue
 			}
 			c.placements[ds.ID] = &placement{
@@ -362,6 +376,9 @@ func (c *Coordinator) adopt(workerID, addr string) {
 			}
 			c.placements[base] = p
 			c.dsOrder = append(c.dsOrder, base)
+		}
+		if p.names(workerID, ds.ID) {
+			continue
 		}
 		if !p.striped || j >= len(p.stripes) || p.stripes[j].worker != "" {
 			stale = append(stale, ds.ID)

@@ -20,13 +20,13 @@ const DefaultPlanCacheEntries = 32
 
 // Option configures an Engine or a Dataset at construction (and, for
 // Engine methods, per call). The execution options (WithPipeline,
-// WithWorkers, WithConcurrentIO) tune wall-clock speed only
-// and never change the permuted result or the measured parallel-I/O
-// counts. The planning options (WithFusion, WithPlanCache) sit above
-// execution: fusion can only lower the measured cost — never the result —
-// and caching only skips repeated planning work. The storage options
-// (WithBackend, WithConcurrentIO) are read by Dataset constructors;
-// everything else by Engine constructors.
+// WithConcurrentIO) tune wall-clock speed only and never change the
+// permuted result or the measured parallel-I/O counts. The planning
+// options (WithFusion, WithPlanCache) sit above execution: fusion can only
+// lower the measured cost — never the result — and caching only skips
+// repeated planning work. The storage options (WithBackend,
+// WithConcurrentIO) are read by Dataset constructors; everything else by
+// Engine constructors.
 type Option func(*settings)
 
 type settings struct {
@@ -46,13 +46,6 @@ func defaultSettings() settings {
 // written). On by default.
 func WithPipeline(on bool) Option {
 	return func(s *settings) { s.opt.Pipeline = on }
-}
-
-// WithWorkers sets the number of goroutines sharding each in-memory
-// scatter. Zero or negative selects runtime.GOMAXPROCS. The default is the
-// full GOMAXPROCS pool.
-func WithWorkers(n int) Option {
-	return func(s *settings) { s.opt.Workers = n }
 }
 
 // WithConcurrentIO moves every transfer of each storage batch on its own

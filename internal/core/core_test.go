@@ -26,7 +26,7 @@ func newTestDataset(t *testing.T, cfg pdm.Config) *Dataset {
 	return ds
 }
 
-func TestPermuterReportFields(t *testing.T) {
+func TestEngineReportFields(t *testing.T) {
 	ds := newTestDataset(t, coreConfig)
 	rev := perm.BitReversal(coreConfig.LgN())
 	rep, err := NewEngine().Permute(context.Background(), ds, rev)
@@ -53,7 +53,7 @@ func TestPermuterReportFields(t *testing.T) {
 	}
 }
 
-func TestPermuterStatsAndReset(t *testing.T) {
+func TestDatasetStatsAndReset(t *testing.T) {
 	ds := newTestDataset(t, coreConfig)
 	if _, err := NewEngine().Permute(context.Background(), ds, perm.GrayCode(coreConfig.LgN())); err != nil {
 		t.Fatal(err)
@@ -73,10 +73,10 @@ func TestPermuterStatsAndReset(t *testing.T) {
 	}
 }
 
-// TestPermuterRejectsWrongWidth: every entry point that takes a
+// TestEngineRejectsWrongWidth: every entry point that takes a
 // permutation rejects one whose width is not lg N, including a plan-cache
 // hit for a permutation planned on a wider geometry.
-func TestPermuterRejectsWrongWidth(t *testing.T) {
+func TestEngineRejectsWrongWidth(t *testing.T) {
 	ds := newTestDataset(t, coreConfig)
 	eng := NewEngine()
 	ctx := context.Background()
@@ -95,7 +95,7 @@ func TestPermuterRejectsWrongWidth(t *testing.T) {
 	}
 }
 
-func TestPermuterLoadRecordsRoundTrip(t *testing.T) {
+func TestDatasetLoadRecordsRoundTrip(t *testing.T) {
 	ds := newTestDataset(t, coreConfig)
 	recs := make([]pdm.Record, coreConfig.N)
 	for i := range recs {
@@ -115,7 +115,7 @@ func TestPermuterLoadRecordsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPermuterInvalidConfig(t *testing.T) {
+func TestDatasetInvalidConfig(t *testing.T) {
 	bad := pdm.Config{N: 100, D: 3, B: 5, M: 7}
 	if _, err := CreateDataset(bad); err == nil {
 		t.Fatal("invalid config accepted by CreateDataset")
@@ -136,9 +136,9 @@ func TestDetectTargetsCore(t *testing.T) {
 	}
 }
 
-// TestPermuterFaultSurface: a dataset built over a failing backend surfaces
+// TestEngineFaultSurface: a dataset built over a failing backend surfaces
 // the injected error through Engine.Permute instead of corrupting data.
-func TestPermuterFaultSurface(t *testing.T) {
+func TestEngineFaultSurface(t *testing.T) {
 	faulty := pdm.NewFaultyBackend(pdm.MemBackend(), 4)
 	sys, err := pdm.NewSystem(coreConfig, faulty)
 	if err != nil {
@@ -181,7 +181,7 @@ func TestPermuteGeneralRandom(t *testing.T) {
 	}
 }
 
-func TestPermuterInverseMLDDispatch(t *testing.T) {
+func TestEngineInverseMLDDispatch(t *testing.T) {
 	cfg := coreConfig
 	rng := rand.New(rand.NewSource(10))
 	n, b, m := cfg.LgN(), cfg.LgB(), cfg.LgM()

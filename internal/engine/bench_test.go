@@ -13,10 +13,10 @@ import (
 // Benchmarks comparing the pass runner's execution modes on a file-backed
 // system, where real storage latency exists to overlap. The parallel-I/O
 // counts are identical across modes (asserted by TestPipelinedFileBacked*);
-// these measure what the pipeline and the scatter worker pool buy in
-// wall-clock time. On a multi-core machine with the prefetch overlapping
-// encode/decode and scatter work, pipelined mode wins; on a single core it
-// degrades gracefully to roughly sequential speed.
+// these measure what the pipeline buys in wall-clock time. On a multi-core
+// machine with the prefetch overlapping encode/decode and scatter work,
+// pipelined mode wins; on a single core it degrades gracefully to roughly
+// sequential speed.
 var benchCfg = pdm.Config{N: 1 << 18, D: 8, B: 16, M: 1 << 12}
 
 func benchmarkFileBMMC(b *testing.B, opt Options, concurrent bool) {
@@ -48,7 +48,7 @@ func benchmarkFileBMMC(b *testing.B, opt Options, concurrent bool) {
 }
 
 func BenchmarkFileBMMCSequential(b *testing.B) {
-	benchmarkFileBMMC(b, Options{Pipeline: false, Workers: 1}, false)
+	benchmarkFileBMMC(b, Options{Pipeline: false}, false)
 }
 
 func BenchmarkFileBMMCPipelined(b *testing.B) {
@@ -85,7 +85,7 @@ func benchmarkMemBMMC(b *testing.B, opt Options) {
 }
 
 func BenchmarkMemBMMCSequential(b *testing.B) {
-	benchmarkMemBMMC(b, Options{Pipeline: false, Workers: 1})
+	benchmarkMemBMMC(b, Options{Pipeline: false})
 }
 
 func BenchmarkMemBMMCPipelined(b *testing.B) {
@@ -115,7 +115,7 @@ func benchmarkScatterKernel(b *testing.B, force bool) {
 	}
 	forceRecordKernel = force
 	defer func() { forceRecordKernel = false }()
-	opt := Options{Pipeline: false, Workers: 1}
+	opt := Options{Pipeline: false}
 	b.SetBytes(int64(cfg.N) * pdm.RecordBytes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -168,13 +168,13 @@ func sortedTrace(tr *pdm.Trace) string {
 	return strings.Join(lines, "\n")
 }
 
-// TestConcurrentTraceInvariant: with the pipeline, the scatter worker
-// pool, and concurrent per-disk dispatch all enabled (the configuration
-// the -race CI job stresses), every counted parallel I/O still touches at
-// most one block per disk, and the stats and operation multiset are
-// byte-identical to the fully sequential run — for both the fused and the
-// unfused plan of a multi-pass permutation, and for a plan reused the way
-// the core plan cache reuses it.
+// TestConcurrentTraceInvariant: with the pipeline and concurrent per-disk
+// dispatch both enabled (the configuration the -race CI job stresses),
+// every counted parallel I/O still touches at most one block per disk, and
+// the stats and operation multiset are byte-identical to the fully
+// sequential run — for both the fused and the unfused plan of a
+// multi-pass permutation, and for a plan reused the way the core plan
+// cache reuses it.
 func TestConcurrentTraceInvariant(t *testing.T) {
 	cfg := pdm.Config{N: 1 << 11, D: 4, B: 8, M: 1 << 7}
 	rng := rand.New(rand.NewSource(196))
@@ -193,8 +193,8 @@ func TestConcurrentTraceInvariant(t *testing.T) {
 			name string
 			plan *factor.Plan
 		}{{"unfused", plan}, {"fused", factor.Fuse(plan, b, m)}} {
-			seqRecs, seqStats, seqTr := traceRun(t, cfg, mode.plan, Options{Pipeline: false, Workers: 1}, false)
-			conRecs, conStats, conTr := traceRun(t, cfg, mode.plan, Options{Pipeline: true, Workers: 0}, true)
+			seqRecs, seqStats, seqTr := traceRun(t, cfg, mode.plan, Options{Pipeline: false}, false)
+			conRecs, conStats, conTr := traceRun(t, cfg, mode.plan, Options{Pipeline: true}, true)
 
 			for _, e := range conTr.Entries {
 				seen := make(map[int]bool, len(e.IOs))
@@ -219,7 +219,7 @@ func TestConcurrentTraceInvariant(t *testing.T) {
 
 			// Reusing the identical plan value — exactly what a plan-cache
 			// hit does — replays the identical operation multiset.
-			reRecs, reStats, reTr := traceRun(t, cfg, mode.plan, Options{Pipeline: true, Workers: 0}, true)
+			reRecs, reStats, reTr := traceRun(t, cfg, mode.plan, Options{Pipeline: true}, true)
 			sameLayout(t, conRecs, reRecs, fmt.Sprintf("perm %d %s cached replay", i, mode.name))
 			if !reflect.DeepEqual(conStats, reStats) || sortedTrace(conTr) != sortedTrace(reTr) {
 				t.Fatalf("perm %d %s: cached plan replay diverged", i, mode.name)

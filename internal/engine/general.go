@@ -81,8 +81,7 @@ func GeneralPermute(ctx context.Context, sys *pdm.System, targetOf func(uint64) 
 
 // sortStrategy is the run-formation stage of the merge sort as a pass
 // strategy: striped reads of each memoryload, an in-memory sort by target
-// address (a single scatter unit — sorting does not shard), and striped
-// writes back to the same memoryload position.
+// address, and striped writes back to the same memoryload position.
 type sortStrategy struct {
 	cfg      pdm.Config
 	targetOf func(uint64) uint64
@@ -95,19 +94,15 @@ func (st *sortStrategy) kernel() string { return "sort" }
 func (st *sortStrategy) loads() int { return st.cfg.Memoryloads() }
 
 func (st *sortStrategy) prepare(ml int) (loadPlan, error) {
-	return loadPlan{reads: stripedOps(st.cfg, ml), units: 1}, nil
+	return loadPlan{reads: stripedOps(st.cfg, ml)}, nil
 }
 
-func (st *sortStrategy) scatter(_ int, _ loadPlan, in, out *pdm.Buffer, _, _ int) (any, error) {
+func (st *sortStrategy) scatter(ml int, _ loadPlan, in, out *pdm.Buffer) ([][]pdm.BlockIO, error) {
 	recs := out.Records()
 	copy(recs, in.Records())
 	sort.Slice(recs, func(i, j int) bool {
 		return st.targetOf(recs[i].Key) < st.targetOf(recs[j].Key)
 	})
-	return nil, nil
-}
-
-func (st *sortStrategy) writes(ml int, _ loadPlan, _ []any) ([][]pdm.BlockIO, error) {
 	return stripedOps(st.cfg, ml), nil
 }
 

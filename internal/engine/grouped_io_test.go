@@ -50,7 +50,7 @@ func runConformance(t *testing.T, cfg pdm.Config, backend string, ungrouped bool
 
 func TestGroupedIOMatchesUngrouped(t *testing.T) {
 	cfg := pdm.Config{N: 1 << 12, D: 4, B: 8, M: 1 << 8}
-	opt := Options{Pipeline: false, Workers: 1}
+	opt := Options{Pipeline: false}
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(77))
 	mld := randomMLD(rng, cfg.LgN(), cfg.LgB(), cfg.LgM())

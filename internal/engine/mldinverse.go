@@ -128,10 +128,10 @@ func (st *invMLDStrategy) prepare(tml int) (loadPlan, error) {
 			reads[wave][disk] = byDisk[disk][wave]
 		}
 	}
-	return loadPlan{reads: reads, units: cfg.Frames(), ctx: blockOf}, nil
+	return loadPlan{reads: reads, ctx: blockOf}, nil
 }
 
-func (st *invMLDStrategy) scatter(tml int, plan loadPlan, in, out *pdm.Buffer, lo, hi int) (any, error) {
+func (st *invMLDStrategy) scatter(tml int, plan loadPlan, in, out *pdm.Buffer) ([][]pdm.BlockIO, error) {
 	cfg := st.cfg
 	b := cfg.LgB()
 	mask := uint64(cfg.M - 1)
@@ -140,33 +140,24 @@ func (st *invMLDStrategy) scatter(tml int, plan loadPlan, in, out *pdm.Buffer, l
 	// The record read into frame f at offset off has source address
 	// (block base of f) | off; route it to its target offset within this
 	// memoryload.
-	if st.run > 1 {
-		// Run-coalescing kernel: within a frame the source offsets are
-		// consecutive, so target addresses advance in lockstep up to each
-		// aligned run boundary (run <= B keeps every segment inside one
-		// frame), and the escape check per segment covers all its records.
-		for f := lo; f < hi; f++ {
-			frame := in.Frame(f)
-			blockBase := uint64(blockOf[f]) << uint(b)
-			for off := 0; off < len(frame); {
-				seg := st.run - (off & (st.run - 1))
-				if off+seg > len(frame) {
-					seg = len(frame) - off
-				}
+	for f := 0; f < cfg.Frames(); f++ {
+		frame := in.Frame(f)
+		blockBase := uint64(blockOf[f]) << uint(b)
+		if st.run > 1 {
+			// Run-coalescing kernel: within a frame the source offsets are
+			// consecutive, so target addresses advance in lockstep across
+			// each aligned run (run <= B keeps every run inside one frame),
+			// and the escape check per run covers all its records.
+			for off := 0; off < len(frame); off += st.run {
 				y := st.applier.Apply(blockBase | uint64(off))
 				if cfg.MemoryloadOf(y) != tml {
 					return nil, fmt.Errorf("engine: record %d escaped target memoryload %d", blockBase|uint64(off), tml)
 				}
 				d := int(y & mask)
-				copy(dst[d:d+seg], frame[off:off+seg])
-				off += seg
+				copy(dst[d:d+st.run], frame[off:off+st.run])
 			}
+			continue
 		}
-		return nil, nil
-	}
-	for f := lo; f < hi; f++ {
-		frame := in.Frame(f)
-		blockBase := uint64(blockOf[f]) << uint(b)
 		for off, r := range frame {
 			y := st.applier.Apply(blockBase | uint64(off))
 			if cfg.MemoryloadOf(y) != tml {
@@ -175,10 +166,6 @@ func (st *invMLDStrategy) scatter(tml int, plan loadPlan, in, out *pdm.Buffer, l
 			dst[y&mask] = r
 		}
 	}
-	return nil, nil
-}
-
-func (st *invMLDStrategy) writes(tml int, _ loadPlan, _ []any) ([][]pdm.BlockIO, error) {
 	// Emit the memoryload with striped writes.
-	return retargetStriped(&st.writeOps, st.cfg, tml), nil
+	return retargetStriped(&st.writeOps, cfg, tml), nil
 }

@@ -50,7 +50,7 @@ func NaivePermute(ctx context.Context, sys *pdm.System, targetOf func(uint64) ui
 // output-buffer index.
 type naivePull struct{ inIdx, outIdx int }
 
-// naiveCtx is the per-wave plan handed from prepare to scatter/writes.
+// naiveCtx is the per-wave plan handed from prepare to scatter.
 type naiveCtx struct {
 	pulls []naivePull
 	write []pdm.BlockIO // the round's parallel write, on its last wave only
@@ -70,7 +70,7 @@ type naiveStrategy struct {
 
 	// Reader-local cache of the round currently being planned. prepare is
 	// invoked in load order on a single goroutine, so the cache needs no
-	// locking; scatter and writes see per-wave state only through naiveCtx.
+	// locking; scatter sees per-wave state only through naiveCtx.
 	round     int
 	waveIOs   [][]pdm.BlockIO
 	wavePulls [][]naivePull
@@ -208,24 +208,15 @@ func (st *naiveStrategy) prepare(ml int) (loadPlan, error) {
 		}
 		ctx.write = ios
 	}
-	return loadPlan{
-		reads: [][]pdm.BlockIO{st.waveIOs[wave]},
-		units: len(ctx.pulls),
-		ctx:   ctx,
-	}, nil
+	return loadPlan{reads: [][]pdm.BlockIO{st.waveIOs[wave]}, ctx: ctx}, nil
 }
 
-func (st *naiveStrategy) scatter(_ int, plan loadPlan, in, out *pdm.Buffer, lo, hi int) (any, error) {
+func (st *naiveStrategy) scatter(_ int, plan loadPlan, in, out *pdm.Buffer) ([][]pdm.BlockIO, error) {
 	ctx := plan.ctx.(naiveCtx)
 	src, dst := in.Records(), out.Records()
-	for _, p := range ctx.pulls[lo:hi] {
+	for _, p := range ctx.pulls {
 		dst[p.outIdx] = src[p.inIdx]
 	}
-	return nil, nil
-}
-
-func (st *naiveStrategy) writes(_ int, plan loadPlan, _ []any) ([][]pdm.BlockIO, error) {
-	ctx := plan.ctx.(naiveCtx)
 	if ctx.write == nil {
 		return nil, nil
 	}

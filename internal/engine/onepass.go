@@ -52,67 +52,42 @@ func (st *mrcStrategy) kernel() string { return kernelName(st.run) }
 func (st *mrcStrategy) loads() int { return st.cfg.Memoryloads() }
 
 func (st *mrcStrategy) prepare(ml int) (loadPlan, error) {
-	return loadPlan{reads: retargetStriped(&st.readOps, st.cfg, ml), units: st.cfg.M}, nil
+	return loadPlan{reads: retargetStriped(&st.readOps, st.cfg, ml)}, nil
 }
 
-func (st *mrcStrategy) scatter(ml int, _ loadPlan, in, out *pdm.Buffer, lo, hi int) (any, error) {
+func (st *mrcStrategy) scatter(ml int, _ loadPlan, in, out *pdm.Buffer) ([][]pdm.BlockIO, error) {
 	cfg := st.cfg
 	base := uint64(ml) * uint64(cfg.M)
 	mask := uint64(cfg.M - 1)
 	src, dst := in.Records(), out.Records()
 	// in[i] holds the record with source address base|i; its target
 	// address shares one memoryload number across the whole load.
-	tml := -1
+	tml := cfg.MemoryloadOf(st.applier.Apply(base))
 	if st.run > 1 {
 		// Run-coalescing kernel: the permutation fixes the low lg(run)
 		// address bits, so target addresses advance in lockstep with the
-		// source index up to each aligned run boundary — one Apply and
-		// one copy cover the whole segment, and MemoryloadOf is constant
-		// across it (run <= M), so the MRC invariant check per segment
-		// covers every record.
-		for i := lo; i < hi; {
-			seg := st.run - (i & (st.run - 1))
-			if i+seg > hi {
-				seg = hi - i
-			}
+		// source index across each aligned run — one Apply and one copy
+		// cover the whole run, and MemoryloadOf is constant across it
+		// (run <= M), so the MRC invariant check per run covers every
+		// record.
+		for i := 0; i < cfg.M; i += st.run {
 			y := st.applier.Apply(base | uint64(i))
-			if l := cfg.MemoryloadOf(y); tml < 0 {
-				tml = l
-			} else if l != tml {
+			if l := cfg.MemoryloadOf(y); l != tml {
 				return nil, fmt.Errorf("engine: MRC pass scattered memoryload %d across targets %d and %d", ml, tml, l)
 			}
 			d := int(y & mask)
-			copy(dst[d:d+seg], src[i:i+seg])
-			i += seg
+			copy(dst[d:d+st.run], src[i:i+st.run])
 		}
-		return tml, nil
-	}
-	for i := lo; i < hi; i++ {
-		y := st.applier.Apply(base | uint64(i))
-		if l := cfg.MemoryloadOf(y); tml < 0 {
-			tml = l
-		} else if l != tml {
-			return nil, fmt.Errorf("engine: MRC pass scattered memoryload %d across targets %d and %d", ml, tml, l)
-		}
-		dst[y&mask] = src[i]
-	}
-	return tml, nil
-}
-
-func (st *mrcStrategy) writes(ml int, _ loadPlan, shards []any) ([][]pdm.BlockIO, error) {
-	tml := -1
-	for _, sh := range shards {
-		l, ok := sh.(int)
-		if !ok {
-			continue
-		}
-		if tml < 0 {
-			tml = l
-		} else if l != tml {
-			return nil, fmt.Errorf("engine: MRC pass scattered memoryload %d across targets %d and %d", ml, tml, l)
+	} else {
+		for i := 0; i < cfg.M; i++ {
+			y := st.applier.Apply(base | uint64(i))
+			if l := cfg.MemoryloadOf(y); l != tml {
+				return nil, fmt.Errorf("engine: MRC pass scattered memoryload %d across targets %d and %d", ml, tml, l)
+			}
+			dst[y&mask] = src[i]
 		}
 	}
-	return retargetStriped(&st.writeOps, st.cfg, tml), nil
+	return retargetStriped(&st.writeOps, cfg, tml), nil
 }
 
 // RunMLDPass performs the MLD permutation p in one pass: striped reads of
@@ -153,20 +128,15 @@ type mldStrategy struct {
 	// the prefetch goroutine.
 	readOps [][]pdm.BlockIO
 
-	// Write-stage scratch, reused across loads. writes runs only on the
-	// main goroutine, one load at a time, and the System consumes the
-	// returned operations synchronously, so reuse is safe.
+	// Scatter scratch, reused across loads: records placed per relative
+	// block, each block's target memoryload, and the write schedule built
+	// from them. scatter runs only on the main goroutine, one load at a
+	// time, and the System consumes the returned operations synchronously,
+	// so reuse is safe.
 	wFill   []int
 	wLoadOf []int
 	wByDisk [][]pdm.BlockIO
 	wOps    [][]pdm.BlockIO
-}
-
-// mldShard carries one scatter shard's clustering observations: records
-// placed per relative block and each block's target memoryload.
-type mldShard struct {
-	fill   []int
-	loadOf []int
 }
 
 func (st *mldStrategy) kind() string { return "MLD" }
@@ -176,71 +146,11 @@ func (st *mldStrategy) kernel() string { return kernelName(st.run) }
 func (st *mldStrategy) loads() int { return st.cfg.Memoryloads() }
 
 func (st *mldStrategy) prepare(ml int) (loadPlan, error) {
-	return loadPlan{reads: retargetStriped(&st.readOps, st.cfg, ml), units: st.cfg.M}, nil
+	return loadPlan{reads: retargetStriped(&st.readOps, st.cfg, ml)}, nil
 }
 
-func (st *mldStrategy) scatter(ml int, _ loadPlan, in, out *pdm.Buffer, lo, hi int) (any, error) {
+func (st *mldStrategy) scatter(ml int, _ loadPlan, in, out *pdm.Buffer) ([][]pdm.BlockIO, error) {
 	cfg := st.cfg
-	base := uint64(ml) * uint64(cfg.M)
-	src, dst := in.Records(), out.Records()
-	sh := mldShard{fill: make([]int, cfg.Frames()), loadOf: make([]int, cfg.Frames())}
-	for f := range sh.loadOf {
-		sh.loadOf[f] = -1
-	}
-	if st.run > 1 {
-		// Run-coalescing kernel. The target buffer index r*B + Offset(y)
-		// equals the low lg M bits of y (RelBlock and Offset are adjacent
-		// bit fields), so a contiguous run of target addresses is a
-		// contiguous span of the output buffer: one Apply and one copy per
-		// segment. The memoryload is constant across a segment (run <= M),
-		// so the property-2 check folds into per-block accounting over the
-		// span instead of per-record lookups.
-		mask := uint64(cfg.M - 1)
-		for i := lo; i < hi; {
-			seg := st.run - (i & (st.run - 1))
-			if i+seg > hi {
-				seg = hi - i
-			}
-			y := st.applier.Apply(base | uint64(i))
-			l := cfg.MemoryloadOf(y)
-			d := int(y & mask)
-			copy(dst[d:d+seg], src[i:i+seg])
-			for j := 0; j < seg; {
-				r := (d + j) / cfg.B
-				step := cfg.B - (d+j)%cfg.B
-				if j+step > seg {
-					step = seg - j
-				}
-				if sh.loadOf[r] < 0 {
-					sh.loadOf[r] = l
-				} else if sh.loadOf[r] != l {
-					return nil, fmt.Errorf("engine: MLD property 2 violated: relative block %d maps to memoryloads %d and %d", r, sh.loadOf[r], l)
-				}
-				sh.fill[r] += step
-				j += step
-			}
-			i += seg
-		}
-		return sh, nil
-	}
-	for i := lo; i < hi; i++ {
-		y := st.applier.Apply(base | uint64(i))
-		r := cfg.RelBlock(y)
-		l := cfg.MemoryloadOf(y)
-		if sh.loadOf[r] < 0 {
-			sh.loadOf[r] = l
-		} else if sh.loadOf[r] != l {
-			return nil, fmt.Errorf("engine: MLD property 2 violated: relative block %d maps to memoryloads %d and %d", r, sh.loadOf[r], l)
-		}
-		dst[r*cfg.B+cfg.Offset(y)] = src[i]
-		sh.fill[r]++
-	}
-	return sh, nil
-}
-
-func (st *mldStrategy) writes(ml int, _ loadPlan, shards []any) ([][]pdm.BlockIO, error) {
-	cfg := st.cfg
-	b, m := cfg.LgB(), cfg.LgM()
 	if st.wFill == nil {
 		st.wFill = make([]int, cfg.Frames())
 		st.wLoadOf = make([]int, cfg.Frames())
@@ -256,21 +166,49 @@ func (st *mldStrategy) writes(ml int, _ loadPlan, shards []any) ([][]pdm.BlockIO
 		fill[f] = 0
 		loadOf[f] = -1
 	}
-	for _, raw := range shards {
-		sh, ok := raw.(mldShard)
-		if !ok {
-			continue
+	base := uint64(ml) * uint64(cfg.M)
+	src, dst := in.Records(), out.Records()
+	if st.run > 1 {
+		// Run-coalescing kernel. The target buffer index r*B + Offset(y)
+		// equals the low lg M bits of y (RelBlock and Offset are adjacent
+		// bit fields), so a contiguous run of target addresses is a
+		// contiguous span of the output buffer: one Apply and one copy per
+		// run. The memoryload is constant across a run (run <= M), so the
+		// property-2 check folds into per-block accounting over the span
+		// instead of per-record lookups.
+		mask := uint64(cfg.M - 1)
+		for i := 0; i < cfg.M; i += st.run {
+			y := st.applier.Apply(base | uint64(i))
+			l := cfg.MemoryloadOf(y)
+			d := int(y & mask)
+			copy(dst[d:d+st.run], src[i:i+st.run])
+			for j := 0; j < st.run; {
+				r := (d + j) / cfg.B
+				step := cfg.B - (d+j)%cfg.B
+				if j+step > st.run {
+					step = st.run - j
+				}
+				if loadOf[r] < 0 {
+					loadOf[r] = l
+				} else if loadOf[r] != l {
+					return nil, fmt.Errorf("engine: MLD property 2 violated: relative block %d maps to memoryloads %d and %d", r, loadOf[r], l)
+				}
+				fill[r] += step
+				j += step
+			}
 		}
-		for r := range fill {
-			fill[r] += sh.fill[r]
-			if sh.loadOf[r] < 0 {
-				continue
-			}
+	} else {
+		for i := 0; i < cfg.M; i++ {
+			y := st.applier.Apply(base | uint64(i))
+			r := cfg.RelBlock(y)
+			l := cfg.MemoryloadOf(y)
 			if loadOf[r] < 0 {
-				loadOf[r] = sh.loadOf[r]
-			} else if loadOf[r] != sh.loadOf[r] {
-				return nil, fmt.Errorf("engine: MLD property 2 violated: relative block %d maps to memoryloads %d and %d", r, loadOf[r], sh.loadOf[r])
+				loadOf[r] = l
+			} else if loadOf[r] != l {
+				return nil, fmt.Errorf("engine: MLD property 2 violated: relative block %d maps to memoryloads %d and %d", r, loadOf[r], l)
 			}
+			dst[r*cfg.B+cfg.Offset(y)] = src[i]
+			fill[r]++
 		}
 	}
 	for r, c := range fill {
@@ -280,6 +218,7 @@ func (st *mldStrategy) writes(ml int, _ loadPlan, shards []any) ([][]pdm.BlockIO
 	}
 	// Group the M/B target blocks by destination disk (property 3: exactly
 	// M/BD per disk) and write them in M/BD independent waves.
+	b, m := cfg.LgB(), cfg.LgM()
 	byDisk := st.wByDisk
 	for d := range byDisk {
 		byDisk[d] = byDisk[d][:0]

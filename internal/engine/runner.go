@@ -18,29 +18,25 @@
 // scatter the records to their target positions in an output buffer, and
 // write the assembled blocks to the target portion. Each engine contributes
 // only a small strategy — its class check plus its block-placement rule —
-// and the runner supplies the execution machinery:
-//
-//   - Double-buffered prefetch: a reader goroutine fetches load k+1 while
-//     load k is being scattered and written. This is safe because one-pass
-//     algorithms read one portion and write the disjoint other portion, so
-//     consecutive loads touch independent disk regions.
-//   - Parallel scatter: the per-record applier.Apply loop is sharded across
-//     a worker pool (runtime.GOMAXPROCS by default). Shards write disjoint
-//     target positions because the address map is a permutation.
+// and the runner supplies the execution machinery: a double-buffered
+// prefetch, where a reader goroutine fetches load k+1 while the pass's main
+// goroutine scatters and writes load k. This is safe because one-pass
+// algorithms read one portion and write the disjoint other portion, so
+// consecutive loads touch independent disk regions. A pipelined pass thus
+// runs two goroutines and a sequential pass one; DESIGN.md ("The record
+// hot path") says why the scatter is not sharded further.
 //
 // The invariant the runner maintains — asserted by the equivalence tests —
-// is that pipelining and worker sharding change only wall-clock time. The
-// model's cost metric is untouched: parallel-I/O counts, per-disk totals,
-// pass structure, and the trace's operation multiset are identical to a
-// sequential run, because every block still moves through exactly one
-// counted parallel I/O.
+// is that pipelining changes only wall-clock time. The model's cost metric
+// is untouched: parallel-I/O counts, per-disk totals, pass structure, and
+// the trace's operation multiset are identical to a sequential run,
+// because every block still moves through exactly one counted parallel
+// I/O.
 package engine
 
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/pdm"
 )
@@ -65,16 +61,13 @@ type PassEvent struct {
 
 // Options control how the pass runner executes, without affecting what it
 // computes: results and parallel-I/O counts are identical for every
-// setting. The zero value means sequential single-threaded execution;
-// DefaultOptions enables the pipeline and a full worker pool.
+// setting. The zero value means sequential single-goroutine execution;
+// DefaultOptions enables the pipeline.
 type Options struct {
 	// Pipeline prefetches the next load on a reader goroutine while the
 	// current one is permuted and written, overlapping read latency with
 	// compute and write latency.
 	Pipeline bool
-	// Workers is the number of goroutines sharding each in-memory scatter.
-	// Zero or negative selects runtime.GOMAXPROCS(0).
-	Workers int
 	// Progress, when non-nil, receives a PassEvent at the start of every
 	// pass and after every completed memoryload. Callbacks run on the
 	// pass's main goroutine between counted parallel I/Os, so they must be
@@ -82,29 +75,20 @@ type Options struct {
 	Progress func(PassEvent)
 }
 
-// DefaultOptions returns the default execution mode: pipelined, with one
-// scatter worker per available CPU.
-func DefaultOptions() Options { return Options{Pipeline: true, Workers: 0} }
-
-func (o Options) workerCount() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// DefaultOptions returns the default execution mode: pipelined.
+func DefaultOptions() Options { return Options{Pipeline: true} }
 
 // loadPlan describes one load of a pass: the parallel reads that fetch it
-// into an input buffer, the number of independently shardable scatter
-// units, and strategy-private state computed during planning. Plans are
-// produced on the reader goroutine and handed to the scatter/write stages,
-// so a strategy must keep per-load state here rather than on itself.
+// into an input buffer, and strategy-private state computed during
+// planning. Plans are produced on the reader goroutine and handed to the
+// scatter stage, so a strategy must keep per-load state here rather than
+// on itself.
 type loadPlan struct {
 	// reads holds the parallel read operations fetching the load. The
 	// runner consumes it during the read stage only, so a strategy may
 	// reuse the backing arrays for later loads (see retargetStriped);
 	// ctx, by contrast, stays live until the load's writes complete.
 	reads [][]pdm.BlockIO
-	units int // shardable scatter units (records, frames, pulls)
 	ctx   any // strategy-private per-load state
 }
 
@@ -120,17 +104,13 @@ type passStrategy interface {
 	// loads returns the number of loads in the pass.
 	loads() int
 	// prepare plans load ml. It runs on the reader goroutine when
-	// pipelining, so it must not touch state shared with scatter/writes of
+	// pipelining, so it must not touch state shared with the scatter of
 	// earlier loads except through the returned plan.
 	prepare(ml int) (loadPlan, error)
-	// scatter moves units [lo, hi) of load ml from in to out. Multiple
-	// shards run concurrently on disjoint unit ranges; the returned value
-	// carries shard-local observations for writes to merge.
-	scatter(ml int, plan loadPlan, in, out *pdm.Buffer, lo, hi int) (any, error)
-	// writes merges the shard results, validates the pass's invariants,
-	// and returns the parallel writes that emit load ml from out. Shards
-	// skipped because the unit range was exhausted appear as nil.
-	writes(ml int, plan loadPlan, shards []any) ([][]pdm.BlockIO, error)
+	// scatter moves load ml's records from in to out on the pass's main
+	// goroutine, checks the pass's invariants, and returns the parallel
+	// writes that emit the load from out.
+	scatter(ml int, plan loadPlan, in, out *pdm.Buffer) ([][]pdm.BlockIO, error)
 }
 
 // runPass executes a full pass of st over sys: every load is read from the
@@ -161,7 +141,7 @@ func runPass(ctx context.Context, sys *pdm.System, st passStrategy, opt Options)
 			if err := readLoad(sys, src, plan, in); err != nil {
 				return err
 			}
-			if err := scatterAndWrite(sys, tgt, st, ml, plan, in, out, opt); err != nil {
+			if err := scatterAndWrite(sys, tgt, st, ml, plan, in, out); err != nil {
 				return err
 			}
 			opt.emit(st.kind(), st.kernel(), ml+1, loads)
@@ -224,7 +204,7 @@ func runPass(ctx context.Context, sys *pdm.System, st passStrategy, opt Options)
 			abort()
 			return f.err
 		}
-		if err := scatterAndWrite(sys, tgt, st, ml, f.plan, ins[ml&1], out, opt); err != nil {
+		if err := scatterAndWrite(sys, tgt, st, ml, f.plan, ins[ml&1], out); err != nil {
 			abort()
 			return err
 		}
@@ -277,58 +257,12 @@ func readLoad(sys *pdm.System, src pdm.Portion, plan loadPlan, in *pdm.Buffer) e
 	return sys.ParallelReadGroup(src, plan.reads, in)
 }
 
-func scatterAndWrite(sys *pdm.System, tgt pdm.Portion, st passStrategy, ml int, plan loadPlan, in, out *pdm.Buffer, opt Options) error {
-	shards, err := scatterShards(st, ml, plan, in, out, opt.workerCount())
-	if err != nil {
-		return err
-	}
-	writes, err := st.writes(ml, plan, shards)
+func scatterAndWrite(sys *pdm.System, tgt pdm.Portion, st passStrategy, ml int, plan loadPlan, in, out *pdm.Buffer) error {
+	writes, err := st.scatter(ml, plan, in, out)
 	if err != nil {
 		return err
 	}
 	return sys.ParallelWriteGroup(tgt, writes, out)
-}
-
-// scatterShards splits the load's scatter units across up to nw goroutines
-// and collects the per-shard results.
-func scatterShards(st passStrategy, ml int, plan loadPlan, in, out *pdm.Buffer, nw int) ([]any, error) {
-	units := plan.units
-	if nw > units {
-		nw = units
-	}
-	if nw <= 1 {
-		res, err := st.scatter(ml, plan, in, out, 0, units)
-		if err != nil {
-			return nil, err
-		}
-		return []any{res}, nil
-	}
-	shards := make([]any, nw)
-	errs := make([]error, nw)
-	per := (units + nw - 1) / nw
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		lo := w * per
-		hi := lo + per
-		if hi > units {
-			hi = units
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			shards[w], errs[w] = st.scatter(ml, plan, in, out, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return shards, nil
 }
 
 // stripedOps returns the M/BD striped parallel operations covering

@@ -12,19 +12,16 @@ import (
 	"repro/internal/perm"
 )
 
-// These tests pin the pass runner's core invariant: pipelining, scatter
-// sharding, and concurrent per-disk dispatch change wall-clock behavior
-// only. For every workload the final records AND the full Stats() —
+// These tests pin the pass runner's core invariant: pipelining and
+// concurrent per-disk dispatch change wall-clock behavior only. For every workload the final records AND the full Stats() —
 // parallel read/write operation counts and the per-disk block totals —
 // must be identical to a sequential single-threaded run.
 
-// seqOpt is the reference mode: no prefetch, single scatter worker.
-var seqOpt = Options{Pipeline: false, Workers: 1}
+// seqOpt is the reference mode: no prefetch, one goroutine.
+var seqOpt = Options{Pipeline: false}
 
-// pipeOpt exercises every concurrency feature at once: prefetch reader,
-// a multi-goroutine scatter pool (forced above GOMAXPROCS so sharding
-// happens even on one core).
-var pipeOpt = Options{Pipeline: true, Workers: 4}
+// pipeOpt exercises the prefetch reader.
+var pipeOpt = Options{Pipeline: true}
 
 // runBoth executes the same workload sequentially on a RAM-backed system
 // and pipelined on a file-backed system with concurrent per-disk dispatch,

@@ -28,7 +28,7 @@ var DefaultConfig = pdm.Config{N: 1 << 16, D: 8, B: 16, M: 1 << 11}
 // only wall-clock changes. Generators are methods on a Harness value, so
 // experiments with different settings may run concurrently.
 type Harness struct {
-	// Exec is the pass-runner mode (prefetching, scatter workers).
+	// Exec is the pass-runner mode (prefetching).
 	Exec engine.Options
 	// ConcurrentIO toggles per-disk goroutine dispatch on the systems the
 	// experiments build, matching pdm.System.SetConcurrent.
@@ -531,12 +531,12 @@ func (h Harness) Lemma9Table(ctx context.Context, cfg pdm.Config, _ int64) (*Tab
 
 // PipelineSpeed measures what the pipelined pass runner buys in wall-clock
 // time: the same maximal-rank BMMC permutation is executed on file-backed
-// disks first sequentially (no prefetch, one scatter worker, serial disk
-// dispatch) and then fully pipelined (double-buffered prefetch, a
-// GOMAXPROCS worker pool, concurrent per-disk dispatch). The model's cost
-// is identical in both modes — the PASS column asserts that the
-// parallel-I/O counts match exactly and that both runs produced the
-// correct layout — so the only thing allowed to differ is elapsed time.
+// disks first sequentially (no prefetch, serial disk dispatch) and then
+// pipelined (double-buffered prefetch, plus concurrent per-disk dispatch
+// when the harness enables it). The model's cost is identical in both
+// modes — the PASS column asserts that the parallel-I/O counts match
+// exactly and that both runs produced the correct layout — so the only
+// thing allowed to differ is elapsed time.
 func (h Harness) PipelineSpeed(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
 	rng := rand.New(rand.NewSource(seed))
 	n, b := cfg.LgN(), cfg.LgB()
@@ -565,7 +565,7 @@ func (h Harness) PipelineSpeed(ctx context.Context, cfg pdm.Config, seed int64) 
 		opt        engine.Options
 		concurrent bool
 	}{
-		{"sequential", engine.Options{Pipeline: false, Workers: 1}, false},
+		{"sequential", engine.Options{Pipeline: false}, false},
 		{"pipelined", engine.DefaultOptions(), h.ConcurrentIO},
 	}
 	var elapsed [2]time.Duration

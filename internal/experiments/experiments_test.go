@@ -159,7 +159,7 @@ func TestHarnessSettingsRunConcurrently(t *testing.T) {
 	t.Parallel()
 	fused := DefaultHarness()
 	fused.Fuse, fused.ConcurrentIO = true, true
-	fused.Exec.Pipeline, fused.Exec.Workers = false, 1
+	fused.Exec.Pipeline = false
 	for _, h := range []Harness{DefaultHarness(), fused} {
 		t.Run(fmt.Sprintf("fuse=%v", h.Fuse), func(t *testing.T) {
 			t.Parallel()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -103,16 +104,41 @@ func TestServiceEndToEnd(t *testing.T) {
 		wg.Add(1)
 		go func(id string) {
 			defer wg.Done()
+			// Subscribe before uploading: the await-input job is still
+			// queued when the watch's first (snapshot) event arrives, so
+			// none of its progress can finish ahead of the subscription.
+			subscribed := make(chan struct{})
+			type watched struct {
+				final *client.JobStatus
+				err   error
+			}
+			done := make(chan watched, 1)
+			progress := 0
+			go func() {
+				first := true
+				final, err := c.Watch(ctx, id, func(ev client.Event) {
+					if first {
+						first = false
+						close(subscribed)
+					}
+					if ev.Progress != nil {
+						progress++
+					}
+				})
+				done <- watched{final, err}
+			}()
+			select {
+			case <-subscribed:
+			case w := <-done:
+				errs <- fmt.Errorf("job %s: watch ended before its snapshot: %v", id, w.err)
+				return
+			}
 			if err := c.Upload(ctx, id, bytes.NewReader(input)); err != nil {
 				errs <- err
 				return
 			}
-			progress := 0
-			final, err := c.Watch(ctx, id, func(ev client.Event) {
-				if ev.Progress != nil {
-					progress++
-				}
-			})
+			w := <-done
+			final, err := w.final, w.err
 			if err != nil {
 				errs <- err
 				return

@@ -349,11 +349,11 @@ func BenchmarkPermuteReplanned(b *testing.B) {
 	}
 }
 
-// TestPlanForMatchesPermuterPlan pins the Engine-free planning entry
+// TestPlanForMatchesEnginePlan pins the Engine-free planning entry
 // point: PlanFor builds the same plan Engine.Plan does — identical class,
 // pass structure, and cost — and the resulting plan executes on any
 // Dataset with the same Config, producing the quoted cost and records.
-func TestPlanForMatchesPermuterPlan(t *testing.T) {
+func TestPlanForMatchesEnginePlan(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		perm bmmc.Permutation
