@@ -73,9 +73,9 @@ const (
 // call, Engine methods.
 type Option = core.Option
 
-// WithPipeline enables or disables the double-buffered pass pipeline that
-// prefetches the next memoryload while the current one is permuted and
-// written. On by default.
+// WithPipeline enables or disables the three-stage pass pipeline: a
+// reader goroutine prefetches the next memoryload while the current one is
+// permuted and a writer goroutine writes the previous one. On by default.
 func WithPipeline(on bool) Option { return core.WithPipeline(on) }
 
 // WithConcurrentIO moves every transfer of each storage batch — the

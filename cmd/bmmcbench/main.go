@@ -20,8 +20,9 @@
 // gate. CI runs it against the checked-in BENCH_*.json baselines.
 //
 // -pipeline and -concurrent select the execution mode of the pass runner
-// (prefetching, per-disk goroutine dispatch). They change wall-clock time
-// only; every parallel-I/O count in the tables is identical across modes.
+// (the read/scatter/write pipeline, per-disk goroutine dispatch). They
+// change wall-clock time only; every parallel-I/O count in the tables is
+// identical across modes.
 // -fuse runs every factored-driver workload through the plan-fusion
 // optimizer (pass counts may drop below the verbatim Section 5 factoring,
 // never rise); -cache sets the plan-cache capacity used by the plancache
@@ -54,7 +55,7 @@ func main() {
 		seed = flag.Int64("seed", 1, "random seed for workload generation")
 
 		jsonOut    = flag.Bool("json", false, "emit tables as JSON with per-experiment wall-clock")
-		pipeline   = flag.Bool("pipeline", true, "prefetch the next memoryload while the current one is permuted")
+		pipeline   = flag.Bool("pipeline", true, "read the next memoryload and write the previous one while the current one is permuted")
 		concurrent = flag.Bool("concurrent", false, "dispatch per-disk transfers on goroutines (SetConcurrent)")
 		fuse       = flag.Bool("fuse", false, "run factored-driver workloads through the plan-fusion optimizer")
 		cache      = flag.Int("cache", experiments.DefaultHarness().PlanCacheSize, "plan-cache capacity for the plancache experiment")

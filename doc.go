@@ -72,13 +72,13 @@
 //
 // Long runs are cancelable and observable: context cancellation lands
 // between memoryloads (no counted parallel I/O is cut short, the
-// prefetch goroutine is drained, and the records remain the state after
-// the last completed pass), and WithProgress streams PassEvents — pass it
-// per Execute call to track individual runs on a shared Engine. Caller
-// data moves in and out with Dataset.Load and Dataset.Dump (16-byte
-// little-endian records, see RecordBytes), replacing the canonical
-// MakeRecord(0..N-1) layout; examples/userdata shows the full
-// Load -> Plan -> Execute -> Dump loop.
+// pipeline's reader and writer goroutines are drained, and the records
+// remain the state after the last completed pass), and WithProgress
+// streams PassEvents — pass it per Execute call to track individual runs
+// on a shared Engine. Caller data moves in and out with Dataset.Load and
+// Dataset.Dump (16-byte little-endian records, see RecordBytes), replacing
+// the canonical MakeRecord(0..N-1) layout; examples/userdata shows the
+// full Load -> Plan -> Execute -> Dump loop.
 //
 // # Planning
 //
@@ -98,17 +98,18 @@
 //
 // # Execution
 //
-// All engines run through a pipelined pass runner: while one memoryload is
-// permuted in memory and written out, the next memoryload is prefetched on
-// a reader goroutine into an independent buffer. Pipelining is on by
-// default and is configured per Engine (or per call) with functional
-// options; the storage options configure the Dataset:
+// All engines run through a three-stage pass runner: while one memoryload
+// is permuted in memory, the next is prefetched on a reader goroutine into
+// an independent buffer and the previous one is written out on a writer
+// goroutine from its own buffer. Pipelining is on by default and is
+// configured per Engine (or per call) with functional options; the storage
+// options configure the Dataset:
 //
 //	ds, err := bmmc.CreateDataset(cfg,
 //	    bmmc.WithBackend(bmmc.FileBackend(dir)),
 //	    bmmc.WithConcurrentIO(true))  // per-disk dispatch (default off)
 //	eng := bmmc.NewEngine(
-//	    bmmc.WithPipeline(true))      // double-buffered prefetch (default)
+//	    bmmc.WithPipeline(true))      // read, permute, write overlap (default)
 //
 // Execution options never change what the paper's theorems measure: the
 // permuted result, the parallel-I/O counts, and the per-disk totals are

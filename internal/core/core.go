@@ -41,9 +41,10 @@ func defaultSettings() settings {
 	return settings{opt: engine.DefaultOptions(), fuse: true, cacheSize: DefaultPlanCacheEntries}
 }
 
-// WithPipeline enables or disables double-buffered prefetching in the pass
-// runner (the next memoryload is read while the current one is permuted and
-// written). On by default.
+// WithPipeline enables or disables the pass runner's three-stage pipeline
+// (a reader goroutine reads the next memoryload and a writer goroutine
+// writes the previous one while the current one is permuted). On by
+// default.
 func WithPipeline(on bool) Option {
 	return func(s *settings) { s.opt.Pipeline = on }
 }
@@ -82,11 +83,14 @@ func WithBackend(b pdm.Backend) Option {
 	return func(s *settings) { s.backend = b }
 }
 
-// WithProgress installs a per-pass/per-memoryload progress callback,
-// invoked on the executing goroutine between counted parallel I/Os. It
-// must be cheap, it observes execution without altering it, and it must
-// not touch the Dataset being executed (the run lock is held). Services
-// pass it per Execute call to track jobs on a shared Engine.
+// WithProgress installs a per-pass/per-memoryload progress callback. The
+// pass-start event runs on the executing goroutine; a completed-memoryload
+// event runs once that memoryload's writes are counted and before any
+// later one's (on the pipeline's writer goroutine when pipelining). Events
+// arrive in order and never overlap. The callback must be cheap, it
+// observes execution without altering it, and it must not touch the
+// Dataset being executed (the run lock is held). Services pass it per
+// Execute call to track jobs on a shared Engine.
 func WithProgress(fn func(engine.PassEvent)) Option {
 	return func(s *settings) { s.opt.Progress = fn }
 }

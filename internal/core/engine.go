@@ -86,7 +86,7 @@ func checkTarget(pl *Plan, ds *Dataset) error {
 //
 // ctx is checked between memoryloads; cancellation aborts the run with
 // ctx's error before the next memoryload is read — no counted parallel
-// I/O is cut short, the pipeline's prefetch goroutine is drained, and the
+// I/O is cut short, the pipeline's reader and writer are drained, and the
 // stored records are exactly the state after the last completed pass, so
 // the Dataset remains usable. The plan's geometry must equal the
 // Dataset's.

@@ -86,11 +86,14 @@ func canonicalRecords(cfg pdm.Config) []pdm.Record {
 	return recs
 }
 
-// TestChaosEngineFaultSurfacesEveryPath: a flaky backend faulting early in
-// pass 1 makes every engine path on every backend kind fail with a wrapped
+// TestChaosEngineFaultSurfacesEveryPath: a flaky backend faulting in pass
+// 1 makes every engine path on every backend kind fail with a wrapped
 // pdm.ErrInjectedFault, leave the source portion exactly as loaded (no
 // mid-pass portion swap), and stay usable: after the fault window the same
-// system runs the same permutation cleanly and verifies.
+// system runs the same permutation cleanly and verifies. The fault lands
+// either early or, write-only, on the final write batch of pass 1, which
+// the pipeline's writer goroutine issues after the last scatter: a pass
+// must not report success before that write is counted.
 func TestChaosEngineFaultSurfacesEveryPath(t *testing.T) {
 	canonical := canonicalRecords(chaosCfg)
 	for _, backend := range []struct {
@@ -102,45 +105,101 @@ func TestChaosEngineFaultSurfacesEveryPath(t *testing.T) {
 	} {
 		for _, path := range chaosPathsFor(chaosCfg) {
 			t.Run(backend.name+"/"+path.name, func(t *testing.T) {
-				fb := pdm.NewFlakyBackend(backend.make(t), pdm.FlakyOptions{FailAfterN: 3})
-				sys, err := pdm.NewSystem(chaosCfg, fb)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer sys.Close()
-				sys.SetConcurrent(true)
-				fb.Disarm()
-				if err := LoadSequential(sys); err != nil {
-					t.Fatal(err)
-				}
-				fb.Arm()
+				for _, fault := range []struct {
+					name string
+					opts pdm.FlakyOptions
+				}{
+					{"early", pdm.FlakyOptions{FailAfterN: 3}},
+					{"last-write-of-pass-1", pdm.FlakyOptions{
+						Mode:       pdm.FaultWriteOnly,
+						FailAfterN: lastWriteOfPass1(t, path) + 1,
+					}},
+				} {
+					t.Run(fault.name, func(t *testing.T) {
+						fb := pdm.NewFlakyBackend(backend.make(t), fault.opts)
+						sys, err := pdm.NewSystem(chaosCfg, fb)
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer sys.Close()
+						sys.SetConcurrent(true)
+						fb.Disarm()
+						if err := LoadSequential(sys); err != nil {
+							t.Fatal(err)
+						}
+						fb.Arm()
 
-				err = path.run(context.Background(), sys, pipeOpt)
-				if !errors.Is(err, pdm.ErrInjectedFault) {
-					t.Fatalf("want wrapped pdm.ErrInjectedFault, got %v", err)
-				}
+						err = path.run(context.Background(), sys, pipeOpt)
+						if !errors.Is(err, pdm.ErrInjectedFault) {
+							t.Fatalf("want wrapped pdm.ErrInjectedFault, got %v", err)
+						}
 
-				// No portion swap happened, and the source records are
-				// untouched: the fault hit pass 1, whose source is the input.
-				fb.Disarm()
-				got, derr := sys.DumpRecords(sys.Source())
-				if derr != nil {
-					t.Fatal(derr)
-				}
-				if !reflect.DeepEqual(got, canonical) {
-					t.Fatal("failed pass disturbed the source records")
-				}
+						// No portion swap happened, and the source records are
+						// untouched: the fault hit pass 1, whose source is the input.
+						fb.Disarm()
+						got, derr := sys.DumpRecords(sys.Source())
+						if derr != nil {
+							t.Fatal(derr)
+						}
+						if !reflect.DeepEqual(got, canonical) {
+							t.Fatal("failed pass disturbed the source records")
+						}
 
-				// The system remains usable: the same run, now clean, verifies.
-				if err := path.run(context.Background(), sys, pipeOpt); err != nil {
-					t.Fatalf("clean run after fault: %v", err)
-				}
-				if err := path.verify(sys); err != nil {
-					t.Fatalf("verification after recovery: %v", err)
+						// The system remains usable: the same run, now clean, verifies.
+						if err := path.run(context.Background(), sys, pipeOpt); err != nil {
+							t.Fatalf("clean run after fault: %v", err)
+						}
+						if err := path.verify(sys); err != nil {
+							t.Fatalf("verification after recovery: %v", err)
+						}
+					})
 				}
 			})
 		}
 	}
+}
+
+// lastWriteOfPass1 returns the 0-based ordinal, among the armed backend
+// operations of a clean sequential run of path, of the first operation of
+// pass 1's final write batch. Sequentially, pass 1's operations end with
+// its last load's writes, right after that load's reads; the pipeline
+// issues the same operations, so the same ordinal opens that batch there.
+func lastWriteOfPass1(t *testing.T, path chaosPath) int {
+	t.Helper()
+	log := &pdm.ChaosLog{}
+	fb := pdm.NewFlakyBackend(pdm.MemBackend(), pdm.FlakyOptions{Log: log})
+	sys, err := pdm.NewSystem(chaosCfg, fb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	fb.Disarm()
+	if err := LoadSequential(sys); err != nil {
+		t.Fatal(err)
+	}
+	fb.Arm()
+	pass1 := -1
+	opt := seqOpt
+	opt.Progress = func(ev PassEvent) {
+		if ev.Pass == 1 && ev.Load == ev.Loads {
+			pass1 = log.Len()
+		}
+	}
+	if err := path.run(context.Background(), sys, opt); err != nil {
+		t.Fatal(err)
+	}
+	if pass1 < 0 {
+		t.Fatalf("%s: pass 1 never completed", path.name)
+	}
+	ops := log.Ops()[:pass1]
+	k := len(ops)
+	for k > 0 && ops[k-1].Kind == pdm.IOWrite {
+		k--
+	}
+	if k == len(ops) || k == 0 {
+		t.Fatalf("%s: pass 1 does not end with writes after reads", path.name)
+	}
+	return k
 }
 
 // TestChaosEngineKernelGroupingMatrix drives the fault-and-recover cycle

@@ -23,8 +23,8 @@ import (
 // Records must carry their source address in Key (see LoadSequential);
 // targetOf maps source to target addresses and must be a bijection. The
 // run-formation pass goes through the pipelined pass runner (prefetching
-// the next memoryload while the current one sorts); the merge passes stream
-// stripes and stay sequential.
+// the next memoryload and writing the previous one while the current one
+// sorts); the merge passes stream stripes and stay sequential.
 func GeneralPermute(ctx context.Context, sys *pdm.System, targetOf func(uint64) uint64, opt Options) (*Result, error) {
 	cfg := sys.Config()
 	stripeRecs := cfg.B * cfg.D

@@ -52,11 +52,13 @@ type invMLDStrategy struct {
 	invApplier *perm.Compiled // p^{-1}, used to plan the gather reads
 	run        int            // records per coalesced scatter run (1 = per-record kernel)
 
-	// writeOps is the cached striped write schedule, retargeted per load on
-	// the main goroutine. The prepare scratch below lives on the prefetch
-	// goroutine; the read schedule it builds is consumed before the next
-	// prepare begins, so its backing arrays are reusable — unlike blockOf,
-	// which travels in the plan and stays live through the load's scatter.
+	// writeOps is the cached striped write schedule, retargeted per load by
+	// the scatter on the main goroutine; the runner copies it before
+	// handing the writes to its writer goroutine. The prepare scratch
+	// below lives on the prefetch goroutine; the read schedule it builds is
+	// consumed before the next prepare begins, so its backing arrays are
+	// reusable — unlike blockOf, which travels in the plan and stays live
+	// through the load's scatter.
 	writeOps [][]pdm.BlockIO
 	pByDisk  [][]pdm.BlockIO
 	pReads   [][]pdm.BlockIO

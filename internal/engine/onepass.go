@@ -39,8 +39,9 @@ type mrcStrategy struct {
 	run     int // records per coalesced scatter run (1 = per-record kernel)
 
 	// Cached striped schedules, retargeted per load. Reads are planned on
-	// the prefetch goroutine and writes issued on the main goroutine, so
-	// each side owns its own template.
+	// the prefetch goroutine and writes built by the scatter on the main
+	// goroutine, so each side owns its own template; the runner copies the
+	// writes before handing them to its writer goroutine.
 	readOps  [][]pdm.BlockIO
 	writeOps [][]pdm.BlockIO
 }
@@ -131,8 +132,8 @@ type mldStrategy struct {
 	// Scatter scratch, reused across loads: records placed per relative
 	// block, each block's target memoryload, and the write schedule built
 	// from them. scatter runs only on the main goroutine, one load at a
-	// time, and the System consumes the returned operations synchronously,
-	// so reuse is safe.
+	// time, and the runner copies the returned operations before the next
+	// scatter (its writer goroutine never reads wOps), so reuse is safe.
 	wFill   []int
 	wLoadOf []int
 	wByDisk [][]pdm.BlockIO

@@ -18,13 +18,15 @@
 // scatter the records to their target positions in an output buffer, and
 // write the assembled blocks to the target portion. Each engine contributes
 // only a small strategy — its class check plus its block-placement rule —
-// and the runner supplies the execution machinery: a double-buffered
-// prefetch, where a reader goroutine fetches load k+1 while the pass's main
-// goroutine scatters and writes load k. This is safe because one-pass
-// algorithms read one portion and write the disjoint other portion, so
-// consecutive loads touch independent disk regions. A pipelined pass thus
-// runs two goroutines and a sequential pass one; DESIGN.md ("The record
-// hot path") says why the scatter is not sharded further.
+// and the runner supplies the execution machinery. A pipelined pass runs
+// the three stages on three goroutines: a reader goroutine prefetches load
+// k+1 into one of two input buffers, the pass's main goroutine scatters
+// load k, and a writer goroutine writes load k-1 from one of two output
+// buffers and then reports it. This is safe because one-pass algorithms
+// read one portion and write the disjoint other portion, so consecutive
+// loads touch independent disk regions. A sequential pass runs all three
+// stages on one goroutine; DESIGN.md ("The record hot path") says why the
+// scatter is not sharded further.
 //
 // The invariant the runner maintains — asserted by the equivalence tests —
 // is that pipelining changes only wall-clock time. The model's cost metric
@@ -64,14 +66,18 @@ type PassEvent struct {
 // setting. The zero value means sequential single-goroutine execution;
 // DefaultOptions enables the pipeline.
 type Options struct {
-	// Pipeline prefetches the next load on a reader goroutine while the
-	// current one is permuted and written, overlapping read latency with
-	// compute and write latency.
+	// Pipeline runs each pass as three stages: a reader goroutine
+	// prefetches the next load, the main goroutine scatters the current
+	// one, and a writer goroutine writes the previous one, overlapping
+	// read and write latency with the scatter.
 	Pipeline bool
 	// Progress, when non-nil, receives a PassEvent at the start of every
-	// pass and after every completed memoryload. Callbacks run on the
-	// pass's main goroutine between counted parallel I/Os, so they must be
-	// cheap; they never run concurrently with each other for one run.
+	// pass and after every completed memoryload. The start event runs on
+	// the caller's goroutine. A completed-load event runs once that load's
+	// writes are counted and before any later load's writes: on the
+	// writer goroutine when pipelining, so callbacks must be cheap. Events
+	// arrive one per load, in load order, and never run concurrently with
+	// each other for one run.
 	Progress func(PassEvent)
 }
 
@@ -109,7 +115,9 @@ type passStrategy interface {
 	prepare(ml int) (loadPlan, error)
 	// scatter moves load ml's records from in to out on the pass's main
 	// goroutine, checks the pass's invariants, and returns the parallel
-	// writes that emit the load from out.
+	// writes that emit the load from out. The runner copies the writes
+	// before the next scatter, so a strategy may reuse their backing
+	// arrays.
 	scatter(ml int, plan loadPlan, in, out *pdm.Buffer) ([][]pdm.BlockIO, error)
 }
 
@@ -117,11 +125,13 @@ type passStrategy interface {
 // source portion, scattered, and written to the target portion. The caller
 // remains responsible for SwapPortions.
 //
-// Cancellation: ctx is checked between memoryloads (a pass never aborts a
-// counted parallel I/O halfway). On cancellation the prefetch reader is
-// unblocked and drained before returning, so no goroutine or buffer
-// outlives the call, the source portion is untouched, and — because the
-// caller only swaps portions on success — the system remains usable.
+// Cancellation and errors: ctx is checked between memoryloads (a pass
+// never aborts a counted parallel I/O halfway). The first error from any
+// stage stops the other two, and both the prefetch reader and the writer
+// are drained before returning, so no goroutine or buffer outlives the
+// call. runPass succeeds only once the last load's writes are counted.
+// The source portion is untouched, and — because the caller only swaps
+// portions on success — the system remains usable.
 func runPass(ctx context.Context, sys *pdm.System, st passStrategy, opt Options) error {
 	src, tgt := sys.Source(), sys.Target()
 	loads := st.loads()
@@ -149,11 +159,14 @@ func runPass(ctx context.Context, sys *pdm.System, st passStrategy, opt Options)
 		return nil
 	}
 
-	// Double buffering: the reader goroutine fetches load ml into
-	// ins[ml%2] and hands it over on an unbuffered channel. The handoff of
-	// load ml+1 cannot complete before the main goroutine has finished
-	// scattering load ml, so the reader is never more than one load ahead
-	// and never overwrites a buffer still being consumed.
+	// Three stages. The reader goroutine fetches load ml into ins[ml%2]
+	// and hands it over on an unbuffered channel. The handoff of load ml+1
+	// cannot complete before the main goroutine has finished scattering
+	// load ml, so the reader is never more than one load ahead and never
+	// overwrites a buffer still being consumed. The main goroutine only
+	// scatters. The writer goroutine writes each load from its output
+	// slot and then reports it, so load ml's writes overlap the scatter of
+	// load ml+1.
 	ins := [2]*pdm.Buffer{sys.AcquireBuffer(), sys.AcquireBuffer()}
 	type fetched struct {
 		plan loadPlan
@@ -185,32 +198,123 @@ func runPass(ctx context.Context, sys *pdm.System, st passStrategy, opt Options)
 			}
 		}
 	}()
-	// abort unblocks and drains the reader before an early error return.
-	abort := func() {
-		close(stop)
+
+	// The two output slots circulate between the main goroutine and the
+	// writer. The main goroutine takes a free slot and scatters into it
+	// until a load returns writes (a naive gather round fills one slot
+	// over several writeless loads), then hands the slot to the writer,
+	// which frees it once those writes are counted. So before scattering
+	// into a slot, the main goroutine waits for the write from two loads
+	// back. free holds both slots, so the writer never blocks freeing one.
+	free := make(chan *outSlot, 2)
+	free <- &outSlot{buf: out}
+	free <- &outSlot{buf: sys.AcquireBuffer()}
+	type loadDone struct {
+		ml   int
+		slot *outSlot // nil when the load has no writes
+	}
+	// done holds one load, so the main goroutine can hand over load ml+1
+	// and take load ml+2 from the reader, restarting it, while load ml is
+	// still being written.
+	done := make(chan loadDone, 1)
+	writerExit := make(chan struct{})
+	var writeErr error // set by the writer before writerExit closes
+	go func() {
+		defer close(writerExit)
+		for d := range done {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if d.slot != nil {
+				if writeErr = sys.ParallelWriteGroup(tgt, d.slot.ops, d.slot.buf); writeErr != nil {
+					return
+				}
+				free <- d.slot
+			}
+			opt.emit(st.kind(), st.kernel(), d.ml+1, loads)
+		}
+	}()
+	// drain waits out the reader and the writer. abort first stops both,
+	// for an early error return; the writer skips any load not yet begun.
+	drain := func() {
+		close(done)
+		<-writerExit
 		for range ch {
 		}
 	}
+	abort := func(err error) error {
+		close(stop)
+		drain()
+		return err
+	}
+	var slot *outSlot
 	for ml := 0; ml < loads; ml++ {
 		if err := ctx.Err(); err != nil {
-			abort()
-			return err
+			return abort(err)
 		}
-		f, ok := <-ch
+		var f fetched
+		var ok bool
+		select {
+		case f, ok = <-ch:
+		case <-writerExit:
+			return abort(writeErr)
+		}
 		if !ok {
-			return fmt.Errorf("engine: prefetcher exited before load %d", ml)
+			return abort(fmt.Errorf("engine: prefetcher exited before load %d", ml))
 		}
 		if f.err != nil {
-			abort()
-			return f.err
+			return abort(f.err)
 		}
-		if err := scatterAndWrite(sys, tgt, st, ml, f.plan, ins[ml&1], out); err != nil {
-			abort()
-			return err
+		if slot == nil {
+			select {
+			case slot = <-free:
+			case <-writerExit:
+				return abort(writeErr)
+			}
 		}
-		opt.emit(st.kind(), st.kernel(), ml+1, loads)
+		writes, err := st.scatter(ml, f.plan, ins[ml&1], slot.buf)
+		if err != nil {
+			return abort(err)
+		}
+		d := loadDone{ml: ml}
+		if len(writes) > 0 {
+			slot.own(writes)
+			d.slot, slot = slot, nil
+		}
+		select {
+		case done <- d:
+		case <-writerExit:
+			return abort(writeErr)
+		}
 	}
-	return nil
+	drain()
+	return writeErr
+}
+
+// outSlot is an output buffer of a pipelined pass together with the
+// writes the writer issues from it. The strategy's next scatter rewrites
+// its write templates and scratch while the writer may still be reading
+// them, so the main goroutine copies a load's writes into storage the
+// slot owns and reuses across loads.
+type outSlot struct {
+	buf *pdm.Buffer
+	ios []pdm.BlockIO
+	ops [][]pdm.BlockIO
+}
+
+// own copies writes into the slot's storage.
+func (s *outSlot) own(writes [][]pdm.BlockIO) {
+	s.ios, s.ops = s.ios[:0], s.ops[:0]
+	for _, w := range writes {
+		s.ios = append(s.ios, w...)
+	}
+	at := 0
+	for _, w := range writes {
+		s.ops = append(s.ops, s.ios[at:at+len(w)])
+		at += len(w)
+	}
 }
 
 // emit delivers one progress event, defaulting the pass coordinates to a
@@ -283,13 +387,14 @@ func stripedOps(cfg pdm.Config, ml int) [][]pdm.BlockIO {
 
 // retargetStriped repoints a cached striped schedule at memoryload ml,
 // building it on first use. Reusing the template across loads keeps the
-// per-load planning allocation-free; it is safe because the System consumes
-// an operation list synchronously (the backend moves the bytes and the
-// trace copies the entries before the call returns), so no reference to the
-// template outlives the call that used it. A strategy must keep separate
-// templates for reads and writes: under pipelining, planning runs on the
-// prefetch goroutine while the writes of the previous load run on the main
-// goroutine.
+// per-load planning allocation-free. It is safe because no stage keeps a
+// template past its own use: the reader's System call consumes a read
+// schedule before the next prepare (the backend moves the bytes and the
+// trace copies the entries before the call returns), and the runner copies
+// a load's writes before the next scatter, so the writer goroutine never
+// reads a template. A strategy must keep separate templates for reads and
+// writes: under pipelining, planning runs on the prefetch goroutine while
+// the next scatter runs on the main goroutine.
 func retargetStriped(ops *[][]pdm.BlockIO, cfg pdm.Config, ml int) [][]pdm.BlockIO {
 	if *ops == nil {
 		*ops = stripedOps(cfg, ml)

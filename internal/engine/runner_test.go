@@ -5,7 +5,10 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/gf2"
 	"repro/internal/pdm"
@@ -20,7 +23,8 @@ import (
 // seqOpt is the reference mode: no prefetch, one goroutine.
 var seqOpt = Options{Pipeline: false}
 
-// pipeOpt exercises the prefetch reader.
+// pipeOpt exercises the three-stage pipeline: prefetch reader, scatter,
+// writer.
 var pipeOpt = Options{Pipeline: true}
 
 // runBoth executes the same workload sequentially on a RAM-backed system
@@ -144,6 +148,144 @@ func TestPipelinedChainedPasses(t *testing.T) {
 	}
 	if err := VerifyBMMC(sys, sys.Source(), p2.Compose(p1)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// scatterHook wraps a strategy so that hook runs once the scatter of load
+// at has returned.
+type scatterHook struct {
+	passStrategy
+	at   int
+	hook func()
+}
+
+func (s scatterHook) scatter(ml int, plan loadPlan, in, out *pdm.Buffer) ([][]pdm.BlockIO, error) {
+	writes, err := s.passStrategy.scatter(ml, plan, in, out)
+	if ml == s.at {
+		s.hook()
+	}
+	return writes, err
+}
+
+// TestPipelineWritesBehindScatter pins the write-behind stage: under the
+// pipeline, load 0's writes are still in flight while load 1 scatters. The
+// observer of the pass's first write sample blocks until the scatter of
+// load 1 has returned. A runner that writes a load on the goroutine that
+// scatters the next one reaches that scatter only after the write, so the
+// observer gives up after 5 s and the test fails instead of hanging.
+func TestPipelineWritesBehindScatter(t *testing.T) {
+	cfg := pdm.Config{N: 1 << 12, D: 4, B: 8, M: 1 << 8}
+	rng := rand.New(rand.NewSource(323))
+	p := perm.MustNew(gf2.RandomMRC(rng, cfg.LgN(), cfg.LgM()), gf2.RandomVec(rng, cfg.LgN()))
+
+	scattered := make(chan struct{})
+	var armed atomic.Bool
+	var first sync.Once
+	overlapped := make(chan bool, 1)
+	sys, err := pdm.NewSystem(cfg, pdm.InstrumentBackend(pdm.MemBackend(), func(s pdm.OpSample) {
+		if s.Op != "write" || !armed.Load() {
+			return
+		}
+		first.Do(func() {
+			select {
+			case <-scattered:
+				overlapped <- true
+			case <-time.After(5 * time.Second):
+				overlapped <- false
+			}
+		})
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if err := LoadSequential(sys); err != nil {
+		t.Fatal(err)
+	}
+	armed.Store(true)
+	applier := p.Compile()
+	st := scatterHook{
+		passStrategy: &mrcStrategy{cfg: cfg, applier: applier, run: runLength(applier.RunBits(), cfg.LgM())},
+		at:           1,
+		hook:         func() { close(scattered) },
+	}
+	if err := runPass(context.Background(), sys, st, pipeOpt); err != nil {
+		t.Fatal(err)
+	}
+	sys.SwapPortions()
+	if !<-overlapped {
+		t.Error("load 0's first write finished before load 1 scattered: the write stage did not overlap the next scatter")
+	}
+
+	ref, err := pdm.NewMemSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	if err := LoadSequential(ref); err != nil {
+		t.Fatal(err)
+	}
+	if err := RunMRCPass(context.Background(), ref, p, seqOpt); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.DumpRecords(ref.Source())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sys.DumpRecords(sys.Source())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Error("write-behind records differ from a sequential run")
+	}
+	if ws, gs := ref.Stats(), sys.Stats(); !reflect.DeepEqual(ws, gs) {
+		t.Errorf("stats diverge:\nsequential: %+v\npipelined:  %+v", ws, gs)
+	}
+}
+
+// TestPipelinedProgressFollowsWrites pins the Progress contract that the
+// daemon's per-pass I/O attribution depends on: each completed-load event
+// fires after that load's writes are counted and before any later load's
+// writes. So on every runner path the write count seen at each event, and
+// the events themselves, are the same pipelined as sequential, and no two
+// callbacks overlap.
+func TestPipelinedProgressFollowsWrites(t *testing.T) {
+	type mark struct {
+		ev     PassEvent
+		writes int
+	}
+	for _, path := range chaosPathsFor(chaosCfg) {
+		var marks [2][]mark
+		for i, opt := range []Options{seqOpt, pipeOpt} {
+			sys, err := pdm.NewMemSystem(chaosCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := LoadSequential(sys); err != nil {
+				t.Fatal(err)
+			}
+			var inCallback, overlap atomic.Bool
+			opt.Progress = func(ev PassEvent) {
+				if !inCallback.CompareAndSwap(false, true) {
+					overlap.Store(true)
+					return
+				}
+				marks[i] = append(marks[i], mark{ev, sys.Stats().ParallelWrites})
+				inCallback.Store(false)
+			}
+			err = path.run(context.Background(), sys, opt)
+			sys.Close()
+			if err != nil {
+				t.Fatalf("%s: %v", path.name, err)
+			}
+			if overlap.Load() {
+				t.Errorf("%s: progress callbacks overlapped", path.name)
+			}
+		}
+		if !reflect.DeepEqual(marks[0], marks[1]) {
+			t.Errorf("%s: events and write counts differ:\nsequential: %v\npipelined:  %v", path.name, marks[0], marks[1])
+		}
 	}
 }
 

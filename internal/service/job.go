@@ -31,7 +31,7 @@ type Job struct {
 	ctx     context.Context
 	cancel  context.CancelFunc
 	events  *broadcaster
-	hook    func(*Job, bmmc.PassEvent) // test instrumentation, run on the executing goroutine
+	hook    func(*Job, bmmc.PassEvent) // test instrumentation, run inside onProgress
 	enqueue func(*Job)                 // manager callback releasing an await-input job to the workers
 
 	inputTimer *time.Timer // expires a pending await-input job; nil otherwise
@@ -42,8 +42,10 @@ type Job struct {
 	// entry's sink feeds instrumented-backend samples while the job
 	// executes; mobs is the manager's registry handle (nil only in
 	// bare-constructed tests). The span bookkeeping below is touched by
-	// onProgress and finish only, both on the job's executing worker
-	// goroutine.
+	// onProgress and finish only. onProgress runs on the worker goroutine
+	// or the engine's writer goroutine, one call at a time, and the engine
+	// drains its writer before Execute returns, so every call is ordered
+	// before finish.
 	traceBuf     *obs.TraceBuffer
 	mobs         *managerObs
 	passStart    time.Time // wall-clock start of the current pass
@@ -150,9 +152,10 @@ func (j *Job) setStateLocked(s State) {
 	}
 }
 
-// onProgress is the job's per-Execute WithProgress callback: it runs on the
-// executing goroutine between counted parallel I/Os, updates the snapshot,
-// and fans the event out without blocking.
+// onProgress is the job's per-Execute WithProgress callback. It runs at
+// pass start on the worker goroutine and, after each memoryload's writes
+// are counted, on the engine's writer goroutine, one call at a time. It
+// updates the snapshot and fans the event out without blocking.
 func (j *Job) onProgress(ev bmmc.PassEvent) {
 	p := &Progress{Pass: ev.Pass, Passes: ev.Passes, Kind: ev.Kind, Load: ev.Load, Loads: ev.Loads}
 	j.mu.Lock()
@@ -166,9 +169,11 @@ func (j *Job) onProgress(ev bmmc.PassEvent) {
 }
 
 // observePass turns the progress event stream into trace spans and exact
-// per-pass I/O attribution. Events fire on the executing goroutine at
-// pass start (Load == 0) and after every completed memoryload, with the
-// final one (Load == Loads) after the pass's last counted write — so
+// per-pass I/O attribution. Events fire at pass start (Load == 0) and
+// after every completed memoryload's writes are counted, before any later
+// memoryload's writes; the writer goroutine of the engine's pipeline fires
+// the latter. The final one (Load == Loads) therefore follows the pass's
+// last counted write, and the next pass's reads begin only after it, so
 // dataset Stats snapshots at the boundaries delta to exactly the pass's
 // parallel I/Os (jobs on one dataset are turnstile-serialized).
 func (j *Job) observePass(ev bmmc.PassEvent) {

@@ -65,9 +65,9 @@ type ManagerConfig struct {
 	// storage.
 	WrapBackend func(kind string, be bmmc.Backend) bmmc.Backend
 
-	// hook, when set by tests, runs on each job's executing goroutine after
-	// every progress event — deterministic instrumentation for cancellation
-	// and race tests.
+	// hook, when set by tests, runs inside each job's progress callback
+	// after every progress event, in event order — deterministic
+	// instrumentation for cancellation and race tests.
 	hook func(*Job, bmmc.PassEvent)
 }
 

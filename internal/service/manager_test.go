@@ -439,9 +439,9 @@ func TestAwaitInputExpiry(t *testing.T) {
 }
 
 // TestCancelWhileRunning aborts a job between memoryloads via the progress
-// hook (deterministic: the hook runs on the executing goroutine) and
-// checks the daemon stays healthy — the worker survives, new jobs
-// complete, and no goroutines leak.
+// hook (deterministic: the hook fires early in pass 1, with most of its
+// memoryloads still to run) and checks the daemon stays healthy — the
+// worker survives, new jobs complete, and no goroutines leak.
 func TestCancelWhileRunning(t *testing.T) {
 	base := runtime.NumGoroutine()
 	func() {
