@@ -10,6 +10,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 
@@ -92,12 +93,13 @@ const routeCheck = 1 << 14
 // routeRecords applies y = p(x) to a full record image in the 16-byte
 // wire format — the coordinator-mediated exchange for permutations whose
 // A_hl block mixes stripe and local bits. It fills the output in
-// destination order, out[y] = in[p⁻¹(y)], through the compiled byte
-// tables of the inverse (itself BMMC): writes are sequential and each
-// address costs eight table lookups. The target range is cut into one
-// contiguous chunk per GOMAXPROCS; chunks write disjoint bytes, so they
-// need no locks. O(N) coordinator memory, the documented cost of the
-// general path. in must hold exactly 2^p.Bits() records.
+// destination order, out[y] = in[p⁻¹(y)], walking the inverse (itself
+// BMMC): one Apply at each chunk's first address, then one step-table XOR
+// per record, p⁻¹(y+1) = p⁻¹(y) ⊕ Delta(TrailingZeros(y+1)). Writes are
+// sequential. The target range is cut into one contiguous chunk per
+// GOMAXPROCS; chunks write disjoint bytes, so they need no locks. O(N)
+// coordinator memory, the documented cost of the general path. in must
+// hold exactly 2^p.Bits() records.
 func routeRecords(ctx context.Context, p bmmc.Permutation, in []byte) ([]byte, error) {
 	inv := p.Inverse().Compile()
 	n := uint64(len(in)) / bmmc.RecordBytes
@@ -109,10 +111,11 @@ func routeRecords(ctx context.Context, p bmmc.Permutation, in []byte) ([]byte, e
 		wg.Add(1)
 		go func(lo, hi uint64) {
 			defer wg.Done()
+			x := inv.Apply(lo)
 			for sub := lo; sub < hi && ctx.Err() == nil; sub += routeCheck {
 				for y := sub; y < min(sub+routeCheck, hi); y++ {
-					x := inv.Apply(y)
 					*(*[bmmc.RecordBytes]byte)(out[y*bmmc.RecordBytes:]) = *(*[bmmc.RecordBytes]byte)(in[x*bmmc.RecordBytes:])
+					x ^= inv.Delta(bits.TrailingZeros64(y + 1))
 				}
 			}
 		}(lo, min(lo+chunk, n))

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/factor"
 	"repro/internal/gf2"
 	"repro/internal/pdm"
 	"repro/internal/perm"
@@ -128,3 +129,61 @@ func benchmarkScatterKernel(b *testing.B, force bool) {
 func BenchmarkScatterKernelCoalesced(b *testing.B) { benchmarkScatterKernel(b, false) }
 
 func BenchmarkScatterKernelRecord(b *testing.B) { benchmarkScatterKernel(b, true) }
+
+// BenchmarkLibGeometry runs one seeded rank-6 BMMC at the lib-file bench
+// workload's geometry: N=2^22, D=8, B=64, M=2^16, file backend, two
+// passes and 32768 parallel I/Os per run. The plan is made once, by
+// factor.Dispatch with fusion, as core.Engine plans. The sync variants
+// call Sync between runs, outside the timer, as lib-file does after every
+// job; the pass after a Sync is bound by its write stage, the pass without
+// one by its scatter.
+func BenchmarkLibGeometry(b *testing.B) {
+	for _, mode := range []struct {
+		name string
+		opt  Options
+	}{{"pipelined", DefaultOptions()}, {"sequential", Options{}}} {
+		for _, sync := range []bool{false, true} {
+			name := mode.name + "/nosync"
+			if sync {
+				name = mode.name + "/sync"
+			}
+			b.Run(name, func(b *testing.B) { benchmarkLibGeometry(b, mode.opt, sync) })
+		}
+	}
+}
+
+func benchmarkLibGeometry(b *testing.B, opt Options, sync bool) {
+	cfg := pdm.Config{N: 1 << 22, D: 8, B: 64, M: 1 << 16}
+	rng := rand.New(rand.NewSource(1))
+	p := perm.MustNew(gf2.RandomNonsingularWithGamma(rng, cfg.LgN(), cfg.LgB(), 6), gf2.RandomVec(rng, cfg.LgN()))
+	_, plan, err := factor.Dispatch(p, cfg.LgB(), cfg.LgM(), true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys, err := pdm.NewSystem(cfg, pdm.FileBackend(b.TempDir()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sys.Close()
+	if err := LoadSequential(sys); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(cfg.N) * pdm.RecordBytes)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := RunPlan(context.Background(), sys, plan, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			b.ReportMetric(float64(res.ParallelIOs), "pios")
+		}
+		if sync {
+			b.StopTimer()
+			if err := sys.Sync(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+	}
+}

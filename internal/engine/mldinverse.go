@@ -52,14 +52,15 @@ type invMLDStrategy struct {
 	invApplier *perm.Compiled // p^{-1}, used to plan the gather reads
 	run        int            // records per coalesced scatter run (1 = per-record kernel)
 
-	// writeOps is the cached striped write schedule, retargeted per load by
-	// the scatter on the main goroutine; the runner copies it before
-	// handing the writes to its writer goroutine. The prepare scratch
-	// below lives on the prefetch goroutine; the read schedule it builds is
-	// consumed before the next prepare begins, so its backing arrays are
-	// reusable — unlike blockOf, which travels in the plan and stays live
-	// through the load's scatter.
+	// writeOps, the cached striped write schedule, and checked, the pass's
+	// class check, are scatter state on the main goroutine; the runner
+	// copies writeOps before handing the writes to its writer goroutine.
+	// The prepare scratch below lives on the prefetch goroutine; the read
+	// schedule it builds is consumed before the next prepare begins, so
+	// its backing arrays are reusable — unlike blockOf, which travels in
+	// the plan and stays live through the load's scatter.
 	writeOps [][]pdm.BlockIO
+	checked  bool
 	pByDisk  [][]pdm.BlockIO
 	pReads   [][]pdm.BlockIO
 	pFrameOf map[int]int
@@ -136,37 +137,26 @@ func (st *invMLDStrategy) prepare(tml int) (loadPlan, error) {
 func (st *invMLDStrategy) scatter(tml int, plan loadPlan, in, out *pdm.Buffer) ([][]pdm.BlockIO, error) {
 	cfg := st.cfg
 	b := cfg.LgB()
-	mask := uint64(cfg.M - 1)
+	if !st.checked {
+		// Each block stays in its first record's target memoryload.
+		if k := escapingStep(st.applier, b, cfg.LgM()); k >= 0 {
+			return nil, fmt.Errorf("engine: MLD^-1 pass splits source blocks across target memoryloads (step %d)", k)
+		}
+		st.checked = true
+	}
 	blockOf := plan.ctx.([]int)
 	dst := out.Records()
-	// The record read into frame f at offset off has source address
-	// (block base of f) | off; route it to its target offset within this
-	// memoryload.
+	// Frame f holds the source addresses (block base of f) | off: one Apply
+	// per frame places and checks the block's first record, and the shared
+	// record loop walks the rest (run <= B keeps runs inside a frame).
 	for f := 0; f < cfg.Frames(); f++ {
 		frame := in.Frame(f)
 		blockBase := uint64(blockOf[f]) << uint(b)
-		if st.run > 1 {
-			// Run-coalescing kernel: within a frame the source offsets are
-			// consecutive, so target addresses advance in lockstep across
-			// each aligned run (run <= B keeps every run inside one frame),
-			// and the escape check per run covers all its records.
-			for off := 0; off < len(frame); off += st.run {
-				y := st.applier.Apply(blockBase | uint64(off))
-				if cfg.MemoryloadOf(y) != tml {
-					return nil, fmt.Errorf("engine: record %d escaped target memoryload %d", blockBase|uint64(off), tml)
-				}
-				d := int(y & mask)
-				copy(dst[d:d+st.run], frame[off:off+st.run])
-			}
-			continue
+		y := st.applier.Apply(blockBase)
+		if cfg.MemoryloadOf(y) != tml {
+			return nil, fmt.Errorf("engine: record %d escaped target memoryload %d", blockBase, tml)
 		}
-		for off, r := range frame {
-			y := st.applier.Apply(blockBase | uint64(off))
-			if cfg.MemoryloadOf(y) != tml {
-				return nil, fmt.Errorf("engine: record %d escaped target memoryload %d", blockBase|uint64(off), tml)
-			}
-			dst[y&mask] = r
-		}
+		scatterLoad(st.applier, st.run, y, frame, dst)
 	}
 	// Emit the memoryload with striped writes.
 	return retargetStriped(&st.writeOps, cfg, tml), nil

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/pdm"
 	"repro/internal/perm"
@@ -44,6 +45,7 @@ type mrcStrategy struct {
 	// writes before handing them to its writer goroutine.
 	readOps  [][]pdm.BlockIO
 	writeOps [][]pdm.BlockIO
+	checked  bool // the pass's class check passed; scatter-only
 }
 
 func (st *mrcStrategy) kind() string { return "MRC" }
@@ -58,37 +60,72 @@ func (st *mrcStrategy) prepare(ml int) (loadPlan, error) {
 
 func (st *mrcStrategy) scatter(ml int, _ loadPlan, in, out *pdm.Buffer) ([][]pdm.BlockIO, error) {
 	cfg := st.cfg
-	base := uint64(ml) * uint64(cfg.M)
-	mask := uint64(cfg.M - 1)
-	src, dst := in.Records(), out.Records()
-	// in[i] holds the record with source address base|i; its target
-	// address shares one memoryload number across the whole load.
-	tml := cfg.MemoryloadOf(st.applier.Apply(base))
-	if st.run > 1 {
-		// Run-coalescing kernel: the permutation fixes the low lg(run)
-		// address bits, so target addresses advance in lockstep with the
-		// source index across each aligned run — one Apply and one copy
-		// cover the whole run, and MemoryloadOf is constant across it
-		// (run <= M), so the MRC invariant check per run covers every
-		// record.
-		for i := 0; i < cfg.M; i += st.run {
-			y := st.applier.Apply(base | uint64(i))
-			if l := cfg.MemoryloadOf(y); l != tml {
-				return nil, fmt.Errorf("engine: MRC pass scattered memoryload %d across targets %d and %d", ml, tml, l)
-			}
-			d := int(y & mask)
-			copy(dst[d:d+st.run], src[i:i+st.run])
+	y0 := st.applier.Apply(uint64(ml) * uint64(cfg.M))
+	tml := cfg.MemoryloadOf(y0)
+	if !st.checked {
+		// y(base|i) = y0 ⊕ A·i: a property of A, checked once per pass.
+		if k := escapingStep(st.applier, cfg.LgM(), cfg.LgM()); k >= 0 {
+			return nil, fmt.Errorf("engine: MRC pass scattered memoryload %d across targets %d and %d", ml, tml, cfg.MemoryloadOf(y0^st.applier.Delta(k)))
 		}
-	} else {
-		for i := 0; i < cfg.M; i++ {
-			y := st.applier.Apply(base | uint64(i))
-			if l := cfg.MemoryloadOf(y); l != tml {
-				return nil, fmt.Errorf("engine: MRC pass scattered memoryload %d across targets %d and %d", ml, tml, l)
-			}
-			dst[y&mask] = src[i]
+		st.checked = true
+	}
+	scatterLoad(st.applier, st.run, y0, in.Records(), out.Records())
+	return retargetStriped(&st.writeOps, cfg, tml), nil
+}
+
+// scatterLoad is the record loop every one-pass scatter shares. src holds
+// an aligned source range, a memoryload or a frame: src[i] lands at
+// dst[y(i) & (len(dst)−1)], where y(0) = y0 and y(i) = y(i−1) ⊕
+// Delta(TrailingZeros(i)). The record kernel unrolls by eight, keeping the
+// in-group steps Delta 0, 1, 0, 2, 0, 1, 0 in registers: TrailingZeros'
+// BSF on baseline amd64 puts a false dependency on y's chain. The run
+// kernel, which also takes ranges under eight records as runs of one,
+// steps from run start to run start by Delta(tz(i)) ⊕ (run−1), since
+// (i−run) ⊕ i = (2^(tz(i)+1)−1) ⊕ (run−1) and A fixes the low lg(run)
+// bits, and moves each run with one copy.
+func scatterLoad(a *perm.Compiled, run int, y0 uint64, src, dst []pdm.Record) {
+	mask := uint64(len(dst) - 1)
+	y := y0
+	if run > 1 || len(src) < 8 {
+		for i := 0; i < len(src); i += run {
+			d := int(y & mask)
+			copy(dst[d:d+run], src[i:i+run])
+			y ^= a.Delta(bits.TrailingZeros(uint(i+run))) ^ uint64(run-1)
+		}
+		return
+	}
+	d0, d1, d2 := a.Delta(0), a.Delta(1), a.Delta(2)
+	for i := 0; i < len(src); i += 8 {
+		s := src[i : i+8 : i+8]
+		dst[y&mask] = s[0]
+		y ^= d0
+		dst[y&mask] = s[1]
+		y ^= d1
+		dst[y&mask] = s[2]
+		y ^= d0
+		dst[y&mask] = s[3]
+		y ^= d2
+		dst[y&mask] = s[4]
+		y ^= d0
+		dst[y&mask] = s[5]
+		y ^= d1
+		dst[y&mask] = s[6]
+		y ^= d0
+		dst[y&mask] = s[7]
+		y ^= a.Delta(bits.TrailingZeros(uint(i + 8)))
+	}
+}
+
+// escapingStep returns the first k < lo whose Delta(k) has a bit at or
+// above m = lg M, or -1 iff every aligned run of 2^lo source addresses
+// shares one target memoryload.
+func escapingStep(a *perm.Compiled, lo, m int) int {
+	for k := 0; k < lo; k++ {
+		if a.Delta(k)>>uint(m) != 0 {
+			return k
 		}
 	}
-	return retargetStriped(&st.writeOps, cfg, tml), nil
+	return -1
 }
 
 // RunMLDPass performs the MLD permutation p in one pass: striped reads of
@@ -129,13 +166,10 @@ type mldStrategy struct {
 	// the prefetch goroutine.
 	readOps [][]pdm.BlockIO
 
-	// Scatter scratch, reused across loads: records placed per relative
-	// block, each block's target memoryload, and the write schedule built
-	// from them. scatter runs only on the main goroutine, one load at a
-	// time, and the runner copies the returned operations before the next
-	// scatter (its writer goroutine never reads wOps), so reuse is safe.
-	wFill   []int
-	wLoadOf []int
+	// Scatter state, set by the first scatter on the main goroutine:
+	// linLoad (see checkPass) and the write schedule, which the runner
+	// copies before the next scatter (its writer never reads wOps).
+	linLoad []int
 	wByDisk [][]pdm.BlockIO
 	wOps    [][]pdm.BlockIO
 }
@@ -150,11 +184,43 @@ func (st *mldStrategy) prepare(ml int) (loadPlan, error) {
 	return loadPlan{reads: retargetStriped(&st.readOps, st.cfg, ml)}, nil
 }
 
+// checkPass walks the linear part v = A·i, i in [0, M), by the step table.
+// Load base's record i lands at y0 ⊕ v, and RelBlock and MemoryloadOf are
+// bit fields, so properties 1-2 hold for every load iff each relative
+// block of v holds B values with one memoryload, kept as linLoad. Errors
+// name load y0's absolute blocks and memoryloads.
+func (st *mldStrategy) checkPass(y0 uint64) error {
+	cfg := st.cfg
+	r0, l0 := cfg.RelBlock(y0), cfg.MemoryloadOf(y0)
+	linLoad := make([]int, cfg.Frames())
+	count := make([]int, cfg.Frames())
+	v := uint64(0)
+	for i := 0; i < cfg.M; i++ {
+		r, l := cfg.RelBlock(v), cfg.MemoryloadOf(v)
+		if count[r] == 0 {
+			linLoad[r] = l
+		} else if linLoad[r] != l {
+			return fmt.Errorf("engine: MLD property 2 violated: relative block %d maps to memoryloads %d and %d", r^r0, linLoad[r]^l0, l^l0)
+		}
+		count[r]++
+		v ^= st.applier.Delta(bits.TrailingZeros(uint(i + 1)))
+	}
+	for r := range count {
+		if c := count[r^r0]; c != cfg.B {
+			return fmt.Errorf("engine: MLD property 1 violated: relative block %d holds %d records, want B=%d", r, c, cfg.B)
+		}
+	}
+	st.linLoad = linLoad
+	return nil
+}
+
 func (st *mldStrategy) scatter(ml int, _ loadPlan, in, out *pdm.Buffer) ([][]pdm.BlockIO, error) {
 	cfg := st.cfg
-	if st.wFill == nil {
-		st.wFill = make([]int, cfg.Frames())
-		st.wLoadOf = make([]int, cfg.Frames())
+	y0 := st.applier.Apply(uint64(ml) * uint64(cfg.M))
+	if st.linLoad == nil {
+		if err := st.checkPass(y0); err != nil {
+			return nil, err
+		}
 		st.wByDisk = make([][]pdm.BlockIO, cfg.D)
 		st.wOps = make([][]pdm.BlockIO, cfg.FramesPerDisk())
 		ios := make([]pdm.BlockIO, cfg.FramesPerDisk()*cfg.D)
@@ -162,76 +228,20 @@ func (st *mldStrategy) scatter(ml int, _ loadPlan, in, out *pdm.Buffer) ([][]pdm
 			st.wOps[wave] = ios[wave*cfg.D : (wave+1)*cfg.D]
 		}
 	}
-	fill, loadOf := st.wFill, st.wLoadOf
-	for f := range fill {
-		fill[f] = 0
-		loadOf[f] = -1
-	}
-	base := uint64(ml) * uint64(cfg.M)
-	src, dst := in.Records(), out.Records()
-	if st.run > 1 {
-		// Run-coalescing kernel. The target buffer index r*B + Offset(y)
-		// equals the low lg M bits of y (RelBlock and Offset are adjacent
-		// bit fields), so a contiguous run of target addresses is a
-		// contiguous span of the output buffer: one Apply and one copy per
-		// run. The memoryload is constant across a run (run <= M), so the
-		// property-2 check folds into per-block accounting over the span
-		// instead of per-record lookups.
-		mask := uint64(cfg.M - 1)
-		for i := 0; i < cfg.M; i += st.run {
-			y := st.applier.Apply(base | uint64(i))
-			l := cfg.MemoryloadOf(y)
-			d := int(y & mask)
-			copy(dst[d:d+st.run], src[i:i+st.run])
-			for j := 0; j < st.run; {
-				r := (d + j) / cfg.B
-				step := cfg.B - (d+j)%cfg.B
-				if j+step > st.run {
-					step = st.run - j
-				}
-				if loadOf[r] < 0 {
-					loadOf[r] = l
-				} else if loadOf[r] != l {
-					return nil, fmt.Errorf("engine: MLD property 2 violated: relative block %d maps to memoryloads %d and %d", r, loadOf[r], l)
-				}
-				fill[r] += step
-				j += step
-			}
-		}
-	} else {
-		for i := 0; i < cfg.M; i++ {
-			y := st.applier.Apply(base | uint64(i))
-			r := cfg.RelBlock(y)
-			l := cfg.MemoryloadOf(y)
-			if loadOf[r] < 0 {
-				loadOf[r] = l
-			} else if loadOf[r] != l {
-				return nil, fmt.Errorf("engine: MLD property 2 violated: relative block %d maps to memoryloads %d and %d", r, loadOf[r], l)
-			}
-			dst[r*cfg.B+cfg.Offset(y)] = src[i]
-			fill[r]++
-		}
-	}
-	for r, c := range fill {
-		if c != cfg.B {
-			return nil, fmt.Errorf("engine: MLD property 1 violated: relative block %d holds %d records, want B=%d", r, c, cfg.B)
-		}
-	}
+	// dst[y & (M−1)] is dst[RelBlock(y)*B + Offset(y)]: adjacent bit fields.
+	scatterLoad(st.applier, st.run, y0, in.Records(), out.Records())
 	// Group the M/B target blocks by destination disk (property 3: exactly
 	// M/BD per disk) and write them in M/BD independent waves.
 	b, m := cfg.LgB(), cfg.LgM()
+	r0, l0 := cfg.RelBlock(y0), cfg.MemoryloadOf(y0)
 	byDisk := st.wByDisk
 	for d := range byDisk {
 		byDisk[d] = byDisk[d][:0]
 	}
 	for r := 0; r < cfg.Frames(); r++ {
-		y0 := uint64(loadOf[r])<<uint(m) | uint64(r)<<uint(b)
-		disk := cfg.DiskOf(y0)
-		byDisk[disk] = append(byDisk[disk], pdm.BlockIO{
-			Disk:  disk,
-			Block: cfg.StripeOf(y0),
-			Frame: r,
-		})
+		yr := uint64(l0^st.linLoad[r^r0])<<uint(m) | uint64(r)<<uint(b)
+		disk := cfg.DiskOf(yr)
+		byDisk[disk] = append(byDisk[disk], pdm.BlockIO{Disk: disk, Block: cfg.StripeOf(yr), Frame: r})
 	}
 	for disk, blocks := range byDisk {
 		if len(blocks) != cfg.FramesPerDisk() {

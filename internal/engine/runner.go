@@ -47,11 +47,11 @@ import (
 // Loads in pass Pass of Passes has completed (Load 0 marks the start of a
 // pass). Kind names the pass's algorithm ("MRC", "MLD", "MLD^-1", "sort",
 // "naive"). Kernel names the scatter inner loop the runner picked for the
-// pass: "record" (one Apply per record), "runN" (run-coalescing — one
-// Apply plus one copy per N-record contiguous run), or the algorithm's own
-// loop for the baselines ("sort", "merge", "pull"). Multi-pass drivers
-// stamp Pass/Passes; a directly-invoked single pass reports
-// Pass = Passes = 1.
+// pass: "record" (one step-table XOR and one record move per record),
+// "runN" (run-coalescing — one XOR plus one copy per N-record contiguous
+// run), or the algorithm's own loop for the baselines ("sort", "merge",
+// "pull"). Multi-pass drivers stamp Pass/Passes; a directly-invoked single
+// pass reports Pass = Passes = 1.
 type PassEvent struct {
 	Pass   int    // 1-based pass number within the run
 	Passes int    // total passes in the run
@@ -334,8 +334,8 @@ var forceRecordKernel = false
 // runLength picks a strategy's scatter run: 2^k records per coalesced
 // copy, where k is the applier's run width clamped to maxBits (lg M for
 // the memoryload-indexed scatters, lg B for the frame-indexed one — a run
-// must never cross the unit the surrounding bookkeeping assumes
-// invariant). A result of 1 selects the per-record kernel.
+// must never cross the range scatterLoad walks). A result of 1 selects the
+// per-record kernel, one step-table XOR per record.
 func runLength(runBits, maxBits int) int {
 	if forceRecordKernel {
 		return 1

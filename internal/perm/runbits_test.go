@@ -1,6 +1,7 @@
 package perm
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -76,14 +77,15 @@ func TestContiguousRunBitsSemantics(t *testing.T) {
 	}
 }
 
-// FuzzCompiledApply cross-checks the compiled byte-table applier and its
-// run detection against the naive matrix-vector BMMC.Apply oracle on
-// fuzzer-chosen permutations and addresses.
+// FuzzCompiledApply cross-checks the compiled byte-table applier, its
+// step table and its run detection against the naive matrix-vector
+// BMMC.Apply oracle on fuzzer-chosen permutations, addresses and walk
+// widths.
 func FuzzCompiledApply(f *testing.F) {
-	f.Add(int64(1), uint64(0))
-	f.Add(int64(7), uint64(42))
-	f.Add(int64(-3), uint64(1<<63))
-	f.Fuzz(func(t *testing.T, seed int64, xRaw uint64) {
+	f.Add(int64(1), uint64(0), uint8(0))
+	f.Add(int64(7), uint64(42), uint8(5))
+	f.Add(int64(-3), uint64(1<<63), uint8(12))
+	f.Fuzz(func(t *testing.T, seed int64, xRaw uint64, wRaw uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(24)
 		p := MustNew(gf2.RandomNonsingular(rng, n), gf2.RandomVec(rng, n))
@@ -108,6 +110,26 @@ func FuzzCompiledApply(f *testing.F) {
 		for i := uint64(0); i < run; i += step {
 			if p.Apply(base+i) != y0+i {
 				t.Fatalf("n=%d k=%d: Apply(%d+%d) != Apply(%d)+%d", n, k, base, i, base, i)
+			}
+		}
+		// The step-table contract, as the scatter kernels use it: each
+		// Delta word is the image of a low-bit mask, and one Apply at an
+		// aligned base followed by one XOR per address walks 2^w
+		// addresses.
+		for k := 0; k < n; k++ {
+			if got, want := ca.Delta(k), p.Apply(uint64(1)<<uint(k+1)-1)^p.Apply(0); got != want {
+				t.Fatalf("n=%d: Delta(%d) = %d, want %d", n, k, got, want)
+			}
+		}
+		w := int(wRaw) % (min(n, 12) + 1)
+		from := x &^ (uint64(1)<<uint(w) - 1)
+		y := ca.Apply(from)
+		for i := uint64(0); i < uint64(1)<<uint(w); i++ {
+			if i > 0 {
+				y ^= ca.Delta(bits.TrailingZeros64(from + i))
+			}
+			if want := p.Apply(from + i); y != want {
+				t.Fatalf("n=%d w=%d: walk from %d reached %d at step %d, oracle %d", n, w, from, y, i, want)
 			}
 		}
 	})

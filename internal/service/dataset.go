@@ -24,10 +24,11 @@ import (
 //   - The data plane and the job plane exclude each other. A shared entry
 //     admits uploads and downloads only while no job is active, and jobs
 //     only while no stream is in flight, so a stream never observes (or
-//     feeds) a half-permuted dataset. A private entry leaves admission to
-//     its job, which accepts an upload only while it is queued and
-//     unclaimed and a download only once it is done; the worker claims
-//     the job only while the entry is idle.
+//     feeds) a half-permuted dataset. A download writing its last byte no
+//     longer refuses a job (see dsEntry.tail). A private entry leaves
+//     admission to its job, which accepts an upload only while it is
+//     queued and unclaimed and a download only once it is done; the
+//     worker claims the job only while the entry is idle.
 //   - Deletion is refused (409) while jobs are active, waits for in-flight
 //     streams to drain, and is idempotent; Shutdown drains datasets the
 //     same way it drains jobs.
@@ -50,6 +51,7 @@ type dsEntry struct {
 	jobsRun    int          // jobs that executed on this dataset
 	loaded     bool         // user records uploaded (else canonical)
 	streams    int          // uploads + downloads in flight
+	tails      int          // of those, downloads writing their last byte
 	handoff    bool         // replica transfer in flight; data and job planes closed
 	released   bool         // storage closed and removed (or being removed)
 }
@@ -77,7 +79,7 @@ func (d *dsEntry) bind() (int, error) {
 	if d.released {
 		return 0, d.errGone()
 	}
-	if d.streams > 0 {
+	if d.streams > d.tails {
 		return 0, &httpError{http.StatusConflict, "dataset " + d.id + " has an upload or download in flight"}
 	}
 	if d.handoff {
@@ -255,8 +257,54 @@ func (d *dsEntry) download(ctx context.Context, w io.Writer, open func() error) 
 	if err := open(); err != nil {
 		return err
 	}
-	defer d.endStream(false)
-	return d.ds.Dump(ctx, w)
+	tw := d.tail(w)
+	defer tw.end()
+	return d.ds.Dump(ctx, tw)
+}
+
+// tail wraps an admitted download's writer. Just before the write that
+// delivers the body's last byte, the download stops refusing binds, so a
+// client that holds the whole body can chain its next job at once instead
+// of racing the handler's return for a 409. That is safe: DumpTo has
+// already copied that chunk into its pooled slab, and Dump's read lock
+// still holds back a bound job's run until Dump returns. The download is
+// still a stream, so deletes, handoffs and Shutdown wait for it; the
+// caller defers end, which retires it.
+func (d *dsEntry) tail(w io.Writer) *tailWriter {
+	return &tailWriter{w: w, left: int64(d.cfg.N) * bmmc.RecordBytes, d: d}
+}
+
+// tailWriter is a download's writer; see dsEntry.tail. Dump calls it on
+// one goroutine.
+type tailWriter struct {
+	w      io.Writer
+	left   int64 // bytes of the body not yet written
+	d      *dsEntry
+	atTail bool // counted in d.tails
+}
+
+func (t *tailWriter) Write(p []byte) (int, error) {
+	if !t.atTail && int64(len(p)) >= t.left {
+		t.d.mu.Lock()
+		t.d.tails++
+		t.d.mu.Unlock()
+		t.atTail = true
+	}
+	n, err := t.w.Write(p)
+	t.left -= int64(n)
+	return n, err
+}
+
+// end retires the download's stream.
+func (t *tailWriter) end() {
+	d := t.d
+	d.mu.Lock()
+	d.streams--
+	if t.atTail {
+		d.tails--
+	}
+	d.cond.Broadcast()
+	d.mu.Unlock()
 }
 
 // Status snapshots the dataset as its wire representation.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
@@ -265,6 +266,62 @@ func (b blockingWriter) Write(p []byte) (int, error) {
 		<-b.release
 	}
 	return b.w.Write(p)
+}
+
+// TestDownloadLastByteFreesDataset pins when a download stops refusing
+// jobs: just before the write that delivers the body's last byte, so a
+// client that holds the whole body can chain its next job on the dataset
+// at once. The response writer submits that job from inside the Write that
+// delivers the last byte; a stream that refuses binds until Dump returns
+// answers 409. The job binds mid-write but must run only after the
+// download, so the body is still the upload and the job then completes.
+func TestDownloadLastByteFreesDataset(t *testing.T) {
+	m := newTestManager(t, ManagerConfig{Workers: 1, QueueDepth: 4})
+	d := createDS(t, m, BackendFile)
+	recs := make([]bmmc.Record, testConfig.N)
+	for i := range recs {
+		recs[i] = bmmc.Record{Key: uint64(i) * 7919, Tag: ^uint64(i)}
+	}
+	in := encodeRecords(recs)
+	if err := d.Upload(context.Background(), bytes.NewReader(in)); err != nil {
+		t.Fatal(err)
+	}
+	rw := &submitOnLastByte{header: http.Header{}, left: len(in), submit: func() (*Job, error) {
+		return m.Submit(SubmitRequest{Dataset: d.id, Perm: string(bmmc.MarshalPermutation(bmmc.GrayCode(testConfig.LgN())))})
+	}}
+	NewHandler(m, nil).ServeHTTP(rw, httptest.NewRequest(http.MethodGet, "/v1/datasets/"+d.id+"/output", nil))
+	if rw.job == nil {
+		t.Fatalf("job submitted on the download's last byte: %v", rw.err)
+	}
+	if !bytes.Equal(rw.body.Bytes(), in) {
+		t.Fatal("download differs from the upload: the chained job ran mid-download")
+	}
+	if s := waitTerminal(t, rw.job); s != StateDone {
+		t.Fatalf("chained job finished %s: %s", s, rw.job.Status().Error)
+	}
+}
+
+// submitOnLastByte is a ResponseWriter that records the body and calls
+// submit from inside the Write that delivers its last byte.
+type submitOnLastByte struct {
+	header http.Header
+	body   bytes.Buffer
+	left   int
+	submit func() (*Job, error)
+	job    *Job
+	err    error
+}
+
+func (w *submitOnLastByte) Header() http.Header { return w.header }
+
+func (w *submitOnLastByte) WriteHeader(int) {}
+
+func (w *submitOnLastByte) Write(p []byte) (int, error) {
+	w.body.Write(p)
+	if w.left -= len(p); w.left == 0 {
+		w.job, w.err = w.submit()
+	}
+	return len(p), nil
 }
 
 // waitNoLeak polls the goroutine count back down to the baseline.

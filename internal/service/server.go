@@ -220,15 +220,18 @@ func (s *server) input(w http.ResponseWriter, r *http.Request, n int, upload fun
 // means that once open succeeds the entry cannot gain a job or be deleted
 // under us, so wrong-state requests get a clean JSON error and admitted
 // requests get the full byte stream — never a 200 with a truncated body.
+// Just before the body's last byte is written, the stream stops refusing
+// jobs on d (see dsEntry.tail), so the client's next job is not refused.
 func (s *server) output(w http.ResponseWriter, r *http.Request, d *dsEntry, open func() error) {
 	if err := open(); err != nil {
 		s.writeErr(w, err)
 		return
 	}
-	defer d.endStream(false)
+	tw := d.tail(s.outBytes(w))
+	defer tw.end()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", fmt.Sprint(int64(d.cfg.N)*bmmc.RecordBytes))
-	if err := d.ds.Dump(r.Context(), s.outBytes(w)); err != nil {
+	if err := d.ds.Dump(r.Context(), tw); err != nil {
 		// Headers are committed; log and cut the stream short.
 		s.log.Warn("output stream aborted", "entry", d.id, "err", err)
 	}
