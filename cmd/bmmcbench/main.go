@@ -20,9 +20,9 @@
 // gate. CI runs it against the checked-in BENCH_*.json baselines.
 //
 // -pipeline and -concurrent select the execution mode of the pass runner
-// (the read/scatter/write pipeline, per-disk goroutine dispatch). They
-// change wall-clock time only; every parallel-I/O count in the tables is
-// identical across modes.
+// (the read/scatter/write pipeline, one goroutine per storage transfer).
+// They change wall-clock time only; every parallel-I/O count in the tables
+// is identical across modes.
 // -fuse runs every factored-driver workload through the plan-fusion
 // optimizer (pass counts may drop below the verbatim Section 5 factoring,
 // never rise); -cache sets the plan-cache capacity used by the plancache
@@ -56,7 +56,7 @@ func main() {
 
 		jsonOut    = flag.Bool("json", false, "emit tables as JSON with per-experiment wall-clock")
 		pipeline   = flag.Bool("pipeline", true, "read the next memoryload and write the previous one while the current one is permuted")
-		concurrent = flag.Bool("concurrent", false, "dispatch per-disk transfers on goroutines (SetConcurrent)")
+		concurrent = flag.Bool("concurrent", false, "move each storage transfer on its own goroutine (SetConcurrent)")
 		fuse       = flag.Bool("fuse", false, "run factored-driver workloads through the plan-fusion optimizer")
 		cache      = flag.Int("cache", experiments.DefaultHarness().PlanCacheSize, "plan-cache capacity for the plancache experiment")
 

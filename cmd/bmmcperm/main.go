@@ -65,7 +65,7 @@ func main() {
 		arg      = flag.Int64("arg", 0, "permutation argument (lgR / k / mask / rank; also accepted as seed for -perm random)")
 		seed     = flag.Int64("seed", 1, "seed for the random permutation generators")
 		inFile   = flag.String("in", "", "load records from this file (or - for stdin) before permuting (16-byte little-endian records)")
-		concur   = flag.Bool("concurrent", false, "dispatch per-disk transfers on goroutines (file/sharded backends)")
+		concur   = flag.Bool("concurrent", false, "move each storage transfer on its own goroutine (file/sharded backends)")
 		outFile  = flag.String("out", "", "dump permuted records to this file (or - for stdout) afterwards")
 		progress = flag.Bool("progress", false, "print per-pass progress to stderr while executing")
 		factored = flag.Bool("force-factored", false, "skip one-pass dispatch; always run the factoring algorithm")

@@ -27,8 +27,8 @@ type Dataset = core.Dataset
 // CreateDataset opens storage for a new dataset and fills it with the
 // canonical records MakeRecord(0..N-1). Storage defaults to RAM; select
 // files, sharded directories, or custom storage with WithBackend, and
-// per-disk goroutine dispatch with WithConcurrentIO — the only options a
-// Dataset reads (execution and planning options configure the Engine).
+// one goroutine per storage transfer with WithConcurrentIO — the only
+// options a Dataset reads (execution and planning options configure the Engine).
 // Replace the canonical records with your own data via Dataset.Load.
 func CreateDataset(cfg Config, opts ...Option) (*Dataset, error) {
 	return core.CreateDataset(cfg, opts...)

@@ -107,7 +107,7 @@
 //
 //	ds, err := bmmc.CreateDataset(cfg,
 //	    bmmc.WithBackend(bmmc.FileBackend(dir)),
-//	    bmmc.WithConcurrentIO(true))  // per-disk dispatch (default off)
+//	    bmmc.WithConcurrentIO(true))  // a goroutine per transfer (default off)
 //	eng := bmmc.NewEngine(
 //	    bmmc.WithPipeline(true))      // read, permute, write overlap (default)
 //

@@ -29,8 +29,8 @@ type Dataset struct {
 // CreateDataset opens storage for a new dataset and fills it with the
 // canonical records MakeRecord(0..N-1). Storage defaults to RAM; select
 // files, sharded directories, or custom storage with WithBackend, and
-// per-disk goroutine dispatch with WithConcurrentIO (the only options a
-// Dataset reads — execution and planning options belong to the Engine).
+// one goroutine per storage transfer with WithConcurrentIO (the only
+// options a Dataset reads — execution and planning options belong to the Engine).
 // Replace the canonical records with your own data via Load.
 func CreateDataset(cfg pdm.Config, opts ...Option) (*Dataset, error) {
 	ds, err := OpenDataset(cfg, opts...)

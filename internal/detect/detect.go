@@ -70,12 +70,13 @@ func LoadTargetVector(sys *pdm.System, targetOf func(uint64) uint64) error {
 
 // Detect runs the full Section 6 procedure on the target-address vector
 // stored in portion p of sys. It never moves records; all reads land in
-// memory frames and are counted by the system's statistics.
+// the frames of one Buffer and are counted by the system's statistics.
 func Detect(sys *pdm.System, p pdm.Portion) (*Result, error) {
 	cfg := sys.Config()
 	res := &Result{FailedAt: -1}
+	buf := sys.AcquireBuffer()
 
-	a, c, err := formCandidate(sys, p, res)
+	a, c, err := formCandidate(sys, p, buf, res)
 	if err != nil {
 		return nil, err
 	}
@@ -91,12 +92,12 @@ func Detect(sys *pdm.System, p pdm.Portion) (*Result, error) {
 	// Step 4: verify all N addresses with at most N/BD parallel reads,
 	// terminating at the first mismatch.
 	for stripe := 0; stripe < cfg.Stripes(); stripe++ {
-		if err := sys.ReadStripe(p, stripe, 0); err != nil {
+		if err := sys.ReadStripe(p, stripe, 0, buf); err != nil {
 			return nil, err
 		}
 		res.VerifyReads++
 		base := uint64(stripe) * uint64(cfg.B*cfg.D)
-		for i, r := range sys.Mem()[:cfg.B*cfg.D] {
+		for i, r := range buf.Records()[:cfg.B*cfg.D] {
 			x := base + uint64(i)
 			if cand.Apply(x) != r.Key {
 				res.FailedAt = int64(x)
@@ -112,7 +113,7 @@ func Detect(sys *pdm.System, p pdm.Portion) (*Result, error) {
 
 // formCandidate executes step 2: build the candidate (A, c) with
 // ceil((lg(N/B)+1)/D) parallel reads.
-func formCandidate(sys *pdm.System, p pdm.Portion, res *Result) (gf2.Matrix, gf2.Vec, error) {
+func formCandidate(sys *pdm.System, p pdm.Portion, buf *pdm.Buffer, res *Result) (gf2.Matrix, gf2.Vec, error) {
 	cfg := sys.Config()
 	n, b, d := cfg.LgN(), cfg.LgB(), cfg.LgD()
 	s := n - b - d // stripe-field width
@@ -136,7 +137,7 @@ func formCandidate(sys *pdm.System, p pdm.Portion, res *Result) (gf2.Matrix, gf2
 		jobs = append(jobs, colJob{disk: q, stripe: 1 << uint(t), kind: 2, idx: t})
 		t++
 	}
-	if err := runJobs(sys, p, &a, &c, jobs, res); err != nil {
+	if err := runJobs(sys, p, buf, &a, &c, jobs, res); err != nil {
 		return a, c, err
 	}
 
@@ -147,7 +148,7 @@ func formCandidate(sys *pdm.System, p pdm.Portion, res *Result) (gf2.Matrix, gf2
 			jobs = append(jobs, colJob{disk: q, stripe: 1 << uint(t), kind: 2, idx: t})
 			t++
 		}
-		if err := runJobs(sys, p, &a, &c, jobs, res); err != nil {
+		if err := runJobs(sys, p, buf, &a, &c, jobs, res); err != nil {
 			return a, c, err
 		}
 	}
@@ -162,21 +163,22 @@ type colJob struct {
 	idx          int // the disk-bit index j or stripe-bit index t
 }
 
-// runJobs issues one parallel read for the given block jobs and extracts
-// the complement vector and matrix columns they determine, per eq. (20).
-func runJobs(sys *pdm.System, p pdm.Portion, a *gf2.Matrix, c *gf2.Vec, jobs []colJob, res *Result) error {
+// runJobs issues one parallel read of the given block jobs into buf and
+// extracts the complement vector and matrix columns they determine, per
+// eq. (20).
+func runJobs(sys *pdm.System, p pdm.Portion, buf *pdm.Buffer, a *gf2.Matrix, c *gf2.Vec, jobs []colJob, res *Result) error {
 	cfg := sys.Config()
 	b, d := cfg.LgB(), cfg.LgD()
 	ios := make([]pdm.BlockIO, len(jobs))
 	for i, j := range jobs {
 		ios[i] = pdm.BlockIO{Disk: j.disk, Block: j.stripe, Frame: i}
 	}
-	if err := sys.ParallelRead(p, ios); err != nil {
+	if err := sys.ParallelReadGroup(p, [][]pdm.BlockIO{ios}, buf); err != nil {
 		return err
 	}
 	res.CandidateReads++
 	for i, j := range jobs {
-		frame := sys.Frame(i)
+		frame := buf.Frame(i)
 		switch j.kind {
 		case 0:
 			// Address 0 gives c; addresses 2^k (k < b) give offset columns.

@@ -421,9 +421,9 @@ func TestChaosEngineCancelOnSlowDisk(t *testing.T) {
 
 // TestChaosLatencySkewPipelineWins is the CI latency-skew smoke: with one
 // of four disks 10x slower, the pipelined run (prefetch overlap plus
-// concurrent per-disk dispatch, which overlaps the skewed per-disk delays
-// the way independent spindles would) must still beat the fully sequential
-// run on wall-clock.
+// concurrent dispatch, a goroutine per transfer, which overlaps the skewed
+// per-disk delays the way independent spindles would) must still beat the
+// fully sequential run on wall-clock.
 func TestChaosLatencySkewPipelineWins(t *testing.T) {
 	cfg := pdm.Config{N: 1 << 12, D: 4, B: 8, M: 1 << 9}
 	rng := rand.New(rand.NewSource(99))

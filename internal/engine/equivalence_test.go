@@ -168,7 +168,7 @@ func sortedTrace(tr *pdm.Trace) string {
 	return strings.Join(lines, "\n")
 }
 
-// TestConcurrentTraceInvariant: with the pipeline and concurrent per-disk
+// TestConcurrentTraceInvariant: with the pipeline and concurrent
 // dispatch both enabled (the configuration the -race CI job stresses),
 // every counted parallel I/O still touches at most one block per disk, and
 // the stats and operation multiset are byte-identical to the fully
@@ -229,7 +229,7 @@ func TestConcurrentTraceInvariant(t *testing.T) {
 }
 
 // TestConcurrentDispatchAgrees: the engines produce identical layouts with
-// concurrent per-disk dispatch enabled.
+// concurrent dispatch enabled.
 func TestConcurrentDispatchAgrees(t *testing.T) {
 	cfg := pdm.Config{N: 1 << 11, D: 8, B: 4, M: 1 << 7}
 	rng := rand.New(rand.NewSource(194))

@@ -60,13 +60,14 @@ func GeneralPermute(ctx context.Context, sys *pdm.System, targetOf func(uint64) 
 	passes++
 
 	// Merge passes: fanIn-way merges at stripe granularity until one run
-	// spans all stripes.
+	// spans all stripes, every merge pass through one Buffer.
 	runStripes := cfg.StripesPerMemoryload()
+	buf := sys.AcquireBuffer()
 	for runStripes < cfg.Stripes() {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if err := mergePass(ctx, sys, targetOf, runStripes, fanIn, stamp(passes+1)); err != nil {
+		if err := mergePass(ctx, sys, buf, targetOf, runStripes, fanIn, stamp(passes+1)); err != nil {
 			return nil, err
 		}
 		sys.SwapPortions()
@@ -108,11 +109,11 @@ func (st *sortStrategy) scatter(ml int, _ loadPlan, in, out *pdm.Buffer) ([][]pd
 
 // mergePass merges every group of fanIn consecutive runs (runStripes
 // stripes each) from the source portion into single runs in the target
-// portion, reading and writing each stripe exactly once. ctx is checked
-// and a progress event emitted between merge groups — the "memoryload"
-// of a merge pass, so WithProgress keeps reporting through the merge
-// phase of a general permutation.
-func mergePass(ctx context.Context, sys *pdm.System, targetOf func(uint64) uint64, runStripes, fanIn int, opt Options) error {
+// portion through buf, reading and writing each stripe exactly once. ctx
+// is checked and a progress event emitted between merge groups — the
+// "memoryload" of a merge pass, so WithProgress keeps reporting through
+// the merge phase of a general permutation.
+func mergePass(ctx context.Context, sys *pdm.System, buf *pdm.Buffer, targetOf func(uint64) uint64, runStripes, fanIn int, opt Options) error {
 	cfg := sys.Config()
 	// One group consumes fanIn*runStripes stripes (the loop steps `group`
 	// by fanIn); the last group may be partial, so round up once over the
@@ -137,7 +138,7 @@ func mergePass(ctx context.Context, sys *pdm.System, targetOf func(uint64) uint6
 			}
 			runs = append(runs, &runCursor{next: start, end: end, frame0: r * cfg.D})
 		}
-		if err := mergeRuns(sys, targetOf, runs, first); err != nil {
+		if err := mergeRuns(sys, buf, targetOf, runs, first); err != nil {
 			return err
 		}
 		done++
@@ -147,45 +148,46 @@ func mergePass(ctx context.Context, sys *pdm.System, targetOf func(uint64) uint6
 }
 
 // runCursor streams one sorted run stripe by stripe through a dedicated
-// window of D memory frames.
+// window of D buffer frames.
 type runCursor struct {
 	next, end int // stripes remaining: [next, end)
 	frame0    int // first of D frames holding the current stripe
-	pos, lim  int // consumed/valid records within the buffer
+	pos, lim  int // consumed/valid records, as indices into the buffer
 }
 
-func (rc *runCursor) refill(sys *pdm.System) error {
+func (rc *runCursor) refill(sys *pdm.System, buf *pdm.Buffer) error {
 	if rc.next >= rc.end {
 		rc.pos, rc.lim = 0, 0
 		return nil
 	}
-	if err := sys.ReadStripe(sys.Source(), rc.next, rc.frame0); err != nil {
+	if err := sys.ReadStripe(sys.Source(), rc.next, rc.frame0, buf); err != nil {
 		return err
 	}
 	rc.next++
-	rc.pos, rc.lim = 0, sys.Config().B*sys.Config().D
+	rc.pos = rc.frame0 * sys.Config().B
+	rc.lim = rc.pos + sys.Config().B*sys.Config().D
 	return nil
 }
 
-func (rc *runCursor) head(sys *pdm.System) (pdm.Record, bool) {
+func (rc *runCursor) head(buf *pdm.Buffer) (pdm.Record, bool) {
 	if rc.pos >= rc.lim {
 		return pdm.Record{}, false
 	}
-	return sys.Mem()[rc.frame0*sys.Config().B+rc.pos], true
+	return buf.Records()[rc.pos], true
 }
 
 // mergeRuns merges the given runs into consecutive output stripes starting
-// at outStripe in the target portion. The output buffer occupies the D
-// frames after the run windows.
-func mergeRuns(sys *pdm.System, targetOf func(uint64) uint64, runs []*runCursor, outStripe int) error {
+// at outStripe in the target portion. The output stripe occupies the D
+// frames of buf after the run windows.
+func mergeRuns(sys *pdm.System, buf *pdm.Buffer, targetOf func(uint64) uint64, runs []*runCursor, outStripe int) error {
 	cfg := sys.Config()
 	stripeRecs := cfg.B * cfg.D
 	outFrame0 := len(runs) * cfg.D
-	out := sys.Mem()[outFrame0*cfg.B : outFrame0*cfg.B+stripeRecs]
+	out := buf.Records()[outFrame0*cfg.B : outFrame0*cfg.B+stripeRecs]
 	outPos := 0
 
 	for _, rc := range runs {
-		if err := rc.refill(sys); err != nil {
+		if err := rc.refill(sys, buf); err != nil {
 			return err
 		}
 	}
@@ -193,7 +195,7 @@ func mergeRuns(sys *pdm.System, targetOf func(uint64) uint64, runs []*runCursor,
 		best := -1
 		var bestKey uint64
 		for i, rc := range runs {
-			r, ok := rc.head(sys)
+			r, ok := rc.head(buf)
 			if !ok {
 				continue
 			}
@@ -205,17 +207,17 @@ func mergeRuns(sys *pdm.System, targetOf func(uint64) uint64, runs []*runCursor,
 			break
 		}
 		rc := runs[best]
-		r, _ := rc.head(sys)
+		r, _ := rc.head(buf)
 		out[outPos] = r
 		outPos++
 		rc.pos++
 		if rc.pos >= rc.lim {
-			if err := rc.refill(sys); err != nil {
+			if err := rc.refill(sys, buf); err != nil {
 				return err
 			}
 		}
 		if outPos == stripeRecs {
-			if err := sys.WriteStripe(sys.Target(), outStripe, outFrame0); err != nil {
+			if err := sys.WriteStripe(sys.Target(), outStripe, outFrame0, buf); err != nil {
 				return err
 			}
 			outStripe++

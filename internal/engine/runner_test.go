@@ -16,7 +16,8 @@ import (
 )
 
 // These tests pin the pass runner's core invariant: pipelining and
-// concurrent per-disk dispatch change wall-clock behavior only. For every workload the final records AND the full Stats() —
+// concurrent dispatch (one goroutine per transfer) change wall-clock
+// behavior only. For every workload the final records AND the full Stats() —
 // parallel read/write operation counts and the per-disk block totals —
 // must be identical to a sequential single-threaded run.
 
@@ -28,7 +29,7 @@ var seqOpt = Options{Pipeline: false}
 var pipeOpt = Options{Pipeline: true}
 
 // runBoth executes the same workload sequentially on a RAM-backed system
-// and pipelined on a file-backed system with concurrent per-disk dispatch,
+// and pipelined on a file-backed system with concurrent dispatch,
 // then asserts records and stats agree.
 func runBoth(t *testing.T, cfg pdm.Config, what string, run func(*pdm.System, Options) error) {
 	t.Helper()

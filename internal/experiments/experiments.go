@@ -30,7 +30,7 @@ var DefaultConfig = pdm.Config{N: 1 << 16, D: 8, B: 16, M: 1 << 11}
 type Harness struct {
 	// Exec is the pass-runner mode (three-stage pipeline or sequential).
 	Exec engine.Options
-	// ConcurrentIO toggles per-disk goroutine dispatch on the systems the
+	// ConcurrentIO toggles per-transfer goroutine dispatch on the systems the
 	// experiments build, matching pdm.System.SetConcurrent.
 	ConcurrentIO bool
 	// Fuse makes every factored-driver run execute the fused plan instead
@@ -534,10 +534,10 @@ func (h Harness) Lemma9Table(ctx context.Context, cfg pdm.Config, _ int64) (*Tab
 // disks first sequentially (one goroutine, serial disk dispatch) and then
 // pipelined (three stages: a prefetch reader, the scatter and a
 // write-behind writer, each load double-buffered, plus concurrent
-// per-disk dispatch when the harness enables it). The model's cost is
-// identical in both modes — the PASS column asserts that the parallel-I/O
-// counts match exactly and that both runs produced the correct layout — so
-// the only thing allowed to differ is elapsed time.
+// dispatch, one goroutine per transfer, when the harness enables it). The
+// model's cost is identical in both modes — the PASS column asserts that
+// the parallel-I/O counts match exactly and that both runs produced the
+// correct layout — so the only thing allowed to differ is elapsed time.
 func (h Harness) PipelineSpeed(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
 	rng := rand.New(rand.NewSource(seed))
 	n, b := cfg.LgN(), cfg.LgB()
@@ -559,7 +559,7 @@ func (h Harness) PipelineSpeed(ctx context.Context, cfg pdm.Config, seed int64) 
 		},
 	}
 	// The pipelined mode additionally honors the harness-wide ConcurrentIO
-	// setting (per-disk goroutine dispatch pays off with many cores or real
+	// setting (per-transfer goroutine dispatch pays off with many cores or real
 	// spindle latency; on a single core it is overhead).
 	modes := []struct {
 		name       string

@@ -80,8 +80,8 @@ type Result struct {
 // ends up on the current source portion in natural frequency order).
 // inverse selects the inverse transform, which includes the 1/N scaling.
 // Requires N <= M^2 so both four-step factors fit in memory. Cancelling
-// ctx aborts between memoryloads of any transpose, leaving the records in
-// the state after the last completed pass.
+// ctx aborts between memoryloads of any transpose or compute pass, leaving
+// the records in the state after the last completed pass.
 func FFT(ctx context.Context, sys *pdm.System, inverse bool) (*Result, error) {
 	cfg := sys.Config()
 	n, m := cfg.LgN(), cfg.LgM()
@@ -109,7 +109,7 @@ func FFT(ctx context.Context, sys *pdm.System, inverse bool) (*Result, error) {
 	if inverse {
 		scale = 1.0 / float64(cfg.N)
 	}
-	err := computePass(sys, n2, func(row int, data []complex128) {
+	err := computePass(ctx, sys, n2, func(row int, data []complex128) {
 		fftInPlace(data, sign)
 		j1 := row // after step 1, row index is j1
 		for k2 := range data {
@@ -129,7 +129,7 @@ func FFT(ctx context.Context, sys *pdm.System, inverse bool) (*Result, error) {
 	res.TransposeIOs += sys.Stats().ParallelIOs() - mark
 
 	// Step 4: N2 rows of length N1; plain FFTs over j1.
-	err = computePass(sys, n1, func(row int, data []complex128) {
+	err = computePass(ctx, sys, n1, func(row int, data []complex128) {
 		fftInPlace(data, sign)
 	})
 	if err != nil {
@@ -159,28 +159,32 @@ func permute(ctx context.Context, sys *pdm.System, p perm.BMMC) error {
 	return err
 }
 
-// computePass streams the data through memory one memoryload at a time
+// computePass streams the data through one Buffer a memoryload at a time
 // (striped reads, striped writes: an identity MRC pass with computation),
 // invoking fn on every contiguous row of rowLen samples. rowLen must
-// divide M.
-func computePass(sys *pdm.System, rowLen int, fn func(row int, data []complex128)) error {
+// divide M. ctx is checked before each memoryload; a canceled pass leaves
+// the portion roles unswapped.
+func computePass(ctx context.Context, sys *pdm.System, rowLen int, fn func(row int, data []complex128)) error {
 	cfg := sys.Config()
 	if cfg.M%rowLen != 0 {
 		return fmt.Errorf("oocfft: row length %d does not divide M = %d", rowLen, cfg.M)
 	}
 	src, tgt := sys.Source(), sys.Target()
-	mem := sys.Mem()
+	mem := sys.AcquireBuffer()
 	buf := make([]complex128, rowLen)
 	spm := cfg.StripesPerMemoryload()
 	rowsPerLoad := cfg.M / rowLen
 	for ml := 0; ml < cfg.Memoryloads(); ml++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		for sw := 0; sw < spm; sw++ {
-			if err := sys.ReadStripe(src, ml*spm+sw, sw*cfg.D); err != nil {
+			if err := sys.ReadStripe(src, ml*spm+sw, sw*cfg.D, mem); err != nil {
 				return err
 			}
 		}
 		for r := 0; r < rowsPerLoad; r++ {
-			seg := mem[r*rowLen : (r+1)*rowLen]
+			seg := mem.Records()[r*rowLen : (r+1)*rowLen]
 			for i, rec := range seg {
 				buf[i] = DecodeSample(rec)
 			}
@@ -190,7 +194,7 @@ func computePass(sys *pdm.System, rowLen int, fn func(row int, data []complex128
 			}
 		}
 		for sw := 0; sw < spm; sw++ {
-			if err := sys.WriteStripe(tgt, ml*spm+sw, sw*cfg.D); err != nil {
+			if err := sys.WriteStripe(tgt, ml*spm+sw, sw*cfg.D, mem); err != nil {
 				return err
 			}
 		}

@@ -2,6 +2,7 @@ package oocfft
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -183,6 +184,35 @@ func TestFFTErrors(t *testing.T) {
 	// Sample count mismatch.
 	if err := LoadSamples(sys, make([]complex128, 3)); err == nil {
 		t.Fatal("wrong sample count accepted")
+	}
+}
+
+// TestComputePassStopsOnCancel: a compute pass checks ctx before each
+// memoryload, so a cancel during the first of four loads costs exactly
+// that load's reads and writes and leaves the portion roles unswapped.
+func TestComputePassStopsOnCancel(t *testing.T) {
+	cfg := pdm.Config{N: 1 << 9, D: 2, B: 8, M: 1 << 7} // N = 4M
+	sys, err := pdm.NewMemSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	src := sys.Source()
+	err = computePass(ctx, sys, 16, func(row int, data []complex128) {
+		if row == 0 {
+			cancel()
+		}
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("computePass after cancel: %v, want context.Canceled", err)
+	}
+	if got, want := sys.Stats().ParallelIOs(), 2*cfg.M/(cfg.B*cfg.D); got != want {
+		t.Errorf("canceled pass moved %d parallel I/Os, want one memoryload's %d", got, want)
+	}
+	if sys.Source() != src {
+		t.Error("canceled pass swapped the portions")
 	}
 }
 

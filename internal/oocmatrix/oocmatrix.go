@@ -16,8 +16,8 @@
 //     striped reads.
 //
 // Memory accounting: the three matrices hold one t x t tile each during the
-// multiply, with 3t^2 <= M in total; each matrix's System models one third
-// of the shared M-record memory.
+// multiply, with 3t^2 <= M in total; each tile streams stripe by stripe
+// through a Buffer taken from its own matrix's System.
 package oocmatrix
 
 import (
@@ -203,8 +203,9 @@ func (r MultiplyResult) ParallelIOs() int { return r.LayoutIOs + r.StreamIOs }
 // model parameters as A. Shapes must agree (A: R x S, B: S x T) and every
 // dimension must be at least the tile side, which is chosen so that three
 // tiles fit in memory: t = 2^floor((lg M - 2)/2). Cancelling ctx aborts
-// between memoryloads of the layout conversions; operands may be left
-// tile-major, so treat the matrices as spent on error.
+// between memoryloads of the layout conversions and between output tiles
+// of the blocked multiply; operands may be left tile-major, so treat the
+// matrices as spent on error.
 func Multiply(ctx context.Context, a, b *Matrix) (*Matrix, MultiplyResult, error) {
 	var res MultiplyResult
 	if a.lgS != b.lgR {
@@ -247,7 +248,7 @@ func Multiply(ctx context.Context, a, b *Matrix) (*Matrix, MultiplyResult, error
 
 	// Blocked multiply over contiguous tiles.
 	mark = ioTotal(a, b, c)
-	if err := multiplyTiles(a, b, c, lt); err != nil {
+	if err := multiplyTiles(ctx, a, b, c, lt); err != nil {
 		c.Close()
 		return nil, res, err
 	}
@@ -281,8 +282,9 @@ func ioTotal(ms ...*Matrix) int {
 }
 
 // multiplyTiles runs the blocked multiply with all three matrices in
-// tile-major layout: C[I,J] += A[I,K] * B[K,J] over tile indices.
-func multiplyTiles(a, b, c *Matrix, lt int) error {
+// tile-major layout: C[I,J] += A[I,K] * B[K,J] over tile indices. ctx is
+// checked before each output tile.
+func multiplyTiles(ctx context.Context, a, b, c *Matrix, lt int) error {
 	tile := 1 << uint(lt)
 	tileRecs := tile * tile
 	rowTilesA := a.Rows() >> uint(lt) // tiles per column of A (index I)
@@ -292,16 +294,20 @@ func multiplyTiles(a, b, c *Matrix, lt int) error {
 	ta := make([]float64, tileRecs)
 	tb := make([]float64, tileRecs)
 	tc := make([]float64, tileRecs)
+	bufA, bufB, bufC := a.sys.AcquireBuffer(), b.sys.AcquireBuffer(), c.sys.AcquireBuffer()
 	for ti := 0; ti < rowTilesA; ti++ {
 		for tj := 0; tj < colTilesB; tj++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 			for i := range tc {
 				tc[i] = 0
 			}
 			for tk := 0; tk < colTilesA; tk++ {
-				if err := readTile(a, (ti*colTilesA+tk)*tileRecs, ta); err != nil {
+				if err := readTile(a, (ti*colTilesA+tk)*tileRecs, ta, bufA); err != nil {
 					return err
 				}
-				if err := readTile(b, (tk*colTilesB+tj)*tileRecs, tb); err != nil {
+				if err := readTile(b, (tk*colTilesB+tj)*tileRecs, tb, bufB); err != nil {
 					return err
 				}
 				for i := 0; i < tile; i++ {
@@ -318,7 +324,7 @@ func multiplyTiles(a, b, c *Matrix, lt int) error {
 					}
 				}
 			}
-			if err := writeTile(c, (ti*colTilesB+tj)*tileRecs, tc); err != nil {
+			if err := writeTile(c, (ti*colTilesB+tj)*tileRecs, tc, bufC); err != nil {
 				return err
 			}
 		}
@@ -327,33 +333,34 @@ func multiplyTiles(a, b, c *Matrix, lt int) error {
 }
 
 // readTile streams the contiguous tile starting at record address base
-// into vals using striped reads through the matrix's memory.
-func readTile(m *Matrix, base int, vals []float64) error {
+// into vals using striped reads through buf.
+func readTile(m *Matrix, base int, vals []float64, buf *pdm.Buffer) error {
 	cfg := m.sys.Config()
 	stripeRecs := cfg.B * cfg.D
 	for off := 0; off < len(vals); off += stripeRecs {
 		stripe := (base + off) / stripeRecs
-		if err := m.sys.ReadStripe(m.sys.Source(), stripe, 0); err != nil {
+		if err := m.sys.ReadStripe(m.sys.Source(), stripe, 0, buf); err != nil {
 			return err
 		}
 		for i := 0; i < stripeRecs; i++ {
-			vals[off+i] = math.Float64frombits(m.sys.Mem()[i].Key)
+			vals[off+i] = math.Float64frombits(buf.Records()[i].Key)
 		}
 	}
 	return nil
 }
 
 // writeTile stores vals as the contiguous tile starting at record address
-// base, using striped writes. C accumulates in its source portion.
-func writeTile(m *Matrix, base int, vals []float64) error {
+// base, using striped writes through buf. C accumulates in its source
+// portion.
+func writeTile(m *Matrix, base int, vals []float64, buf *pdm.Buffer) error {
 	cfg := m.sys.Config()
 	stripeRecs := cfg.B * cfg.D
 	for off := 0; off < len(vals); off += stripeRecs {
 		for i := 0; i < stripeRecs; i++ {
-			m.sys.Mem()[i] = pdm.Record{Key: math.Float64bits(vals[off+i])}
+			buf.Records()[i] = pdm.Record{Key: math.Float64bits(vals[off+i])}
 		}
 		stripe := (base + off) / stripeRecs
-		if err := m.sys.WriteStripe(m.sys.Source(), stripe, 0); err != nil {
+		if err := m.sys.WriteStripe(m.sys.Source(), stripe, 0, buf); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,7 @@ package oocmatrix
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -102,6 +103,14 @@ func TestTileMajorPermIsBPC(t *testing.T) {
 	}
 }
 
+// streamIOs is the blocked multiply's closed-form stream cost for A of
+// r x s and B of s x tc with tile side t: each of the (r/t)(tc/t) output
+// tiles reads s/t tiles of A and of B and writes one tile of C, and a
+// tile is t^2/BD striped parallel I/Os.
+func streamIOs(r, s, tc, t, bd int) int {
+	return (r / t) * (tc / t) * (2*s/t + 1) * t * t / bd
+}
+
 func TestMultiplySquare(t *testing.T) {
 	cfg := pdm.Config{N: 1 << 10, D: 4, B: 8, M: 1 << 8}
 	rng := rand.New(rand.NewSource(172))
@@ -144,8 +153,12 @@ func TestMultiplySquare(t *testing.T) {
 			}
 		}
 	}
-	if res.LayoutIOs <= 0 || res.StreamIOs <= 0 {
+	if res.LayoutIOs <= 0 {
 		t.Errorf("implausible I/O split %+v", res)
+	}
+	// Tile side t = 2^floor((lg M - 2)/2) = 8: 288 stream I/Os.
+	if want := streamIOs(S, S, S, 8, cfg.B*cfg.D); res.StreamIOs != want {
+		t.Errorf("StreamIOs = %d, want %d", res.StreamIOs, want)
 	}
 	// Operands restored to row-major.
 	if _, err := a.Dump(); err != nil {
@@ -178,13 +191,17 @@ func TestMultiplyRectangular(t *testing.T) {
 	bv := randomValues(rng, cfgB.N)
 	_ = a.Load(av)
 	_ = b.Load(bv)
-	c, _, err := Multiply(context.Background(), a, b)
+	c, res, err := Multiply(context.Background(), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	if c.Rows() != 64 || c.Cols() != 32 {
 		t.Fatalf("C shape %dx%d", c.Rows(), c.Cols())
+	}
+	// Tile side 8 on every operand, BD = 16: 640 stream I/Os.
+	if want := streamIOs(64, 16, 32, 8, cfgA.B*cfgA.D); res.StreamIOs != want {
+		t.Errorf("StreamIOs = %d, want %d", res.StreamIOs, want)
 	}
 	got, _ := c.Dump()
 	for i := 0; i < 64; i += 7 {
@@ -224,6 +241,29 @@ func TestMultiplyIdentity(t *testing.T) {
 		if math.Abs(got[i]-av[i]) > 1e-12 {
 			t.Fatalf("A*I differs at %d", i)
 		}
+	}
+}
+
+// TestMultiplyTilesStopsOnCancel: the blocked multiply checks ctx before
+// each output tile, so an already-canceled ctx streams nothing.
+func TestMultiplyTilesStopsOnCancel(t *testing.T) {
+	cfg := pdm.Config{N: 1 << 10, D: 4, B: 8, M: 1 << 8}
+	var ms [3]*Matrix
+	for i := range ms {
+		m, err := New(cfg, 5, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		ms[i] = m
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := multiplyTiles(ctx, ms[0], ms[1], ms[2], 3); !errors.Is(err, context.Canceled) {
+		t.Fatalf("multiplyTiles on a canceled ctx: %v, want context.Canceled", err)
+	}
+	if got := ioTotal(ms[:]...); got != 0 {
+		t.Errorf("canceled multiply streamed %d parallel I/Os, want 0", got)
 	}
 }
 

@@ -22,13 +22,14 @@ func benchSystem(b *testing.B, be Backend) *System {
 
 func benchStripeSweep(b *testing.B, sys *System) {
 	cfg := sys.Config()
+	buf := sys.AcquireBuffer()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		stripe := i % cfg.Stripes()
-		if err := sys.ReadStripe(PortionA, stripe, 0); err != nil {
+		if err := sys.ReadStripe(PortionA, stripe, 0, buf); err != nil {
 			b.Fatal(err)
 		}
-		if err := sys.WriteStripe(PortionB, stripe, 0); err != nil {
+		if err := sys.WriteStripe(PortionB, stripe, 0, buf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -58,12 +59,13 @@ func BenchmarkIndependentRead(b *testing.B) {
 	sys := benchSystem(b, MemBackend())
 	cfg := sys.Config()
 	ios := make([]BlockIO, cfg.D)
+	buf := sys.AcquireBuffer()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for d := range ios {
 			ios[d] = BlockIO{Disk: d, Block: (i + d*7) % cfg.BlocksPerDisk(), Frame: d}
 		}
-		if err := sys.ParallelRead(PortionA, ios); err != nil {
+		if err := sys.ParallelReadGroup(PortionA, [][]BlockIO{ios}, buf); err != nil {
 			b.Fatal(err)
 		}
 	}

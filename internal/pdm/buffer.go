@@ -1,16 +1,14 @@
 package pdm
 
-// Buffer is an independent memoryload-sized record buffer handed out by a
-// System. Where the implicit System.Mem() models the single M-record memory
-// of the Vitter-Shriver machine, buffers let an execution engine hold more
-// than one memoryload in flight at once — e.g. prefetching memoryload k+1
-// while memoryload k is being permuted — without perturbing the model's
-// accounting: every transfer still goes through a counted parallel I/O, and
-// the one-block-per-disk rule is enforced exactly as for the shared memory.
-//
-// A Buffer is M records organized as M/B frames, mirroring the layout of
-// System.Mem(). Buffers are plain host memory: acquiring one is free and
-// does not touch the simulated disks or the I/O counters.
+// Buffer is the model's memory: M records organized as M/B frames. A
+// System owns none; whoever runs acquires one and holds it only while it
+// runs, so an idle dataset pins no records.
+// Holding several lets an engine keep more than one memoryload in flight
+// at once — e.g. prefetching memoryload k+1 while memoryload k is being
+// permuted — without perturbing the model's accounting: every transfer
+// between a Buffer and the disks is a counted parallel I/O under the
+// one-block-per-disk rule. Buffers are plain host memory: acquiring one is
+// free and does not touch the simulated disks or the I/O counters.
 type Buffer struct {
 	b    int // records per frame (block size B)
 	recs []Record

@@ -56,8 +56,8 @@ func TestFaultyDiskThreshold(t *testing.T) {
 	}
 }
 
-// TestFaultPropagatesThroughParallelIO: an injected fault surfaces from
-// ParallelRead and the operation is not counted.
+// TestFaultPropagatesThroughParallelIO: an injected fault surfaces from a
+// one-wave ParallelReadGroup and the operation is not counted.
 func TestFaultPropagatesThroughParallelIO(t *testing.T) {
 	cfg := testConfig()
 	// Only the first transfer faults; the backend recovers after it.
@@ -67,7 +67,8 @@ func TestFaultPropagatesThroughParallelIO(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	err = sys.ParallelRead(PortionA, []BlockIO{{Disk: 2, Block: 0, Frame: 0}})
+	buf := sys.AcquireBuffer()
+	err = sys.ParallelReadGroup(PortionA, [][]BlockIO{{{Disk: 2, Block: 0, Frame: 0}}}, buf)
 	if !errors.Is(err, ErrInjectedFault) {
 		t.Fatalf("fault not propagated: %v", err)
 	}
@@ -75,13 +76,13 @@ func TestFaultPropagatesThroughParallelIO(t *testing.T) {
 		t.Error("failed parallel read was counted")
 	}
 	// Healthy disks keep working.
-	if err := sys.ParallelRead(PortionA, []BlockIO{{Disk: 0, Block: 0, Frame: 0}}); err != nil {
+	if err := sys.ParallelReadGroup(PortionA, [][]BlockIO{{{Disk: 0, Block: 0, Frame: 0}}}, buf); err != nil {
 		t.Fatalf("healthy disk failed: %v", err)
 	}
 }
 
-// TestConcurrentDispatchEquivalence: concurrent per-disk dispatch produces
-// bit-identical results and identical statistics.
+// TestConcurrentDispatchEquivalence: concurrent dispatch, one goroutine per
+// transfer, produces bit-identical results and identical statistics.
 func TestConcurrentDispatchEquivalence(t *testing.T) {
 	cfg := testConfig()
 	seq, _ := NewMemSystem(cfg)
@@ -94,17 +95,20 @@ func TestConcurrentDispatchEquivalence(t *testing.T) {
 	_ = seq.LoadRecords(PortionA, recs)
 	_ = con.LoadRecords(PortionA, recs)
 
+	// Each system moves stripes through its own buffer, so a bad read on
+	// one side cannot be masked by the other side's good one.
+	seqBuf, conBuf := seq.AcquireBuffer(), con.AcquireBuffer()
 	for stripe := 0; stripe < cfg.Stripes(); stripe++ {
-		if err := seq.ReadStripe(PortionA, stripe, 0); err != nil {
+		if err := seq.ReadStripe(PortionA, stripe, 0, seqBuf); err != nil {
 			t.Fatal(err)
 		}
-		if err := con.ReadStripe(PortionA, stripe, 0); err != nil {
+		if err := con.ReadStripe(PortionA, stripe, 0, conBuf); err != nil {
 			t.Fatal(err)
 		}
-		if err := seq.WriteStripe(PortionB, cfg.Stripes()-1-stripe, 0); err != nil {
+		if err := seq.WriteStripe(PortionB, cfg.Stripes()-1-stripe, 0, seqBuf); err != nil {
 			t.Fatal(err)
 		}
-		if err := con.WriteStripe(PortionB, cfg.Stripes()-1-stripe, 0); err != nil {
+		if err := con.WriteStripe(PortionB, cfg.Stripes()-1-stripe, 0, conBuf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -134,7 +138,7 @@ func TestConcurrentFaultPropagation(t *testing.T) {
 	for d := range ios {
 		ios[d] = BlockIO{Disk: d, Block: 0, Frame: d}
 	}
-	if err := sys.ParallelRead(PortionA, ios); !errors.Is(err, ErrInjectedFault) {
+	if err := sys.ParallelReadGroup(PortionA, [][]BlockIO{ios}, sys.AcquireBuffer()); !errors.Is(err, ErrInjectedFault) {
 		t.Fatalf("concurrent fault not propagated: %v", err)
 	}
 }

@@ -30,10 +30,10 @@ import "sort"
 
 // ParallelReadGroup performs the given sequence of parallel reads into buf,
 // equivalent in records, counts, and trace to performing them one at a time
-// in order. A nil buf targets the system memory.
+// in order.
 //
-// Distinct goroutines may issue buffer-targeted I/O concurrently (e.g. a
-// prefetch read overlapping an in-flight write): the backend serializes
+// Distinct goroutines may issue I/O on distinct buffers concurrently (e.g.
+// a prefetch read overlapping an in-flight write): the backend serializes
 // per disk, and the counters and trace observer are updated atomically
 // per operation.
 func (s *System) ParallelReadGroup(p Portion, group [][]BlockIO, buf *Buffer) error {
@@ -42,7 +42,7 @@ func (s *System) ParallelReadGroup(p Portion, group [][]BlockIO, buf *Buffer) er
 
 // ParallelWriteGroup performs the given sequence of parallel writes from
 // buf, equivalent in records, counts, and trace to performing them one at a
-// time in order. A nil buf targets the system memory.
+// time in order.
 func (s *System) ParallelWriteGroup(p Portion, group [][]BlockIO, buf *Buffer) error {
 	return s.parallelIO(IOWrite, p, group, buf)
 }
@@ -52,9 +52,6 @@ func (s *System) ParallelWriteGroup(p Portion, group [][]BlockIO, buf *Buffer) e
 // buf, coalesced when the group has several waves, and counts and traces
 // each wave only once the backend has moved it.
 func (s *System) parallelIO(kind IOKind, p Portion, group [][]BlockIO, buf *Buffer) error {
-	if buf == nil {
-		buf = s.memBuf
-	}
 	for _, ios := range group {
 		if err := s.validate(p, ios); err != nil {
 			return err

@@ -96,12 +96,12 @@ func TestChaosGroupFallbackWaveAccounting(t *testing.T) {
 				fb.Arm()
 			})
 			trace := (&Trace{}).Attach(sys)
-			group := chaosGroup(chaosGroupCfg)
+			group, buf := chaosGroup(chaosGroupCfg), sys.AcquireBuffer()
 			var err error
 			if kind == IORead {
-				err = sys.ParallelReadGroup(PortionA, group, nil)
+				err = sys.ParallelReadGroup(PortionA, group, buf)
 			} else {
-				err = sys.ParallelWriteGroup(PortionA, group, nil)
+				err = sys.ParallelWriteGroup(PortionA, group, buf)
 			}
 			if !errors.Is(err, ErrInjectedFault) || strings.Contains(err.Error(), "torn") {
 				t.Fatalf("%v fault in wave %d: want the flaky backend's ErrInjectedFault, got %v", kind, k, err)
@@ -127,12 +127,12 @@ func TestChaosGroupGroupedWaveAccounting(t *testing.T) {
 				fb.Arm()
 			})
 			trace := (&Trace{}).Attach(sys)
-			group := chaosGroup(chaosGroupCfg)
+			group, buf := chaosGroup(chaosGroupCfg), sys.AcquireBuffer()
 			var err error
 			if kind == IORead {
-				err = sys.ParallelReadGroup(PortionA, group, nil)
+				err = sys.ParallelReadGroup(PortionA, group, buf)
 			} else {
-				err = sys.ParallelWriteGroup(PortionA, group, nil)
+				err = sys.ParallelWriteGroup(PortionA, group, buf)
 			}
 			if !errors.Is(err, ErrInjectedFault) {
 				t.Fatalf("%v fault at range op %d: want wrapped ErrInjectedFault, got %v", kind, failAt, err)
@@ -157,8 +157,8 @@ func TestChaosGroupTransientRangeFaultRecovers(t *testing.T) {
 			fb.Arm()
 		})
 		trace := (&Trace{}).Attach(sys)
-		group := chaosGroup(chaosGroupCfg)
-		if err := sys.ParallelReadGroup(PortionA, group, nil); err != nil {
+		group, buf := chaosGroup(chaosGroupCfg), sys.AcquireBuffer()
+		if err := sys.ParallelReadGroup(PortionA, group, buf); err != nil {
 			t.Fatalf("transient range fault did not recover: %v", err)
 		}
 		waves := chaosGroupCfg.StripesPerMemoryload()
@@ -166,7 +166,7 @@ func TestChaosGroupTransientRangeFaultRecovers(t *testing.T) {
 		// The frames hold the canonical records the waves addressed.
 		for w := 0; w < waves; w++ {
 			for d := 0; d < chaosGroupCfg.D; d++ {
-				frame := sys.Frame(w*chaosGroupCfg.D + d)
+				frame := buf.Frame(w*chaosGroupCfg.D + d)
 				base := chaosGroupCfg.Addr(w, d, 0)
 				for i, got := range frame {
 					if want := MakeRecord(base + uint64(i)); got != want {
@@ -186,30 +186,31 @@ func TestChaosGroupTransientRangeFaultRecovers(t *testing.T) {
 			tb.Reset()
 			tb.Arm()
 		})
-		// Fill memory with distinct content to write out.
-		mem := sys.Mem()
+		// Fill the buffer with distinct content to write out.
+		buf := sys.AcquireBuffer()
+		mem := buf.Records()
 		for i := range mem {
 			mem[i] = Record{Key: 0xf00d0000 + uint64(i), Tag: uint64(i)}
 		}
 		want := append([]Record(nil), mem...)
 		trace := (&Trace{}).Attach(sys)
 		group := chaosGroup(chaosGroupCfg)
-		if err := sys.ParallelWriteGroup(PortionB, group, nil); err != nil {
+		if err := sys.ParallelWriteGroup(PortionB, group, buf); err != nil {
 			t.Fatalf("torn range write did not recover via fallback: %v", err)
 		}
 		waves := chaosGroupCfg.StripesPerMemoryload()
 		assertWaves(t, sys, trace, IOWrite, waves)
-		// Read the written blocks back and compare with what memory held.
+		// Read the written blocks back and compare with what the buffer held.
 		for i := range mem {
 			mem[i] = Record{}
 		}
 		tb.Disarm()
 		for w := 0; w < waves; w++ {
-			if err := sys.ReadStripe(PortionB, w, 0); err != nil {
+			if err := sys.ReadStripe(PortionB, w, 0, buf); err != nil {
 				t.Fatal(err)
 			}
 			for d := 0; d < chaosGroupCfg.D; d++ {
-				got := append([]Record(nil), sys.Frame(d)...)
+				got := append([]Record(nil), buf.Frame(d)...)
 				exp := want[(w*chaosGroupCfg.D+d)*chaosGroupCfg.B : (w*chaosGroupCfg.D+d+1)*chaosGroupCfg.B]
 				if !reflect.DeepEqual(got, exp) {
 					t.Fatalf("wave %d disk %d: written blocks corrupt after torn-range recovery", w, d)

@@ -92,10 +92,11 @@ func TestInstrumentedSystemSamplesBatches(t *testing.T) {
 		samples = nil
 		// Four striped waves coalesce into one run per disk: one batch of
 		// D transfers. The write is one wave: one batch of D single blocks.
-		if err := sys.ParallelReadGroup(PortionA, groupShapes(cfg)["striped"], nil); err != nil {
+		buf := sys.AcquireBuffer()
+		if err := sys.ParallelReadGroup(PortionA, groupShapes(cfg)["striped"], buf); err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.WriteStripe(PortionB, 0, 0); err != nil {
+		if err := sys.WriteStripe(PortionB, 0, 0, buf); err != nil {
 			t.Fatal(err)
 		}
 		waves := cfg.FramesPerDisk()

@@ -21,32 +21,31 @@ const (
 
 // BlockIO names one block transfer within a parallel I/O: the block at
 // position Block on disk Disk (relative to a portion) moves to or from
-// memory frame Frame.
+// frame Frame of a Buffer.
 type BlockIO struct {
 	Disk  int // disk number, 0..D-1
 	Block int // block position on the disk within the portion, 0..N/BD-1
-	Frame int // memory frame index, 0..M/B-1
+	Frame int // buffer frame index, 0..M/B-1
 }
 
 // System is a simulated parallel disk system: D disks each holding two
-// portions of N/BD blocks, plus an M-record memory. All block transfers go
-// through ParallelRead/ParallelWrite (or the striped wrappers), which
-// enforce the model's one-block-per-disk rule and count every operation.
-// The bytes themselves live in a pluggable storage Backend.
+// portions of N/BD blocks. All counted block transfers go through
+// ParallelReadGroup/ParallelWriteGroup (or the striped wrappers), which
+// move blocks to or from a caller's Buffer, enforce the model's
+// one-block-per-disk rule and count every operation. The bytes themselves
+// live in a pluggable storage Backend.
 //
 // A System is the disk-resident state of one dataset: the records, the
 // storage backend they live on, and the source/target portion roles that
-// track which physical portion holds the current data. The memory and
-// portion roles are execution state shared by every pass over the dataset,
-// so runs must be serialized: engines (and anything else mutating the
-// records) hold the run lock (AcquireRun/ReleaseRun) for the whole run,
-// while readers of data-at-rest (dumps, verification) hold the shared read
-// lock (AcquireRead/ReleaseRead) and may overlap each other freely.
+// track which physical portion holds the current data. The portion roles
+// are execution state shared by every pass over the dataset, so runs must
+// be serialized: engines (and anything else mutating the records) hold the
+// run lock (AcquireRun/ReleaseRun) for the whole run, while readers of
+// data-at-rest (dumps, verification) hold the shared read lock
+// (AcquireRead/ReleaseRead) and may overlap each other freely.
 type System struct {
 	cfg      Config
 	be       Backend
-	mem      []Record
-	memBuf   *Buffer // wraps mem so all I/O funnels through the buffer path
 	stats    Stats
 	source   Portion
 	observer Observer // optional per-operation trace hook
@@ -71,11 +70,9 @@ func NewSystem(cfg Config, be Backend) (*System, error) {
 	s := &System{
 		cfg:    cfg,
 		be:     be,
-		mem:    make([]Record, cfg.M),
 		stats:  newStats(cfg.D),
 		source: PortionA,
 	}
-	s.memBuf = &Buffer{b: cfg.B, recs: s.mem}
 	if err := be.Open(cfg.D, 2*cfg.BlocksPerDisk(), cfg.B); err != nil {
 		return nil, err
 	}
@@ -142,13 +139,9 @@ func (s *System) move(kind IOKind, xfers []RangeXfer) error {
 	return s.be.WriteBlocks(xfers)
 }
 
-// Close closes the storage backend and drops the M-record memoryload, so
-// a closed System that is still referenced pins no records. The System
-// must not be used afterwards.
-func (s *System) Close() error {
-	s.mem, s.memBuf = nil, nil
-	return s.be.Close()
-}
+// Close closes the storage backend. The System must not be used
+// afterwards.
+func (s *System) Close() error { return s.be.Close() }
 
 // Sync flushes the storage backend's buffered writes to stable storage.
 func (s *System) Sync() error { return s.be.Sync() }
@@ -204,15 +197,6 @@ func (s *System) Target() Portion { return 1 - s.source }
 // chained one-pass permutations.
 func (s *System) SwapPortions() { s.source = 1 - s.source }
 
-// Mem returns the M-record memory. Callers permute records in place; frame
-// f occupies Mem()[f*B : (f+1)*B].
-func (s *System) Mem() []Record { return s.mem }
-
-// Frame returns the B-record slice of memory backing frame f.
-func (s *System) Frame(f int) []Record {
-	return s.mem[f*s.cfg.B : (f+1)*s.cfg.B]
-}
-
 // validate checks a batch of block transfers against the model's rules:
 // at most one block per disk per operation, and all indices in range.
 func (s *System) validate(p Portion, ios []BlockIO) error {
@@ -257,37 +241,24 @@ func (s *System) physBlock(p Portion, block int) int {
 	return int(p)*s.cfg.BlocksPerDisk() + block
 }
 
-// ParallelRead performs one parallel read: every listed block (at most one
-// per disk) is copied from portion p into its memory frame. It counts as
-// exactly one parallel I/O regardless of how many disks participate.
-func (s *System) ParallelRead(p Portion, ios []BlockIO) error {
-	return s.parallelIO(IORead, p, [][]BlockIO{ios}, s.memBuf)
-}
-
-// ParallelWrite performs one parallel write: every listed memory frame is
-// copied to its block (at most one per disk) in portion p. One parallel I/O.
-func (s *System) ParallelWrite(p Portion, ios []BlockIO) error {
-	return s.parallelIO(IOWrite, p, [][]BlockIO{ios}, s.memBuf)
-}
-
 // ReadStripe reads stripe `stripe` of portion p — one block from every disk
-// — into D consecutive frames starting at frame0. One parallel I/O.
-func (s *System) ReadStripe(p Portion, stripe, frame0 int) error {
+// — into D consecutive frames of buf starting at frame0. One parallel I/O.
+func (s *System) ReadStripe(p Portion, stripe, frame0 int, buf *Buffer) error {
 	ios := make([]BlockIO, s.cfg.D)
 	for disk := range ios {
 		ios[disk] = BlockIO{Disk: disk, Block: stripe, Frame: frame0 + disk}
 	}
-	return s.ParallelRead(p, ios)
+	return s.ParallelReadGroup(p, [][]BlockIO{ios}, buf)
 }
 
-// WriteStripe writes D consecutive frames starting at frame0 to stripe
-// `stripe` of portion p. One parallel I/O.
-func (s *System) WriteStripe(p Portion, stripe, frame0 int) error {
+// WriteStripe writes D consecutive frames of buf starting at frame0 to
+// stripe `stripe` of portion p. One parallel I/O.
+func (s *System) WriteStripe(p Portion, stripe, frame0 int, buf *Buffer) error {
 	ios := make([]BlockIO, s.cfg.D)
 	for disk := range ios {
 		ios[disk] = BlockIO{Disk: disk, Block: stripe, Frame: frame0 + disk}
 	}
-	return s.ParallelWrite(p, ios)
+	return s.ParallelWriteGroup(p, [][]BlockIO{ios}, buf)
 }
 
 // The helpers below bypass the I/O accounting. They exist for test setup and

@@ -2,6 +2,7 @@ package pdm
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -67,9 +68,10 @@ func TestParallelReadWriteCounting(t *testing.T) {
 	if err := s.LoadRecords(PortionA, sequentialRecords(cfg.N)); err != nil {
 		t.Fatal(err)
 	}
+	buf := s.AcquireBuffer()
 	// Read one block from two different disks: one parallel I/O.
 	ios := []BlockIO{{Disk: 0, Block: 3, Frame: 0}, {Disk: 2, Block: 7, Frame: 1}}
-	if err := s.ParallelRead(PortionA, ios); err != nil {
+	if err := s.ParallelReadGroup(PortionA, [][]BlockIO{ios}, buf); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
@@ -78,7 +80,7 @@ func TestParallelReadWriteCounting(t *testing.T) {
 	}
 	// The frame contents must match the addresses of (disk, block).
 	for _, io := range ios {
-		frame := s.Frame(io.Frame)
+		frame := buf.Frame(io.Frame)
 		for off, r := range frame {
 			want := cfg.BlockAddr(io.Disk, io.Block, off)
 			if r.Key != want {
@@ -88,7 +90,7 @@ func TestParallelReadWriteCounting(t *testing.T) {
 	}
 	// Write both frames to portion B and read them back.
 	wr := []BlockIO{{Disk: 1, Block: 0, Frame: 0}, {Disk: 3, Block: 5, Frame: 1}}
-	if err := s.ParallelWrite(PortionB, wr); err != nil {
+	if err := s.ParallelWriteGroup(PortionB, [][]BlockIO{wr}, buf); err != nil {
 		t.Fatal(err)
 	}
 	st = s.Stats()
@@ -108,6 +110,7 @@ func TestModelRuleEnforcement(t *testing.T) {
 	cfg := testConfig()
 	s, _ := NewMemSystem(cfg)
 	defer s.Close()
+	buf := s.AcquireBuffer()
 	cases := []struct {
 		name string
 		ios  []BlockIO
@@ -121,10 +124,10 @@ func TestModelRuleEnforcement(t *testing.T) {
 		{"same frame twice", []BlockIO{{Disk: 0, Block: 0, Frame: 2}, {Disk: 1, Block: 0, Frame: 2}}},
 	}
 	for _, c := range cases {
-		if err := s.ParallelRead(PortionA, c.ios); err == nil {
+		if err := s.ParallelReadGroup(PortionA, [][]BlockIO{c.ios}, buf); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
-		if err := s.ParallelWrite(PortionA, c.ios); err == nil {
+		if err := s.ParallelWriteGroup(PortionA, [][]BlockIO{c.ios}, buf); err == nil {
 			t.Errorf("%s: write accepted", c.name)
 		}
 	}
@@ -136,7 +139,7 @@ func TestModelRuleEnforcement(t *testing.T) {
 	for i := range many {
 		many[i] = BlockIO{Disk: i % cfg.D, Block: 0, Frame: i}
 	}
-	if err := s.ParallelRead(PortionA, many); err == nil {
+	if err := s.ParallelReadGroup(PortionA, [][]BlockIO{many}, buf); err == nil {
 		t.Error("oversized parallel I/O accepted")
 	}
 }
@@ -148,21 +151,22 @@ func TestStripedIO(t *testing.T) {
 	if err := s.LoadRecords(PortionA, sequentialRecords(cfg.N)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.ReadStripe(PortionA, 2, 0); err != nil {
+	buf := s.AcquireBuffer()
+	if err := s.ReadStripe(PortionA, 2, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
 	if st.ParallelReads != 1 || st.BlocksRead != cfg.D {
 		t.Fatalf("striped read stats: %v", st)
 	}
-	// Memory now holds stripe 2: addresses 2*B*D .. 3*B*D-1 in order.
+	// The buffer now holds stripe 2: addresses 2*B*D .. 3*B*D-1 in order.
 	base := uint64(2 * cfg.B * cfg.D)
-	for i, r := range s.Mem()[:cfg.B*cfg.D] {
+	for i, r := range buf.Records()[:cfg.B*cfg.D] {
 		if r.Key != base+uint64(i) {
 			t.Fatalf("mem[%d].Key = %d, want %d", i, r.Key, base+uint64(i))
 		}
 	}
-	if err := s.WriteStripe(PortionB, 0, 0); err != nil {
+	if err := s.WriteStripe(PortionB, 0, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	r, _ := s.RecordAt(PortionB, 5)
@@ -188,8 +192,9 @@ func TestPerDiskCounters(t *testing.T) {
 	s, _ := NewMemSystem(cfg)
 	defer s.Close()
 	_ = s.LoadRecords(PortionA, sequentialRecords(cfg.N))
+	buf := s.AcquireBuffer()
 	for i := 0; i < 3; i++ {
-		if err := s.ParallelRead(PortionA, []BlockIO{{Disk: 1, Block: i, Frame: 0}}); err != nil {
+		if err := s.ParallelReadGroup(PortionA, [][]BlockIO{{{Disk: 1, Block: i, Frame: 0}}}, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -222,23 +227,26 @@ func TestFileDiskMatchesMemDisk(t *testing.T) {
 	if err := ms.LoadRecords(PortionA, recs); err != nil {
 		t.Fatal(err)
 	}
-	// Run the same I/O schedule on both and compare portions.
+	// Run the same I/O schedule on both and compare portions. Each system
+	// moves blocks through its own buffer, so a bad read on one side cannot
+	// be masked by the other side's good one.
+	fbuf, mbuf := fs.AcquireBuffer(), ms.AcquireBuffer()
 	rng := rand.New(rand.NewSource(8))
 	for op := 0; op < 50; op++ {
 		disk := rng.Intn(cfg.D)
 		block := rng.Intn(cfg.BlocksPerDisk())
-		ios := []BlockIO{{Disk: disk, Block: block, Frame: 0}}
-		if err := fs.ParallelRead(PortionA, ios); err != nil {
+		ios := [][]BlockIO{{{Disk: disk, Block: block, Frame: 0}}}
+		if err := fs.ParallelReadGroup(PortionA, ios, fbuf); err != nil {
 			t.Fatal(err)
 		}
-		if err := ms.ParallelRead(PortionA, ios); err != nil {
+		if err := ms.ParallelReadGroup(PortionA, ios, mbuf); err != nil {
 			t.Fatal(err)
 		}
-		dst := []BlockIO{{Disk: rng.Intn(cfg.D), Block: rng.Intn(cfg.BlocksPerDisk()), Frame: 0}}
-		if err := fs.ParallelWrite(PortionB, dst); err != nil {
+		dst := [][]BlockIO{{{Disk: rng.Intn(cfg.D), Block: rng.Intn(cfg.BlocksPerDisk()), Frame: 0}}}
+		if err := fs.ParallelWriteGroup(PortionB, dst, fbuf); err != nil {
 			t.Fatal(err)
 		}
-		if err := ms.ParallelWrite(PortionB, dst); err != nil {
+		if err := ms.ParallelWriteGroup(PortionB, dst, mbuf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -277,21 +285,37 @@ func TestRecordEncodeDecode(t *testing.T) {
 	}
 }
 
-// TestCloseDropsMemoryload: a closed System releases its M-record
-// memoryload along with the backend, so holders of a closed System (a
-// daemon keeping released jobs queryable) pin no records.
-func TestCloseDropsMemoryload(t *testing.T) {
-	s, err := NewMemSystem(testConfig())
-	if err != nil {
-		t.Fatal(err)
+// nullBackend stores nothing: its Open allocates no disks, so a System
+// built over it allocates only what NewSystem itself does.
+type nullBackend struct{}
+
+func (nullBackend) Open(disks, blocksPerDisk, blockRecords int) error { return nil }
+func (nullBackend) ReadBlocks([]RangeXfer) error                      { return nil }
+func (nullBackend) WriteBlocks([]RangeXfer) error                     { return nil }
+func (nullBackend) Sync() error                                       { return nil }
+func (nullBackend) Close() error                                      { return nil }
+
+// TestNewSystemAllocatesNoMemoryload: a System owns no memoryload, so
+// opening datasets that never run pins no M-record buffers. Eight open
+// Systems at M = 2^16 allocate less than one memoryload (1 MiB) in total.
+func TestNewSystemAllocatesNoMemoryload(t *testing.T) {
+	cfg := Config{N: 1 << 20, D: 8, B: 64, M: 1 << 16}
+	systems := make([]*System, 0, 8)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for len(systems) < cap(systems) {
+		s, err := NewSystem(cfg, nullBackend{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		systems = append(systems, s)
 	}
-	if s.Mem() == nil {
-		t.Fatal("open System has no memoryload")
+	runtime.ReadMemStats(&after)
+	memoryload := uint64(cfg.M * RecordBytes)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= memoryload {
+		t.Errorf("%d open Systems allocated %d bytes, want < one memoryload (%d)", len(systems), got, memoryload)
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Mem() != nil || s.memBuf != nil {
-		t.Fatal("closed System still holds its memoryload")
+	for _, s := range systems {
+		s.Close()
 	}
 }
