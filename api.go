@@ -61,22 +61,16 @@ const (
 	ClassInvMLD   = perm.ClassInvMLD
 )
 
-// Option tunes an Engine (planning and execution) or a Dataset (storage).
-// The execution options (pipelining, concurrent disk dispatch) change
-// wall-clock behavior only: the permuted records and the measured
-// parallel-I/O counts are identical for every setting. The planning
-// options (pass fusion, plan caching) sit above execution: fusion can only
-// lower the measured parallel-I/O count, and caching only skips repeated
-// factorization work — the permuted records are always identical.
-// The storage options (WithBackend, WithConcurrentIO) configure
+// Option tunes an Engine (planning and progress) or a Dataset (storage).
+// Concurrent disk dispatch changes wall-clock behavior only: the permuted
+// records and the measured parallel-I/O counts are identical either way.
+// The planning options (pass fusion, plan caching) sit above execution:
+// fusion can only lower the measured parallel-I/O count, and caching only
+// skips repeated factorization work — the permuted records are always
+// identical. The storage options (WithBackend, WithConcurrentIO) configure
 // CreateDataset and OpenDataset; the rest configure NewEngine and, per
 // call, Engine methods.
 type Option = core.Option
-
-// WithPipeline enables or disables the three-stage pass pipeline: a
-// reader goroutine prefetches the next memoryload while the current one is
-// permuted and a writer goroutine writes the previous one. On by default.
-func WithPipeline(on bool) Option { return core.WithPipeline(on) }
 
 // WithConcurrentIO moves every transfer of each storage batch — the
 // per-disk blocks of a parallel I/O, or the coalesced runs of a group of

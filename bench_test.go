@@ -104,7 +104,7 @@ func BenchmarkTheorem15MLD(b *testing.B) {
 		if err := engine.LoadSequential(sys); err != nil {
 			b.Fatal(err)
 		}
-		if err := engine.RunMLDPass(context.Background(), sys, p, engine.DefaultOptions()); err != nil {
+		if err := engine.RunMLDPass(context.Background(), sys, p, engine.Options{}); err != nil {
 			b.Fatal(err)
 		}
 		ios = sys.Stats().ParallelIOs()
@@ -134,7 +134,7 @@ func BenchmarkCrossover(b *testing.B) {
 				if err := engine.LoadSequential(sys); err != nil {
 					b.Fatal(err)
 				}
-				res, err := engine.GeneralPermute(context.Background(), sys, p.Apply, engine.DefaultOptions())
+				res, err := engine.GeneralPermute(context.Background(), sys, p.Apply, engine.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -221,7 +221,7 @@ func BenchmarkAblationGrouping(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := engine.RunPlan(context.Background(), sys, &factor.Plan{Passes: passes}, engine.DefaultOptions())
+			res, err := engine.RunPlan(context.Background(), sys, &factor.Plan{Passes: passes}, engine.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -251,7 +251,7 @@ func BenchmarkInverseMLD(b *testing.B) {
 		if err := engine.LoadSequential(sys); err != nil {
 			b.Fatal(err)
 		}
-		if err := engine.RunMLDInversePass(context.Background(), sys, p, engine.DefaultOptions()); err != nil {
+		if err := engine.RunMLDInversePass(context.Background(), sys, p, engine.Options{}); err != nil {
 			b.Fatal(err)
 		}
 		ios = sys.Stats().ParallelIOs()

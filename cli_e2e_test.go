@@ -58,11 +58,6 @@ func TestCLIEndToEnd(t *testing.T) {
 	if strings.Contains(out, "FAIL") || !strings.Contains(out, "50%") {
 		t.Errorf("bmmcbench fusion experiment unexpected:\n%s", out)
 	}
-	// The plancache experiment pins cache hits on repeated permutations.
-	out = run("bmmcbench", true, append([]string{"-experiment", "plancache", "-cache", "4"}, small...)...)
-	if strings.Contains(out, "FAIL") || !strings.Contains(out, "plan cache") {
-		t.Errorf("bmmcbench plancache experiment unexpected:\n%s", out)
-	}
 	// Unknown experiment rejected.
 	run("bmmcbench", false, "-experiment", "bogus")
 

@@ -1,17 +1,16 @@
 // Command bmmcbench regenerates the paper's evaluation tables on the
 // simulated parallel disk system. With no flags it runs every experiment in
-// DESIGN.md's index on the default geometry and prints the tables that
-// EXPERIMENTS.md archives, each stamped with its wall-clock time.
+// DESIGN.md's index on the default geometry and prints the tables, each
+// stamped with its wall-clock time. Each table's PASS column checks the
+// paper's claim for its rows; any FAIL makes bmmcbench exit 1.
 //
 // Usage:
 //
 //	bmmcbench [-experiment name] [-N n] [-D d] [-B b] [-M m] [-seed s]
-//	          [-json] [-pipeline] [-concurrent] [-fuse] [-cache c]
+//	          [-json] [-concurrent] [-fuse]
 //	bmmcbench -compare old.json new.json [-tolerance frac]
 //
-// Experiment names: table1, tightbounds, crossover, mld, detect, potential,
-// transpose, scaling, lemma9, ablation, inverse, pipeline, fusion,
-// plancache, backend, chain, or "all".
+// -experiment takes "all" or one of experiments.Names(), which -h lists.
 //
 // -compare gates a perf trajectory: it reads two -json snapshots, matches
 // experiments by ID and geometry, prints per-experiment wall-clock ratios,
@@ -19,16 +18,13 @@
 // (default 0.10, i.e. 10%). Sub-noise-floor experiments never fail the
 // gate. CI runs it against the checked-in BENCH_*.json baselines.
 //
-// -pipeline and -concurrent select the execution mode of the pass runner
-// (the read/scatter/write pipeline, one goroutine per storage transfer).
-// They change wall-clock time only; every parallel-I/O count in the tables
-// is identical across modes.
-// -fuse runs every factored-driver workload through the plan-fusion
-// optimizer (pass counts may drop below the verbatim Section 5 factoring,
-// never rise); -cache sets the plan-cache capacity used by the plancache
-// experiment. -json emits the tables as a JSON array with per-experiment
-// elapsed time, for archiving perf trajectories (BENCH_*.json) across
-// revisions.
+// -concurrent moves each storage transfer on its own goroutine. It changes
+// wall-clock time only; every parallel-I/O count in the tables is
+// identical either way. -fuse runs every factored-driver workload through
+// the plan-fusion optimizer (pass counts may drop below the verbatim
+// Section 5 factoring, never rise). -json emits the tables as a JSON array
+// with per-experiment elapsed time, for archiving perf trajectories
+// (BENCH_*.json) across revisions.
 package main
 
 import (
@@ -38,16 +34,16 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/pdm"
 )
 
 func main() {
 	var (
-		name = flag.String("experiment", "all", "experiment to run (all, table1, tightbounds, crossover, mld, detect, potential, transpose, scaling, lemma9, ablation, inverse, pipeline, fusion, plancache, backend, chain)")
+		name = flag.String("experiment", "all", "experiment to run (all, "+strings.Join(experiments.Names(), ", ")+")")
 		n    = flag.Int("N", experiments.DefaultConfig.N, "total records (power of 2)")
 		d    = flag.Int("D", experiments.DefaultConfig.D, "disks (power of 2)")
 		b    = flag.Int("B", experiments.DefaultConfig.B, "records per block (power of 2)")
@@ -55,10 +51,8 @@ func main() {
 		seed = flag.Int64("seed", 1, "random seed for workload generation")
 
 		jsonOut    = flag.Bool("json", false, "emit tables as JSON with per-experiment wall-clock")
-		pipeline   = flag.Bool("pipeline", true, "read the next memoryload and write the previous one while the current one is permuted")
 		concurrent = flag.Bool("concurrent", false, "move each storage transfer on its own goroutine (SetConcurrent)")
 		fuse       = flag.Bool("fuse", false, "run factored-driver workloads through the plan-fusion optimizer")
-		cache      = flag.Int("cache", experiments.DefaultHarness().PlanCacheSize, "plan-cache capacity for the plancache experiment")
 
 		compare   = flag.Bool("compare", false, "compare two -json snapshots (old new) instead of running experiments")
 		tolerance = flag.Float64("tolerance", 0.10, "with -compare: max tolerated wall-clock regression as a fraction")
@@ -82,15 +76,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	h := experiments.Harness{
-		Exec:          engine.Options{Pipeline: *pipeline},
-		ConcurrentIO:  *concurrent,
-		Fuse:          *fuse,
-		PlanCacheSize: *cache,
-	}
+	h := experiments.Harness{ConcurrentIO: *concurrent, Fuse: *fuse}
 	if !*jsonOut {
-		fmt.Printf("BMMC permutation experiments on %v (seed %d, pipeline %v, concurrent I/O %v, fuse %v)\n\n",
-			cfg, *seed, *pipeline, *concurrent, *fuse)
+		fmt.Printf("BMMC permutation experiments on %v (seed %d, concurrent I/O %v, fuse %v)\n\n",
+			cfg, *seed, *concurrent, *fuse)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

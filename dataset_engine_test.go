@@ -152,45 +152,93 @@ func TestPermuteMatchesPlanExecute(t *testing.T) {
 	}
 }
 
-// TestChainedExecutesEqualComposition pins the chained-jobs semantics: two
-// Executes on one Dataset leave exactly the records a single run of the
-// composed permutation produces.
+// TestChainedExecutesEqualComposition pins the chained-jobs semantics, on
+// RAM and on file storage: two Executes on one Dataset leave exactly the
+// records a single run of the composed permutation produces, and count
+// exactly the two plans' parallel I/Os. Running each step on a fresh
+// Dataset instead, with step 1's records dumped and loaded into step 2's,
+// leaves the identical bytes at the identical parallel-I/O total.
 func TestChainedExecutesEqualComposition(t *testing.T) {
 	cfg := v3Config
 	n := cfg.LgN()
 	p1 := bmmc.BitReversal(n)
 	p2 := bmmc.Transpose(5, n-5)
+	composed := p2.Compose(p1)
 	ctx := context.Background()
-
-	ds, err := bmmc.CreateDataset(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds.Close()
 	eng := bmmc.NewEngine()
+	cost := 0
 	for _, p := range []bmmc.Permutation{p1, p2} {
-		if _, err := eng.Permute(ctx, ds, p); err != nil {
+		pl, err := eng.Plan(cfg, p)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	composed := p2.Compose(p1)
-	if err := ds.Verify(composed); err != nil {
-		t.Fatalf("chained executes do not equal the composition: %v", err)
+		cost += pl.CostIOs()
 	}
 
-	// And record-for-record against a fresh run of the composed map.
-	ref, err := bmmc.CreateDataset(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	if _, err := eng.Permute(ctx, ref, composed); err != nil {
-		t.Fatal(err)
-	}
-	want, _ := ref.Records()
-	got, _ := ds.Records()
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("chained records differ from the composed permutation's records")
+	for _, storage := range []struct {
+		name    string
+		backend func(t *testing.T) bmmc.Backend
+	}{
+		{"mem", func(*testing.T) bmmc.Backend { return bmmc.MemBackend() }},
+		{"file", func(t *testing.T) bmmc.Backend { return bmmc.FileBackend(t.TempDir()) }},
+	} {
+		t.Run(storage.name, func(t *testing.T) {
+			create := func() *bmmc.Dataset {
+				ds, err := bmmc.CreateDataset(cfg, bmmc.WithBackend(storage.backend(t)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { ds.Close() })
+				return ds
+			}
+			dump := func(ds *bmmc.Dataset) []byte {
+				var out bytes.Buffer
+				if err := ds.Dump(ctx, &out); err != nil {
+					t.Fatal(err)
+				}
+				return out.Bytes()
+			}
+			permute := func(ds *bmmc.Dataset, p bmmc.Permutation) {
+				if _, err := eng.Permute(ctx, ds, p); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			ds := create()
+			permute(ds, p1)
+			permute(ds, p2)
+			if err := ds.Verify(composed); err != nil {
+				t.Fatalf("chained executes do not equal the composition: %v", err)
+			}
+			if got := ds.Stats().ParallelIOs(); got != cost {
+				t.Fatalf("chain counted %d parallel I/Os, its plans cost %d", got, cost)
+			}
+
+			// Record-for-record against a fresh run of the composed map.
+			ref := create()
+			permute(ref, composed)
+			want, _ := ref.Records()
+			got, _ := ds.Records()
+			if !reflect.DeepEqual(want, got) {
+				t.Fatal("chained records differ from the composed permutation's records")
+			}
+
+			// Re-upload per step: fresh storage for each step, the records
+			// streamed out of step 1 and into step 2.
+			step1 := create()
+			permute(step1, p1)
+			step2 := create()
+			if err := step2.Load(ctx, bytes.NewReader(dump(step1))); err != nil {
+				t.Fatal(err)
+			}
+			permute(step2, p2)
+			if !bytes.Equal(dump(step2), dump(ds)) {
+				t.Fatal("re-uploaded steps leave different bytes than the chain")
+			}
+			if reup := step1.Stats().ParallelIOs() + step2.Stats().ParallelIOs(); reup != cost {
+				t.Fatalf("re-uploaded steps counted %d parallel I/Os, the chain %d", reup, cost)
+			}
+		})
 	}
 }
 

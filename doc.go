@@ -25,9 +25,9 @@
 // # Quick start
 //
 // The API has three first-class nouns: a Dataset (records at rest on a
-// storage Backend), a stateless Engine (execution options plus the plan
-// cache), and the Plan joining them. Engine.Permute is Engine.Plan followed
-// by Engine.Execute.
+// storage Backend), a stateless Engine (planning and progress options plus
+// the plan cache), and the Plan joining them. Engine.Permute is
+// Engine.Plan followed by Engine.Execute.
 //
 //	cfg := bmmc.Config{N: 1 << 16, D: 8, B: 16, M: 1 << 11}
 //	ds, err := bmmc.CreateDataset(cfg)    // N records on 8 simulated disks
@@ -101,21 +101,19 @@
 // All engines run through a three-stage pass runner: while one memoryload
 // is permuted in memory, the next is prefetched on a reader goroutine into
 // an independent buffer and the previous one is written out on a writer
-// goroutine from its own buffer. Pipelining is on by default and is
-// configured per Engine (or per call) with functional options; the storage
-// options configure the Dataset:
+// goroutine from its own buffer. The storage options configure the
+// Dataset:
 //
 //	ds, err := bmmc.CreateDataset(cfg,
 //	    bmmc.WithBackend(bmmc.FileBackend(dir)),
 //	    bmmc.WithConcurrentIO(true))  // a goroutine per transfer (default off)
-//	eng := bmmc.NewEngine(
-//	    bmmc.WithPipeline(true))      // read, permute, write overlap (default)
 //
-// Execution options never change what the paper's theorems measure: the
-// permuted result, the parallel-I/O counts, and the per-disk totals are
-// byte-identical in every mode — only wall-clock time differs. The
-// planning options sit above that invariant: fusion may lower (never
-// raise) the measured cost, and caching changes nothing but planning time.
+// Neither the pipeline nor concurrent dispatch changes what the paper's
+// theorems measure: the permuted result, the parallel-I/O counts, and the
+// per-disk totals are byte-identical to a one-goroutine run — only
+// wall-clock time differs. The planning options sit above that invariant:
+// fusion may lower (never raise) the measured cost, and caching changes
+// nothing but planning time.
 //
 // # Service mode
 //

@@ -19,14 +19,13 @@ import (
 const DefaultPlanCacheEntries = 32
 
 // Option configures an Engine or a Dataset at construction (and, for
-// Engine methods, per call). The execution options (WithPipeline,
-// WithConcurrentIO) tune wall-clock speed only and never change the
-// permuted result or the measured parallel-I/O counts. The planning
-// options (WithFusion, WithPlanCache) sit above execution: fusion can only
-// lower the measured cost — never the result — and caching only skips
-// repeated planning work. The storage options (WithBackend,
-// WithConcurrentIO) are read by Dataset constructors; everything else by
-// Engine constructors.
+// Engine methods, per call). WithConcurrentIO tunes wall-clock speed only
+// and never changes the permuted result or the measured parallel-I/O
+// counts. The planning options (WithFusion, WithPlanCache) sit above
+// execution: fusion can only lower the measured cost — never the result —
+// and caching only skips repeated planning work. The storage options
+// (WithBackend, WithConcurrentIO) are read by Dataset constructors;
+// everything else by Engine constructors.
 type Option func(*settings)
 
 type settings struct {
@@ -38,15 +37,7 @@ type settings struct {
 }
 
 func defaultSettings() settings {
-	return settings{opt: engine.DefaultOptions(), fuse: true, cacheSize: DefaultPlanCacheEntries}
-}
-
-// WithPipeline enables or disables the pass runner's three-stage pipeline
-// (a reader goroutine reads the next memoryload and a writer goroutine
-// writes the previous one while the current one is permuted). On by
-// default.
-func WithPipeline(on bool) Option {
-	return func(s *settings) { s.opt.Pipeline = on }
+	return settings{fuse: true, cacheSize: DefaultPlanCacheEntries}
 }
 
 // WithConcurrentIO moves every transfer of each storage batch on its own
@@ -85,12 +76,12 @@ func WithBackend(b pdm.Backend) Option {
 
 // WithProgress installs a per-pass/per-memoryload progress callback. The
 // pass-start event runs on the executing goroutine; a completed-memoryload
-// event runs once that memoryload's writes are counted and before any
-// later one's (on the pipeline's writer goroutine when pipelining). Events
-// arrive in order and never overlap. The callback must be cheap, it
-// observes execution without altering it, and it must not touch the
-// Dataset being executed (the run lock is held). Services pass it per
-// Execute call to track jobs on a shared Engine.
+// event runs on the pass's writer goroutine once that memoryload's writes
+// are counted and before any later one's. Events arrive in order and never
+// overlap. The callback must be cheap, it observes execution without
+// altering it, and it must not touch the Dataset being executed (the run
+// lock is held). Services pass it per Execute call to track jobs on a
+// shared Engine.
 func WithProgress(fn func(engine.PassEvent)) Option {
 	return func(s *settings) { s.opt.Progress = fn }
 }

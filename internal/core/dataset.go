@@ -112,22 +112,6 @@ func (ds *Dataset) Load(ctx context.Context, r io.Reader) error {
 	return nil
 }
 
-// ReadFrom implements io.ReaderFrom as Load with a background context,
-// returning the bytes consumed. Unlike the usual ReadFrom contract it
-// stops after exactly N*pdm.RecordBytes bytes rather than at EOF, and a
-// short stream is an error; io.Copy(dataset, r) therefore moves one
-// dataset's worth of records and no more.
-func (ds *Dataset) ReadFrom(r io.Reader) (int64, error) {
-	ds.sys.AcquireRun()
-	defer ds.sys.ReleaseRun()
-	//lint:allow ctxio -- io.ReaderFrom interface has no ctx; cancel by closing the reader
-	n, err := ds.sys.LoadFrom(context.Background(), ds.sys.Source(), r)
-	if err != nil {
-		return n, fmt.Errorf("core: Load: %w", err)
-	}
-	return n, nil
-}
-
 // Dump writes the stored records to w in address order, in the same wire
 // format Load reads (N*pdm.RecordBytes bytes total). It always reads the
 // current source portion — the output of the most recent execution —
@@ -145,20 +129,6 @@ func (ds *Dataset) Dump(ctx context.Context, w io.Writer) error {
 		return fmt.Errorf("core: Dump: %w", err)
 	}
 	return nil
-}
-
-// WriteTo implements io.WriterTo as Dump with a background context,
-// returning the bytes written (N*pdm.RecordBytes on success), so
-// io.Copy(w, dataset) streams the dataset without an intermediate buffer.
-func (ds *Dataset) WriteTo(w io.Writer) (int64, error) {
-	ds.sys.AcquireRead()
-	defer ds.sys.ReleaseRead()
-	//lint:allow ctxio -- io.WriterTo interface has no ctx; cancel by failing the writer
-	n, err := ds.sys.DumpTo(context.Background(), ds.sys.Source(), w)
-	if err != nil {
-		return n, fmt.Errorf("core: Dump: %w", err)
-	}
-	return n, nil
 }
 
 // Records returns the stored records in address order (diagnostic; not

@@ -13,12 +13,12 @@ import (
 )
 
 // Engine is the stateless compute half of the Dataset/Engine split: it
-// holds only execution options (pipelining, progress) and the LRU plan
-// cache — never any records or storage. One Engine drives any number of
-// Datasets from any number of goroutines; every Execute takes its target
-// Dataset's exclusive run lock for the duration of the run, so concurrent
-// executions on distinct Datasets proceed in parallel while two executions
-// on one Dataset serialize.
+// holds only planning and progress options and the LRU plan cache — never
+// any records or storage. One Engine drives any number of Datasets from
+// any number of goroutines; every Execute takes its target Dataset's
+// exclusive run lock for the duration of the run, so concurrent executions
+// on distinct Datasets proceed in parallel while two executions on one
+// Dataset serialize.
 //
 // Every Engine method accepts per-call Option overrides layered over the
 // construction-time settings — services use this to install a per-job
@@ -29,10 +29,10 @@ type Engine struct {
 	cache *planCache
 }
 
-// NewEngine builds an execution engine from the planning and execution
-// options (WithPipeline, WithFusion, WithPlanCache, WithProgress). Storage
-// options (WithBackend, WithConcurrentIO) belong to CreateDataset and are
-// ignored here.
+// NewEngine builds an execution engine from the planning and progress
+// options (WithFusion, WithPlanCache, WithProgress). Storage options
+// (WithBackend, WithConcurrentIO) belong to CreateDataset and are ignored
+// here.
 func NewEngine(opts ...Option) *Engine {
 	s := defaultSettings()
 	for _, o := range opts {

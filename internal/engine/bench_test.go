@@ -49,15 +49,15 @@ func benchmarkFileBMMC(b *testing.B, opt Options, concurrent bool) {
 }
 
 func BenchmarkFileBMMCSequential(b *testing.B) {
-	benchmarkFileBMMC(b, Options{Pipeline: false}, false)
+	benchmarkFileBMMC(b, Options{sequential: true}, false)
 }
 
 func BenchmarkFileBMMCPipelined(b *testing.B) {
-	benchmarkFileBMMC(b, DefaultOptions(), false)
+	benchmarkFileBMMC(b, Options{}, false)
 }
 
 func BenchmarkFileBMMCPipelinedConcurrentIO(b *testing.B) {
-	benchmarkFileBMMC(b, DefaultOptions(), true)
+	benchmarkFileBMMC(b, Options{}, true)
 }
 
 // BenchmarkMemBMMCSequential/Pipelined isolate the runner overhead with no
@@ -86,11 +86,11 @@ func benchmarkMemBMMC(b *testing.B, opt Options) {
 }
 
 func BenchmarkMemBMMCSequential(b *testing.B) {
-	benchmarkMemBMMC(b, Options{Pipeline: false})
+	benchmarkMemBMMC(b, Options{sequential: true})
 }
 
 func BenchmarkMemBMMCPipelined(b *testing.B) {
-	benchmarkMemBMMC(b, DefaultOptions())
+	benchmarkMemBMMC(b, Options{})
 }
 
 // BenchmarkScatterKernel isolates the scatter inner loops on an MRC pass
@@ -116,7 +116,7 @@ func benchmarkScatterKernel(b *testing.B, force bool) {
 	}
 	forceRecordKernel = force
 	defer func() { forceRecordKernel = false }()
-	opt := Options{Pipeline: false}
+	opt := Options{sequential: true}
 	b.SetBytes(int64(cfg.N) * pdm.RecordBytes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -141,7 +141,7 @@ func BenchmarkLibGeometry(b *testing.B) {
 	for _, mode := range []struct {
 		name string
 		opt  Options
-	}{{"pipelined", DefaultOptions()}, {"sequential", Options{}}} {
+	}{{"pipelined", Options{}}, {"sequential", Options{sequential: true}}} {
 		for _, sync := range []bool{false, true} {
 			name := mode.name + "/nosync"
 			if sync {

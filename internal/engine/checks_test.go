@@ -80,13 +80,13 @@ func TestStrategyRunTimeChecks(t *testing.T) {
 				err := runPass(context.Background(), sys, st, opt)
 				if err == nil || !strings.Contains(err.Error(), tc.want) {
 					t.Fatalf("%s kernel=%s pipeline=%v: got %v, want an error containing %q",
-						tc.name, st.kernel(), opt.Pipeline, err, tc.want)
+						tc.name, st.kernel(), !opt.sequential, err, tc.want)
 				}
 				if sys.Source() != src {
-					t.Fatalf("%s kernel=%s pipeline=%v: a refused pass swapped the portions", tc.name, st.kernel(), opt.Pipeline)
+					t.Fatalf("%s kernel=%s pipeline=%v: a refused pass swapped the portions", tc.name, st.kernel(), !opt.sequential)
 				}
 				if err := VerifyBMMC(sys, src, perm.Identity(n)); err != nil {
-					t.Fatalf("%s kernel=%s pipeline=%v: source portion disturbed: %v", tc.name, st.kernel(), opt.Pipeline, err)
+					t.Fatalf("%s kernel=%s pipeline=%v: source portion disturbed: %v", tc.name, st.kernel(), !opt.sequential, err)
 				}
 			}
 		}

@@ -103,7 +103,7 @@ func diffLayouts(t *testing.T, want, got []pdm.Record, what string) {
 // oracle. The naive record-gather baseline participates as an
 // independently implemented second oracle.
 func TestDifferentialConformance(t *testing.T) {
-	opt := engine.DefaultOptions()
+	opt := engine.Options{}
 	for gi, cfg := range conformanceGeometries {
 		perms := conformancePerms(int64(1000+gi), cfg)
 		if len(perms) < 8 {
@@ -265,7 +265,7 @@ func TestBoundsConformance(t *testing.T) {
 				}{{"unfused", plan}, {"fused", fused}} {
 					var ios int
 					runEngine(t, cfg, func(s *pdm.System) error {
-						res, err := engine.RunPlan(context.Background(), s, mode.pl, engine.DefaultOptions())
+						res, err := engine.RunPlan(context.Background(), s, mode.pl, engine.Options{})
 						if err == nil {
 							ios = res.ParallelIOs
 							err = engine.VerifyBMMC(s, s.Source(), p)

@@ -100,7 +100,7 @@ func TestMRCPassGrayCode(t *testing.T) {
 	for _, cfg := range testConfigs {
 		sys := newLoaded(t, cfg)
 		p := perm.GrayCode(cfg.LgN())
-		if err := RunMRCPass(context.Background(), sys, p, DefaultOptions()); err != nil {
+		if err := RunMRCPass(context.Background(), sys, p, Options{}); err != nil {
 			t.Fatalf("%v: %v", cfg, err)
 		}
 		if err := VerifyBMMC(sys, sys.Source(), p); err != nil {
@@ -118,7 +118,7 @@ func TestMRCPassRandom(t *testing.T) {
 		for trial := 0; trial < 5; trial++ {
 			sys := newLoaded(t, cfg)
 			p := perm.MustNew(gf2.RandomMRC(rng, cfg.LgN(), cfg.LgM()), gf2.RandomVec(rng, cfg.LgN()))
-			if err := RunMRCPass(context.Background(), sys, p, DefaultOptions()); err != nil {
+			if err := RunMRCPass(context.Background(), sys, p, Options{}); err != nil {
 				t.Fatalf("%v: %v", cfg, err)
 			}
 			if err := VerifyBMMC(sys, sys.Source(), p); err != nil {
@@ -131,7 +131,7 @@ func TestMRCPassRandom(t *testing.T) {
 func TestMRCPassRejectsNonMRC(t *testing.T) {
 	cfg := testConfigs[0]
 	sys := newLoaded(t, cfg)
-	if err := RunMRCPass(context.Background(), sys, perm.BitReversal(cfg.LgN()), DefaultOptions()); err == nil {
+	if err := RunMRCPass(context.Background(), sys, perm.BitReversal(cfg.LgN()), Options{}); err == nil {
 		t.Fatal("bit reversal accepted as MRC pass")
 	}
 }
@@ -146,7 +146,7 @@ func TestMLDPassRandom(t *testing.T) {
 		for trial := 0; trial < 5; trial++ {
 			sys := newLoaded(t, cfg)
 			p := randomMLD(rng, n, b, m)
-			if err := RunMLDPass(context.Background(), sys, p, DefaultOptions()); err != nil {
+			if err := RunMLDPass(context.Background(), sys, p, Options{}); err != nil {
 				t.Fatalf("%v: %v", cfg, err)
 			}
 			if err := VerifyBMMC(sys, sys.Source(), p); err != nil {
@@ -175,7 +175,7 @@ func TestMLDPassRejectsNonMLD(t *testing.T) {
 	if p.IsMLD(cfg.LgB(), cfg.LgM()) {
 		t.Skip("unexpectedly MLD for this geometry")
 	}
-	if err := RunMLDPass(context.Background(), sys, p, DefaultOptions()); err == nil {
+	if err := RunMLDPass(context.Background(), sys, p, Options{}); err == nil {
 		t.Fatal("non-MLD permutation accepted")
 	}
 }
@@ -190,7 +190,7 @@ func TestRunBMMCRandom(t *testing.T) {
 		for trial := 0; trial < 5; trial++ {
 			sys := newLoaded(t, cfg)
 			p := perm.MustNew(gf2.RandomNonsingular(rng, n), gf2.RandomVec(rng, n))
-			res, err := runFactored(context.Background(), sys, p, DefaultOptions())
+			res, err := runFactored(context.Background(), sys, p, Options{})
 			if err != nil {
 				t.Fatalf("%v: %v", cfg, err)
 			}
@@ -226,7 +226,7 @@ func TestRunBMMCCatalog(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			sys := newLoaded(t, cfg)
-			res, err := runFactored(context.Background(), sys, c.p, DefaultOptions())
+			res, err := runFactored(context.Background(), sys, c.p, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -247,14 +247,14 @@ func TestRunAutoDispatch(t *testing.T) {
 
 	// Identity: free.
 	sys := newLoaded(t, cfg)
-	res, err := runAuto(context.Background(), sys, perm.Identity(n), DefaultOptions())
+	res, err := runAuto(context.Background(), sys, perm.Identity(n), Options{})
 	if err != nil || res.ParallelIOs != 0 {
 		t.Fatalf("identity: %v, %d I/Os", err, res.ParallelIOs)
 	}
 
 	// MRC: one pass.
 	sys = newLoaded(t, cfg)
-	res, err = runAuto(context.Background(), sys, perm.GrayCode(n), DefaultOptions())
+	res, err = runAuto(context.Background(), sys, perm.GrayCode(n), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestRunAutoDispatch(t *testing.T) {
 		t.Skip("sampled MLD degenerated to MRC")
 	}
 	sys = newLoaded(t, cfg)
-	res, err = runAuto(context.Background(), sys, p, DefaultOptions())
+	res, err = runAuto(context.Background(), sys, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestRunAutoDispatch(t *testing.T) {
 
 	// General BMMC.
 	sys = newLoaded(t, cfg)
-	res, err = runAuto(context.Background(), sys, perm.BitReversal(n), DefaultOptions())
+	res, err = runAuto(context.Background(), sys, perm.BitReversal(n), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestGeneralPermuteRandomBijection(t *testing.T) {
 		target := rng.Perm(cfg.N) // arbitrary, almost surely non-BMMC
 		targetOf := func(x uint64) uint64 { return uint64(target[x]) }
 		sys := newLoaded(t, cfg)
-		res, err := GeneralPermute(context.Background(), sys, targetOf, DefaultOptions())
+		res, err := GeneralPermute(context.Background(), sys, targetOf, Options{})
 		if err != nil {
 			t.Fatalf("%v: %v", cfg, err)
 		}
@@ -328,7 +328,7 @@ func TestGeneralPermuteBMMCTarget(t *testing.T) {
 	cfg := pdm.Config{N: 1 << 10, D: 4, B: 8, M: 1 << 7}
 	p := perm.BitReversal(cfg.LgN())
 	sys := newLoaded(t, cfg)
-	if _, err := GeneralPermute(context.Background(), sys, p.Apply, DefaultOptions()); err != nil {
+	if _, err := GeneralPermute(context.Background(), sys, p.Apply, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := VerifyBMMC(sys, sys.Source(), p); err != nil {
@@ -342,7 +342,7 @@ func TestNaivePermute(t *testing.T) {
 	target := rng.Perm(cfg.N)
 	targetOf := func(x uint64) uint64 { return uint64(target[x]) }
 	sys := newLoaded(t, cfg)
-	res, err := NaivePermute(context.Background(), sys, targetOf, DefaultOptions())
+	res, err := NaivePermute(context.Background(), sys, targetOf, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestNaivePermuteBMMCTarget(t *testing.T) {
 	cfg := pdm.Config{N: 1 << 10, D: 4, B: 8, M: 1 << 7}
 	p := perm.Transpose(5, 5)
 	sys := newLoaded(t, cfg)
-	if _, err := NaivePermute(context.Background(), sys, p.Apply, DefaultOptions()); err != nil {
+	if _, err := NaivePermute(context.Background(), sys, p.Apply, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := VerifyBMMC(sys, sys.Source(), p); err != nil {
@@ -381,10 +381,10 @@ func TestChainedPasses(t *testing.T) {
 	n := cfg.LgN()
 	p1 := perm.GrayCode(n)
 	p2 := perm.BitReversal(n)
-	if _, err := runFactored(context.Background(), sys, p1, DefaultOptions()); err != nil {
+	if _, err := runFactored(context.Background(), sys, p1, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runFactored(context.Background(), sys, p2, DefaultOptions()); err != nil {
+	if _, err := runFactored(context.Background(), sys, p2, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := VerifyBMMC(sys, sys.Source(), p2.Compose(p1)); err != nil {
@@ -404,7 +404,7 @@ func TestFileBackedBMMC(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := perm.BitReversal(cfg.LgN())
-	if _, err := runFactored(context.Background(), sys, p, DefaultOptions()); err != nil {
+	if _, err := runFactored(context.Background(), sys, p, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := VerifyBMMC(sys, sys.Source(), p); err != nil {

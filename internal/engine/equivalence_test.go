@@ -49,8 +49,8 @@ func TestMRCPassAgreesWithMLDPass(t *testing.T) {
 	rng := rand.New(rand.NewSource(190))
 	for trial := 0; trial < 6; trial++ {
 		p := perm.MustNew(gf2.RandomMRC(rng, cfg.LgN(), cfg.LgM()), gf2.RandomVec(rng, cfg.LgN()))
-		viaMRC := finalLayout(t, cfg, func(s *pdm.System) error { return RunMRCPass(context.Background(), s, p, DefaultOptions()) })
-		viaMLD := finalLayout(t, cfg, func(s *pdm.System) error { return RunMLDPass(context.Background(), s, p, DefaultOptions()) })
+		viaMRC := finalLayout(t, cfg, func(s *pdm.System) error { return RunMRCPass(context.Background(), s, p, Options{}) })
+		viaMLD := finalLayout(t, cfg, func(s *pdm.System) error { return RunMLDPass(context.Background(), s, p, Options{}) })
 		sameLayout(t, viaMRC, viaMLD, "MRC vs MLD executor")
 	}
 }
@@ -63,11 +63,11 @@ func TestBMMCAgreesWithGeneralSort(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		p := perm.MustNew(gf2.RandomNonsingular(rng, cfg.LgN()), gf2.RandomVec(rng, cfg.LgN()))
 		viaBMMC := finalLayout(t, cfg, func(s *pdm.System) error {
-			_, err := runFactored(context.Background(), s, p, DefaultOptions())
+			_, err := runFactored(context.Background(), s, p, Options{})
 			return err
 		})
 		viaSort := finalLayout(t, cfg, func(s *pdm.System) error {
-			_, err := GeneralPermute(context.Background(), s, p.Apply, DefaultOptions())
+			_, err := GeneralPermute(context.Background(), s, p.Apply, Options{})
 			return err
 		})
 		sameLayout(t, viaBMMC, viaSort, "BMMC vs sort")
@@ -81,11 +81,11 @@ func TestBMMCAgreesWithNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(192))
 	p := perm.MustNew(gf2.RandomNonsingular(rng, cfg.LgN()), gf2.RandomVec(rng, cfg.LgN()))
 	viaBMMC := finalLayout(t, cfg, func(s *pdm.System) error {
-		_, err := runFactored(context.Background(), s, p, DefaultOptions())
+		_, err := runFactored(context.Background(), s, p, Options{})
 		return err
 	})
 	viaNaive := finalLayout(t, cfg, func(s *pdm.System) error {
-		_, err := NaivePermute(context.Background(), s, p.Apply, DefaultOptions())
+		_, err := NaivePermute(context.Background(), s, p.Apply, Options{})
 		return err
 	})
 	sameLayout(t, viaBMMC, viaNaive, "BMMC vs naive")
@@ -99,11 +99,11 @@ func TestGroupedAgreesWithUngrouped(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		p := perm.MustNew(gf2.RandomNonsingular(rng, cfg.LgN()), gf2.RandomVec(rng, cfg.LgN()))
 		grouped := finalLayout(t, cfg, func(s *pdm.System) error {
-			_, err := runFactored(context.Background(), s, p, DefaultOptions())
+			_, err := runFactored(context.Background(), s, p, Options{})
 			return err
 		})
 		ungrouped := finalLayout(t, cfg, func(s *pdm.System) error {
-			_, err := runUngrouped(context.Background(), s, p, DefaultOptions())
+			_, err := runUngrouped(context.Background(), s, p, Options{})
 			return err
 		})
 		sameLayout(t, grouped, ungrouped, "grouped vs ungrouped")
@@ -125,11 +125,11 @@ func TestFusedAgreesWithUnfused(t *testing.T) {
 	}
 	for i, p := range perms {
 		unfused := finalLayout(t, cfg, func(s *pdm.System) error {
-			_, err := runFactored(context.Background(), s, p, DefaultOptions())
+			_, err := runFactored(context.Background(), s, p, Options{})
 			return err
 		})
 		fused := finalLayout(t, cfg, func(s *pdm.System) error {
-			_, err := runFused(context.Background(), s, p, DefaultOptions())
+			_, err := runFused(context.Background(), s, p, Options{})
 			return err
 		})
 		sameLayout(t, unfused, fused, fmt.Sprintf("unfused vs fused (perm %d)", i))
@@ -193,8 +193,8 @@ func TestConcurrentTraceInvariant(t *testing.T) {
 			name string
 			plan *factor.Plan
 		}{{"unfused", plan}, {"fused", factor.Fuse(plan, b, m)}} {
-			seqRecs, seqStats, seqTr := traceRun(t, cfg, mode.plan, Options{Pipeline: false}, false)
-			conRecs, conStats, conTr := traceRun(t, cfg, mode.plan, Options{Pipeline: true}, true)
+			seqRecs, seqStats, seqTr := traceRun(t, cfg, mode.plan, Options{sequential: true}, false)
+			conRecs, conStats, conTr := traceRun(t, cfg, mode.plan, Options{}, true)
 
 			for _, e := range conTr.Entries {
 				seen := make(map[int]bool, len(e.IOs))
@@ -219,7 +219,7 @@ func TestConcurrentTraceInvariant(t *testing.T) {
 
 			// Reusing the identical plan value — exactly what a plan-cache
 			// hit does — replays the identical operation multiset.
-			reRecs, reStats, reTr := traceRun(t, cfg, mode.plan, Options{Pipeline: true}, true)
+			reRecs, reStats, reTr := traceRun(t, cfg, mode.plan, Options{}, true)
 			sameLayout(t, conRecs, reRecs, fmt.Sprintf("perm %d %s cached replay", i, mode.name))
 			if !reflect.DeepEqual(conStats, reStats) || sortedTrace(conTr) != sortedTrace(reTr) {
 				t.Fatalf("perm %d %s: cached plan replay diverged", i, mode.name)
@@ -235,12 +235,12 @@ func TestConcurrentDispatchAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(194))
 	p := perm.MustNew(gf2.RandomNonsingular(rng, cfg.LgN()), gf2.RandomVec(rng, cfg.LgN()))
 	seq := finalLayout(t, cfg, func(s *pdm.System) error {
-		_, err := runFactored(context.Background(), s, p, DefaultOptions())
+		_, err := runFactored(context.Background(), s, p, Options{})
 		return err
 	})
 	con := finalLayout(t, cfg, func(s *pdm.System) error {
 		s.SetConcurrent(true)
-		_, err := runFactored(context.Background(), s, p, DefaultOptions())
+		_, err := runFactored(context.Background(), s, p, Options{})
 		return err
 	})
 	sameLayout(t, seq, con, "sequential vs concurrent dispatch")

@@ -25,7 +25,7 @@ func TestMLDInversePass(t *testing.T) {
 			mld := randomMLD(rng, n, b, m)
 			p := mld.Inverse()
 			sys := newLoaded(t, cfg)
-			if err := RunMLDInversePass(context.Background(), sys, p, DefaultOptions()); err != nil {
+			if err := RunMLDInversePass(context.Background(), sys, p, Options{}); err != nil {
 				t.Fatalf("%v: %v", cfg, err)
 			}
 			if err := VerifyBMMC(sys, sys.Source(), p); err != nil {
@@ -52,10 +52,10 @@ func TestMLDInverseRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	mld := randomMLD(rng, cfg.LgN(), cfg.LgB(), cfg.LgM())
 	sys := newLoaded(t, cfg)
-	if err := RunMLDPass(context.Background(), sys, mld, DefaultOptions()); err != nil {
+	if err := RunMLDPass(context.Background(), sys, mld, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := RunMLDInversePass(context.Background(), sys, mld.Inverse(), DefaultOptions()); err != nil {
+	if err := RunMLDInversePass(context.Background(), sys, mld.Inverse(), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := VerifyBMMC(sys, sys.Source(), perm.Identity(cfg.LgN())); err != nil {
@@ -70,7 +70,7 @@ func TestMLDInverseRejectsWrongClass(t *testing.T) {
 	if p.Inverse().IsMLD(cfg.LgB(), cfg.LgM()) {
 		t.Skip("bit reversal inverse unexpectedly MLD here")
 	}
-	if err := RunMLDInversePass(context.Background(), sys, p, DefaultOptions()); err == nil {
+	if err := RunMLDInversePass(context.Background(), sys, p, Options{}); err == nil {
 		t.Fatal("non-inverse-MLD permutation accepted")
 	}
 }
@@ -86,7 +86,7 @@ func TestUngroupedAblation(t *testing.T) {
 		p := perm.MustNew(gf2.RandomNonsingular(rng, n), gf2.RandomVec(rng, n))
 
 		sysU := newLoaded(t, cfg)
-		resU, err := runUngrouped(context.Background(), sysU, p, DefaultOptions())
+		resU, err := runUngrouped(context.Background(), sysU, p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestUngroupedAblation(t *testing.T) {
 		}
 
 		sysG := newLoaded(t, cfg)
-		resG, err := runFactored(context.Background(), sysG, p, DefaultOptions())
+		resG, err := runFactored(context.Background(), sysG, p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestCompiledEngineEquivalence(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		p := perm.MustNew(gf2.RandomNonsingular(rng, n), gf2.RandomVec(rng, n))
 		sys := newLoaded(t, cfg)
-		if _, err := runFactored(context.Background(), sys, p, DefaultOptions()); err != nil {
+		if _, err := runFactored(context.Background(), sys, p, Options{}); err != nil {
 			t.Fatal(err)
 		}
 		recs, err := sys.DumpRecords(sys.Source())

@@ -64,7 +64,7 @@ func TestCoalescedMRCMatchesRecordKernel(t *testing.T) {
 		if got := p.ContiguousRunBits(); got < k {
 			t.Fatalf("k=%d: constructed permutation has run bits %d", k, got)
 		}
-		runBothKernels(t, cfg, "MRC", func(s *pdm.System) error { return RunMRCPass(context.Background(), s, p, DefaultOptions()) })
+		runBothKernels(t, cfg, "MRC", func(s *pdm.System) error { return RunMRCPass(context.Background(), s, p, Options{}) })
 	}
 }
 
@@ -82,7 +82,7 @@ func TestCoalescedMLDMatchesRecordKernel(t *testing.T) {
 		if !p.IsMLD(b, m) {
 			t.Fatalf("k=%d: lifted permutation lost MLD membership", k)
 		}
-		runBothKernels(t, cfg, "MLD", func(s *pdm.System) error { return RunMLDPass(context.Background(), s, p, DefaultOptions()) })
+		runBothKernels(t, cfg, "MLD", func(s *pdm.System) error { return RunMLDPass(context.Background(), s, p, Options{}) })
 	}
 }
 
@@ -98,7 +98,7 @@ func TestCoalescedInvMLDMatchesRecordKernel(t *testing.T) {
 		if !p.Inverse().IsMLD(b, m) {
 			t.Fatalf("k=%d: inverse lost MLD membership", k)
 		}
-		runBothKernels(t, cfg, "MLD^-1", func(s *pdm.System) error { return RunMLDInversePass(context.Background(), s, p, DefaultOptions()) })
+		runBothKernels(t, cfg, "MLD^-1", func(s *pdm.System) error { return RunMLDInversePass(context.Background(), s, p, Options{}) })
 	}
 }
 
@@ -113,7 +113,7 @@ func TestPassEventReportsKernel(t *testing.T) {
 	p := perm.MustNew(liftLow(gf2.RandomMRC(rng, cfg.LgN()-k, cfg.LgM()-k), k), 0)
 	capture := func(sys *pdm.System) string {
 		kernel := ""
-		opt := DefaultOptions()
+		opt := Options{}
 		opt.Progress = func(ev PassEvent) { kernel = ev.Kernel }
 		if err := RunMRCPass(context.Background(), sys, p, opt); err != nil {
 			t.Fatal(err)
@@ -137,7 +137,7 @@ func TestPassEventReportsKernel(t *testing.T) {
 		t.Skip("reversal unexpectedly has runs for this geometry")
 	}
 	kernel := ""
-	opt := DefaultOptions()
+	opt := Options{}
 	opt.Progress = func(ev PassEvent) { kernel = ev.Kernel }
 	sys := newLoaded(t, cfg)
 	if _, err := runFactored(context.Background(), sys, rev, opt); err != nil {

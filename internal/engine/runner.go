@@ -18,22 +18,22 @@
 // scatter the records to their target positions in an output buffer, and
 // write the assembled blocks to the target portion. Each engine contributes
 // only a small strategy — its class check plus its block-placement rule —
-// and the runner supplies the execution machinery. A pipelined pass runs
-// the three stages on three goroutines: a reader goroutine prefetches load
-// k+1 into one of two input buffers, the pass's main goroutine scatters
-// load k, and a writer goroutine writes load k-1 from one of two output
-// buffers and then reports it. This is safe because one-pass algorithms
-// read one portion and write the disjoint other portion, so consecutive
-// loads touch independent disk regions. A sequential pass runs all three
-// stages on one goroutine; DESIGN.md ("The record hot path") says why the
+// and the runner supplies the execution machinery. A pass runs the three
+// stages on three goroutines: a reader goroutine prefetches load k+1 into
+// one of two input buffers, the pass's main goroutine scatters load k, and
+// a writer goroutine writes load k-1 from one of two output buffers and
+// then reports it. This is safe because one-pass algorithms read one
+// portion and write the disjoint other portion, so consecutive loads touch
+// independent disk regions. DESIGN.md ("The record hot path") says why the
 // scatter is not sharded further.
 //
-// The invariant the runner maintains — asserted by the equivalence tests —
-// is that pipelining changes only wall-clock time. The model's cost metric
-// is untouched: parallel-I/O counts, per-disk totals, pass structure, and
-// the trace's operation multiset are identical to a sequential run,
-// because every block still moves through exactly one counted parallel
-// I/O.
+// The invariant the runner maintains — asserted by the equivalence tests,
+// which also run every pass with all three stages on one goroutine as
+// their deterministic reference — is that the pipeline changes only
+// wall-clock time. The model's cost metric is untouched: parallel-I/O
+// counts, per-disk totals, pass structure, and the trace's operation
+// multiset are identical to a sequential run, because every block still
+// moves through exactly one counted parallel I/O.
 package engine
 
 import (
@@ -61,28 +61,23 @@ type PassEvent struct {
 	Loads  int    // total loads in the pass
 }
 
-// Options control how the pass runner executes, without affecting what it
-// computes: results and parallel-I/O counts are identical for every
-// setting. The zero value means sequential single-goroutine execution;
-// DefaultOptions enables the pipeline.
+// Options observe the pass runner without affecting what it computes. The
+// zero value runs every pass pipelined and reports nothing.
 type Options struct {
-	// Pipeline runs each pass as three stages: a reader goroutine
-	// prefetches the next load, the main goroutine scatters the current
-	// one, and a writer goroutine writes the previous one, overlapping
-	// read and write latency with the scatter.
-	Pipeline bool
 	// Progress, when non-nil, receives a PassEvent at the start of every
 	// pass and after every completed memoryload. The start event runs on
-	// the caller's goroutine. A completed-load event runs once that load's
-	// writes are counted and before any later load's writes: on the
-	// writer goroutine when pipelining, so callbacks must be cheap. Events
-	// arrive one per load, in load order, and never run concurrently with
-	// each other for one run.
+	// the caller's goroutine. A completed-load event runs on the pass's
+	// writer goroutine once that load's writes are counted and before any
+	// later load's writes, so callbacks must be cheap. Events arrive one
+	// per load, in load order, and never run concurrently with each other
+	// for one run.
 	Progress func(PassEvent)
-}
 
-// DefaultOptions returns the default execution mode: pipelined.
-func DefaultOptions() Options { return Options{Pipeline: true} }
+	// sequential runs all three stages of each pass on the caller's
+	// goroutine. Only this package's tests set it, as the deterministic
+	// reference the pipeline is checked against.
+	sequential bool
+}
 
 // loadPlan describes one load of a pass: the parallel reads that fetch it
 // into an input buffer, and strategy-private state computed during
@@ -109,9 +104,9 @@ type passStrategy interface {
 	kernel() string
 	// loads returns the number of loads in the pass.
 	loads() int
-	// prepare plans load ml. It runs on the reader goroutine when
-	// pipelining, so it must not touch state shared with the scatter of
-	// earlier loads except through the returned plan.
+	// prepare plans load ml. It runs on the reader goroutine, so it must
+	// not touch state shared with the scatter of earlier loads except
+	// through the returned plan.
 	prepare(ml int) (loadPlan, error)
 	// scatter moves load ml's records from in to out on the pass's main
 	// goroutine, checks the pass's invariants, and returns the parallel
@@ -138,7 +133,7 @@ func runPass(ctx context.Context, sys *pdm.System, st passStrategy, opt Options)
 	out := sys.AcquireBuffer()
 	opt.emit(st.kind(), st.kernel(), 0, loads)
 
-	if !opt.Pipeline {
+	if opt.sequential {
 		in := sys.AcquireBuffer()
 		for ml := 0; ml < loads; ml++ {
 			if err := ctx.Err(); err != nil {
@@ -393,8 +388,8 @@ func stripedOps(cfg pdm.Config, ml int) [][]pdm.BlockIO {
 // trace copies the entries before the call returns), and the runner copies
 // a load's writes before the next scatter, so the writer goroutine never
 // reads a template. A strategy must keep separate templates for reads and
-// writes: under pipelining, planning runs on the prefetch goroutine while
-// the next scatter runs on the main goroutine.
+// writes: planning runs on the prefetch goroutine while the next scatter
+// runs on the main goroutine.
 func retargetStriped(ops *[][]pdm.BlockIO, cfg pdm.Config, ml int) [][]pdm.BlockIO {
 	if *ops == nil {
 		*ops = stripedOps(cfg, ml)

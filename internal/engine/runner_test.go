@@ -22,11 +22,11 @@ import (
 // must be identical to a sequential single-threaded run.
 
 // seqOpt is the reference mode: no prefetch, one goroutine.
-var seqOpt = Options{Pipeline: false}
+var seqOpt = Options{sequential: true}
 
 // pipeOpt exercises the three-stage pipeline: prefetch reader, scatter,
 // writer.
-var pipeOpt = Options{Pipeline: true}
+var pipeOpt = Options{}
 
 // runBoth executes the same workload sequentially on a RAM-backed system
 // and pipelined on a file-backed system with concurrent dispatch,

@@ -19,7 +19,7 @@ func TestMRCPassScheduleIsFullyStriped(t *testing.T) {
 	cfg := pdm.Config{N: 1 << 10, D: 4, B: 8, M: 1 << 7}
 	sys := newLoaded(t, cfg)
 	tr := new(pdm.Trace).Attach(sys)
-	if err := RunMRCPass(context.Background(), sys, perm.GrayCode(cfg.LgN()), DefaultOptions()); err != nil {
+	if err := RunMRCPass(context.Background(), sys, perm.GrayCode(cfg.LgN()), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if !tr.AllStriped(pdm.IORead, cfg.D) {
@@ -52,7 +52,7 @@ func TestMLDPassScheduleShape(t *testing.T) {
 		p := randomMLD(rng, cfg.LgN(), cfg.LgB(), cfg.LgM())
 		sys := newLoaded(t, cfg)
 		tr := new(pdm.Trace).Attach(sys)
-		if err := RunMLDPass(context.Background(), sys, p, DefaultOptions()); err != nil {
+		if err := RunMLDPass(context.Background(), sys, p, Options{}); err != nil {
 			t.Fatal(err)
 		}
 		// Reads are always striped.
@@ -81,7 +81,7 @@ func TestInverseMLDScheduleShape(t *testing.T) {
 	p := randomMLD(rng, cfg.LgN(), cfg.LgB(), cfg.LgM()).Inverse()
 	sys := newLoaded(t, cfg)
 	tr := new(pdm.Trace).Attach(sys)
-	if err := RunMLDInversePass(context.Background(), sys, p, DefaultOptions()); err != nil {
+	if err := RunMLDInversePass(context.Background(), sys, p, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	// Mirror image: writes striped, reads independent-but-full.
@@ -99,7 +99,7 @@ func TestTraceRendering(t *testing.T) {
 	cfg := pdm.Config{N: 1 << 9, D: 2, B: 8, M: 1 << 6}
 	sys := newLoaded(t, cfg)
 	tr := new(pdm.Trace).Attach(sys)
-	if err := RunMRCPass(context.Background(), sys, perm.GrayCode(cfg.LgN()), DefaultOptions()); err != nil {
+	if err := RunMRCPass(context.Background(), sys, perm.GrayCode(cfg.LgN()), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	out := tr.String()

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -9,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/bounds"
-	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/engine"
 	"repro/internal/factor"
@@ -24,12 +22,10 @@ var DefaultConfig = pdm.Config{N: 1 << 16, D: 8, B: 16, M: 1 << 11}
 
 // Harness is the execution environment every experiment generator runs
 // under. cmd/bmmcbench builds one from its flags; the parallel-I/O counts
-// in the tables are identical for every Exec and ConcurrentIO setting, so
-// only wall-clock changes. Generators are methods on a Harness value, so
+// in the tables are identical for every ConcurrentIO setting, so only
+// wall-clock changes. Generators are methods on a Harness value, so
 // experiments with different settings may run concurrently.
 type Harness struct {
-	// Exec is the pass-runner mode (three-stage pipeline or sequential).
-	Exec engine.Options
 	// ConcurrentIO toggles per-transfer goroutine dispatch on the systems the
 	// experiments build, matching pdm.System.SetConcurrent.
 	ConcurrentIO bool
@@ -38,15 +34,12 @@ type Harness struct {
 	// reproduce the paper's unoptimized algorithm; the fusion experiment
 	// always compares both modes regardless of this setting.
 	Fuse bool
-	// PlanCacheSize is the plan-cache capacity of the Engine the plancache
-	// experiment builds.
-	PlanCacheSize int
 }
 
-// DefaultHarness returns the default environment: the default pass-runner
-// mode, serial disk dispatch, no fusion, and the default plan-cache size.
+// DefaultHarness returns the default environment: serial disk dispatch and
+// no fusion.
 func DefaultHarness() Harness {
-	return Harness{Exec: engine.DefaultOptions(), PlanCacheSize: core.DefaultPlanCacheEntries}
+	return Harness{}
 }
 
 // newSystem builds a loaded memory-backed system honoring ConcurrentIO.
@@ -111,7 +104,7 @@ func (h Harness) run(ctx context.Context, cfg pdm.Config, p perm.BMMC, plan plan
 		return nil, err
 	}
 	defer sys.Close()
-	res, err := engine.RunPlan(ctx, sys, pl, h.Exec)
+	res, err := engine.RunPlan(ctx, sys, pl, engine.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -247,7 +240,7 @@ func (h Harness) Crossover(ctx context.Context, cfg pdm.Config, seed int64) (*Ta
 		if err != nil {
 			return nil, err
 		}
-		sortRes, err := engine.GeneralPermute(ctx, sys, p.Apply, h.Exec)
+		sortRes, err := engine.GeneralPermute(ctx, sys, p.Apply, engine.Options{})
 		if err != nil {
 			sys.Close()
 			return nil, err
@@ -281,7 +274,7 @@ func (h Harness) MLDOnePass(ctx context.Context, cfg pdm.Config, seed int64) (*T
 		if err != nil {
 			return nil, err
 		}
-		if err := engine.RunMLDPass(ctx, sys, p, h.Exec); err != nil {
+		if err := engine.RunMLDPass(ctx, sys, p, engine.Options{}); err != nil {
 			sys.Close()
 			return nil, err
 		}
@@ -529,100 +522,6 @@ func (h Harness) Lemma9Table(ctx context.Context, cfg pdm.Config, _ int64) (*Tab
 	return t, nil
 }
 
-// PipelineSpeed measures what the pipelined pass runner buys in wall-clock
-// time: the same maximal-rank BMMC permutation is executed on file-backed
-// disks first sequentially (one goroutine, serial disk dispatch) and then
-// pipelined (three stages: a prefetch reader, the scatter and a
-// write-behind writer, each load double-buffered, plus concurrent
-// dispatch, one goroutine per transfer, when the harness enables it). The
-// model's cost is identical in both modes — the PASS column asserts that
-// the parallel-I/O counts match exactly and that both runs produced the
-// correct layout — so the only thing allowed to differ is elapsed time.
-func (h Harness) PipelineSpeed(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
-	rng := rand.New(rand.NewSource(seed))
-	n, b := cfg.LgN(), cfg.LgB()
-	g := b
-	if n-b < g {
-		g = n - b
-	}
-	p := perm.MustNew(gf2.RandomNonsingularWithGamma(rng, n, b, g), gf2.RandomVec(rng, n))
-	plan, err := factor.Factorize(p, b, cfg.LgM())
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		ID:      "E15 (pipelined pass runner)",
-		Title:   fmt.Sprintf("sequential vs pipelined execution, file-backed, rank gamma %d on %v", g, cfg),
-		Columns: []string{"mode", "wall-clock", "parallel I/Os", "passes", "speedup", "within"},
-		Notes: []string{
-			"both modes run the identical factored BMMC workload on file-backed disks; I/O counts must match exactly",
-		},
-	}
-	// The pipelined mode additionally honors the harness-wide ConcurrentIO
-	// setting (per-transfer goroutine dispatch pays off with many cores or real
-	// spindle latency; on a single core it is overhead).
-	modes := []struct {
-		name       string
-		opt        engine.Options
-		concurrent bool
-	}{
-		{"sequential", engine.Options{Pipeline: false}, false},
-		{"pipelined", engine.DefaultOptions(), h.ConcurrentIO},
-	}
-	var elapsed [2]time.Duration
-	var ios [2]int
-	var passes [2]int
-	for i, mode := range modes {
-		dir, err := os.MkdirTemp("", "bmmc-pipeline-")
-		if err != nil {
-			return nil, err
-		}
-		// One untimed warmup plus best-of-3 timed runs keeps the one-shot
-		// comparison from being dominated by cold caches and scheduler
-		// noise.
-		run := func(timed bool) error {
-			sys, err := pdm.NewSystem(cfg, pdm.FileBackend(dir))
-			if err != nil {
-				return err
-			}
-			defer sys.Close()
-			sys.SetConcurrent(mode.concurrent)
-			if err := engine.LoadSequential(sys); err != nil {
-				return err
-			}
-			start := time.Now()
-			res, err := engine.RunPlan(ctx, sys, plan, mode.opt)
-			if err != nil {
-				return err
-			}
-			if d := time.Since(start); timed && (elapsed[i] == 0 || d < elapsed[i]) {
-				elapsed[i] = d
-			}
-			ios[i] = res.ParallelIOs
-			passes[i] = res.Passes
-			return engine.VerifyBMMC(sys, sys.Source(), p)
-		}
-		for rep := 0; rep < 4 && err == nil; rep++ {
-			err = run(rep > 0)
-		}
-		os.RemoveAll(dir)
-		if err != nil {
-			return nil, fmt.Errorf("%s mode: %w", mode.name, err)
-		}
-	}
-	for i, mode := range modes {
-		speedup := "1.00x"
-		if i > 0 && elapsed[i] > 0 {
-			speedup = fmt.Sprintf("%.2fx", float64(elapsed[0])/float64(elapsed[i]))
-		}
-		t.AddRow(mode.name,
-			fmt.Sprintf("%.1fms", float64(elapsed[i].Microseconds())/1000),
-			itoa(ios[i]), itoa(passes[i]), speedup,
-			passFail(ios[i] == ios[0] && passes[i] == passes[0]))
-	}
-	return t, nil
-}
-
 // randomNonMRCMLD draws MLD permutations until one falls outside MRC —
 // the family whose factored plan fusion collapses. Requires m > b; the
 // degenerate all-zero erasure block has probability 2^-((n-m)(m-b)), so
@@ -702,7 +601,7 @@ func (h Harness) Fusion(ctx context.Context, cfg pdm.Config, seed int64) (*Table
 				return 0, err
 			}
 			defer sys.Close()
-			res, err := engine.RunPlan(ctx, sys, pl, h.Exec)
+			res, err := engine.RunPlan(ctx, sys, pl, engine.Options{})
 			if err != nil {
 				return 0, err
 			}
@@ -726,76 +625,6 @@ func (h Harness) Fusion(ctx context.Context, cfg pdm.Config, seed int64) (*Table
 		t.AddRow(e.name, itoa(plan.PassCount()), itoa(fused.PassCount()),
 			itoa(unfusedIOs), itoa(fusedIOs), saved,
 			passFail(fused.PassCount() <= plan.PassCount() && fusedIOs <= unfusedIOs))
-	}
-	return t, nil
-}
-
-// PlanReuse measures what the core plan cache buys: the same factored
-// permutation is permuted twice on one Dataset through one Engine sized by
-// the harness's PlanCacheSize, and the second call
-// must be served from the cache — zero re-factorizations — while producing
-// the identical pass structure. The planning-only cost (factorize + fuse,
-// no I/O) is timed directly for the note.
-func (h Harness) PlanReuse(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
-	rng := rand.New(rand.NewSource(seed))
-	n, b, m := cfg.LgN(), cfg.LgB(), cfg.LgM()
-	t := &Table{
-		ID:      "E17 (plan cache)",
-		Title:   fmt.Sprintf("plan-cache reuse across repeated permutations on %v", cfg),
-		Columns: []string{"call", "instance", "plan cached", "passes", "parallel I/Os", "within"},
-	}
-	p := perm.MustNew(gf2.RandomNonsingular(rng, n), gf2.RandomVec(rng, n))
-	planStart := time.Now()
-	plan, err := factor.Factorize(p, b, m)
-	if err != nil {
-		return nil, err
-	}
-	factor.Fuse(plan, b, m)
-	planCost := time.Since(planStart)
-
-	eng := core.NewEngine(core.WithPlanCache(h.PlanCacheSize))
-	ds, err := core.CreateDataset(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer ds.Close()
-	// With the cache disabled (-cache 0) every call plans from scratch and
-	// the expected "plan cached" column flips to all-false.
-	caching := h.PlanCacheSize > 0
-	jobs := []struct {
-		name string
-		p    perm.BMMC
-		hit  bool
-	}{
-		{"random BMMC", p, false},
-		{"random BMMC", p, caching},
-		{"bit reversal", perm.BitReversal(n), false},
-		{"bit reversal", perm.BitReversal(n), caching},
-	}
-	var prev *core.Report
-	for i, job := range jobs {
-		rep, err := eng.Permute(ctx, ds, job.p)
-		if err != nil {
-			return nil, err
-		}
-		ok := rep.PlanCached == job.hit
-		if i%2 == 1 && prev != nil {
-			ok = ok && rep.Passes == prev.Passes && rep.ParallelIOs == prev.ParallelIOs
-		}
-		t.AddRow(itoa(i+1), job.name, fmt.Sprintf("%v", rep.PlanCached),
-			itoa(rep.Passes), itoa(rep.ParallelIOs), passFail(ok))
-		prev = rep
-	}
-	stats := eng.CacheStats()
-	t.Notes = append(t.Notes,
-		fmt.Sprintf("planning (factorize+fuse, no I/O) costs %.2fms once; %s", float64(planCost.Microseconds())/1000, stats),
-	)
-	wantHits := 0
-	if caching {
-		wantHits = 2
-	}
-	if stats.Hits != wantHits {
-		return nil, fmt.Errorf("plancache: expected %d hits, got %+v", wantHits, stats)
 	}
 	return t, nil
 }
@@ -856,7 +685,7 @@ func (h Harness) BackendSpeed(ctx context.Context, cfg pdm.Config, seed int64) (
 				return err
 			}
 			start := time.Now()
-			res, err := engine.RunPlan(ctx, sys, plan, h.Exec)
+			res, err := engine.RunPlan(ctx, sys, plan, engine.Options{})
 			if err != nil {
 				return err
 			}
@@ -889,138 +718,12 @@ func (h Harness) BackendSpeed(ctx context.Context, cfg pdm.Config, seed int64) (
 	return t, nil
 }
 
-// Chain (E19) measures what the Dataset/Engine split buys multi-step
-// pipelines: a two-step permutation chain run on one dataset — upload once
-// onto one file-backed Dataset, execute both steps back-to-back, download
-// once — against the per-job flow that provisions fresh storage per job and
-// re-streams the records between steps (download step 1, upload into step
-// 2). Parallel-I/O counts are identical by construction (the model charges
-// only counted I/O); the chained flow moves 2N records over the data plane
-// instead of 4N and skips a storage provisioning, which is the wall-clock
-// gap the table reports.
-func (h Harness) Chain(ctx context.Context, cfg pdm.Config, seed int64) (*Table, error) {
-	rng := rand.New(rand.NewSource(seed))
-	n := cfg.LgN()
-	steps := []perm.BMMC{perm.BitReversal(n), perm.Transpose(n/2, n-n/2)}
-	t := &Table{
-		ID:      "E19 (chained jobs)",
-		Title:   fmt.Sprintf("2-step chain via one dataset vs re-upload per job on %v", cfg),
-		Columns: []string{"mode", "wall-clock", "records streamed", "datasets", "parallel I/Os", "within"},
-		Notes: []string{
-			"both modes run bit-reversal then transpose on file-backed storage with identical records and I/O counts",
-			"chained: load once, execute back-to-back, dump once; re-upload: fresh dataset + dump + load between steps",
-		},
-	}
-
-	// One shared input, so both modes permute identical records.
-	input := make([]pdm.Record, cfg.N)
-	for i := range input {
-		input[i] = pdm.Record{Key: rng.Uint64(), Tag: uint64(i)}
-	}
-	input[0].Key = 0 // pin one deterministic record for the final diff
-	encode := func(recs []pdm.Record) []byte {
-		buf := make([]byte, len(recs)*pdm.RecordBytes)
-		for i, r := range recs {
-			r.Encode(buf[i*pdm.RecordBytes:])
-		}
-		return buf
-	}
-	wire := encode(input)
-	eng := core.NewEngine()
-
-	newDataset := func() (*core.Dataset, string, error) {
-		dir, err := os.MkdirTemp("", "bmmc-chain-")
-		if err != nil {
-			return nil, "", err
-		}
-		ds, err := core.CreateDataset(cfg, core.WithBackend(pdm.FileBackend(dir)))
-		if err != nil {
-			os.RemoveAll(dir)
-			return nil, "", err
-		}
-		return ds, dir, nil
-	}
-
-	// Mode 1 — chained on one dataset: upload once, two executes, download
-	// once. 2N records cross the data plane.
-	startChained := time.Now()
-	chainedOut, chainedIOs, err := func() ([]byte, int, error) {
-		ds, dir, err := newDataset()
-		if err != nil {
-			return nil, 0, err
-		}
-		defer os.RemoveAll(dir)
-		defer ds.Close()
-		if err := ds.Load(ctx, bytes.NewReader(wire)); err != nil {
-			return nil, 0, err
-		}
-		for _, p := range steps {
-			if _, err := eng.Permute(ctx, ds, p); err != nil {
-				return nil, 0, err
-			}
-		}
-		var out bytes.Buffer
-		if err := ds.Dump(ctx, &out); err != nil {
-			return nil, 0, err
-		}
-		return out.Bytes(), ds.Stats().ParallelIOs(), nil
-	}()
-	if err != nil {
-		return nil, err
-	}
-	chainedElapsed := time.Since(startChained)
-
-	// Mode 2 — re-upload per job: each step gets fresh storage and the
-	// records are streamed out of one job and into the next. 4N records
-	// cross the data plane and a second dataset is provisioned.
-	var reupOut []byte
-	var reupIOs int
-	startReup := time.Now()
-	cur := wire
-	for _, p := range steps {
-		err := func() error {
-			ds, dir, err := newDataset()
-			if err != nil {
-				return err
-			}
-			defer os.RemoveAll(dir)
-			defer ds.Close()
-			if err := ds.Load(ctx, bytes.NewReader(cur)); err != nil {
-				return err
-			}
-			if _, err := eng.Permute(ctx, ds, p); err != nil {
-				return err
-			}
-			var out bytes.Buffer
-			if err := ds.Dump(ctx, &out); err != nil {
-				return err
-			}
-			cur = out.Bytes()
-			reupIOs += ds.Stats().ParallelIOs()
-			return nil
-		}()
-		if err != nil {
-			return nil, err
-		}
-	}
-	reupOut = cur
-	reupElapsed := time.Since(startReup)
-
-	identical := bytes.Equal(chainedOut, reupOut)
-	ms := func(d time.Duration) string { return fmt.Sprintf("%.1fms", float64(d.Microseconds())/1000) }
-	t.AddRow("chained (one dataset)", ms(chainedElapsed), itoa(2*cfg.N), "1", itoa(chainedIOs),
-		passFail(identical && chainedIOs == reupIOs))
-	t.AddRow("re-upload per job", ms(reupElapsed), itoa(4*cfg.N), "2", itoa(reupIOs),
-		passFail(identical))
-	return t, nil
-}
-
 // Names lists every experiment in execution order.
 func Names() []string {
 	return []string{
 		"table1", "tightbounds", "crossover", "mld", "detect", "potential",
-		"transpose", "scaling", "lemma9", "ablation", "inverse", "pipeline",
-		"fusion", "plancache", "backend", "chain",
+		"transpose", "scaling", "lemma9", "ablation", "inverse", "fusion",
+		"backend",
 	}
 }
 
@@ -1064,16 +767,10 @@ func (h Harness) ByName(name string) func(context.Context, pdm.Config, int64) (*
 		return h.Ablation
 	case "inverse":
 		return h.InverseOnePass
-	case "pipeline":
-		return h.PipelineSpeed
 	case "fusion":
 		return h.Fusion
-	case "plancache":
-		return h.PlanReuse
 	case "backend":
 		return h.BackendSpeed
-	case "chain":
-		return h.Chain
 	default:
 		return nil
 	}

@@ -35,8 +35,8 @@ func TestAllExperiments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 16 {
-		t.Fatalf("expected 16 experiment tables, got %d", len(tables))
+	if len(tables) != 13 {
+		t.Fatalf("expected 13 experiment tables, got %d", len(tables))
 	}
 	for _, tbl := range tables {
 		checkAllPass(t, tbl)
@@ -135,21 +135,6 @@ func TestFusionShowsStrictWin(t *testing.T) {
 	}
 }
 
-// TestPlanCacheTable: the plan-cache experiment's hit/miss pattern holds
-// at the small geometry too, with the cache on and off.
-func TestPlanCacheTable(t *testing.T) {
-	t.Parallel()
-	for _, size := range []int{DefaultHarness().PlanCacheSize, 0} {
-		h := DefaultHarness()
-		h.PlanCacheSize = size
-		tbl, err := h.PlanReuse(context.Background(), smallConfig, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkAllPass(t, tbl)
-	}
-}
-
 // TestHarnessSettingsRunConcurrently runs the same experiments under
 // differently configured harnesses at once (under -race this proves the
 // settings are per-value, not shared state): only wall-clock may differ,
@@ -159,7 +144,6 @@ func TestHarnessSettingsRunConcurrently(t *testing.T) {
 	t.Parallel()
 	fused := DefaultHarness()
 	fused.Fuse, fused.ConcurrentIO = true, true
-	fused.Exec.Pipeline = false
 	for _, h := range []Harness{DefaultHarness(), fused} {
 		t.Run(fmt.Sprintf("fuse=%v", h.Fuse), func(t *testing.T) {
 			t.Parallel()

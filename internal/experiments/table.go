@@ -2,7 +2,7 @@
 // generator builds the workload named in DESIGN.md's per-experiment index,
 // runs it on the simulated parallel disk system, and emits a table pairing
 // measured parallel-I/O counts with the paper's closed-form bounds. The
-// cmd/bmmcbench tool prints these tables; EXPERIMENTS.md archives them.
+// cmd/bmmcbench tool prints these tables.
 package experiments
 
 import (

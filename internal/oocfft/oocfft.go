@@ -155,7 +155,7 @@ func permute(ctx context.Context, sys *pdm.System, p perm.BMMC) error {
 	if err != nil {
 		return err
 	}
-	_, err = engine.RunPlan(ctx, sys, plan, engine.DefaultOptions())
+	_, err = engine.RunPlan(ctx, sys, plan, engine.Options{})
 	return err
 }
 

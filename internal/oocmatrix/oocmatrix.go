@@ -133,7 +133,7 @@ func (m *Matrix) permute(ctx context.Context, p perm.BMMC) error {
 	if err != nil {
 		return err
 	}
-	_, err = engine.RunPlan(ctx, m.sys, plan, engine.DefaultOptions())
+	_, err = engine.RunPlan(ctx, m.sys, plan, engine.Options{})
 	return err
 }
 

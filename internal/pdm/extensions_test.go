@@ -3,7 +3,6 @@ package pdm
 import (
 	"errors"
 	"testing"
-	"time"
 )
 
 func TestFaultyDiskInjection(t *testing.T) {
@@ -140,28 +139,5 @@ func TestConcurrentFaultPropagation(t *testing.T) {
 	}
 	if err := sys.ParallelReadGroup(PortionA, [][]BlockIO{ios}, sys.AcquireBuffer()); !errors.Is(err, ErrInjectedFault) {
 		t.Fatalf("concurrent fault not propagated: %v", err)
-	}
-}
-
-func TestCostModel(t *testing.T) {
-	cm := DefaultCostModel(16)
-	if cm.PerOp() <= cm.Seek {
-		t.Error("per-op cost does not include transfer")
-	}
-	var st Stats
-	st.ParallelReads = 100
-	st.ParallelWrites = 50
-	if got, want := cm.Estimate(st), 150*cm.PerOp(); got != want {
-		t.Errorf("estimate %v, want %v", got, want)
-	}
-	if cm.String() == "" {
-		t.Error("empty cost model description")
-	}
-	// A pass over 2^20 records at B=16, D=8 is 2*8192 operations: the
-	// modeled time must be macroscopic (minutes, not microseconds).
-	var pass Stats
-	pass.ParallelReads, pass.ParallelWrites = 8192, 8192
-	if cm.Estimate(pass) < time.Second {
-		t.Errorf("implausible pass estimate %v", cm.Estimate(pass))
 	}
 }

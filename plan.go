@@ -46,9 +46,8 @@ type PassEvent = engine.PassEvent
 
 // WithProgress installs a callback receiving a PassEvent at every pass
 // start and after every completed memoryload, for long-run reporting and
-// instrumentation. A completed-memoryload event runs once that
-// memoryload's writes are counted and before any later one's, on the
-// pipeline's writer goroutine when pipelining; events arrive in order and
-// never overlap. The callback must be cheap, and it observes execution
+// instrumentation. A completed-memoryload event runs on the pass's writer
+// goroutine once that memoryload's writes are counted and before any later
+// one's; events arrive in order and never overlap. The callback must be cheap, and it observes execution
 // without altering results or I/O counts.
 func WithProgress(fn func(PassEvent)) Option { return core.WithProgress(fn) }
