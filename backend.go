@@ -8,11 +8,11 @@ import (
 // Backend abstracts the storage a Dataset's D simulated disks live on.
 // Every transfer reaches the backend as a ReadBlocks or WriteBlocks batch
 // of RangeXfer runs — one counted parallel I/O, the coalesced runs of a
-// group of them, or a stripe of a bulk load or dump — and one batch may
-// carry several runs for the same disk. Implement it to put the record
-// store on anything — object storage, a network block service, compressed
-// files — without touching the permutation engines; the disk system above
-// the backend performs all validation and cost accounting.
+// group of them, or a chunk of whole stripes of a bulk load or dump — and
+// one batch may carry several runs for the same disk. Implement it to put
+// the record store on anything — object storage, a network block service,
+// compressed files — without touching the permutation engines; the disk
+// system above the backend performs all validation and cost accounting.
 //
 // Implementations must tolerate ReadBlocks/WriteBlocks calls from distinct
 // goroutines (the pipelined pass runner overlaps a prefetch read with an

@@ -36,9 +36,13 @@ func CreateDataset(cfg Config, opts ...Option) (*Dataset, error) {
 
 // OpenDataset opens storage for a dataset without writing any records: the
 // dataset holds whatever bytes the backend already stores. Use it to
-// attach to a file or sharded backend populated by an earlier process (the
-// data must sit in the source portion, where Sync left it); CreateDataset
-// is OpenDataset plus the canonical initial load.
+// attach to a file or sharded backend populated by an earlier process;
+// CreateDataset is OpenDataset plus the canonical initial load. Storage
+// keeps two portions of N records; a reopened dataset always starts at the
+// first. Every pass and every Load commits by swapping the portions, so
+// after an odd number of commits the current records sit in the second
+// and a reopen reads the previous generation: nothing on storage records
+// yet which portion holds the last commit.
 func OpenDataset(cfg Config, opts ...Option) (*Dataset, error) {
 	return core.OpenDataset(cfg, opts...)
 }

@@ -330,9 +330,10 @@ func TestOpenDatasetReattachesFiles(t *testing.T) {
 }
 
 // TestConcurrentReadsDuringExecute exercises the Dataset lock split: many
-// concurrent Dumps overlap freely, serialize against a stream of Executes,
-// and every Dump observes a consistent state — either the layout before or
-// after a full run, never a torn intermediate.
+// concurrent Dumps overlap freely, serialize against a stream of Executes
+// and of Loads, and every Dump observes one committed generation — either
+// the layout before or after a full run or load, never a torn
+// intermediate — while runs and loads flip the portions.
 func TestConcurrentReadsDuringExecute(t *testing.T) {
 	cfg := v3Config
 	p := bmmc.BitReversal(cfg.LgN()) // involution: valid states are identity or rev
@@ -343,6 +344,15 @@ func TestConcurrentReadsDuringExecute(t *testing.T) {
 	defer ds.Close()
 	eng := bmmc.NewEngine()
 	inv := p.Inverse()
+	// The two valid layouts as wire images: address y holds key y, or key
+	// inv(y) once the permutation has run.
+	var layouts [2][]byte
+	for i, keyAt := range []func(uint64) uint64{func(y uint64) uint64 { return y }, inv.Apply} {
+		layouts[i] = make([]byte, cfg.N*bmmc.RecordBytes)
+		for y := uint64(0); y < uint64(cfg.N); y++ {
+			bmmc.MakeRecord(keyAt(y)).Encode(layouts[i][y*bmmc.RecordBytes:])
+		}
+	}
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -393,6 +403,18 @@ func TestConcurrentReadsDuringExecute(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
 				if _, err := eng.Permute(context.Background(), ds, p); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				if err := ds.Load(context.Background(), bytes.NewReader(layouts[(r+i)%2])); err != nil {
 					errs <- err
 					return
 				}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -303,5 +304,39 @@ func TestPermuteAllPerJob(t *testing.T) {
 	}
 	if len(batch.String()) == 0 {
 		t.Error("empty batch report string")
+	}
+}
+
+// allocated returns the bytes fn allocates on the heap, measured after two
+// collections have emptied every pool, so a pooled slab cannot hide an
+// allocation.
+func allocated(fn func()) uint64 {
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDatasetBulkPathsHoldFewChunks: the canonical fill behind
+// CreateDataset and the scan behind Verify each allocate a few chunks of
+// 2^14 records on file storage of 2^20 records, not N records.
+func TestDatasetBulkPathsHoldFewChunks(t *testing.T) {
+	cfg := pdm.Config{N: 1 << 20, D: 8, B: 64, M: 1 << 14}
+	limit := uint64(4 * (1 << 14) * pdm.RecordBytes)
+	var ds *Dataset
+	var err error
+	if got := allocated(func() { ds, err = CreateDataset(cfg, WithBackend(pdm.FileBackend(t.TempDir()))) }); err != nil {
+		t.Fatal(err)
+	} else if got > limit {
+		t.Errorf("CreateDataset of %d records allocated %d bytes, want at most four chunks (%d)", cfg.N, got, limit)
+	}
+	defer ds.Close()
+	if got := allocated(func() { err = ds.Verify(perm.Identity(cfg.LgN())) }); err != nil {
+		t.Fatal(err)
+	} else if got > limit {
+		t.Errorf("Verify of %d records allocated %d bytes, want at most four chunks (%d)", cfg.N, got, limit)
 	}
 }

@@ -46,9 +46,12 @@ func CreateDataset(cfg pdm.Config, opts ...Option) (*Dataset, error) {
 
 // OpenDataset opens storage for a dataset without writing any records:
 // the dataset holds whatever bytes the backend already stores. Use it to
-// attach to a file or sharded backend populated by an earlier process (the
-// data must sit in the source portion, where Sync left it); CreateDataset
-// is OpenDataset plus the canonical initial load.
+// attach to a file or sharded backend populated by an earlier process;
+// CreateDataset is OpenDataset plus the canonical initial load. A reopened
+// dataset always starts at PortionA. Every pass and every Load commits by
+// swapping the portions, so after an odd number of commits the current
+// records sit in PortionB and a reopen reads the previous generation:
+// nothing on storage records yet which portion holds the last commit.
 func OpenDataset(cfg pdm.Config, opts ...Option) (*Dataset, error) {
 	s := defaultSettings()
 	for _, o := range opts {
@@ -99,14 +102,17 @@ func (ds *Dataset) Close() error { return ds.sys.Close() }
 // error (io.ErrUnexpectedEOF). Loading is not counted as parallel I/O —
 // it models the data already residing on the disks. Load takes the
 // dataset's exclusive run lock, so it never interleaves with a running
-// execution; ctx cancellation and short reads abort with the stored
-// records unchanged. The bytes move through the zero-copy streaming data
-// plane (pdm.System.LoadFrom): block-sized slabs from a pooled arena, no
-// per-record decode on little-endian hosts.
+// execution. The bytes move through the zero-copy streaming data plane
+// (pdm.System.LoadFrom): one chunk at a time from a pooled arena into the
+// portion the next pass would write, with no per-record decode on
+// little-endian hosts, and the load commits by the same portion swap a
+// pass ends with. So it holds one chunk of memory however large N is, and
+// ctx cancellation, a short read or a storage fault leaves the stored
+// records unchanged.
 func (ds *Dataset) Load(ctx context.Context, r io.Reader) error {
 	ds.sys.AcquireRun()
 	defer ds.sys.ReleaseRun()
-	if _, err := ds.sys.LoadFrom(ctx, ds.sys.Source(), r); err != nil {
+	if _, err := ds.sys.LoadFrom(ctx, r); err != nil {
 		return fmt.Errorf("core: Load: %w", err)
 	}
 	return nil
@@ -114,8 +120,8 @@ func (ds *Dataset) Load(ctx context.Context, r io.Reader) error {
 
 // Dump writes the stored records to w in address order, in the same wire
 // format Load reads (N*pdm.RecordBytes bytes total). It always reads the
-// current source portion — the output of the most recent execution —
-// regardless of how many passes have run. Not counted as parallel I/O.
+// current source portion — the most recent execution's output or Load's
+// input — regardless of how many commits have run. Not counted as parallel I/O.
 // Dump holds the shared read lock, so any number of Dumps may stream
 // concurrently while executions wait; ctx cancellation aborts between
 // chunks (w may have received a prefix). Like Load it runs on the
@@ -133,8 +139,10 @@ func (ds *Dataset) Dump(ctx context.Context, w io.Writer) error {
 
 // Records returns the stored records in address order (diagnostic; not
 // counted as I/O). It always reads the system's current source portion —
-// the portion holding the output of the most recent execution. Concurrent
-// Records/Dump calls are safe; a running execution is waited out.
+// the portion holding the most recent execution's output or Load's input.
+// It returns all N records at once; Dump streams them in one chunk of
+// memory. Concurrent Records/Dump calls are safe; a running execution is
+// waited out.
 func (ds *Dataset) Records() ([]pdm.Record, error) {
 	ds.sys.AcquireRead()
 	defer ds.sys.ReleaseRead()

@@ -8,35 +8,35 @@ import (
 )
 
 // LoadSequential fills the system's source portion with the canonical
-// records MakeRecord(0..N-1), the starting state of every experiment. Not
-// counted as I/O.
+// records MakeRecord(0..N-1), the starting state of every experiment, one
+// chunk at a time. Not counted as I/O, and no commit: it initializes
+// storage that holds no committed records yet.
 func LoadSequential(sys *pdm.System) error {
-	cfg := sys.Config()
-	recs := make([]pdm.Record, cfg.N)
-	for i := range recs {
-		recs[i] = pdm.MakeRecord(uint64(i))
-	}
-	return sys.LoadRecords(sys.Source(), recs)
+	return sys.FillRecords(sys.Source(), func(off int, chunk []pdm.Record) error {
+		for i := range chunk {
+			chunk[i] = pdm.MakeRecord(uint64(off + i))
+		}
+		return nil
+	})
 }
 
 // VerifyMapping checks that portion p holds exactly the permutation given
 // by targetOf applied to canonical records: the record stored at address y
 // must carry key x with targetOf(x) = y and an intact integrity tag. It
-// reports the first violation.
+// scans one chunk at a time and reports the first violation.
 func VerifyMapping(sys *pdm.System, p pdm.Portion, targetOf func(uint64) uint64) error {
-	recs, err := sys.DumpRecords(p)
-	if err != nil {
-		return err
-	}
-	for y, r := range recs {
-		if !r.CheckIntegrity() {
-			return fmt.Errorf("engine: record at address %d corrupted (key %d)", y, r.Key)
+	return sys.ScanRecords(p, func(off int, chunk []pdm.Record) error {
+		for i, r := range chunk {
+			y := uint64(off + i)
+			if !r.CheckIntegrity() {
+				return fmt.Errorf("engine: record at address %d corrupted (key %d)", y, r.Key)
+			}
+			if got := targetOf(r.Key); got != y {
+				return fmt.Errorf("engine: address %d holds record %d, which belongs at %d", y, r.Key, got)
+			}
 		}
-		if got := targetOf(r.Key); got != uint64(y) {
-			return fmt.Errorf("engine: address %d holds record %d, which belongs at %d", y, r.Key, got)
-		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // VerifyBMMC checks that portion p holds the result of applying the BMMC

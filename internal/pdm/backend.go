@@ -20,10 +20,10 @@ type RangeXfer struct {
 // Backend abstracts the storage a System's D disks live on. Every transfer
 // the System makes reaches the backend as a ReadBlocks or WriteBlocks batch
 // of runs: a counted parallel I/O (at most one block per disk), the
-// coalesced runs of a whole group of them, or a stripe of a bulk load or
-// dump. One batch may carry several runs for the same disk; the backend
-// may service a batch's runs in any order, and the System never puts two
-// runs that overlap in conflicting ways into one batch.
+// coalesced runs of a whole group of them, or a chunk of whole stripes of
+// a bulk load or dump. One batch may carry several runs for the same disk;
+// the backend may service a batch's runs in any order, and the System
+// never puts two runs that overlap in conflicting ways into one batch.
 //
 // Implementations must tolerate concurrent calls from distinct goroutines:
 // the pipelined pass runner overlaps a prefetch read with an in-flight

@@ -12,7 +12,14 @@ package pdm
 type Buffer struct {
 	b    int // records per frame (block size B)
 	recs []Record
-	xbuf []RangeXfer // per-buffer scratch for one-wave transfer batches
+	// Scratch for the transfers the buffer serves, reused because a Buffer
+	// never serves two parallel I/Os at once: the backend batch, and for
+	// grouped transfers the per-disk block lists, the frame marks and the
+	// coalesced runs.
+	xbuf      []RangeXfer
+	perDisk   [][]rangeRef
+	frameSeen []bool
+	runs      []groupRun
 }
 
 // AcquireBuffer returns a fresh zeroed memoryload-sized buffer (M records,

@@ -1,6 +1,9 @@
 package pdm
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Grouped parallel I/O: the engine's pass runner knows a whole memoryload's
 // operations at once (the M/BD striped reads of a load, or an MLD pass's
@@ -78,7 +81,7 @@ func (s *System) parallelIO(kind IOKind, p Portion, group [][]BlockIO, buf *Buff
 			xfers[i] = RangeXfer{Disk: io.Disk, Block: s.physBlock(p, io.Block), Data: buf.Frame(io.Frame)}
 		}
 	default:
-		perDisk, total := s.groupRefs(kind, p, group)
+		perDisk, total := s.groupRefs(kind, p, group, buf)
 		if perDisk == nil {
 			return s.replay(kind, p, group, buf)
 		}
@@ -123,11 +126,20 @@ type rangeRef struct {
 // and counts them. A nil result reports a hazard that makes the group's
 // outcome depend on operation order — a frame reused across operations, or
 // (for writes) a block written more than once — so the caller must serve
-// the group wave by wave.
-func (s *System) groupRefs(kind IOKind, p Portion, group [][]BlockIO) ([][]rangeRef, int) {
+// the group wave by wave. The lists and frame marks live in buf, which
+// never serves two parallel I/Os at once, and striped groups arrive in
+// block order, so only a list that is out of order is sorted.
+func (s *System) groupRefs(kind IOKind, p Portion, group [][]BlockIO, buf *Buffer) ([][]rangeRef, int) {
+	if len(buf.perDisk) != s.cfg.D {
+		buf.perDisk = make([][]rangeRef, s.cfg.D)
+		buf.frameSeen = make([]bool, s.cfg.Frames())
+	}
+	perDisk, frameSeen := buf.perDisk, buf.frameSeen
+	for d := range perDisk {
+		perDisk[d] = perDisk[d][:0]
+	}
+	clear(frameSeen)
 	total := 0
-	perDisk := make([][]rangeRef, s.cfg.D)
-	frameSeen := make([]bool, s.cfg.Frames())
 	for _, ios := range group {
 		for _, io := range ios {
 			if frameSeen[io.Frame] {
@@ -138,8 +150,11 @@ func (s *System) groupRefs(kind IOKind, p Portion, group [][]BlockIO) ([][]range
 			total++
 		}
 	}
+	byPhys := func(a, b rangeRef) int { return cmp.Compare(a.phys, b.phys) }
 	for _, refs := range perDisk {
-		sort.Slice(refs, func(i, j int) bool { return refs[i].phys < refs[j].phys })
+		if !slices.IsSortedFunc(refs, byPhys) {
+			slices.SortFunc(refs, byPhys)
+		}
 		if kind == IOWrite {
 			for i := 1; i < len(refs); i++ {
 				if refs[i].phys == refs[i-1].phys {
@@ -161,10 +176,9 @@ type groupRun struct {
 // buildRuns walks each disk's sorted refs and splits them into runs of
 // consecutive physical blocks. Multi-block runs are backed by disjoint
 // spans of slab and returned for copyRuns; single-block runs transfer
-// directly against their buffer frame.
+// directly against their buffer frame. Both lists reuse buf's scratch.
 func buildRuns(perDisk [][]rangeRef, slab []Record, bs int, buf *Buffer) ([]RangeXfer, []groupRun) {
-	xfers := make([]RangeXfer, 0, len(perDisk))
-	var runs []groupRun
+	xfers, runs := buf.xbuf[:0], buf.runs[:0]
 	used := 0
 	for disk, refs := range perDisk {
 		for i := 0; i < len(refs); {
@@ -183,6 +197,7 @@ func buildRuns(perDisk [][]rangeRef, slab []Record, bs int, buf *Buffer) ([]Rang
 			i = j
 		}
 	}
+	buf.xbuf, buf.runs = xfers, runs
 	return xfers, runs
 }
 

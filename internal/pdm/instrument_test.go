@@ -86,8 +86,8 @@ func TestInstrumentedSystemSamplesBatches(t *testing.T) {
 		if err := sys.LoadRecords(PortionA, sequentialRecords(cfg.N)); err != nil {
 			t.Fatal(err)
 		}
-		if len(samples) != cfg.Stripes() {
-			t.Fatalf("concurrent=%v: load gave %d samples, want one per stripe (%d)", concurrent, len(samples), cfg.Stripes())
+		if chunks := cfg.Stripes() / sys.chunkStripes(); len(samples) != chunks {
+			t.Fatalf("concurrent=%v: load gave %d samples, want one per chunk (%d)", concurrent, len(samples), chunks)
 		}
 		samples = nil
 		// Four striped waves coalesce into one run per disk: one batch of

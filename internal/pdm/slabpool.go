@@ -2,13 +2,15 @@ package pdm
 
 import "sync"
 
-// slabPools hands out reusable record arenas keyed by record count. The
-// streaming data plane (System.LoadFrom/DumpTo, and through them every
-// bmmcd upload/download stream) acquires one arena per stream instead of
-// allocating per call; a daemon serving many concurrent streams over
-// datasets of differing geometries therefore keeps one pool per distinct
-// slab size. The map holds *sync.Pool values and only grows — the set of
-// geometries a process touches is small and stable.
+// slabPools hands out reusable record arenas keyed by record count. Every
+// bulk path (System.LoadFrom, DumpTo, FillRecords and ScanRecords, and
+// through them every bmmcd upload and download, the canonical fill and a
+// verify) walks the stored records through one arena of at most one
+// chunk, 2^14 records, and the grouped parallel I/O stages its coalesced
+// runs in one; acquiring from the pool spares each call its own arena. A
+// daemon serving datasets of differing geometries keeps one pool per
+// distinct slab size. The map holds *sync.Pool values and only grows — the
+// set of sizes a process touches is small and stable.
 var slabPools sync.Map // map[int]*sync.Pool
 
 // AcquireSlab returns a record arena of exactly n records from the pool,

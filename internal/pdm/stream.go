@@ -2,112 +2,173 @@ package pdm
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 )
 
-// streamChunkRecords bounds how many records the streaming data plane
-// moves between context checks: large enough that the I/O dominates, small
-// enough that cancellation is prompt and the per-chunk Write to a socket
+// streamChunkRecords bounds how many records every bulk path moves per
+// backend batch: large enough that the I/O dominates, small enough that
+// cancellation is prompt and an upload or download holds one 256 KiB arena
+// rather than N records, and that the per-chunk Write to a socket
 // amortizes its syscall.
 const streamChunkRecords = 1 << 14
 
-// chunkStripes returns the whole-stripe chunking of the streaming data
-// plane: at least one stripe, at most streamChunkRecords records.
+// ErrInput marks a LoadFrom that failed on its input stream — a short or
+// unreadable stream, or a canceled context — rather than on storage. The
+// committed records are unchanged either way.
+var ErrInput = errors.New("pdm: LoadFrom input stream")
+
+// chunkStripes returns the whole-stripe chunking of the bulk paths: at
+// least one stripe, at most streamChunkRecords records and at most the
+// whole portion.
 func (s *System) chunkStripes() int {
 	cs := streamChunkRecords / (s.cfg.B * s.cfg.D)
-	if cs < 1 {
-		cs = 1
-	}
-	return cs
+	return min(max(cs, 1), s.cfg.Stripes())
 }
 
-// LoadFrom replaces portion p's records with exactly N records read from r
+// walk moves portion p's N records between the backend and memory a chunk
+// of whole stripes at a time, in address order; every bulk path is one
+// walk. Within a stripe the D blocks lie consecutively in address order,
+// so each chunk reaches the backend as one batch of block transfers that
+// alias the chunk's records, with nothing staged. When recs is nil the
+// chunks pass through one pooled arena; otherwise recs holds all N records
+// and each chunk aliases its span. Writes call fn to fill each chunk
+// before it is stored, reads call fn with each chunk once it has arrived —
+// through the backend's copy-free block views when it offers them. The
+// first error from fn or from the backend ends the walk.
+func (s *System) walk(kind IOKind, p Portion, recs []Record, fn func(off int, chunk []Record) error) error {
+	cfg := s.cfg
+	stripeRecs := cfg.B * cfg.D
+	cs := s.chunkStripes()
+	arena := recs == nil
+	if arena {
+		recs = AcquireSlab(cs * stripeRecs)
+		defer ReleaseSlab(recs)
+	}
+	var viewer BlockViewer
+	if kind == IORead {
+		viewer, _ = s.be.(BlockViewer)
+	}
+	xs := make([]RangeXfer, 0, cs*cfg.D)
+	for stripe0 := 0; stripe0 < cfg.Stripes(); stripe0 += cs {
+		off, span := stripe0*stripeRecs, min(cs, cfg.Stripes()-stripe0)*stripeRecs
+		chunk := recs[:span]
+		if !arena {
+			chunk = recs[off : off+span]
+		}
+		if kind == IOWrite && fn != nil {
+			if err := fn(off, chunk); err != nil {
+				return err
+			}
+		}
+		xs = xs[:0]
+		for b := 0; b < len(chunk)/cfg.B; b++ {
+			disk, block := b%cfg.D, s.physBlock(p, stripe0+b/cfg.D)
+			data := chunk[b*cfg.B : (b+1)*cfg.B]
+			if viewer != nil {
+				if v, ok := viewer.BlockView(disk, block); ok {
+					copy(data, v)
+					continue
+				}
+			}
+			xs = append(xs, RangeXfer{Disk: disk, Block: block, Data: data})
+		}
+		if len(xs) > 0 {
+			if err := s.transfer(kind, xs); err != nil {
+				return err
+			}
+		}
+		if kind == IORead && fn != nil {
+			if err := fn(off, chunk); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// ScanRecords hands portion p's N records to fn in address order, one
+// chunk at a time: off is the address of chunk[0], and chunk is valid only
+// until fn returns. Not counted as I/O. It holds one chunk of memory
+// however large N is; verification scans run on it.
+func (s *System) ScanRecords(p Portion, fn func(off int, chunk []Record) error) error {
+	return s.walk(IORead, p, nil, fn)
+}
+
+// FillRecords stores N records into portion p in address order, one chunk
+// at a time: fn fills chunk with the records of addresses off onward. Not
+// counted as I/O, and the portion roles do not change, so it suits only
+// storage that holds no committed records yet, like a new dataset's
+// canonical fill; LoadFrom commits.
+func (s *System) FillRecords(p Portion, fn func(off int, chunk []Record) error) error {
+	return s.walk(IOWrite, p, nil, fn)
+}
+
+// LoadFrom replaces the stored records with exactly N records read from r
 // in the wire format, returning the bytes consumed. Like LoadRecords it is
 // not counted as parallel I/O — it models the data already residing on the
 // disks — and it is the bulk path under Dataset.Load and every bmmcd
-// upload: the stream is read chunk-wise into a pooled record arena (on
+// upload. The stream is read one chunk at a time into a pooled arena (on
 // little-endian hosts the bytes land in the records with no per-record
-// decode) and committed to the backend a whole stripe per batch, with the
-// transfer slices aliasing the arena.
+// decode), and each chunk goes straight into the target portion, which
+// holds nothing live between runs, as one backend batch aliasing the
+// arena. After the last byte LoadFrom commits by swapping the portions,
+// exactly as a pass does, so an upload holds one chunk of memory, not N
+// records.
 //
 // The reader is consumed exactly N*RecordBytes bytes; fewer is an error
-// (io.ErrUnexpectedEOF). ctx cancellation and short reads abort before
-// anything is committed, leaving the stored records unchanged.
-func (s *System) LoadFrom(ctx context.Context, p Portion, r io.Reader) (int64, error) {
-	cfg := s.cfg
-	slab := AcquireSlab(cfg.N)
-	defer ReleaseSlab(slab)
+// (io.ErrUnexpectedEOF). A short, unreadable or canceled stream fails with
+// ErrInput in its chain and a storage fault with the backend's error;
+// either way the portions are not swapped, so the committed records are
+// unchanged.
+func (s *System) LoadFrom(ctx context.Context, r io.Reader) (int64, error) {
+	n := s.cfg.N
 	var read int64
-	for off := 0; off < cfg.N; off += streamChunkRecords {
+	err := s.walk(IOWrite, s.Target(), nil, func(off int, chunk []Record) error {
 		if err := ctx.Err(); err != nil {
-			return read, fmt.Errorf("pdm: LoadFrom canceled at record %d/%d: %w", off, cfg.N, err)
+			return fmt.Errorf("%w: canceled at record %d/%d: %w", ErrInput, off, n, err)
 		}
-		nrec := min(streamChunkRecords, cfg.N-off)
-		n, err := ReadRecords(r, slab[off:off+nrec])
-		read += int64(n)
+		got, err := ReadRecords(r, chunk)
+		read += int64(got)
 		if err != nil {
-			return read, fmt.Errorf("pdm: LoadFrom: reading records %d..%d of %d: %w", off, off+nrec-1, cfg.N, err)
+			return fmt.Errorf("%w: reading records %d..%d of %d: %w", ErrInput, off, off+len(chunk)-1, n, err)
 		}
-	}
-	// The full stream arrived; commit it stripe-wise. Transfer slices
-	// alias the arena, so the backend copies each block exactly once (and
-	// file backends write the slab bytes as-is).
-	xs := make([]RangeXfer, cfg.D)
-	for stripe := 0; stripe < cfg.Stripes(); stripe++ {
-		s.stripeXfers(xs, p, stripe, slab)
-		if err := s.transfer(IOWrite, xs); err != nil {
-			return read, err
+		return nil
+	})
+	if err != nil {
+		if !errors.Is(err, ErrInput) {
+			err = fmt.Errorf("pdm: LoadFrom: %w", err)
 		}
+		return read, err
 	}
+	s.SwapPortions()
 	return read, nil
 }
 
 // DumpTo writes portion p's N records to w in address order in the wire
 // format, returning the bytes written. Not counted as parallel I/O. It is
 // the bulk path under Dataset.Dump and every bmmcd download: blocks are
-// gathered a chunk of stripes at a time into a pooled arena (through the
-// backend's copy-free block views when it offers them) and each chunk goes
-// out in one Write, so no per-record encode runs anywhere on the path.
-// ctx cancellation aborts between chunks (w may have received a prefix).
+// gathered a chunk at a time into a pooled arena (through the backend's
+// copy-free block views when it offers them) and each chunk goes out in
+// one Write, so no per-record encode runs anywhere on the path. ctx
+// cancellation aborts between chunks (w may have received a prefix).
 func (s *System) DumpTo(ctx context.Context, p Portion, w io.Writer) (int64, error) {
-	cfg := s.cfg
-	stripeRecs := cfg.B * cfg.D
-	cs := s.chunkStripes()
-	slab := AcquireSlab(cs * stripeRecs)
-	defer ReleaseSlab(slab)
-	viewer, _ := s.be.(BlockViewer)
-	xs := make([]RangeXfer, 0, cfg.D)
+	n := s.cfg.N
 	var written int64
-	for stripe0 := 0; stripe0 < cfg.Stripes(); stripe0 += cs {
+	err := s.walk(IORead, p, nil, func(off int, chunk []Record) error {
 		if err := ctx.Err(); err != nil {
-			return written, fmt.Errorf("pdm: DumpTo canceled at stripe %d/%d: %w", stripe0, cfg.Stripes(), err)
+			return fmt.Errorf("canceled at record %d/%d: %w", off, n, err)
 		}
-		ns := min(cs, cfg.Stripes()-stripe0)
-		for sw := 0; sw < ns; sw++ {
-			base := sw * stripeRecs
-			xs = xs[:0]
-			for disk := 0; disk < cfg.D; disk++ {
-				dst := slab[base+disk*cfg.B : base+(disk+1)*cfg.B]
-				if viewer != nil {
-					if v, ok := viewer.BlockView(disk, s.physBlock(p, stripe0+sw)); ok {
-						copy(dst, v)
-						continue
-					}
-				}
-				xs = append(xs, RangeXfer{Disk: disk, Block: s.physBlock(p, stripe0+sw), Data: dst})
-			}
-			if len(xs) > 0 {
-				if err := s.transfer(IORead, xs); err != nil {
-					return written, err
-				}
-			}
-		}
-		n, err := WriteRecords(w, slab[:ns*stripeRecs])
-		written += int64(n)
+		got, err := WriteRecords(w, chunk)
+		written += int64(got)
 		if err != nil {
-			return written, fmt.Errorf("pdm: DumpTo: writing stripes %d..%d of %d: %w", stripe0, stripe0+ns-1, cfg.Stripes(), err)
+			return fmt.Errorf("writing records %d..%d of %d: %w", off, off+len(chunk)-1, n, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return written, fmt.Errorf("pdm: DumpTo: %w", err)
 	}
 	return written, nil
 }

@@ -7,9 +7,10 @@ import (
 	"testing"
 )
 
-// Benchmarks of the streaming data plane: the whole-slab LoadFrom/DumpTo
-// paths against the per-record LoadRecords/DumpRecords they replaced as
-// the bulk route under Dataset.Load/Dump and bmmcd streams.
+// Benchmarks of the streaming data plane: LoadFrom and DumpTo, the bulk
+// route under Dataset.Load/Dump and bmmcd streams, each walking the
+// records one chunk at a time through a pooled arena, one backend batch
+// per chunk.
 
 func benchWire(cfg Config) []byte {
 	recs := make([]Record, cfg.N)
@@ -25,7 +26,7 @@ func BenchmarkLoadFromMem(b *testing.B) {
 	b.SetBytes(int64(len(wire)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.LoadFrom(context.Background(), PortionA, bytes.NewReader(wire)); err != nil {
+		if _, err := sys.LoadFrom(context.Background(), bytes.NewReader(wire)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -37,7 +38,7 @@ func BenchmarkLoadFromFile(b *testing.B) {
 	b.SetBytes(int64(len(wire)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.LoadFrom(context.Background(), PortionA, bytes.NewReader(wire)); err != nil {
+		if _, err := sys.LoadFrom(context.Background(), bytes.NewReader(wire)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -193,8 +193,8 @@ func (s *System) Source() Portion { return s.source }
 // Target returns the portion the next pass writes to.
 func (s *System) Target() Portion { return 1 - s.source }
 
-// SwapPortions exchanges the source and target roles, as done between
-// chained one-pass permutations.
+// SwapPortions exchanges the source and target roles: the commit of every
+// pass, which has written the target portion, and of every LoadFrom.
 func (s *System) SwapPortions() { s.source = 1 - s.source }
 
 // validate checks a batch of block transfers against the model's rules:
@@ -264,49 +264,28 @@ func (s *System) WriteStripe(p Portion, stripe, frame0 int, buf *Buffer) error {
 // The helpers below bypass the I/O accounting. They exist for test setup and
 // post-run verification only — algorithms must never call them.
 
-// stripeXfers points xs at stripe `stripe` of portion p, one block per disk,
-// with the transfer slices aliasing the stripe's records in recs, laid out
-// in address order: within a stripe that is exactly D consecutive blocks,
-// so nothing is staged through a scratch block.
-func (s *System) stripeXfers(xs []RangeXfer, p Portion, stripe int, recs []Record) {
-	for disk := range xs {
-		base := s.cfg.Addr(stripe, disk, 0)
-		xs[disk] = RangeXfer{Disk: disk, Block: s.physBlock(p, stripe), Data: recs[base : base+uint64(s.cfg.B)]}
-	}
-}
-
 // LoadRecords fills portion p with the given N records laid out per
 // Figure 1 (striped, record index varying fastest within a block). Not
 // counted as I/O. As with DumpRecords, p names a fixed physical portion:
-// pass Source() to replace the records the next pass will read.
+// pass Source() to replace the records the next pass will read. The
+// backend batches alias records, a chunk at a time.
 func (s *System) LoadRecords(p Portion, records []Record) error {
 	if len(records) != s.cfg.N {
 		return fmt.Errorf("pdm: LoadRecords got %d records, want N = %d", len(records), s.cfg.N)
 	}
-	xs := make([]RangeXfer, s.cfg.D)
-	for stripe := 0; stripe < s.cfg.Stripes(); stripe++ {
-		s.stripeXfers(xs, p, stripe, records)
-		if err := s.transfer(IOWrite, xs); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.walk(IOWrite, p, records, nil)
 }
 
 // DumpRecords returns the N records of portion p in address order. Not
 // counted as I/O. Note that p is a fixed physical portion, not a role: the
-// source/target roles swap after every pass (SwapPortions), so after an odd
-// number of passes the permuted output sits in PortionB. Callers that want
-// "the current records" should pass Source(), which always names the
-// portion holding the output of the most recent pass.
+// source/target roles swap after every pass and every LoadFrom
+// (SwapPortions), so after an odd number of them the current records sit
+// in PortionB. Callers that want "the current records" should pass
+// Source(), which always names the portion holding the most recent commit.
 func (s *System) DumpRecords(p Portion) ([]Record, error) {
 	out := make([]Record, s.cfg.N)
-	xs := make([]RangeXfer, s.cfg.D)
-	for stripe := 0; stripe < s.cfg.Stripes(); stripe++ {
-		s.stripeXfers(xs, p, stripe, out)
-		if err := s.transfer(IORead, xs); err != nil {
-			return nil, err
-		}
+	if err := s.walk(IORead, p, out, nil); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -171,3 +171,104 @@ func TestChaosDatasetSurvivesFaultedJob(t *testing.T) {
 		t.Fatalf("dataset gauges inconsistent after chaos: %+v", mt)
 	}
 }
+
+// TestChaosUploadWriteFault: a disk fault in the middle of a dataset
+// upload is the daemon's failure, not the client's: the PUT answers 500
+// (a short stream still answers 400), the dataset still serves the records
+// it held before, and once the disk recovers a retried upload and a job on
+// it both succeed.
+func TestChaosUploadWriteFault(t *testing.T) {
+	var flaky *pdm.FlakyBackend
+	m := newTestManager(t, ManagerConfig{
+		Workers:    1,
+		QueueDepth: 4,
+		WrapBackend: func(kind string, be bmmc.Backend) bmmc.Backend {
+			// The 200th block write fails: mid-upload, after 199 of the
+			// upload's 512 blocks have landed.
+			fb := pdm.NewFlakyBackend(be, pdm.FlakyOptions{FailAfterN: 200, Mode: pdm.FaultWriteOnly})
+			fb.Disarm() // dataset provisioning loads canonical records clean
+			flaky = fb
+			return fb
+		},
+	})
+	srv := httptest.NewServer(NewHandler(m, nil))
+	t.Cleanup(srv.Close)
+	d := createDS(t, m, BackendFile)
+	if flaky == nil {
+		t.Fatal("WrapBackend seam was not applied to dataset storage")
+	}
+	wire := func(key func(i uint64) uint64) []byte {
+		recs := make([]bmmc.Record, testConfig.N)
+		for i := range recs {
+			recs[i] = bmmc.MakeRecord(key(uint64(i)))
+		}
+		return encodeRecords(recs)
+	}
+	before := wire(func(i uint64) uint64 { return 3*i + 1 })
+	next := wire(func(i uint64) uint64 { return i ^ 0x5a5 })
+	put := func(body []byte) int {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPut, srv.URL+"/v1/datasets/"+d.id+"/input", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	download := func() []byte {
+		t.Helper()
+		var out bytes.Buffer
+		if err := d.Download(context.Background(), &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
+	}
+	if status := put(before); status != http.StatusNoContent {
+		t.Fatalf("clean upload answered %d", status)
+	}
+
+	flaky.Reset()
+	flaky.Arm()
+	status := put(next)
+	flaky.Disarm()
+	if status != http.StatusInternalServerError {
+		t.Errorf("upload with a disk fault answered %d, want 500", status)
+	}
+	if got := download(); !bytes.Equal(got, before) {
+		changed := 0
+		for i := 0; i < len(got); i += bmmc.RecordBytes {
+			if !bytes.Equal(got[i:i+bmmc.RecordBytes], before[i:i+bmmc.RecordBytes]) {
+				changed++
+			}
+		}
+		t.Fatalf("faulted upload replaced %d of %d committed records", changed, testConfig.N)
+	}
+
+	// A short stream stays the client's fault.
+	if status := httpStatus(t, d.Upload(context.Background(), bytes.NewReader(next[:len(next)/2]))); status != http.StatusBadRequest {
+		t.Fatalf("short upload answered %d, want 400", status)
+	}
+	if !bytes.Equal(download(), before) {
+		t.Fatal("short upload changed the committed records")
+	}
+
+	if status := put(next); status != http.StatusNoContent {
+		t.Fatalf("retried upload answered %d", status)
+	}
+	p := bmmc.GrayCode(testConfig.LgN())
+	j := dsSubmit(t, m, d, p)
+	if s := waitTerminal(t, j); s != StateDone {
+		t.Fatalf("job after the retried upload finished %s (%s), want done", s, j.Status().Error)
+	}
+	got := download()
+	for x := uint64(0); x < uint64(testConfig.N); x++ {
+		want := bmmc.DecodeRecord(next[x*bmmc.RecordBytes:])
+		if rec := bmmc.DecodeRecord(got[p.Apply(x)*bmmc.RecordBytes:]); rec != want {
+			t.Fatalf("address %d holds %+v, want %+v", p.Apply(x), rec, want)
+		}
+	}
+}

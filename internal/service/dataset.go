@@ -2,12 +2,14 @@ package service
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"sync"
 	"time"
 
 	bmmc "repro"
+	"repro/internal/pdm"
 )
 
 // dsEntry is one daemon-resident dataset: a bmmc.Dataset on provisioned
@@ -241,9 +243,20 @@ func (d *dsEntry) Upload(ctx context.Context, r io.Reader) error {
 	err := d.ds.Load(ctx, r)
 	d.endStream(err == nil)
 	if err != nil {
-		return &httpError{http.StatusBadRequest, "loading dataset input: " + err.Error()}
+		return loadError("loading dataset input", err)
 	}
 	return nil
+}
+
+// loadError maps a failed upload to its status: a fault in the client's
+// stream — short, unreadable or canceled — is the client's 400, a storage
+// fault the daemon's 500. Either way the stored records are unchanged.
+func loadError(what string, err error) error {
+	status := http.StatusInternalServerError
+	if errors.Is(err, pdm.ErrInput) {
+		status = http.StatusBadRequest
+	}
+	return &httpError{status, what + ": " + err.Error()}
 }
 
 // Download streams the dataset's current records — the output of the most

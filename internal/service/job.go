@@ -255,7 +255,7 @@ func (j *Job) Upload(ctx context.Context, r io.Reader) error {
 		j.enqueue(j)
 	}
 	if err != nil {
-		return &httpError{http.StatusBadRequest, "loading input: " + err.Error()}
+		return loadError("loading input", err)
 	}
 	return nil
 }
