@@ -340,3 +340,47 @@ func TestDatasetBulkPathsHoldFewChunks(t *testing.T) {
 		t.Errorf("Verify of %d records allocated %d bytes, want at most four chunks (%d)", cfg.N, got, limit)
 	}
 }
+
+// TestChaosLoadRecordsWriteFault: a storage fault part way through
+// Dataset.LoadRecords leaves the stored records as they were, and the
+// retry commits.
+func TestChaosLoadRecordsWriteFault(t *testing.T) {
+	fb := pdm.NewFlakyBackend(pdm.MemBackend(), pdm.FlakyOptions{FailAfterN: coreConfig.Blocks() / 2, Mode: pdm.FaultWriteOnly})
+	fb.Disarm()
+	ds, err := CreateDataset(coreConfig, WithBackend(fb))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	before, err := ds.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]pdm.Record, coreConfig.N)
+	for i := range recs {
+		recs[i] = pdm.MakeRecord(uint64(i) ^ 0x5a5)
+	}
+	fb.Arm()
+	err = ds.LoadRecords(recs)
+	fb.Disarm()
+	if !errors.Is(err, pdm.ErrInjectedFault) {
+		t.Fatalf("faulted LoadRecords error = %v, want the injected fault", err)
+	}
+	holds := func(want []pdm.Record) {
+		t.Helper()
+		got, err := ds.Records()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("address %d holds %+v, want %+v", i, got[i], want[i])
+			}
+		}
+	}
+	holds(before)
+	if err := ds.LoadRecords(recs); err != nil {
+		t.Fatal(err)
+	}
+	holds(recs)
+}

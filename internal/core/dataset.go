@@ -121,13 +121,13 @@ func (ds *Dataset) Load(ctx context.Context, r io.Reader) error {
 // Dump writes the stored records to w in address order, in the same wire
 // format Load reads (N*pdm.RecordBytes bytes total). It always reads the
 // current source portion — the most recent execution's output or Load's
-// input — regardless of how many commits have run. Not counted as parallel I/O.
-// Dump holds the shared read lock, so any number of Dumps may stream
-// concurrently while executions wait; ctx cancellation aborts between
-// chunks (w may have received a prefix). Like Load it runs on the
-// streaming data plane (pdm.System.DumpTo): whole stripes into a pooled
-// arena — via copy-free block views when the backend offers them — and no
-// per-record encode on little-endian hosts.
+// input — regardless of how many commits have run. Not counted as
+// parallel I/O. Dump holds the shared read lock, so any number of Dumps
+// may stream concurrently while executions wait; ctx cancellation aborts
+// between chunks (w may have received a prefix). Like Load it runs on the
+// streaming data plane (pdm.System.DumpTo): one chunk of whole stripes at
+// a time into a pooled arena — via copy-free block views when the backend
+// offers them — and no per-record encode on little-endian hosts.
 func (ds *Dataset) Dump(ctx context.Context, w io.Writer) error {
 	ds.sys.AcquireRead()
 	defer ds.sys.ReleaseRead()
@@ -149,13 +149,19 @@ func (ds *Dataset) Records() ([]pdm.Record, error) {
 	return ds.sys.DumpRecords(ds.sys.Source())
 }
 
-// LoadRecords replaces the stored records (diagnostic; not counted as
-// I/O). Like Records, it targets the current source portion — the records
-// the next execution will read — under the exclusive run lock.
+// LoadRecords replaces the stored records with recs (diagnostic; not
+// counted as I/O) under the exclusive run lock. Like Load it writes the
+// portion the next pass would write and commits by the portion swap, so
+// the next execution and Records read recs, and a storage fault leaves
+// the stored records unchanged.
 func (ds *Dataset) LoadRecords(recs []pdm.Record) error {
 	ds.sys.AcquireRun()
 	defer ds.sys.ReleaseRun()
-	return ds.sys.LoadRecords(ds.sys.Source(), recs)
+	if err := ds.sys.LoadRecords(ds.sys.Target(), recs); err != nil {
+		return err
+	}
+	ds.sys.SwapPortions()
+	return nil
 }
 
 // Verify checks that the stored records are exactly the image of the

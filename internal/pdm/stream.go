@@ -8,10 +8,9 @@ import (
 )
 
 // streamChunkRecords bounds how many records every bulk path moves per
-// backend batch: large enough that the I/O dominates, small enough that
-// cancellation is prompt and an upload or download holds one 256 KiB arena
-// rather than N records, and that the per-chunk Write to a socket
-// amortizes its syscall.
+// backend batch: large enough that the I/O dominates and each Write to a
+// socket amortizes its syscall, small enough that cancellation is prompt
+// and a bulk path holds one 256 KiB arena rather than N records.
 const streamChunkRecords = 1 << 14
 
 // ErrInput marks a LoadFrom that failed on its input stream — a short or
