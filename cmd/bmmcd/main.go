@@ -10,7 +10,10 @@
 // once, and any number of jobs submitted with a dataset handle then run on
 // that storage back-to-back, in submission order, with no re-upload, until
 // GET .../output downloads the composed result and DELETE reclaims the
-// storage.
+// storage. DELETE of a standalone job that finished done with file or
+// sharded storage may keep its directory under -dir as a spare, which the
+// next job of the same backend and geometry takes over; at most -workers
+// spares are kept, and shutdown removes them.
 //
 // Usage:
 //
@@ -61,7 +64,7 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:9432", "listen address (port 0 for OS-assigned)")
-		dir      = flag.String("dir", "", "base directory for job storage (empty: private temp dir)")
+		dir      = flag.String("dir", "", "base directory for job storage (empty: private temp dir); DELETE of a done job may keep its directory as a spare for the next job, and shutdown removes it")
 		shards   = flag.Int("shards", service.DefaultShards, "shard directories per sharded-backend job")
 		maxJobs  = flag.Int("max-jobs", service.DefaultQueueDepth, "admission queue depth (backpressure beyond it)")
 		workers  = flag.Int("workers", service.DefaultWorkers, "worker pool size (jobs executing concurrently)")

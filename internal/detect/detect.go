@@ -55,17 +55,20 @@ func CandidateReadBound(cfg pdm.Config) int {
 	return (cfg.LgN() - cfg.LgB() + 1 + d - 1) / d
 }
 
-// LoadTargetVector stores the target-address vector on the system's source
-// portion: the record at address x carries targetOf(x) in its Key. Not
-// counted as I/O (it is the experiment's input state).
+// LoadTargetVector stores the target-address vector as the system's
+// records: the record at address x carries targetOf(x) in its Key. Not
+// counted as I/O (it is the experiment's input state). It computes the
+// records a chunk at a time and commits them by the portion swap
+// (pdm.System.ReplaceRecords), so Source() then holds the vector, and a
+// storage fault leaves the previous records in place.
 func LoadTargetVector(sys *pdm.System, targetOf func(uint64) uint64) error {
-	cfg := sys.Config()
-	recs := make([]pdm.Record, cfg.N)
-	for x := range recs {
-		y := targetOf(uint64(x))
-		recs[x] = pdm.Record{Key: y, Tag: pdm.TagFor(y)}
-	}
-	return sys.LoadRecords(sys.Source(), recs)
+	return sys.ReplaceRecords(func(off int, chunk []pdm.Record) error {
+		for i := range chunk {
+			y := targetOf(uint64(off + i))
+			chunk[i] = pdm.Record{Key: y, Tag: pdm.TagFor(y)}
+		}
+		return nil
+	})
 }
 
 // Detect runs the full Section 6 procedure on the target-address vector

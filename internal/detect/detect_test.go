@@ -1,7 +1,10 @@
 package detect
 
 import (
+	"errors"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/gf2"
@@ -248,5 +251,86 @@ func TestDetectReportsClass(t *testing.T) {
 		if !res.IsBMMC || res.Class != c.want {
 			t.Errorf("%s: class %v, want %v", c.name, res.Class, c.want)
 		}
+	}
+}
+
+// allocated reports the bytes fn allocates on the heap, after two
+// collections settle what came before.
+func allocated(fn func()) uint64 {
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestLoadTargetVectorHoldsFewChunks: storing a 2^20-address target
+// vector on file storage allocates a few 256 KiB chunks, not N records.
+func TestLoadTargetVectorHoldsFewChunks(t *testing.T) {
+	cfg := pdm.Config{N: 1 << 20, D: 8, B: 64, M: 1 << 14}
+	sys, err := pdm.NewSystem(cfg, pdm.FileBackend(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	p := perm.BitReversal(cfg.LgN())
+	const limit = 4 << 18 // four chunks of 2^14 16-byte records
+	var err2 error
+	if got := allocated(func() { err2 = LoadTargetVector(sys, p.Apply) }); err2 != nil {
+		t.Fatal(err2)
+	} else if got > limit {
+		t.Errorf("LoadTargetVector of %d addresses allocated %d bytes, want at most four chunks (%d)", cfg.N, got, limit)
+	}
+	res, err := Detect(sys, sys.Source())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.IsBMMC || !res.Perm.Equal(p) {
+		t.Fatalf("detection after the chunked load: BMMC=%v perm=%v, want bit reversal", res.IsBMMC, res.Perm)
+	}
+}
+
+// TestChaosLoadTargetVectorWriteFault: a storage fault part way through a
+// load fails it and leaves the previous vector readable, whole.
+func TestChaosLoadTargetVectorWriteFault(t *testing.T) {
+	cfg := pdm.Config{N: 1 << 16, D: 4, B: 8, M: 1 << 7} // four chunks
+	chunkXfers := (1 << 14) / cfg.B
+	fb := pdm.NewFlakyBackend(pdm.MemBackend(), pdm.FlakyOptions{FailAfterN: 2*chunkXfers + chunkXfers/2, Mode: pdm.FaultWriteOnly})
+	fb.Disarm()
+	sys, err := pdm.NewSystem(cfg, fb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	p := perm.GrayCode(cfg.LgN())
+	if err := LoadTargetVector(sys, p.Apply); err != nil {
+		t.Fatal(err)
+	}
+	before, err := sys.DumpRecords(sys.Source())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fb.Arm()
+	err = LoadTargetVector(sys, perm.BitReversal(cfg.LgN()).Apply)
+	fb.Disarm()
+	if !errors.Is(err, pdm.ErrInjectedFault) {
+		t.Fatalf("faulted load error = %v, want the injected fault", err)
+	}
+	after, err := sys.DumpRecords(sys.Source())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(after, before) {
+		t.Fatal("a faulted LoadTargetVector changed the stored vector")
+	}
+	res, err := Detect(sys, sys.Source())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.IsBMMC || !res.Perm.Equal(p) {
+		t.Fatalf("detection after the faulted load: BMMC=%v, want the Gray code", res.IsBMMC)
 	}
 }

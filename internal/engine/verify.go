@@ -10,7 +10,8 @@ import (
 // LoadSequential fills the system's source portion with the canonical
 // records MakeRecord(0..N-1), the starting state of every experiment, one
 // chunk at a time. Not counted as I/O, and no commit: it initializes
-// storage that holds no committed records yet.
+// storage that holds no committed records yet, or none that its new owner
+// may read, like a released job's storage that bmmcd hands to the next.
 func LoadSequential(sys *pdm.System) error {
 	return sys.FillRecords(sys.Source(), func(off int, chunk []pdm.Record) error {
 		for i := range chunk {

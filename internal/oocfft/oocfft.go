@@ -42,18 +42,21 @@ func DecodeSample(r pdm.Record) complex128 {
 	return complex(math.Float64frombits(r.Key), math.Float64frombits(r.Tag))
 }
 
-// LoadSamples stores the samples on the system's source portion (setup;
-// not counted as I/O).
+// LoadSamples stores the samples as the system's records (setup; not
+// counted as I/O). It encodes them a chunk at a time and commits by the
+// portion swap (pdm.System.ReplaceRecords), so Source() then holds them,
+// and a storage fault leaves the previous records in place.
 func LoadSamples(sys *pdm.System, samples []complex128) error {
 	cfg := sys.Config()
 	if len(samples) != cfg.N {
 		return fmt.Errorf("oocfft: %d samples, want N = %d", len(samples), cfg.N)
 	}
-	recs := make([]pdm.Record, cfg.N)
-	for i, s := range samples {
-		recs[i] = EncodeSample(s)
-	}
-	return sys.LoadRecords(sys.Source(), recs)
+	return sys.ReplaceRecords(func(off int, chunk []pdm.Record) error {
+		for i, s := range samples[off : off+len(chunk)] {
+			chunk[i] = EncodeSample(s)
+		}
+		return nil
+	})
 }
 
 // DumpSamples reads the samples back in address order (not counted).

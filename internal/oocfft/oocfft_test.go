@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/pdm"
@@ -244,4 +246,80 @@ func BenchmarkOutOfCoreFFT(b *testing.B) {
 		sys.Close()
 	}
 	b.ReportMetric(float64(ios), "pios")
+}
+
+// allocated reports the bytes fn allocates on the heap, after two
+// collections settle what came before.
+func allocated(fn func()) uint64 {
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestLoadSamplesHoldsFewChunks: storing 2^20 samples on file storage
+// allocates a few 256 KiB chunks, not a second N-record copy of them.
+func TestLoadSamplesHoldsFewChunks(t *testing.T) {
+	cfg := pdm.Config{N: 1 << 20, D: 8, B: 64, M: 1 << 14}
+	sys, err := pdm.NewSystem(cfg, pdm.FileBackend(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	x := randomSignal(rand.New(rand.NewSource(31)), cfg.N)
+	const limit = 4 << 18 // four chunks of 2^14 16-byte records
+	var err2 error
+	if got := allocated(func() { err2 = LoadSamples(sys, x) }); err2 != nil {
+		t.Fatal(err2)
+	} else if got > limit {
+		t.Errorf("LoadSamples of %d samples allocated %d bytes, want at most four chunks (%d)", cfg.N, got, limit)
+	}
+	for _, i := range []int{0, 1, cfg.N/2 + 3, cfg.N - 1} {
+		r, err := sys.RecordAt(sys.Source(), uint64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := DecodeSample(r); got != x[i] {
+			t.Fatalf("sample %d reads %v, want %v", i, got, x[i])
+		}
+	}
+}
+
+// TestChaosLoadSamplesWriteFault: a storage fault part way through a load
+// fails it and leaves the previous samples readable, whole.
+func TestChaosLoadSamplesWriteFault(t *testing.T) {
+	cfg := pdm.Config{N: 1 << 16, D: 4, B: 8, M: 1 << 8} // four chunks
+	chunkXfers := (1 << 14) / cfg.B
+	fb := pdm.NewFlakyBackend(pdm.MemBackend(), pdm.FlakyOptions{FailAfterN: 2*chunkXfers + chunkXfers/2, Mode: pdm.FaultWriteOnly})
+	fb.Disarm()
+	sys, err := pdm.NewSystem(cfg, fb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	rng := rand.New(rand.NewSource(32))
+	if err := LoadSamples(sys, randomSignal(rng, cfg.N)); err != nil {
+		t.Fatal(err)
+	}
+	before, err := sys.DumpRecords(sys.Source())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fb.Arm()
+	err = LoadSamples(sys, randomSignal(rng, cfg.N))
+	fb.Disarm()
+	if !errors.Is(err, pdm.ErrInjectedFault) {
+		t.Fatalf("faulted load error = %v, want the injected fault", err)
+	}
+	after, err := sys.DumpRecords(sys.Source())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(after, before) {
+		t.Fatal("a faulted LoadSamples changed the stored samples")
+	}
 }

@@ -67,7 +67,9 @@ func (m *Matrix) Cols() int { return 1 << uint(m.lgS) }
 func (m *Matrix) Stats() pdm.Stats { return m.sys.Stats() }
 
 // Load fills the matrix from values in row-major order (setup; not counted
-// as I/O).
+// as I/O). It encodes them a chunk at a time and commits by the portion
+// swap (pdm.System.ReplaceRecords), so a storage fault leaves the previous
+// values in place.
 func (m *Matrix) Load(values []float64) error {
 	if m.tileMajor {
 		return fmt.Errorf("oocmatrix: matrix is in tile-major layout")
@@ -76,11 +78,12 @@ func (m *Matrix) Load(values []float64) error {
 	if len(values) != cfg.N {
 		return fmt.Errorf("oocmatrix: %d values, want %d", len(values), cfg.N)
 	}
-	recs := make([]pdm.Record, cfg.N)
-	for i, v := range values {
-		recs[i] = pdm.Record{Key: math.Float64bits(v)}
-	}
-	return m.sys.LoadRecords(m.sys.Source(), recs)
+	return m.sys.ReplaceRecords(func(off int, chunk []pdm.Record) error {
+		for i, v := range values[off : off+len(chunk)] {
+			chunk[i] = pdm.Record{Key: math.Float64bits(v)}
+		}
+		return nil
+	})
 }
 
 // Dump returns the values in row-major order (not counted as I/O).

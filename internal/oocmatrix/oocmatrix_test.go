@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/pdm"
@@ -334,4 +336,82 @@ func BenchmarkOutOfCoreMultiply(b *testing.B) {
 		bm.Close()
 	}
 	b.ReportMetric(float64(ios), "pios")
+}
+
+// allocated reports the bytes fn allocates on the heap, after two
+// collections settle what came before.
+func allocated(fn func()) uint64 {
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestLoadHoldsFewChunks: loading a 2^20-element matrix stored on files
+// allocates a few 256 KiB chunks, not an N-record copy of the values.
+func TestLoadHoldsFewChunks(t *testing.T) {
+	cfg := pdm.Config{N: 1 << 20, D: 8, B: 64, M: 1 << 14}
+	sys, err := pdm.NewSystem(cfg, pdm.FileBackend(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &Matrix{sys: sys, lgR: 10, lgS: 10}
+	defer m.Close()
+	vals := randomValues(rand.New(rand.NewSource(171)), cfg.N)
+	const limit = 4 << 18 // four chunks of 2^14 16-byte records
+	var err2 error
+	if got := allocated(func() { err2 = m.Load(vals) }); err2 != nil {
+		t.Fatal(err2)
+	} else if got > limit {
+		t.Errorf("Load of %d values allocated %d bytes, want at most four chunks (%d)", cfg.N, got, limit)
+	}
+	for _, ij := range [][2]int{{0, 0}, {3, 17}, {1023, 1023}} {
+		v, err := m.At(ij[0], ij[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := vals[ij[0]<<10|ij[1]]; v != want {
+			t.Fatalf("At(%d,%d) = %v, want %v", ij[0], ij[1], v, want)
+		}
+	}
+}
+
+// TestChaosLoadWriteFault: a storage fault part way through a load fails
+// it and leaves the previous values readable, whole.
+func TestChaosLoadWriteFault(t *testing.T) {
+	cfg := pdm.Config{N: 1 << 16, D: 4, B: 8, M: 1 << 8} // four chunks
+	chunkXfers := (1 << 14) / cfg.B
+	fb := pdm.NewFlakyBackend(pdm.MemBackend(), pdm.FlakyOptions{FailAfterN: 2*chunkXfers + chunkXfers/2, Mode: pdm.FaultWriteOnly})
+	fb.Disarm()
+	sys, err := pdm.NewSystem(cfg, fb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &Matrix{sys: sys, lgR: 8, lgS: 8}
+	defer m.Close()
+	rng := rand.New(rand.NewSource(172))
+	if err := m.Load(randomValues(rng, cfg.N)); err != nil {
+		t.Fatal(err)
+	}
+	before, err := sys.DumpRecords(sys.Source())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fb.Arm()
+	err = m.Load(randomValues(rng, cfg.N))
+	fb.Disarm()
+	if !errors.Is(err, pdm.ErrInjectedFault) {
+		t.Fatalf("faulted load error = %v, want the injected fault", err)
+	}
+	after, err := sys.DumpRecords(sys.Source())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(after, before) {
+		t.Fatal("a faulted Load changed the stored values")
+	}
 }

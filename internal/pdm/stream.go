@@ -98,23 +98,39 @@ func (s *System) ScanRecords(p Portion, fn func(off int, chunk []Record) error) 
 // FillRecords stores N records into portion p in address order, one chunk
 // at a time: fn fills chunk with the records of addresses off onward. Not
 // counted as I/O, and the portion roles do not change, so it suits only
-// storage that holds no committed records yet, like a new dataset's
-// canonical fill; LoadFrom commits.
+// storage that holds no committed records of its owner yet: a new
+// dataset's canonical fill, or a released bmmcd job's storage filled for
+// the next job. ReplaceRecords commits.
 func (s *System) FillRecords(p Portion, fn func(off int, chunk []Record) error) error {
 	return s.walk(IOWrite, p, nil, fn)
+}
+
+// ReplaceRecords replaces the stored records with N records that fn
+// produces in address order, one chunk at a time: fn fills chunk with the
+// records of addresses off onward. Not counted as I/O. The chunks go into
+// the target portion, which holds nothing live between runs, through one
+// pooled arena, and after the last one ReplaceRecords commits by swapping
+// the portions, exactly as a pass does. So it holds one chunk of memory
+// however large N is, and an error from fn or from storage leaves the
+// committed records unchanged. Every loader that computes its records
+// runs on it; LoadFrom reads them from a stream.
+func (s *System) ReplaceRecords(fn func(off int, chunk []Record) error) error {
+	if err := s.walk(IOWrite, s.Target(), nil, fn); err != nil {
+		return err
+	}
+	s.SwapPortions()
+	return nil
 }
 
 // LoadFrom replaces the stored records with exactly N records read from r
 // in the wire format, returning the bytes consumed. Like LoadRecords it is
 // not counted as parallel I/O — it models the data already residing on the
 // disks — and it is the bulk path under Dataset.Load and every bmmcd
-// upload. The stream is read one chunk at a time into a pooled arena (on
-// little-endian hosts the bytes land in the records with no per-record
-// decode), and each chunk goes straight into the target portion, which
-// holds nothing live between runs, as one backend batch aliasing the
-// arena. After the last byte LoadFrom commits by swapping the portions,
-// exactly as a pass does, so an upload holds one chunk of memory, not N
-// records.
+// upload. It is a ReplaceRecords whose chunks are read from the stream
+// (on little-endian hosts the bytes land in the records with no
+// per-record decode), and each chunk goes into the target portion as one
+// backend batch aliasing the arena. After the last byte it commits by the
+// portion swap, so an upload holds one chunk of memory, not N records.
 //
 // The reader is consumed exactly N*RecordBytes bytes; fewer is an error
 // (io.ErrUnexpectedEOF). A short, unreadable or canceled stream fails with
@@ -124,7 +140,7 @@ func (s *System) FillRecords(p Portion, fn func(off int, chunk []Record) error) 
 func (s *System) LoadFrom(ctx context.Context, r io.Reader) (int64, error) {
 	n := s.cfg.N
 	var read int64
-	err := s.walk(IOWrite, s.Target(), nil, func(off int, chunk []Record) error {
+	err := s.ReplaceRecords(func(off int, chunk []Record) error {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("%w: canceled at record %d/%d: %w", ErrInput, off, n, err)
 		}
@@ -135,14 +151,10 @@ func (s *System) LoadFrom(ctx context.Context, r io.Reader) (int64, error) {
 		}
 		return nil
 	})
-	if err != nil {
-		if !errors.Is(err, ErrInput) {
-			err = fmt.Errorf("pdm: LoadFrom: %w", err)
-		}
-		return read, err
+	if err != nil && !errors.Is(err, ErrInput) {
+		err = fmt.Errorf("pdm: LoadFrom: %w", err)
 	}
-	s.SwapPortions()
-	return read, nil
+	return read, err
 }
 
 // DumpTo writes portion p's N records to w in address order in the wire

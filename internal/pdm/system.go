@@ -194,7 +194,8 @@ func (s *System) Source() Portion { return s.source }
 func (s *System) Target() Portion { return 1 - s.source }
 
 // SwapPortions exchanges the source and target roles: the commit of every
-// pass, which has written the target portion, and of every LoadFrom.
+// pass, which has written the target portion, and of every ReplaceRecords
+// (LoadFrom among them).
 func (s *System) SwapPortions() { s.source = 1 - s.source }
 
 // validate checks a batch of block transfers against the model's rules:
@@ -278,7 +279,7 @@ func (s *System) LoadRecords(p Portion, records []Record) error {
 
 // DumpRecords returns the N records of portion p in address order. Not
 // counted as I/O. Note that p is a fixed physical portion, not a role: the
-// source/target roles swap after every pass and every LoadFrom
+// source/target roles swap after every pass and every ReplaceRecords
 // (SwapPortions), so after an odd number of them the current records sit
 // in PortionB. Callers that want "the current records" should pass
 // Source(), which always names the portion holding the most recent commit.

@@ -18,7 +18,10 @@ import (
 // POST /v1/datasets, registered in the manager's dataset table and chained
 // on by any number of jobs. A private entry belongs to one standalone job:
 // it is never registered, so only its job's data plane reaches it, and the
-// job's release deletes it. The entry owns three invariants:
+// job's release retires it. A done job's file or sharded storage then
+// outlives the entry as a spare, which the next standalone job of its kind
+// and geometry takes over in an entry of its own; otherwise the release
+// deletes the storage. The entry owns three invariants:
 //
 //   - Jobs bound to one dataset execute in submission order (the ticket
 //     turnstile), so a chain "bit-reversal then its inverse" composes the
@@ -55,7 +58,7 @@ type dsEntry struct {
 	streams    int          // uploads + downloads in flight
 	tails      int          // of those, downloads writing their last byte
 	handoff    bool         // replica transfer in flight; data and job planes closed
-	released   bool         // storage closed and removed (or being removed)
+	released   bool         // retired: storage torn down (or being torn down) or pooled as a spare
 }
 
 func newDSEntry(id, backend string, cfg bmmc.Config, private bool) *dsEntry {

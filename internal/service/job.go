@@ -12,11 +12,13 @@ import (
 )
 
 // Job is one admitted permutation job: the dataset entry it runs on (a
-// shared daemon Dataset for chained jobs, or a private entry provisioned
-// for this job alone and deleted on its release), a prepared plan from the
-// manager's shared Engine, and a lifecycle the worker pool drives through
-// the State machine. All mutable fields are guarded by mu; a standalone
-// job's uploads and downloads are counted as streams on its entry.
+// shared daemon Dataset for chained jobs, or a private entry for this job
+// alone, retired on its release: a done job's file or sharded storage goes
+// to the manager's pool of spares, and any other is deleted), a prepared
+// plan from the manager's shared Engine, and a lifecycle the worker pool
+// drives through the State machine. All mutable fields are guarded by mu;
+// a standalone job's uploads and downloads are counted as streams on its
+// entry.
 type Job struct {
 	id   string
 	perm bmmc.Permutation
@@ -59,7 +61,7 @@ type Job struct {
 	pending     bool // awaiting input: holds an admission slot, not yet runnable
 	inputLoaded bool
 	claimed     bool // a worker started processing (planning or beyond)
-	released    bool // storage closed and removed
+	released    bool // storage released: torn down, or pooled for the next job
 	progress    *Progress
 	report      *RunReport
 	submitted   time.Time

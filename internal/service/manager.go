@@ -9,10 +9,12 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
 	bmmc "repro"
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/pdm"
 )
@@ -40,7 +42,10 @@ type ManagerConfig struct {
 	// Zero selects DefaultQueueDepth.
 	QueueDepth int
 	// Dir is the base directory for file- and sharded-backend job storage.
-	// Empty means a private temporary directory, removed at Shutdown.
+	// Empty means a private temporary directory, removed at Shutdown. A
+	// released done standalone job may leave its job-<id> directory behind
+	// as a spare for the next job of its kind and geometry; Shutdown
+	// removes the spares.
 	Dir string
 	// Shards is how many shard directories a BackendSharded job spreads its
 	// disks over. Zero selects DefaultShards.
@@ -62,13 +67,19 @@ type ManagerConfig struct {
 	// (per-job and dataset storage alike) before first use — the seam the
 	// chaos suites inject fault and latency adversaries through, for this
 	// package's tests and for cluster-level tests that poison one worker's
-	// storage.
+	// storage. A spare that a later job reuses keeps the wrap of its first
+	// provisioning.
 	WrapBackend func(kind string, be bmmc.Backend) bmmc.Backend
 
 	// hook, when set by tests, runs inside each job's progress callback
 	// after every progress event, in event order — deterministic
 	// instrumentation for cancellation and race tests.
 	hook func(*Job, bmmc.PassEvent)
+	// afterFinish, when set by tests, runs on the worker goroutine once
+	// finish has recorded a processed job's terminal state, before its run
+	// returns: the window in which a client may already release the job
+	// and a new job take its storage.
+	afterFinish func(*Job)
 }
 
 // ErrQueueFull is returned by Submit when the admission queue is at
@@ -104,6 +115,10 @@ type Manager struct {
 	queueLen int      // reserved admission-queue slots
 	seq      int
 	rng      *rand.Rand
+	// spares are released done standalone jobs' file and sharded storage,
+	// oldest first, at most cfg.Workers of them: a standalone job of the
+	// same kind and geometry takes one instead of provisioning.
+	spares []*dsEntry
 
 	submitted int
 	created   int // datasets ever created
@@ -227,11 +242,12 @@ func (m *Manager) Submit(req SubmitRequest) (*Job, error) {
 	id := fmt.Sprintf("j%04d-%06x", m.seq, m.rng.Uint32()&0xffffff)
 	m.mu.Unlock()
 
+	reused := false
 	if entry == nil {
 		// A standalone job gets a private entry. An await-input job skips
 		// the canonical fill: it cannot run before an upload of all N
 		// records overwrites it.
-		entry, err = m.provision(id, backend, cfg, true, !req.AwaitInput)
+		entry, reused, err = m.jobEntry(id, backend, cfg, !req.AwaitInput)
 	}
 	// Take an execution-order ticket and an active reference. On a shared
 	// dataset no storage is provisioned and no data moves.
@@ -284,6 +300,9 @@ func (m *Manager) Submit(req SubmitRequest) (*Job, error) {
 	m.submitted++
 	m.mu.Unlock()
 	m.obs.jobTransition(j, StateQueued, "") // admission is the first audited transition
+	if entry.private {
+		m.obs.jobStorage(reused)
+	}
 	if !req.AwaitInput {
 		m.queue <- j // cannot block: a slot was reserved above
 	} else if m.cfg.InputWait > 0 {
@@ -298,7 +317,8 @@ func (m *Manager) Submit(req SubmitRequest) (*Job, error) {
 	}
 	m.log.Info("job queued", "job", id, "backend", entry.backend, "dataset", req.Dataset,
 		"config", cfg.String(), "class", j.summary.Class, "passes", j.summary.PassCount,
-		"cost_ios", j.summary.CostIOs, "plan_shared", shared, "await_input", req.AwaitInput)
+		"cost_ios", j.summary.CostIOs, "plan_shared", shared, "await_input", req.AwaitInput,
+		"storage_reused", reused)
 	return j, nil
 }
 
@@ -386,6 +406,76 @@ func (m *Manager) provision(id, kind string, cfg bmmc.Config, private, fill bool
 		return nil, &httpError{http.StatusInternalServerError, "provisioning storage: " + err.Error()}
 	}
 	return d, nil
+}
+
+// jobEntry builds a standalone job's private entry. When the pool holds a
+// spare of the same kind and geometry, the job gets a fresh entry (its own
+// turnstile, stream counter and released flag) over the spare's Dataset,
+// directory and sink, and the pages its upload and passes store into are
+// already allocated and mapped. With fill the reused storage then gets the
+// same canonical fill CreateDataset runs; without it the upload replaces
+// the whole of the previous job's records before the job can run. Either
+// way they are never readable. Otherwise the storage is provisioned.
+func (m *Manager) jobEntry(id, kind string, cfg bmmc.Config, fill bool) (d *dsEntry, reused bool, err error) {
+	spare := m.takeSpare(kind, cfg)
+	if spare == nil {
+		d, err = m.provision(id, kind, cfg, true, fill)
+		return d, false, err
+	}
+	d = newDSEntry(id, kind, cfg, true)
+	d.ds, d.dir, d.sink = spare.ds, spare.dir, spare.sink
+	// The previous job is done, so the fill's io spans belong to no trace.
+	d.sink.buf.Store(nil)
+	if fill {
+		if err := engine.LoadSequential(d.ds.System()); err != nil {
+			m.teardown(d)
+			return nil, false, &httpError{http.StatusInternalServerError, "filling reused storage: " + err.Error()}
+		}
+	}
+	return d, true, nil
+}
+
+// takeSpare removes and returns the newest pooled spare of the given kind
+// and geometry, or nil when there is none.
+func (m *Manager) takeSpare(kind string, cfg bmmc.Config) *dsEntry {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i := len(m.spares) - 1; i >= 0; i-- {
+		if d := m.spares[i]; d.backend == kind && d.cfg == cfg {
+			m.spares = slices.Delete(m.spares, i, i+1)
+			return d
+		}
+	}
+	return nil
+}
+
+// recycle retires a released private entry's storage, which its caller
+// owns. A done job's file or sharded storage goes to the pool of spares,
+// and a full pool tears its oldest spare down. Failed and canceled jobs'
+// storage (it may sit behind an armed fault adversary), mem storage
+// (heap the collector recycles anyway) and anything released once
+// Shutdown has begun are torn down.
+func (m *Manager) recycle(d *dsEntry, done bool) {
+	if !done || d.backend == BackendMem {
+		m.teardown(d)
+		return
+	}
+	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		m.teardown(d)
+		return
+	}
+	var evicted *dsEntry
+	if len(m.spares) == m.cfg.Workers {
+		evicted = m.spares[0]
+		m.spares = slices.Delete(m.spares, 0, 1)
+	}
+	m.spares = append(m.spares, d)
+	m.mu.Unlock()
+	if evicted != nil {
+		m.teardown(evicted)
+	}
 }
 
 // teardown closes an entry's storage and removes its directory. Every
@@ -618,10 +708,10 @@ func (m *Manager) run(j *Job) {
 	d.waitTurn(j.ticket)
 	defer d.retire(j.ticket)
 	// The job's cost is the delta its run adds to the dataset's counters —
-	// snapshot after winning the turnstile, so chained predecessors'
-	// I/O is excluded exactly (a private entry is fresh and the delta is
-	// the total). finish always subtracts this snapshot, including on the
-	// canceled-before-execution path below.
+	// snapshot after winning the turnstile, so chained predecessors' I/O is
+	// excluded exactly, and so is the I/O of earlier jobs whose storage a
+	// private entry reuses. finish always subtracts this snapshot,
+	// including on the canceled-before-execution path below.
 	j.statsBefore = d.ds.Stats()
 	// Per-pass attribution starts from the same snapshot; finish charges
 	// any residual I/O past the last pass boundary to the job's counters.
@@ -630,7 +720,10 @@ func (m *Manager) run(j *Job) {
 	// of the run. Jobs on one dataset are serialized by the turnstile
 	// above, so the sink has one owner at a time.
 	d.sink.buf.Store(j.traceBuf)
-	defer d.sink.buf.Store(nil)
+	// Clear only this job's buffer: once finish has made a standalone job
+	// done, its client may release it before this run returns, and the
+	// next job may already run on its storage, sink included.
+	defer d.sink.buf.CompareAndSwap(j.traceBuf, nil)
 
 	// The plan itself was prepared at submit time through the shared
 	// Engine; the planning state covers claiming the job, sealing its
@@ -656,7 +749,8 @@ func (m *Manager) run(j *Job) {
 func (m *Manager) finish(j *Job, rep *bmmc.Report, err error) {
 	// The job's cost is the delta over the dataset's counters at claim
 	// time: exact because jobs on one dataset are serialized by the ticket
-	// turnstile (and a private entry sees only its own job).
+	// turnstile, and a private entry runs only its own job (earlier jobs
+	// on reused storage ran before the claim).
 	stats := j.dsEntry.ds.Stats()
 	// Charge any I/O past the last pass-boundary event (a pass aborted by
 	// cancellation, or a plan with no progress events) to the pass counter
@@ -721,6 +815,9 @@ func (m *Manager) finish(j *Job, rep *bmmc.Report, err error) {
 	if state != StateDone || !j.dsEntry.private {
 		m.release(j)
 	}
+	if m.cfg.afterFinish != nil {
+		m.cfg.afterFinish(j)
+	}
 }
 
 // Cancel stops a job: a queued job goes terminal immediately and is never
@@ -767,9 +864,11 @@ func (m *Manager) Cancel(id string) (*Job, error) {
 }
 
 // release retires a job's hold on storage and is idempotent. A private
-// entry is deleted once its in-flight upload or downloads drain (the job
-// is marked released up front so no new download can start); a shared
-// dataset stays untouched (its lifecycle is DeleteDataset's).
+// entry is released once its in-flight upload or downloads drain (the job
+// is marked released up front so no new download can start), and its
+// storage recycled: pooled as a spare when the job is done, else torn
+// down. A shared dataset stays untouched (its lifecycle is
+// DeleteDataset's).
 func (m *Manager) release(j *Job) {
 	j.mu.Lock()
 	if j.released {
@@ -777,10 +876,15 @@ func (m *Manager) release(j *Job) {
 		return
 	}
 	j.released = true // openOutput now refuses new downloads
+	done := j.state == StateDone
 	j.mu.Unlock()
 	j.cancel()
-	if j.dsEntry.private {
-		m.dropEntry(j.dsEntry)
+	if d := j.dsEntry; d.private {
+		// No caller releases a job still counted active on its entry, so
+		// tryRelease cannot refuse.
+		if owner, _ := d.tryRelease(); owner {
+			m.recycle(d, done)
+		}
 	}
 }
 
@@ -838,8 +942,8 @@ func (m *Manager) Metrics() *Metrics {
 // Shutdown drains the daemon: no new submissions are admitted, queued jobs
 // are canceled, and running jobs get until ctx's deadline to finish before
 // their contexts are canceled. All job storage is released and all shared
-// datasets are drained (in-flight downloads finish) and removed before
-// return.
+// datasets are drained (in-flight downloads finish) and removed, and then
+// the pooled spares are torn down, before return.
 func (m *Manager) Shutdown(ctx context.Context) {
 	m.mu.Lock()
 	if m.closed {
@@ -893,6 +997,14 @@ func (m *Manager) Shutdown(ctx context.Context) {
 	// the way job release drains a private entry.
 	for _, d := range datasets {
 		m.dropEntry(d)
+	}
+	// Releases from here on tear down, so the pool only shrinks.
+	m.mu.Lock()
+	spares := m.spares
+	m.spares = nil
+	m.mu.Unlock()
+	for _, d := range spares {
+		m.teardown(d)
 	}
 	if m.ownsDir {
 		os.RemoveAll(m.baseDir)

@@ -24,6 +24,7 @@ type managerObs struct {
 	dataBytes   *obs.CounterVec   // bmmc_data_plane_bytes_total{direction}
 	passIOs     *obs.CounterVec   // bmmc_pass_ios{class,kernel}
 	bounds      *obs.GaugeVec     // bmmc_pass_io_bound{bound}
+	storage     *obs.CounterVec   // bmmc_job_storage_total{source}
 }
 
 func newManagerObs(m *Manager) *managerObs {
@@ -48,11 +49,16 @@ func newManagerObs(m *Manager) *managerObs {
 			"Cumulative theoretical parallel-I/O bounds over jobs that finished done: "+
 				"Theorem 3 lower and Theorem 21 upper. bmmc_pass_ios / this ratio is measured-vs-theory.",
 			"bound"),
+		storage: r.CounterVec("bmmc_job_storage_total",
+			"Standalone jobs by where their storage came from: provisioned fresh, or reused from a released done job.",
+			"source"),
 	}
-	// Touch the bound series so a scrape before the first completed job
-	// still exports both brackets.
+	// Touch the bound and storage series so a scrape before the first
+	// job still exports every one of them.
 	o.bounds.With("lower").Add(0)
 	o.bounds.With("upper").Add(0)
+	o.storage.With("provisioned").Add(0)
+	o.storage.With("reused").Add(0)
 
 	obs.RegisterRuntime(r, "bmmc")
 
@@ -96,10 +102,21 @@ func (o *managerObs) jobTransition(j *Job, to State, errMsg string) {
 		"state", string(to), "class", j.summary.Class, "error", errMsg)
 }
 
+// jobStorage counts one admitted standalone job's storage source.
+func (o *managerObs) jobStorage(reused bool) {
+	source := "provisioned"
+	if reused {
+		source = "reused"
+	}
+	o.storage.With(source).Inc()
+}
+
 // ioSink routes instrumented-backend samples to whichever job currently
 // runs on the backend. The manager points it at the running job's trace
 // buffer for the duration of Execute; dataset jobs are turnstile-
-// serialized, so at most one job owns the sink at a time.
+// serialized, so at most one job owns the sink at a time. The sink moves
+// with reused job storage to the next job's entry, and a run clears it
+// only while it still holds that run's own buffer.
 type ioSink struct {
 	buf atomic.Pointer[obs.TraceBuffer]
 }

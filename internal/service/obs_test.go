@@ -132,6 +132,32 @@ func TestObservabilityMLDJob(t *testing.T) {
 		if ios == 0 {
 			t.Error("trace has no io spans from the instrumented file backend")
 		}
+
+		// Released, the done job's file storage waits as a spare, and a
+		// second job of the same geometry takes it instead of provisioning.
+		if _, err := m.Cancel(j.ID()); err != nil {
+			t.Fatal(err)
+		}
+		j2, err := m.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := waitTerminal(t, j2); s != StateDone {
+			t.Fatalf("second job finished %s: %s", s, j2.Status().Error)
+		}
+		if _, err := m.Cancel(j2.ID()); err != nil {
+			t.Fatal(err)
+		}
+		fams = scrapeMetrics(t, srv.URL+"/metrics")
+		for source, want := range map[string]float64{"provisioned": 1, "reused": 1} {
+			got, err := obstest.Value(fams, "bmmc_job_storage_total", map[string]string{"source": source})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("bmmc_job_storage_total{source=%q} = %v, want %v", source, got, want)
+			}
+		}
 	}()
 	waitNoLeak(t, base)
 }

@@ -14,10 +14,13 @@
 // Every job runs on a dataset entry: a Dataset on provisioned storage
 // (RAM, a file directory, or sharded directories). A job submitted with a
 // dataset handle runs on that shared entry, chained with the dataset's
-// other jobs. A standalone job runs on a private entry provisioned for it
-// alone: the dataset table never lists it, and releasing the job deletes
-// it. A private entry for an await-input job skips the canonical fill,
-// since the job cannot run before its upload replaces every record.
+// other jobs. A standalone job runs on a private entry of its own: the
+// dataset table never lists it, and releasing the job retires it. A done
+// job's file or sharded storage then waits in a pool of spares for the
+// next standalone job of its kind and geometry, which takes it over
+// instead of provisioning; any other storage is deleted. A private entry
+// for an await-input job skips the canonical fill, since the job cannot
+// run before its upload replaces every record.
 //
 // A job moves through the states queued -> planning -> running ->
 // done/failed/canceled. Planning in the paper's sense (classification and
@@ -85,8 +88,9 @@ type SubmitRequest struct {
 	// AwaitInput holds the job out of the execution queue — while still
 	// occupying an admission slot — until a PUT /input upload of all N
 	// records completes, so workers never race ahead of the data plane.
-	// The job's storage starts empty rather than canonical, since nothing
-	// runs on it or downloads from it before that upload. The daemon
+	// The job's storage skips the canonical fill (a reused spare keeps
+	// the previous job's records until the upload replaces them), since
+	// nothing runs on it or downloads from it before that upload. The daemon
 	// cancels the job if no upload lands within its input-wait deadline,
 	// so idle submitters cannot hold admission slots forever. Without
 	// AwaitInput the job is runnable immediately and permutes the
@@ -216,7 +220,7 @@ type JobStatus struct {
 	Dataset     string       `json:"dataset,omitempty"` // shared dataset the job runs on
 	Plan        *PlanSummary `json:"plan"`
 	InputLoaded bool         `json:"input_loaded"`       // user records uploaded (else canonical)
-	Released    bool         `json:"released,omitempty"` // storage reclaimed; output gone
+	Released    bool         `json:"released,omitempty"` // storage reclaimed or pooled; output gone
 	Progress    *Progress    `json:"progress,omitempty"` // last reported pass position
 	Report      *RunReport   `json:"report,omitempty"`   // set when done
 	Submitted   time.Time    `json:"submitted"`
