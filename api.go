@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"repro/internal/bounds"
-	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/gf2"
 	"repro/internal/pdm"
@@ -35,18 +34,6 @@ type Matrix = gf2.Matrix
 // Vec is a bit vector over GF(2) (component i in bit i).
 type Vec = gf2.Vec
 
-// Report pairs a run's measured cost with the paper's bounds.
-type Report = core.Report
-
-// BatchReport carries the per-job reports and aggregate cost of an
-// Engine.PermuteAll or Engine.ExecuteAll batch, including plan-cache
-// effectiveness.
-type BatchReport = core.BatchReport
-
-// CacheStats reports plan-cache hits, misses, and evictions for an Engine
-// (see Engine.CacheStats).
-type CacheStats = core.CacheStats
-
 // Detection reports the outcome of run-time BMMC detection (Section 6).
 type Detection = detect.Result
 
@@ -60,39 +47,6 @@ const (
 	ClassBMMC     = perm.ClassBMMC
 	ClassInvMLD   = perm.ClassInvMLD
 )
-
-// Option tunes an Engine (planning and progress) or a Dataset (storage).
-// Concurrent disk dispatch changes wall-clock behavior only: the permuted
-// records and the measured parallel-I/O counts are identical either way.
-// The planning options (pass fusion, plan caching) sit above execution:
-// fusion can only lower the measured parallel-I/O count, and caching only
-// skips repeated factorization work — the permuted records are always
-// identical. The storage options (WithBackend, WithConcurrentIO) configure
-// CreateDataset and OpenDataset; the rest configure NewEngine and, per
-// call, Engine methods.
-type Option = core.Option
-
-// WithConcurrentIO moves every transfer of each storage batch — the
-// per-disk blocks of a parallel I/O, or the coalesced runs of a group of
-// them — on its own goroutine, so file-backed disks overlap real storage
-// latency like D independent spindles. Off by default.
-func WithConcurrentIO(on bool) Option { return core.WithConcurrentIO(on) }
-
-// WithFusion enables or disables pass fusion: adjacent passes of the
-// Section 5 factorization whose GF(2) composition is still one-pass
-// executable are merged before execution, lowering the measured
-// parallel-I/O count for permutations the greedy factoring over-splits.
-// On by default.
-func WithFusion(on bool) Option { return core.WithFusion(on) }
-
-// DefaultPlanCacheEntries is the plan-cache capacity an Engine gets when
-// WithPlanCache is not specified.
-const DefaultPlanCacheEntries = core.DefaultPlanCacheEntries
-
-// WithPlanCache sets the capacity (in plans) of the LRU plan cache that
-// lets repeated permutations skip re-factorization; n <= 0 disables
-// caching. The default is DefaultPlanCacheEntries.
-func WithPlanCache(n int) Option { return core.WithPlanCache(n) }
 
 // MakeRecord returns the canonical record for a source address.
 func MakeRecord(key uint64) Record { return pdm.MakeRecord(key) }
@@ -158,13 +112,6 @@ func RandomPermutation(rng *rand.Rand, n int) Permutation {
 // controls the paper's I/O bounds.
 func RandomWithRankGamma(rng *rand.Rand, n, b, g int) Permutation {
 	return perm.MustNew(gf2.RandomNonsingularWithGamma(rng, n, b, g), gf2.RandomVec(rng, n))
-}
-
-// DetectTargets runs the Section 6 run-time detection over a vector of
-// target addresses: it forms the unique candidate (A, c), verifies all N
-// addresses, and reports the result together with its parallel-read cost.
-func DetectTargets(cfg Config, targetOf func(uint64) uint64) (*Detection, error) {
-	return core.DetectTargets(cfg, targetOf)
 }
 
 // Bound formulas (see internal/bounds for the full catalog).

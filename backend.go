@@ -1,9 +1,6 @@
 package bmmc
 
-import (
-	"repro/internal/core"
-	"repro/internal/pdm"
-)
+import "repro/internal/pdm"
 
 // Backend abstracts the storage a Dataset's D simulated disks live on.
 // Every transfer reaches the backend as a ReadBlocks or WriteBlocks batch
@@ -50,7 +47,3 @@ func ShardedBackend(dirs ...string) Backend { return pdm.ShardedFileBackend(dirs
 // wrappers in repro/backendtest/chaos inject. Errors.Is-match it to tell
 // a simulated adversarial-storage fault from a genuine backend error.
 var ErrInjectedFault = pdm.ErrInjectedFault
-
-// WithBackend selects a Dataset's storage backend. The Dataset opens and
-// owns it: Dataset.Close closes it. The default is MemBackend().
-func WithBackend(b Backend) Option { return core.WithBackend(b) }

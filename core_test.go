@@ -1,4 +1,4 @@
-package core
+package bmmc
 
 import (
 	"context"
@@ -14,7 +14,7 @@ import (
 	"repro/internal/perm"
 )
 
-var coreConfig = pdm.Config{N: 1 << 11, D: 4, B: 8, M: 1 << 7}
+var smallConfig = pdm.Config{N: 1 << 11, D: 4, B: 8, M: 1 << 7}
 
 // newTestDataset returns a canonical mem-backed dataset closed at cleanup.
 func newTestDataset(t *testing.T, cfg pdm.Config) *Dataset {
@@ -28,8 +28,8 @@ func newTestDataset(t *testing.T, cfg pdm.Config) *Dataset {
 }
 
 func TestEngineReportFields(t *testing.T) {
-	ds := newTestDataset(t, coreConfig)
-	rev := perm.BitReversal(coreConfig.LgN())
+	ds := newTestDataset(t, smallConfig)
+	rev := perm.BitReversal(smallConfig.LgN())
 	rep, err := NewEngine().Permute(context.Background(), ds, rev)
 	if err != nil {
 		t.Fatal(err)
@@ -37,13 +37,13 @@ func TestEngineReportFields(t *testing.T) {
 	if rep.Class != perm.ClassBMMC {
 		t.Errorf("class %v", rep.Class)
 	}
-	if rep.RankGamma != rev.RankGamma(coreConfig.LgB()) {
+	if rep.RankGamma != rev.RankGamma(smallConfig.LgB()) {
 		t.Errorf("rank gamma %d", rep.RankGamma)
 	}
-	if rep.UpperBound != bounds.UpperBound(coreConfig, rep.RankGamma) {
+	if rep.UpperBound != bounds.UpperBound(smallConfig, rep.RankGamma) {
 		t.Errorf("upper bound %d", rep.UpperBound)
 	}
-	if rep.SortBaseline != bounds.MergeSortIOs(coreConfig) {
+	if rep.SortBaseline != bounds.MergeSortIOs(smallConfig) {
 		t.Errorf("sort baseline %d", rep.SortBaseline)
 	}
 	if !strings.Contains(rep.String(), "passes") {
@@ -55,8 +55,8 @@ func TestEngineReportFields(t *testing.T) {
 }
 
 func TestDatasetStatsAndReset(t *testing.T) {
-	ds := newTestDataset(t, coreConfig)
-	if _, err := NewEngine().Permute(context.Background(), ds, perm.GrayCode(coreConfig.LgN())); err != nil {
+	ds := newTestDataset(t, smallConfig)
+	if _, err := NewEngine().Permute(context.Background(), ds, perm.GrayCode(smallConfig.LgN())); err != nil {
 		t.Fatal(err)
 	}
 	if ds.Stats().ParallelIOs() == 0 {
@@ -66,7 +66,7 @@ func TestDatasetStatsAndReset(t *testing.T) {
 	if ds.Stats().ParallelIOs() != 0 {
 		t.Error("reset failed")
 	}
-	if ds.Config() != coreConfig {
+	if ds.Config() != smallConfig {
 		t.Error("config mismatch")
 	}
 	if ds.System() == nil {
@@ -78,27 +78,24 @@ func TestDatasetStatsAndReset(t *testing.T) {
 // permutation rejects one whose width is not lg N, including a plan-cache
 // hit for a permutation planned on a wider geometry.
 func TestEngineRejectsWrongWidth(t *testing.T) {
-	ds := newTestDataset(t, coreConfig)
+	ds := newTestDataset(t, smallConfig)
 	eng := NewEngine()
 	ctx := context.Background()
-	wide := perm.BitReversal(coreConfig.LgN() + 1)
+	wide := perm.BitReversal(smallConfig.LgN() + 1)
 	if _, err := eng.Permute(ctx, ds, wide); err == nil {
 		t.Fatal("wrong address width accepted by Permute")
 	}
 	if _, err := eng.PermuteFactored(ctx, ds, wide); err == nil {
 		t.Fatal("wrong address width accepted by PermuteFactored")
 	}
-	if _, err := eng.PermuteAll(ctx, ds, []perm.BMMC{wide}); err == nil {
-		t.Fatal("wrong address width accepted by PermuteAll")
-	}
-	if _, err := PlanFor(coreConfig, wide, true); err == nil {
+	if _, err := PlanFor(smallConfig, wide, true); err == nil {
 		t.Fatal("wrong address width accepted by PlanFor")
 	}
 }
 
 func TestDatasetLoadRecordsRoundTrip(t *testing.T) {
-	ds := newTestDataset(t, coreConfig)
-	recs := make([]pdm.Record, coreConfig.N)
+	ds := newTestDataset(t, smallConfig)
+	recs := make([]pdm.Record, smallConfig.N)
 	for i := range recs {
 		recs[i] = pdm.Record{Key: uint64(i) * 3, Tag: 7}
 	}
@@ -126,9 +123,9 @@ func TestDatasetInvalidConfig(t *testing.T) {
 	}
 }
 
-func TestDetectTargetsCore(t *testing.T) {
-	want := perm.Transpose(5, coreConfig.LgN()-5)
-	res, err := DetectTargets(coreConfig, want.Apply)
+func TestDetectTargetsTranspose(t *testing.T) {
+	want := perm.Transpose(5, smallConfig.LgN()-5)
+	res, err := DetectTargets(smallConfig, want.Apply)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +138,7 @@ func TestDetectTargetsCore(t *testing.T) {
 // the injected error through Engine.Permute instead of corrupting data.
 func TestEngineFaultSurface(t *testing.T) {
 	faulty := pdm.NewFaultyBackend(pdm.MemBackend(), 4)
-	sys, err := pdm.NewSystem(coreConfig, faulty)
+	sys, err := pdm.NewSystem(smallConfig, faulty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +147,7 @@ func TestEngineFaultSurface(t *testing.T) {
 	// permutation.
 	ds := &Dataset{sys: sys}
 	defer ds.Close()
-	recs := make([]pdm.Record, coreConfig.N)
+	recs := make([]pdm.Record, smallConfig.N)
 	for i := range recs {
 		recs[i] = pdm.MakeRecord(uint64(i))
 	}
@@ -159,16 +156,16 @@ func TestEngineFaultSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	faulty.Arm()
-	_, err = NewEngine().Permute(context.Background(), ds, perm.BitReversal(coreConfig.LgN()))
+	_, err = NewEngine().Permute(context.Background(), ds, perm.BitReversal(smallConfig.LgN()))
 	if !errors.Is(err, pdm.ErrInjectedFault) {
 		t.Fatalf("fault not surfaced: %v", err)
 	}
 }
 
 func TestPermuteGeneralRandom(t *testing.T) {
-	ds := newTestDataset(t, coreConfig)
+	ds := newTestDataset(t, smallConfig)
 	rng := rand.New(rand.NewSource(9))
-	target := rng.Perm(coreConfig.N)
+	target := rng.Perm(smallConfig.N)
 	targetOf := func(x uint64) uint64 { return uint64(target[x]) }
 	rep, err := NewEngine().PermuteGeneral(context.Background(), ds, targetOf)
 	if err != nil {
@@ -183,7 +180,7 @@ func TestPermuteGeneralRandom(t *testing.T) {
 }
 
 func TestEngineInverseMLDDispatch(t *testing.T) {
-	cfg := coreConfig
+	cfg := smallConfig
 	rng := rand.New(rand.NewSource(10))
 	n, b, m := cfg.LgN(), cfg.LgB(), cfg.LgM()
 	mld := perm.MustNew(gf2.RandomMLD(rng, n, b, m), gf2.RandomVec(rng, n))
@@ -211,7 +208,7 @@ func TestEngineInverseMLDDispatch(t *testing.T) {
 // running it (Lemma 1) is never more expensive than running it step by
 // step, and a permutation followed by its inverse is free.
 func TestPermuteComposedBatching(t *testing.T) {
-	n := coreConfig.LgN()
+	n := smallConfig.LgN()
 	rev := perm.BitReversal(n)
 	eng := NewEngine()
 	ctx := context.Background()
@@ -223,7 +220,7 @@ func TestPermuteComposedBatching(t *testing.T) {
 		return out
 	}
 
-	batched := newTestDataset(t, coreConfig)
+	batched := newTestDataset(t, smallConfig)
 	rep, err := eng.Permute(ctx, batched, compose(rev, perm.GrayCode(n), perm.GrayCode(n).Inverse(), rev))
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +234,7 @@ func TestPermuteComposedBatching(t *testing.T) {
 
 	// A non-trivial batch lands correctly and costs no more than the steps.
 	seq := []perm.BMMC{perm.GrayCode(n), rev, perm.RotateBits(n, 3)}
-	b2 := newTestDataset(t, coreConfig)
+	b2 := newTestDataset(t, smallConfig)
 	rep, err = eng.Permute(ctx, b2, compose(seq...))
 	if err != nil {
 		t.Fatal(err)
@@ -246,64 +243,20 @@ func TestPermuteComposedBatching(t *testing.T) {
 	if err := b2.Verify(want); err != nil {
 		t.Fatal(err)
 	}
-	stepwise := newTestDataset(t, coreConfig)
-	batch, err := eng.PermuteAll(ctx, stepwise, seq)
-	if err != nil {
-		t.Fatal(err)
+	stepwise := newTestDataset(t, smallConfig)
+	steps := 0
+	for _, q := range seq {
+		srep, err := eng.Permute(ctx, stepwise, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps += srep.ParallelIOs
 	}
-	if rep.ParallelIOs > batch.ParallelIOs {
-		t.Errorf("composed run cost %d I/Os, step by step %d", rep.ParallelIOs, batch.ParallelIOs)
+	if rep.ParallelIOs > steps {
+		t.Errorf("composed run cost %d I/Os, step by step %d", rep.ParallelIOs, steps)
 	}
 	if err := stepwise.Verify(want); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestPermuteAllPerJob: PermuteAll materializes every intermediate state,
-// reports per-job costs, and serves repeated plans from the cache.
-func TestPermuteAllPerJob(t *testing.T) {
-	n := coreConfig.LgN()
-	rev := perm.BitReversal(n)
-	gray := perm.GrayCode(n)
-
-	ds := newTestDataset(t, coreConfig)
-	eng := NewEngine()
-	batch, err := eng.PermuteAll(context.Background(), ds, []perm.BMMC{rev, gray, rev, rev})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch.Jobs) != 4 {
-		t.Fatalf("got %d job reports, want 4", len(batch.Jobs))
-	}
-	// bitrev is a factored permutation here: three occurrences, one plan.
-	if batch.Planned != 1 || batch.CacheHits != 2 {
-		t.Errorf("planned %d, cache hits %d; want 1 planned, 2 hits", batch.Planned, batch.CacheHits)
-	}
-	if batch.Jobs[0].PlanCached || !batch.Jobs[2].PlanCached || !batch.Jobs[3].PlanCached {
-		t.Errorf("per-job cache flags wrong: %v %v %v",
-			batch.Jobs[0].PlanCached, batch.Jobs[2].PlanCached, batch.Jobs[3].PlanCached)
-	}
-	totalIOs, totalPasses := 0, 0
-	for _, rep := range batch.Jobs {
-		totalIOs += rep.ParallelIOs
-		totalPasses += rep.Passes
-	}
-	if totalIOs != batch.ParallelIOs || totalPasses != batch.Passes {
-		t.Errorf("aggregate (%d IOs, %d passes) != sum of jobs (%d, %d)",
-			batch.ParallelIOs, batch.Passes, totalIOs, totalPasses)
-	}
-	// The stored records reflect the full applied sequence.
-	want := rev.Compose(rev.Compose(gray.Compose(rev)))
-	if err := ds.Verify(want); err != nil {
-		t.Fatal(err)
-	}
-	// Two misses: bitrev's factorization plus the cached one-pass
-	// classification of the Gray code.
-	if got := eng.CacheStats(); got.Hits != 2 || got.Misses != 2 || got.Size != 2 {
-		t.Errorf("cache stats %+v", got)
-	}
-	if len(batch.String()) == 0 {
-		t.Error("empty batch report string")
 	}
 }
 
@@ -345,9 +298,9 @@ func TestDatasetBulkPathsHoldFewChunks(t *testing.T) {
 // Dataset.LoadRecords leaves the stored records as they were, and the
 // retry commits.
 func TestChaosLoadRecordsWriteFault(t *testing.T) {
-	fb := pdm.NewFlakyBackend(pdm.MemBackend(), pdm.FlakyOptions{FailAfterN: coreConfig.Blocks() / 2, Mode: pdm.FaultWriteOnly})
+	fb := pdm.NewFlakyBackend(pdm.MemBackend(), pdm.FlakyOptions{FailAfterN: smallConfig.Blocks() / 2, Mode: pdm.FaultWriteOnly})
 	fb.Disarm()
-	ds, err := CreateDataset(coreConfig, WithBackend(fb))
+	ds, err := CreateDataset(smallConfig, WithBackend(fb))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +309,7 @@ func TestChaosLoadRecordsWriteFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := make([]pdm.Record, coreConfig.N)
+	recs := make([]pdm.Record, smallConfig.N)
 	for i := range recs {
 		recs[i] = pdm.MakeRecord(uint64(i) ^ 0x5a5)
 	}

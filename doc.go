@@ -87,14 +87,16 @@
 // list into the fewest adjacent GF(2) compositions that are still one-pass
 // class members (MRC, MLD, or inverse-MLD), which lowers the measured
 // parallel-I/O count for permutations the greedy factoring over-splits —
-// the permuted records are identical either way. An LRU plan cache lets
-// repeated permutations skip re-factorization entirely; PermuteAll plans a
-// whole batch up front through the cache and reports per-job costs:
+// the permuted records are identical either way. Every Engine keeps an
+// LRU cache of the 64 plans it used last, so a repeated permutation skips
+// re-factorization entirely, and each Report says whether its plan came
+// from the cache:
 //
-//	eng := bmmc.NewEngine(
-//	    bmmc.WithFusion(true),        // pass fusion (default on)
-//	    bmmc.WithPlanCache(64))       // LRU plan cache (default 32 plans)
-//	batch, err := eng.PermuteAll(ctx, ds, []bmmc.Permutation{rev, gray, rev})
+//	eng := bmmc.NewEngine(bmmc.WithFusion(true)) // pass fusion (default on)
+//	for _, p := range []bmmc.Permutation{rev, gray, rev} {
+//	    rep, err := eng.Permute(ctx, ds, p)       // the second rev is a cache hit
+//	    fmt.Println(rep.PlanCached, eng.CacheStats())
+//	}
 //
 // # Execution
 //
@@ -111,8 +113,8 @@
 // Neither the pipeline nor concurrent dispatch changes what the paper's
 // theorems measure: the permuted result, the parallel-I/O counts, and the
 // per-disk totals are byte-identical to a one-goroutine run — only
-// wall-clock time differs. The planning options sit above that invariant:
-// fusion may lower (never raise) the measured cost, and caching changes
+// wall-clock time differs. Planning sits above that invariant: fusion may
+// lower (never raise) the measured cost, and the plan cache changes
 // nothing but planning time.
 //
 // # Service mode

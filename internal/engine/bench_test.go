@@ -133,7 +133,7 @@ func BenchmarkScatterKernelRecord(b *testing.B) { benchmarkScatterKernel(b, true
 // BenchmarkLibGeometry runs one seeded rank-6 BMMC at the lib-file bench
 // workload's geometry: N=2^22, D=8, B=64, M=2^16, file backend, two
 // passes and 32768 parallel I/Os per run. The plan is made once, by
-// factor.Dispatch with fusion, as core.Engine plans. The sync variants
+// factor.Dispatch with fusion, as bmmc.Engine plans. The sync variants
 // call Sync between runs, outside the timer, as lib-file does after every
 // job; the pass after a Sync is bound by its write stage, the pass without
 // one by its scatter.

@@ -6,7 +6,7 @@ package engine_test
 // against the naive record-gather oracle. Example-based tests let
 // plausible-but-wrong executors survive; a randomized differential oracle
 // does not — any two paths that disagree on any record at any geometry
-// fail the suite, including the fused plans and the core plan-cache path.
+// fail the suite, including the fused plans and the Engine's plan-cache path.
 
 import (
 	"context"
@@ -14,8 +14,8 @@ import (
 	"math/rand"
 	"testing"
 
+	bmmc "repro"
 	"repro/internal/bounds"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/factor"
 	"repro/internal/gf2"
@@ -182,7 +182,7 @@ func TestDifferentialConformance(t *testing.T) {
 	}
 }
 
-// TestCachedPathConformance covers the core plan-cache path: the same
+// TestCachedPathConformance covers the Engine's plan-cache path: the same
 // permutation executed repeatedly on one Dataset through one fused,
 // caching Engine must match the in-memory oracle on every call — in
 // particular on the second, when the plan is served from the cache without
@@ -191,8 +191,8 @@ func TestCachedPathConformance(t *testing.T) {
 	for gi, cfg := range conformanceGeometries {
 		perms := conformancePerms(int64(2000+gi), cfg)
 		for pi, p := range perms {
-			eng := core.NewEngine(core.WithFusion(true), core.WithPlanCache(8))
-			ds, err := core.CreateDataset(cfg)
+			eng := bmmc.NewEngine(bmmc.WithFusion(true))
+			ds, err := bmmc.CreateDataset(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

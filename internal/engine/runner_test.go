@@ -28,56 +28,55 @@ var seqOpt = Options{sequential: true}
 // writer.
 var pipeOpt = Options{}
 
-// runBoth executes the same workload sequentially on a RAM-backed system
-// and pipelined on a file-backed system with concurrent dispatch,
-// then asserts records and stats agree.
+// runBoth executes the same workload sequentially on a RAM-backed system,
+// then pipelined on a file-backed system with concurrent dispatch and on
+// sharded file storage over two directories with sequential dispatch, and
+// asserts that each pipelined run's records, stats (per-disk counts
+// included) and portion roles equal the RAM run's.
 func runBoth(t *testing.T, cfg pdm.Config, what string, run func(*pdm.System, Options) error) {
 	t.Helper()
-
-	ram, err := pdm.NewMemSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ram.Close()
-	if err := LoadSequential(ram); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(ram, seqOpt); err != nil {
-		t.Fatalf("%s sequential: %v", what, err)
-	}
-	wantRecs, err := ram.DumpRecords(ram.Source())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	file, err := pdm.NewSystem(cfg, pdm.FileBackend(t.TempDir()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer file.Close()
-	file.SetConcurrent(true)
-	if err := LoadSequential(file); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(file, pipeOpt); err != nil {
-		t.Fatalf("%s pipelined: %v", what, err)
-	}
-	gotRecs, err := file.DumpRecords(file.Source())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for i := range wantRecs {
-		if wantRecs[i] != gotRecs[i] {
-			t.Fatalf("%s: records diverge at address %d (sequential %d, pipelined %d)",
-				what, i, wantRecs[i].Key, gotRecs[i].Key)
+	exec := func(mode string, be pdm.Backend, concurrent bool, opt Options) (*pdm.System, []pdm.Record) {
+		t.Helper()
+		sys, err := pdm.NewSystem(cfg, be)
+		if err != nil {
+			t.Fatal(err)
 		}
+		t.Cleanup(func() { sys.Close() })
+		sys.SetConcurrent(concurrent)
+		if err := LoadSequential(sys); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(sys, opt); err != nil {
+			t.Fatalf("%s %s: %v", what, mode, err)
+		}
+		recs, err := sys.DumpRecords(sys.Source())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys, recs
 	}
-	if ws, gs := ram.Stats(), file.Stats(); !reflect.DeepEqual(ws, gs) {
-		t.Errorf("%s: stats diverge:\nsequential: %+v\npipelined:  %+v", what, ws, gs)
-	}
-	if ram.Source() != file.Source() {
-		t.Errorf("%s: portion roles diverge (%v vs %v)", what, ram.Source(), file.Source())
+	ram, wantRecs := exec("sequential", pdm.MemBackend(), false, seqOpt)
+	for _, c := range []struct {
+		mode       string
+		be         pdm.Backend
+		concurrent bool
+	}{
+		{"pipelined file", pdm.FileBackend(t.TempDir()), true},
+		{"pipelined sharded", pdm.ShardedFileBackend(t.TempDir(), t.TempDir()), false},
+	} {
+		sys, gotRecs := exec(c.mode, c.be, c.concurrent, pipeOpt)
+		for i := range wantRecs {
+			if wantRecs[i] != gotRecs[i] {
+				t.Fatalf("%s: records diverge at address %d (sequential %d, %s %d)",
+					what, i, wantRecs[i].Key, c.mode, gotRecs[i].Key)
+			}
+		}
+		if ws, gs := ram.Stats(), sys.Stats(); !reflect.DeepEqual(ws, gs) {
+			t.Errorf("%s: stats diverge:\nsequential: %+v\n%s: %+v", what, ws, c.mode, gs)
+		}
+		if ram.Source() != sys.Source() {
+			t.Errorf("%s: portion roles diverge (sequential %v, %s %v)", what, ram.Source(), c.mode, sys.Source())
+		}
 	}
 }
 

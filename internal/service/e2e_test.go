@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -269,6 +270,87 @@ func TestServiceValidation(t *testing.T) {
 	}
 	if err := c.Download(ctx, st.ID, &bytes.Buffer{}); apiStatus(err) != 410 {
 		t.Errorf("released output: got %v, want HTTP 410", err)
+	}
+}
+
+// TestChunkedUploadExactLength: an input body sent without a
+// Content-Length (chunked) must hold exactly N records, as one that
+// declares its length must. One that runs past N answers 400 and commits
+// nothing, to a job's input and to a dataset's, and an await-input job
+// still takes a correct chunked upload afterwards.
+func TestChunkedUploadExactLength(t *testing.T) {
+	c, _ := startDaemon(t, service.ManagerConfig{Workers: 1, QueueDepth: 2})
+	ctx := context.Background()
+	small := bmmc.Config{N: 4096, D: 4, B: 8, M: 256}
+	wire := func(n int, key func(uint64) uint64) []byte {
+		buf := make([]byte, n*bmmc.RecordBytes)
+		for i := 0; i < n; i++ {
+			bmmc.MakeRecord(key(uint64(i))).Encode(buf[i*bmmc.RecordBytes:])
+		}
+		return buf
+	}
+	// A reader that is not a bytes.Reader hides the length from the
+	// client, which then sends the body chunked.
+	chunked := func(b []byte) io.Reader { return io.MultiReader(bytes.NewReader(b)) }
+	status := func(err error) int {
+		var ae *client.APIError
+		if errors.As(err, &ae) {
+			return ae.Status
+		}
+		return 0
+	}
+
+	dset, err := c.CreateDataset(ctx, client.CreateDatasetRequest{Config: small, Backend: client.BackendFile})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prior := wire(small.N, func(i uint64) uint64 { return 3*i + 1 })
+	if err := c.UploadDataset(ctx, dset.ID, chunked(prior)); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{small.N + 1, 2 * small.N} {
+		if err := c.UploadDataset(ctx, dset.ID, chunked(wire(n, func(i uint64) uint64 { return i ^ 0x5a5 }))); status(err) != 400 {
+			t.Errorf("chunked upload of %d records to a dataset: got %v, want HTTP 400", n, err)
+		}
+		var out bytes.Buffer
+		if err := c.DownloadDataset(ctx, dset.ID, &out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), prior) {
+			t.Fatalf("chunked upload of %d records changed the dataset", n)
+		}
+	}
+
+	p := bmmc.GrayCode(small.LgN())
+	req := client.NewSubmitRequest(small, p)
+	req.AwaitInput = true
+	st, err := c.Submit(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := wire(small.N+1, func(i uint64) uint64 { return 7*i + 2 })
+	if err := c.Upload(ctx, st.ID, chunked(input)); status(err) != 400 {
+		t.Errorf("chunked upload of N+1 records to a job: got %v, want HTTP 400", err)
+	}
+	if got, err := c.Status(ctx, st.ID); err != nil || got.State != client.StateQueued || got.InputLoaded {
+		t.Fatalf("job after the refused upload: %+v, %v; want queued without input", got, err)
+	}
+	input = input[:small.N*bmmc.RecordBytes]
+	if err := c.Upload(ctx, st.ID, chunked(input)); err != nil {
+		t.Fatalf("chunked upload of exactly N records: %v", err)
+	}
+	if final, err := c.Watch(ctx, st.ID, nil); err != nil || final.State != client.StateDone {
+		t.Fatalf("job finished %+v, %v; want done", final, err)
+	}
+	var out bytes.Buffer
+	if err := c.Download(ctx, st.ID, &out); err != nil {
+		t.Fatal(err)
+	}
+	for x := 0; x < small.N; x++ {
+		y := p.Apply(uint64(x))
+		if got, want := out.Bytes()[y*bmmc.RecordBytes:][:bmmc.RecordBytes], input[x*bmmc.RecordBytes:][:bmmc.RecordBytes]; !bytes.Equal(got, want) {
+			t.Fatalf("address %d does not hold uploaded record %d", y, x)
+		}
 	}
 }
 

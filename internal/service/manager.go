@@ -21,16 +21,16 @@ import (
 
 // Defaults for ManagerConfig zero values.
 const (
-	DefaultWorkers          = 2
-	DefaultQueueDepth       = 16
-	DefaultShards           = 2
-	DefaultPlanCacheEntries = 64
-	DefaultInputWait        = 2 * time.Minute
+	DefaultWorkers    = 2
+	DefaultQueueDepth = 16
+	DefaultShards     = 2
+	DefaultInputWait  = 2 * time.Minute
 )
 
 // ManagerConfig sizes the job manager. The zero value is usable: two
-// workers, a 16-job admission queue, storage under a private temporary
-// directory, and a 64-entry shared plan cache.
+// workers, a 16-job admission queue and storage under a private temporary
+// directory. Every job plans through one shared Engine, whose plan cache
+// holds 64 plans and is not configurable.
 type ManagerConfig struct {
 	// Workers is the bounded worker pool size — the number of jobs
 	// executing concurrently, and therefore the daemon's disk concurrency:
@@ -53,9 +53,6 @@ type ManagerConfig struct {
 	// Seed drives job-id generation (ids are sequence-plus-nonce, so the
 	// sequence stays unique regardless of the seed).
 	Seed int64
-	// PlanCacheEntries bounds the shared plan cache (LRU eviction). Zero
-	// selects DefaultPlanCacheEntries; negative disables sharing.
-	PlanCacheEntries int
 	// InputWait is how long an await-input job may hold its admission slot
 	// before any upload completes; past it the job is canceled and the
 	// slot freed, so idle submitters cannot wedge the queue for other
@@ -138,9 +135,6 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = DefaultShards
 	}
-	if cfg.PlanCacheEntries == 0 {
-		cfg.PlanCacheEntries = DefaultPlanCacheEntries
-	}
 	if cfg.InputWait == 0 {
 		cfg.InputWait = DefaultInputWait
 	}
@@ -156,7 +150,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		jobs:     make(map[string]*Job),
 		datasets: make(map[string]*dsEntry),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		eng:      bmmc.NewEngine(bmmc.WithPlanCache(cfg.PlanCacheEntries)),
+		eng:      bmmc.NewEngine(),
 	}
 	m.baseDir = cfg.Dir
 	if m.baseDir == "" {

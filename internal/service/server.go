@@ -201,18 +201,42 @@ func (s *server) jobOutput(w http.ResponseWriter, r *http.Request) {
 }
 
 // input serves a job's or a dataset's PUT .../input: exactly n records in
-// the wire format, handed to upload.
+// the wire format, handed to upload. A body that declares another length
+// is refused before upload runs; a chunked one that runs past n records
+// fails inside it (see exactBody), so neither commits a record.
 func (s *server) input(w http.ResponseWriter, r *http.Request, n int, upload func(context.Context, io.Reader) error) {
-	if want := int64(n) * bmmc.RecordBytes; r.ContentLength >= 0 && r.ContentLength != want {
+	want := int64(n) * bmmc.RecordBytes
+	if r.ContentLength >= 0 && r.ContentLength != want {
 		s.writeErr(w, &httpError{http.StatusBadRequest,
 			fmt.Sprintf("input must be exactly N*%d = %d bytes, got Content-Length %d", bmmc.RecordBytes, want, r.ContentLength)})
 		return
 	}
-	if err := upload(r.Context(), s.inBytes(r.Body)); err != nil {
+	if err := upload(r.Context(), &exactBody{io.LimitedReader{R: s.inBytes(r.Body), N: want}}); err != nil {
 		s.writeErr(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// exactBody passes an upload body through up to its expected length. The
+// read that delivers the last expected byte first checks that the body
+// ends there; if it does not, that read returns an error and no bytes, so
+// the load reading it fails before its last chunk commits.
+type exactBody struct{ io.LimitedReader }
+
+func (b *exactBody) Read(p []byte) (int, error) {
+	n, err := b.LimitedReader.Read(p)
+	if b.N > 0 || n == 0 {
+		return n, err
+	}
+	var next [1]byte
+	switch m, err := io.ReadFull(b.R, next[:]); {
+	case m > 0:
+		return 0, errors.New("input runs past N records")
+	case err != io.EOF:
+		return 0, err
+	}
+	return n, nil
 }
 
 // output serves a job's or a dataset's GET .../output: it streams d's

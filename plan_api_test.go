@@ -43,7 +43,6 @@ func TestPlanExecuteMatchesPermute(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			planned, replanned := newPlanDataset(t, planConfig), newPlanDataset(t, planConfig)
 			eng := bmmc.NewEngine()
-			uncached := bmmc.NewEngine(bmmc.WithPlanCache(0))
 
 			plan, err := eng.Plan(planConfig, tc.perm)
 			if err != nil {
@@ -57,7 +56,7 @@ func TestPlanExecuteMatchesPermute(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Execute rep %d: %v", rep, err)
 				}
-				repB, err := uncached.Permute(ctx, replanned, tc.perm)
+				repB, err := bmmc.NewEngine().Permute(ctx, replanned, tc.perm) // plans afresh
 				if err != nil {
 					t.Fatalf("Permute rep %d: %v", rep, err)
 				}
@@ -333,17 +332,17 @@ func BenchmarkExecutePrepared(b *testing.B) {
 	}
 }
 
-// BenchmarkPermuteReplanned is Permute with caching disabled: every
-// iteration re-classifies and re-factorizes. The gap to
-// BenchmarkExecutePrepared is the planning cost Execute amortizes away.
+// BenchmarkPermuteReplanned is Permute on a fresh Engine, whose plan
+// cache is empty: every iteration re-classifies and re-factorizes. The
+// gap to BenchmarkExecutePrepared is the planning cost Execute amortizes
+// away.
 func BenchmarkPermuteReplanned(b *testing.B) {
 	ds := newPlanDataset(b, planConfig)
-	eng := bmmc.NewEngine(bmmc.WithPlanCache(0))
 	bitrev := bmmc.BitReversal(12)
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Permute(ctx, ds, bitrev); err != nil {
+		if _, err := bmmc.NewEngine().Permute(ctx, ds, bitrev); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -407,7 +406,7 @@ func TestPlanForMatchesEnginePlan(t *testing.T) {
 // does not match the requested geometry — otherwise a daemon sharing one
 // Engine across tenants would execute a wrong-sized plan.
 func TestPlanCacheWidthCheck(t *testing.T) {
-	eng := bmmc.NewEngine(bmmc.WithPlanCache(8))
+	eng := bmmc.NewEngine()
 	p12 := bmmc.BitReversal(12)
 	cfg12 := bmmc.Config{N: 1 << 12, D: 4, B: 8, M: 1 << 8}
 	cfg16 := bmmc.Config{N: 1 << 16, D: 4, B: 8, M: 1 << 8} // same lg B, lg M

@@ -1,4 +1,4 @@
-package core
+package bmmc
 
 import (
 	"container/list"
@@ -6,9 +6,10 @@ import (
 	"sync"
 
 	"repro/internal/factor"
-	"repro/internal/pdm"
-	"repro/internal/perm"
 )
+
+// planCacheEntries is the capacity of every Engine's plan cache, in plans.
+const planCacheEntries = 64
 
 // cachedPlan is what factor.Dispatch decided for a permutation: the
 // dispatched class and the execution plan — the (possibly fused) factoring
@@ -17,7 +18,7 @@ import (
 // classification work, which includes a full GF(2) matrix inversion for
 // the inverse-MLD check.
 type cachedPlan struct {
-	class perm.Class
+	class Class
 	plan  *factor.Plan // nil only for the identity
 }
 
@@ -40,16 +41,17 @@ type planEntry struct {
 	plan *cachedPlan
 }
 
-// CacheStats reports plan-cache effectiveness: every miss corresponds to
-// one planning pass (classification, plus factorization and fusion for
-// factored permutations); every hit is a Plan (or Permute) call that
-// skipped planning entirely.
+// CacheStats reports an Engine's plan-cache hits, misses, and evictions
+// (see Engine.CacheStats): every miss corresponds to one planning pass
+// (classification, plus factorization and fusion for factored
+// permutations); every hit is a Plan (or Permute) call that skipped
+// planning entirely.
 type CacheStats struct {
 	Hits      int // plans served without re-factorizing
 	Misses    int // plans computed and inserted
 	Evictions int // plans dropped by the LRU policy
 	Size      int // plans currently held
-	Capacity  int // configured capacity (0: caching disabled)
+	Capacity  int // plans the cache holds at most
 }
 
 func (s CacheStats) String() string {
@@ -71,7 +73,7 @@ func newPlanCache(capacity int) *planCache {
 // reads) and whether fusion is applied. The encoding is compact binary
 // (one byte of geometry each, eight bytes per row) so keying a lookup
 // costs far less than the factorization it saves.
-func planKey(p perm.BMMC, cfg pdm.Config, fuse bool) string {
+func planKey(p Permutation, cfg Config, fuse bool) string {
 	n := p.Bits()
 	buf := make([]byte, 0, 8*(n+1)+4)
 	f := byte(0)
@@ -93,9 +95,9 @@ func appendVec(buf []byte, v uint64) []byte {
 }
 
 // get returns the cached planning result for key, or nil (always nil on a
-// nil or disabled cache).
+// nil cache).
 func (c *planCache) get(key string) *cachedPlan {
-	if c == nil || c.cap <= 0 {
+	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
@@ -113,7 +115,7 @@ func (c *planCache) get(key string) *cachedPlan {
 // put inserts a planning result computed after a get miss, evicting the
 // least recently used entry when over capacity.
 func (c *planCache) put(key string, plan *cachedPlan) {
-	if c == nil || c.cap <= 0 {
+	if c == nil {
 		return
 	}
 	c.mu.Lock()

@@ -1,4 +1,4 @@
-package core
+package bmmc
 
 import (
 	"context"
@@ -25,13 +25,13 @@ func randomFactoredPerm(rng *rand.Rand, cfg pdm.Config) perm.BMMC {
 // proves no GF(2) elimination ran — and the stats record it as a hit.
 func TestPlanCacheHitSkipsRefactorization(t *testing.T) {
 	eng := NewEngine()
-	bp := randomFactoredPerm(rand.New(rand.NewSource(40)), coreConfig)
+	bp := randomFactoredPerm(rand.New(rand.NewSource(40)), smallConfig)
 
-	pl1, err := eng.Plan(coreConfig, bp)
+	pl1, err := eng.Plan(smallConfig, bp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl2, err := eng.Plan(coreConfig, bp)
+	pl2, err := eng.Plan(smallConfig, bp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,19 +52,20 @@ func TestPlanCacheHitSkipsRefactorization(t *testing.T) {
 // TestPlanCacheLRUEviction: with capacity 2, planning a third distinct
 // permutation evicts the least recently used one, which then misses again.
 func TestPlanCacheLRUEviction(t *testing.T) {
-	eng := NewEngine(WithPlanCache(2))
+	eng := NewEngine()
+	eng.cache = newPlanCache(2)
 	hit := func(bp perm.BMMC) bool {
 		t.Helper()
-		pl, err := eng.Plan(coreConfig, bp)
+		pl, err := eng.Plan(smallConfig, bp)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return pl.Cached()
 	}
 	rng := rand.New(rand.NewSource(41))
-	a := randomFactoredPerm(rng, coreConfig)
-	b := randomFactoredPerm(rng, coreConfig)
-	c := randomFactoredPerm(rng, coreConfig)
+	a := randomFactoredPerm(rng, smallConfig)
+	b := randomFactoredPerm(rng, smallConfig)
+	c := randomFactoredPerm(rng, smallConfig)
 
 	hit(a)
 	hit(b)
@@ -82,30 +83,6 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	s := eng.CacheStats()
 	if s.Evictions < 1 || s.Size != 2 || s.Capacity != 2 {
 		t.Errorf("cache stats %+v", s)
-	}
-}
-
-// TestPlanCacheDisabled: capacity zero plans every call from scratch and
-// never reports a cached plan.
-func TestPlanCacheDisabled(t *testing.T) {
-	eng := NewEngine(WithPlanCache(0))
-	ds, err := CreateDataset(coreConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds.Close()
-	bp := randomFactoredPerm(rand.New(rand.NewSource(42)), coreConfig)
-	for call := 0; call < 2; call++ {
-		rep, err := eng.Permute(context.Background(), ds, bp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.PlanCached {
-			t.Fatalf("call %d reported a cached plan with caching disabled", call+1)
-		}
-	}
-	if s := eng.CacheStats(); s.Size != 0 || s.Hits != 0 {
-		t.Errorf("disabled cache has state: %+v", s)
 	}
 }
 

@@ -49,7 +49,7 @@ var (
 
 func init() {
 	Analyzer.Flags.StringVar(&detpkgs, "detpkgs",
-		"repro/internal/engine,repro/internal/perm,repro/internal/factor,repro/internal/gf2,repro/internal/pdm,repro/internal/core,repro/internal/detect,repro/internal/bounds,repro/backendtest/chaos",
+		"repro/internal/engine,repro/internal/perm,repro/internal/factor,repro/internal/gf2,repro/internal/pdm,repro,repro/internal/detect,repro/internal/bounds,repro/backendtest/chaos",
 		"comma-separated anchored regexps of deterministic package paths")
 	Analyzer.Flags.StringVar(&allowfiles, "allowfiles",
 		"instrument.go",

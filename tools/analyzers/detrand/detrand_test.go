@@ -9,5 +9,5 @@ import (
 
 func Test(t *testing.T) {
 	analyzertest.Run(t, analyzertest.TestData(), detrand.Analyzer,
-		"a", "repro/internal/engine", "seedmain")
+		"a", "repro", "repro/internal/engine", "seedmain")
 }

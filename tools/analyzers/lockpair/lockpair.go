@@ -9,7 +9,7 @@
 //
 //  1. defer recv.ReleaseRun() (or a deferred closure that calls it) with
 //     the same receiver expression, anywhere in the function — the
-//     idiomatic form used throughout internal/core;
+//     idiomatic form of the root package's Dataset and Engine methods;
 //  2. an explicit matching Release call on every control-flow path from
 //     the acquire to the function's exit, verified on the go/cfg graph.
 //
