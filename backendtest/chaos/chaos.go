@@ -11,10 +11,12 @@
 // probability-driven decisions (Rate, Jitter, tear points) are pure
 // hashes of (seed, disk, block, visit), so the set of faulted operations
 // is independent of goroutine interleaving; count-driven triggers
-// (FailAfterN, TearNth) use the wrapper-global operation ordinal and are
-// deterministic only under sequential execution (Pipeline off, one
-// worker). Wrappers start armed; Disarm/Arm bracket setup I/O that
-// should run clean and uncounted.
+// (FailAfterN, TearNth) use the wrapper-global operation ordinal, so they
+// reproduce only when one goroutine issues every transfer in order:
+// direct Backend calls, as backendtest.RunChaos makes them, and the
+// engine's own sequential test mode, but not an Engine pass, which reads
+// ahead and writes behind on goroutines of their own. Wrappers start
+// armed; Disarm/Arm bracket setup I/O that should run clean and uncounted.
 package chaos
 
 import (

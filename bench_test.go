@@ -160,7 +160,7 @@ func BenchmarkDetection(b *testing.B) {
 		if err := detect.LoadTargetVector(sys, p.Apply); err != nil {
 			b.Fatal(err)
 		}
-		res, err := detect.Detect(sys, sys.Source())
+		res, err := detect.Detect(sys)
 		if err != nil {
 			b.Fatal(err)
 		}

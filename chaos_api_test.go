@@ -13,7 +13,7 @@ import (
 // surface: a chaos wrapper slots in through WithBackend like any custom
 // backend, an injected mid-run fault surfaces from Engine.Permute wrapped
 // in ErrInjectedFault, and the failed pass leaves the Dataset untouched —
-// no portion swap — so the same handle retries cleanly once the fault
+// it commits nothing — so the same handle retries cleanly once the fault
 // window closes.
 func TestChaosPublicAPI(t *testing.T) {
 	cfg := bmmc.Config{N: 1 << 12, D: 4, B: 8, M: 1 << 8}
@@ -34,8 +34,8 @@ func TestChaosPublicAPI(t *testing.T) {
 		t.Fatalf("want Engine.Permute to surface the injected fault, got %v", err)
 	}
 
-	// The dataset survives: its source portion still holds the canonical
-	// input the failed pass never got to swap away.
+	// The dataset survives: its stored records are still the canonical
+	// input, since the failed pass never got to commit.
 	fb.Disarm()
 	recs, err := ds.Records()
 	if err != nil {

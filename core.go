@@ -112,5 +112,5 @@ func DetectTargets(cfg Config, targetOf func(uint64) uint64) (*Detection, error)
 	if err := detect.LoadTargetVector(sys, targetOf); err != nil {
 		return nil, err
 	}
-	return detect.Detect(sys, sys.Source())
+	return detect.Detect(sys)
 }

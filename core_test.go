@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -123,17 +124,6 @@ func TestDatasetInvalidConfig(t *testing.T) {
 	}
 }
 
-func TestDetectTargetsTranspose(t *testing.T) {
-	want := perm.Transpose(5, smallConfig.LgN()-5)
-	res, err := DetectTargets(smallConfig, want.Apply)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.IsBMMC || !res.Perm.Equal(want) {
-		t.Fatal("detection failed")
-	}
-}
-
 // TestEngineFaultSurface: a dataset built over a failing backend surfaces
 // the injected error through Engine.Permute instead of corrupting data.
 func TestEngineFaultSurface(t *testing.T) {
@@ -176,6 +166,53 @@ func TestPermuteGeneralRandom(t *testing.T) {
 	}
 	if err := ds.VerifyMapping(targetOf); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPermuteGeneralRefusesMovedKeys: the merge sort orders records by the
+// target of their Key, so a dataset whose keys are no longer their
+// addresses — after a permutation, or after loading the caller's own
+// records — is refused at the first such address, and its records stay as
+// they were.
+func TestPermuteGeneralRefusesMovedKeys(t *testing.T) {
+	cfg := pdm.Config{N: 1 << 12, D: 4, B: 8, M: 1 << 7}
+	ctx := context.Background()
+	permuted := newTestDataset(t, cfg)
+	if _, err := NewEngine().Permute(ctx, permuted, perm.GrayCode(cfg.LgN())); err != nil {
+		t.Fatal(err)
+	}
+	loaded := newTestDataset(t, cfg)
+	recs := make([]pdm.Record, cfg.N)
+	for i := range recs {
+		recs[i] = pdm.MakeRecord(uint64(i) ^ 0x5a5)
+	}
+	if err := loaded.LoadRecords(recs); err != nil {
+		t.Fatal(err)
+	}
+	reverse := func(x uint64) uint64 { return uint64(cfg.N-1) - x }
+	for _, c := range []struct {
+		name string
+		ds   *Dataset
+		want string
+	}{
+		{"after a Gray-code permutation", permuted, "address 2 holds key 3"},
+		{"after LoadRecords", loaded, "address 0 holds key 1445"},
+	} {
+		before, err := c.ds.Records()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = NewEngine().PermuteGeneral(ctx, c.ds, reverse)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: PermuteGeneral returned %v, want a refusal naming %q", c.name, err, c.want)
+		}
+		after, err := c.ds.Records()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(before, after) {
+			t.Errorf("%s: a refused PermuteGeneral changed the stored records", c.name)
+		}
 	}
 }
 

@@ -11,8 +11,7 @@ import (
 
 // Dataset is records at rest: N records living on a storage Backend under
 // one machine Config, with no planning state and no execution options
-// attached — only the stored records, the backend they live on, and the
-// portion bookkeeping that tracks where the current data physically sits.
+// attached — only the stored records and the backend they live on.
 // It is the data half of the API: an Engine supplies the compute, and the
 // two meet only at Engine.Execute/Engine.Permute.
 //
@@ -55,11 +54,11 @@ func CreateDataset(cfg Config, opts ...Option) (*Dataset, error) {
 // dataset holds whatever bytes the backend already stores. Use it to
 // attach to a file or sharded backend populated by an earlier process;
 // CreateDataset is OpenDataset plus the canonical initial load. Storage
-// keeps two portions of N records; a reopened dataset always starts at the
-// first. Every pass and every Load commits by swapping the portions, so
-// after an odd number of commits the current records sit in the second
-// and a reopen reads the previous generation: nothing on storage records
-// yet which portion holds the last commit.
+// keeps two portions of N records; a reopened dataset always reads the
+// first. Every pass and every Load commits by making the other portion
+// the stored records, so after an odd number of commits they sit in the
+// second and a reopen reads the previous generation: nothing on storage
+// records yet which portion holds the last commit.
 func OpenDataset(cfg Config, opts ...Option) (*Dataset, error) {
 	s := defaultSettings()
 	for _, o := range opts {
@@ -113,9 +112,9 @@ func (ds *Dataset) Close() error { return ds.sys.Close() }
 // The bytes move through the zero-copy streaming data plane: one chunk at
 // a time from a pooled arena into the portion the next pass would write,
 // with no per-record decode on little-endian hosts, and the load commits
-// by the same portion swap a pass ends with. So it holds one chunk of
-// memory however large N is, and ctx cancellation, a short read or a
-// storage fault leaves the stored records unchanged.
+// exactly as a pass does. So it holds one chunk of memory however large N
+// is, and ctx cancellation, a short read or a storage fault leaves the
+// stored records unchanged.
 func (ds *Dataset) Load(ctx context.Context, r io.Reader) error {
 	ds.sys.AcquireRun()
 	defer ds.sys.ReleaseRun()
@@ -127,8 +126,8 @@ func (ds *Dataset) Load(ctx context.Context, r io.Reader) error {
 
 // Dump writes the stored records to w in address order, in the same wire
 // format Load reads (N*RecordBytes bytes total). It always reads the
-// current source portion — the most recent execution's output or Load's
-// input — regardless of how many commits have run. Not counted as
+// stored records — the most recent execution's output or Load's input —
+// regardless of how many commits have run. Not counted as
 // parallel I/O. Dump holds the shared read lock, so any number of Dumps
 // may stream concurrently while executions wait; ctx cancellation aborts
 // between chunks (w may have received a prefix). Like Load it runs on the
@@ -138,37 +137,32 @@ func (ds *Dataset) Load(ctx context.Context, r io.Reader) error {
 func (ds *Dataset) Dump(ctx context.Context, w io.Writer) error {
 	ds.sys.AcquireRead()
 	defer ds.sys.ReleaseRead()
-	if _, err := ds.sys.DumpTo(ctx, ds.sys.Source(), w); err != nil {
+	if _, err := ds.sys.DumpTo(ctx, w); err != nil {
 		return fmt.Errorf("bmmc: Dump: %w", err)
 	}
 	return nil
 }
 
 // Records returns the stored records in address order (diagnostic; not
-// counted as I/O). It always reads the system's current source portion —
-// the portion holding the most recent execution's output or Load's input.
+// counted as I/O): the most recent execution's output or Load's input.
 // It returns all N records at once; Dump streams them in one chunk of
 // memory. Concurrent Records/Dump calls are safe; a running execution is
 // waited out.
 func (ds *Dataset) Records() ([]Record, error) {
 	ds.sys.AcquireRead()
 	defer ds.sys.ReleaseRead()
-	return ds.sys.DumpRecords(ds.sys.Source())
+	return ds.sys.DumpRecords()
 }
 
 // LoadRecords replaces the stored records with recs (diagnostic; not
 // counted as I/O) under the exclusive run lock. Like Load it writes the
-// portion the next pass would write and commits by the portion swap, so
-// the next execution and Records read recs, and a storage fault leaves
-// the stored records unchanged.
+// portion the next pass would write and then commits, so the next
+// execution and Records read recs, and a storage fault leaves the stored
+// records unchanged.
 func (ds *Dataset) LoadRecords(recs []Record) error {
 	ds.sys.AcquireRun()
 	defer ds.sys.ReleaseRun()
-	if err := ds.sys.LoadRecords(ds.sys.Target(), recs); err != nil {
-		return err
-	}
-	ds.sys.SwapPortions()
-	return nil
+	return ds.sys.LoadRecords(recs)
 }
 
 // Verify checks that the stored records are exactly the image of the
@@ -176,12 +170,12 @@ func (ds *Dataset) LoadRecords(recs []Record) error {
 func (ds *Dataset) Verify(bp Permutation) error {
 	ds.sys.AcquireRead()
 	defer ds.sys.ReleaseRead()
-	return engine.VerifyBMMC(ds.sys, ds.sys.Source(), bp)
+	return engine.VerifyBMMC(ds.sys, bp)
 }
 
 // VerifyMapping checks the stored records against an arbitrary bijection.
 func (ds *Dataset) VerifyMapping(targetOf func(uint64) uint64) error {
 	ds.sys.AcquireRead()
 	defer ds.sys.ReleaseRead()
-	return engine.VerifyMapping(ds.sys, ds.sys.Source(), targetOf)
+	return engine.VerifyMapping(ds.sys, targetOf)
 }

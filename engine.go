@@ -142,8 +142,12 @@ func (e *Engine) PermuteFactored(ctx context.Context, ds *Dataset, bp Permutatio
 }
 
 // PermuteGeneral applies an arbitrary bijection on addresses using the
-// external merge-sort baseline. targetOf must map 0..N-1 onto itself.
-// ctx follows the Execute cancellation contract.
+// external merge-sort baseline. targetOf must map 0..N-1 onto itself. The
+// sort orders records by targetOf(Key), so every record's Key must be its
+// current address: true right after CreateDataset, but not after an
+// earlier permutation or a Load. A dataset whose keys differ is refused
+// with an error naming the first such address, and its records are left
+// unchanged. ctx follows the Execute cancellation contract.
 func (e *Engine) PermuteGeneral(ctx context.Context, ds *Dataset, targetOf func(uint64) uint64, opts ...Option) (*Report, error) {
 	s := e.overlay(opts)
 	ds.sys.AcquireRun()

@@ -58,9 +58,9 @@ func CandidateReadBound(cfg pdm.Config) int {
 // LoadTargetVector stores the target-address vector as the system's
 // records: the record at address x carries targetOf(x) in its Key. Not
 // counted as I/O (it is the experiment's input state). It computes the
-// records a chunk at a time and commits them by the portion swap
-// (pdm.System.ReplaceRecords), so Source() then holds the vector, and a
-// storage fault leaves the previous records in place.
+// records a chunk at a time and commits them (pdm.System.ReplaceRecords),
+// so the stored records then hold the vector, and a storage fault leaves
+// the previous records in place.
 func LoadTargetVector(sys *pdm.System, targetOf func(uint64) uint64) error {
 	return sys.ReplaceRecords(func(off int, chunk []pdm.Record) error {
 		for i := range chunk {
@@ -72,14 +72,14 @@ func LoadTargetVector(sys *pdm.System, targetOf func(uint64) uint64) error {
 }
 
 // Detect runs the full Section 6 procedure on the target-address vector
-// stored in portion p of sys. It never moves records; all reads land in
-// the frames of one Buffer and are counted by the system's statistics.
-func Detect(sys *pdm.System, p pdm.Portion) (*Result, error) {
+// stored on sys. It never moves records; all reads land in the frames of
+// one Buffer and are counted by the system's statistics.
+func Detect(sys *pdm.System) (*Result, error) {
 	cfg := sys.Config()
 	res := &Result{FailedAt: -1}
 	buf := sys.AcquireBuffer()
 
-	a, c, err := formCandidate(sys, p, buf, res)
+	a, c, err := formCandidate(sys, buf, res)
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +95,7 @@ func Detect(sys *pdm.System, p pdm.Portion) (*Result, error) {
 	// Step 4: verify all N addresses with at most N/BD parallel reads,
 	// terminating at the first mismatch.
 	for stripe := 0; stripe < cfg.Stripes(); stripe++ {
-		if err := sys.ReadStripe(p, stripe, 0, buf); err != nil {
+		if err := sys.ReadStripe(stripe, 0, buf); err != nil {
 			return nil, err
 		}
 		res.VerifyReads++
@@ -116,7 +116,7 @@ func Detect(sys *pdm.System, p pdm.Portion) (*Result, error) {
 
 // formCandidate executes step 2: build the candidate (A, c) with
 // ceil((lg(N/B)+1)/D) parallel reads.
-func formCandidate(sys *pdm.System, p pdm.Portion, buf *pdm.Buffer, res *Result) (gf2.Matrix, gf2.Vec, error) {
+func formCandidate(sys *pdm.System, buf *pdm.Buffer, res *Result) (gf2.Matrix, gf2.Vec, error) {
 	cfg := sys.Config()
 	n, b, d := cfg.LgN(), cfg.LgB(), cfg.LgD()
 	s := n - b - d // stripe-field width
@@ -140,7 +140,7 @@ func formCandidate(sys *pdm.System, p pdm.Portion, buf *pdm.Buffer, res *Result)
 		jobs = append(jobs, colJob{disk: q, stripe: 1 << uint(t), kind: 2, idx: t})
 		t++
 	}
-	if err := runJobs(sys, p, buf, &a, &c, jobs, res); err != nil {
+	if err := runJobs(sys, buf, &a, &c, jobs, res); err != nil {
 		return a, c, err
 	}
 
@@ -151,7 +151,7 @@ func formCandidate(sys *pdm.System, p pdm.Portion, buf *pdm.Buffer, res *Result)
 			jobs = append(jobs, colJob{disk: q, stripe: 1 << uint(t), kind: 2, idx: t})
 			t++
 		}
-		if err := runJobs(sys, p, buf, &a, &c, jobs, res); err != nil {
+		if err := runJobs(sys, buf, &a, &c, jobs, res); err != nil {
 			return a, c, err
 		}
 	}
@@ -169,14 +169,14 @@ type colJob struct {
 // runJobs issues one parallel read of the given block jobs into buf and
 // extracts the complement vector and matrix columns they determine, per
 // eq. (20).
-func runJobs(sys *pdm.System, p pdm.Portion, buf *pdm.Buffer, a *gf2.Matrix, c *gf2.Vec, jobs []colJob, res *Result) error {
+func runJobs(sys *pdm.System, buf *pdm.Buffer, a *gf2.Matrix, c *gf2.Vec, jobs []colJob, res *Result) error {
 	cfg := sys.Config()
 	b, d := cfg.LgB(), cfg.LgD()
 	ios := make([]pdm.BlockIO, len(jobs))
 	for i, j := range jobs {
 		ios[i] = pdm.BlockIO{Disk: j.disk, Block: j.stripe, Frame: i}
 	}
-	if err := sys.ParallelReadGroup(p, [][]pdm.BlockIO{ios}, buf); err != nil {
+	if err := sys.ParallelReadGroup([][]pdm.BlockIO{ios}, buf); err != nil {
 		return err
 	}
 	res.CandidateReads++

@@ -41,7 +41,7 @@ func TestDetectRecoversBMMC(t *testing.T) {
 		for trial := 0; trial < 8; trial++ {
 			p := perm.MustNew(gf2.RandomNonsingular(rng, n), gf2.RandomVec(rng, n))
 			sys := newTargetSystem(t, cfg, p.Apply)
-			res, err := Detect(sys, sys.Source())
+			res, err := Detect(sys)
 			if err != nil {
 				t.Fatalf("%v: %v", cfg, err)
 			}
@@ -74,7 +74,7 @@ func TestPermutationAccessor(t *testing.T) {
 	// canonical affine-offset case.
 	p := perm.VectorReversal(n)
 	sys := newTargetSystem(t, cfg, p.Apply)
-	res, err := Detect(sys, sys.Source())
+	res, err := Detect(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestPermutationAccessor(t *testing.T) {
 		}
 		return x
 	})
-	res, err = Detect(sys, sys.Source())
+	res, err = Detect(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestDetectCatalog(t *testing.T) {
 		perm.VectorReversal(n),
 	} {
 		sys := newTargetSystem(t, cfg, p.Apply)
-		res, err := Detect(sys, sys.Source())
+		res, err := Detect(sys)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestDetectRejectsRandomVector(t *testing.T) {
 	for _, cfg := range detectConfigs {
 		target := rng.Perm(cfg.N)
 		sys := newTargetSystem(t, cfg, func(x uint64) uint64 { return uint64(target[x]) })
-		res, err := Detect(sys, sys.Source())
+		res, err := Detect(sys)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestDetectCorruptedBMMC(t *testing.T) {
 		}
 	}
 	sys := newTargetSystem(t, cfg, targetOf)
-	res, err := Detect(sys, sys.Source())
+	res, err := Detect(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestDetectCorruptedBMMC(t *testing.T) {
 func TestDetectNonPermutationVector(t *testing.T) {
 	cfg := pdm.Config{N: 1 << 10, D: 4, B: 8, M: 1 << 7}
 	sys := newTargetSystem(t, cfg, func(x uint64) uint64 { return 0 })
-	res, err := Detect(sys, sys.Source())
+	res, err := Detect(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestDetectStatsMatchSystem(t *testing.T) {
 	cfg := pdm.Config{N: 1 << 12, D: 8, B: 4, M: 1 << 8}
 	p := perm.GrayCode(cfg.LgN())
 	sys := newTargetSystem(t, cfg, p.Apply)
-	res, err := Detect(sys, sys.Source())
+	res, err := Detect(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestDetectReportsClass(t *testing.T) {
 	}
 	for _, c := range cases {
 		sys := newTargetSystem(t, cfg, c.p.Apply)
-		res, err := Detect(sys, sys.Source())
+		res, err := Detect(sys)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +283,7 @@ func TestLoadTargetVectorHoldsFewChunks(t *testing.T) {
 	} else if got > limit {
 		t.Errorf("LoadTargetVector of %d addresses allocated %d bytes, want at most four chunks (%d)", cfg.N, got, limit)
 	}
-	res, err := Detect(sys, sys.Source())
+	res, err := Detect(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestChaosLoadTargetVectorWriteFault(t *testing.T) {
 	if err := LoadTargetVector(sys, p.Apply); err != nil {
 		t.Fatal(err)
 	}
-	before, err := sys.DumpRecords(sys.Source())
+	before, err := sys.DumpRecords()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,14 +319,14 @@ func TestChaosLoadTargetVectorWriteFault(t *testing.T) {
 	if !errors.Is(err, pdm.ErrInjectedFault) {
 		t.Fatalf("faulted load error = %v, want the injected fault", err)
 	}
-	after, err := sys.DumpRecords(sys.Source())
+	after, err := sys.DumpRecords()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(after, before) {
 		t.Fatal("a faulted LoadTargetVector changed the stored vector")
 	}
-	res, err := Detect(sys, sys.Source())
+	res, err := Detect(sys)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,8 +21,8 @@ import (
 // skew. The invariants pinned here:
 //
 //   - every injected failure surfaces wrapping pdm.ErrInjectedFault;
-//   - a failed pass never swaps portions: the source records are exactly
-//     what the last completed pass left (the canonical input when the
+//   - a failed pass never commits: the stored records are exactly what
+//     the last completed pass left (the canonical input when the
 //     fault lands in pass 1), and the system stays fully usable;
 //   - a zero-fault chaos seed is byte-identical — records, Stats, trace —
 //     to a clean run;
@@ -53,25 +53,25 @@ func chaosPathsFor(cfg pdm.Config) []chaosPath {
 	return []chaosPath{
 		{"MRC", func(ctx context.Context, sys *pdm.System, opt Options) error {
 			return RunMRCPass(ctx, sys, mrc, opt)
-		}, func(sys *pdm.System) error { return VerifyBMMC(sys, sys.Source(), mrc) }},
+		}, func(sys *pdm.System) error { return VerifyBMMC(sys, mrc) }},
 		{"MLD", func(ctx context.Context, sys *pdm.System, opt Options) error {
 			return RunMLDPass(ctx, sys, mld, opt)
-		}, func(sys *pdm.System) error { return VerifyBMMC(sys, sys.Source(), mld) }},
+		}, func(sys *pdm.System) error { return VerifyBMMC(sys, mld) }},
 		{"invMLD", func(ctx context.Context, sys *pdm.System, opt Options) error {
 			return RunMLDInversePass(ctx, sys, inv, opt)
-		}, func(sys *pdm.System) error { return VerifyBMMC(sys, sys.Source(), inv) }},
+		}, func(sys *pdm.System) error { return VerifyBMMC(sys, inv) }},
 		{"BMMC", func(ctx context.Context, sys *pdm.System, opt Options) error {
 			_, err := runFactored(ctx, sys, bmmc, opt)
 			return err
-		}, func(sys *pdm.System) error { return VerifyBMMC(sys, sys.Source(), bmmc) }},
+		}, func(sys *pdm.System) error { return VerifyBMMC(sys, bmmc) }},
 		{"sort", func(ctx context.Context, sys *pdm.System, opt Options) error {
 			_, err := GeneralPermute(ctx, sys, targetOf, opt)
 			return err
-		}, func(sys *pdm.System) error { return VerifyMapping(sys, sys.Source(), targetOf) }},
+		}, func(sys *pdm.System) error { return VerifyMapping(sys, targetOf) }},
 		{"naive", func(ctx context.Context, sys *pdm.System, opt Options) error {
 			_, err := NaivePermute(ctx, sys, targetOf, opt)
 			return err
-		}, func(sys *pdm.System) error { return VerifyMapping(sys, sys.Source(), targetOf) }},
+		}, func(sys *pdm.System) error { return VerifyMapping(sys, targetOf) }},
 	}
 }
 
@@ -88,8 +88,8 @@ func canonicalRecords(cfg pdm.Config) []pdm.Record {
 
 // TestChaosEngineFaultSurfacesEveryPath: a flaky backend faulting in pass
 // 1 makes every engine path on every backend kind fail with a wrapped
-// pdm.ErrInjectedFault, leave the source portion exactly as loaded (no
-// mid-pass portion swap), and stay usable: after the fault window the same
+// pdm.ErrInjectedFault, leave the stored records exactly as loaded (no
+// mid-pass commit), and stay usable: after the fault window the same
 // system runs the same permutation cleanly and verifies. The fault lands
 // either early or, write-only, on the final write batch of pass 1, which
 // the pipeline's writer goroutine issues after the last scatter: a pass
@@ -134,10 +134,10 @@ func TestChaosEngineFaultSurfacesEveryPath(t *testing.T) {
 							t.Fatalf("want wrapped pdm.ErrInjectedFault, got %v", err)
 						}
 
-						// No portion swap happened, and the source records are
-						// untouched: the fault hit pass 1, whose source is the input.
+						// Nothing was committed, and the stored records are
+						// untouched: the fault hit pass 1, whose input they are.
 						fb.Disarm()
-						got, derr := sys.DumpRecords(sys.Source())
+						got, derr := sys.DumpRecords()
 						if derr != nil {
 							t.Fatal(derr)
 						}
@@ -289,11 +289,11 @@ func TestChaosEngineZeroFaultByteIdentical(t *testing.T) {
 						t.Fatalf("%s: %v", path.name, err)
 					}
 				}
-				wantRecs, err := clean.DumpRecords(clean.Source())
+				wantRecs, err := clean.DumpRecords()
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotRecs, err := chaotic.DumpRecords(chaotic.Source())
+				gotRecs, err := chaotic.DumpRecords()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -342,8 +342,8 @@ func TestChaosEngineTornRangeRecovers(t *testing.T) {
 		if err := path.verify(torn); err != nil {
 			t.Fatalf("%s: torn-range run does not verify: %v", path.name, err)
 		}
-		wantRecs, _ := clean.DumpRecords(clean.Source())
-		gotRecs, _ := torn.DumpRecords(torn.Source())
+		wantRecs, _ := clean.DumpRecords()
+		gotRecs, _ := torn.DumpRecords()
 		if !reflect.DeepEqual(wantRecs, gotRecs) {
 			t.Fatalf("%s: torn-range records differ from clean run", path.name)
 		}
@@ -391,9 +391,9 @@ func TestChaosEngineCancelOnSlowDisk(t *testing.T) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 
-	// The canceled pass never swapped portions; the source is untouched.
+	// The canceled pass never committed; the stored records are untouched.
 	lb.Disarm()
-	got, err := sys.DumpRecords(sys.Source())
+	got, err := sys.DumpRecords()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func TestChaosEngineCancelOnSlowDisk(t *testing.T) {
 	if err := RunMRCPass(context.Background(), sys, mrc, pipeOpt); err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyBMMC(sys, sys.Source(), mrc); err != nil {
+	if err := VerifyBMMC(sys, mrc); err != nil {
 		t.Fatal(err)
 	}
 
@@ -450,7 +450,7 @@ func TestChaosLatencySkewPipelineWins(t *testing.T) {
 			t.Fatal(err)
 		}
 		elapsed := time.Since(start)
-		if err := VerifyBMMC(sys, sys.Source(), mrc); err != nil {
+		if err := VerifyBMMC(sys, mrc); err != nil {
 			t.Fatal(err)
 		}
 		return elapsed

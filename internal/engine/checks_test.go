@@ -27,10 +27,10 @@ func swapBits(t *testing.T, n, i, j int) perm.BMMC {
 // TestStrategyRunTimeChecks drives each one-pass strategy through runPass
 // around a permutation outside its class, bypassing the entry points'
 // class checks, and requires the strategy's own run-time check to refuse
-// it with the source portion untouched. Swapping bit 0 with bit m reaches
-// the checks through the record kernel only; swapping bit b with bit m
-// keeps the low lg B bits in place, so the coalesced kernel reaches them
-// too.
+// it with nothing committed and the stored records untouched. Swapping
+// bit 0 with bit m reaches the checks through the record kernel only;
+// swapping bit b with bit m keeps the low lg B bits in place, so the
+// coalesced kernel reaches them too.
 func TestStrategyRunTimeChecks(t *testing.T) {
 	defer func(rk bool) { forceRecordKernel = rk }(forceRecordKernel)
 	cfg := pdm.Config{N: 1 << 10, D: 4, B: 8, M: 1 << 7}
@@ -76,17 +76,17 @@ func TestStrategyRunTimeChecks(t *testing.T) {
 					t.Fatalf("%s: strategy picked kernel %q", tc.name, st.kernel())
 				}
 				sys := newLoaded(t, cfg)
-				src := sys.Source()
+				gen := sys.Generation()
 				err := runPass(context.Background(), sys, st, opt)
 				if err == nil || !strings.Contains(err.Error(), tc.want) {
 					t.Fatalf("%s kernel=%s pipeline=%v: got %v, want an error containing %q",
 						tc.name, st.kernel(), !opt.sequential, err, tc.want)
 				}
-				if sys.Source() != src {
-					t.Fatalf("%s kernel=%s pipeline=%v: a refused pass swapped the portions", tc.name, st.kernel(), !opt.sequential)
+				if sys.Generation() != gen {
+					t.Fatalf("%s kernel=%s pipeline=%v: a refused pass committed", tc.name, st.kernel(), !opt.sequential)
 				}
-				if err := VerifyBMMC(sys, src, perm.Identity(n)); err != nil {
-					t.Fatalf("%s kernel=%s pipeline=%v: source portion disturbed: %v", tc.name, st.kernel(), !opt.sequential, err)
+				if err := VerifyBMMC(sys, perm.Identity(n)); err != nil {
+					t.Fatalf("%s kernel=%s pipeline=%v: stored records disturbed: %v", tc.name, st.kernel(), !opt.sequential, err)
 				}
 			}
 		}

@@ -81,7 +81,7 @@ func runEngine(t *testing.T, cfg pdm.Config, run func(*pdm.System) error) []pdm.
 	if err := run(sys); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := sys.DumpRecords(sys.Source())
+	recs, err := sys.DumpRecords()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestBoundsConformance(t *testing.T) {
 						res, err := engine.RunPlan(context.Background(), s, mode.pl, engine.Options{})
 						if err == nil {
 							ios = res.ParallelIOs
-							err = engine.VerifyBMMC(s, s.Source(), p)
+							err = engine.VerifyBMMC(s, p)
 						}
 						return err
 					})

@@ -103,7 +103,7 @@ func TestMRCPassGrayCode(t *testing.T) {
 		if err := RunMRCPass(context.Background(), sys, p, Options{}); err != nil {
 			t.Fatalf("%v: %v", cfg, err)
 		}
-		if err := VerifyBMMC(sys, sys.Source(), p); err != nil {
+		if err := VerifyBMMC(sys, p); err != nil {
 			t.Fatalf("%v: %v", cfg, err)
 		}
 		if got := sys.Stats().ParallelIOs(); got != cfg.PassIOs() {
@@ -121,7 +121,7 @@ func TestMRCPassRandom(t *testing.T) {
 			if err := RunMRCPass(context.Background(), sys, p, Options{}); err != nil {
 				t.Fatalf("%v: %v", cfg, err)
 			}
-			if err := VerifyBMMC(sys, sys.Source(), p); err != nil {
+			if err := VerifyBMMC(sys, p); err != nil {
 				t.Fatalf("%v: %v", cfg, err)
 			}
 		}
@@ -149,7 +149,7 @@ func TestMLDPassRandom(t *testing.T) {
 			if err := RunMLDPass(context.Background(), sys, p, Options{}); err != nil {
 				t.Fatalf("%v: %v", cfg, err)
 			}
-			if err := VerifyBMMC(sys, sys.Source(), p); err != nil {
+			if err := VerifyBMMC(sys, p); err != nil {
 				t.Fatalf("%v: %v", cfg, err)
 			}
 			// Theorem 15: exactly one pass.
@@ -194,7 +194,7 @@ func TestRunBMMCRandom(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v: %v", cfg, err)
 			}
-			if err := VerifyBMMC(sys, sys.Source(), p); err != nil {
+			if err := VerifyBMMC(sys, p); err != nil {
 				t.Fatalf("%v: %v", cfg, err)
 			}
 			// Theorem 21: at most 2N/BD * (ceil(rank gamma/lg(M/B)) + 2).
@@ -230,7 +230,7 @@ func TestRunBMMCCatalog(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := VerifyBMMC(sys, sys.Source(), c.p); err != nil {
+			if err := VerifyBMMC(sys, c.p); err != nil {
 				t.Fatal(err)
 			}
 			if c.name == "identity" && res.ParallelIOs != 0 {
@@ -275,7 +275,7 @@ func TestRunAutoDispatch(t *testing.T) {
 	if res.Passes != 1 {
 		t.Errorf("MLD dispatch used %d passes", res.Passes)
 	}
-	if err := VerifyBMMC(sys, sys.Source(), p); err != nil {
+	if err := VerifyBMMC(sys, p); err != nil {
 		t.Fatal(err)
 	}
 
@@ -288,7 +288,7 @@ func TestRunAutoDispatch(t *testing.T) {
 	if res.Passes < 2 {
 		t.Errorf("bit reversal dispatched to %d passes", res.Passes)
 	}
-	if err := VerifyBMMC(sys, sys.Source(), perm.BitReversal(n)); err != nil {
+	if err := VerifyBMMC(sys, perm.BitReversal(n)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -306,7 +306,7 @@ func TestGeneralPermuteRandomBijection(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", cfg, err)
 		}
-		if err := VerifyMapping(sys, sys.Source(), targetOf); err != nil {
+		if err := VerifyMapping(sys, targetOf); err != nil {
 			t.Fatalf("%v: %v", cfg, err)
 		}
 		// Pass count: 1 + ceil(log_fanIn(N/M)) full passes.
@@ -331,7 +331,7 @@ func TestGeneralPermuteBMMCTarget(t *testing.T) {
 	if _, err := GeneralPermute(context.Background(), sys, p.Apply, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyBMMC(sys, sys.Source(), p); err != nil {
+	if err := VerifyBMMC(sys, p); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -346,7 +346,7 @@ func TestNaivePermute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyMapping(sys, sys.Source(), targetOf); err != nil {
+	if err := VerifyMapping(sys, targetOf); err != nil {
 		t.Fatal(err)
 	}
 	// Cost shape: about N/D reads plus N/BD writes; allow slack for skewed
@@ -368,7 +368,7 @@ func TestNaivePermuteBMMCTarget(t *testing.T) {
 	if _, err := NaivePermute(context.Background(), sys, p.Apply, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyBMMC(sys, sys.Source(), p); err != nil {
+	if err := VerifyBMMC(sys, p); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -387,7 +387,7 @@ func TestChainedPasses(t *testing.T) {
 	if _, err := runFactored(context.Background(), sys, p2, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyBMMC(sys, sys.Source(), p2.Compose(p1)); err != nil {
+	if err := VerifyBMMC(sys, p2.Compose(p1)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -407,7 +407,7 @@ func TestFileBackedBMMC(t *testing.T) {
 	if _, err := runFactored(context.Background(), sys, p, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyBMMC(sys, sys.Source(), p); err != nil {
+	if err := VerifyBMMC(sys, p); err != nil {
 		t.Fatal(err)
 	}
 }

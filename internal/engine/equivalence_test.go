@@ -26,7 +26,7 @@ func finalLayout(t *testing.T, cfg pdm.Config, run func(*pdm.System) error) []pd
 	if err := run(sys); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := sys.DumpRecords(sys.Source())
+	recs, err := sys.DumpRecords()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func traceRun(t *testing.T, cfg pdm.Config, plan *factor.Plan, opt Options, conc
 	if _, err := RunPlan(context.Background(), sys, plan, opt); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := sys.DumpRecords(sys.Source())
+	recs, err := sys.DumpRecords()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func TestMLDInversePass(t *testing.T) {
 			if err := RunMLDInversePass(context.Background(), sys, p, Options{}); err != nil {
 				t.Fatalf("%v: %v", cfg, err)
 			}
-			if err := VerifyBMMC(sys, sys.Source(), p); err != nil {
+			if err := VerifyBMMC(sys, p); err != nil {
 				t.Fatalf("%v: %v", cfg, err)
 			}
 			if got := sys.Stats().ParallelIOs(); got != cfg.PassIOs() {
@@ -58,7 +58,7 @@ func TestMLDInverseRoundTrip(t *testing.T) {
 	if err := RunMLDInversePass(context.Background(), sys, mld.Inverse(), Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyBMMC(sys, sys.Source(), perm.Identity(cfg.LgN())); err != nil {
+	if err := VerifyBMMC(sys, perm.Identity(cfg.LgN())); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -90,7 +90,7 @@ func TestUngroupedAblation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := VerifyBMMC(sysU, sysU.Source(), p); err != nil {
+		if err := VerifyBMMC(sysU, p); err != nil {
 			t.Fatalf("ungrouped run corrupted data: %v", err)
 		}
 
@@ -125,7 +125,7 @@ func TestCompiledEngineEquivalence(t *testing.T) {
 		if _, err := runFactored(context.Background(), sys, p, Options{}); err != nil {
 			t.Fatal(err)
 		}
-		recs, err := sys.DumpRecords(sys.Source())
+		recs, err := sys.DumpRecords()
 		if err != nil {
 			t.Fatal(err)
 		}

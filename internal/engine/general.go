@@ -20,11 +20,13 @@ import (
 // practical scheme; DESIGN.md documents why the shape comparison survives
 // the substitution.
 //
-// Records must carry their source address in Key (see LoadSequential);
-// targetOf maps source to target addresses and must be a bijection. The
-// run-formation pass goes through the pipelined pass runner (prefetching
-// the next memoryload and writing the previous one while the current one
-// sorts); the merge passes stream stripes and stay sequential.
+// The sort orders records by targetOf(Key), so every record's Key must be
+// its current address, as LoadSequential leaves it; the run-formation pass
+// refuses, committing nothing, at the first address holding another key.
+// targetOf must be a bijection. Run formation goes through the pipelined
+// pass runner (prefetching the next memoryload and writing the previous
+// one while the current one sorts); the merge passes stream stripes, stay
+// sequential and commit once each.
 func GeneralPermute(ctx context.Context, sys *pdm.System, targetOf func(uint64) uint64, opt Options) (*Result, error) {
 	cfg := sys.Config()
 	stripeRecs := cfg.B * cfg.D
@@ -56,7 +58,6 @@ func GeneralPermute(ctx context.Context, sys *pdm.System, targetOf func(uint64) 
 	if err := runPass(ctx, sys, &sortStrategy{cfg: cfg, targetOf: targetOf}, stamp(1)); err != nil {
 		return nil, err
 	}
-	sys.SwapPortions()
 	passes++
 
 	// Merge passes: fanIn-way merges at stripe granularity until one run
@@ -70,7 +71,7 @@ func GeneralPermute(ctx context.Context, sys *pdm.System, targetOf func(uint64) 
 		if err := mergePass(ctx, sys, buf, targetOf, runStripes, fanIn, stamp(passes+1)); err != nil {
 			return nil, err
 		}
-		sys.SwapPortions()
+		sys.Commit()
 		runStripes *= fanIn
 		passes++
 	}
@@ -81,8 +82,9 @@ func GeneralPermute(ctx context.Context, sys *pdm.System, targetOf func(uint64) 
 }
 
 // sortStrategy is the run-formation stage of the merge sort as a pass
-// strategy: striped reads of each memoryload, an in-memory sort by target
-// address, and striped writes back to the same memoryload position.
+// strategy: striped reads of each memoryload, a check that every record's
+// Key is its address, an in-memory sort by target address, and striped
+// writes back to the same memoryload position.
 type sortStrategy struct {
 	cfg      pdm.Config
 	targetOf func(uint64) uint64
@@ -99,6 +101,13 @@ func (st *sortStrategy) prepare(ml int) (loadPlan, error) {
 }
 
 func (st *sortStrategy) scatter(ml int, _ loadPlan, in, out *pdm.Buffer) ([][]pdm.BlockIO, error) {
+	// Load ml holds addresses ml*M onward in buffer order.
+	base := uint64(ml) * uint64(st.cfg.M)
+	for i, r := range in.Records() {
+		if x := base + uint64(i); r.Key != x {
+			return nil, fmt.Errorf("engine: merge sort needs every record's Key to be its address, but address %d holds key %d", x, r.Key)
+		}
+	}
 	recs := out.Records()
 	copy(recs, in.Records())
 	sort.Slice(recs, func(i, j int) bool {
@@ -108,8 +117,9 @@ func (st *sortStrategy) scatter(ml int, _ loadPlan, in, out *pdm.Buffer) ([][]pd
 }
 
 // mergePass merges every group of fanIn consecutive runs (runStripes
-// stripes each) from the source portion into single runs in the target
-// portion through buf, reading and writing each stripe exactly once. ctx
+// stripes each) of the stored records into single runs in the other
+// portion through buf, reading and writing each stripe exactly once; the
+// caller commits them. ctx
 // is checked and a progress event emitted between merge groups — the
 // "memoryload" of a merge pass, so WithProgress keeps reporting through
 // the merge phase of a general permutation.
@@ -160,7 +170,7 @@ func (rc *runCursor) refill(sys *pdm.System, buf *pdm.Buffer) error {
 		rc.pos, rc.lim = 0, 0
 		return nil
 	}
-	if err := sys.ReadStripe(sys.Source(), rc.next, rc.frame0, buf); err != nil {
+	if err := sys.ReadStripe(rc.next, rc.frame0, buf); err != nil {
 		return err
 	}
 	rc.next++
@@ -177,7 +187,7 @@ func (rc *runCursor) head(buf *pdm.Buffer) (pdm.Record, bool) {
 }
 
 // mergeRuns merges the given runs into consecutive output stripes starting
-// at outStripe in the target portion. The output stripe occupies the D
+// at outStripe in the other portion. The output stripe occupies the D
 // frames of buf after the run windows.
 func mergeRuns(sys *pdm.System, buf *pdm.Buffer, targetOf func(uint64) uint64, runs []*runCursor, outStripe int) error {
 	cfg := sys.Config()
@@ -217,7 +227,7 @@ func mergeRuns(sys *pdm.System, buf *pdm.Buffer, targetOf func(uint64) uint64, r
 			}
 		}
 		if outPos == stripeRecs {
-			if err := sys.WriteStripe(sys.Target(), outStripe, outFrame0, buf); err != nil {
+			if err := sys.WriteStripe(outStripe, outFrame0, buf); err != nil {
 				return err
 			}
 			outStripe++

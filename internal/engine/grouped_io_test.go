@@ -41,7 +41,7 @@ func runConformance(t *testing.T, cfg pdm.Config, backend string, ungrouped bool
 	if err := fn(sys); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := sys.DumpRecords(sys.Source())
+	recs, err := sys.DumpRecords()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,11 +36,7 @@ func RunMLDInversePass(ctx context.Context, sys *pdm.System, p perm.BMMC, opt Op
 		invApplier: inv.Compile(),
 		run:        runLength(applier.RunBits(), cfg.LgB()),
 	}
-	if err := runPass(ctx, sys, st, opt); err != nil {
-		return err
-	}
-	sys.SwapPortions()
-	return nil
+	return runPass(ctx, sys, st, opt)
 }
 
 // invMLDStrategy is the mirror-image placement rule: loads iterate over

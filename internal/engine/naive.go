@@ -39,7 +39,6 @@ func NaivePermute(ctx context.Context, sys *pdm.System, targetOf func(uint64) ui
 	if err := runPass(ctx, sys, newNaiveStrategy(cfg, srcOf), opt); err != nil {
 		return nil, err
 	}
-	sys.SwapPortions()
 	return &Result{
 		Passes:      1,
 		ParallelIOs: sys.Stats().ParallelIOs() - before,

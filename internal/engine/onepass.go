@@ -24,11 +24,7 @@ func RunMRCPass(ctx context.Context, sys *pdm.System, p perm.BMMC, opt Options) 
 	}
 	applier := p.Compile()
 	st := &mrcStrategy{cfg: cfg, applier: applier, run: runLength(applier.RunBits(), cfg.LgM())}
-	if err := runPass(ctx, sys, st, opt); err != nil {
-		return err
-	}
-	sys.SwapPortions()
-	return nil
+	return runPass(ctx, sys, st, opt)
 }
 
 // mrcStrategy is the block-placement rule of an MRC pass: each source
@@ -146,11 +142,7 @@ func RunMLDPass(ctx context.Context, sys *pdm.System, p perm.BMMC, opt Options) 
 	}
 	applier := p.Compile()
 	st := &mldStrategy{cfg: cfg, applier: applier, run: runLength(applier.RunBits(), cfg.LgM())}
-	if err := runPass(ctx, sys, st, opt); err != nil {
-		return err
-	}
-	sys.SwapPortions()
-	return nil
+	return runPass(ctx, sys, st, opt)
 }
 
 // mldStrategy is the block-placement rule of an MLD pass: records cluster

@@ -17,16 +17,17 @@ type Result struct {
 }
 
 // RunPlan executes a plan: each pass is dispatched to the one-pass
-// executor its kind names (MRC, MLD, or inverse-MLD), ping-ponging between
-// the two portions. A nil plan is the identity and costs nothing. The
-// caller owns the plan — factor.Dispatch, factor.Factorize, an optional
-// factor.Fuse, or a plan cache built it — so repeated permutations never
-// pay for re-factorization. The measured cost of a factored plan is at
-// most 2N/BD * (ceil(rank gamma / lg(M/B)) + 2) parallel I/Os (Theorem 21).
+// executor its kind names (MRC, MLD, or inverse-MLD), which commits its
+// output as the stored records. A nil plan is the identity and costs
+// nothing. The caller owns the plan — factor.Dispatch, factor.Factorize,
+// an optional factor.Fuse, or a plan cache built it — so repeated
+// permutations never pay for re-factorization. The measured cost of a
+// factored plan is at most 2N/BD * (ceil(rank gamma / lg(M/B)) + 2)
+// parallel I/Os (Theorem 21).
 //
-// ctx is checked between memoryloads; cancellation mid-pass leaves the
-// portion roles unswapped, so the stored records are exactly the state
-// after the last completed pass.
+// ctx is checked between memoryloads; a pass canceled midway commits
+// nothing, so the stored records are exactly the state after the last
+// completed pass.
 func RunPlan(ctx context.Context, sys *pdm.System, plan *factor.Plan, opt Options) (*Result, error) {
 	if plan == nil {
 		return &Result{}, nil

@@ -6,17 +6,17 @@
 // general permutations) and NaivePermute (a record-gather scheme realizing
 // the N/D term, also the tests' oracle).
 //
-// Every engine reads records from the system's source portion and writes
-// the permuted records to the target portion, then swaps the portion roles,
-// exactly as the paper chains one-pass permutations.
+// Every pass reads the stored records and writes the permuted records to
+// the disk system's other portion, then commits them as the stored
+// records, exactly as the paper chains one-pass permutations.
 //
 // # The pass runner
 //
 // All engines execute through a single pipelined pass runner. A pass is a
 // sequence of loads (usually memoryloads), each processed in three stages:
-// read the load's blocks from the source portion into an input buffer,
+// read the load's blocks of the stored records into an input buffer,
 // scatter the records to their target positions in an output buffer, and
-// write the assembled blocks to the target portion. Each engine contributes
+// write the assembled blocks to the other portion. Each engine contributes
 // only a small strategy — its class check plus its block-placement rule —
 // and the runner supplies the execution machinery. A pass runs the three
 // stages on three goroutines: a reader goroutine prefetches load k+1 into
@@ -85,7 +85,8 @@ type Options struct {
 // scatter stage, so a strategy must keep per-load state here rather than
 // on itself.
 type loadPlan struct {
-	// reads holds the parallel read operations fetching the load. The
+	// reads holds the parallel read operations fetching the load, issued
+	// as one group so the System can coalesce their per-disk blocks. The
 	// runner consumes it during the read stage only, so a strategy may
 	// reuse the backing arrays for later loads (see retargetStriped);
 	// ctx, by contrast, stays live until the load's writes complete.
@@ -117,18 +118,16 @@ type passStrategy interface {
 }
 
 // runPass executes a full pass of st over sys: every load is read from the
-// source portion, scattered, and written to the target portion. The caller
-// remains responsible for SwapPortions.
+// stored records, scattered, and written to the other portion, and once
+// the last load's writes are counted runPass commits them.
 //
 // Cancellation and errors: ctx is checked between memoryloads (a pass
 // never aborts a counted parallel I/O halfway). The first error from any
 // stage stops the other two, and both the prefetch reader and the writer
 // are drained before returning, so no goroutine or buffer outlives the
-// call. runPass succeeds only once the last load's writes are counted.
-// The source portion is untouched, and — because the caller only swaps
-// portions on success — the system remains usable.
+// call. A failed pass commits nothing, so the stored records are untouched
+// and the system remains usable.
 func runPass(ctx context.Context, sys *pdm.System, st passStrategy, opt Options) error {
-	src, tgt := sys.Source(), sys.Target()
 	loads := st.loads()
 	out := sys.AcquireBuffer()
 	opt.emit(st.kind(), st.kernel(), 0, loads)
@@ -143,14 +142,19 @@ func runPass(ctx context.Context, sys *pdm.System, st passStrategy, opt Options)
 			if err != nil {
 				return err
 			}
-			if err := readLoad(sys, src, plan, in); err != nil {
+			if err := sys.ParallelReadGroup(plan.reads, in); err != nil {
 				return err
 			}
-			if err := scatterAndWrite(sys, tgt, st, ml, plan, in, out); err != nil {
+			writes, err := st.scatter(ml, plan, in, out)
+			if err != nil {
+				return err
+			}
+			if err := sys.ParallelWriteGroup(writes, out); err != nil {
 				return err
 			}
 			opt.emit(st.kind(), st.kernel(), ml+1, loads)
 		}
+		sys.Commit()
 		return nil
 	}
 
@@ -181,7 +185,7 @@ func runPass(ctx context.Context, sys *pdm.System, st passStrategy, opt Options)
 			}
 			plan, err := st.prepare(ml)
 			if err == nil {
-				err = readLoad(sys, src, plan, ins[ml&1])
+				err = sys.ParallelReadGroup(plan.reads, ins[ml&1])
 			}
 			select {
 			case ch <- fetched{plan, err}:
@@ -223,7 +227,7 @@ func runPass(ctx context.Context, sys *pdm.System, st passStrategy, opt Options)
 			default:
 			}
 			if d.slot != nil {
-				if writeErr = sys.ParallelWriteGroup(tgt, d.slot.ops, d.slot.buf); writeErr != nil {
+				if writeErr = sys.ParallelWriteGroup(d.slot.ops, d.slot.buf); writeErr != nil {
 					return
 				}
 				free <- d.slot
@@ -285,6 +289,9 @@ func runPass(ctx context.Context, sys *pdm.System, st passStrategy, opt Options)
 		}
 	}
 	drain()
+	if writeErr == nil {
+		sys.Commit()
+	}
 	return writeErr
 }
 
@@ -347,21 +354,6 @@ func kernelName(run int) string {
 		return "record"
 	}
 	return fmt.Sprintf("run%d", run)
-}
-
-func readLoad(sys *pdm.System, src pdm.Portion, plan loadPlan, in *pdm.Buffer) error {
-	// The whole load's reads are known up front, so the System can coalesce
-	// their per-disk blocks into runs while still counting and tracing each
-	// operation individually.
-	return sys.ParallelReadGroup(src, plan.reads, in)
-}
-
-func scatterAndWrite(sys *pdm.System, tgt pdm.Portion, st passStrategy, ml int, plan loadPlan, in, out *pdm.Buffer) error {
-	writes, err := st.scatter(ml, plan, in, out)
-	if err != nil {
-		return err
-	}
-	return sys.ParallelWriteGroup(tgt, writes, out)
 }
 
 // stripedOps returns the M/BD striped parallel operations covering

@@ -32,7 +32,7 @@ var pipeOpt = Options{}
 // then pipelined on a file-backed system with concurrent dispatch and on
 // sharded file storage over two directories with sequential dispatch, and
 // asserts that each pipelined run's records, stats (per-disk counts
-// included) and portion roles equal the RAM run's.
+// included) and commit counts equal the RAM run's.
 func runBoth(t *testing.T, cfg pdm.Config, what string, run func(*pdm.System, Options) error) {
 	t.Helper()
 	exec := func(mode string, be pdm.Backend, concurrent bool, opt Options) (*pdm.System, []pdm.Record) {
@@ -49,7 +49,7 @@ func runBoth(t *testing.T, cfg pdm.Config, what string, run func(*pdm.System, Op
 		if err := run(sys, opt); err != nil {
 			t.Fatalf("%s %s: %v", what, mode, err)
 		}
-		recs, err := sys.DumpRecords(sys.Source())
+		recs, err := sys.DumpRecords()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,8 +74,8 @@ func runBoth(t *testing.T, cfg pdm.Config, what string, run func(*pdm.System, Op
 		if ws, gs := ram.Stats(), sys.Stats(); !reflect.DeepEqual(ws, gs) {
 			t.Errorf("%s: stats diverge:\nsequential: %+v\n%s: %+v", what, ws, c.mode, gs)
 		}
-		if ram.Source() != sys.Source() {
-			t.Errorf("%s: portion roles diverge (sequential %v, %s %v)", what, ram.Source(), c.mode, sys.Source())
+		if ram.Generation() != sys.Generation() {
+			t.Errorf("%s: commit counts diverge (sequential %d, %s %d)", what, ram.Generation(), c.mode, sys.Generation())
 		}
 	}
 }
@@ -124,7 +124,7 @@ func TestPipelinedBaselinesMatchSequential(t *testing.T) {
 }
 
 // TestPipelinedChainedPasses runs a multi-pass chain (odd and even pass
-// counts, swapping portions) under the pipelined runner and verifies the
+// counts, one commit per pass) under the pipelined runner and verifies the
 // composite permutation landed correctly.
 func TestPipelinedChainedPasses(t *testing.T) {
 	cfg := pdm.Config{N: 1 << 12, D: 4, B: 8, M: 1 << 8}
@@ -146,7 +146,7 @@ func TestPipelinedChainedPasses(t *testing.T) {
 	if _, err := runFactored(context.Background(), sys, p2, pipeOpt); err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyBMMC(sys, sys.Source(), p2.Compose(p1)); err != nil {
+	if err := VerifyBMMC(sys, p2.Compose(p1)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -212,7 +212,6 @@ func TestPipelineWritesBehindScatter(t *testing.T) {
 	if err := runPass(context.Background(), sys, st, pipeOpt); err != nil {
 		t.Fatal(err)
 	}
-	sys.SwapPortions()
 	if !<-overlapped {
 		t.Error("load 0's first write finished before load 1 scattered: the write stage did not overlap the next scatter")
 	}
@@ -228,11 +227,11 @@ func TestPipelineWritesBehindScatter(t *testing.T) {
 	if err := RunMRCPass(context.Background(), ref, p, seqOpt); err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.DumpRecords(ref.Source())
+	want, err := ref.DumpRecords()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sys.DumpRecords(sys.Source())
+	got, err := sys.DumpRecords()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,17 +31,6 @@ func TestMRCPassScheduleIsFullyStriped(t *testing.T) {
 	if len(tr.Entries) != cfg.PassIOs() {
 		t.Errorf("trace has %d entries, want %d", len(tr.Entries), cfg.PassIOs())
 	}
-	// Reads from the source portion only, writes to the target only.
-	for _, e := range tr.Reads() {
-		if e.Portion != pdm.PortionA {
-			t.Error("MRC pass read from the target portion")
-		}
-	}
-	for _, e := range tr.Writes() {
-		if e.Portion != pdm.PortionB {
-			t.Error("MRC pass wrote to the source portion")
-		}
-	}
 }
 
 func TestMLDPassScheduleShape(t *testing.T) {

@@ -108,7 +108,7 @@ func (h Harness) run(ctx context.Context, cfg pdm.Config, p perm.BMMC, plan plan
 	if err != nil {
 		return nil, err
 	}
-	if err := engine.VerifyBMMC(sys, sys.Source(), p); err != nil {
+	if err := engine.VerifyBMMC(sys, p); err != nil {
 		return nil, fmt.Errorf("verification failed: %w", err)
 	}
 	return res, nil
@@ -245,7 +245,7 @@ func (h Harness) Crossover(ctx context.Context, cfg pdm.Config, seed int64) (*Ta
 			sys.Close()
 			return nil, err
 		}
-		if err := engine.VerifyBMMC(sys, sys.Source(), p); err != nil {
+		if err := engine.VerifyBMMC(sys, p); err != nil {
 			sys.Close()
 			return nil, err
 		}
@@ -278,7 +278,7 @@ func (h Harness) MLDOnePass(ctx context.Context, cfg pdm.Config, seed int64) (*T
 			sys.Close()
 			return nil, err
 		}
-		if err := engine.VerifyBMMC(sys, sys.Source(), p); err != nil {
+		if err := engine.VerifyBMMC(sys, p); err != nil {
 			sys.Close()
 			return nil, err
 		}
@@ -328,7 +328,7 @@ func (h Harness) Detection(ctx context.Context, cfg pdm.Config, seed int64) (*Ta
 			sys.Close()
 			return nil, err
 		}
-		res, err := detect.Detect(sys, sys.Source())
+		res, err := detect.Detect(sys)
 		sys.Close()
 		if err != nil {
 			return nil, err
@@ -605,7 +605,7 @@ func (h Harness) Fusion(ctx context.Context, cfg pdm.Config, seed int64) (*Table
 			if err != nil {
 				return 0, err
 			}
-			if err := engine.VerifyBMMC(sys, sys.Source(), e.p); err != nil {
+			if err := engine.VerifyBMMC(sys, e.p); err != nil {
 				return 0, fmt.Errorf("%s: %w", e.name, err)
 			}
 			return res.ParallelIOs, nil
@@ -697,7 +697,7 @@ func (h Harness) BackendSpeed(ctx context.Context, cfg pdm.Config, seed int64) (
 			if err := sys.Sync(); err != nil {
 				return err
 			}
-			return engine.VerifyBMMC(sys, sys.Source(), p)
+			return engine.VerifyBMMC(sys, p)
 		}
 		for rep := 0; rep < 4 && err == nil; rep++ {
 			err = run(rep > 0)

@@ -43,9 +43,9 @@ func DecodeSample(r pdm.Record) complex128 {
 }
 
 // LoadSamples stores the samples as the system's records (setup; not
-// counted as I/O). It encodes them a chunk at a time and commits by the
-// portion swap (pdm.System.ReplaceRecords), so Source() then holds them,
-// and a storage fault leaves the previous records in place.
+// counted as I/O). It encodes them a chunk at a time and commits them
+// (pdm.System.ReplaceRecords), so a storage fault leaves the previous
+// records in place.
 func LoadSamples(sys *pdm.System, samples []complex128) error {
 	cfg := sys.Config()
 	if len(samples) != cfg.N {
@@ -61,7 +61,7 @@ func LoadSamples(sys *pdm.System, samples []complex128) error {
 
 // DumpSamples reads the samples back in address order (not counted).
 func DumpSamples(sys *pdm.System) ([]complex128, error) {
-	recs, err := sys.DumpRecords(sys.Source())
+	recs, err := sys.DumpRecords()
 	if err != nil {
 		return nil, err
 	}
@@ -79,8 +79,8 @@ type Result struct {
 	ComputePassIOs int // I/Os spent reading/writing during butterfly passes
 }
 
-// FFT transforms the N complex samples stored on sys in place (the result
-// ends up on the current source portion in natural frequency order).
+// FFT transforms the N complex samples stored on sys in place (the stored
+// records end up holding the result in natural frequency order).
 // inverse selects the inverse transform, which includes the 1/N scaling.
 // Requires N <= M^2 so both four-step factors fit in memory. Cancelling
 // ctx aborts between memoryloads of any transpose or compute pass, leaving
@@ -164,15 +164,14 @@ func permute(ctx context.Context, sys *pdm.System, p perm.BMMC) error {
 
 // computePass streams the data through one Buffer a memoryload at a time
 // (striped reads, striped writes: an identity MRC pass with computation),
-// invoking fn on every contiguous row of rowLen samples. rowLen must
-// divide M. ctx is checked before each memoryload; a canceled pass leaves
-// the portion roles unswapped.
+// invoking fn on every contiguous row of rowLen samples, and commits once
+// the last memoryload is written. rowLen must divide M. ctx is checked
+// before each memoryload; a canceled pass commits nothing.
 func computePass(ctx context.Context, sys *pdm.System, rowLen int, fn func(row int, data []complex128)) error {
 	cfg := sys.Config()
 	if cfg.M%rowLen != 0 {
 		return fmt.Errorf("oocfft: row length %d does not divide M = %d", rowLen, cfg.M)
 	}
-	src, tgt := sys.Source(), sys.Target()
 	mem := sys.AcquireBuffer()
 	buf := make([]complex128, rowLen)
 	spm := cfg.StripesPerMemoryload()
@@ -182,7 +181,7 @@ func computePass(ctx context.Context, sys *pdm.System, rowLen int, fn func(row i
 			return err
 		}
 		for sw := 0; sw < spm; sw++ {
-			if err := sys.ReadStripe(src, ml*spm+sw, sw*cfg.D, mem); err != nil {
+			if err := sys.ReadStripe(ml*spm+sw, sw*cfg.D, mem); err != nil {
 				return err
 			}
 		}
@@ -197,12 +196,12 @@ func computePass(ctx context.Context, sys *pdm.System, rowLen int, fn func(row i
 			}
 		}
 		for sw := 0; sw < spm; sw++ {
-			if err := sys.WriteStripe(tgt, ml*spm+sw, sw*cfg.D, mem); err != nil {
+			if err := sys.WriteStripe(ml*spm+sw, sw*cfg.D, mem); err != nil {
 				return err
 			}
 		}
 	}
-	sys.SwapPortions()
+	sys.Commit()
 	return nil
 }
 

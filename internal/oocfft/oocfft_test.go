@@ -191,7 +191,7 @@ func TestFFTErrors(t *testing.T) {
 
 // TestComputePassStopsOnCancel: a compute pass checks ctx before each
 // memoryload, so a cancel during the first of four loads costs exactly
-// that load's reads and writes and leaves the portion roles unswapped.
+// that load's reads and writes and commits nothing.
 func TestComputePassStopsOnCancel(t *testing.T) {
 	cfg := pdm.Config{N: 1 << 9, D: 2, B: 8, M: 1 << 7} // N = 4M
 	sys, err := pdm.NewMemSystem(cfg)
@@ -201,7 +201,7 @@ func TestComputePassStopsOnCancel(t *testing.T) {
 	defer sys.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	src := sys.Source()
+	gen := sys.Generation()
 	err = computePass(ctx, sys, 16, func(row int, data []complex128) {
 		if row == 0 {
 			cancel()
@@ -213,8 +213,8 @@ func TestComputePassStopsOnCancel(t *testing.T) {
 	if got, want := sys.Stats().ParallelIOs(), 2*cfg.M/(cfg.B*cfg.D); got != want {
 		t.Errorf("canceled pass moved %d parallel I/Os, want one memoryload's %d", got, want)
 	}
-	if sys.Source() != src {
-		t.Error("canceled pass swapped the portions")
+	if sys.Generation() != gen {
+		t.Error("canceled pass committed")
 	}
 }
 
@@ -278,7 +278,7 @@ func TestLoadSamplesHoldsFewChunks(t *testing.T) {
 		t.Errorf("LoadSamples of %d samples allocated %d bytes, want at most four chunks (%d)", cfg.N, got, limit)
 	}
 	for _, i := range []int{0, 1, cfg.N/2 + 3, cfg.N - 1} {
-		r, err := sys.RecordAt(sys.Source(), uint64(i))
+		r, err := sys.RecordAt(uint64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,7 +304,7 @@ func TestChaosLoadSamplesWriteFault(t *testing.T) {
 	if err := LoadSamples(sys, randomSignal(rng, cfg.N)); err != nil {
 		t.Fatal(err)
 	}
-	before, err := sys.DumpRecords(sys.Source())
+	before, err := sys.DumpRecords()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestChaosLoadSamplesWriteFault(t *testing.T) {
 	if !errors.Is(err, pdm.ErrInjectedFault) {
 		t.Fatalf("faulted load error = %v, want the injected fault", err)
 	}
-	after, err := sys.DumpRecords(sys.Source())
+	after, err := sys.DumpRecords()
 	if err != nil {
 		t.Fatal(err)
 	}

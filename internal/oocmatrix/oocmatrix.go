@@ -67,8 +67,8 @@ func (m *Matrix) Cols() int { return 1 << uint(m.lgS) }
 func (m *Matrix) Stats() pdm.Stats { return m.sys.Stats() }
 
 // Load fills the matrix from values in row-major order (setup; not counted
-// as I/O). It encodes them a chunk at a time and commits by the portion
-// swap (pdm.System.ReplaceRecords), so a storage fault leaves the previous
+// as I/O). It encodes them a chunk at a time and commits them
+// (pdm.System.ReplaceRecords), so a storage fault leaves the previous
 // values in place.
 func (m *Matrix) Load(values []float64) error {
 	if m.tileMajor {
@@ -91,7 +91,7 @@ func (m *Matrix) Dump() ([]float64, error) {
 	if m.tileMajor {
 		return nil, fmt.Errorf("oocmatrix: matrix is in tile-major layout")
 	}
-	recs, err := m.sys.DumpRecords(m.sys.Source())
+	recs, err := m.sys.DumpRecords()
 	if err != nil {
 		return nil, err
 	}
@@ -107,7 +107,7 @@ func (m *Matrix) At(i, j int) (float64, error) {
 	if m.tileMajor {
 		return 0, fmt.Errorf("oocmatrix: matrix is in tile-major layout")
 	}
-	r, err := m.sys.RecordAt(m.sys.Source(), uint64(i)<<uint(m.lgS)|uint64(j))
+	r, err := m.sys.RecordAt(uint64(i)<<uint(m.lgS) | uint64(j))
 	if err != nil {
 		return 0, err
 	}
@@ -285,7 +285,8 @@ func ioTotal(ms ...*Matrix) int {
 }
 
 // multiplyTiles runs the blocked multiply with all three matrices in
-// tile-major layout: C[I,J] += A[I,K] * B[K,J] over tile indices. ctx is
+// tile-major layout: C[I,J] += A[I,K] * B[K,J] over tile indices. Every
+// tile of C is written once, and C commits after its last tile. ctx is
 // checked before each output tile.
 func multiplyTiles(ctx context.Context, a, b, c *Matrix, lt int) error {
 	tile := 1 << uint(lt)
@@ -332,6 +333,7 @@ func multiplyTiles(ctx context.Context, a, b, c *Matrix, lt int) error {
 			}
 		}
 	}
+	c.sys.Commit()
 	return nil
 }
 
@@ -342,7 +344,7 @@ func readTile(m *Matrix, base int, vals []float64, buf *pdm.Buffer) error {
 	stripeRecs := cfg.B * cfg.D
 	for off := 0; off < len(vals); off += stripeRecs {
 		stripe := (base + off) / stripeRecs
-		if err := m.sys.ReadStripe(m.sys.Source(), stripe, 0, buf); err != nil {
+		if err := m.sys.ReadStripe(stripe, 0, buf); err != nil {
 			return err
 		}
 		for i := 0; i < stripeRecs; i++ {
@@ -353,8 +355,8 @@ func readTile(m *Matrix, base int, vals []float64, buf *pdm.Buffer) error {
 }
 
 // writeTile stores vals as the contiguous tile starting at record address
-// base, using striped writes through buf. C accumulates in its source
-// portion.
+// base, using striped writes through buf. Reads see the tile once the
+// matrix commits.
 func writeTile(m *Matrix, base int, vals []float64, buf *pdm.Buffer) error {
 	cfg := m.sys.Config()
 	stripeRecs := cfg.B * cfg.D
@@ -363,7 +365,7 @@ func writeTile(m *Matrix, base int, vals []float64, buf *pdm.Buffer) error {
 			buf.Records()[i] = pdm.Record{Key: math.Float64bits(vals[off+i])}
 		}
 		stripe := (base + off) / stripeRecs
-		if err := m.sys.WriteStripe(m.sys.Source(), stripe, 0, buf); err != nil {
+		if err := m.sys.WriteStripe(stripe, 0, buf); err != nil {
 			return err
 		}
 	}

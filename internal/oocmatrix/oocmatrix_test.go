@@ -396,7 +396,7 @@ func TestChaosLoadWriteFault(t *testing.T) {
 	if err := m.Load(randomValues(rng, cfg.N)); err != nil {
 		t.Fatal(err)
 	}
-	before, err := sys.DumpRecords(sys.Source())
+	before, err := sys.DumpRecords()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +407,7 @@ func TestChaosLoadWriteFault(t *testing.T) {
 	if !errors.Is(err, pdm.ErrInjectedFault) {
 		t.Fatalf("faulted load error = %v, want the injected fault", err)
 	}
-	after, err := sys.DumpRecords(sys.Source())
+	after, err := sys.DumpRecords()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,13 +42,13 @@ func TestShardedFileBackendLayout(t *testing.T) {
 	for i := range recs {
 		recs[i] = MakeRecord(uint64(i))
 	}
-	if err := sys.LoadRecords(PortionA, recs); err != nil {
+	if err := sys.LoadRecords(recs); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
-	got, err := sys.DumpRecords(PortionA)
+	got, err := sys.DumpRecords()
 	if err != nil {
 		t.Fatal(err)
 	}

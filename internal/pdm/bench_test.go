@@ -14,7 +14,7 @@ func benchSystem(b *testing.B, be Backend) *System {
 	for i := range recs {
 		recs[i] = MakeRecord(uint64(i))
 	}
-	if err := sys.LoadRecords(PortionA, recs); err != nil {
+	if err := sys.LoadRecords(recs); err != nil {
 		b.Fatal(err)
 	}
 	return sys
@@ -26,10 +26,10 @@ func benchStripeSweep(b *testing.B, sys *System) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		stripe := i % cfg.Stripes()
-		if err := sys.ReadStripe(PortionA, stripe, 0, buf); err != nil {
+		if err := sys.ReadStripe(stripe, 0, buf); err != nil {
 			b.Fatal(err)
 		}
-		if err := sys.WriteStripe(PortionB, stripe, 0, buf); err != nil {
+		if err := sys.WriteStripe(stripe, 0, buf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -65,7 +65,7 @@ func BenchmarkIndependentRead(b *testing.B) {
 		for d := range ios {
 			ios[d] = BlockIO{Disk: d, Block: (i + d*7) % cfg.BlocksPerDisk(), Frame: d}
 		}
-		if err := sys.ParallelReadGroup(PortionA, [][]BlockIO{ios}, buf); err != nil {
+		if err := sys.ParallelReadGroup([][]BlockIO{ios}, buf); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,6 +10,12 @@
 // b = lg B bits are the offset within the block, the next d = lg D bits the
 // disk number, and the top s = n-(b+d) bits the stripe number. Bits b..m-1
 // form the relative block number and bits m..n-1 the memoryload number.
+//
+// Each disk holds two portions of N/BD blocks, and only a System knows
+// which one is the source, holding the stored records. Counted reads and
+// every bulk read see the source; counted writes land in the other, the
+// target, and stay invisible to reads until System.Commit makes them the
+// stored records, as the paper chains one-pass permutations.
 package pdm
 
 import (

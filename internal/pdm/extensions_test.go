@@ -15,7 +15,7 @@ func TestFaultyDiskInjection(t *testing.T) {
 	defer sys.Close()
 	// LoadRecords writes BlocksPerDisk stripes of D blocks, far beyond the
 	// fault threshold of 2.
-	if err := sys.LoadRecords(PortionA, sequentialRecords(cfg.N)); err == nil {
+	if err := sys.LoadRecords(sequentialRecords(cfg.N)); err == nil {
 		t.Fatal("load through faulty backend succeeded")
 	} else if !errors.Is(err, ErrInjectedFault) {
 		t.Fatalf("fault not wrapped: %v", err)
@@ -67,7 +67,7 @@ func TestFaultPropagatesThroughParallelIO(t *testing.T) {
 	}
 	defer sys.Close()
 	buf := sys.AcquireBuffer()
-	err = sys.ParallelReadGroup(PortionA, [][]BlockIO{{{Disk: 2, Block: 0, Frame: 0}}}, buf)
+	err = sys.ParallelReadGroup([][]BlockIO{{{Disk: 2, Block: 0, Frame: 0}}}, buf)
 	if !errors.Is(err, ErrInjectedFault) {
 		t.Fatalf("fault not propagated: %v", err)
 	}
@@ -75,7 +75,7 @@ func TestFaultPropagatesThroughParallelIO(t *testing.T) {
 		t.Error("failed parallel read was counted")
 	}
 	// Healthy disks keep working.
-	if err := sys.ParallelReadGroup(PortionA, [][]BlockIO{{{Disk: 0, Block: 0, Frame: 0}}}, buf); err != nil {
+	if err := sys.ParallelReadGroup([][]BlockIO{{{Disk: 0, Block: 0, Frame: 0}}}, buf); err != nil {
 		t.Fatalf("healthy disk failed: %v", err)
 	}
 }
@@ -91,28 +91,30 @@ func TestConcurrentDispatchEquivalence(t *testing.T) {
 	con.SetConcurrent(true)
 
 	recs := sequentialRecords(cfg.N)
-	_ = seq.LoadRecords(PortionA, recs)
-	_ = con.LoadRecords(PortionA, recs)
+	_ = seq.LoadRecords(recs)
+	_ = con.LoadRecords(recs)
 
 	// Each system moves stripes through its own buffer, so a bad read on
 	// one side cannot be masked by the other side's good one.
 	seqBuf, conBuf := seq.AcquireBuffer(), con.AcquireBuffer()
 	for stripe := 0; stripe < cfg.Stripes(); stripe++ {
-		if err := seq.ReadStripe(PortionA, stripe, 0, seqBuf); err != nil {
+		if err := seq.ReadStripe(stripe, 0, seqBuf); err != nil {
 			t.Fatal(err)
 		}
-		if err := con.ReadStripe(PortionA, stripe, 0, conBuf); err != nil {
+		if err := con.ReadStripe(stripe, 0, conBuf); err != nil {
 			t.Fatal(err)
 		}
-		if err := seq.WriteStripe(PortionB, cfg.Stripes()-1-stripe, 0, seqBuf); err != nil {
+		if err := seq.WriteStripe(cfg.Stripes()-1-stripe, 0, seqBuf); err != nil {
 			t.Fatal(err)
 		}
-		if err := con.WriteStripe(PortionB, cfg.Stripes()-1-stripe, 0, conBuf); err != nil {
+		if err := con.WriteStripe(cfg.Stripes()-1-stripe, 0, conBuf); err != nil {
 			t.Fatal(err)
 		}
 	}
-	a, _ := seq.DumpRecords(PortionB)
-	b, _ := con.DumpRecords(PortionB)
+	seq.Commit()
+	con.Commit()
+	a, _ := seq.DumpRecords()
+	b, _ := con.DumpRecords()
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("divergence at record %d", i)
@@ -137,7 +139,7 @@ func TestConcurrentFaultPropagation(t *testing.T) {
 	for d := range ios {
 		ios[d] = BlockIO{Disk: d, Block: 0, Frame: d}
 	}
-	if err := sys.ParallelReadGroup(PortionA, [][]BlockIO{ios}, sys.AcquireBuffer()); !errors.Is(err, ErrInjectedFault) {
+	if err := sys.ParallelReadGroup([][]BlockIO{ios}, sys.AcquireBuffer()); !errors.Is(err, ErrInjectedFault) {
 		t.Fatalf("concurrent fault not propagated: %v", err)
 	}
 }

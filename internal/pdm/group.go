@@ -31,35 +31,37 @@ import (
 // transient faults that spare the one-block transfers recover entirely.
 // Validation errors surface before any transfer and count nothing.
 
-// ParallelReadGroup performs the given sequence of parallel reads into buf,
-// equivalent in records, counts, and trace to performing them one at a time
-// in order.
+// ParallelReadGroup performs the given sequence of parallel reads of the
+// stored records into buf, equivalent in records, counts, and trace to
+// performing them one at a time in order.
 //
 // Distinct goroutines may issue I/O on distinct buffers concurrently (e.g.
 // a prefetch read overlapping an in-flight write): the backend serializes
 // per disk, and the counters and trace observer are updated atomically
 // per operation.
-func (s *System) ParallelReadGroup(p Portion, group [][]BlockIO, buf *Buffer) error {
-	return s.parallelIO(IORead, p, group, buf)
+func (s *System) ParallelReadGroup(group [][]BlockIO, buf *Buffer) error {
+	return s.parallelIO(IORead, group, buf)
 }
 
 // ParallelWriteGroup performs the given sequence of parallel writes from
-// buf, equivalent in records, counts, and trace to performing them one at a
-// time in order.
-func (s *System) ParallelWriteGroup(p Portion, group [][]BlockIO, buf *Buffer) error {
-	return s.parallelIO(IOWrite, p, group, buf)
+// buf to the target portion, unseen by reads until Commit, equivalent in
+// records, counts, and trace to performing them one at a time in order.
+func (s *System) ParallelWriteGroup(group [][]BlockIO, buf *Buffer) error {
+	return s.parallelIO(IOWrite, group, buf)
 }
 
 // parallelIO is the one implementation behind every counted transfer, reads
-// and writes alike: it moves a group of parallel I/Os between portion p and
-// buf, coalesced when the group has several waves, and counts and traces
-// each wave only once the backend has moved it.
-func (s *System) parallelIO(kind IOKind, p Portion, group [][]BlockIO, buf *Buffer) error {
+// and writes alike: it moves a group of parallel I/Os between buf and the
+// source (reads) or the target (writes), coalesced when the group has
+// several waves, and counts and traces each wave only once the backend has
+// moved it.
+func (s *System) parallelIO(kind IOKind, group [][]BlockIO, buf *Buffer) error {
 	for _, ios := range group {
-		if err := s.validate(p, ios); err != nil {
+		if err := s.validate(ios); err != nil {
 			return err
 		}
 	}
+	p := s.portionOf(kind)
 	bs := s.cfg.B
 	var xfers []RangeXfer
 	var runs []groupRun
@@ -83,7 +85,7 @@ func (s *System) parallelIO(kind IOKind, p Portion, group [][]BlockIO, buf *Buff
 	default:
 		perDisk, total := s.groupRefs(kind, p, group, buf)
 		if perDisk == nil {
-			return s.replay(kind, p, group, buf)
+			return s.replay(kind, group, buf)
 		}
 		slab := AcquireSlab(total * bs)
 		defer ReleaseSlab(slab)
@@ -96,20 +98,20 @@ func (s *System) parallelIO(kind IOKind, p Portion, group [][]BlockIO, buf *Buff
 		if len(group) == 1 {
 			return err
 		}
-		return s.replay(kind, p, group, buf)
+		return s.replay(kind, group, buf)
 	}
 	if kind == IORead {
 		copyRuns(kind, runs, bs, buf)
 	}
-	s.account(kind, p, group)
+	s.account(kind, group)
 	return nil
 }
 
 // replay performs the group wave by wave, each wave a group of one; it
 // stops at the first failing wave with exactly the earlier waves counted.
-func (s *System) replay(kind IOKind, p Portion, group [][]BlockIO, buf *Buffer) error {
+func (s *System) replay(kind IOKind, group [][]BlockIO, buf *Buffer) error {
 	for w := range group {
-		if err := s.parallelIO(kind, p, group[w:w+1], buf); err != nil {
+		if err := s.parallelIO(kind, group[w:w+1], buf); err != nil {
 			return err
 		}
 	}
@@ -129,7 +131,7 @@ type rangeRef struct {
 // the group wave by wave. The lists and frame marks live in buf, which
 // never serves two parallel I/Os at once, and striped groups arrive in
 // block order, so only a list that is out of order is sorted.
-func (s *System) groupRefs(kind IOKind, p Portion, group [][]BlockIO, buf *Buffer) ([][]rangeRef, int) {
+func (s *System) groupRefs(kind IOKind, p portion, group [][]BlockIO, buf *Buffer) ([][]rangeRef, int) {
 	if len(buf.perDisk) != s.cfg.D {
 		buf.perDisk = make([][]rangeRef, s.cfg.D)
 		buf.frameSeen = make([]bool, s.cfg.Frames())
@@ -219,7 +221,7 @@ func copyRuns(kind IOKind, runs []groupRun, bs int, buf *Buffer) {
 
 // account counts and traces the group's operations in order, exactly as
 // performing them one at a time would, under one acquisition of the lock.
-func (s *System) account(kind IOKind, p Portion, group [][]BlockIO) {
+func (s *System) account(kind IOKind, group [][]BlockIO) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, ios := range group {
@@ -236,6 +238,6 @@ func (s *System) account(kind IOKind, p Portion, group [][]BlockIO) {
 			s.stats.ParallelWrites++
 			s.stats.BlocksWritten += len(ios)
 		}
-		s.notifyLocked(kind, p, ios)
+		s.notifyLocked(kind, ios)
 	}
 }

@@ -32,9 +32,9 @@ func chaosGroup(cfg Config) [][]BlockIO {
 	return group
 }
 
-// newChaosGroupSystem builds a System over be, loads canonical records into
-// PortionA with injection disarmed, and resets stats, so every counted
-// operation afterwards belongs to the test's group.
+// newChaosGroupSystem builds a System over be, loads canonical records with
+// injection disarmed, and resets stats, so every counted operation
+// afterwards belongs to the test's group.
 func newChaosGroupSystem(t *testing.T, be Backend, disarm func(), arm func()) *System {
 	t.Helper()
 	sys, err := NewSystem(chaosGroupCfg, be)
@@ -47,7 +47,7 @@ func newChaosGroupSystem(t *testing.T, be Backend, disarm func(), arm func()) *S
 		recs[i] = MakeRecord(uint64(i))
 	}
 	disarm()
-	if err := sys.LoadRecords(PortionA, recs); err != nil {
+	if err := sys.LoadRecords(recs); err != nil {
 		t.Fatal(err)
 	}
 	arm()
@@ -99,9 +99,9 @@ func TestChaosGroupFallbackWaveAccounting(t *testing.T) {
 			group, buf := chaosGroup(chaosGroupCfg), sys.AcquireBuffer()
 			var err error
 			if kind == IORead {
-				err = sys.ParallelReadGroup(PortionA, group, buf)
+				err = sys.ParallelReadGroup(group, buf)
 			} else {
-				err = sys.ParallelWriteGroup(PortionA, group, buf)
+				err = sys.ParallelWriteGroup(group, buf)
 			}
 			if !errors.Is(err, ErrInjectedFault) || strings.Contains(err.Error(), "torn") {
 				t.Fatalf("%v fault in wave %d: want the flaky backend's ErrInjectedFault, got %v", kind, k, err)
@@ -130,9 +130,9 @@ func TestChaosGroupGroupedWaveAccounting(t *testing.T) {
 			group, buf := chaosGroup(chaosGroupCfg), sys.AcquireBuffer()
 			var err error
 			if kind == IORead {
-				err = sys.ParallelReadGroup(PortionA, group, buf)
+				err = sys.ParallelReadGroup(group, buf)
 			} else {
-				err = sys.ParallelWriteGroup(PortionA, group, buf)
+				err = sys.ParallelWriteGroup(group, buf)
 			}
 			if !errors.Is(err, ErrInjectedFault) {
 				t.Fatalf("%v fault at range op %d: want wrapped ErrInjectedFault, got %v", kind, failAt, err)
@@ -158,7 +158,7 @@ func TestChaosGroupTransientRangeFaultRecovers(t *testing.T) {
 		})
 		trace := (&Trace{}).Attach(sys)
 		group, buf := chaosGroup(chaosGroupCfg), sys.AcquireBuffer()
-		if err := sys.ParallelReadGroup(PortionA, group, buf); err != nil {
+		if err := sys.ParallelReadGroup(group, buf); err != nil {
 			t.Fatalf("transient range fault did not recover: %v", err)
 		}
 		waves := chaosGroupCfg.StripesPerMemoryload()
@@ -195,18 +195,20 @@ func TestChaosGroupTransientRangeFaultRecovers(t *testing.T) {
 		want := append([]Record(nil), mem...)
 		trace := (&Trace{}).Attach(sys)
 		group := chaosGroup(chaosGroupCfg)
-		if err := sys.ParallelWriteGroup(PortionB, group, buf); err != nil {
+		if err := sys.ParallelWriteGroup(group, buf); err != nil {
 			t.Fatalf("torn range write did not recover via fallback: %v", err)
 		}
 		waves := chaosGroupCfg.StripesPerMemoryload()
 		assertWaves(t, sys, trace, IOWrite, waves)
-		// Read the written blocks back and compare with what the buffer held.
+		// Commit the written blocks, read them back and compare with what
+		// the buffer held.
 		for i := range mem {
 			mem[i] = Record{}
 		}
 		tb.Disarm()
+		sys.Commit()
 		for w := 0; w < waves; w++ {
-			if err := sys.ReadStripe(PortionB, w, 0, buf); err != nil {
+			if err := sys.ReadStripe(w, 0, buf); err != nil {
 				t.Fatal(err)
 			}
 			for d := 0; d < chaosGroupCfg.D; d++ {

@@ -12,7 +12,7 @@ import (
 // agreement.
 
 // newGroupSystem builds a system over the named backend, loads sequential
-// records into PortionA, and attaches a trace.
+// records, and attaches a trace.
 func newGroupSystem(t *testing.T, backend string, cfg Config) (*System, *Trace) {
 	t.Helper()
 	be := MemBackend()
@@ -24,7 +24,7 @@ func newGroupSystem(t *testing.T, backend string, cfg Config) (*System, *Trace) 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sys.Close() })
-	if err := sys.LoadRecords(PortionA, sequentialRecords(cfg.N)); err != nil {
+	if err := sys.LoadRecords(sequentialRecords(cfg.N)); err != nil {
 		t.Fatal(err)
 	}
 	tr := new(Trace).Attach(sys)
@@ -76,24 +76,23 @@ func matchesWaveByWave(t *testing.T, backend string, group [][]BlockIO, write bo
 	if write {
 		run = (*System).ParallelWriteGroup
 	}
-	if err := run(sysG, PortionA, group, bufG); err != nil {
+	if err := run(sysG, group, bufG); err != nil {
 		t.Fatal(err)
 	}
 	for w := range group {
-		if err := run(sysL, PortionA, group[w:w+1], bufL); err != nil {
+		if err := run(sysL, group[w:w+1], bufL); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if !reflect.DeepEqual(bufG.Records(), bufL.Records()) {
 		t.Error("buffers diverge")
 	}
-	for _, p := range []Portion{PortionA, PortionB} {
-		recsG, err := sysG.DumpRecords(p)
-		if err != nil {
+	for _, p := range []portion{0, 1} {
+		recsG, recsL := make([]Record, cfg.N), make([]Record, cfg.N)
+		if err := sysG.walk(IORead, p, recsG, nil); err != nil {
 			t.Fatal(err)
 		}
-		recsL, err := sysL.DumpRecords(p)
-		if err != nil {
+		if err := sysL.walk(IORead, p, recsL, nil); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(recsG, recsL) {
@@ -136,13 +135,13 @@ func TestParallelReadGroupDuplicateFrameFallsBack(t *testing.T) {
 	}
 	sys, _ := newGroupSystem(t, "mem", cfg)
 	buf := sys.AcquireBuffer()
-	if err := sys.ParallelReadGroup(PortionA, group, buf); err != nil {
+	if err := sys.ParallelReadGroup(group, buf); err != nil {
 		t.Fatal(err)
 	}
 	// The reference: frame 0 holds block 2 of disk 0, read on its own.
 	ref, _ := newGroupSystem(t, "mem", cfg)
 	want := ref.AcquireBuffer()
-	if err := ref.ParallelReadGroup(PortionA, [][]BlockIO{{{Disk: 0, Block: 2, Frame: 0}}}, want); err != nil {
+	if err := ref.ParallelReadGroup([][]BlockIO{{{Disk: 0, Block: 2, Frame: 0}}}, want); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(buf.Frame(0), want.Frame(0)) {
@@ -166,11 +165,12 @@ func TestParallelWriteGroupDuplicateBlockFallsBack(t *testing.T) {
 	for i := range buf.Records() {
 		buf.Records()[i] = MakeRecord(uint64(200000 + i))
 	}
-	if err := sys.ParallelWriteGroup(PortionA, group, buf); err != nil {
+	if err := sys.ParallelWriteGroup(group, buf); err != nil {
 		t.Fatal(err)
 	}
+	sys.Commit()
 	got := sys.AcquireBuffer()
-	if err := sys.ParallelReadGroup(PortionA, [][]BlockIO{{{Disk: 1, Block: 3, Frame: 0}}}, got); err != nil {
+	if err := sys.ParallelReadGroup([][]BlockIO{{{Disk: 1, Block: 3, Frame: 0}}}, got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got.Frame(0), buf.Frame(1)) {

@@ -83,7 +83,7 @@ func TestInstrumentedSystemSamplesBatches(t *testing.T) {
 		}
 		defer sys.Close()
 		sys.SetConcurrent(concurrent)
-		if err := sys.LoadRecords(PortionA, sequentialRecords(cfg.N)); err != nil {
+		if err := sys.LoadRecords(sequentialRecords(cfg.N)); err != nil {
 			t.Fatal(err)
 		}
 		if chunks := cfg.Stripes() / sys.chunkStripes(); len(samples) != chunks {
@@ -93,10 +93,10 @@ func TestInstrumentedSystemSamplesBatches(t *testing.T) {
 		// Four striped waves coalesce into one run per disk: one batch of
 		// D transfers. The write is one wave: one batch of D single blocks.
 		buf := sys.AcquireBuffer()
-		if err := sys.ParallelReadGroup(PortionA, groupShapes(cfg)["striped"], buf); err != nil {
+		if err := sys.ParallelReadGroup(groupShapes(cfg)["striped"], buf); err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.WriteStripe(PortionB, 0, 0, buf); err != nil {
+		if err := sys.WriteStripe(0, 0, buf); err != nil {
 			t.Fatal(err)
 		}
 		waves := cfg.FramesPerDisk()

@@ -27,16 +27,18 @@ func (s *System) chunkStripes() int {
 }
 
 // walk moves portion p's N records between the backend and memory a chunk
-// of whole stripes at a time, in address order; every bulk path is one
-// walk. Within a stripe the D blocks lie consecutively in address order,
-// so each chunk reaches the backend as one batch of block transfers that
-// alias the chunk's records, with nothing staged. When recs is nil the
-// chunks pass through one pooled arena; otherwise recs holds all N records
-// and each chunk aliases its span. Writes call fn to fill each chunk
-// before it is stored, reads call fn with each chunk once it has arrived —
-// through the backend's copy-free block views when it offers them. The
-// first error from fn or from the backend ends the walk.
-func (s *System) walk(kind IOKind, p Portion, recs []Record, fn func(off int, chunk []Record) error) error {
+// of whole stripes at a time, in address order. Every bulk path is one
+// walk: reads of the stored records, writes of the target portion, and
+// FillRecords' in-place write of the stored records. Within a stripe the
+// D blocks lie consecutively in address order, so each chunk reaches the
+// backend as one batch of block transfers that alias the chunk's records,
+// with nothing staged. When recs is nil the chunks pass through one pooled
+// arena; otherwise recs holds all N records and each chunk aliases its
+// span. Writes call fn to fill each chunk before it is stored, reads call
+// fn with each chunk once it has arrived — through the backend's copy-free
+// block views when it offers them. The first error from fn or from the
+// backend ends the walk.
+func (s *System) walk(kind IOKind, p portion, recs []Record, fn func(off int, chunk []Record) error) error {
 	cfg := s.cfg
 	stripeRecs := cfg.B * cfg.D
 	cs := s.chunkStripes()
@@ -87,38 +89,38 @@ func (s *System) walk(kind IOKind, p Portion, recs []Record, fn func(off int, ch
 	return nil
 }
 
-// ScanRecords hands portion p's N records to fn in address order, one
-// chunk at a time: off is the address of chunk[0], and chunk is valid only
-// until fn returns. Not counted as I/O. It holds one chunk of memory
-// however large N is; verification scans run on it.
-func (s *System) ScanRecords(p Portion, fn func(off int, chunk []Record) error) error {
-	return s.walk(IORead, p, nil, fn)
+// ScanRecords hands the stored records to fn in address order, one chunk
+// at a time: off is the address of chunk[0], and chunk is valid only until
+// fn returns. Not counted as I/O. It holds one chunk of memory however
+// large N is; verification scans run on it.
+func (s *System) ScanRecords(fn func(off int, chunk []Record) error) error {
+	return s.walk(IORead, s.source, nil, fn)
 }
 
-// FillRecords stores N records into portion p in address order, one chunk
-// at a time: fn fills chunk with the records of addresses off onward. Not
-// counted as I/O, and the portion roles do not change, so it suits only
+// FillRecords overwrites the stored records in place in address order, one
+// chunk at a time: fn fills chunk with the records of addresses off
+// onward. Not counted as I/O, and it does not commit, so it suits only
 // storage that holds no committed records of its owner yet: a new
 // dataset's canonical fill, or a released bmmcd job's storage filled for
 // the next job. ReplaceRecords commits.
-func (s *System) FillRecords(p Portion, fn func(off int, chunk []Record) error) error {
-	return s.walk(IOWrite, p, nil, fn)
+func (s *System) FillRecords(fn func(off int, chunk []Record) error) error {
+	return s.walk(IOWrite, s.source, nil, fn)
 }
 
 // ReplaceRecords replaces the stored records with N records that fn
 // produces in address order, one chunk at a time: fn fills chunk with the
 // records of addresses off onward. Not counted as I/O. The chunks go into
 // the target portion, which holds nothing live between runs, through one
-// pooled arena, and after the last one ReplaceRecords commits by swapping
-// the portions, exactly as a pass does. So it holds one chunk of memory
-// however large N is, and an error from fn or from storage leaves the
-// committed records unchanged. Every loader that computes its records
-// runs on it; LoadFrom reads them from a stream.
+// pooled arena, and after the last one ReplaceRecords commits, exactly as
+// a pass does. So it holds one chunk of memory however large N is, and an
+// error from fn or from storage leaves the committed records unchanged.
+// Every loader that computes its records runs on it; LoadFrom reads them
+// from a stream.
 func (s *System) ReplaceRecords(fn func(off int, chunk []Record) error) error {
-	if err := s.walk(IOWrite, s.Target(), nil, fn); err != nil {
+	if err := s.walk(IOWrite, s.portionOf(IOWrite), nil, fn); err != nil {
 		return err
 	}
-	s.SwapPortions()
+	s.Commit()
 	return nil
 }
 
@@ -129,14 +131,13 @@ func (s *System) ReplaceRecords(fn func(off int, chunk []Record) error) error {
 // upload. It is a ReplaceRecords whose chunks are read from the stream
 // (on little-endian hosts the bytes land in the records with no
 // per-record decode), and each chunk goes into the target portion as one
-// backend batch aliasing the arena. After the last byte it commits by the
-// portion swap, so an upload holds one chunk of memory, not N records.
+// backend batch aliasing the arena. After the last byte it commits, so an
+// upload holds one chunk of memory, not N records.
 //
 // The reader is consumed exactly N*RecordBytes bytes; fewer is an error
 // (io.ErrUnexpectedEOF). A short, unreadable or canceled stream fails with
 // ErrInput in its chain and a storage fault with the backend's error;
-// either way the portions are not swapped, so the committed records are
-// unchanged.
+// either way nothing is committed, so the stored records are unchanged.
 func (s *System) LoadFrom(ctx context.Context, r io.Reader) (int64, error) {
 	n := s.cfg.N
 	var read int64
@@ -157,17 +158,17 @@ func (s *System) LoadFrom(ctx context.Context, r io.Reader) (int64, error) {
 	return read, err
 }
 
-// DumpTo writes portion p's N records to w in address order in the wire
+// DumpTo writes the stored records to w in address order in the wire
 // format, returning the bytes written. Not counted as parallel I/O. It is
 // the bulk path under Dataset.Dump and every bmmcd download: blocks are
 // gathered a chunk at a time into a pooled arena (through the backend's
 // copy-free block views when it offers them) and each chunk goes out in
 // one Write, so no per-record encode runs anywhere on the path. ctx
 // cancellation aborts between chunks (w may have received a prefix).
-func (s *System) DumpTo(ctx context.Context, p Portion, w io.Writer) (int64, error) {
+func (s *System) DumpTo(ctx context.Context, w io.Writer) (int64, error) {
 	n := s.cfg.N
 	var written int64
-	err := s.walk(IORead, p, nil, func(off int, chunk []Record) error {
+	err := s.walk(IORead, s.source, nil, func(off int, chunk []Record) error {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("canceled at record %d/%d: %w", off, n, err)
 		}

@@ -49,7 +49,7 @@ func BenchmarkDumpToMem(b *testing.B) {
 	b.SetBytes(int64(sys.Config().N) * RecordBytes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.DumpTo(context.Background(), PortionA, io.Discard); err != nil {
+		if _, err := sys.DumpTo(context.Background(), io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -60,7 +60,7 @@ func BenchmarkDumpToFile(b *testing.B) {
 	b.SetBytes(int64(sys.Config().N) * RecordBytes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.DumpTo(context.Background(), PortionA, io.Discard); err != nil {
+		if _, err := sys.DumpTo(context.Background(), io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

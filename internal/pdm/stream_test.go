@@ -37,7 +37,7 @@ func TestLoadFromDumpToRoundTrip(t *testing.T) {
 			t.Fatalf("%s: LoadFrom consumed %d bytes, want %d", name, n, len(wire))
 		}
 		// The streamed load must be indistinguishable from LoadRecords.
-		got, err := s.DumpRecords(s.Source())
+		got, err := s.DumpRecords()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func TestLoadFromDumpToRoundTrip(t *testing.T) {
 			}
 		}
 		var out bytes.Buffer
-		n, err = s.DumpTo(context.Background(), s.Source(), &out)
+		n, err = s.DumpTo(context.Background(), &out)
 		if err != nil {
 			t.Fatalf("%s: DumpTo: %v", name, err)
 		}
@@ -72,14 +72,14 @@ func TestLoadFromShortStream(t *testing.T) {
 	}
 	defer s.Close()
 	before := sequentialRecords(cfg.N)
-	if err := s.LoadRecords(PortionA, before); err != nil {
+	if err := s.LoadRecords(before); err != nil {
 		t.Fatal(err)
 	}
 	short := make([]byte, cfg.N*RecordBytes/2+3)
 	if _, err := s.LoadFrom(context.Background(), bytes.NewReader(short)); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("short LoadFrom error = %v, want io.ErrUnexpectedEOF", err)
 	}
-	after, err := s.DumpRecords(PortionA)
+	after, err := s.DumpRecords()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestLoadFromCanceled(t *testing.T) {
 	}
 	defer s.Close()
 	before := sequentialRecords(cfg.N)
-	if err := s.LoadRecords(PortionA, before); err != nil {
+	if err := s.LoadRecords(before); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -109,7 +109,7 @@ func TestLoadFromCanceled(t *testing.T) {
 	if _, err := s.LoadFrom(ctx, bytes.NewReader(wire)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled LoadFrom error = %v, want context.Canceled", err)
 	}
-	after, _ := s.DumpRecords(PortionA)
+	after, _ := s.DumpRecords()
 	for i := range before {
 		if after[i] != before[i] {
 			t.Fatalf("canceled LoadFrom mutated record %d", i)
@@ -126,12 +126,12 @@ func TestDumpToCanceled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.LoadRecords(PortionA, sequentialRecords(cfg.N)); err != nil {
+	if err := s.LoadRecords(sequentialRecords(cfg.N)); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.DumpTo(ctx, PortionA, io.Discard); !errors.Is(err, context.Canceled) {
+	if _, err := s.DumpTo(ctx, io.Discard); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled DumpTo error = %v, want context.Canceled", err)
 	}
 }
@@ -168,7 +168,7 @@ func TestLoadFromHoldsFewChunks(t *testing.T) {
 	}
 	var out bytes.Buffer
 	out.Grow(len(wire))
-	if got := allocated(func() { _, err2 = s.DumpTo(context.Background(), s.Source(), &out) }); err2 != nil {
+	if got := allocated(func() { _, err2 = s.DumpTo(context.Background(), &out) }); err2 != nil {
 		t.Fatal(err2)
 	} else if got > limit {
 		t.Errorf("DumpTo of %d records allocated %d bytes, want at most four chunks (%d)", cfg.N, got, limit)
@@ -198,7 +198,7 @@ func TestChaosLoadFromWriteFault(t *testing.T) {
 	dump := func() []byte {
 		t.Helper()
 		var out bytes.Buffer
-		if _, err := s.DumpTo(context.Background(), s.Source(), &out); err != nil {
+		if _, err := s.DumpTo(context.Background(), &out); err != nil {
 			t.Fatal(err)
 		}
 		return out.Bytes()
@@ -230,14 +230,14 @@ func TestChaosLoadFromWriteFault(t *testing.T) {
 	}
 	buf := s.AcquireBuffer()
 	for stripe := 0; stripe < cfg.Stripes(); stripe++ {
-		if err := s.ReadStripe(s.Source(), stripe, 0, buf); err != nil {
+		if err := s.ReadStripe(stripe, 0, buf); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.WriteStripe(s.Target(), stripe, 0, buf); err != nil {
+		if err := s.WriteStripe(stripe, 0, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s.SwapPortions()
+	s.Commit()
 	if !bytes.Equal(dump(), next) {
 		t.Fatal("a copy pass after the faulted load diverged")
 	}

@@ -6,18 +6,9 @@ import (
 	"sync"
 )
 
-// Portion selects one of the two record regions on the disk system. As in
-// Section 3 of the paper, one-pass algorithms read from a source portion and
-// write to a disjoint target portion, swapping roles between chained passes
-// so no source block is overwritten before it is read.
-type Portion int
-
-const (
-	// PortionA is the region that initially holds the input records.
-	PortionA Portion = 0
-	// PortionB is the initially empty second region.
-	PortionB Portion = 1
-)
+// portion is one of the two record regions, 0 or 1, that each disk holds
+// (see the package doc). A new System stores its records in portion 0.
+type portion int
 
 // BlockIO names one block transfer within a parallel I/O: the block at
 // position Block on disk Disk (relative to a portion) moves to or from
@@ -36,19 +27,20 @@ type BlockIO struct {
 // live in a pluggable storage Backend.
 //
 // A System is the disk-resident state of one dataset: the records, the
-// storage backend they live on, and the source/target portion roles that
-// track which physical portion holds the current data. The portion roles
-// are execution state shared by every pass over the dataset, so runs must
-// be serialized: engines (and anything else mutating the records) hold the
-// run lock (AcquireRun/ReleaseRun) for the whole run, while readers of
-// data-at-rest (dumps, verification) hold the shared read lock
-// (AcquireRead/ReleaseRead) and may overlap each other freely.
+// storage backend they live on, and which of its two portions holds the
+// stored records. That choice is execution state shared by every pass
+// over the dataset, so runs must be serialized: engines (and anything else
+// writing the disks or committing) hold the run lock
+// (AcquireRun/ReleaseRun) for the whole run, while readers of data-at-rest
+// (dumps, verification) hold the shared read lock (AcquireRead/ReleaseRead)
+// and may overlap each other freely.
 type System struct {
-	cfg      Config
-	be       Backend
-	stats    Stats
-	source   Portion
-	observer Observer // optional per-operation trace hook
+	cfg        Config
+	be         Backend
+	stats      Stats
+	source     portion  // holds the stored records
+	generation uint64   // commits since NewSystem
+	observer   Observer // optional per-operation trace hook
 
 	concurrent bool       // dispatch a batch's transfers on one goroutine each
 	observeIO  OpObserver // InstrumentBackend's observer, fed one sample per batch
@@ -68,10 +60,9 @@ func NewSystem(cfg Config, be Backend) (*System, error) {
 		return nil, fmt.Errorf("pdm: nil backend")
 	}
 	s := &System{
-		cfg:    cfg,
-		be:     be,
-		stats:  newStats(cfg.D),
-		source: PortionA,
+		cfg:   cfg,
+		be:    be,
+		stats: newStats(cfg.D),
 	}
 	if err := be.Open(cfg.D, 2*cfg.BlocksPerDisk(), cfg.B); err != nil {
 		return nil, err
@@ -169,10 +160,10 @@ func (s *System) ResetStats() {
 }
 
 // AcquireRun takes the dataset's exclusive run lock. Exactly one run —
-// a permutation execution, a record load, anything that mutates the stored
-// records or swaps the portion roles — may hold it at a time, and it
-// excludes AcquireRead readers for the duration. The lock is not
-// reentrant: code already inside a run must not re-acquire it.
+// a permutation execution, a record load, anything that writes the disks
+// or commits — may hold it at a time, and it excludes AcquireRead readers
+// for the duration. The lock is not reentrant: code already inside a run
+// must not re-acquire it.
 func (s *System) AcquireRun() { s.runMu.Lock() }
 
 // ReleaseRun releases the exclusive run lock.
@@ -187,28 +178,36 @@ func (s *System) AcquireRead() { s.runMu.RLock() }
 // ReleaseRead releases the shared read lock.
 func (s *System) ReleaseRead() { s.runMu.RUnlock() }
 
-// Source returns the portion currently holding the input of the next pass.
-func (s *System) Source() Portion { return s.source }
+// Commit makes what counted writes put in the target portion the stored
+// records and counts one generation: later reads see those writes, and
+// later writes go to the portion that held the previous records. Every
+// pass commits once its last write is counted, as do ReplaceRecords
+// (LoadFrom among them) and LoadRecords. Call it under the run lock.
+func (s *System) Commit() {
+	s.source = 1 - s.source
+	s.generation++
+}
 
-// Target returns the portion the next pass writes to.
-func (s *System) Target() Portion { return 1 - s.source }
+// Generation returns the number of commits since the System was opened.
+func (s *System) Generation() uint64 { return s.generation }
 
-// SwapPortions exchanges the source and target roles: the commit of every
-// pass, which has written the target portion, and of every ReplaceRecords
-// (LoadFrom among them).
-func (s *System) SwapPortions() { s.source = 1 - s.source }
+// portionOf returns the portion a transfer of kind touches: reads the
+// source, writes the target.
+func (s *System) portionOf(kind IOKind) portion {
+	if kind == IORead {
+		return s.source
+	}
+	return 1 - s.source
+}
 
 // validate checks a batch of block transfers against the model's rules:
 // at most one block per disk per operation, and all indices in range.
-func (s *System) validate(p Portion, ios []BlockIO) error {
+func (s *System) validate(ios []BlockIO) error {
 	if len(ios) == 0 {
 		return errors.New("pdm: empty parallel I/O")
 	}
 	if len(ios) > s.cfg.D {
 		return fmt.Errorf("pdm: %d blocks in one parallel I/O exceeds D = %d", len(ios), s.cfg.D)
-	}
-	if p != PortionA && p != PortionB {
-		return fmt.Errorf("pdm: invalid portion %d", p)
 	}
 	// The duplicate checks scan earlier entries rather than building a set:
 	// len(ios) <= D and D is small, so the quadratic scan beats a per-call
@@ -238,65 +237,67 @@ func (s *System) validate(p Portion, ios []BlockIO) error {
 
 // physBlock maps a portion-relative block position to the disk's physical
 // block number.
-func (s *System) physBlock(p Portion, block int) int {
+func (s *System) physBlock(p portion, block int) int {
 	return int(p)*s.cfg.BlocksPerDisk() + block
 }
 
-// ReadStripe reads stripe `stripe` of portion p — one block from every disk
-// — into D consecutive frames of buf starting at frame0. One parallel I/O.
-func (s *System) ReadStripe(p Portion, stripe, frame0 int, buf *Buffer) error {
+// ReadStripe reads stripe `stripe` of the stored records — one block from
+// every disk — into D consecutive frames of buf starting at frame0. One
+// parallel I/O.
+func (s *System) ReadStripe(stripe, frame0 int, buf *Buffer) error {
 	ios := make([]BlockIO, s.cfg.D)
 	for disk := range ios {
 		ios[disk] = BlockIO{Disk: disk, Block: stripe, Frame: frame0 + disk}
 	}
-	return s.ParallelReadGroup(p, [][]BlockIO{ios}, buf)
+	return s.ParallelReadGroup([][]BlockIO{ios}, buf)
 }
 
 // WriteStripe writes D consecutive frames of buf starting at frame0 to
-// stripe `stripe` of portion p. One parallel I/O.
-func (s *System) WriteStripe(p Portion, stripe, frame0 int, buf *Buffer) error {
+// stripe `stripe` of the target portion, where reads see it after Commit.
+// One parallel I/O.
+func (s *System) WriteStripe(stripe, frame0 int, buf *Buffer) error {
 	ios := make([]BlockIO, s.cfg.D)
 	for disk := range ios {
 		ios[disk] = BlockIO{Disk: disk, Block: stripe, Frame: frame0 + disk}
 	}
-	return s.ParallelWriteGroup(p, [][]BlockIO{ios}, buf)
+	return s.ParallelWriteGroup([][]BlockIO{ios}, buf)
 }
 
 // The helpers below bypass the I/O accounting. They exist for test setup and
 // post-run verification only — algorithms must never call them.
 
-// LoadRecords fills portion p with the given N records laid out per
-// Figure 1 (striped, record index varying fastest within a block). Not
-// counted as I/O. As with DumpRecords, p names a fixed physical portion:
-// pass Source() to replace the records the next pass will read. The
-// backend batches alias records, a chunk at a time.
-func (s *System) LoadRecords(p Portion, records []Record) error {
+// LoadRecords replaces the stored records with the given N records laid
+// out per Figure 1 (striped, record index varying fastest within a block).
+// Not counted as I/O. Like ReplaceRecords it writes the target portion and
+// then commits, so a storage fault leaves the stored records unchanged.
+// The backend batches alias records, a chunk at a time.
+func (s *System) LoadRecords(records []Record) error {
 	if len(records) != s.cfg.N {
 		return fmt.Errorf("pdm: LoadRecords got %d records, want N = %d", len(records), s.cfg.N)
 	}
-	return s.walk(IOWrite, p, records, nil)
+	if err := s.walk(IOWrite, s.portionOf(IOWrite), records, nil); err != nil {
+		return err
+	}
+	s.Commit()
+	return nil
 }
 
-// DumpRecords returns the N records of portion p in address order. Not
-// counted as I/O. Note that p is a fixed physical portion, not a role: the
-// source/target roles swap after every pass and every ReplaceRecords
-// (SwapPortions), so after an odd number of them the current records sit
-// in PortionB. Callers that want "the current records" should pass
-// Source(), which always names the portion holding the most recent commit.
-func (s *System) DumpRecords(p Portion) ([]Record, error) {
+// DumpRecords returns the stored records in address order: the most
+// recent commit's, however many commits have run. Not counted as I/O.
+func (s *System) DumpRecords() ([]Record, error) {
 	out := make([]Record, s.cfg.N)
-	if err := s.walk(IORead, p, out, nil); err != nil {
+	if err := s.walk(IORead, s.source, out, nil); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// RecordAt returns the record stored at address x in portion p. Not counted
-// as I/O; intended for spot checks in tests. Backends offering copy-free
-// block views serve it without a block copy.
-func (s *System) RecordAt(p Portion, x uint64) (Record, error) {
+// RecordAt returns the stored record at address x. Not counted as I/O;
+// intended for spot checks in tests. Backends offering copy-free block
+// views serve it without a block copy.
+func (s *System) RecordAt(x uint64) (Record, error) {
 	disk := s.cfg.DiskOf(x)
-	block := s.physBlock(p, s.cfg.StripeOf(x))
+	block := s.physBlock(s.source, s.cfg.StripeOf(x))
 	if v, ok := s.be.(BlockViewer); ok {
 		if recs, ok := v.BlockView(disk, block); ok {
 			return recs[s.cfg.Offset(x)], nil

@@ -26,10 +26,10 @@ func TestLoadDumpRoundTrip(t *testing.T) {
 	}
 	defer s.Close()
 	recs := sequentialRecords(cfg.N)
-	if err := s.LoadRecords(PortionA, recs); err != nil {
+	if err := s.LoadRecords(recs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.DumpRecords(PortionA)
+	got, err := s.DumpRecords()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +47,11 @@ func TestRecordAt(t *testing.T) {
 	cfg := testConfig()
 	s, _ := NewMemSystem(cfg)
 	defer s.Close()
-	if err := s.LoadRecords(PortionA, sequentialRecords(cfg.N)); err != nil {
+	if err := s.LoadRecords(sequentialRecords(cfg.N)); err != nil {
 		t.Fatal(err)
 	}
 	for _, x := range []uint64{0, 1, 77, 512, 1023} {
-		r, err := s.RecordAt(PortionA, x)
+		r, err := s.RecordAt(x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,13 +65,13 @@ func TestParallelReadWriteCounting(t *testing.T) {
 	cfg := testConfig()
 	s, _ := NewMemSystem(cfg)
 	defer s.Close()
-	if err := s.LoadRecords(PortionA, sequentialRecords(cfg.N)); err != nil {
+	if err := s.LoadRecords(sequentialRecords(cfg.N)); err != nil {
 		t.Fatal(err)
 	}
 	buf := s.AcquireBuffer()
 	// Read one block from two different disks: one parallel I/O.
 	ios := []BlockIO{{Disk: 0, Block: 3, Frame: 0}, {Disk: 2, Block: 7, Frame: 1}}
-	if err := s.ParallelReadGroup(PortionA, [][]BlockIO{ios}, buf); err != nil {
+	if err := s.ParallelReadGroup([][]BlockIO{ios}, buf); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
@@ -88,21 +88,22 @@ func TestParallelReadWriteCounting(t *testing.T) {
 			}
 		}
 	}
-	// Write both frames to portion B and read them back.
+	// Write both frames, commit, and read them back.
 	wr := []BlockIO{{Disk: 1, Block: 0, Frame: 0}, {Disk: 3, Block: 5, Frame: 1}}
-	if err := s.ParallelWriteGroup(PortionB, [][]BlockIO{wr}, buf); err != nil {
+	if err := s.ParallelWriteGroup([][]BlockIO{wr}, buf); err != nil {
 		t.Fatal(err)
 	}
 	st = s.Stats()
 	if st.ParallelWrites != 1 || st.BlocksWritten != 2 {
 		t.Fatalf("stats after write: %v", st)
 	}
-	r, err := s.RecordAt(PortionB, cfg.BlockAddr(1, 0, 4))
+	s.Commit()
+	r, err := s.RecordAt(cfg.BlockAddr(1, 0, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := cfg.BlockAddr(0, 3, 4); r.Key != uint64(want) {
-		t.Fatalf("portion B record key = %d, want %d", r.Key, want)
+		t.Fatalf("committed record key = %d, want %d", r.Key, want)
 	}
 }
 
@@ -124,10 +125,10 @@ func TestModelRuleEnforcement(t *testing.T) {
 		{"same frame twice", []BlockIO{{Disk: 0, Block: 0, Frame: 2}, {Disk: 1, Block: 0, Frame: 2}}},
 	}
 	for _, c := range cases {
-		if err := s.ParallelReadGroup(PortionA, [][]BlockIO{c.ios}, buf); err == nil {
+		if err := s.ParallelReadGroup([][]BlockIO{c.ios}, buf); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
-		if err := s.ParallelWriteGroup(PortionA, [][]BlockIO{c.ios}, buf); err == nil {
+		if err := s.ParallelWriteGroup([][]BlockIO{c.ios}, buf); err == nil {
 			t.Errorf("%s: write accepted", c.name)
 		}
 	}
@@ -139,7 +140,7 @@ func TestModelRuleEnforcement(t *testing.T) {
 	for i := range many {
 		many[i] = BlockIO{Disk: i % cfg.D, Block: 0, Frame: i}
 	}
-	if err := s.ParallelReadGroup(PortionA, [][]BlockIO{many}, buf); err == nil {
+	if err := s.ParallelReadGroup([][]BlockIO{many}, buf); err == nil {
 		t.Error("oversized parallel I/O accepted")
 	}
 }
@@ -148,11 +149,11 @@ func TestStripedIO(t *testing.T) {
 	cfg := testConfig()
 	s, _ := NewMemSystem(cfg)
 	defer s.Close()
-	if err := s.LoadRecords(PortionA, sequentialRecords(cfg.N)); err != nil {
+	if err := s.LoadRecords(sequentialRecords(cfg.N)); err != nil {
 		t.Fatal(err)
 	}
 	buf := s.AcquireBuffer()
-	if err := s.ReadStripe(PortionA, 2, 0, buf); err != nil {
+	if err := s.ReadStripe(2, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
@@ -166,24 +167,48 @@ func TestStripedIO(t *testing.T) {
 			t.Fatalf("mem[%d].Key = %d, want %d", i, r.Key, base+uint64(i))
 		}
 	}
-	if err := s.WriteStripe(PortionB, 0, 0, buf); err != nil {
+	if err := s.WriteStripe(0, 0, buf); err != nil {
 		t.Fatal(err)
 	}
-	r, _ := s.RecordAt(PortionB, 5)
+	s.Commit()
+	r, _ := s.RecordAt(5)
 	if r.Key != base+5 {
 		t.Fatalf("striped write misplaced records: key %d", r.Key)
 	}
 }
 
-func TestSwapPortions(t *testing.T) {
-	s, _ := NewMemSystem(testConfig())
+// TestCommit: counted writes stay invisible to reads until Commit, which
+// makes them the stored records and counts one generation, as LoadRecords
+// does.
+func TestCommit(t *testing.T) {
+	cfg := testConfig()
+	s, _ := NewMemSystem(cfg)
 	defer s.Close()
-	if s.Source() != PortionA || s.Target() != PortionB {
-		t.Fatal("initial portions wrong")
+	if g := s.Generation(); g != 0 {
+		t.Fatalf("new System at generation %d, want 0", g)
 	}
-	s.SwapPortions()
-	if s.Source() != PortionB || s.Target() != PortionA {
-		t.Fatal("swap failed")
+	if err := s.LoadRecords(sequentialRecords(cfg.N)); err != nil {
+		t.Fatal(err)
+	}
+	if g := s.Generation(); g != 1 {
+		t.Fatalf("LoadRecords left generation %d, want 1", g)
+	}
+	buf := s.AcquireBuffer()
+	for i := range buf.Records() {
+		buf.Records()[i] = MakeRecord(uint64(cfg.N + i))
+	}
+	if err := s.WriteStripe(0, 0, buf); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := s.RecordAt(5); err != nil || r.Key != 5 {
+		t.Fatalf("RecordAt(5) before Commit = %+v, %v; want the loaded key 5", r, err)
+	}
+	s.Commit()
+	if g := s.Generation(); g != 2 {
+		t.Fatalf("Commit left generation %d, want 2", g)
+	}
+	if r, err := s.RecordAt(5); err != nil || r.Key != uint64(cfg.N+5) {
+		t.Fatalf("RecordAt(5) after Commit = %+v, %v; want the written key %d", r, err, cfg.N+5)
 	}
 }
 
@@ -191,10 +216,10 @@ func TestPerDiskCounters(t *testing.T) {
 	cfg := testConfig()
 	s, _ := NewMemSystem(cfg)
 	defer s.Close()
-	_ = s.LoadRecords(PortionA, sequentialRecords(cfg.N))
+	_ = s.LoadRecords(sequentialRecords(cfg.N))
 	buf := s.AcquireBuffer()
 	for i := 0; i < 3; i++ {
-		if err := s.ParallelReadGroup(PortionA, [][]BlockIO{{{Disk: 1, Block: i, Frame: 0}}}, buf); err != nil {
+		if err := s.ParallelReadGroup([][]BlockIO{{{Disk: 1, Block: i, Frame: 0}}}, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -221,10 +246,10 @@ func TestFileDiskMatchesMemDisk(t *testing.T) {
 
 	recs := sequentialRecords(cfg.N)
 	rand.New(rand.NewSource(7)).Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
-	if err := fs.LoadRecords(PortionA, recs); err != nil {
+	if err := fs.LoadRecords(recs); err != nil {
 		t.Fatal(err)
 	}
-	if err := ms.LoadRecords(PortionA, recs); err != nil {
+	if err := ms.LoadRecords(recs); err != nil {
 		t.Fatal(err)
 	}
 	// Run the same I/O schedule on both and compare portions. Each system
@@ -236,25 +261,27 @@ func TestFileDiskMatchesMemDisk(t *testing.T) {
 		disk := rng.Intn(cfg.D)
 		block := rng.Intn(cfg.BlocksPerDisk())
 		ios := [][]BlockIO{{{Disk: disk, Block: block, Frame: 0}}}
-		if err := fs.ParallelReadGroup(PortionA, ios, fbuf); err != nil {
+		if err := fs.ParallelReadGroup(ios, fbuf); err != nil {
 			t.Fatal(err)
 		}
-		if err := ms.ParallelReadGroup(PortionA, ios, mbuf); err != nil {
+		if err := ms.ParallelReadGroup(ios, mbuf); err != nil {
 			t.Fatal(err)
 		}
 		dst := [][]BlockIO{{{Disk: rng.Intn(cfg.D), Block: rng.Intn(cfg.BlocksPerDisk()), Frame: 0}}}
-		if err := fs.ParallelWriteGroup(PortionB, dst, fbuf); err != nil {
+		if err := fs.ParallelWriteGroup(dst, fbuf); err != nil {
 			t.Fatal(err)
 		}
-		if err := ms.ParallelWriteGroup(PortionB, dst, mbuf); err != nil {
+		if err := ms.ParallelWriteGroup(dst, mbuf); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fd, err := fs.DumpRecords(PortionB)
+	fs.Commit()
+	ms.Commit()
+	fd, err := fs.DumpRecords()
 	if err != nil {
 		t.Fatal(err)
 	}
-	md, _ := ms.DumpRecords(PortionB)
+	md, _ := ms.DumpRecords()
 	for i := range fd {
 		if fd[i] != md[i] {
 			t.Fatalf("file/mem divergence at %d: %+v vs %+v", i, fd[i], md[i])

@@ -22,13 +22,12 @@ func (k IOKind) String() string {
 	return "W"
 }
 
-// TraceEntry records one parallel I/O operation: its kind, the portion it
-// touched, and the per-disk block transfers.
+// TraceEntry records one parallel I/O operation: its kind and the per-disk
+// block transfers.
 type TraceEntry struct {
-	Seq     int // operation sequence number, from 0
-	Kind    IOKind
-	Portion Portion
-	IOs     []BlockIO
+	Seq  int // operation sequence number, from 0
+	Kind IOKind
+	IOs  []BlockIO
 }
 
 // IsStriped reports whether the operation touched all D disks at the same
@@ -47,7 +46,7 @@ func (e TraceEntry) IsStriped(d int) bool {
 
 func (e TraceEntry) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%4d %s p%d ", e.Seq, e.Kind, e.Portion)
+	fmt.Fprintf(&sb, "%4d %s ", e.Seq, e.Kind)
 	for i, io := range e.IOs {
 		if i > 0 {
 			sb.WriteByte(' ')
@@ -76,13 +75,13 @@ func (s *System) SetObserver(fn Observer) {
 // notifyLocked emits a trace entry; the caller must hold s.mu so that the
 // sequence number and the observer invocation stay consistent under
 // overlapping operations.
-func (s *System) notifyLocked(kind IOKind, p Portion, ios []BlockIO) {
+func (s *System) notifyLocked(kind IOKind, ios []BlockIO) {
 	if s.observer == nil {
 		return
 	}
 	cp := make([]BlockIO, len(ios))
 	copy(cp, ios)
-	s.observer(TraceEntry{Seq: s.stats.ParallelIOs() - 1, Kind: kind, Portion: p, IOs: cp})
+	s.observer(TraceEntry{Seq: s.stats.ParallelIOs() - 1, Kind: kind, IOs: cp})
 }
 
 // Trace is a convenience Observer that accumulates entries.

@@ -198,7 +198,7 @@ func TestExecuteCancellation(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("rep %d: Execute returned %v, want context.Canceled", rep, err)
 		}
-		// The interrupted pass never swapped portions: the stored records
+		// The interrupted pass never committed: the stored records
 		// are exactly the pre-Execute state, and the Dataset still works.
 		got, err := cp.Records()
 		if err != nil {
