@@ -216,6 +216,36 @@ func TestPermuteGeneralRefusesMovedKeys(t *testing.T) {
 	}
 }
 
+// TestPermuteGeneralRefusesNonBijection pins the last merge pass's check:
+// a targetOf that sends two addresses to one target, or one outside
+// 0..N-1, is refused with an error naming the first address that would
+// receive another's record, while a bijection still lands every record.
+func TestPermuteGeneralRefusesNonBijection(t *testing.T) {
+	cfg := pdm.Config{N: 1 << 12, D: 4, B: 8, M: 1 << 7}
+	ctx := context.Background()
+	for _, c := range []struct {
+		name     string
+		targetOf func(uint64) uint64
+		want     string
+	}{
+		{"x -> x/2", func(x uint64) uint64 { return x / 2 }, "address 1 receives the record bound for 0"},
+		{"x -> x+N", func(x uint64) uint64 { return x + uint64(cfg.N) }, "address 0 receives the record bound for 4096"},
+	} {
+		_, err := NewEngine().PermuteGeneral(ctx, newTestDataset(t, cfg), c.targetOf)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: PermuteGeneral returned %v, want a refusal naming %q", c.name, err, c.want)
+		}
+	}
+	ds := newTestDataset(t, cfg)
+	reverse := func(x uint64) uint64 { return uint64(cfg.N-1) - x }
+	if _, err := NewEngine().PermuteGeneral(ctx, ds, reverse); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.VerifyMapping(reverse); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestEngineInverseMLDDispatch(t *testing.T) {
 	cfg := smallConfig
 	rng := rand.New(rand.NewSource(10))

@@ -147,7 +147,11 @@ func (e *Engine) PermuteFactored(ctx context.Context, ds *Dataset, bp Permutatio
 // current address: true right after CreateDataset, but not after an
 // earlier permutation or a Load. A dataset whose keys differ is refused
 // with an error naming the first such address, and its records are left
-// unchanged. ctx follows the Execute cancellation contract.
+// unchanged. A targetOf that is not a bijection is refused by the last
+// merge pass, with an error naming the first address that would receive
+// another address's record; like a canceled run, that leaves the records
+// as the last completed pass committed them. ctx follows the Execute
+// cancellation contract.
 func (e *Engine) PermuteGeneral(ctx context.Context, ds *Dataset, targetOf func(uint64) uint64, opts ...Option) (*Report, error) {
 	s := e.overlay(opts)
 	ds.sys.AcquireRun()

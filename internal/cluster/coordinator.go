@@ -61,14 +61,7 @@ type placement struct {
 	stripes []stripeLoc
 	jobsRun int
 	created time.Time
-
-	// The striped-job turnstile (see bind). nowServing is the ticket
-	// allowed to execute; retired holds tickets retired ahead of their
-	// turn; turn is closed and replaced whenever the turnstile moves.
-	nextTicket int
-	nowServing int
-	retired    map[int]bool
-	turn       chan struct{}
+	turns   service.Turnstile // striped jobs' execution order (see runStriped)
 }
 
 type stripeLoc struct {
@@ -161,7 +154,8 @@ func New(o Options) *Coordinator {
 	return c
 }
 
-// Shutdown stops the failure detector and cancels striped jobs in flight.
+// Shutdown stops the failure detector and cancels striped jobs in flight,
+// returning once each has stopped and its worker sub-jobs have ended.
 // Workers keep their data; a fresh coordinator re-discovers them as they
 // re-join.
 func (c *Coordinator) Shutdown() {
@@ -198,7 +192,7 @@ func (c *Coordinator) workerClient(addr string) *client.Client {
 func (c *Coordinator) clientFor(workerID string) (*client.Client, error) {
 	addr, ok := c.reg.addrOf(workerID)
 	if !ok {
-		return nil, apiErr(http.StatusBadGateway, fmt.Sprintf("worker %s is no longer part of the cluster", workerID))
+		return nil, service.Error(http.StatusBadGateway, fmt.Sprintf("worker %s is no longer part of the cluster", workerID))
 	}
 	return c.workerClient(addr), nil
 }
@@ -269,7 +263,7 @@ func (c *Coordinator) evict(workerID string) {
 // that moves datasets whose ring owner changed.
 func (c *Coordinator) Join(id, addr string) error {
 	if id == "" || addr == "" {
-		return apiErr(http.StatusBadRequest, "join needs a worker id and an advertise URL")
+		return service.Error(http.StatusBadRequest, "join needs a worker id and an advertise URL")
 	}
 	addr = strings.TrimRight(addr, "/")
 	// Registry and ring change in one critical section: a dataset placed
@@ -293,7 +287,7 @@ func (c *Coordinator) Join(id, addr string) error {
 // shut its listener down the moment Leave answers.
 func (c *Coordinator) Leave(id string) error {
 	if _, ok := c.reg.drain(id); !ok {
-		return apiErr(http.StatusNotFound, fmt.Sprintf("unknown worker %q", id))
+		return service.Error(http.StatusNotFound, fmt.Sprintf("unknown worker %q", id))
 	}
 	c.log.Info("worker leaving; draining placements", "worker", id)
 	c.mu.Lock()
@@ -475,11 +469,11 @@ func (c *Coordinator) placementOf(id string) (*placement, error) {
 	p, ok := c.placements[id]
 	c.mu.Unlock()
 	if !ok {
-		return nil, apiErr(http.StatusNotFound, fmt.Sprintf("unknown dataset %q", id))
+		return nil, service.Error(http.StatusNotFound, fmt.Sprintf("unknown dataset %q", id))
 	}
 	for _, s := range p.stripes {
 		if s.worker == "" {
-			return nil, apiErr(http.StatusServiceUnavailable,
+			return nil, service.Error(http.StatusServiceUnavailable,
 				fmt.Sprintf("dataset %s stripe %s has not been re-discovered yet", id, s.dsID))
 		}
 	}

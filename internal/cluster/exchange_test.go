@@ -7,12 +7,15 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	bmmc "repro"
 	"repro/client"
+	"repro/internal/pdm"
+	"repro/internal/service"
 )
 
 // stripedTestDataset creates a 4-stripe testCfg dataset through the
@@ -274,4 +277,72 @@ func TestClusterStripedJobsSerialized(t *testing.T) {
 		requireRecords(t, ctx, c, dsID, want, "back-to-back striped jobs")
 		tc.teardown()
 	}
+}
+
+// TestClusterStripedCancelStopsSubJobs cancels a Gray-code striped job
+// once one of its per-stripe sub-jobs runs on slow storage. The job must
+// read canceled only after it has stopped: by then every worker job is
+// terminal, the dataset downloads at once, and, since no sub-job finished
+// and the relabel never ran, the records equal the input.
+func TestClusterStripedCancelStopsSubJobs(t *testing.T) {
+	var (
+		mu   sync.Mutex
+		slow []*pdm.LatencyBackend
+	)
+	tc := startTestCluster(t, 3, func(int) func(string, bmmc.Backend) bmmc.Backend {
+		return func(_ string, be bmmc.Backend) bmmc.Backend {
+			lb := pdm.NewLatencyBackend(be, pdm.LatencyOptions{PerBlock: 2 * time.Millisecond})
+			lb.Disarm()
+			mu.Lock()
+			slow = append(slow, lb)
+			mu.Unlock()
+			return lb
+		}
+	})
+	c := tc.client()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	dsID, input := stripedTestDataset(t, ctx, c)
+	mu.Lock()
+	for _, lb := range slow {
+		lb.Arm()
+	}
+	mu.Unlock()
+
+	j, err := c.Submit(ctx, client.NewDatasetSubmitRequest(dsID, bmmc.GrayCode(testCfg.LgN())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	workerJobs := func(keep func(service.State) bool) (n int) {
+		for _, w := range tc.workers {
+			for _, wj := range w.mgr.Jobs() {
+				if keep(wj.State()) {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	running := func(s service.State) bool { return s == service.StateRunning }
+	for workerJobs(running) == 0 {
+		if ctx.Err() != nil {
+			t.Fatal("no sub-job ever ran")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := c.Cancel(ctx, j.ID); err != nil {
+		t.Fatal(err)
+	}
+	final, err := c.Watch(ctx, j.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != client.StateCanceled {
+		t.Fatalf("striped job finished %s (%s), want canceled", final.State, final.Error)
+	}
+	live := func(s service.State) bool { return !s.Terminal() }
+	if n := workerJobs(live); n > 0 {
+		t.Errorf("%d worker sub-jobs still live after their striped job read canceled", n)
+	}
+	requireRecords(t, ctx, c, dsID, input, "after the canceled striped job")
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -15,17 +14,6 @@ import (
 	"repro/internal/service"
 )
 
-// coordErr is an error that knows its HTTP status, the cluster analogue of
-// the daemon's httpError.
-type coordErr struct {
-	status int
-	msg    string
-}
-
-func (e *coordErr) Error() string { return e.msg }
-
-func apiErr(status int, msg string) error { return &coordErr{status: status, msg: msg} }
-
 // asGatewayErr maps a worker-call failure onto the coordinator's surface:
 // a worker's own API error passes through with its status (a 409 from the
 // owning worker IS the dataset's state), transport failures become 502.
@@ -35,15 +23,12 @@ func asGatewayErr(err error) error {
 	}
 	var ae *client.APIError
 	if errors.As(err, &ae) {
-		return apiErr(ae.Status, ae.Message)
+		return service.Error(ae.Status, ae.Message)
 	}
-	return apiErr(http.StatusBadGateway, "worker call failed: "+err.Error())
+	return service.Error(http.StatusBadGateway, "worker call failed: "+err.Error())
 }
 
 func isAPIStatus(err error, target **client.APIError) bool { return errors.As(err, target) }
-
-// maxBody bounds JSON request bodies, matching the daemon's limit.
-const maxBody = 1 << 20
 
 // joinRequest is the body of POST /cluster/v1/join and /cluster/v1/leave;
 // heartbeat sends only the id.
@@ -93,19 +78,10 @@ func (c *Coordinator) ClusterMetrics(ctx context.Context) *ClusterMetrics {
 	}
 	c.mu.Lock()
 	for _, sj := range c.sjobs {
-		out.JobsSubmitted++
-		switch sj.status().State {
-		case service.StateRunning:
-			out.JobsRunning++
-		case service.StateQueued:
-			out.JobsQueued++
-		case service.StateDone:
-			out.JobsDone++
+		s := sj.Status().State
+		out.CountJob(s)
+		if s == service.StateDone {
 			out.DatasetJobsRun++
-		case service.StateFailed:
-			out.JobsFailed++
-		case service.StateCanceled:
-			out.JobsCanceled++
 		}
 	}
 	c.mu.Unlock()
@@ -158,7 +134,7 @@ func (c *Coordinator) pickWorker() (string, error) {
 		}
 	}
 	if len(pool) == 0 {
-		return "", apiErr(http.StatusServiceUnavailable, "no live workers in the cluster")
+		return "", service.Error(http.StatusServiceUnavailable, "no live workers in the cluster")
 	}
 	c.mu.Lock()
 	c.seq++
@@ -214,7 +190,7 @@ func (c *Coordinator) routeOf(id string) (*jobRoute, error) {
 	rt, ok := c.routes[id]
 	c.mu.Unlock()
 	if !ok {
-		return nil, apiErr(http.StatusNotFound, fmt.Sprintf("unknown job %q", id))
+		return nil, service.Error(http.StatusNotFound, fmt.Sprintf("unknown job %q", id))
 	}
 	return rt, nil
 }
@@ -237,7 +213,7 @@ func (c *Coordinator) jobStatuses(ctx context.Context) []*service.JobStatus {
 	}
 	c.mu.Lock()
 	for _, sj := range c.sjobs {
-		out = append(out, sj.status())
+		out = append(out, sj.Status())
 	}
 	c.mu.Unlock()
 	sortStatusesBySubmitted(out)
@@ -290,53 +266,27 @@ type handler struct {
 	c *Coordinator
 }
 
-func (h *handler) writeErr(w http.ResponseWriter, err error) {
-	status := http.StatusInternalServerError
-	var ce *coordErr
-	if errors.As(err, &ce) {
-		status = ce.status
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
-}
-
-func (h *handler) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func (h *handler) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
-	if err := dec.Decode(v); err != nil {
-		h.writeErr(w, apiErr(http.StatusBadRequest, "decoding request: "+err.Error()))
-		return false
-	}
-	return true
-}
-
 // --- cluster control plane ---
 
 func (h *handler) join(w http.ResponseWriter, r *http.Request) {
 	var req joinRequest
-	if !h.decode(w, r, &req) {
+	if !service.DecodeJSON(w, r, &req) {
 		return
 	}
 	if err := h.c.Join(req.ID, req.Addr); err != nil {
-		h.writeErr(w, err)
+		service.WriteError(w, err)
 		return
 	}
-	h.writeJSON(w, http.StatusOK, joinResponse{HeartbeatInterval: h.c.o.HeartbeatInterval})
+	service.WriteJSON(w, http.StatusOK, joinResponse{HeartbeatInterval: h.c.o.HeartbeatInterval})
 }
 
 func (h *handler) heartbeat(w http.ResponseWriter, r *http.Request) {
 	var req joinRequest
-	if !h.decode(w, r, &req) {
+	if !service.DecodeJSON(w, r, &req) {
 		return
 	}
 	if !h.c.reg.heartbeat(req.ID) {
-		h.writeErr(w, apiErr(http.StatusNotFound, fmt.Sprintf("unknown worker %q; re-join", req.ID)))
+		service.WriteError(w, service.Error(http.StatusNotFound, fmt.Sprintf("unknown worker %q; re-join", req.ID)))
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -344,37 +294,37 @@ func (h *handler) heartbeat(w http.ResponseWriter, r *http.Request) {
 
 func (h *handler) leave(w http.ResponseWriter, r *http.Request) {
 	var req joinRequest
-	if !h.decode(w, r, &req) {
+	if !service.DecodeJSON(w, r, &req) {
 		return
 	}
 	if err := h.c.Leave(req.ID); err != nil {
-		h.writeErr(w, err)
+		service.WriteError(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
 func (h *handler) workers(w http.ResponseWriter, r *http.Request) {
-	h.writeJSON(w, http.StatusOK, h.c.Workers())
+	service.WriteJSON(w, http.StatusOK, h.c.Workers())
 }
 
 // --- job surface ---
 
 func (h *handler) submit(w http.ResponseWriter, r *http.Request) {
 	var req service.SubmitRequest
-	if !h.decode(w, r, &req) {
+	if !service.DecodeJSON(w, r, &req) {
 		return
 	}
 	st, err := h.c.submitJob(r.Context(), req)
 	if err != nil {
-		h.writeErr(w, err)
+		service.WriteError(w, err)
 		return
 	}
-	h.writeJSON(w, http.StatusCreated, st)
+	service.WriteJSON(w, http.StatusCreated, st)
 }
 
 func (h *handler) listJobs(w http.ResponseWriter, r *http.Request) {
-	h.writeJSON(w, http.StatusOK, h.c.jobStatuses(r.Context()))
+	service.WriteJSON(w, http.StatusOK, h.c.jobStatuses(r.Context()))
 }
 
 // stripedOf returns the striped job for an id, if the coordinator owns it.
@@ -387,7 +337,7 @@ func (h *handler) stripedOf(id string) *stripedJob {
 func (h *handler) jobStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if sj := h.stripedOf(id); sj != nil {
-		h.writeJSON(w, http.StatusOK, sj.status())
+		service.WriteJSON(w, http.StatusOK, sj.Status())
 		return
 	}
 	h.proxyJob(w, r, id)
@@ -396,9 +346,10 @@ func (h *handler) jobStatus(w http.ResponseWriter, r *http.Request) {
 func (h *handler) jobCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if sj := h.stripedOf(id); sj != nil {
+		// Like bmmcd's cancel of a running job, this only requests it:
+		// runStriped records the terminal state once the run has stopped.
 		sj.cancel()
-		sj.setState(service.StateCanceled, "canceled")
-		h.writeJSON(w, http.StatusOK, sj.status())
+		service.WriteJSON(w, http.StatusOK, sj.Status())
 		return
 	}
 	h.proxyJob(w, r, id)
@@ -407,7 +358,7 @@ func (h *handler) jobCancel(w http.ResponseWriter, r *http.Request) {
 func (h *handler) jobProxy(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if sj := h.stripedOf(id); sj != nil {
-		h.writeErr(w, apiErr(http.StatusConflict,
+		service.WriteError(w, service.Error(http.StatusConflict,
 			"striped jobs run on their dataset; use the dataset's input/output endpoints"))
 		return
 	}
@@ -417,7 +368,7 @@ func (h *handler) jobProxy(w http.ResponseWriter, r *http.Request) {
 func (h *handler) jobEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if sj := h.stripedOf(id); sj != nil {
-		h.stripedEvents(w, r, sj)
+		service.ServeEvents(w, r, sj)
 		return
 	}
 	h.proxyJob(w, r, id)
@@ -427,12 +378,12 @@ func (h *handler) jobEvents(w http.ResponseWriter, r *http.Request) {
 func (h *handler) proxyJob(w http.ResponseWriter, r *http.Request, id string) {
 	rt, err := h.c.routeOf(id)
 	if err != nil {
-		h.writeErr(w, err)
+		service.WriteError(w, err)
 		return
 	}
 	addr, ok := h.c.reg.addrOf(rt.worker)
 	if !ok {
-		h.writeErr(w, apiErr(http.StatusBadGateway,
+		service.WriteError(w, service.Error(http.StatusBadGateway,
 			fmt.Sprintf("job %s ran on worker %s, which left the cluster", id, rt.worker)))
 		return
 	}
@@ -445,7 +396,7 @@ func (h *handler) proxyJob(w http.ResponseWriter, r *http.Request, id string) {
 func (h *handler) proxyTo(w http.ResponseWriter, r *http.Request, addr string) {
 	u, err := url.Parse(addr)
 	if err != nil {
-		h.writeErr(w, apiErr(http.StatusBadGateway, "bad worker address: "+err.Error()))
+		service.WriteError(w, service.Error(http.StatusBadGateway, "bad worker address: "+err.Error()))
 		return
 	}
 	out := r.Clone(r.Context())
@@ -455,7 +406,7 @@ func (h *handler) proxyTo(w http.ResponseWriter, r *http.Request, addr string) {
 	out.Host = ""
 	resp, err := h.c.hc.Do(out)
 	if err != nil {
-		h.writeErr(w, apiErr(http.StatusBadGateway, "worker call failed: "+err.Error()))
+		service.WriteError(w, service.Error(http.StatusBadGateway, "worker call failed: "+err.Error()))
 		return
 	}
 	defer resp.Body.Close()
@@ -489,87 +440,41 @@ func flushCopy(w http.ResponseWriter, src io.Reader) {
 	}
 }
 
-// stripedEvents serves the SSE stream for a coordinator-run job, the same
-// protocol the daemon speaks for its own jobs.
-func (h *handler) stripedEvents(w http.ResponseWriter, r *http.Request, sj *stripedJob) {
-	fl, canFlush := w.(http.Flusher)
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	send := func(ev service.Event) bool {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "data: %s\n\n", data); err != nil {
-			return false
-		}
-		if canFlush {
-			fl.Flush()
-		}
-		return true
-	}
-
-	ch, cancelSub := sj.subscribe()
-	defer cancelSub()
-	st := sj.status()
-	if !send(service.Event{Type: service.EventState, JobID: sj.id, State: st.State, Error: st.Error}) {
-		return
-	}
-	if st.State.Terminal() {
-		return
-	}
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case ev := <-ch:
-			if !send(ev) {
-				return
-			}
-			if ev.Type == service.EventState && ev.State.Terminal() {
-				return
-			}
-		}
-	}
-}
-
 // --- dataset surface ---
 
 func (h *handler) createDataset(w http.ResponseWriter, r *http.Request) {
 	var req service.CreateDatasetRequest
-	if !h.decode(w, r, &req) {
+	if !service.DecodeJSON(w, r, &req) {
 		return
 	}
 	st, err := h.c.createDataset(r.Context(), req)
 	if err != nil {
-		h.writeErr(w, err)
+		service.WriteError(w, err)
 		return
 	}
-	h.writeJSON(w, http.StatusCreated, st)
+	service.WriteJSON(w, http.StatusCreated, st)
 }
 
 func (h *handler) listDatasets(w http.ResponseWriter, r *http.Request) {
-	h.writeJSON(w, http.StatusOK, h.c.datasetStatuses(r.Context()))
+	service.WriteJSON(w, http.StatusOK, h.c.datasetStatuses(r.Context()))
 }
 
 func (h *handler) datasetStatus(w http.ResponseWriter, r *http.Request) {
 	st, err := h.c.datasetStatus(r.Context(), r.PathValue("id"))
 	if err != nil {
-		h.writeErr(w, err)
+		service.WriteError(w, err)
 		return
 	}
-	h.writeJSON(w, http.StatusOK, st)
+	service.WriteJSON(w, http.StatusOK, st)
 }
 
 func (h *handler) deleteDataset(w http.ResponseWriter, r *http.Request) {
 	st, err := h.c.deleteDataset(r.Context(), r.PathValue("id"))
 	if err != nil {
-		h.writeErr(w, err)
+		service.WriteError(w, err)
 		return
 	}
-	h.writeJSON(w, http.StatusOK, st)
+	service.WriteJSON(w, http.StatusOK, st)
 }
 
 // datasetInput streams an upload to the owning worker, or splits it into
@@ -577,7 +482,7 @@ func (h *handler) deleteDataset(w http.ResponseWriter, r *http.Request) {
 func (h *handler) datasetInput(w http.ResponseWriter, r *http.Request) {
 	p, err := h.c.placementOf(r.PathValue("id"))
 	if err != nil {
-		h.writeErr(w, err)
+		service.WriteError(w, err)
 		return
 	}
 	if !p.striped {
@@ -585,7 +490,7 @@ func (h *handler) datasetInput(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if want := int64(p.cfg.N) * bmmc.RecordBytes; r.ContentLength >= 0 && r.ContentLength != want {
-		h.writeErr(w, apiErr(http.StatusBadRequest,
+		service.WriteError(w, service.Error(http.StatusBadRequest,
 			fmt.Sprintf("input must be exactly N*%d = %d bytes, got Content-Length %d", bmmc.RecordBytes, want, r.ContentLength)))
 		return
 	}
@@ -596,11 +501,11 @@ func (h *handler) datasetInput(w http.ResponseWriter, r *http.Request) {
 	for _, s := range stripes {
 		wc, err := h.c.clientFor(s.worker)
 		if err != nil {
-			h.writeErr(w, err)
+			service.WriteError(w, err)
 			return
 		}
 		if err := wc.UploadDataset(r.Context(), s.dsID, io.LimitReader(r.Body, per)); err != nil {
-			h.writeErr(w, asGatewayErr(err))
+			service.WriteError(w, asGatewayErr(err))
 			return
 		}
 	}
@@ -612,7 +517,7 @@ func (h *handler) datasetInput(w http.ResponseWriter, r *http.Request) {
 func (h *handler) datasetOutput(w http.ResponseWriter, r *http.Request) {
 	p, err := h.c.placementOf(r.PathValue("id"))
 	if err != nil {
-		h.writeErr(w, err)
+		service.WriteError(w, err)
 		return
 	}
 	if !p.striped {
@@ -640,7 +545,7 @@ func (h *handler) datasetOutput(w http.ResponseWriter, r *http.Request) {
 func (h *handler) proxyToWorker(w http.ResponseWriter, r *http.Request, workerID string) {
 	addr, ok := h.c.reg.addrOf(workerID)
 	if !ok {
-		h.writeErr(w, apiErr(http.StatusBadGateway,
+		service.WriteError(w, service.Error(http.StatusBadGateway,
 			fmt.Sprintf("worker %s is no longer part of the cluster", workerID)))
 		return
 	}
@@ -648,5 +553,5 @@ func (h *handler) proxyToWorker(w http.ResponseWriter, r *http.Request, workerID
 }
 
 func (h *handler) metrics(w http.ResponseWriter, r *http.Request) {
-	h.writeJSON(w, http.StatusOK, h.c.ClusterMetrics(r.Context()))
+	service.WriteJSON(w, http.StatusOK, h.c.ClusterMetrics(r.Context()))
 }

@@ -165,7 +165,7 @@ func (c *Coordinator) stitchedTrace(ctx context.Context, sj *stripedJob) *servic
 func (h *handler) jobTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if sj := h.stripedOf(id); sj != nil {
-		h.writeJSON(w, http.StatusOK, h.c.stitchedTrace(r.Context(), sj))
+		service.WriteJSON(w, http.StatusOK, h.c.stitchedTrace(r.Context(), sj))
 		return
 	}
 	h.proxyJob(w, r, id)

@@ -24,8 +24,9 @@ type stripedJob struct {
 	summary   *service.PlanSummary
 	submitted time.Time
 	ctx       context.Context
-	cancelFn  context.CancelFunc
+	cancel    context.CancelFunc
 	trace     *obs.TraceBuffer // coordinator-side spans (stripe/gather/route/scatter)
+	events    *service.Broadcaster
 
 	mu       sync.Mutex
 	state    service.State
@@ -34,38 +35,31 @@ type stripedJob struct {
 	started  *time.Time
 	finished *time.Time
 	refs     []subJobRef // worker sub-jobs spawned, for trace stitching
-	subs     map[chan service.Event]struct{}
 }
 
 func newStripedJob(id, dataset string, summary *service.PlanSummary) *stripedJob {
 	// The job outlives the submitting request; its root is canceled by
 	// Cancel/Close, not by the submitter hanging up.
-	//lint:allow ctxio -- job-lifetime root; canceled via the job's own cancelFn
+	//lint:allow ctxio -- job-lifetime root; canceled via the job's own cancel
 	ctx, cancel := context.WithCancel(context.Background())
 	return &stripedJob{
 		id: id, dataset: dataset, summary: summary, submitted: time.Now(),
-		ctx: ctx, cancelFn: cancel,
-		trace: obs.NewTraceBuffer(id, 0),
-		state: service.StateQueued,
-		subs:  make(map[chan service.Event]struct{}),
+		ctx: ctx, cancel: cancel,
+		trace:  obs.NewTraceBuffer(id, 0),
+		events: service.NewBroadcaster(),
+		state:  service.StateQueued,
 	}
 }
 
-func (sj *stripedJob) cancel() { sj.cancelFn() }
-
-// setState publishes a transition to every subscriber. Terminal states
-// stick: a cancellation racing completion keeps whichever landed first.
+// setState records a transition and publishes it; a terminal state closes
+// the event stream. Only runStriped calls it, so transitions never race.
 func (sj *stripedJob) setState(s service.State, errMsg string) {
 	sj.mu.Lock()
-	if sj.state.Terminal() {
-		sj.mu.Unlock()
-		return
-	}
-	sj.state = s
-	sj.errMsg = errMsg
+	defer sj.mu.Unlock()
+	sj.state, sj.errMsg = s, errMsg
 	now := time.Now()
 	switch {
-	case s == service.StateRunning && sj.started == nil:
+	case s == service.StateRunning:
 		sj.started = &now
 	case s.Terminal():
 		if sj.started == nil {
@@ -73,29 +67,17 @@ func (sj *stripedJob) setState(s service.State, errMsg string) {
 		}
 		sj.finished = &now
 	}
-	ev := service.Event{Type: service.EventState, JobID: sj.id, State: s, Error: errMsg}
-	for ch := range sj.subs {
-		select {
-		case ch <- ev:
-		default: // slow consumer: it re-reads status at stream end
-		}
-	}
-	sj.mu.Unlock()
-}
-
-func (sj *stripedJob) subscribe() (chan service.Event, func()) {
-	ch := make(chan service.Event, 16)
-	sj.mu.Lock()
-	sj.subs[ch] = struct{}{}
-	sj.mu.Unlock()
-	return ch, func() {
-		sj.mu.Lock()
-		delete(sj.subs, ch)
-		sj.mu.Unlock()
+	sj.events.Publish(service.Event{Type: service.EventState, JobID: sj.id, State: s, Error: errMsg})
+	if s.Terminal() {
+		sj.events.Close()
 	}
 }
 
-func (sj *stripedJob) status() *service.JobStatus {
+// Subscribe attaches to the job's event stream (see service.ServeEvents).
+func (sj *stripedJob) Subscribe() (<-chan service.Event, func()) { return sj.events.Subscribe() }
+
+// Status snapshots the job as the daemon's wire representation.
+func (sj *stripedJob) Status() *service.JobStatus {
 	sj.mu.Lock()
 	defer sj.mu.Unlock()
 	return &service.JobStatus{
@@ -120,25 +102,25 @@ func (sj *stripedJob) status() *service.JobStatus {
 func (c *Coordinator) submitStriped(req service.SubmitRequest, p *placement) (*service.JobStatus, error) {
 	perm, err := bmmc.ParsePermutation([]byte(req.Perm))
 	if err != nil {
-		return nil, apiErr(http.StatusBadRequest, err.Error())
+		return nil, service.Error(http.StatusBadRequest, err.Error())
 	}
 	if perm.Bits() != p.cfg.LgN() {
-		return nil, apiErr(http.StatusBadRequest,
+		return nil, service.Error(http.StatusBadRequest,
 			fmt.Sprintf("permutation acts on %d-bit addresses but dataset %s holds N=%d records", perm.Bits(), p.id, p.cfg.N))
 	}
 	pl, err := c.eng.Plan(p.cfg, perm, bmmc.WithFusion(req.Fuse == nil || *req.Fuse))
 	if err != nil {
-		return nil, apiErr(http.StatusBadRequest, err.Error())
+		return nil, service.Error(http.StatusBadRequest, err.Error())
 	}
 	sj := newStripedJob(c.nextID("j"), p.id, service.Summarize(pl))
 
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, apiErr(http.StatusServiceUnavailable, "coordinator is shutting down")
+		return nil, service.Error(http.StatusServiceUnavailable, "coordinator is shutting down")
 	}
 	c.sjobs[sj.id] = sj
-	ticket := p.bind()
+	ticket := p.turns.Bind()
 	c.mu.Unlock()
 
 	c.wg.Add(1)
@@ -146,14 +128,17 @@ func (c *Coordinator) submitStriped(req service.SubmitRequest, p *placement) (*s
 		defer c.wg.Done()
 		c.runStriped(sj, perm, p, ticket)
 	}()
-	return sj.status(), nil
+	return sj.Status(), nil
 }
 
 // runStriped drives one striped job to a terminal state once every job
-// submitted before it on the same dataset has finished.
+// submitted before it on the same dataset has finished. Striped jobs on
+// one dataset execute in ticket order, so a chain composes the way it was
+// submitted and each job sees the stripe order its predecessor left; a job
+// canceled while it waits gives up its turn.
 func (c *Coordinator) runStriped(sj *stripedJob, perm bmmc.Permutation, p *placement, ticket int) {
-	defer c.retire(p, ticket)
-	if err := c.waitTurn(sj.ctx, p, ticket); err != nil {
+	defer p.turns.Retire(ticket)
+	if err := p.turns.Wait(sj.ctx, ticket); err != nil {
 		sj.setState(service.StateCanceled, "canceled")
 		return
 	}
@@ -183,53 +168,6 @@ func (c *Coordinator) runStriped(sj *stripedJob, perm bmmc.Permutation, p *place
 	default:
 		sj.setState(service.StateFailed, err.Error())
 	}
-}
-
-// bind reserves p's next execution-order ticket. Striped jobs on one
-// dataset execute in ticket order, so a chain composes the way it was
-// submitted and each job sees the stripe order its predecessor left. The
-// caller holds c.mu.
-func (p *placement) bind() int {
-	if p.turn == nil {
-		p.turn = make(chan struct{})
-		p.retired = make(map[int]bool)
-	}
-	t := p.nextTicket
-	p.nextTicket++
-	return t
-}
-
-// waitTurn blocks until ticket is being served on p or ctx ends.
-func (c *Coordinator) waitTurn(ctx context.Context, p *placement, ticket int) error {
-	for {
-		c.mu.Lock()
-		serving, turn := p.nowServing, p.turn
-		c.mu.Unlock()
-		if serving == ticket {
-			return nil
-		}
-		select {
-		case <-turn:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-}
-
-// retire takes ticket out of p's turnstile — after its job ran, or was
-// canceled before its turn. Retirement may arrive out of order; the
-// turnstile advances past every consecutively retired ticket and wakes
-// the waiters.
-func (c *Coordinator) retire(p *placement, ticket int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p.retired[ticket] = true
-	for p.retired[p.nowServing] {
-		delete(p.retired, p.nowServing)
-		p.nowServing++
-	}
-	close(p.turn)
-	p.turn = make(chan struct{})
 }
 
 // runStripedLocal is the decomposed path: stripe s runs the local BMMC
@@ -295,18 +233,34 @@ func (c *Coordinator) runStripedLocal(sj *stripedJob, locals []bmmc.Permutation,
 }
 
 // runSubJob executes one local BMMC on one stripe's worker and waits for
-// the terminal state, recording the sub-job on sj for trace stitching.
+// the terminal state, recording the sub-job on sj for trace stitching. It
+// submits nothing once ctx is canceled. A submitted sub-job never outlives
+// the striped job: the submit is not cut short, so its id is never lost,
+// and a cancellation cancels the sub-job on its worker and waits it out.
 func (c *Coordinator) runSubJob(ctx context.Context, sj *stripedJob, s stripeLoc, lp bmmc.Permutation) (*service.RunReport, string, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, "", err
+	}
 	wc, err := c.clientFor(s.worker)
 	if err != nil {
 		return nil, "", err
 	}
-	js, err := wc.Submit(ctx, client.NewDatasetSubmitRequest(s.dsID, lp))
+	detached := context.WithoutCancel(ctx)
+	js, err := wc.Submit(detached, client.NewDatasetSubmitRequest(s.dsID, lp))
 	if err != nil {
 		return nil, "", asGatewayErr(err)
 	}
 	sj.addRef(s.worker, js.ID)
 	final, err := wc.Watch(ctx, js.ID, nil)
+	if err != nil && ctx.Err() != nil {
+		// A canceled sub-job stops within a memoryload, so CallTimeout
+		// bounds only a worker that stopped answering. A failed cancel
+		// leaves the sub-job to end on its own; the watch waits either way.
+		wctx, cancel := context.WithTimeout(detached, c.o.CallTimeout)
+		defer cancel()
+		_, _ = wc.Cancel(wctx, js.ID)
+		final, err = wc.Watch(wctx, js.ID, nil)
+	}
 	if err != nil {
 		return nil, js.ID, asGatewayErr(err)
 	}
@@ -413,7 +367,7 @@ func (c *Coordinator) eachStripe(ctx context.Context, stripes []stripeLoc, fn fu
 // so stripes spread without requiring k distinct workers).
 func (c *Coordinator) createDataset(ctx context.Context, req service.CreateDatasetRequest) (*service.DatasetStatus, error) {
 	if err := req.Config.Validate(); err != nil {
-		return nil, apiErr(http.StatusBadRequest, err.Error())
+		return nil, service.Error(http.StatusBadRequest, err.Error())
 	}
 	backend := req.Backend
 	if backend == "" {
@@ -424,7 +378,7 @@ func (c *Coordinator) createDataset(ctx context.Context, req service.CreateDatas
 		id = c.nextID("d")
 	}
 	if _, _, _, isStripe := parseStripeID(id); isStripe {
-		return nil, apiErr(http.StatusBadRequest, "dataset ids of the form *-s<j>of<k> are reserved for stripes")
+		return nil, service.Error(http.StatusBadRequest, "dataset ids of the form *-s<j>of<k> are reserved for stripes")
 	}
 	k := req.Stripes
 	if k == 0 {
@@ -434,18 +388,18 @@ func (c *Coordinator) createDataset(ctx context.Context, req service.CreateDatas
 	if k > 1 {
 		var err error
 		if scfg, err = stripeConfig(req.Config, k); err != nil {
-			return nil, apiErr(http.StatusBadRequest, err.Error())
+			return nil, service.Error(http.StatusBadRequest, err.Error())
 		}
 	}
 
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, apiErr(http.StatusServiceUnavailable, "coordinator is shutting down")
+		return nil, service.Error(http.StatusServiceUnavailable, "coordinator is shutting down")
 	}
 	if _, exists := c.placements[id]; exists {
 		c.mu.Unlock()
-		return nil, apiErr(http.StatusConflict, fmt.Sprintf("dataset %q already exists", id))
+		return nil, service.Error(http.StatusConflict, fmt.Sprintf("dataset %q already exists", id))
 	}
 	stripes := make([]stripeLoc, k)
 	for j := range stripes {
@@ -456,7 +410,7 @@ func (c *Coordinator) createDataset(ctx context.Context, req service.CreateDatas
 		owner := c.ring.owner(dsID)
 		if owner == "" {
 			c.mu.Unlock()
-			return nil, apiErr(http.StatusServiceUnavailable, "no workers have joined the cluster")
+			return nil, service.Error(http.StatusServiceUnavailable, "no workers have joined the cluster")
 		}
 		stripes[j] = stripeLoc{worker: owner, dsID: dsID}
 	}

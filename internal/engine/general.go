@@ -23,7 +23,10 @@ import (
 // The sort orders records by targetOf(Key), so every record's Key must be
 // its current address, as LoadSequential leaves it; the run-formation pass
 // refuses, committing nothing, at the first address holding another key.
-// targetOf must be a bijection. Run formation goes through the pipelined
+// targetOf must be a bijection; the last merge pass refuses before its
+// commit at the first address that would receive another address's
+// record, leaving the stored records as the previous pass committed them,
+// like a canceled run. Run formation goes through the pipelined
 // pass runner (prefetching the next memoryload and writing the previous
 // one while the current one sorts); the merge passes stream stripes, stay
 // sequential and commit once each.
@@ -129,7 +132,7 @@ func mergePass(ctx context.Context, sys *pdm.System, buf *pdm.Buffer, targetOf f
 	// by fanIn); the last group may be partial, so round up once over the
 	// whole stripe range — runStripes need not divide Stripes evenly.
 	groups := (cfg.Stripes() + runStripes*fanIn - 1) / (runStripes * fanIn)
-	opt.emit("merge", "merge", 0, groups)
+	opt.emit("merge", "merge", 0, groups, 0)
 	done := 0
 	for group := 0; group*runStripes < cfg.Stripes(); group += fanIn {
 		if err := ctx.Err(); err != nil {
@@ -148,11 +151,13 @@ func mergePass(ctx context.Context, sys *pdm.System, buf *pdm.Buffer, targetOf f
 			}
 			runs = append(runs, &runCursor{next: start, end: end, frame0: r * cfg.D})
 		}
-		if err := mergeRuns(sys, buf, targetOf, runs, first); err != nil {
+		last := runs[len(runs)-1].end
+		if err := mergeRuns(sys, buf, targetOf, runs, first, groups == 1); err != nil {
 			return err
 		}
 		done++
-		opt.emit("merge", "merge", done, groups)
+		// Each of the group's stripes was read once and written once.
+		opt.emit("merge", "merge", done, groups, 2*(last-first))
 	}
 	return nil
 }
@@ -188,8 +193,11 @@ func (rc *runCursor) head(buf *pdm.Buffer) (pdm.Record, bool) {
 
 // mergeRuns merges the given runs into consecutive output stripes starting
 // at outStripe in the other portion. The output stripe occupies the D
-// frames of buf after the run windows.
-func mergeRuns(sys *pdm.System, buf *pdm.Buffer, targetOf func(uint64) uint64, runs []*runCursor, outStripe int) error {
+// frames of buf after the run windows. The final merge writes every
+// address in order, so it also checks that address y receives the record
+// bound for y, which holds for every y exactly when targetOf is a
+// bijection.
+func mergeRuns(sys *pdm.System, buf *pdm.Buffer, targetOf func(uint64) uint64, runs []*runCursor, outStripe int, final bool) error {
 	cfg := sys.Config()
 	stripeRecs := cfg.B * cfg.D
 	outFrame0 := len(runs) * cfg.D
@@ -215,6 +223,9 @@ func mergeRuns(sys *pdm.System, buf *pdm.Buffer, targetOf func(uint64) uint64, r
 		}
 		if best < 0 {
 			break
+		}
+		if y := uint64(outStripe*stripeRecs + outPos); final && bestKey != y {
+			return fmt.Errorf("engine: targetOf is not a bijection: address %d receives the record bound for %d", y, bestKey)
 		}
 		rc := runs[best]
 		r, _ := rc.head(buf)

@@ -50,8 +50,10 @@ import (
 // pass: "record" (one step-table XOR and one record move per record),
 // "runN" (run-coalescing — one XOR plus one copy per N-record contiguous
 // run), or the algorithm's own loop for the baselines ("sort", "merge",
-// "pull"). Multi-pass drivers stamp Pass/Passes; a directly-invoked single
-// pass reports Pass = Passes = 1.
+// "pull"). IOs counts the parallel I/Os of the completed load, reads and
+// writes, so a pass's events sum to its cost; a pass-start event carries 0.
+// Multi-pass drivers stamp Pass/Passes; a directly-invoked single pass
+// reports Pass = Passes = 1.
 type PassEvent struct {
 	Pass   int    // 1-based pass number within the run
 	Passes int    // total passes in the run
@@ -59,6 +61,7 @@ type PassEvent struct {
 	Kernel string // scatter kernel the pass executes with
 	Load   int    // memoryloads completed so far in this pass
 	Loads  int    // total loads in the pass
+	IOs    int    // parallel I/Os counted for the completed load
 }
 
 // Options observe the pass runner without affecting what it computes. The
@@ -130,7 +133,7 @@ type passStrategy interface {
 func runPass(ctx context.Context, sys *pdm.System, st passStrategy, opt Options) error {
 	loads := st.loads()
 	out := sys.AcquireBuffer()
-	opt.emit(st.kind(), st.kernel(), 0, loads)
+	opt.emit(st.kind(), st.kernel(), 0, loads, 0)
 
 	if opt.sequential {
 		in := sys.AcquireBuffer()
@@ -152,7 +155,7 @@ func runPass(ctx context.Context, sys *pdm.System, st passStrategy, opt Options)
 			if err := sys.ParallelWriteGroup(writes, out); err != nil {
 				return err
 			}
-			opt.emit(st.kind(), st.kernel(), ml+1, loads)
+			opt.emit(st.kind(), st.kernel(), ml+1, loads, len(plan.reads)+len(writes))
 		}
 		sys.Commit()
 		return nil
@@ -209,8 +212,9 @@ func runPass(ctx context.Context, sys *pdm.System, st passStrategy, opt Options)
 	free <- &outSlot{buf: out}
 	free <- &outSlot{buf: sys.AcquireBuffer()}
 	type loadDone struct {
-		ml   int
-		slot *outSlot // nil when the load has no writes
+		ml    int
+		reads int      // parallel reads the load counted
+		slot  *outSlot // nil when the load has no writes
 	}
 	// done holds one load, so the main goroutine can hand over load ml+1
 	// and take load ml+2 from the reader, restarting it, while load ml is
@@ -226,13 +230,15 @@ func runPass(ctx context.Context, sys *pdm.System, st passStrategy, opt Options)
 				return
 			default:
 			}
+			ios := d.reads
 			if d.slot != nil {
 				if writeErr = sys.ParallelWriteGroup(d.slot.ops, d.slot.buf); writeErr != nil {
 					return
 				}
+				ios += len(d.slot.ops)
 				free <- d.slot
 			}
-			opt.emit(st.kind(), st.kernel(), d.ml+1, loads)
+			opt.emit(st.kind(), st.kernel(), d.ml+1, loads, ios)
 		}
 	}()
 	// drain waits out the reader and the writer. abort first stops both,
@@ -277,7 +283,7 @@ func runPass(ctx context.Context, sys *pdm.System, st passStrategy, opt Options)
 		if err != nil {
 			return abort(err)
 		}
-		d := loadDone{ml: ml}
+		d := loadDone{ml: ml, reads: len(f.plan.reads)}
 		if len(writes) > 0 {
 			slot.own(writes)
 			d.slot, slot = slot, nil
@@ -321,11 +327,11 @@ func (s *outSlot) own(writes [][]pdm.BlockIO) {
 
 // emit delivers one progress event, defaulting the pass coordinates to a
 // single-pass run; multi-pass drivers override them by wrapping Progress.
-func (o Options) emit(kind, kernel string, load, loads int) {
+func (o Options) emit(kind, kernel string, load, loads, ios int) {
 	if o.Progress == nil {
 		return
 	}
-	o.Progress(PassEvent{Pass: 1, Passes: 1, Kind: kind, Kernel: kernel, Load: load, Loads: loads})
+	o.Progress(PassEvent{Pass: 1, Passes: 1, Kind: kind, Kernel: kernel, Load: load, Loads: loads, IOs: ios})
 }
 
 // forceRecordKernel disables run coalescing when true, so equivalence

@@ -32,7 +32,8 @@ var pipeOpt = Options{}
 // then pipelined on a file-backed system with concurrent dispatch and on
 // sharded file storage over two directories with sequential dispatch, and
 // asserts that each pipelined run's records, stats (per-disk counts
-// included) and commit counts equal the RAM run's.
+// included) and commit counts equal the RAM run's, and that every run's
+// progress events carry IOs summing to the parallel I/Os it counted.
 func runBoth(t *testing.T, cfg pdm.Config, what string, run func(*pdm.System, Options) error) {
 	t.Helper()
 	exec := func(mode string, be pdm.Backend, concurrent bool, opt Options) (*pdm.System, []pdm.Record) {
@@ -46,8 +47,13 @@ func runBoth(t *testing.T, cfg pdm.Config, what string, run func(*pdm.System, Op
 		if err := LoadSequential(sys); err != nil {
 			t.Fatal(err)
 		}
+		before, evIOs := sys.Stats().ParallelIOs(), 0
+		opt.Progress = func(ev PassEvent) { evIOs += ev.IOs }
 		if err := run(sys, opt); err != nil {
 			t.Fatalf("%s %s: %v", what, mode, err)
+		}
+		if got := sys.Stats().ParallelIOs() - before; evIOs != got {
+			t.Errorf("%s %s: progress events carry %d I/Os, the run counted %d", what, mode, evIOs, got)
 		}
 		recs, err := sys.DumpRecords()
 		if err != nil {

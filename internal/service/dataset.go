@@ -47,25 +47,85 @@ type dsEntry struct {
 	sink    *ioSink       // routes instrumented-backend samples to the running job
 	created time.Time
 
-	mu         sync.Mutex
-	cond       *sync.Cond   // signaled when a stream ends or the turnstile moves
-	active     int          // jobs bound to this dataset that are not yet terminal
-	nextTicket int          // next execution-order ticket to hand out
-	nowServing int          // ticket currently allowed to execute
-	retired    map[int]bool // tickets retired ahead of their turn (abandoned jobs)
-	jobsRun    int          // jobs that executed on this dataset
-	loaded     bool         // user records uploaded (else canonical)
-	streams    int          // uploads + downloads in flight
-	tails      int          // of those, downloads writing their last byte
-	handoff    bool         // replica transfer in flight; data and job planes closed
-	released   bool         // retired: storage torn down (or being torn down) or pooled as a spare
+	turns Turnstile // execution order of the jobs bound here
+
+	mu       sync.Mutex
+	cond     *sync.Cond // signaled when a stream ends or a job goes terminal
+	active   int        // jobs bound to this dataset that are not yet terminal
+	jobsRun  int        // jobs that executed on this dataset
+	loaded   bool       // user records uploaded (else canonical)
+	streams  int        // uploads + downloads in flight
+	tails    int        // of those, downloads writing their last byte
+	handoff  bool       // replica transfer in flight; data and job planes closed
+	released bool       // retired: storage torn down (or being torn down) or pooled as a spare
 }
 
 func newDSEntry(id, backend string, cfg bmmc.Config, private bool) *dsEntry {
-	d := &dsEntry{id: id, backend: backend, cfg: cfg, private: private, sink: &ioSink{},
-		created: time.Now(), retired: make(map[int]bool)}
+	d := &dsEntry{id: id, backend: backend, cfg: cfg, private: private, sink: &ioSink{}, created: time.Now()}
 	d.cond = sync.NewCond(&d.mu)
 	return d
+}
+
+// Turnstile admits tickets one at a time in the order Bind hands them out:
+// bmmcd's jobs on one dataset entry and the cluster coordinator's striped
+// jobs on one placement run through one each. The zero value is ready.
+type Turnstile struct {
+	mu      sync.Mutex
+	next    int           // next ticket to hand out
+	serving int           // ticket currently allowed to proceed
+	retired map[int]bool  // tickets retired ahead of their turn
+	turn    chan struct{} // closed at each Retire so waiters re-check; nil until a Wait needs it
+}
+
+// Bind hands out the next ticket.
+func (t *Turnstile) Bind() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.next++
+	return t.next - 1
+}
+
+// Wait blocks until ticket is being served, or returns ctx's error once
+// ctx ends first.
+func (t *Turnstile) Wait(ctx context.Context, ticket int) error {
+	for {
+		t.mu.Lock()
+		if t.serving == ticket {
+			t.mu.Unlock()
+			return nil
+		}
+		if t.turn == nil {
+			t.turn = make(chan struct{})
+		}
+		turn := t.turn
+		t.mu.Unlock()
+		select {
+		case <-turn:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+}
+
+// Retire takes ticket out of the turnstile: after its holder ran, gave up
+// its turn, or never reached it. Each ticket is retired exactly once, in
+// any order; the turnstile advances past every consecutively retired
+// ticket.
+func (t *Turnstile) Retire(ticket int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.retired == nil {
+		t.retired = make(map[int]bool)
+	}
+	t.retired[ticket] = true
+	for t.retired[t.serving] {
+		delete(t.retired, t.serving)
+		t.serving++
+	}
+	if t.turn != nil {
+		close(t.turn)
+		t.turn = nil
+	}
 }
 
 // errDatasetGone is the terminal-state error for data-plane and job
@@ -91,36 +151,7 @@ func (d *dsEntry) bind() (int, error) {
 		return 0, d.errHandoff()
 	}
 	d.active++
-	t := d.nextTicket
-	d.nextTicket++
-	return t, nil
-}
-
-// waitTurn blocks until ticket's job may execute. Workers dequeue jobs in
-// submission order, so the wait is short: it only covers the window where
-// a later job of the same dataset was claimed by a second worker while an
-// earlier one still runs.
-func (d *dsEntry) waitTurn(ticket int) {
-	d.mu.Lock()
-	for d.nowServing != ticket {
-		d.cond.Wait()
-	}
-	d.mu.Unlock()
-}
-
-// retire takes ticket out of the turnstile — after its job executed, was
-// canceled, or was abandoned before ever reaching a worker. Each ticket is
-// retired exactly once; retirement may arrive out of order, and the
-// turnstile advances past every consecutively retired ticket.
-func (d *dsEntry) retire(ticket int) {
-	d.mu.Lock()
-	d.retired[ticket] = true
-	for d.retired[d.nowServing] {
-		delete(d.retired, d.nowServing)
-		d.nowServing++
-	}
-	d.cond.Broadcast()
-	d.mu.Unlock()
+	return d.turns.Bind(), nil
 }
 
 // jobDone drops a terminal job's active reference (each job calls it

@@ -2,20 +2,23 @@ package service
 
 import "sync"
 
-// broadcaster fans a job's events out to any number of subscribers without
-// ever blocking the publishing (executing) goroutine. Each subscriber owns
+// Broadcaster fans a job's events out to any number of subscribers without
+// ever blocking the publishing (executing) goroutine. bmmcd's jobs and the
+// cluster coordinator's striped jobs each publish through one. Each
+// subscriber owns
 // a small coalescing queue: state events are all kept, in order (the
 // lifecycle is short and monotonic, so this is bounded), while progress
 // events collapse to the most recent one — a slow consumer sees a sampled
 // progress stream but never misses a state transition.
-type broadcaster struct {
+type Broadcaster struct {
 	mu     sync.Mutex
 	subs   map[*subscriber]struct{}
 	closed bool
 }
 
-func newBroadcaster() *broadcaster {
-	return &broadcaster{subs: make(map[*subscriber]struct{})}
+// NewBroadcaster returns an open broadcaster with no subscribers.
+func NewBroadcaster() *Broadcaster {
+	return &Broadcaster{subs: make(map[*subscriber]struct{})}
 }
 
 type subscriber struct {
@@ -30,11 +33,11 @@ type subscriber struct {
 	once sync.Once
 }
 
-// subscribe registers a new subscriber and returns its channel plus an
+// Subscribe registers a new subscriber and returns its channel plus an
 // idempotent cancel. The channel closes after all pending events drain
 // once the stream ends (or immediately if the job is already terminal and
 // the stream closed).
-func (b *broadcaster) subscribe() (<-chan Event, func()) {
+func (b *Broadcaster) Subscribe() (<-chan Event, func()) {
 	s := &subscriber{ch: make(chan Event), quit: make(chan struct{}), progIdx: -1}
 	s.cond = sync.NewCond(&s.mu)
 	b.mu.Lock()
@@ -56,8 +59,8 @@ func (b *broadcaster) subscribe() (<-chan Event, func()) {
 	return s.ch, cancel
 }
 
-// publish delivers ev to every subscriber's queue. Never blocks.
-func (b *broadcaster) publish(ev Event) {
+// Publish delivers ev to every subscriber's queue. Never blocks.
+func (b *Broadcaster) Publish(ev Event) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
@@ -68,9 +71,9 @@ func (b *broadcaster) publish(ev Event) {
 	}
 }
 
-// close ends the stream: every subscriber drains its pending events and
+// Close ends the stream: every subscriber drains its pending events and
 // then its channel closes. Publishing after close is a no-op.
-func (b *broadcaster) close() {
+func (b *Broadcaster) Close() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {

@@ -32,7 +32,7 @@ type Job struct {
 	ticket  int      // execution-order ticket on dsEntry
 	ctx     context.Context
 	cancel  context.CancelFunc
-	events  *broadcaster
+	events  *Broadcaster
 	hook    func(*Job, bmmc.PassEvent) // test instrumentation, run inside onProgress
 	enqueue func(*Job)                 // manager callback releasing an await-input job to the workers
 
@@ -48,12 +48,11 @@ type Job struct {
 	// or the engine's writer goroutine, one call at a time, and the engine
 	// drains its writer before Execute returns, so every call is ordered
 	// before finish.
-	traceBuf     *obs.TraceBuffer
-	mobs         *managerObs
-	passStart    time.Time // wall-clock start of the current pass
-	loadMark     time.Time // end of the previous memoryload event
-	passStartIOs int       // absolute dataset parallel-I/O count at pass start
-	lastKernel   string    // kernel of the most recent pass event
+	traceBuf  *obs.TraceBuffer
+	mobs      *managerObs
+	passStart time.Time // wall-clock start of the current pass
+	loadMark  time.Time // end of the previous memoryload event
+	passIOs   int       // parallel I/Os the current pass's loads counted so far
 
 	mu          sync.Mutex
 	state       State
@@ -130,7 +129,7 @@ func (j *Job) datasetID() string {
 // subscriber should synthesize is the current state (see Status); the
 // channel then carries transitions and progress until the terminal event,
 // after which it closes.
-func (j *Job) Subscribe() (<-chan Event, func()) { return j.events.subscribe() }
+func (j *Job) Subscribe() (<-chan Event, func()) { return j.events.Subscribe() }
 
 // setState transitions the job and publishes the state event; terminal
 // states also stamp the finish time, close the event stream, and drop the
@@ -145,9 +144,9 @@ func (j *Job) setStateLocked(s State) {
 	if j.mobs != nil {
 		j.mobs.jobTransition(j, s, j.errMsg)
 	}
-	j.events.publish(Event{Type: EventState, JobID: j.id, State: s, Error: j.errMsg})
+	j.events.Publish(Event{Type: EventState, JobID: j.id, State: s, Error: j.errMsg})
 	if s.Terminal() {
-		j.events.close()
+		j.events.Close()
 		if !wasTerminal {
 			j.dsEntry.jobDone()
 		}
@@ -163,7 +162,7 @@ func (j *Job) onProgress(ev bmmc.PassEvent) {
 	j.mu.Lock()
 	j.progress = p
 	j.mu.Unlock()
-	j.events.publish(Event{Type: EventProgress, JobID: j.id, Progress: p})
+	j.events.Publish(Event{Type: EventProgress, JobID: j.id, Progress: p})
 	j.observePass(ev)
 	if j.hook != nil {
 		j.hook(j, ev)
@@ -172,21 +171,17 @@ func (j *Job) onProgress(ev bmmc.PassEvent) {
 
 // observePass turns the progress event stream into trace spans and exact
 // per-pass I/O attribution. Events fire at pass start (Load == 0) and
-// after every completed memoryload's writes are counted, before any later
-// memoryload's writes; the writer goroutine of the engine's pipeline fires
-// the latter. The final one (Load == Loads) therefore follows the pass's
-// last counted write, and the next pass's reads begin only after it, so
-// dataset Stats snapshots at the boundaries delta to exactly the pass's
-// parallel I/Os (jobs on one dataset are turnstile-serialized).
+// after every completed memoryload's writes are counted, each carrying the
+// parallel I/Os its load counted, so a completed pass's I/Os are the sum
+// of its load events. A pass cut short by cancellation or a fault never
+// reaches its final event and is charged nothing.
 func (j *Job) observePass(ev bmmc.PassEvent) {
 	if j.traceBuf == nil {
 		return
 	}
 	now := time.Now()
-	j.lastKernel = ev.Kernel
 	if ev.Load == 0 {
-		j.passStart, j.loadMark = now, now
-		j.passStartIOs = j.dsEntry.ds.Stats().ParallelIOs()
+		j.passStart, j.loadMark, j.passIOs = now, now, 0
 		return
 	}
 	j.traceBuf.Add(obs.Span{
@@ -194,20 +189,19 @@ func (j *Job) observePass(ev bmmc.PassEvent) {
 		Pass: ev.Pass, Load: ev.Load, Start: j.loadMark, End: now,
 	})
 	j.loadMark = now
+	j.passIOs += ev.IOs
 	if ev.Load != ev.Loads {
 		return
 	}
-	ios := j.dsEntry.ds.Stats().ParallelIOs() - j.passStartIOs
 	span := obs.Span{
 		Name: obs.SpanPass, Kind: ev.Kind, Kernel: ev.Kernel,
-		Pass: ev.Pass, IOs: ios, Start: j.passStart, End: now,
+		Pass: ev.Pass, IOs: j.passIOs, Start: j.passStart, End: now,
 	}
 	j.traceBuf.Add(span)
-	j.passStartIOs += ios
 	if j.mobs != nil {
-		j.mobs.passIOs.With(j.summary.Class, ev.Kernel).Add(float64(ios))
+		j.mobs.passIOs.With(j.summary.Class, ev.Kernel).Add(float64(j.passIOs))
 	}
-	j.events.publish(Event{Type: EventSpan, JobID: j.id, Span: &span})
+	j.events.Publish(Event{Type: EventSpan, JobID: j.id, Span: &span})
 }
 
 // Trace snapshots the job's span ring as the wire trace. The trace id is

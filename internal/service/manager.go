@@ -117,9 +117,8 @@ type Manager struct {
 	// same kind and geometry takes one instead of provisioning.
 	spares []*dsEntry
 
-	submitted int
-	created   int // datasets ever created
-	agg       struct {
+	created int // datasets ever created
+	agg     struct {
 		passes, ios, reads, writes int
 	}
 }
@@ -269,7 +268,7 @@ func (m *Manager) Submit(req SubmitRequest) (*Job, error) {
 		ticket:      ticket,
 		ctx:         ctx,
 		cancel:      cancel,
-		events:      newBroadcaster(),
+		events:      NewBroadcaster(),
 		hook:        m.cfg.hook,
 		enqueue:     m.enqueue,
 		state:       StateQueued,
@@ -284,14 +283,13 @@ func (m *Manager) Submit(req SubmitRequest) (*Job, error) {
 	if m.closed { // shutdown raced the binding above
 		m.queueLen--
 		m.mu.Unlock()
-		entry.retire(ticket) // hand the unused ticket through
+		entry.turns.Retire(ticket) // hand the unused ticket through
 		entry.jobDone()
 		m.release(j)
 		return nil, ErrShuttingDown
 	}
 	m.jobs[id] = j
 	m.order = append(m.order, id)
-	m.submitted++
 	m.mu.Unlock()
 	m.obs.jobTransition(j, StateQueued, "") // admission is the first audited transition
 	if entry.private {
@@ -686,7 +684,7 @@ func (m *Manager) run(j *Job) {
 		// Never executed: hand the unused execution ticket through so
 		// later jobs on the dataset are not blocked, and release without
 		// pinning this worker behind the dataset's running predecessors.
-		d.retire(j.ticket)
+		d.turns.Retire(j.ticket)
 		m.release(j)
 		return
 	}
@@ -698,18 +696,17 @@ func (m *Manager) run(j *Job) {
 
 	// Jobs wait for their execution-order ticket here — after the claim,
 	// so a cancellation during the wait still resolves through the ctx
-	// check below — and always retire the ticket on the way out.
-	d.waitTurn(j.ticket)
-	defer d.retire(j.ticket)
+	// check below — and always retire the ticket on the way out. A
+	// canceled job still waits out its turn: the snapshot below must not
+	// see a predecessor's I/O.
+	d.turns.Wait(context.WithoutCancel(j.ctx), j.ticket)
+	defer d.turns.Retire(j.ticket)
 	// The job's cost is the delta its run adds to the dataset's counters —
 	// snapshot after winning the turnstile, so chained predecessors' I/O is
 	// excluded exactly, and so is the I/O of earlier jobs whose storage a
 	// private entry reuses. finish always subtracts this snapshot,
 	// including on the canceled-before-execution path below.
 	j.statsBefore = d.ds.Stats()
-	// Per-pass attribution starts from the same snapshot; finish charges
-	// any residual I/O past the last pass boundary to the job's counters.
-	j.passStartIOs = j.statsBefore.ParallelIOs()
 	// Route the backend's io spans into this job's trace for the duration
 	// of the run. Jobs on one dataset are serialized by the turnstile
 	// above, so the sink has one owner at a time.
@@ -746,17 +743,6 @@ func (m *Manager) finish(j *Job, rep *bmmc.Report, err error) {
 	// turnstile, and a private entry runs only its own job (earlier jobs
 	// on reused storage ran before the claim).
 	stats := j.dsEntry.ds.Stats()
-	// Charge any I/O past the last pass-boundary event (a pass aborted by
-	// cancellation, or a plan with no progress events) to the pass counter
-	// under the last seen kernel, so the job's bmmc_pass_ios total equals
-	// its measured parallel-I/O delta exactly.
-	if resid := stats.ParallelIOs() - j.passStartIOs; resid > 0 {
-		kernel := j.lastKernel
-		if kernel == "" {
-			kernel = "none"
-		}
-		m.obs.passIOs.With(j.summary.Class, kernel).Add(float64(resid))
-	}
 	stats.ParallelReads -= j.statsBefore.ParallelReads
 	stats.ParallelWrites -= j.statsBefore.ParallelWrites
 	stats.BlocksRead -= j.statsBefore.BlocksRead
@@ -891,7 +877,6 @@ func (m *Manager) Metrics() *Metrics {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	mt := &Metrics{
-		JobsSubmitted: m.submitted,
 		QueueDepth:    m.queueLen,
 		QueueCapacity: m.cfg.QueueDepth,
 		Workers:       m.cfg.Workers,
@@ -915,20 +900,7 @@ func (m *Manager) Metrics() *Metrics {
 		mt.PlanCacheRate = float64(cs.Hits) / float64(total)
 	}
 	for _, j := range m.jobs {
-		switch j.State() {
-		case StateQueued:
-			mt.JobsQueued++
-		case StatePlanning:
-			mt.JobsPlanning++
-		case StateRunning:
-			mt.JobsRunning++
-		case StateDone:
-			mt.JobsDone++
-		case StateFailed:
-			mt.JobsFailed++
-		case StateCanceled:
-			mt.JobsCanceled++
-		}
+		mt.CountJob(j.State())
 	}
 	return mt
 }

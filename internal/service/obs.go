@@ -43,7 +43,7 @@ func newManagerObs(m *Manager) *managerObs {
 			"Record bytes moved over the HTTP data plane (uploads in, downloads out).", "direction"),
 		passIOs: r.CounterVec("bmmc_pass_ios",
 			"Measured parallel I/Os attributed to completed engine passes, by plan class and scatter kernel. "+
-				"For one job this sums to exactly the job's reported parallel I/O count.",
+				"For a done job this sums to exactly its reported parallel I/O count.",
 			"class", "kernel"),
 		bounds: r.GaugeVec("bmmc_pass_io_bound",
 			"Cumulative theoretical parallel-I/O bounds over jobs that finished done: "+

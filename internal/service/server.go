@@ -12,8 +12,9 @@ import (
 	bmmc "repro"
 )
 
-// httpError is an error that knows its HTTP status. The manager and jobs
-// return these; anything else renders as 500.
+// httpError is an error that knows its HTTP status. The manager, jobs and
+// the cluster coordinator return these (see Error); anything else renders
+// as 500.
 type httpError struct {
 	status int
 	msg    string
@@ -24,6 +25,37 @@ func (e *httpError) Error() string { return e.msg }
 // Status returns the HTTP status the error maps to.
 func (e *httpError) Status() int { return e.status }
 
+// Error returns an error that WriteError renders with the given status.
+func Error(status int, msg string) error { return &httpError{status, msg} }
+
+// WriteError renders err as a JSON {"error": "..."} body, under the status
+// an Error carries or 500 for any other error.
+func WriteError(w http.ResponseWriter, err error) {
+	status := http.StatusInternalServerError
+	var he *httpError
+	if errors.As(err, &he) {
+		status = he.Status()
+	}
+	WriteJSON(w, status, map[string]string{"error": err.Error()})
+}
+
+// WriteJSON renders v as a JSON body under the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(v)
+}
+
+// DecodeJSON decodes a JSON request body into v, reading at most
+// maxSubmitBody bytes. On failure it answers 400 and reports false.
+func DecodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody)).Decode(v); err != nil {
+		WriteError(w, Error(http.StatusBadRequest, "decoding request: "+err.Error()))
+		return false
+	}
+	return true
+}
+
 func errUnknownJob(id string) error {
 	return &httpError{http.StatusNotFound, fmt.Sprintf("unknown job %q", id)}
 }
@@ -32,8 +64,9 @@ func errUnknownDataset(id string) error {
 	return &httpError{http.StatusNotFound, fmt.Sprintf("unknown dataset %q", id)}
 }
 
-// maxSubmitBody bounds POST /v1/jobs bodies; a marshaled permutation on
-// 64-bit addresses is under 5 KB, so 1 MB is generous.
+// maxSubmitBody bounds every JSON request body. The largest, a POST
+// /v1/jobs body, marshals a permutation on 64-bit addresses in under 5 KB,
+// so 1 MiB is generous.
 const maxSubmitBody = 1 << 20
 
 // NewHandler wires the manager's HTTP surface:
@@ -123,27 +156,10 @@ type server struct {
 	log *slog.Logger
 }
 
-func (s *server) writeErr(w http.ResponseWriter, err error) {
-	status := http.StatusInternalServerError
-	var he *httpError
-	if errors.As(err, &he) {
-		status = he.Status()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
-}
-
-func (s *server) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
 func (s *server) job(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	j, ok := s.m.Job(r.PathValue("id"))
 	if !ok {
-		s.writeErr(w, errUnknownJob(r.PathValue("id")))
+		WriteError(w, errUnknownJob(r.PathValue("id")))
 		return nil, false
 	}
 	return j, true
@@ -151,17 +167,15 @@ func (s *server) job(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 
 func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
-	if err := dec.Decode(&req); err != nil {
-		s.writeErr(w, &httpError{http.StatusBadRequest, "decoding request: " + err.Error()})
+	if !DecodeJSON(w, r, &req) {
 		return
 	}
 	j, err := s.m.Submit(req)
 	if err != nil {
-		s.writeErr(w, err)
+		WriteError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusCreated, j.Status())
+	WriteJSON(w, http.StatusCreated, j.Status())
 }
 
 func (s *server) list(w http.ResponseWriter, r *http.Request) {
@@ -170,22 +184,22 @@ func (s *server) list(w http.ResponseWriter, r *http.Request) {
 	for i, j := range jobs {
 		out[i] = j.Status()
 	}
-	s.writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *server) status(w http.ResponseWriter, r *http.Request) {
 	if j, ok := s.job(w, r); ok {
-		s.writeJSON(w, http.StatusOK, j.Status())
+		WriteJSON(w, http.StatusOK, j.Status())
 	}
 }
 
 func (s *server) cancel(w http.ResponseWriter, r *http.Request) {
 	j, err := s.m.Cancel(r.PathValue("id"))
 	if err != nil {
-		s.writeErr(w, err)
+		WriteError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, j.Status())
+	WriteJSON(w, http.StatusOK, j.Status())
 }
 
 func (s *server) jobInput(w http.ResponseWriter, r *http.Request) {
@@ -207,12 +221,12 @@ func (s *server) jobOutput(w http.ResponseWriter, r *http.Request) {
 func (s *server) input(w http.ResponseWriter, r *http.Request, n int, upload func(context.Context, io.Reader) error) {
 	want := int64(n) * bmmc.RecordBytes
 	if r.ContentLength >= 0 && r.ContentLength != want {
-		s.writeErr(w, &httpError{http.StatusBadRequest,
+		WriteError(w, &httpError{http.StatusBadRequest,
 			fmt.Sprintf("input must be exactly N*%d = %d bytes, got Content-Length %d", bmmc.RecordBytes, want, r.ContentLength)})
 		return
 	}
 	if err := upload(r.Context(), &exactBody{io.LimitedReader{R: s.inBytes(r.Body), N: want}}); err != nil {
-		s.writeErr(w, err)
+		WriteError(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -248,7 +262,7 @@ func (b *exactBody) Read(p []byte) (int, error) {
 // jobs on d (see dsEntry.tail), so the client's next job is not refused.
 func (s *server) output(w http.ResponseWriter, r *http.Request, d *dsEntry, open func() error) {
 	if err := open(); err != nil {
-		s.writeErr(w, err)
+		WriteError(w, err)
 		return
 	}
 	tw := d.tail(s.outBytes(w))
@@ -262,20 +276,20 @@ func (s *server) output(w http.ResponseWriter, r *http.Request, d *dsEntry, open
 }
 
 func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, s.m.Metrics())
+	WriteJSON(w, http.StatusOK, s.m.Metrics())
 }
 
 // trace serves a job's span ring as JSON: GET /v1/jobs/{id}/trace.
 func (s *server) trace(w http.ResponseWriter, r *http.Request) {
 	if j, ok := s.job(w, r); ok {
-		s.writeJSON(w, http.StatusOK, j.Trace())
+		WriteJSON(w, http.StatusOK, j.Trace())
 	}
 }
 
 func (s *server) dataset(w http.ResponseWriter, r *http.Request) (*dsEntry, bool) {
 	d, ok := s.m.Dataset(r.PathValue("id"))
 	if !ok {
-		s.writeErr(w, errUnknownDataset(r.PathValue("id")))
+		WriteError(w, errUnknownDataset(r.PathValue("id")))
 		return nil, false
 	}
 	return d, true
@@ -283,17 +297,15 @@ func (s *server) dataset(w http.ResponseWriter, r *http.Request) (*dsEntry, bool
 
 func (s *server) createDataset(w http.ResponseWriter, r *http.Request) {
 	var req CreateDatasetRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
-	if err := dec.Decode(&req); err != nil {
-		s.writeErr(w, &httpError{http.StatusBadRequest, "decoding request: " + err.Error()})
+	if !DecodeJSON(w, r, &req) {
 		return
 	}
 	d, err := s.m.CreateDataset(req)
 	if err != nil {
-		s.writeErr(w, err)
+		WriteError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusCreated, d.Status())
+	WriteJSON(w, http.StatusCreated, d.Status())
 }
 
 func (s *server) listDatasets(w http.ResponseWriter, r *http.Request) {
@@ -302,22 +314,22 @@ func (s *server) listDatasets(w http.ResponseWriter, r *http.Request) {
 	for i, d := range datasets {
 		out[i] = d.Status()
 	}
-	s.writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *server) datasetStatus(w http.ResponseWriter, r *http.Request) {
 	if d, ok := s.dataset(w, r); ok {
-		s.writeJSON(w, http.StatusOK, d.Status())
+		WriteJSON(w, http.StatusOK, d.Status())
 	}
 }
 
 func (s *server) deleteDataset(w http.ResponseWriter, r *http.Request) {
 	d, err := s.m.DeleteDataset(r.PathValue("id"))
 	if err != nil {
-		s.writeErr(w, err)
+		WriteError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, d.Status())
+	WriteJSON(w, http.StatusOK, d.Status())
 }
 
 func (s *server) datasetInput(w http.ResponseWriter, r *http.Request) {
@@ -334,28 +346,35 @@ func (s *server) datasetOutput(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) datasetHandoff(w http.ResponseWriter, r *http.Request) {
 	var req HandoffRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
-	if err := dec.Decode(&req); err != nil {
-		s.writeErr(w, &httpError{http.StatusBadRequest, "decoding request: " + err.Error()})
+	if !DecodeJSON(w, r, &req) {
 		return
 	}
 	d, err := s.m.HandoffDataset(r.Context(), r.PathValue("id"), req)
 	if err != nil {
-		s.writeErr(w, err)
+		WriteError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, d.Status())
+	WriteJSON(w, http.StatusOK, d.Status())
 }
 
-// events streams a job's lifecycle as server-sent events: one "data:" line
-// per Event, starting with a snapshot of the current state, ending after
-// the terminal state event. Slow consumers may miss progress events but
-// never state transitions.
 func (s *server) events(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.job(w, r)
-	if !ok {
-		return
+	if j, ok := s.job(w, r); ok {
+		ServeEvents(w, r, j)
 	}
+}
+
+// EventSource is a job whose lifecycle ServeEvents streams: a bmmcd Job,
+// or a striped job the cluster coordinator runs itself.
+type EventSource interface {
+	Subscribe() (<-chan Event, func())
+	Status() *JobStatus
+}
+
+// ServeEvents streams src's lifecycle as server-sent events: one "data:"
+// line per Event, starting with a snapshot of the current state, ending
+// after the terminal state event. Slow consumers may miss progress events
+// but never state transitions.
+func ServeEvents(w http.ResponseWriter, r *http.Request, src EventSource) {
 	fl, canFlush := w.(http.Flusher)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -375,15 +394,15 @@ func (s *server) events(w http.ResponseWriter, r *http.Request) {
 		return true
 	}
 
-	ch, cancelSub := j.Subscribe()
+	ch, cancelSub := src.Subscribe()
 	defer cancelSub()
 
 	// Snapshot first: a subscriber always learns the current state even if
 	// no further transitions happen. The snapshot may duplicate (or, very
 	// rarely, run ahead of) a buffered transition; consumers treat events
 	// as idempotent status updates.
-	st := j.Status()
-	if !send(Event{Type: EventState, JobID: j.ID(), State: st.State, Error: st.Error}) {
+	st := src.Status()
+	if !send(Event{Type: EventState, JobID: st.ID, State: st.State, Error: st.Error}) {
 		return
 	}
 	if st.State.Terminal() {

@@ -260,6 +260,25 @@ type Metrics struct {
 	PlanCacheRate   float64 `json:"plan_cache_hit_rate"` // hits / (hits + misses), 0 when unused
 }
 
+// CountJob tallies one job in state s: as submitted, and under its state.
+func (m *Metrics) CountJob(s State) {
+	m.JobsSubmitted++
+	switch s {
+	case StateQueued:
+		m.JobsQueued++
+	case StatePlanning:
+		m.JobsPlanning++
+	case StateRunning:
+		m.JobsRunning++
+	case StateDone:
+		m.JobsDone++
+	case StateFailed:
+		m.JobsFailed++
+	case StateCanceled:
+		m.JobsCanceled++
+	}
+}
+
 // JobTrace is the wire rendering of a job's span ring: GET
 // /v1/jobs/{id}/trace. Spans arrive in completion order; Dropped counts
 // spans evicted from the bounded ring. For a striped cluster job the

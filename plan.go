@@ -40,7 +40,8 @@ type PlanPass = factor.Pass
 // PassEvent is one progress report from a running permutation: memoryload
 // Load of Loads within pass Pass of Passes has completed (Load 0 marks a
 // pass starting). Kind names the pass algorithm ("MRC", "MLD", "MLD^-1",
-// "sort", "naive").
+// "sort", "naive"). IOs counts the parallel I/Os of the completed load, so
+// a pass's events sum to its cost; a pass-start event carries 0.
 type PassEvent = engine.PassEvent
 
 // PlanFor classifies and (for full BMMC permutations) factorizes p for an
