@@ -18,10 +18,6 @@ import (
 // LgMB returns lg(M/B) = m - b, the denominator in every pass-count bound.
 func LgMB(cfg pdm.Config) int { return cfg.LgM() - cfg.LgB() }
 
-// OnePassIOs returns 2N/BD, the exact cost of any one-pass permutation
-// (MRC and MLD rows of Table 1, Theorem 15).
-func OnePassIOs(cfg pdm.Config) int { return cfg.PassIOs() }
-
 // LowerBound returns the Theorem 3 universal lower bound expression
 // (N/BD)(1 + rank(gamma)/lg(M/B)) — the Omega() argument, without a
 // constant factor.
@@ -91,21 +87,11 @@ func OldBMMCPasses(cfg pdm.Config, rankLeading int) int {
 	return 2*ceilDiv(cfg.LgM()-rankLeading, LgMB(cfg)) + H(cfg)
 }
 
-// OldBMMCBound converts OldBMMCPasses into parallel I/Os.
-func OldBMMCBound(cfg pdm.Config, rankLeading int) int {
-	return cfg.PassIOs() * OldBMMCPasses(cfg, rankLeading)
-}
-
 // OldBPCPasses returns the pass count of the BPC algorithm of [4] from
 // Table 1: 2*ceil(kappa(A)/lg(M/B)) + 1, where kappa is the cross-rank of
 // equation (3).
 func OldBPCPasses(cfg pdm.Config, crossRank int) int {
 	return 2*ceilDiv(crossRank, LgMB(cfg)) + 1
-}
-
-// OldBPCBound converts OldBPCPasses into parallel I/Os.
-func OldBPCBound(cfg pdm.Config, crossRank int) int {
-	return cfg.PassIOs() * OldBPCPasses(cfg, crossRank)
 }
 
 // NewBMMCPasses returns this paper's pass count,

@@ -51,17 +51,16 @@ type Options struct {
 // placement records where a dataset's records live: one stripe on one
 // worker for ordinary datasets, k stripes on up to k workers for striped
 // ones. stripes[j] holds logical stripe j — records [j·N/k, (j+1)·N/k) of
-// the client's address space.
+// the client's address space; rebalance and the striped relabel rewrite
+// it under Coordinator.mu.
 type placement struct {
 	id      string
 	cfg     bmmc.Config
-	backend string
-	striped bool
 	scfg    bmmc.Config // per-stripe geometry (== cfg when not striped)
 	stripes []stripeLoc
-	jobsRun int
-	created time.Time
-	turns   service.Turnstile // striped jobs' execution order (see runStriped)
+	// gate admits a striped dataset's jobs and streams, as bmmcd's entry
+	// does; nil for an unstriped dataset, which its worker's entry gates.
+	gate *service.Gate
 }
 
 type stripeLoc struct {
@@ -242,7 +241,7 @@ func (c *Coordinator) evict(workerID string) {
 	for _, p := range lost {
 		c.log.Warn("dataset lost with downed worker", "dataset", p.id, "worker", workerID)
 		// Best-effort: reclaim surviving stripes of striped datasets.
-		for _, s := range p.stripes {
+		for _, s := range c.stripesOf(p) {
 			if s.worker == workerID {
 				continue
 			}
@@ -353,9 +352,8 @@ func (c *Coordinator) adopt(workerID, addr string) {
 				continue
 			}
 			c.placements[ds.ID] = &placement{
-				id: ds.ID, cfg: ds.Config, backend: ds.Backend, scfg: ds.Config,
+				id: ds.ID, cfg: ds.Config, scfg: ds.Config,
 				stripes: []stripeLoc{{worker: workerID, dsID: ds.ID}},
-				created: ds.Created,
 			}
 			c.dsOrder = append(c.dsOrder, ds.ID)
 			continue
@@ -364,21 +362,22 @@ func (c *Coordinator) adopt(workerID, addr string) {
 		if p == nil {
 			full := ds.Config
 			full.N *= k
-			p = &placement{
-				id: base, cfg: full, backend: ds.Backend, striped: true, scfg: ds.Config,
-				stripes: make([]stripeLoc, k), created: ds.Created,
-			}
+			p = &placement{id: base, cfg: full, scfg: ds.Config, stripes: make([]stripeLoc, k),
+				gate: service.NewGate(service.DatasetStatus{
+					ID: base, Config: full, Backend: ds.Backend, InputLoaded: ds.InputLoaded, Created: ds.Created,
+				})}
 			c.placements[base] = p
 			c.dsOrder = append(c.dsOrder, base)
 		}
 		if p.names(workerID, ds.ID) {
 			continue
 		}
-		if !p.striped || j >= len(p.stripes) || p.stripes[j].worker != "" {
+		if p.gate == nil || j >= len(p.stripes) || p.stripes[j].worker != "" {
 			stale = append(stale, ds.ID)
 			continue
 		}
 		p.stripes[j] = stripeLoc{worker: workerID, dsID: ds.ID}
+		p.gate.AdoptPart(ds.InputLoaded)
 	}
 	// Striped placements with stripes still missing stay in the table —
 	// placementOf answers 503 for them until the holders re-join, which
@@ -418,20 +417,19 @@ func stripeID(base string, j, k int) string { return fmt.Sprintf("%s-s%dof%d", b
 // no longer the holder: a handoff replays the records worker-to-worker
 // and deletes the source copy atomically with the transfer. Failures
 // leave the old placement intact — a stale-but-correct placement beats a
-// dangling one.
+// dangling one. A move names its stripe by dataset id, not by logical
+// slot: a striped job may relabel the stripes while a handoff runs.
 func (c *Coordinator) rebalance() {
 	type move struct {
-		p        *placement
-		idx      int
-		from, to string
+		p              *placement
+		dsID, from, to string
 	}
 	var moves []move
 	c.mu.Lock()
 	for _, p := range c.placements {
-		for i, s := range p.stripes {
-			want := c.ring.owner(s.dsID)
-			if want != "" && want != s.worker {
-				moves = append(moves, move{p: p, idx: i, from: s.worker, to: want})
+		for _, s := range p.stripes {
+			if want := c.ring.owner(s.dsID); want != "" && want != s.worker {
+				moves = append(moves, move{p: p, dsID: s.dsID, from: s.worker, to: want})
 			}
 		}
 	}
@@ -445,20 +443,23 @@ func (c *Coordinator) rebalance() {
 		if !ok {
 			continue
 		}
-		dsID := mv.p.stripes[mv.idx].dsID
 		//lint:allow ctxio -- rebalance runs on the coordinator maintenance loop, not a request; bounded by 10x CallTimeout
 		ctx, cancel := context.WithTimeout(context.Background(), 10*c.o.CallTimeout)
-		_, err = src.HandoffDataset(ctx, dsID, client.HandoffRequest{Target: dst, Delete: true})
+		_, err = src.HandoffDataset(ctx, mv.dsID, client.HandoffRequest{Target: dst, Delete: true})
 		cancel()
 		if err != nil {
 			c.log.Warn("rebalance handoff failed; placement unchanged",
-				"dataset", dsID, "from", mv.from, "to", mv.to, "err", err)
+				"dataset", mv.dsID, "from", mv.from, "to", mv.to, "err", err)
 			continue
 		}
 		c.mu.Lock()
-		mv.p.stripes[mv.idx].worker = mv.to
+		for i := range mv.p.stripes {
+			if mv.p.stripes[i].dsID == mv.dsID {
+				mv.p.stripes[i].worker = mv.to
+			}
+		}
 		c.mu.Unlock()
-		c.log.Info("dataset rebalanced", "dataset", dsID, "from", mv.from, "to", mv.to)
+		c.log.Info("dataset rebalanced", "dataset", mv.dsID, "from", mv.from, "to", mv.to)
 	}
 }
 
@@ -466,8 +467,8 @@ func (c *Coordinator) rebalance() {
 // worker.
 func (c *Coordinator) placementOf(id string) (*placement, error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	p, ok := c.placements[id]
-	c.mu.Unlock()
 	if !ok {
 		return nil, service.Error(http.StatusNotFound, fmt.Sprintf("unknown dataset %q", id))
 	}
@@ -478,6 +479,13 @@ func (c *Coordinator) placementOf(id string) (*placement, error) {
 		}
 	}
 	return p, nil
+}
+
+// stripesOf snapshots p's stripes.
+func (c *Coordinator) stripesOf(p *placement) []stripeLoc {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]stripeLoc(nil), p.stripes...)
 }
 
 // nextID mints a coordinator-scoped id with the given prefix.
@@ -505,10 +513,9 @@ func (c *Coordinator) Workers() []WorkerInfo {
 	return ws
 }
 
-// datasetStatuses lists every placement in creation order as synthesized
-// DatasetStatus values (striped datasets do not exist whole on any one
-// worker, so the coordinator is the only place their status can come
-// from).
+// datasetStatuses lists every placement's status in creation order
+// (striped datasets do not exist whole on any one worker, so the
+// coordinator is the only place their status can come from).
 func (c *Coordinator) datasetStatuses(ctx context.Context) []*service.DatasetStatus {
 	c.mu.Lock()
 	ids := append([]string(nil), c.dsOrder...)
@@ -522,34 +529,23 @@ func (c *Coordinator) datasetStatuses(ctx context.Context) []*service.DatasetSta
 	return out
 }
 
-// datasetStatus synthesizes one dataset's status from its stripes.
+// datasetStatus reports one dataset: a striped dataset's status comes from
+// its gate, an unstriped one's from its worker, verbatim.
 func (c *Coordinator) datasetStatus(ctx context.Context, id string) (*service.DatasetStatus, error) {
 	p, err := c.placementOf(id)
 	if err != nil {
 		return nil, err
 	}
-	st := &service.DatasetStatus{ID: p.id, Config: p.cfg, Backend: p.backend, InputLoaded: true, Created: p.created}
-	c.mu.Lock()
-	st.JobsRun = p.jobsRun
-	stripes := append([]stripeLoc(nil), p.stripes...)
-	c.mu.Unlock()
-	for _, s := range stripes {
-		wc, err := c.clientFor(s.worker)
-		if err != nil {
-			return nil, err
-		}
-		ss, err := wc.Dataset(ctx, s.dsID)
-		if err != nil {
-			return nil, asGatewayErr(err)
-		}
-		st.InputLoaded = st.InputLoaded && ss.InputLoaded
-		st.ActiveJobs += ss.ActiveJobs
-		if !p.striped {
-			st.JobsRun = ss.JobsRun
-			st.Created = ss.Created
-		}
+	if p.gate != nil {
+		return p.gate.Status(), nil
 	}
-	return st, nil
+	s := c.stripesOf(p)[0]
+	wc, err := c.clientFor(s.worker)
+	if err != nil {
+		return nil, err
+	}
+	st, err := wc.Dataset(ctx, s.dsID)
+	return st, asGatewayErr(err)
 }
 
 func removeString(s []string, v string) []string {

@@ -153,10 +153,10 @@ func (c *Coordinator) submitJob(ctx context.Context, req service.SubmitRequest) 
 		if err != nil {
 			return nil, err
 		}
-		if p.striped {
+		if p.gate != nil {
 			return c.submitStriped(req, p)
 		}
-		return c.forwardSubmit(ctx, req, p.stripes[0].worker, p.id)
+		return c.forwardSubmit(ctx, req, c.stripesOf(p)[0].worker, p.id)
 	}
 	w, err := c.pickWorker()
 	if err != nil {
@@ -477,16 +477,18 @@ func (h *handler) deleteDataset(w http.ResponseWriter, r *http.Request) {
 	service.WriteJSON(w, http.StatusOK, st)
 }
 
-// datasetInput streams an upload to the owning worker, or splits it into
-// contiguous per-stripe ranges for striped datasets.
+// datasetInput streams an upload to the owning worker, or, once the
+// striped dataset's gate admits it, splits it into contiguous per-stripe
+// ranges. The stream ends before the 204, so a job submitted on the 204
+// binds.
 func (h *handler) datasetInput(w http.ResponseWriter, r *http.Request) {
 	p, err := h.c.placementOf(r.PathValue("id"))
 	if err != nil {
 		service.WriteError(w, err)
 		return
 	}
-	if !p.striped {
-		h.proxyToWorker(w, r, p.stripes[0].worker)
+	if p.gate == nil {
+		h.proxyToWorker(w, r, h.c.stripesOf(p)[0].worker)
 		return
 	}
 	if want := int64(p.cfg.N) * bmmc.RecordBytes; r.ContentLength >= 0 && r.ContentLength != want {
@@ -494,45 +496,52 @@ func (h *handler) datasetInput(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("input must be exactly N*%d = %d bytes, got Content-Length %d", bmmc.RecordBytes, want, r.ContentLength)))
 		return
 	}
-	per := int64(p.scfg.N) * bmmc.RecordBytes
-	h.c.mu.Lock()
-	stripes := append([]stripeLoc(nil), p.stripes...)
-	h.c.mu.Unlock()
-	for _, s := range stripes {
-		wc, err := h.c.clientFor(s.worker)
-		if err != nil {
-			service.WriteError(w, err)
-			return
+	if err = p.gate.StartStream(); err == nil {
+		per := int64(p.scfg.N) * bmmc.RecordBytes
+		for _, s := range h.c.stripesOf(p) {
+			var wc *client.Client
+			if wc, err = h.c.clientFor(s.worker); err == nil {
+				err = asGatewayErr(wc.UploadDataset(r.Context(), s.dsID, io.LimitReader(r.Body, per)))
+			}
+			if err != nil {
+				break
+			}
 		}
-		if err := wc.UploadDataset(r.Context(), s.dsID, io.LimitReader(r.Body, per)); err != nil {
-			service.WriteError(w, asGatewayErr(err))
-			return
-		}
+		p.gate.EndStream(err == nil)
+	}
+	if err != nil {
+		service.WriteError(w, err)
+		return
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// datasetOutput streams a download from the owning worker, or concatenates
-// the stripes in logical order for striped datasets.
+// datasetOutput streams a download from the owning worker, or, once the
+// striped dataset's gate admits it and before any header is written,
+// concatenates the stripes in logical order. Just before its last byte
+// the download stops refusing jobs (see service.Gate.Tail).
 func (h *handler) datasetOutput(w http.ResponseWriter, r *http.Request) {
 	p, err := h.c.placementOf(r.PathValue("id"))
 	if err != nil {
 		service.WriteError(w, err)
 		return
 	}
-	if !p.striped {
-		h.proxyToWorker(w, r, p.stripes[0].worker)
+	if p.gate == nil {
+		h.proxyToWorker(w, r, h.c.stripesOf(p)[0].worker)
 		return
 	}
-	h.c.mu.Lock()
-	stripes := append([]stripeLoc(nil), p.stripes...)
-	h.c.mu.Unlock()
+	if err := p.gate.StartStream(); err != nil {
+		service.WriteError(w, err)
+		return
+	}
+	tw := p.gate.Tail(w)
+	defer tw.End()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", fmt.Sprint(int64(p.cfg.N)*bmmc.RecordBytes))
-	for _, s := range stripes {
+	for _, s := range h.c.stripesOf(p) {
 		wc, err := h.c.clientFor(s.worker)
 		if err == nil {
-			err = wc.DownloadDataset(r.Context(), s.dsID, w)
+			err = wc.DownloadDataset(r.Context(), s.dsID, tw)
 		}
 		if err != nil {
 			// Headers are committed; cut the stream short.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/bits"
 	"net/http"
 	"sync"
 	"time"
@@ -115,14 +116,15 @@ func (c *Coordinator) submitStriped(req service.SubmitRequest, p *placement) (*s
 	sj := newStripedJob(c.nextID("j"), p.id, service.Summarize(pl))
 
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
 		return nil, service.Error(http.StatusServiceUnavailable, "coordinator is shutting down")
 	}
+	ticket, err := p.gate.Bind()
+	if err != nil {
+		return nil, err
+	}
 	c.sjobs[sj.id] = sj
-	ticket := p.turns.Bind()
-	c.mu.Unlock()
-
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
@@ -135,33 +137,20 @@ func (c *Coordinator) submitStriped(req service.SubmitRequest, p *placement) (*s
 // submitted before it on the same dataset has finished. Striped jobs on
 // one dataset execute in ticket order, so a chain composes the way it was
 // submitted and each job sees the stripe order its predecessor left; a job
-// canceled while it waits gives up its turn.
+// canceled while it waits gives up its turn. The job frees the dataset
+// before it publishes its terminal state, so a client that streams on that
+// state is admitted.
 func (c *Coordinator) runStriped(sj *stripedJob, perm bmmc.Permutation, p *placement, ticket int) {
-	defer p.turns.Retire(ticket)
-	if err := p.turns.Wait(sj.ctx, ticket); err != nil {
-		sj.setState(service.StateCanceled, "canceled")
-		return
+	defer p.gate.Retire(ticket)
+	err := p.gate.Wait(sj.ctx, ticket)
+	if err == nil {
+		p.gate.Ran()
+		sj.setState(service.StateRunning, "")
+		err = c.runStripedPass(sj, perm, p)
 	}
-	sj.setState(service.StateRunning, "")
-	kappa := 0
-	for 1<<kappa < len(p.stripes) {
-		kappa++
-	}
-	locals, nodeMap, local, err := decompose(perm, kappa)
-	if err != nil {
-		sj.setState(service.StateFailed, err.Error())
-		return
-	}
-	if local {
-		err = c.runStripedLocal(sj, locals, nodeMap, p)
-	} else {
-		err = c.runStripedExchange(sj, perm, p)
-	}
+	p.gate.JobDone()
 	switch {
 	case err == nil:
-		c.mu.Lock()
-		p.jobsRun++
-		c.mu.Unlock()
 		sj.setState(service.StateDone, "")
 	case sj.ctx.Err() != nil:
 		sj.setState(service.StateCanceled, "canceled")
@@ -170,15 +159,27 @@ func (c *Coordinator) runStriped(sj *stripedJob, perm bmmc.Permutation, p *place
 	}
 }
 
+// runStripedPass runs a striped job's one pass: per-node sub-jobs plus a
+// stripe relabel when the permutation decomposes, the coordinator exchange
+// otherwise.
+func (c *Coordinator) runStripedPass(sj *stripedJob, perm bmmc.Permutation, p *placement) error {
+	stripes := c.stripesOf(p)
+	locals, nodeMap, local, err := decompose(perm, bits.TrailingZeros(uint(len(stripes))))
+	switch {
+	case err != nil:
+		return err
+	case local:
+		return c.runStripedLocal(sj, locals, nodeMap, p, stripes)
+	}
+	return c.runStripedExchange(sj, perm, p.scfg, stripes)
+}
+
 // runStripedLocal is the decomposed path: stripe s runs the local BMMC
 // (A_ll, A_lh·s ⊕ c_lo) as a real job on its worker's disks, all stripes
 // in parallel; the exchange phase then relabels stripe s as stripe
 // nodeMap[s] — whole stripes move between logical slots, so no record
 // crosses the network at all.
-func (c *Coordinator) runStripedLocal(sj *stripedJob, locals []bmmc.Permutation, nodeMap []int, p *placement) error {
-	c.mu.Lock()
-	stripes := append([]stripeLoc(nil), p.stripes...)
-	c.mu.Unlock()
+func (c *Coordinator) runStripedLocal(sj *stripedJob, locals []bmmc.Permutation, nodeMap []int, p *placement, stripes []stripeLoc) error {
 	var (
 		wg     sync.WaitGroup
 		mu     sync.Mutex
@@ -218,12 +219,13 @@ func (c *Coordinator) runStripedLocal(sj *stripedJob, locals []bmmc.Permutation,
 	// Block exchange: stripe s becomes logical stripe nodeMap[s]. The
 	// stripe datasets stay where they are; only the placement's logical
 	// order changes — the node tier's analogue of the paper's free
-	// permutation of full stripes.
-	relabeled := make([]stripeLoc, len(stripes))
-	for s, t := range nodeMap {
-		relabeled[t] = stripes[s]
-	}
+	// permutation of full stripes. It permutes the placement's current
+	// stripes, which a rebalance may have moved since the snapshot.
 	c.mu.Lock()
+	relabeled := make([]stripeLoc, len(p.stripes))
+	for s, t := range nodeMap {
+		relabeled[t] = p.stripes[s]
+	}
 	p.stripes = relabeled
 	c.mu.Unlock()
 	sj.mu.Lock()
@@ -282,11 +284,7 @@ func (c *Coordinator) runSubJob(ctx context.Context, sj *stripedJob, s stripeLoc
 // image; every stripe then uploads concurrently from its section, as a
 // replayable body the internal retry policy may resend. The first failing
 // transfer cancels its siblings.
-func (c *Coordinator) runStripedExchange(sj *stripedJob, perm bmmc.Permutation, p *placement) error {
-	c.mu.Lock()
-	stripes := append([]stripeLoc(nil), p.stripes...)
-	scfg := p.scfg
-	c.mu.Unlock()
+func (c *Coordinator) runStripedExchange(sj *stripedJob, perm bmmc.Permutation, scfg bmmc.Config, stripes []stripeLoc) error {
 	per := scfg.N * bmmc.RecordBytes
 	in := make([]byte, per*len(stripes))
 	err := c.eachStripe(sj.ctx, stripes, func(ctx context.Context, j int, wc *client.Client) error {
@@ -414,9 +412,9 @@ func (c *Coordinator) createDataset(ctx context.Context, req service.CreateDatas
 		}
 		stripes[j] = stripeLoc{worker: owner, dsID: dsID}
 	}
-	p := &placement{
-		id: id, cfg: req.Config, backend: backend, striped: k > 1, scfg: scfg,
-		stripes: stripes, created: time.Now(),
+	p := &placement{id: id, cfg: req.Config, scfg: scfg, stripes: stripes}
+	if k > 1 {
+		p.gate = service.NewGate(service.DatasetStatus{ID: id, Config: req.Config, Backend: backend, Created: time.Now()})
 	}
 	// Reserve the id before provisioning so a same-id create cannot race.
 	c.placements[id] = p
@@ -456,22 +454,26 @@ func (c *Coordinator) rollbackCreate(p *placement, created []stripeLoc) {
 	}
 }
 
-// deleteDataset removes a placement and its stripes everywhere. Worker
-// errors abort with the placement intact, except gone/unknown answers,
-// which mean the work is already done.
+// deleteDataset removes a placement and its stripes everywhere. A striped
+// dataset is released through its gate first: refused with 409 while jobs
+// are bound, it then waits for in-flight streams. Worker errors abort with
+// the placement intact, except gone/unknown answers, which mean the work
+// is already done; a retried delete finishes it.
 func (c *Coordinator) deleteDataset(ctx context.Context, id string) (*service.DatasetStatus, error) {
 	p, err := c.placementOf(id)
 	if err != nil {
 		return nil, err
 	}
+	if p.gate != nil {
+		if _, err := p.gate.TryRelease(); err != nil {
+			return nil, err
+		}
+	}
 	st, err := c.datasetStatus(ctx, id)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	stripes := append([]stripeLoc(nil), p.stripes...)
-	c.mu.Unlock()
-	for _, s := range stripes {
+	for _, s := range c.stripesOf(p) {
 		wc, cerr := c.clientFor(s.worker)
 		if cerr != nil {
 			continue // worker already gone, and its data with it

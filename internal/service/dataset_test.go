@@ -301,6 +301,64 @@ func TestDownloadLastByteFreesDataset(t *testing.T) {
 	}
 }
 
+// TestDatasetFreedBeforeTerminalEvent pins that a job drops its active
+// reference on its dataset before it publishes its terminal state, so a
+// client that streams as soon as it sees `done` is admitted, not refused
+// with "has active jobs". The last load's progress hook takes the entry's
+// lock, which dropping that reference needs: while the lock is held no
+// terminal event may arrive, and once it is released the event arrives and
+// a download is admitted.
+func TestDatasetFreedBeforeTerminalEvent(t *testing.T) {
+	subscribed := make(chan struct{})
+	locked := make(chan *dsEntry, 1)
+	cfg := ManagerConfig{Workers: 1, QueueDepth: 4}
+	cfg.hook = func(j *Job, ev bmmc.PassEvent) {
+		<-subscribed
+		if ev.Pass == ev.Passes && ev.Load == ev.Loads {
+			j.dsEntry.mu.Lock()
+			locked <- j.dsEntry
+		}
+	}
+	m := newTestManager(t, cfg)
+	d := createDS(t, m, BackendMem)
+	j := dsSubmit(t, m, d, bmmc.BitReversal(testConfig.LgN()))
+	events, cancel := j.Subscribe()
+	defer cancel()
+	close(subscribed)
+	<-locked
+
+	terminal := func(ev Event) bool { return ev.Type == EventState && ev.State.Terminal() }
+	var early *Event
+	wait := time.After(200 * time.Millisecond)
+held:
+	for {
+		select {
+		case ev := <-events:
+			if terminal(ev) {
+				early = &ev
+				break held
+			}
+		case <-wait:
+			break held
+		}
+	}
+	d.mu.Unlock()
+	if early != nil {
+		t.Fatalf("terminal %s event published while the dataset's lock was held, before the job's active reference was dropped", early.State)
+	}
+	for ev := range events {
+		if terminal(ev) {
+			if ev.State != StateDone {
+				t.Fatalf("job finished %s: %s", ev.State, ev.Error)
+			}
+			break
+		}
+	}
+	if err := d.Download(context.Background(), io.Discard); err != nil {
+		t.Fatalf("download on the done event: %v", err)
+	}
+}
+
 // submitOnLastByte is a ResponseWriter that records the body and calls
 // submit from inside the Write that delivers its last byte.
 type submitOnLastByte struct {

@@ -132,14 +132,18 @@ func (j *Job) datasetID() string {
 func (j *Job) Subscribe() (<-chan Event, func()) { return j.events.Subscribe() }
 
 // setState transitions the job and publishes the state event; terminal
-// states also stamp the finish time, close the event stream, and drop the
-// job's active reference on its dataset entry (so deletes and new streams
-// unblock the moment the chain's last job finishes). Callers hold j.mu.
+// states also stamp the finish time, drop the job's active reference on
+// its dataset entry before the event goes out (so a client that streams or
+// deletes on the terminal event is admitted), and close the event stream.
+// Callers hold j.mu.
 func (j *Job) setStateLocked(s State) {
 	wasTerminal := j.state.Terminal()
 	j.state = s
 	if s.Terminal() {
 		j.finished = time.Now()
+		if !wasTerminal {
+			j.dsEntry.JobDone()
+		}
 	}
 	if j.mobs != nil {
 		j.mobs.jobTransition(j, s, j.errMsg)
@@ -147,9 +151,6 @@ func (j *Job) setStateLocked(s State) {
 	j.events.Publish(Event{Type: EventState, JobID: j.id, State: s, Error: j.errMsg})
 	if s.Terminal() {
 		j.events.Close()
-		if !wasTerminal {
-			j.dsEntry.jobDone()
-		}
 	}
 }
 
@@ -245,7 +246,7 @@ func (j *Job) Upload(ctx context.Context, r io.Reader) error {
 			}
 		}
 	}
-	d.endStream(err == nil) // wakes a worker waiting to claim the job
+	d.EndStream(err == nil) // wakes a worker waiting to claim the job
 	j.mu.Unlock()
 	if release {
 		j.enqueue(j)
@@ -273,7 +274,7 @@ func (j *Job) openInput() error {
 	case !d.idle():
 		return &httpError{http.StatusConflict, "job " + j.id + " already has an upload in flight"}
 	}
-	return d.startStream()
+	return d.StartStream()
 }
 
 // openOutput admits a download of the job's output: the job must be done,
@@ -293,7 +294,7 @@ func (j *Job) openOutput() error {
 	case j.released:
 		return &httpError{http.StatusGone, "job " + j.id + " storage has been released"}
 	}
-	return d.startStream()
+	return d.StartStream()
 }
 
 // Download streams the job's permuted records to w in the wire format.

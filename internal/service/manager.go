@@ -246,7 +246,7 @@ func (m *Manager) Submit(req SubmitRequest) (*Job, error) {
 	// dataset no storage is provisioned and no data moves.
 	var ticket int
 	if err == nil {
-		ticket, err = entry.bind()
+		ticket, err = entry.Bind()
 	}
 	if err != nil {
 		m.freeSlot()
@@ -283,8 +283,8 @@ func (m *Manager) Submit(req SubmitRequest) (*Job, error) {
 	if m.closed { // shutdown raced the binding above
 		m.queueLen--
 		m.mu.Unlock()
-		entry.turns.Retire(ticket) // hand the unused ticket through
-		entry.jobDone()
+		entry.Retire(ticket) // hand the unused ticket through
+		entry.JobDone()
 		m.release(j)
 		return nil, ErrShuttingDown
 	}
@@ -489,7 +489,7 @@ func (m *Manager) teardown(d *dsEntry) {
 // it, it waits for in-flight streams to drain and then tears the storage
 // down. Dropping an already-deleted entry is a no-op.
 func (m *Manager) dropEntry(d *dsEntry) error {
-	owner, err := d.tryRelease()
+	owner, err := d.TryRelease()
 	if owner {
 		m.teardown(d)
 	}
@@ -684,7 +684,7 @@ func (m *Manager) run(j *Job) {
 		// Never executed: hand the unused execution ticket through so
 		// later jobs on the dataset are not blocked, and release without
 		// pinning this worker behind the dataset's running predecessors.
-		d.turns.Retire(j.ticket)
+		d.Retire(j.ticket)
 		m.release(j)
 		return
 	}
@@ -699,8 +699,8 @@ func (m *Manager) run(j *Job) {
 	// check below — and always retire the ticket on the way out. A
 	// canceled job still waits out its turn: the snapshot below must not
 	// see a predecessor's I/O.
-	d.turns.Wait(context.WithoutCancel(j.ctx), j.ticket)
-	defer d.turns.Retire(j.ticket)
+	d.Wait(context.WithoutCancel(j.ctx), j.ticket)
+	defer d.Retire(j.ticket)
 	// The job's cost is the delta its run adds to the dataset's counters —
 	// snapshot after winning the turnstile, so chained predecessors' I/O is
 	// excluded exactly, and so is the I/O of earlier jobs whose storage a
@@ -728,7 +728,7 @@ func (m *Manager) run(j *Job) {
 	j.mu.Unlock()
 	m.log.Info("job running", "job", j.id, "input_loaded", j.Status().InputLoaded)
 
-	d.ran()
+	d.Ran()
 	rep, err := m.eng.Execute(j.ctx, j.plan, d.ds, bmmc.WithProgress(j.onProgress))
 	m.finish(j, rep, err)
 }
@@ -861,8 +861,8 @@ func (m *Manager) release(j *Job) {
 	j.cancel()
 	if d := j.dsEntry; d.private {
 		// No caller releases a job still counted active on its entry, so
-		// tryRelease cannot refuse.
-		if owner, _ := d.tryRelease(); owner {
+		// TryRelease cannot refuse.
+		if owner, _ := d.TryRelease(); owner {
 			m.recycle(d, done)
 		}
 	}

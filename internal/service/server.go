@@ -259,14 +259,14 @@ func (b *exactBody) Read(p []byte) (int, error) {
 // under us, so wrong-state requests get a clean JSON error and admitted
 // requests get the full byte stream — never a 200 with a truncated body.
 // Just before the body's last byte is written, the stream stops refusing
-// jobs on d (see dsEntry.tail), so the client's next job is not refused.
+// jobs on d (see Gate.Tail), so the client's next job is not refused.
 func (s *server) output(w http.ResponseWriter, r *http.Request, d *dsEntry, open func() error) {
 	if err := open(); err != nil {
 		WriteError(w, err)
 		return
 	}
-	tw := d.tail(s.outBytes(w))
-	defer tw.end()
+	tw := d.Tail(s.outBytes(w))
+	defer tw.End()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", fmt.Sprint(int64(d.cfg.N)*bmmc.RecordBytes))
 	if err := d.ds.Dump(r.Context(), tw); err != nil {
@@ -340,7 +340,7 @@ func (s *server) datasetInput(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) datasetOutput(w http.ResponseWriter, r *http.Request) {
 	if d, ok := s.dataset(w, r); ok {
-		s.output(w, r, d, d.startStream)
+		s.output(w, r, d, d.StartStream)
 	}
 }
 

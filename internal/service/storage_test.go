@@ -432,9 +432,9 @@ func TestJobStorageSinkStaysWithNewJob(t *testing.T) {
 			d := old.Load()
 			deadline := time.Now().Add(5 * time.Second)
 			for {
-				d.turns.mu.Lock()
-				retired := d.turns.serving > 0
-				d.turns.mu.Unlock()
+				d.mu.Lock()
+				retired := d.serving > 0
+				d.mu.Unlock()
 				if retired {
 					return
 				}
