@@ -13,7 +13,7 @@
 //
 // Usage:
 //
-//	bmmc-coord [-addr host:port] [-heartbeat d] [-vnodes n] [-seed s]
+//	bmmc-coord [-addr host:port] [-heartbeat d] [-seed s] [-drain d]
 //	           [-log-json] [-log-level l] [-pprof-addr host:port]
 //
 // GET /metrics serves the cluster-wide Prometheus exposition: the
@@ -47,7 +47,6 @@ func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:9430", "listen address (port 0 for OS-assigned)")
 		heartbeat = flag.Duration("heartbeat", cluster.DefaultHeartbeatInterval, "worker heartbeat cadence")
-		vnodes    = flag.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per worker on the placement ring")
 		seed      = flag.Int64("seed", 1, "seed for dataset- and job-id generation")
 		drain     = flag.Duration("drain", 30*time.Second, "graceful drain timeout on SIGINT/SIGTERM")
 		logJSON   = flag.Bool("log-json", false, "emit logs as JSON instead of key=value text")
@@ -68,7 +67,6 @@ func main() {
 
 	coord := cluster.New(cluster.Options{
 		HeartbeatInterval: *heartbeat,
-		VNodes:            *vnodes,
 		Seed:              *seed,
 		Logger:            logger,
 	})
@@ -79,8 +77,7 @@ func main() {
 		os.Exit(1)
 	}
 	srv := &http.Server{Handler: cluster.NewHandler(coord)}
-	logger.Info("bmmc-coord listening", "addr", ln.Addr().String(),
-		"heartbeat", heartbeat.String(), "vnodes", *vnodes)
+	logger.Info("bmmc-coord listening", "addr", ln.Addr().String(), "heartbeat", heartbeat.String())
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()

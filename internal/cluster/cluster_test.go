@@ -213,11 +213,13 @@ func TestClusterDatasetLifecycle(t *testing.T) {
 
 		gray := bmmc.GrayCode(testCfg.LgN())
 		rev := bmmc.BitReversal(testCfg.LgN())
+		var jobID string
 		for _, p := range []bmmc.Permutation{gray, rev} {
 			j, err := c.Submit(ctx, client.NewDatasetSubmitRequest(ds.ID, p))
 			if err != nil {
 				t.Fatal(err)
 			}
+			jobID = j.ID
 			final, err := c.Watch(ctx, j.ID, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -235,11 +237,29 @@ func TestClusterDatasetLifecycle(t *testing.T) {
 			t.Fatal("chained cluster jobs are not record-identical to the composed permutation")
 		}
 
+		owner := -1
+		for i, w := range tc.coord.Workers() {
+			if w.Datasets == 1 {
+				owner = i
+			}
+		}
 		if _, err := c.DeleteDataset(ctx, ds.ID); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := c.Dataset(ctx, ds.ID); err == nil {
 			t.Fatal("deleted dataset still resolves at the coordinator")
+		}
+
+		// A registered worker that stops answering: the proxied status
+		// call is the coordinator's JSON 502.
+		if owner < 0 {
+			t.Fatalf("could not locate the dataset's owner: %+v", tc.coord.Workers())
+		}
+		tc.workers[owner].srv.Close()
+		_, err = c.Status(ctx, jobID)
+		var ae *client.APIError
+		if !errors.As(err, &ae) || ae.Status != http.StatusBadGateway || !strings.Contains(ae.Message, "worker call failed") {
+			t.Fatalf("status of a job on a closed worker: %v, want the coordinator's JSON 502", err)
 		}
 		tc.teardown()
 	}()

@@ -16,32 +16,27 @@ import (
 	"repro/internal/service"
 )
 
-// Defaults for Options zero values.
+// DefaultHeartbeatInterval is the heartbeat cadence when Options leaves it
+// zero.
+const DefaultHeartbeatInterval = time.Second
+
+// Fixed coordinator timings. A worker is suspect after suspectBeats missed
+// heartbeats, and each non-streaming internal call attempt is bounded by
+// callTimeout; internal calls retry by client.DefaultRetry, since a worker
+// restarting between heartbeats is routine, not fatal.
 const (
-	DefaultHeartbeatInterval = time.Second
-	DefaultVNodes            = 64
-	DefaultCallTimeout       = 30 * time.Second
+	suspectBeats = 3
+	callTimeout  = 30 * time.Second
 )
 
 // Options sizes a Coordinator. The zero value is usable: 1s heartbeats,
-// suspect after 3 missed beats, down after 8, 64 virtual nodes per
-// worker, and retrying internal calls.
+// suspect after 3 missed beats and down after 8.
 type Options struct {
 	// HeartbeatInterval is the cadence workers are told to beat at.
 	HeartbeatInterval time.Duration
-	// SuspectAfter and DownAfter are the silence thresholds for the two
-	// degraded health states. Zero selects 3× and 8× the heartbeat
-	// interval respectively.
-	SuspectAfter time.Duration
-	DownAfter    time.Duration
-	// VNodes is the virtual-node count per worker on the placement ring.
-	VNodes int
-	// Retry shapes coordinator→worker internal calls; the zero value
-	// selects client.DefaultRetry (retry IS on for internal calls — a
-	// worker restarting between heartbeats is routine, not fatal).
-	Retry client.RetryPolicy
-	// CallTimeout bounds each non-streaming internal call attempt.
-	CallTimeout time.Duration
+	// DownAfter is the silence after which a worker is evicted. Zero
+	// selects 8× the heartbeat interval.
+	DownAfter time.Duration
 	// Seed drives dataset- and job-id generation.
 	Seed int64
 	// Logger receives structured lifecycle logs; nil discards them.
@@ -78,13 +73,6 @@ func (p *placement) names(worker, dsID string) bool {
 	return false
 }
 
-// jobRoute remembers which worker executes a proxied job.
-type jobRoute struct {
-	worker    string
-	dataset   string // placement id, "" for per-job storage
-	submitted time.Time
-}
-
 // Coordinator is the cluster's control plane: the worker registry, the
 // placement ring and table, the striped-job orchestrator, and the proxy
 // that makes the fleet answer the single-daemon HTTP surface.
@@ -103,7 +91,7 @@ type Coordinator struct {
 	ring       *ring
 	placements map[string]*placement
 	dsOrder    []string
-	routes     map[string]*jobRoute
+	routes     map[string]string // proxied job id -> the worker running it
 	sjobs      map[string]*stripedJob
 	seq        int
 	rng        *rand.Rand
@@ -115,20 +103,8 @@ func New(o Options) *Coordinator {
 	if o.HeartbeatInterval <= 0 {
 		o.HeartbeatInterval = DefaultHeartbeatInterval
 	}
-	if o.SuspectAfter <= 0 {
-		o.SuspectAfter = 3 * o.HeartbeatInterval
-	}
 	if o.DownAfter <= 0 {
 		o.DownAfter = 8 * o.HeartbeatInterval
-	}
-	if o.VNodes <= 0 {
-		o.VNodes = DefaultVNodes
-	}
-	if o.Retry.Attempts == 0 {
-		o.Retry = client.DefaultRetry()
-	}
-	if o.CallTimeout <= 0 {
-		o.CallTimeout = DefaultCallTimeout
 	}
 	log := o.Logger
 	if log == nil {
@@ -137,13 +113,13 @@ func New(o Options) *Coordinator {
 	c := &Coordinator{
 		o:          o,
 		log:        log,
-		reg:        newRegistry(o.SuspectAfter, o.DownAfter),
+		reg:        newRegistry(suspectBeats*o.HeartbeatInterval, o.DownAfter),
 		hc:         &http.Client{},
 		eng:        bmmc.NewEngine(),
 		quit:       make(chan struct{}),
-		ring:       newRing(o.VNodes),
+		ring:       &ring{},
 		placements: make(map[string]*placement),
-		routes:     make(map[string]*jobRoute),
+		routes:     make(map[string]string),
 		sjobs:      make(map[string]*stripedJob),
 		rng:        rand.New(rand.NewSource(o.Seed)),
 	}
@@ -172,7 +148,7 @@ func (c *Coordinator) Shutdown() {
 	c.mu.Unlock()
 	close(c.quit)
 	for _, sj := range jobs {
-		sj.cancel()
+		sj.Cancel()
 	}
 	c.wg.Wait()
 	c.hc.CloseIdleConnections()
@@ -182,8 +158,8 @@ func (c *Coordinator) Shutdown() {
 func (c *Coordinator) workerClient(addr string) *client.Client {
 	return client.New(addr,
 		client.WithHTTPClient(c.hc),
-		client.WithRetry(c.o.Retry),
-		client.WithTimeout(c.o.CallTimeout))
+		client.WithRetry(client.DefaultRetry()),
+		client.WithTimeout(callTimeout))
 }
 
 // clientFor resolves a worker id to a client, failing when the worker has
@@ -247,8 +223,8 @@ func (c *Coordinator) evict(workerID string) {
 			}
 			if wc, err := c.clientFor(s.worker); err == nil {
 				// Best-effort cleanup outlives the failed request that triggered it.
-				//lint:allow ctxio -- cleanup RPC deliberately detached from the dead request; bounded by CallTimeout
-				ctx, cancel := context.WithTimeout(context.Background(), c.o.CallTimeout)
+				//lint:allow ctxio -- cleanup RPC deliberately detached from the dead request; bounded by callTimeout
+				ctx, cancel := context.WithTimeout(context.Background(), callTimeout)
 				wc.DeleteDataset(ctx, s.dsID)
 				cancel()
 			}
@@ -285,7 +261,7 @@ func (c *Coordinator) Join(id, addr string) error {
 // to the ring's next owner before the call returns, so the worker may
 // shut its listener down the moment Leave answers.
 func (c *Coordinator) Leave(id string) error {
-	if _, ok := c.reg.drain(id); !ok {
+	if !c.reg.drain(id) {
 		return service.Error(http.StatusNotFound, fmt.Sprintf("unknown worker %q", id))
 	}
 	c.log.Info("worker leaving; draining placements", "worker", id)
@@ -329,8 +305,8 @@ func (c *Coordinator) Leave(id string) error {
 func (c *Coordinator) adopt(workerID, addr string) {
 	// Adoption is driven by the worker heartbeat, not an inbound request:
 	// there is no caller context to inherit.
-	//lint:allow ctxio -- heartbeat-driven, no caller ctx exists; bounded by CallTimeout
-	ctx, cancel := context.WithTimeout(context.Background(), c.o.CallTimeout)
+	//lint:allow ctxio -- heartbeat-driven, no caller ctx exists; bounded by callTimeout
+	ctx, cancel := context.WithTimeout(context.Background(), callTimeout)
 	defer cancel()
 	dss, err := c.workerClient(addr).Datasets(ctx)
 	if err != nil {
@@ -385,8 +361,8 @@ func (c *Coordinator) adopt(workerID, addr string) {
 	c.mu.Unlock()
 	for _, id := range stale {
 		c.log.Warn("joining worker holds a stale dataset copy; deleting", "worker", workerID, "dataset", id)
-		//lint:allow ctxio -- heartbeat-driven stale-copy cleanup, no caller ctx exists; bounded by CallTimeout
-		dctx, dcancel := context.WithTimeout(context.Background(), c.o.CallTimeout)
+		//lint:allow ctxio -- heartbeat-driven stale-copy cleanup, no caller ctx exists; bounded by callTimeout
+		dctx, dcancel := context.WithTimeout(context.Background(), callTimeout)
 		c.workerClient(addr).DeleteDataset(dctx, id)
 		dcancel()
 	}
@@ -443,8 +419,8 @@ func (c *Coordinator) rebalance() {
 		if !ok {
 			continue
 		}
-		//lint:allow ctxio -- rebalance runs on the coordinator maintenance loop, not a request; bounded by 10x CallTimeout
-		ctx, cancel := context.WithTimeout(context.Background(), 10*c.o.CallTimeout)
+		//lint:allow ctxio -- rebalance runs on the coordinator maintenance loop, not a request; bounded by 10x callTimeout
+		ctx, cancel := context.WithTimeout(context.Background(), 10*callTimeout)
 		_, err = src.HandoffDataset(ctx, mv.dsID, client.HandoffRequest{Target: dst, Delete: true})
 		cancel()
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -221,6 +222,63 @@ func TestClusterRebalanceFollowsRelabel(t *testing.T) {
 				time.Sleep(time.Millisecond)
 			}
 			requireRecords(t, ctx, c, ds.ID, applyPerm(p, input), "after the rebalance")
+		})
+	}
+}
+
+// TestClusterStripedJobContract checks a 4-stripe and an unstriped dataset
+// the same way, since a striped job takes bmmcd's job record and request
+// checks: a submit carrying a backend, await_input or a config other than
+// the dataset's answers 400, and before any upload a plain job's status
+// names the dataset's id, config and backend and reads input_loaded false.
+func TestClusterStripedJobContract(t *testing.T) {
+	tc := startTestCluster(t, 3, nil)
+	c := tc.client()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	gray := bmmc.GrayCode(testCfg.LgN())
+	for _, stripes := range []int{4, 0} {
+		t.Run(fmt.Sprintf("stripes=%d", stripes), func(t *testing.T) {
+			ds, err := c.CreateDataset(ctx, client.CreateDatasetRequest{Config: testCfg, Backend: client.BackendFile, Stripes: stripes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			other := testCfg
+			other.B /= 2
+			for _, bad := range []struct {
+				name string
+				edit func(*client.SubmitRequest)
+			}{
+				{"backend", func(r *client.SubmitRequest) { r.Backend = client.BackendFile }},
+				{"await_input", func(r *client.SubmitRequest) { r.AwaitInput = true }},
+				{"config", func(r *client.SubmitRequest) { r.Config = other }},
+			} {
+				req := client.NewDatasetSubmitRequest(ds.ID, gray)
+				bad.edit(&req)
+				_, err := c.Submit(ctx, req)
+				var ae *client.APIError
+				if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest {
+					t.Errorf("submit with %s: %v, want 400", bad.name, err)
+				}
+			}
+
+			j, err := c.Submit(ctx, client.NewDatasetSubmitRequest(ds.ID, gray))
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := c.Status(ctx, j.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for what, got := range map[string]*client.JobStatus{"submit": j, "status": st} {
+				if got.Dataset != ds.ID || got.Config != testCfg || got.Backend != client.BackendFile || got.InputLoaded {
+					t.Errorf("%s answered dataset %q, config %v, backend %q, input_loaded %v; want %q, %v, %q, false",
+						what, got.Dataset, got.Config, got.Backend, got.InputLoaded, ds.ID, testCfg, client.BackendFile)
+				}
+			}
+			if final, err := c.Watch(ctx, j.ID, nil); err != nil || final.State != client.StateDone {
+				t.Fatalf("plain job: %v / %+v, want done", err, final)
+			}
 		})
 	}
 }

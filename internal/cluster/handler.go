@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
+	"net/http/httputil"
 	"net/url"
 	"time"
 
@@ -78,7 +80,7 @@ func (c *Coordinator) ClusterMetrics(ctx context.Context) *ClusterMetrics {
 	}
 	c.mu.Lock()
 	for _, sj := range c.sjobs {
-		s := sj.Status().State
+		s := sj.State()
 		out.CountJob(s)
 		if s == service.StateDone {
 			out.DatasetJobsRun++
@@ -156,17 +158,17 @@ func (c *Coordinator) submitJob(ctx context.Context, req service.SubmitRequest) 
 		if p.gate != nil {
 			return c.submitStriped(req, p)
 		}
-		return c.forwardSubmit(ctx, req, c.stripesOf(p)[0].worker, p.id)
+		return c.forwardSubmit(ctx, req, c.stripesOf(p)[0].worker)
 	}
 	w, err := c.pickWorker()
 	if err != nil {
 		return nil, err
 	}
-	return c.forwardSubmit(ctx, req, w, "")
+	return c.forwardSubmit(ctx, req, w)
 }
 
 // forwardSubmit sends a submit to one worker and records the job route.
-func (c *Coordinator) forwardSubmit(ctx context.Context, req service.SubmitRequest, worker, dataset string) (*service.JobStatus, error) {
+func (c *Coordinator) forwardSubmit(ctx context.Context, req service.SubmitRequest, worker string) (*service.JobStatus, error) {
 	wc, err := c.clientFor(worker)
 	if err != nil {
 		return nil, err
@@ -179,20 +181,20 @@ func (c *Coordinator) forwardSubmit(ctx context.Context, req service.SubmitReque
 	if _, dup := c.routes[js.ID]; dup {
 		c.log.Warn("job id collision across workers; route overwritten — give workers distinct seeds", "job", js.ID)
 	}
-	c.routes[js.ID] = &jobRoute{worker: worker, dataset: dataset, submitted: js.Submitted}
+	c.routes[js.ID] = worker
 	c.mu.Unlock()
 	return js, nil
 }
 
 // routeOf resolves a job id to the worker running it.
-func (c *Coordinator) routeOf(id string) (*jobRoute, error) {
+func (c *Coordinator) routeOf(id string) (string, error) {
 	c.mu.Lock()
-	rt, ok := c.routes[id]
+	worker, ok := c.routes[id]
 	c.mu.Unlock()
 	if !ok {
-		return nil, service.Error(http.StatusNotFound, fmt.Sprintf("unknown job %q", id))
+		return "", service.Error(http.StatusNotFound, fmt.Sprintf("unknown job %q", id))
 	}
-	return rt, nil
+	return worker, nil
 }
 
 // jobStatuses merges every worker's job list with the coordinator's
@@ -348,7 +350,7 @@ func (h *handler) jobCancel(w http.ResponseWriter, r *http.Request) {
 	if sj := h.stripedOf(id); sj != nil {
 		// Like bmmcd's cancel of a running job, this only requests it:
 		// runStriped records the terminal state once the run has stopped.
-		sj.cancel()
+		sj.Cancel()
 		service.WriteJSON(w, http.StatusOK, sj.Status())
 		return
 	}
@@ -368,7 +370,7 @@ func (h *handler) jobProxy(w http.ResponseWriter, r *http.Request) {
 func (h *handler) jobEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if sj := h.stripedOf(id); sj != nil {
-		service.ServeEvents(w, r, sj)
+		service.ServeEvents(w, r, sj.JobRecord)
 		return
 	}
 	h.proxyJob(w, r, id)
@@ -376,68 +378,39 @@ func (h *handler) jobEvents(w http.ResponseWriter, r *http.Request) {
 
 // proxyJob forwards a job request to the worker its route names.
 func (h *handler) proxyJob(w http.ResponseWriter, r *http.Request, id string) {
-	rt, err := h.c.routeOf(id)
+	worker, err := h.c.routeOf(id)
 	if err != nil {
 		service.WriteError(w, err)
 		return
 	}
-	addr, ok := h.c.reg.addrOf(rt.worker)
+	addr, ok := h.c.reg.addrOf(worker)
 	if !ok {
 		service.WriteError(w, service.Error(http.StatusBadGateway,
-			fmt.Sprintf("job %s ran on worker %s, which left the cluster", id, rt.worker)))
+			fmt.Sprintf("job %s ran on worker %s, which left the cluster", id, worker)))
 		return
 	}
 	h.proxyTo(w, r, addr)
 }
 
-// proxyTo replays the request verbatim against a worker's base URL and
-// streams the response back, flushing as bytes arrive so SSE event streams
-// pass through live.
+// proxyTo replays the request against a worker's base URL and streams the
+// response back, flushing each write so SSE event streams pass through
+// live. A worker that cannot be reached answers the coordinator's JSON
+// 502.
 func (h *handler) proxyTo(w http.ResponseWriter, r *http.Request, addr string) {
-	u, err := url.Parse(addr)
+	target, err := url.Parse(addr)
 	if err != nil {
 		service.WriteError(w, service.Error(http.StatusBadGateway, "bad worker address: "+err.Error()))
 		return
 	}
-	out := r.Clone(r.Context())
-	out.URL.Scheme = u.Scheme
-	out.URL.Host = u.Host
-	out.RequestURI = ""
-	out.Host = ""
-	resp, err := h.c.hc.Do(out)
-	if err != nil {
-		service.WriteError(w, service.Error(http.StatusBadGateway, "worker call failed: "+err.Error()))
-		return
+	rp := &httputil.ReverseProxy{
+		Rewrite:       func(pr *httputil.ProxyRequest) { pr.SetURL(target) },
+		FlushInterval: -1,
+		ErrorLog:      slog.NewLogLogger(h.c.log.Handler(), slog.LevelWarn),
+		ErrorHandler: func(w http.ResponseWriter, _ *http.Request, err error) {
+			service.WriteError(w, service.Error(http.StatusBadGateway, "worker call failed: "+err.Error()))
+		},
 	}
-	defer resp.Body.Close()
-	for k, vs := range resp.Header {
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
-	}
-	w.WriteHeader(resp.StatusCode)
-	flushCopy(w, resp.Body)
-}
-
-// flushCopy copies src to w, flushing after every read so streamed
-// responses (SSE, long downloads) are not buffered to completion.
-func flushCopy(w http.ResponseWriter, src io.Reader) {
-	fl, canFlush := w.(http.Flusher)
-	buf := make([]byte, 32*1024)
-	for {
-		n, err := src.Read(buf)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return
-			}
-			if canFlush {
-				fl.Flush()
-			}
-		}
-		if err != nil {
-			return
-		}
-	}
+	rp.ServeHTTP(w, r)
 }
 
 // --- dataset surface ---

@@ -45,9 +45,7 @@ func newCoordObs(c *Coordinator) *coordObs {
 		c.mu.Lock()
 		datasets.Set(float64(len(c.placements)))
 		for _, sj := range c.sjobs {
-			sj.mu.Lock()
-			states[sj.state]++
-			sj.mu.Unlock()
+			states[sj.State()]++
 		}
 		c.mu.Unlock()
 		for s, n := range states {
@@ -78,7 +76,7 @@ func (c *Coordinator) scrapeWorkers(ctx context.Context) []obs.Family {
 
 // scrapeOne fetches and parses one worker's Prometheus endpoint.
 func (c *Coordinator) scrapeOne(ctx context.Context, addr string) ([]obs.Family, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.o.CallTimeout)
+	ctx, cancel := context.WithTimeout(ctx, callTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/metrics", nil)
 	if err != nil {
@@ -112,31 +110,13 @@ type subJobRef struct {
 	jobID  string
 }
 
-// addSpan appends a coordinator-side span to the striped job's trace.
-func (sj *stripedJob) addSpan(s obs.Span) {
-	if sj.trace != nil {
-		sj.trace.Add(s)
-	}
-}
-
-// addRef records a spawned worker sub-job.
-func (sj *stripedJob) addRef(worker, jobID string) {
-	sj.mu.Lock()
-	sj.refs = append(sj.refs, subJobRef{worker: worker, jobID: jobID})
-	sj.mu.Unlock()
-}
-
 // stitchedTrace assembles a striped job's trace: the coordinator's own
 // stripe/gather/route/scatter spans plus every worker sub-job's spans, each
 // stamped with the worker and sub-job id that produced it, merged under
 // the striped job's trace id in start-time order. Unreachable workers
 // lose their spans, not the trace.
 func (c *Coordinator) stitchedTrace(ctx context.Context, sj *stripedJob) *service.JobTrace {
-	tr := &service.JobTrace{TraceID: sj.id, JobID: sj.id, Spans: []obs.Span{}}
-	if sj.trace != nil {
-		spans, dropped := sj.trace.Snapshot()
-		tr.Spans, tr.Dropped = spans, dropped
-	}
+	tr := sj.Trace()
 	sj.mu.Lock()
 	refs := append([]subJobRef(nil), sj.refs...)
 	sj.mu.Unlock()

@@ -95,15 +95,14 @@ func (r *registry) heartbeat(id string) bool {
 
 // drain marks a worker draining (graceful leave in progress), reporting
 // whether it was registered.
-func (r *registry) drain(id string) (addr string, ok bool) {
+func (r *registry) drain(id string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	w, found := r.workers[id]
-	if !found {
-		return "", false
+	w, ok := r.workers[id]
+	if ok {
+		w.draining = true
 	}
-	w.draining = true
-	return w.addr, true
+	return ok
 }
 
 // remove evicts a worker.
@@ -113,7 +112,7 @@ func (r *registry) remove(id string) {
 	delete(r.workers, id)
 }
 
-// addr returns a worker's base URL.
+// addrOf returns a worker's base URL.
 func (r *registry) addrOf(id string) (string, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -124,7 +123,7 @@ func (r *registry) addrOf(id string) (string, bool) {
 	return w.addr, true
 }
 
-// healthOf computes one worker's health at time now.
+// healthAt computes one worker's health at time now.
 func (r *registry) healthAt(w *workerState, now time.Time) Health {
 	switch {
 	case w.draining:

@@ -7,29 +7,24 @@ import (
 )
 
 // ring places string keys (dataset ids) on nodes (worker ids) by
-// consistent hashing with virtual nodes: each node projects vnodes
-// points onto a 64-bit circle, and a key belongs to the first node point
-// clockwise of the key's hash. Membership changes therefore move only the
-// keys whose arc changed owner — the property that keeps a rebalance
-// proportional to the churn, not to the cluster.
+// consistent hashing with virtual nodes: each node projects vnodes points
+// onto a 64-bit circle, and a key belongs to the first node point
+// clockwise of the key's FNV-1a hash. Membership changes therefore move
+// only the keys whose arc changed owner — the property that keeps a
+// rebalance proportional to the churn, not to the cluster.
 //
-// The ring is not safe for concurrent use; the coordinator guards it with
-// its own lock.
+// The zero ring is empty. The ring is not safe for concurrent use; the
+// coordinator guards it with its own lock.
 type ring struct {
-	vnodes int
 	points []ringPoint // sorted by hash
 }
+
+// vnodes is the number of points each node projects onto the circle.
+const vnodes = 64
 
 type ringPoint struct {
 	hash uint64
 	node string
-}
-
-func newRing(vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = 64
-	}
-	return &ring{vnodes: vnodes}
 }
 
 func ringHash(s string) uint64 {
@@ -45,7 +40,7 @@ func (r *ring) add(node string) {
 			return
 		}
 	}
-	for i := 0; i < r.vnodes; i++ {
+	for i := 0; i < vnodes; i++ {
 		r.points = append(r.points, ringPoint{ringHash(fmt.Sprintf("%s#%d", node, i)), node})
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
@@ -62,42 +57,12 @@ func (r *ring) remove(node string) {
 	r.points = kept
 }
 
-// nodes returns the distinct members, in circle order of first point.
-func (r *ring) size() int {
-	seen := map[string]bool{}
-	for _, p := range r.points {
-		seen[p.node] = true
-	}
-	return len(seen)
-}
-
 // owner returns the node owning key, or "" on an empty ring.
 func (r *ring) owner(key string) string {
-	o := r.owners(key, 1)
-	if len(o) == 0 {
+	if len(r.points) == 0 {
 		return ""
 	}
-	return o[0]
-}
-
-// owners returns up to k distinct nodes for key, walking clockwise from
-// the key's hash — the placement for a k-striped dataset. Fewer than k
-// members yields fewer owners.
-func (r *ring) owners(key string, k int) []string {
-	if len(r.points) == 0 || k <= 0 {
-		return nil
-	}
-	start := sort.Search(len(r.points), func(i int) bool {
-		return r.points[i].hash >= ringHash(key)
-	})
-	var out []string
-	seen := map[string]bool{}
-	for i := 0; i < len(r.points) && len(out) < k; i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.node] {
-			seen[p.node] = true
-			out = append(out, p.node)
-		}
-	}
-	return out
+	h := ringHash(key)
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	return r.points[i%len(r.points)].node
 }

@@ -17,103 +17,28 @@ import (
 
 // stripedJob is a job the coordinator executes itself: a permutation of a
 // striped dataset, decomposed into per-node sub-jobs plus an exchange
-// phase. It mirrors the daemon's job surface — status, SSE events,
-// cancel — so clients cannot tell it from a proxied job.
+// phase. Its record is bmmcd's job record, bound to the dataset's gate, so
+// clients cannot tell it from a proxied job; it adds only the worker
+// sub-jobs it spawned, for trace stitching.
 type stripedJob struct {
-	id        string
-	dataset   string
-	summary   *service.PlanSummary
-	submitted time.Time
-	ctx       context.Context
-	cancel    context.CancelFunc
-	trace     *obs.TraceBuffer // coordinator-side spans (stripe/gather/route/scatter)
-	events    *service.Broadcaster
+	*service.JobRecord
 
-	mu       sync.Mutex
-	state    service.State
-	errMsg   string
-	report   *service.RunReport
-	started  *time.Time
-	finished *time.Time
-	refs     []subJobRef // worker sub-jobs spawned, for trace stitching
-}
-
-func newStripedJob(id, dataset string, summary *service.PlanSummary) *stripedJob {
-	// The job outlives the submitting request; its root is canceled by
-	// Cancel/Close, not by the submitter hanging up.
-	//lint:allow ctxio -- job-lifetime root; canceled via the job's own cancel
-	ctx, cancel := context.WithCancel(context.Background())
-	return &stripedJob{
-		id: id, dataset: dataset, summary: summary, submitted: time.Now(),
-		ctx: ctx, cancel: cancel,
-		trace:  obs.NewTraceBuffer(id, 0),
-		events: service.NewBroadcaster(),
-		state:  service.StateQueued,
-	}
-}
-
-// setState records a transition and publishes it; a terminal state closes
-// the event stream. Only runStriped calls it, so transitions never race.
-func (sj *stripedJob) setState(s service.State, errMsg string) {
-	sj.mu.Lock()
-	defer sj.mu.Unlock()
-	sj.state, sj.errMsg = s, errMsg
-	now := time.Now()
-	switch {
-	case s == service.StateRunning:
-		sj.started = &now
-	case s.Terminal():
-		if sj.started == nil {
-			sj.started = &now
-		}
-		sj.finished = &now
-	}
-	sj.events.Publish(service.Event{Type: service.EventState, JobID: sj.id, State: s, Error: errMsg})
-	if s.Terminal() {
-		sj.events.Close()
-	}
-}
-
-// Subscribe attaches to the job's event stream (see service.ServeEvents).
-func (sj *stripedJob) Subscribe() (<-chan service.Event, func()) { return sj.events.Subscribe() }
-
-// Status snapshots the job as the daemon's wire representation.
-func (sj *stripedJob) Status() *service.JobStatus {
-	sj.mu.Lock()
-	defer sj.mu.Unlock()
-	return &service.JobStatus{
-		ID:          sj.id,
-		State:       sj.state,
-		Error:       sj.errMsg,
-		Dataset:     sj.dataset,
-		Plan:        sj.summary,
-		InputLoaded: true,
-		Report:      sj.report,
-		Submitted:   sj.submitted,
-		Started:     sj.started,
-		Finished:    sj.finished,
-	}
+	mu   sync.Mutex
+	refs []subJobRef
 }
 
 // submitStriped starts a coordinator-run job over a striped dataset and
-// returns its initial status. The pass decomposes into per-node sub-jobs
-// plus a block exchange when the permutation's A_hl block is zero;
-// otherwise the coordinator routes every record itself (the general
+// returns its initial status. The request is vetted and planned as bmmcd
+// vets and plans a dataset job. The pass decomposes into per-node
+// sub-jobs plus a block exchange when the permutation's A_hl block is
+// zero; otherwise the coordinator routes every record itself (the general
 // path, O(N) coordinator memory).
 func (c *Coordinator) submitStriped(req service.SubmitRequest, p *placement) (*service.JobStatus, error) {
-	perm, err := bmmc.ParsePermutation([]byte(req.Perm))
+	pl, err := service.PlanDatasetJob(c.eng, req, p.gate)
 	if err != nil {
-		return nil, service.Error(http.StatusBadRequest, err.Error())
+		return nil, err
 	}
-	if perm.Bits() != p.cfg.LgN() {
-		return nil, service.Error(http.StatusBadRequest,
-			fmt.Sprintf("permutation acts on %d-bit addresses but dataset %s holds N=%d records", perm.Bits(), p.id, p.cfg.N))
-	}
-	pl, err := c.eng.Plan(p.cfg, perm, bmmc.WithFusion(req.Fuse == nil || *req.Fuse))
-	if err != nil {
-		return nil, service.Error(http.StatusBadRequest, err.Error())
-	}
-	sj := newStripedJob(c.nextID("j"), p.id, service.Summarize(pl))
+	id := c.nextID("j")
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -124,11 +49,12 @@ func (c *Coordinator) submitStriped(req service.SubmitRequest, p *placement) (*s
 	if err != nil {
 		return nil, err
 	}
-	c.sjobs[sj.id] = sj
+	sj := &stripedJob{JobRecord: service.NewJobRecord(id, p.gate, pl)}
+	c.sjobs[id] = sj
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
-		c.runStriped(sj, perm, p, ticket)
+		c.runStriped(sj, pl.Permutation(), p, ticket)
 	}()
 	return sj.Status(), nil
 }
@@ -137,37 +63,28 @@ func (c *Coordinator) submitStriped(req service.SubmitRequest, p *placement) (*s
 // submitted before it on the same dataset has finished. Striped jobs on
 // one dataset execute in ticket order, so a chain composes the way it was
 // submitted and each job sees the stripe order its predecessor left; a job
-// canceled while it waits gives up its turn. The job frees the dataset
-// before it publishes its terminal state, so a client that streams on that
-// state is admitted.
+// canceled while it waits gives up its turn.
 func (c *Coordinator) runStriped(sj *stripedJob, perm bmmc.Permutation, p *placement, ticket int) {
 	defer p.gate.Retire(ticket)
-	err := p.gate.Wait(sj.ctx, ticket)
+	var rep *service.RunReport
+	err := p.gate.Wait(sj.Context(), ticket)
 	if err == nil {
 		p.gate.Ran()
-		sj.setState(service.StateRunning, "")
-		err = c.runStripedPass(sj, perm, p)
+		sj.SetState(service.StateRunning)
+		rep, err = c.runStripedPass(sj, perm, p)
 	}
-	p.gate.JobDone()
-	switch {
-	case err == nil:
-		sj.setState(service.StateDone, "")
-	case sj.ctx.Err() != nil:
-		sj.setState(service.StateCanceled, "canceled")
-	default:
-		sj.setState(service.StateFailed, err.Error())
-	}
+	sj.Finish(rep, err)
 }
 
 // runStripedPass runs a striped job's one pass: per-node sub-jobs plus a
 // stripe relabel when the permutation decomposes, the coordinator exchange
 // otherwise.
-func (c *Coordinator) runStripedPass(sj *stripedJob, perm bmmc.Permutation, p *placement) error {
+func (c *Coordinator) runStripedPass(sj *stripedJob, perm bmmc.Permutation, p *placement) (*service.RunReport, error) {
 	stripes := c.stripesOf(p)
 	locals, nodeMap, local, err := decompose(perm, bits.TrailingZeros(uint(len(stripes))))
 	switch {
 	case err != nil:
-		return err
+		return nil, err
 	case local:
 		return c.runStripedLocal(sj, locals, nodeMap, p, stripes)
 	}
@@ -179,7 +96,7 @@ func (c *Coordinator) runStripedPass(sj *stripedJob, perm bmmc.Permutation, p *p
 // in parallel; the exchange phase then relabels stripe s as stripe
 // nodeMap[s] — whole stripes move between logical slots, so no record
 // crosses the network at all.
-func (c *Coordinator) runStripedLocal(sj *stripedJob, locals []bmmc.Permutation, nodeMap []int, p *placement, stripes []stripeLoc) error {
+func (c *Coordinator) runStripedLocal(sj *stripedJob, locals []bmmc.Permutation, nodeMap []int, p *placement, stripes []stripeLoc) (*service.RunReport, error) {
 	var (
 		wg     sync.WaitGroup
 		mu     sync.Mutex
@@ -191,7 +108,7 @@ func (c *Coordinator) runStripedLocal(sj *stripedJob, locals []bmmc.Permutation,
 		go func(s int) {
 			defer wg.Done()
 			start := time.Now()
-			rep, subID, err := c.runSubJob(sj.ctx, sj, stripes[s], locals[s])
+			rep, subID, err := c.runSubJob(sj, stripes[s], locals[s])
 			span := obs.Span{Name: obs.SpanStripe, Pass: s,
 				Worker: stripes[s].worker, JobID: subID, Start: start, End: time.Now()}
 			mu.Lock()
@@ -203,7 +120,7 @@ func (c *Coordinator) runStripedLocal(sj *stripedJob, locals []bmmc.Permutation,
 				return
 			}
 			span.IOs = rep.ParallelIOs
-			sj.addSpan(span)
+			sj.AddSpan(span)
 			agg.Passes += rep.Passes
 			agg.ParallelIOs += rep.ParallelIOs
 			agg.ParallelReads += rep.ParallelReads
@@ -214,7 +131,7 @@ func (c *Coordinator) runStripedLocal(sj *stripedJob, locals []bmmc.Permutation,
 	}
 	wg.Wait()
 	if runErr != nil {
-		return runErr
+		return nil, runErr
 	}
 	// Block exchange: stripe s becomes logical stripe nodeMap[s]. The
 	// stripe datasets stay where they are; only the placement's logical
@@ -228,18 +145,16 @@ func (c *Coordinator) runStripedLocal(sj *stripedJob, locals []bmmc.Permutation,
 	}
 	p.stripes = relabeled
 	c.mu.Unlock()
-	sj.mu.Lock()
-	sj.report = &agg
-	sj.mu.Unlock()
-	return nil
+	return &agg, nil
 }
 
 // runSubJob executes one local BMMC on one stripe's worker and waits for
 // the terminal state, recording the sub-job on sj for trace stitching. It
-// submits nothing once ctx is canceled. A submitted sub-job never outlives
+// submits nothing once sj is canceled. A submitted sub-job never outlives
 // the striped job: the submit is not cut short, so its id is never lost,
 // and a cancellation cancels the sub-job on its worker and waits it out.
-func (c *Coordinator) runSubJob(ctx context.Context, sj *stripedJob, s stripeLoc, lp bmmc.Permutation) (*service.RunReport, string, error) {
+func (c *Coordinator) runSubJob(sj *stripedJob, s stripeLoc, lp bmmc.Permutation) (*service.RunReport, string, error) {
+	ctx := sj.Context()
 	if err := ctx.Err(); err != nil {
 		return nil, "", err
 	}
@@ -252,13 +167,15 @@ func (c *Coordinator) runSubJob(ctx context.Context, sj *stripedJob, s stripeLoc
 	if err != nil {
 		return nil, "", asGatewayErr(err)
 	}
-	sj.addRef(s.worker, js.ID)
+	sj.mu.Lock()
+	sj.refs = append(sj.refs, subJobRef{worker: s.worker, jobID: js.ID})
+	sj.mu.Unlock()
 	final, err := wc.Watch(ctx, js.ID, nil)
 	if err != nil && ctx.Err() != nil {
-		// A canceled sub-job stops within a memoryload, so CallTimeout
+		// A canceled sub-job stops within a memoryload, so callTimeout
 		// bounds only a worker that stopped answering. A failed cancel
 		// leaves the sub-job to end on its own; the watch waits either way.
-		wctx, cancel := context.WithTimeout(detached, c.o.CallTimeout)
+		wctx, cancel := context.WithTimeout(detached, callTimeout)
 		defer cancel()
 		_, _ = wc.Cancel(wctx, js.ID)
 		final, err = wc.Watch(wctx, js.ID, nil)
@@ -284,10 +201,10 @@ func (c *Coordinator) runSubJob(ctx context.Context, sj *stripedJob, s stripeLoc
 // image; every stripe then uploads concurrently from its section, as a
 // replayable body the internal retry policy may resend. The first failing
 // transfer cancels its siblings.
-func (c *Coordinator) runStripedExchange(sj *stripedJob, perm bmmc.Permutation, scfg bmmc.Config, stripes []stripeLoc) error {
+func (c *Coordinator) runStripedExchange(sj *stripedJob, perm bmmc.Permutation, scfg bmmc.Config, stripes []stripeLoc) (*service.RunReport, error) {
 	per := scfg.N * bmmc.RecordBytes
 	in := make([]byte, per*len(stripes))
-	err := c.eachStripe(sj.ctx, stripes, func(ctx context.Context, j int, wc *client.Client) error {
+	err := c.eachStripe(sj.Context(), stripes, func(ctx context.Context, j int, wc *client.Client) error {
 		start := time.Now()
 		w := &stripeWriter{sec: in[j*per : (j+1)*per]}
 		if err := wc.DownloadDataset(ctx, stripes[j].dsID, w); err != nil {
@@ -296,33 +213,30 @@ func (c *Coordinator) runStripedExchange(sj *stripedJob, perm bmmc.Permutation, 
 		if w.n != per {
 			return fmt.Errorf("short download: %d of %d bytes", w.n, per)
 		}
-		sj.addSpan(spanSince(obs.SpanGather, stripes[j].worker, start))
+		sj.AddSpan(spanSince(obs.SpanGather, stripes[j].worker, start))
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	start := time.Now()
-	out, err := routeRecords(sj.ctx, perm, in)
+	out, err := routeRecords(sj.Context(), perm, in)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	sj.addSpan(spanSince(obs.SpanRoute, "", start))
-	err = c.eachStripe(sj.ctx, stripes, func(ctx context.Context, j int, wc *client.Client) error {
+	sj.AddSpan(spanSince(obs.SpanRoute, "", start))
+	err = c.eachStripe(sj.Context(), stripes, func(ctx context.Context, j int, wc *client.Client) error {
 		start := time.Now()
 		if err := wc.UploadDataset(ctx, stripes[j].dsID, bytes.NewReader(out[j*per:(j+1)*per])); err != nil {
 			return asGatewayErr(err)
 		}
-		sj.addSpan(spanSince(obs.SpanScatter, stripes[j].worker, start))
+		sj.AddSpan(spanSince(obs.SpanScatter, stripes[j].worker, start))
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	sj.mu.Lock()
-	sj.report = &service.RunReport{Passes: 1}
-	sj.mu.Unlock()
-	return nil
+	return &service.RunReport{Passes: 1}, nil
 }
 
 // eachStripe runs fn for every stripe concurrently under a context derived
@@ -446,8 +360,8 @@ func (c *Coordinator) rollbackCreate(p *placement, created []stripeLoc) {
 	c.mu.Unlock()
 	for _, s := range created {
 		if wc, err := c.clientFor(s.worker); err == nil {
-			//lint:allow ctxio -- delete fan-out must finish even if the deleting caller goes away; bounded by CallTimeout
-			ctx, cancel := context.WithTimeout(context.Background(), c.o.CallTimeout)
+			//lint:allow ctxio -- delete fan-out must finish even if the deleting caller goes away; bounded by callTimeout
+			ctx, cancel := context.WithTimeout(context.Background(), callTimeout)
 			wc.DeleteDataset(ctx, s.dsID)
 			cancel()
 		}

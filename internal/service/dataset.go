@@ -156,9 +156,10 @@ func (g *Gate) Retire(ticket int) {
 	}
 }
 
-// JobDone drops a terminal job's active reference. Each bound job calls it
-// exactly once, before it publishes its terminal state, so a client that
-// streams on that state is admitted.
+// JobDone drops a terminal job's active reference. A bound job's record
+// calls it exactly once, at its first terminal transition and before it
+// publishes that state, so a client that streams on that state is
+// admitted; a job refused after Bind calls it itself.
 func (g *Gate) JobDone() {
 	g.mu.Lock()
 	g.active--

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"sync"
@@ -11,106 +12,103 @@ import (
 	"repro/internal/obs"
 )
 
-// Job is one admitted permutation job: the dataset entry it runs on (a
-// shared daemon Dataset for chained jobs, or a private entry for this job
-// alone, retired on its release: a done job's file or sharded storage goes
-// to the manager's pool of spares, and any other is deleted), a prepared
-// plan from the manager's shared Engine, and a lifecycle the worker pool
-// drives through the State machine. All mutable fields are guarded by mu;
-// a standalone job's uploads and downloads are counted as streams on its
-// entry.
-type Job struct {
-	id   string
-	perm bmmc.Permutation
-	fuse bool
-
-	summary    *PlanSummary
-	plan       *bmmc.Plan
-	planShared bool // plan came from the manager's shared Engine cache
-
-	dsEntry *dsEntry // execution target: its storage, geometry and backend kind
-	ticket  int      // execution-order ticket on dsEntry
+// JobRecord is the wire-visible half of a job, one type for bmmcd's jobs
+// and the cluster coordinator's striped jobs: the id and plan summary, the
+// lifecycle state, error, report and timestamps, the event stream and span
+// ring, and the root context the job's run observes. It is bound to the
+// Gate that admitted the job, and its status takes the dataset's id,
+// geometry and backend from that gate, with the input state as of
+// admission. Every transition goes through it, so one rule holds for both
+// tiers: the first terminal transition drops the job's active reference on
+// the gate before the terminal event is published, so a client that
+// streams or deletes on that event is admitted.
+type JobRecord struct {
+	id      string
+	summary *PlanSummary
+	gate    *Gate
 	ctx     context.Context
 	cancel  context.CancelFunc
 	events  *Broadcaster
-	hook    func(*Job, bmmc.PassEvent) // test instrumentation, run inside onProgress
-	enqueue func(*Job)                 // manager callback releasing an await-input job to the workers
-
-	inputTimer *time.Timer // expires a pending await-input job; nil otherwise
-
-	statsBefore bmmc.Stats // dataset stats at claim time; the job's cost is the delta
-
-	// Observability. traceBuf is the job's bounded span ring, which the
-	// entry's sink feeds instrumented-backend samples while the job
-	// executes; mobs is the manager's registry handle (nil only in
-	// bare-constructed tests). The span bookkeeping below is touched by
-	// onProgress and finish only. onProgress runs on the worker goroutine
-	// or the engine's writer goroutine, one call at a time, and the engine
-	// drains its writer before Execute returns, so every call is ordered
-	// before finish.
-	traceBuf  *obs.TraceBuffer
-	mobs      *managerObs
-	passStart time.Time // wall-clock start of the current pass
-	loadMark  time.Time // end of the previous memoryload event
-	passIOs   int       // parallel I/Os the current pass's loads counted so far
+	trace   *obs.TraceBuffer
+	// audit, when set, sees each transition just before it is published:
+	// bmmcd's transition counter and audit log.
+	audit func(r *JobRecord, to State, errMsg string)
 
 	mu          sync.Mutex
 	state       State
 	errMsg      string
-	pending     bool // awaiting input: holds an admission slot, not yet runnable
 	inputLoaded bool
-	claimed     bool // a worker started processing (planning or beyond)
-	released    bool // storage released: torn down, or pooled for the next job
-	progress    *Progress
 	report      *RunReport
 	submitted   time.Time
 	started     time.Time
 	finished    time.Time
 }
 
-// ID returns the job's identifier.
-func (j *Job) ID() string { return j.id }
-
-// State returns the job's current lifecycle state.
-func (j *Job) State() State {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
+// NewJobRecord returns the queued record of job id, planned as pl, once
+// g.Bind has admitted it.
+func NewJobRecord(id string, g *Gate, pl *bmmc.Plan) *JobRecord {
+	// The job outlives the submitting request; its root is canceled by the
+	// job's own cancel, not by the submitter hanging up.
+	//lint:allow ctxio -- job-lifetime root; canceled via the job's own cancel
+	ctx, cancel := context.WithCancel(context.Background())
+	g.mu.Lock()
+	loaded := g.loaded
+	g.mu.Unlock()
+	return &JobRecord{
+		id: id, summary: Summarize(pl), gate: g, ctx: ctx, cancel: cancel,
+		events: NewBroadcaster(), trace: obs.NewTraceBuffer(id, 0),
+		state: StateQueued, inputLoaded: loaded, submitted: time.Now(),
+	}
 }
 
+// ID returns the job's identifier.
+func (r *JobRecord) ID() string { return r.id }
+
 // Plan returns the job's prepared plan summary.
-func (j *Job) Plan() *PlanSummary { return j.summary }
+func (r *JobRecord) Plan() *PlanSummary { return r.summary }
+
+// Context returns the job's root context, canceled by Cancel.
+func (r *JobRecord) Context() context.Context { return r.ctx }
+
+// Cancel requests the job's stop: its run observes the root context.
+func (r *JobRecord) Cancel() { r.cancel() }
+
+// State returns the job's current lifecycle state.
+func (r *JobRecord) State() State {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.state
+}
 
 // Status snapshots the job as its wire representation.
-func (j *Job) Status() *JobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+func (r *JobRecord) Status() *JobStatus {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.statusLocked()
+}
+
+func (r *JobRecord) statusLocked() *JobStatus {
 	st := &JobStatus{
-		ID:          j.id,
-		State:       j.state,
-		Error:       j.errMsg,
-		Config:      j.dsEntry.cfg,
-		Backend:     j.dsEntry.backend,
-		Dataset:     j.datasetID(),
-		Plan:        j.summary,
-		InputLoaded: j.inputLoaded,
-		Released:    j.released,
-		Submitted:   j.submitted,
+		ID:          r.id,
+		State:       r.state,
+		Error:       r.errMsg,
+		Config:      r.gate.cfg,
+		Backend:     r.gate.backend,
+		Dataset:     r.datasetID(),
+		Plan:        r.summary,
+		InputLoaded: r.inputLoaded,
+		Submitted:   r.submitted,
 	}
-	if j.progress != nil {
-		p := *j.progress
-		st.Progress = &p
+	if r.report != nil {
+		rep := *r.report
+		st.Report = &rep
 	}
-	if j.report != nil {
-		r := *j.report
-		st.Report = &r
-	}
-	if !j.started.IsZero() {
-		t := j.started
+	if !r.started.IsZero() {
+		t := r.started
 		st.Started = &t
 	}
-	if !j.finished.IsZero() {
-		t := j.finished
+	if !r.finished.IsZero() {
+		t := r.finished
 		st.Finished = &t
 	}
 	return st
@@ -118,40 +116,136 @@ func (j *Job) Status() *JobStatus {
 
 // datasetID names the shared dataset the job runs on, or "" for a
 // standalone job on its private entry.
-func (j *Job) datasetID() string {
-	if j.dsEntry.private {
+func (r *JobRecord) datasetID() string {
+	if r.gate.private {
 		return ""
 	}
-	return j.dsEntry.id
+	return r.gate.id
 }
 
 // Subscribe attaches to the job's event stream. The first event a new
 // subscriber should synthesize is the current state (see Status); the
 // channel then carries transitions and progress until the terminal event,
 // after which it closes.
-func (j *Job) Subscribe() (<-chan Event, func()) { return j.events.Subscribe() }
+func (r *JobRecord) Subscribe() (<-chan Event, func()) { return r.events.Subscribe() }
 
-// setState transitions the job and publishes the state event; terminal
-// states also stamp the finish time, drop the job's active reference on
-// its dataset entry before the event goes out (so a client that streams or
-// deletes on the terminal event is admitted), and close the event stream.
-// Callers hold j.mu.
-func (j *Job) setStateLocked(s State) {
-	wasTerminal := j.state.Terminal()
-	j.state = s
-	if s.Terminal() {
-		j.finished = time.Now()
-		if !wasTerminal {
-			j.dsEntry.JobDone()
+// SetState moves a claimed job to the non-terminal state s and publishes
+// it.
+func (r *JobRecord) SetState(s State) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.setStateLocked(s)
+}
+
+// Finish records the outcome of the job's run: done with rep when err is
+// nil, canceled when err is a cancellation or the job was canceled, failed
+// otherwise. It returns the terminal state.
+func (r *JobRecord) Finish(rep *RunReport, err error) State {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	switch {
+	case err == nil:
+		r.report = rep
+		r.setStateLocked(StateDone)
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || r.ctx.Err() != nil:
+		r.errMsg = err.Error()
+		r.setStateLocked(StateCanceled)
+	default:
+		r.errMsg = err.Error()
+		r.setStateLocked(StateFailed)
+	}
+	return r.state
+}
+
+// setStateLocked transitions the job and publishes the state event. The
+// first state past queued stamps the start (a worker claimed the job); a
+// terminal state stamps the finish, drops the job's active reference on
+// its gate the first time, and closes the event stream after the event.
+// Callers hold r.mu.
+func (r *JobRecord) setStateLocked(s State) {
+	switch now := time.Now(); {
+	case s.Terminal():
+		if !r.state.Terminal() {
+			r.gate.JobDone()
 		}
+		r.finished = now
+	case r.started.IsZero():
+		r.started = now
 	}
-	if j.mobs != nil {
-		j.mobs.jobTransition(j, s, j.errMsg)
+	r.state = s
+	if r.audit != nil {
+		r.audit(r, s, r.errMsg)
 	}
-	j.events.Publish(Event{Type: EventState, JobID: j.id, State: s, Error: j.errMsg})
+	r.events.Publish(Event{Type: EventState, JobID: r.id, State: s, Error: r.errMsg})
 	if s.Terminal() {
-		j.events.Close()
+		r.events.Close()
 	}
+}
+
+// AddSpan appends a span to the job's trace ring.
+func (r *JobRecord) AddSpan(s obs.Span) { r.trace.Add(s) }
+
+// Trace snapshots the job's span ring as the wire trace. The trace id is
+// the job id; the cluster layer reuses it when stitching worker sub-job
+// spans under a striped job.
+func (r *JobRecord) Trace() *JobTrace {
+	spans, dropped := r.trace.Snapshot()
+	return &JobTrace{TraceID: r.id, JobID: r.id, Spans: spans, Dropped: dropped}
+}
+
+// Job is one admitted bmmcd job: its record, the dataset entry it runs on
+// (a shared daemon Dataset for chained jobs, or a private entry for this
+// job alone, retired on its release: a done job's file or sharded storage
+// goes to the manager's pool of spares, and any other is deleted), a
+// prepared plan from the manager's shared Engine, and the upload,
+// progress, storage and metrics state the worker pool drives. The last
+// four fields are guarded by the record's mu; a standalone job's uploads
+// and downloads are counted as streams on its entry.
+type Job struct {
+	*JobRecord
+
+	plan       *bmmc.Plan
+	planShared bool // plan came from the manager's shared Engine cache
+
+	dsEntry *dsEntry                   // execution target: its storage, geometry and backend kind
+	ticket  int                        // execution-order ticket on dsEntry
+	hook    func(*Job, bmmc.PassEvent) // test instrumentation, run inside onProgress
+	enqueue func(*Job)                 // manager callback releasing an await-input job to the workers
+
+	inputTimer *time.Timer // expires a pending await-input job; nil otherwise
+
+	statsBefore bmmc.Stats // dataset stats at claim time; the job's cost is the delta
+
+	// Observability. mobs is the manager's registry handle; the record's
+	// trace ring takes the entry sink's instrumented-backend samples while
+	// the job executes. The span bookkeeping below is touched by
+	// onProgress and finish only. onProgress runs on the worker goroutine
+	// or the engine's writer goroutine, one call at a time, and the engine
+	// drains its writer before Execute returns, so every call is ordered
+	// before finish.
+	mobs      *managerObs
+	passStart time.Time // wall-clock start of the current pass
+	loadMark  time.Time // end of the previous memoryload event
+	passIOs   int       // parallel I/Os the current pass's loads counted so far
+
+	pending  bool // awaiting input: holds an admission slot, not yet runnable
+	claimed  bool // a worker started processing (planning or beyond)
+	released bool // storage released: torn down, or pooled for the next job
+	progress *Progress
+}
+
+// Status snapshots the job as its wire representation: the record's
+// status plus the job's release and progress.
+func (j *Job) Status() *JobStatus {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	st := j.statusLocked()
+	st.Released = j.released
+	if j.progress != nil {
+		p := *j.progress
+		st.Progress = &p
+	}
+	return st
 }
 
 // onProgress is the job's per-Execute WithProgress callback. It runs at
@@ -177,15 +271,12 @@ func (j *Job) onProgress(ev bmmc.PassEvent) {
 // of its load events. A pass cut short by cancellation or a fault never
 // reaches its final event and is charged nothing.
 func (j *Job) observePass(ev bmmc.PassEvent) {
-	if j.traceBuf == nil {
-		return
-	}
 	now := time.Now()
 	if ev.Load == 0 {
 		j.passStart, j.loadMark, j.passIOs = now, now, 0
 		return
 	}
-	j.traceBuf.Add(obs.Span{
+	j.AddSpan(obs.Span{
 		Name: obs.SpanLoad, Kind: ev.Kind, Kernel: ev.Kernel,
 		Pass: ev.Pass, Load: ev.Load, Start: j.loadMark, End: now,
 	})
@@ -198,23 +289,9 @@ func (j *Job) observePass(ev bmmc.PassEvent) {
 		Name: obs.SpanPass, Kind: ev.Kind, Kernel: ev.Kernel,
 		Pass: ev.Pass, IOs: j.passIOs, Start: j.passStart, End: now,
 	}
-	j.traceBuf.Add(span)
-	if j.mobs != nil {
-		j.mobs.passIOs.With(j.summary.Class, ev.Kernel).Add(float64(j.passIOs))
-	}
+	j.AddSpan(span)
+	j.mobs.passIOs.With(j.summary.Class, ev.Kernel).Add(float64(j.passIOs))
 	j.events.Publish(Event{Type: EventSpan, JobID: j.id, Span: &span})
-}
-
-// Trace snapshots the job's span ring as the wire trace. The trace id is
-// the job id; the cluster layer reuses it when stitching worker sub-job
-// spans under a striped job.
-func (j *Job) Trace() *JobTrace {
-	tr := &JobTrace{TraceID: j.id, JobID: j.id, Spans: []obs.Span{}}
-	if j.traceBuf != nil {
-		spans, dropped := j.traceBuf.Snapshot()
-		tr.Spans, tr.Dropped = spans, dropped
-	}
-	return tr
 }
 
 // Upload replaces the job's stored records with N records read from r in

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log/slog"
 	"math/rand"
@@ -178,46 +177,26 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 // execute in submission order, so chained permutations compose the way
 // they were submitted.
 func (m *Manager) Submit(req SubmitRequest) (*Job, error) {
-	p, err := bmmc.ParsePermutation([]byte(req.Perm))
-	if err != nil {
-		return nil, &httpError{http.StatusBadRequest, err.Error()}
-	}
-	fuse := req.Fuse == nil || *req.Fuse
-
-	var entry *dsEntry
+	var (
+		entry *dsEntry
+		pl    *bmmc.Plan
+		err   error
+	)
 	backend := req.Backend
-	cfg := req.Config
 	if req.Dataset != "" {
 		// Dataset-handle job: the dataset supplies storage and geometry.
-		if req.Backend != "" {
-			return nil, &httpError{http.StatusBadRequest, "dataset jobs take their storage from the dataset: leave backend empty"}
-		}
-		if req.AwaitInput {
-			return nil, &httpError{http.StatusBadRequest, "dataset jobs take their input from the dataset: await_input is not applicable"}
-		}
 		var ok bool
-		entry, ok = m.Dataset(req.Dataset)
-		if !ok {
+		if entry, ok = m.Dataset(req.Dataset); !ok {
 			return nil, errUnknownDataset(req.Dataset)
 		}
-		if (cfg != bmmc.Config{}) && cfg != entry.cfg {
-			return nil, &httpError{http.StatusBadRequest,
-				fmt.Sprintf("request geometry %v does not match dataset %s geometry %v (omit config to inherit it)", cfg, entry.id, entry.cfg)}
-		}
-		cfg = entry.cfg
-	} else {
-		if err := cfg.Validate(); err != nil {
-			return nil, &httpError{http.StatusBadRequest, err.Error()}
-		}
-		if backend, err = backendKind(backend); err != nil {
-			return nil, err
-		}
+		pl, err = PlanDatasetJob(m.eng, req, entry.Gate)
+	} else if backend, err = backendKind(backend); err == nil {
+		pl, err = planJob(m.eng, req, req.Config)
 	}
-
-	pl, err := m.eng.Plan(cfg, p, bmmc.WithFusion(fuse))
 	if err != nil {
-		return nil, &httpError{http.StatusBadRequest, err.Error()}
+		return nil, err
 	}
+	cfg := pl.Geometry()
 	shared := pl.Cached()
 
 	// Reserve an admission slot before paying for storage provisioning.
@@ -253,31 +232,18 @@ func (m *Manager) Submit(req SubmitRequest) (*Job, error) {
 		return nil, err
 	}
 
-	// The job outlives the submitting RPC; its root is canceled by
-	// CancelJob or manager shutdown, not by the submitter hanging up.
-	//lint:allow ctxio -- job-lifetime root; canceled via CancelJob/Close
-	ctx, cancel := context.WithCancel(context.Background())
 	j := &Job{
-		id:          id,
-		perm:        p,
-		fuse:        fuse,
-		summary:     Summarize(pl),
-		plan:        pl,
-		planShared:  shared,
-		dsEntry:     entry,
-		ticket:      ticket,
-		ctx:         ctx,
-		cancel:      cancel,
-		events:      NewBroadcaster(),
-		hook:        m.cfg.hook,
-		enqueue:     m.enqueue,
-		state:       StateQueued,
-		pending:     req.AwaitInput,
-		inputLoaded: entry.Status().InputLoaded,
-		submitted:   time.Now(),
-		mobs:        m.obs,
-		traceBuf:    obs.NewTraceBuffer(id, 0),
+		JobRecord:  NewJobRecord(id, entry.Gate, pl),
+		plan:       pl,
+		planShared: shared,
+		dsEntry:    entry,
+		ticket:     ticket,
+		hook:       m.cfg.hook,
+		enqueue:    m.enqueue,
+		pending:    req.AwaitInput,
+		mobs:       m.obs,
 	}
+	j.audit = m.obs.jobTransition
 
 	m.mu.Lock()
 	if m.closed { // shutdown raced the binding above
@@ -291,7 +257,7 @@ func (m *Manager) Submit(req SubmitRequest) (*Job, error) {
 	m.jobs[id] = j
 	m.order = append(m.order, id)
 	m.mu.Unlock()
-	m.obs.jobTransition(j, StateQueued, "") // admission is the first audited transition
+	m.obs.jobTransition(j.JobRecord, StateQueued, "") // admission is the first audited transition
 	if entry.private {
 		m.obs.jobStorage(reused)
 	}
@@ -312,6 +278,38 @@ func (m *Manager) Submit(req SubmitRequest) (*Job, error) {
 		"cost_ios", j.summary.CostIOs, "plan_shared", shared, "await_input", req.AwaitInput,
 		"storage_reused", reused)
 	return j, nil
+}
+
+// PlanDatasetJob vets a job submitted on the dataset g admits and plans it
+// on eng at the dataset's geometry. The dataset supplies storage, input
+// and geometry, so the request may not name a backend or await input, and
+// its config must be empty or the dataset's. bmmcd and the cluster
+// coordinator's striped datasets answer through it alike.
+func PlanDatasetJob(eng *bmmc.Engine, req SubmitRequest, g *Gate) (*bmmc.Plan, error) {
+	switch {
+	case req.Backend != "":
+		return nil, &httpError{http.StatusBadRequest, "dataset jobs take their storage from the dataset: leave backend empty"}
+	case req.AwaitInput:
+		return nil, &httpError{http.StatusBadRequest, "dataset jobs take their input from the dataset: await_input is not applicable"}
+	case req.Config != bmmc.Config{} && req.Config != g.cfg:
+		return nil, &httpError{http.StatusBadRequest,
+			fmt.Sprintf("request geometry %v does not match dataset %s geometry %v (omit config to inherit it)", req.Config, g.id, g.cfg)}
+	}
+	return planJob(eng, req, g.cfg)
+}
+
+// planJob parses req's permutation and plans it on eng at cfg, with pass
+// fusion unless req turns it off.
+func planJob(eng *bmmc.Engine, req SubmitRequest, cfg bmmc.Config) (*bmmc.Plan, error) {
+	var pl *bmmc.Plan
+	p, err := bmmc.ParsePermutation([]byte(req.Perm))
+	if err == nil {
+		pl, err = eng.Plan(cfg, p, bmmc.WithFusion(req.Fuse == nil || *req.Fuse))
+	}
+	if err != nil {
+		return nil, &httpError{http.StatusBadRequest, err.Error()}
+	}
+	return pl, nil
 }
 
 // freeSlot returns a reserved admission-queue slot.
@@ -689,7 +687,6 @@ func (m *Manager) run(j *Job) {
 		return
 	}
 	j.claimed = true
-	j.started = time.Now()
 	j.setStateLocked(StatePlanning)
 	j.mu.Unlock()
 	m.obs.queueWait.Observe(j.started.Sub(j.submitted).Seconds())
@@ -710,11 +707,11 @@ func (m *Manager) run(j *Job) {
 	// Route the backend's io spans into this job's trace for the duration
 	// of the run. Jobs on one dataset are serialized by the turnstile
 	// above, so the sink has one owner at a time.
-	d.sink.buf.Store(j.traceBuf)
+	d.sink.buf.Store(j.trace)
 	// Clear only this job's buffer: once finish has made a standalone job
 	// done, its client may release it before this run returns, and the
 	// next job may already run on its storage, sink included.
-	defer d.sink.buf.CompareAndSwap(j.traceBuf, nil)
+	defer d.sink.buf.CompareAndSwap(j.trace, nil)
 
 	// The plan itself was prepared at submit time through the shared
 	// Engine; the planning state covers claiming the job, sealing its
@@ -747,10 +744,9 @@ func (m *Manager) finish(j *Job, rep *bmmc.Report, err error) {
 	stats.ParallelWrites -= j.statsBefore.ParallelWrites
 	stats.BlocksRead -= j.statsBefore.BlocksRead
 	stats.BlocksWritten -= j.statsBefore.BlocksWritten
-	j.mu.Lock()
-	switch {
-	case err == nil:
-		j.report = &RunReport{
+	var report *RunReport
+	if err == nil {
+		report = &RunReport{
 			Passes:         rep.Passes,
 			ParallelIOs:    rep.ParallelIOs,
 			ParallelReads:  stats.ParallelReads,
@@ -759,16 +755,8 @@ func (m *Manager) finish(j *Job, rep *bmmc.Report, err error) {
 			BlocksWritten:  stats.BlocksWritten,
 			PlanShared:     j.planShared,
 		}
-		j.setStateLocked(StateDone)
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || j.ctx.Err() != nil:
-		j.errMsg = err.Error()
-		j.setStateLocked(StateCanceled)
-	default:
-		j.errMsg = err.Error()
-		j.setStateLocked(StateFailed)
 	}
-	state := j.state
-	j.mu.Unlock()
+	state := j.Finish(report, err)
 
 	m.mu.Lock()
 	m.agg.ios += stats.ParallelIOs()

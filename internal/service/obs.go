@@ -93,13 +93,13 @@ func newManagerObs(m *Manager) *managerObs {
 
 // jobTransition is the audit hook: every state transition increments the
 // counter and emits one structured audit line with job/dataset/tenant
-// fields. It runs with j.mu held (from setStateLocked) or at admission,
-// so it touches only immutable job fields and lock-free metric handles.
-func (o *managerObs) jobTransition(j *Job, to State, errMsg string) {
+// fields. It runs with r.mu held (from setStateLocked) or at admission,
+// so it touches only immutable record fields and lock-free metric handles.
+func (o *managerObs) jobTransition(r *JobRecord, to State, errMsg string) {
 	o.transitions.With(string(to)).Inc()
 	o.log.Info("audit: job transition",
-		"job", j.id, "dataset", j.datasetID(), "tenant", "default",
-		"state", string(to), "class", j.summary.Class, "error", errMsg)
+		"job", r.id, "dataset", r.datasetID(), "tenant", "default",
+		"state", string(to), "class", r.summary.Class, "error", errMsg)
 }
 
 // jobStorage counts one admitted standalone job's storage source.

@@ -359,22 +359,15 @@ func (s *server) datasetHandoff(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) events(w http.ResponseWriter, r *http.Request) {
 	if j, ok := s.job(w, r); ok {
-		ServeEvents(w, r, j)
+		ServeEvents(w, r, j.JobRecord)
 	}
 }
 
-// EventSource is a job whose lifecycle ServeEvents streams: a bmmcd Job,
-// or a striped job the cluster coordinator runs itself.
-type EventSource interface {
-	Subscribe() (<-chan Event, func())
-	Status() *JobStatus
-}
-
-// ServeEvents streams src's lifecycle as server-sent events: one "data:"
+// ServeEvents streams a job's lifecycle as server-sent events: one "data:"
 // line per Event, starting with a snapshot of the current state, ending
 // after the terminal state event. Slow consumers may miss progress events
 // but never state transitions.
-func ServeEvents(w http.ResponseWriter, r *http.Request, src EventSource) {
+func ServeEvents(w http.ResponseWriter, r *http.Request, src *JobRecord) {
 	fl, canFlush := w.(http.Flusher)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
