@@ -59,15 +59,19 @@ func LoadSamples(sys *pdm.System, samples []complex128) error {
 	})
 }
 
-// DumpSamples reads the samples back in address order (not counted).
+// DumpSamples reads the samples back in address order (not counted). It
+// decodes them a chunk at a time (pdm.System.ScanRecords), so it holds
+// the samples and one chunk of records, not a second N-record copy.
 func DumpSamples(sys *pdm.System) ([]complex128, error) {
-	recs, err := sys.DumpRecords()
+	out := make([]complex128, sys.Config().N)
+	err := sys.ScanRecords(func(off int, chunk []pdm.Record) error {
+		for i, r := range chunk {
+			out[off+i] = DecodeSample(r)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	out := make([]complex128, len(recs))
-	for i, r := range recs {
-		out[i] = DecodeSample(r)
 	}
 	return out, nil
 }

@@ -288,6 +288,33 @@ func TestLoadSamplesHoldsFewChunks(t *testing.T) {
 	}
 }
 
+// TestDumpSamplesHoldsFewChunks: reading 2^20 samples back from file
+// storage allocates the output slice and a few 256 KiB chunks, not an
+// N-record copy of the stored records.
+func TestDumpSamplesHoldsFewChunks(t *testing.T) {
+	cfg := pdm.Config{N: 1 << 20, D: 8, B: 64, M: 1 << 14}
+	sys, err := pdm.NewSystem(cfg, pdm.FileBackend(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	x := randomSignal(rand.New(rand.NewSource(33)), cfg.N)
+	if err := LoadSamples(sys, x); err != nil {
+		t.Fatal(err)
+	}
+	limit := uint64(cfg.N)*16 + 4<<18 // the samples plus four chunks of 2^14 16-byte records
+	var got []complex128
+	var err2 error
+	if n := allocated(func() { got, err2 = DumpSamples(sys) }); err2 != nil {
+		t.Fatal(err2)
+	} else if n > limit {
+		t.Errorf("DumpSamples of %d samples allocated %d bytes, want at most the output plus four chunks (%d)", cfg.N, n, limit)
+	}
+	if !slices.Equal(got, x) {
+		t.Fatal("DumpSamples did not return the loaded samples")
+	}
+}
+
 // TestChaosLoadSamplesWriteFault: a storage fault part way through a load
 // fails it and leaves the previous samples readable, whole.
 func TestChaosLoadSamplesWriteFault(t *testing.T) {

@@ -86,18 +86,22 @@ func (m *Matrix) Load(values []float64) error {
 	})
 }
 
-// Dump returns the values in row-major order (not counted as I/O).
+// Dump returns the values in row-major order (not counted as I/O). It
+// decodes them a chunk at a time (pdm.System.ScanRecords), so it holds
+// the values and one chunk of records, not an N-record copy.
 func (m *Matrix) Dump() ([]float64, error) {
 	if m.tileMajor {
 		return nil, fmt.Errorf("oocmatrix: matrix is in tile-major layout")
 	}
-	recs, err := m.sys.DumpRecords()
+	out := make([]float64, m.sys.Config().N)
+	err := m.sys.ScanRecords(func(off int, chunk []pdm.Record) error {
+		for i, r := range chunk {
+			out[off+i] = math.Float64frombits(r.Key)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	out := make([]float64, len(recs))
-	for i, r := range recs {
-		out[i] = math.Float64frombits(r.Key)
 	}
 	return out, nil
 }

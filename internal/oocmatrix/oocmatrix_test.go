@@ -379,6 +379,34 @@ func TestLoadHoldsFewChunks(t *testing.T) {
 	}
 }
 
+// TestDumpHoldsFewChunks: dumping a 2^20-element matrix stored on files
+// allocates the output slice and a few 256 KiB chunks, not an N-record
+// copy of the stored records.
+func TestDumpHoldsFewChunks(t *testing.T) {
+	cfg := pdm.Config{N: 1 << 20, D: 8, B: 64, M: 1 << 14}
+	sys, err := pdm.NewSystem(cfg, pdm.FileBackend(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &Matrix{sys: sys, lgR: 10, lgS: 10}
+	defer m.Close()
+	vals := randomValues(rand.New(rand.NewSource(173)), cfg.N)
+	if err := m.Load(vals); err != nil {
+		t.Fatal(err)
+	}
+	limit := uint64(cfg.N)*8 + 4<<18 // the values plus four chunks of 2^14 16-byte records
+	var got []float64
+	var err2 error
+	if n := allocated(func() { got, err2 = m.Dump() }); err2 != nil {
+		t.Fatal(err2)
+	} else if n > limit {
+		t.Errorf("Dump of %d values allocated %d bytes, want at most the output plus four chunks (%d)", cfg.N, n, limit)
+	}
+	if !slices.Equal(got, vals) {
+		t.Fatal("Dump did not return the loaded values")
+	}
+}
+
 // TestChaosLoadWriteFault: a storage fault part way through a load fails
 // it and leaves the previous values readable, whole.
 func TestChaosLoadWriteFault(t *testing.T) {
