@@ -3,8 +3,14 @@
 // heartbeat for liveness, and leave gracefully; the coordinator places
 // datasets on workers by consistent hashing on dataset id, rebalances on
 // membership change by replaying the 16-byte record wire format between
-// workers, and proxies the entire single-daemon /v1 surface so clients use
-// a cluster exactly as they use one daemon.
+// workers, and serves the single-daemon /v1 surface through bmmcd's own
+// front end (service.NewFrontEnd), so clients use a cluster exactly as
+// they use one daemon. Striped jobs and datasets are served by the
+// coordinator itself; every other job and dataset request is proxied to
+// the worker that holds it, SSE streams included. POST
+// /v1/datasets/{id}/handoff is a worker's operation and answers a JSON
+// 404 here. The control plane adds POST /cluster/v1/join, /heartbeat and
+// /leave, and GET /cluster/v1/workers.
 //
 // Datasets created with "stripes": k spread over k ring-chosen workers as
 // contiguous record ranges; a BMMC permutation over such a dataset

@@ -6,7 +6,7 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -200,35 +200,46 @@ func (c *Coordinator) evict(workerID string) {
 	c.reg.remove(workerID)
 	c.mu.Lock()
 	c.ring.remove(workerID)
-	var lost []*placement
-	for _, p := range c.placements {
-		for _, s := range p.stripes {
-			if s.worker == workerID {
-				lost = append(lost, p)
-				break
-			}
-		}
-	}
-	for _, p := range lost {
-		delete(c.placements, p.id)
-		c.dsOrder = removeString(c.dsOrder, p.id)
-	}
+	lost := c.dropPlacementsOn(workerID)
 	c.mu.Unlock()
 	for _, p := range lost {
 		c.log.Warn("dataset lost with downed worker", "dataset", p.id, "worker", workerID)
 		// Best-effort: reclaim surviving stripes of striped datasets.
 		for _, s := range c.stripesOf(p) {
-			if s.worker == workerID {
-				continue
-			}
-			if wc, err := c.clientFor(s.worker); err == nil {
-				// Best-effort cleanup outlives the failed request that triggered it.
-				//lint:allow ctxio -- cleanup RPC deliberately detached from the dead request; bounded by callTimeout
-				ctx, cancel := context.WithTimeout(context.Background(), callTimeout)
-				wc.DeleteDataset(ctx, s.dsID)
-				cancel()
+			if s.worker != workerID {
+				c.dropCopy(s.worker, s.dsID)
 			}
 		}
+	}
+}
+
+// dropPlacementsOn removes, and returns, every placement with a stripe on
+// the worker. The caller holds c.mu.
+func (c *Coordinator) dropPlacementsOn(workerID string) []*placement {
+	var dropped []*placement
+	for _, p := range c.placements {
+		for _, s := range p.stripes {
+			if s.worker == workerID {
+				dropped = append(dropped, p)
+				break
+			}
+		}
+	}
+	for _, p := range dropped {
+		delete(c.placements, p.id)
+		c.dsOrder = removeString(c.dsOrder, p.id)
+	}
+	return dropped
+}
+
+// dropCopy deletes a dataset copy from a worker, best effort: the cleanup
+// outlives the request, heartbeat or eviction that started it.
+func (c *Coordinator) dropCopy(workerID, dsID string) {
+	if wc, err := c.clientFor(workerID); err == nil {
+		//lint:allow ctxio -- best-effort cleanup detached from its trigger; bounded by callTimeout
+		ctx, cancel := context.WithTimeout(context.Background(), callTimeout)
+		defer cancel()
+		wc.DeleteDataset(ctx, dsID)
 	}
 }
 
@@ -273,19 +284,7 @@ func (c *Coordinator) Leave(id string) error {
 	// moved (no surviving workers, or handoff failures): drop it, the
 	// worker is going away regardless.
 	c.mu.Lock()
-	var stranded []*placement
-	for _, p := range c.placements {
-		for _, s := range p.stripes {
-			if s.worker == id {
-				stranded = append(stranded, p)
-				break
-			}
-		}
-	}
-	for _, p := range stranded {
-		delete(c.placements, p.id)
-		c.dsOrder = removeString(c.dsOrder, p.id)
-	}
+	stranded := c.dropPlacementsOn(id)
 	c.mu.Unlock()
 	for _, p := range stranded {
 		c.log.Warn("dataset stranded on leaving worker; dropping", "dataset", p.id, "worker", id)
@@ -361,10 +360,7 @@ func (c *Coordinator) adopt(workerID, addr string) {
 	c.mu.Unlock()
 	for _, id := range stale {
 		c.log.Warn("joining worker holds a stale dataset copy; deleting", "worker", workerID, "dataset", id)
-		//lint:allow ctxio -- heartbeat-driven stale-copy cleanup, no caller ctx exists; bounded by callTimeout
-		dctx, dcancel := context.WithTimeout(context.Background(), callTimeout)
-		c.workerClient(addr).DeleteDataset(dctx, id)
-		dcancel()
+		c.dropCopy(workerID, id)
 	}
 	if len(dss) > 0 {
 		c.log.Info("adopted datasets from worker", "worker", workerID, "count", len(dss))
@@ -457,6 +453,25 @@ func (c *Coordinator) placementOf(id string) (*placement, error) {
 	return p, nil
 }
 
+// FindDataset resolves a dataset id to a striped placement the
+// coordinator serves itself, or else to the base URL of the worker that
+// holds the whole dataset.
+func (c *Coordinator) FindDataset(id string) (service.LocalDataset, string, error) {
+	p, err := c.placementOf(id)
+	switch {
+	case err != nil:
+		return nil, "", err
+	case p.gate != nil:
+		return stripedSet{p.gate, c, p}, "", nil
+	}
+	worker := c.stripesOf(p)[0].worker
+	addr, ok := c.reg.addrOf(worker)
+	if !ok {
+		return nil, "", service.Error(http.StatusBadGateway, fmt.Sprintf("worker %s is no longer part of the cluster", worker))
+	}
+	return nil, addr, nil
+}
+
 // stripesOf snapshots p's stripes.
 func (c *Coordinator) stripesOf(p *placement) []stripeLoc {
 	c.mu.Lock()
@@ -489,10 +504,10 @@ func (c *Coordinator) Workers() []WorkerInfo {
 	return ws
 }
 
-// datasetStatuses lists every placement's status in creation order
+// ListDatasets lists every placement's status in creation order
 // (striped datasets do not exist whole on any one worker, so the
 // coordinator is the only place their status can come from).
-func (c *Coordinator) datasetStatuses(ctx context.Context) []*service.DatasetStatus {
+func (c *Coordinator) ListDatasets(ctx context.Context) []*service.DatasetStatus {
 	c.mu.Lock()
 	ids := append([]string(nil), c.dsOrder...)
 	c.mu.Unlock()
@@ -525,15 +540,5 @@ func (c *Coordinator) datasetStatus(ctx context.Context, id string) (*service.Da
 }
 
 func removeString(s []string, v string) []string {
-	out := s[:0]
-	for _, x := range s {
-		if x != v {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-func sortStatusesBySubmitted(sts []*service.JobStatus) {
-	sort.Slice(sts, func(i, j int) bool { return sts[i].Submitted.Before(sts[j].Submitted) })
+	return slices.DeleteFunc(s, func(x string) bool { return x == v })
 }

@@ -55,12 +55,12 @@ func newCoordObs(c *Coordinator) *coordObs {
 	return o
 }
 
-// scrapeWorkers fetches every live worker's /metrics exposition, tags each
-// family's samples with the worker id, and merges them with the
-// coordinator's own families. Failed scrapes are skipped — the merged
-// exposition stays parsable — and counted in
+// Families serves GET /metrics at the coordinator: it fetches every live
+// worker's exposition, tags each family's samples with the worker id, and
+// merges them with the coordinator's own families. Failed scrapes are
+// skipped — the merged exposition stays parsable — and counted in
 // bmmc_coord_scrape_failures_total.
-func (c *Coordinator) scrapeWorkers(ctx context.Context) []obs.Family {
+func (c *Coordinator) Families(ctx context.Context) []obs.Family {
 	merged := c.obs.reg.Gather()
 	for _, w := range c.reg.snapshot() {
 		fams, err := c.scrapeOne(ctx, w.Addr)
@@ -94,15 +94,6 @@ func (c *Coordinator) scrapeOne(ctx context.Context, addr string) ([]obs.Family,
 	return obs.ParseText(resp.Body)
 }
 
-// promMetrics serves GET /metrics at the coordinator: its own families
-// merged with every worker's, worker series distinguished by the added
-// worker label.
-func (h *handler) promMetrics(w http.ResponseWriter, r *http.Request) {
-	fams := h.c.scrapeWorkers(r.Context())
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	obs.WriteFamilies(w, fams)
-}
-
 // subJobRef names one worker sub-job a striped job spawned, for trace
 // stitching.
 type subJobRef struct {
@@ -110,12 +101,13 @@ type subJobRef struct {
 	jobID  string
 }
 
-// stitchedTrace assembles a striped job's trace: the coordinator's own
+// FullTrace assembles a striped job's trace: the coordinator's own
 // stripe/gather/route/scatter spans plus every worker sub-job's spans, each
 // stamped with the worker and sub-job id that produced it, merged under
 // the striped job's trace id in start-time order. Unreachable workers
 // lose their spans, not the trace.
-func (c *Coordinator) stitchedTrace(ctx context.Context, sj *stripedJob) *service.JobTrace {
+func (sj *stripedJob) FullTrace(ctx context.Context) *service.JobTrace {
+	c := sj.c
 	tr := sj.Trace()
 	sj.mu.Lock()
 	refs := append([]subJobRef(nil), sj.refs...)
@@ -138,17 +130,6 @@ func (c *Coordinator) stitchedTrace(ctx context.Context, sj *stripedJob) *servic
 	}
 	sort.SliceStable(tr.Spans, func(i, j int) bool { return tr.Spans[i].Start.Before(tr.Spans[j].Start) })
 	return tr
-}
-
-// jobTrace serves GET /v1/jobs/{id}/trace: stitched for striped jobs,
-// proxied to the owning worker otherwise.
-func (h *handler) jobTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if sj := h.stripedOf(id); sj != nil {
-		service.WriteJSON(w, http.StatusOK, h.c.stitchedTrace(r.Context(), sj))
-		return
-	}
-	h.proxyJob(w, r, id)
 }
 
 // spanSince builds a completed coordinator-side span.

@@ -3,7 +3,9 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"math/bits"
 	"net/http"
 	"sync"
@@ -22,9 +24,82 @@ import (
 // sub-jobs it spawned, for trace stitching.
 type stripedJob struct {
 	*service.JobRecord
+	c *Coordinator
 
 	mu   sync.Mutex
 	refs []subJobRef
+}
+
+// Stop cancels the job. Like bmmcd's cancel of a running job, it only
+// requests the stop: runStriped records the terminal state once the run
+// has stopped.
+func (sj *stripedJob) Stop() { sj.Cancel() }
+
+// errStripedJobData answers a striped job's own input and output.
+var errStripedJobData = service.Error(http.StatusConflict,
+	"striped jobs run on their dataset; use the dataset's input/output endpoints")
+
+// Upload refuses: a striped job's records are its dataset's.
+func (sj *stripedJob) Upload(context.Context, io.Reader) error { return errStripedJobData }
+
+// Output refuses: a striped job's records are its dataset's.
+func (sj *stripedJob) Output() (service.LocalDataset, error) { return nil, errStripedJobData }
+
+// stripedSet is a striped placement as the front end serves it: its gate
+// admits jobs and streams, and its records move stripe by stripe.
+type stripedSet struct {
+	*service.Gate
+	c *Coordinator
+	p *placement
+}
+
+// Load splits an admitted upload into contiguous per-stripe ranges and
+// uploads them in stripe order. A body that fails to read is the client's
+// fault, a 400, as it is at bmmcd.
+func (s stripedSet) Load(ctx context.Context, r io.Reader) error {
+	body := &bodyReader{r: r}
+	per := int64(s.p.scfg.N) * bmmc.RecordBytes
+	for _, st := range s.c.stripesOf(s.p) {
+		wc, err := s.c.clientFor(st.worker)
+		if err == nil {
+			err = asGatewayErr(wc.UploadDataset(ctx, st.dsID, io.LimitReader(body, per)))
+		}
+		switch {
+		case body.err != nil:
+			return service.Error(http.StatusBadRequest, "loading dataset input: "+body.err.Error())
+		case err != nil:
+			return err
+		}
+	}
+	return nil
+}
+
+// Dump concatenates an admitted download of the stripes in logical order.
+func (s stripedSet) Dump(ctx context.Context, w io.Writer) error {
+	for _, st := range s.c.stripesOf(s.p) {
+		wc, err := s.c.clientFor(st.worker)
+		if err == nil {
+			err = wc.DownloadDataset(ctx, st.dsID, w)
+		}
+		if err != nil {
+			return fmt.Errorf("stripe %s on %s: %w", st.dsID, st.worker, err)
+		}
+	}
+	return nil
+}
+
+// bodyReader remembers the first error its reader returned.
+type bodyReader struct {
+	r   io.Reader
+	err error
+}
+
+func (b *bodyReader) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	if err != nil && err != io.EOF && b.err == nil {
+		b.err = err
+	}
+	return n, err
 }
 
 // submitStriped starts a coordinator-run job over a striped dataset and
@@ -49,7 +124,7 @@ func (c *Coordinator) submitStriped(req service.SubmitRequest, p *placement) (*s
 	if err != nil {
 		return nil, err
 	}
-	sj := &stripedJob{JobRecord: service.NewJobRecord(id, p.gate, pl)}
+	sj := &stripedJob{JobRecord: service.NewJobRecord(id, p.gate, pl), c: c}
 	c.sjobs[id] = sj
 	c.wg.Add(1)
 	go func() {
@@ -274,10 +349,10 @@ func (c *Coordinator) eachStripe(ctx context.Context, stripes []stripeLoc, fn fu
 	return first
 }
 
-// createDataset places a new dataset: one worker for ordinary datasets,
+// NewDataset places a new dataset: one worker for ordinary datasets,
 // k ring-chosen workers for striped ones (each stripe hashed separately,
 // so stripes spread without requiring k distinct workers).
-func (c *Coordinator) createDataset(ctx context.Context, req service.CreateDatasetRequest) (*service.DatasetStatus, error) {
+func (c *Coordinator) NewDataset(ctx context.Context, req service.CreateDatasetRequest) (*service.DatasetStatus, error) {
 	if err := req.Config.Validate(); err != nil {
 		return nil, service.Error(http.StatusBadRequest, err.Error())
 	}
@@ -359,21 +434,16 @@ func (c *Coordinator) rollbackCreate(p *placement, created []stripeLoc) {
 	c.dsOrder = removeString(c.dsOrder, p.id)
 	c.mu.Unlock()
 	for _, s := range created {
-		if wc, err := c.clientFor(s.worker); err == nil {
-			//lint:allow ctxio -- delete fan-out must finish even if the deleting caller goes away; bounded by callTimeout
-			ctx, cancel := context.WithTimeout(context.Background(), callTimeout)
-			wc.DeleteDataset(ctx, s.dsID)
-			cancel()
-		}
+		c.dropCopy(s.worker, s.dsID)
 	}
 }
 
-// deleteDataset removes a placement and its stripes everywhere. A striped
+// DropDataset removes a placement and its stripes everywhere. A striped
 // dataset is released through its gate first: refused with 409 while jobs
 // are bound, it then waits for in-flight streams. Worker errors abort with
 // the placement intact, except gone/unknown answers, which mean the work
 // is already done; a retried delete finishes it.
-func (c *Coordinator) deleteDataset(ctx context.Context, id string) (*service.DatasetStatus, error) {
+func (c *Coordinator) DropDataset(ctx context.Context, id string) (*service.DatasetStatus, error) {
 	p, err := c.placementOf(id)
 	if err != nil {
 		return nil, err
@@ -394,7 +464,7 @@ func (c *Coordinator) deleteDataset(ctx context.Context, id string) (*service.Da
 		}
 		if _, derr := wc.DeleteDataset(ctx, s.dsID); derr != nil {
 			var ae *client.APIError
-			if isAPIStatus(derr, &ae) && (ae.Status == http.StatusNotFound || ae.Status == http.StatusGone) {
+			if errors.As(derr, &ae) && (ae.Status == http.StatusNotFound || ae.Status == http.StatusGone) {
 				continue
 			}
 			return nil, asGatewayErr(derr)

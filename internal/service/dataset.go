@@ -9,6 +9,7 @@ import (
 	"time"
 
 	bmmc "repro"
+	"repro/internal/obs"
 	"repro/internal/pdm"
 )
 
@@ -23,14 +24,15 @@ import (
 // geometry takes over in an entry of its own; otherwise the release
 // deletes the storage.
 type dsEntry struct {
-	*Gate               // admission: job order, job/stream exclusion, deletion
-	ds    *bmmc.Dataset // nil only while provisioning fails
-	dir   string        // provisioned storage directory ("" for mem)
-	sink  *ioSink       // routes instrumented-backend samples to the running job
+	*Gate                 // admission: job order, job/stream exclusion, deletion
+	ds    *bmmc.Dataset   // nil only while provisioning fails
+	dir   string          // provisioned storage directory ("" for mem)
+	sink  *ioSink         // routes instrumented-backend samples to the running job
+	bytes *obs.CounterVec // counts the record bytes its data plane moves
 }
 
-func newDSEntry(id, backend string, cfg bmmc.Config, private bool) *dsEntry {
-	d := &dsEntry{sink: &ioSink{},
+func newDSEntry(id, backend string, cfg bmmc.Config, private bool, bytes *obs.CounterVec) *dsEntry {
+	d := &dsEntry{sink: &ioSink{}, bytes: bytes,
 		Gate: NewGate(DatasetStatus{ID: id, Config: cfg, Backend: backend, Created: time.Now()})}
 	d.private = private
 	return d
@@ -193,6 +195,8 @@ func (g *Gate) StartStream() error {
 	g.streams++
 	return nil
 }
+
+func (g *Gate) gate() *Gate { return g }
 
 // idle reports whether no stream is in flight.
 func (g *Gate) idle() bool {
@@ -364,17 +368,49 @@ func (g *Gate) TryRelease() (owner bool, err error) {
 }
 
 // Upload replaces the dataset's records with N records from r in the
-// 16-byte wire format. ctx is the transport context.
+// 16-byte wire format, once the gate admits the stream. ctx is the
+// transport context.
 func (d *dsEntry) Upload(ctx context.Context, r io.Reader) error {
-	if err := d.StartStream(); err != nil {
-		return err
-	}
-	err := d.ds.Load(ctx, r)
-	d.EndStream(err == nil)
-	if err != nil {
+	return upload(ctx, d, r)
+}
+
+// Load replaces the entry's records with N records from r, once the
+// gate has admitted the upload.
+func (d *dsEntry) Load(ctx context.Context, r io.Reader) error {
+	if err := d.ds.Load(ctx, countReader{r, d.bytes.With("in")}); err != nil {
 		return loadError("loading dataset input", err)
 	}
 	return nil
+}
+
+// Dump writes the entry's records to w, once the gate has admitted the
+// download.
+func (d *dsEntry) Dump(ctx context.Context, w io.Writer) error {
+	return d.ds.Dump(ctx, countWriter{w, d.bytes.With("out")})
+}
+
+// countReader counts bytes streamed in through the data plane.
+type countReader struct {
+	r io.Reader
+	c *obs.Counter
+}
+
+func (cr countReader) Read(p []byte) (int, error) {
+	n, err := cr.r.Read(p)
+	cr.c.Add(float64(n))
+	return n, err
+}
+
+// countWriter counts bytes streamed out through the data plane.
+type countWriter struct {
+	w io.Writer
+	c *obs.Counter
+}
+
+func (cw countWriter) Write(p []byte) (int, error) {
+	n, err := cw.w.Write(p)
+	cw.c.Add(float64(n))
+	return n, err
 }
 
 // loadError maps a failed upload to its status: a fault in the client's
@@ -399,7 +435,14 @@ func (d *dsEntry) download(ctx context.Context, w io.Writer, open func() error) 
 	if err := open(); err != nil {
 		return err
 	}
-	tw := d.Tail(w)
+	return dump(ctx, d, w)
+}
+
+// dump writes d's records to w once a download is admitted, and retires
+// the stream. Just before the last byte the download stops refusing jobs
+// on d (see Gate.Tail).
+func dump(ctx context.Context, d LocalDataset, w io.Writer) error {
+	tw := d.gate().Tail(w)
 	defer tw.End()
-	return d.ds.Dump(ctx, tw)
+	return d.Dump(ctx, tw)
 }

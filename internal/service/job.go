@@ -38,6 +38,8 @@ type JobRecord struct {
 	state       State
 	errMsg      string
 	inputLoaded bool
+	released    bool      // bmmcd: storage released, torn down or pooled for the next job
+	progress    *Progress // bmmcd: the last reported pass position
 	report      *RunReport
 	submitted   time.Time
 	started     time.Time
@@ -63,6 +65,8 @@ func NewJobRecord(id string, g *Gate, pl *bmmc.Plan) *JobRecord {
 
 // ID returns the job's identifier.
 func (r *JobRecord) ID() string { return r.id }
+
+func (r *JobRecord) record() *JobRecord { return r }
 
 // Plan returns the job's prepared plan summary.
 func (r *JobRecord) Plan() *PlanSummary { return r.summary }
@@ -97,7 +101,12 @@ func (r *JobRecord) statusLocked() *JobStatus {
 		Dataset:     r.datasetID(),
 		Plan:        r.summary,
 		InputLoaded: r.inputLoaded,
+		Released:    r.released,
 		Submitted:   r.submitted,
+	}
+	if r.progress != nil {
+		p := *r.progress
+		st.Progress = &p
 	}
 	if r.report != nil {
 		rep := *r.report
@@ -193,60 +202,48 @@ func (r *JobRecord) Trace() *JobTrace {
 	return &JobTrace{TraceID: r.id, JobID: r.id, Spans: spans, Dropped: dropped}
 }
 
-// Job is one admitted bmmcd job: its record, the dataset entry it runs on
-// (a shared daemon Dataset for chained jobs, or a private entry for this
-// job alone, retired on its release: a done job's file or sharded storage
-// goes to the manager's pool of spares, and any other is deleted), a
-// prepared plan from the manager's shared Engine, and the upload,
-// progress, storage and metrics state the worker pool drives. The last
-// four fields are guarded by the record's mu; a standalone job's uploads
-// and downloads are counted as streams on its entry.
+// Job is one admitted bmmcd job: its record, the manager that admitted
+// it, the dataset entry it runs on (a shared daemon Dataset for chained
+// jobs, or a private entry for this job alone, retired on its release: a
+// done job's file or sharded storage goes to the manager's pool of
+// spares, and any other is deleted), a prepared plan from the manager's
+// shared Engine, and the upload and claim state the worker pool drives,
+// guarded by the record's mu. A standalone job's uploads and downloads
+// are counted as streams on its entry.
 type Job struct {
 	*JobRecord
+	m *Manager
 
 	plan       *bmmc.Plan
 	planShared bool // plan came from the manager's shared Engine cache
 
-	dsEntry *dsEntry                   // execution target: its storage, geometry and backend kind
-	ticket  int                        // execution-order ticket on dsEntry
-	hook    func(*Job, bmmc.PassEvent) // test instrumentation, run inside onProgress
-	enqueue func(*Job)                 // manager callback releasing an await-input job to the workers
+	dsEntry *dsEntry // execution target: its storage, geometry and backend kind
+	ticket  int      // execution-order ticket on dsEntry
 
 	inputTimer *time.Timer // expires a pending await-input job; nil otherwise
 
 	statsBefore bmmc.Stats // dataset stats at claim time; the job's cost is the delta
 
-	// Observability. mobs is the manager's registry handle; the record's
-	// trace ring takes the entry sink's instrumented-backend samples while
-	// the job executes. The span bookkeeping below is touched by
-	// onProgress and finish only. onProgress runs on the worker goroutine
-	// or the engine's writer goroutine, one call at a time, and the engine
-	// drains its writer before Execute returns, so every call is ordered
-	// before finish.
-	mobs      *managerObs
+	// Observability. The record's trace ring takes the entry sink's
+	// instrumented-backend samples while the job executes. The span
+	// bookkeeping below is touched by onProgress and finish only.
+	// onProgress runs on the worker goroutine or the engine's writer
+	// goroutine, one call at a time, and the engine drains its writer
+	// before Execute returns, so every call is ordered before finish.
 	passStart time.Time // wall-clock start of the current pass
 	loadMark  time.Time // end of the previous memoryload event
 	passIOs   int       // parallel I/Os the current pass's loads counted so far
 
-	pending  bool // awaiting input: holds an admission slot, not yet runnable
-	claimed  bool // a worker started processing (planning or beyond)
-	released bool // storage released: torn down, or pooled for the next job
-	progress *Progress
+	pending bool // awaiting input: holds an admission slot, not yet runnable
+	claimed bool // a worker started processing (planning or beyond)
 }
 
-// Status snapshots the job as its wire representation: the record's
-// status plus the job's release and progress.
-func (j *Job) Status() *JobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st := j.statusLocked()
-	st.Released = j.released
-	if j.progress != nil {
-		p := *j.progress
-		st.Progress = &p
-	}
-	return st
-}
+// Stop cancels the job, or releases it once it is terminal (see
+// Manager.Cancel).
+func (j *Job) Stop() { j.m.Cancel(j.id) }
+
+// FullTrace returns the job's trace: a daemon job runs no sub-jobs.
+func (j *Job) FullTrace(context.Context) *JobTrace { return j.Trace() }
 
 // onProgress is the job's per-Execute WithProgress callback. It runs at
 // pass start on the worker goroutine and, after each memoryload's writes
@@ -259,8 +256,8 @@ func (j *Job) onProgress(ev bmmc.PassEvent) {
 	j.mu.Unlock()
 	j.events.Publish(Event{Type: EventProgress, JobID: j.id, Progress: p})
 	j.observePass(ev)
-	if j.hook != nil {
-		j.hook(j, ev)
+	if hook := j.m.cfg.hook; hook != nil {
+		hook(j, ev)
 	}
 }
 
@@ -290,7 +287,7 @@ func (j *Job) observePass(ev bmmc.PassEvent) {
 		Pass: ev.Pass, IOs: j.passIOs, Start: j.passStart, End: now,
 	}
 	j.AddSpan(span)
-	j.mobs.passIOs.With(j.summary.Class, ev.Kernel).Add(float64(j.passIOs))
+	j.m.obs.passIOs.With(j.summary.Class, ev.Kernel).Add(float64(j.passIOs))
 	j.events.Publish(Event{Type: EventSpan, JobID: j.id, Span: &span})
 }
 
@@ -307,7 +304,7 @@ func (j *Job) Upload(ctx context.Context, r io.Reader) error {
 	d := j.dsEntry
 	loadCtx, cancelLoad := context.WithCancel(ctx)
 	stop := context.AfterFunc(j.ctx, cancelLoad) // job cancellation aborts the read too
-	err := d.ds.Load(loadCtx, r)
+	err := d.ds.Load(loadCtx, countReader{r, d.bytes.With("in")})
 	stop()
 	cancelLoad()
 
@@ -326,7 +323,7 @@ func (j *Job) Upload(ctx context.Context, r io.Reader) error {
 	d.EndStream(err == nil) // wakes a worker waiting to claim the job
 	j.mu.Unlock()
 	if release {
-		j.enqueue(j)
+		j.m.enqueue(j)
 	}
 	if err != nil {
 		return loadError("loading input", err)
@@ -372,6 +369,15 @@ func (j *Job) openOutput() error {
 		return &httpError{http.StatusGone, "job " + j.id + " storage has been released"}
 	}
 	return d.StartStream()
+}
+
+// Output admits a download of the job's permuted records and returns the
+// entry to dump them from (see openOutput).
+func (j *Job) Output() (LocalDataset, error) {
+	if err := j.openOutput(); err != nil {
+		return nil, err
+	}
+	return j.dsEntry, nil
 }
 
 // Download streams the job's permuted records to w in the wire format.

@@ -14,7 +14,6 @@ import (
 
 	bmmc "repro"
 	"repro/internal/engine"
-	"repro/internal/obs"
 	"repro/internal/pdm"
 )
 
@@ -234,14 +233,12 @@ func (m *Manager) Submit(req SubmitRequest) (*Job, error) {
 
 	j := &Job{
 		JobRecord:  NewJobRecord(id, entry.Gate, pl),
+		m:          m,
 		plan:       pl,
 		planShared: shared,
 		dsEntry:    entry,
 		ticket:     ticket,
-		hook:       m.cfg.hook,
-		enqueue:    m.enqueue,
 		pending:    req.AwaitInput,
-		mobs:       m.obs,
 	}
 	j.audit = m.obs.jobTransition
 
@@ -353,7 +350,7 @@ func backendKind(kind string) (string, error) {
 // measure the full storage path a job actually experiences; the entry's
 // sink routes the instrumented samples to whichever job runs on it.
 func (m *Manager) provision(id, kind string, cfg bmmc.Config, private, fill bool) (*dsEntry, error) {
-	d := newDSEntry(id, kind, cfg, private)
+	d := newDSEntry(id, kind, cfg, private, m.obs.dataBytes)
 	var be bmmc.Backend
 	var err error
 	if kind == BackendMem {
@@ -412,7 +409,7 @@ func (m *Manager) jobEntry(id, kind string, cfg bmmc.Config, fill bool) (d *dsEn
 		d, err = m.provision(id, kind, cfg, true, fill)
 		return d, false, err
 	}
-	d = newDSEntry(id, kind, cfg, true)
+	d = newDSEntry(id, kind, cfg, true, m.obs.dataBytes)
 	d.ds, d.dir, d.sink = spare.ds, spare.dir, spare.sink
 	// The previous job is done, so the fill's io spans belong to no trace.
 	d.sink.buf.Store(nil)
@@ -855,10 +852,6 @@ func (m *Manager) release(j *Job) {
 		}
 	}
 }
-
-// Registry exposes the manager's Prometheus registry; the HTTP layer
-// serves it at GET /metrics and the cluster coordinator scrapes it.
-func (m *Manager) Registry() *obs.Registry { return m.obs.reg }
 
 // Metrics snapshots the daemon-wide gauges.
 func (m *Manager) Metrics() *Metrics {
