@@ -93,6 +93,7 @@ type Coordinator struct {
 	dsOrder    []string
 	routes     map[string]string // proxied job id -> the worker running it
 	sjobs      map[string]*stripedJob
+	moving     map[string]bool // stripe dataset ids a rebalance is handing off
 	seq        int
 	rng        *rand.Rand
 	closed     bool
@@ -121,6 +122,7 @@ func New(o Options) *Coordinator {
 		placements: make(map[string]*placement),
 		routes:     make(map[string]string),
 		sjobs:      make(map[string]*stripedJob),
+		moving:     make(map[string]bool),
 		rng:        rand.New(rand.NewSource(o.Seed)),
 	}
 	c.obs = newCoordObs(c)
@@ -390,7 +392,11 @@ func stripeID(base string, j, k int) string { return fmt.Sprintf("%s-s%dof%d", b
 // and deletes the source copy atomically with the transfer. Failures
 // leave the old placement intact — a stale-but-correct placement beats a
 // dangling one. A move names its stripe by dataset id, not by logical
-// slot: a striped job may relabel the stripes while a handoff runs.
+// slot: a striped job may relabel the stripes while a handoff runs. The
+// stripe is marked moving for the whole call, since the source drops its
+// copy inside it: until the destination is recorded, requests the
+// coordinator would route to the stripe answer 503 (see settled), as the
+// source's handoff latch does.
 func (c *Coordinator) rebalance() {
 	type move struct {
 		p              *placement
@@ -415,22 +421,26 @@ func (c *Coordinator) rebalance() {
 		if !ok {
 			continue
 		}
+		c.mu.Lock()
+		c.moving[mv.dsID] = true
+		c.mu.Unlock()
 		//lint:allow ctxio -- rebalance runs on the coordinator maintenance loop, not a request; bounded by 10x callTimeout
 		ctx, cancel := context.WithTimeout(context.Background(), 10*callTimeout)
 		_, err = src.HandoffDataset(ctx, mv.dsID, client.HandoffRequest{Target: dst, Delete: true})
 		cancel()
+		c.mu.Lock()
+		delete(c.moving, mv.dsID)
+		for i := range mv.p.stripes {
+			if err == nil && mv.p.stripes[i].dsID == mv.dsID {
+				mv.p.stripes[i].worker = mv.to
+			}
+		}
+		c.mu.Unlock()
 		if err != nil {
 			c.log.Warn("rebalance handoff failed; placement unchanged",
 				"dataset", mv.dsID, "from", mv.from, "to", mv.to, "err", err)
 			continue
 		}
-		c.mu.Lock()
-		for i := range mv.p.stripes {
-			if mv.p.stripes[i].dsID == mv.dsID {
-				mv.p.stripes[i].worker = mv.to
-			}
-		}
-		c.mu.Unlock()
 		c.log.Info("dataset rebalanced", "dataset", mv.dsID, "from", mv.from, "to", mv.to)
 	}
 }
@@ -453,11 +463,27 @@ func (c *Coordinator) placementOf(id string) (*placement, error) {
 	return p, nil
 }
 
+// settled answers 503 while a rebalance hands one of p's stripes off.
+func (c *Coordinator) settled(p *placement) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, s := range p.stripes {
+		if c.moving[s.dsID] {
+			return service.Error(http.StatusServiceUnavailable,
+				fmt.Sprintf("dataset %s stripe %s is moving to another worker", p.id, s.dsID))
+		}
+	}
+	return nil
+}
+
 // FindDataset resolves a dataset id to a striped placement the
 // coordinator serves itself, or else to the base URL of the worker that
-// holds the whole dataset.
+// holds the whole dataset. Both answer 503 while a stripe is moving.
 func (c *Coordinator) FindDataset(id string) (service.LocalDataset, string, error) {
 	p, err := c.placementOf(id)
+	if err == nil {
+		err = c.settled(p)
+	}
 	switch {
 	case err != nil:
 		return nil, "", err

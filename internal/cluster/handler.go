@@ -153,6 +153,9 @@ func (c *Coordinator) SubmitJob(ctx context.Context, req service.SubmitRequest) 
 		if p.gate != nil {
 			return c.submitStriped(req, p)
 		}
+		if err := c.settled(p); err != nil {
+			return nil, err
+		}
 		return c.forwardSubmit(ctx, req, c.stripesOf(p)[0].worker)
 	}
 	w, err := c.pickWorker()

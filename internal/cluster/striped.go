@@ -445,6 +445,9 @@ func (c *Coordinator) rollbackCreate(p *placement, created []stripeLoc) {
 // is already done; a retried delete finishes it.
 func (c *Coordinator) DropDataset(ctx context.Context, id string) (*service.DatasetStatus, error) {
 	p, err := c.placementOf(id)
+	if err == nil {
+		err = c.settled(p)
+	}
 	if err != nil {
 		return nil, err
 	}
