@@ -61,7 +61,7 @@ type ClusterMetrics struct {
 // error and contribute nothing to the sums.
 func (c *Coordinator) Gauges(ctx context.Context) any {
 	out := &ClusterMetrics{Workers: []WorkerMetrics{}}
-	for _, w := range c.Workers() {
+	for _, w := range c.reg.snapshot() {
 		wm := WorkerMetrics{ID: w.ID, Addr: w.Addr, Health: w.Health}
 		m, err := c.workerClient(w.Addr).Metrics(ctx)
 		if err != nil {
@@ -208,12 +208,8 @@ func (c *Coordinator) FindJob(id string) (service.LocalJob, string, error) {
 // jobs, in submission order.
 func (c *Coordinator) ListJobs(ctx context.Context) []*service.JobStatus {
 	var out []*service.JobStatus
-	for _, w := range c.Workers() {
-		wc, err := c.clientFor(w.ID)
-		if err != nil {
-			continue
-		}
-		sts, err := wc.Jobs(ctx)
+	for _, w := range c.reg.snapshot() {
+		sts, err := c.workerClient(w.Addr).Jobs(ctx)
 		if err != nil {
 			c.log.Warn("listing jobs on worker", "worker", w.ID, "err", err)
 			continue
