@@ -319,3 +319,38 @@ func requireJSONError(t *testing.T, step, tier string, a contractAnswer) {
 		t.Errorf("%s: %s answered %d with %q %q, want a JSON {\"error\"} body", step, tier, a.status, a.ctype, bytes.TrimSpace(a.body))
 	}
 }
+
+// TestCoordinatorFrontEndChecks pins what the coordinator answers now
+// that it serves /v1 through bmmcd's front end: a handoff request is a
+// JSON 404, a striped upload that runs past N records is a 400 as it is
+// at bmmcd, and a striped job's own input under a wrong Content-Length
+// is refused by the input check before the job's 409.
+func TestCoordinatorFrontEndChecks(t *testing.T) {
+	tc := startTestCluster(t, 3, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	dsID, input := stripedTestDataset(t, ctx, tc.client())
+	j, err := tc.client().Submit(ctx, client.NewDatasetSubmitRequest(dsID, bmmc.GrayCode(testCfg.LgN())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tc.client().Watch(ctx, j.ID, nil); err != nil {
+		t.Fatal(err)
+	}
+	tr := &contractTier{name: "coordinator", url: tc.coordURL, ids: map[string]string{"{ds}": dsID, "{job}": j.ID}}
+	for _, tt := range []struct {
+		step contractStep
+		want int
+	}{
+		{contractStep{name: "handoff", method: http.MethodPost, path: "/v1/datasets/{ds}/handoff", body: `{"target":""}`}, http.StatusNotFound},
+		{contractStep{name: "long chunked upload", method: http.MethodPut, path: "/v1/datasets/{ds}/input", records: longChunked}, http.StatusBadRequest},
+		{contractStep{name: "striped job input, short", method: http.MethodPut, path: "/v1/jobs/{job}/input", records: shortLength}, http.StatusBadRequest},
+		{contractStep{name: "striped job input", method: http.MethodPut, path: "/v1/jobs/{job}/input", records: exactRecords}, http.StatusConflict},
+	} {
+		a := tr.do(t, tt.step, input)
+		if a.status != tt.want {
+			t.Errorf("%s: answered %d (%s), want %d", tt.step.name, a.status, bytes.TrimSpace(a.body), tt.want)
+		}
+		requireJSONError(t, tt.step.name, tr.name, a)
+	}
+}
