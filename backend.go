@@ -14,10 +14,14 @@ import "repro/internal/pdm"
 // Implementations must tolerate ReadBlocks/WriteBlocks calls from distinct
 // goroutines (the pipelined pass runner overlaps a prefetch read with an
 // in-flight write, and WithConcurrentIO moves each run on its own
-// goroutine) and must serialize per-disk access themselves; see README
-// "Implementing a Backend" for the full contract. The three built-in
-// backends — MemBackend, FileBackend, ShardedBackend — cover RAM,
-// single-directory, and multi-volume layouts.
+// goroutine) and must serialize per-disk access themselves. Sync(block,
+// count) must make the writes to that block range of every disk durable;
+// a Dataset asks only for the half of each disk that holds its stored
+// records. See README "Implementing a Backend" for the full contract, and
+// chaos.PowerLoss in repro/backendtest/chaos for a crash that loses every
+// write no Sync covered. The three built-in backends — MemBackend,
+// FileBackend, ShardedBackend — cover RAM, single-directory, and
+// multi-volume layouts.
 type Backend = pdm.Backend
 
 // RangeXfer is one transfer within a Backend batch: the len(Data)/blockSize

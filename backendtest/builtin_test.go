@@ -67,6 +67,9 @@ func TestChaosWrappersConform(t *testing.T) {
 		"TornRange": func(be bmmc.Backend) bmmc.Backend {
 			return chaos.TornRange(be, chaos.TornOptions{Seed: 1})
 		},
+		"PowerLoss": func(be bmmc.Backend) bmmc.Backend {
+			return chaos.PowerLoss(be, chaos.PowerLossOptions{Seed: 1, Keep: 0.5})
+		},
 	}
 	inners := map[string]func(t *testing.T) bmmc.Backend{
 		"Mem":     func(t *testing.T) bmmc.Backend { return bmmc.MemBackend() },

@@ -1,22 +1,24 @@
 // Package chaos wraps any bmmc.Backend in deterministic storage
 // adversaries: seeded per-transfer fault injection (Flaky), simulated
-// per-disk service time with skew and jitter (Latency), and torn
-// multi-block transfers that move only a prefix before failing
-// (TornRange). Third-party backend authors compose them around their own
+// per-disk service time with skew and jitter (Latency), torn multi-block
+// transfers that move only a prefix before failing (TornRange), and a
+// simulated power cut that loses every write no Sync covered (PowerLoss).
+// Third-party backend authors compose them around their own
 // implementation and drive the result through backendtest.RunChaos — or
 // through a Dataset (bmmc.WithBackend) and an Engine — to certify that
 // faults surface cleanly and that zero-fault wrappers are byte-transparent.
 //
 // Every injected failure wraps ErrInjectedFault. Determinism contract:
-// probability-driven decisions (Rate, Jitter, tear points) are pure
-// hashes of (seed, disk, block, visit), so the set of faulted operations
-// is independent of goroutine interleaving; count-driven triggers
-// (FailAfterN, TearNth) use the wrapper-global operation ordinal, so they
-// reproduce only when one goroutine issues every transfer in order:
-// direct Backend calls, as backendtest.RunChaos makes them, and the
-// engine's own sequential test mode, but not an Engine pass, which reads
-// ahead and writes behind on goroutines of their own. Wrappers start
-// armed; Disarm/Arm bracket setup I/O that should run clean and uncounted.
+// probability-driven decisions (Rate, Jitter, tear points, PowerLoss's
+// Keep) are pure hashes of (seed, disk, block, visit), so the set of
+// faulted operations is independent of goroutine interleaving;
+// count-driven triggers (FailAfterN, TearNth) use the wrapper-global
+// operation ordinal, so they reproduce only when one goroutine issues
+// every transfer in order: direct Backend calls, as backendtest.RunChaos
+// makes them, and the engine's own sequential test mode, but not an Engine
+// pass, which reads ahead and writes behind on goroutines of their own.
+// The fault and latency wrappers start armed; Disarm/Arm bracket setup
+// I/O that should run clean and uncounted.
 package chaos
 
 import (
@@ -57,6 +59,9 @@ type (
 	// tears, TearNth (1-based; 0 disables) for a deterministic count
 	// trigger, Mode, and an optional Log.
 	TornOptions = pdm.TornOptions
+	// PowerLossOptions configures PowerLoss: Keep, the share of unsynced
+	// blocks a crash keeps (0 drops them all), and the Seed choosing them.
+	PowerLossOptions = pdm.PowerLossOptions
 
 	// FlakyBackend injects failures into individual operations.
 	FlakyBackend = pdm.FlakyBackend
@@ -64,6 +69,8 @@ type (
 	LatencyBackend = pdm.LatencyBackend
 	// TornRangeBackend fails multi-block range transfers midway.
 	TornRangeBackend = pdm.TornRangeBackend
+	// PowerLossBackend loses, at Crash, the writes no Sync made durable.
+	PowerLossBackend = pdm.PowerLossBackend
 )
 
 // Fault modes for FlakyOptions.Mode and TornOptions.Mode.
@@ -117,6 +124,16 @@ func Pareto(scale time.Duration, alpha float64, cap time.Duration) LatencyDist {
 // stay atomic, as on a real block device.
 func TornRange(inner bmmc.Backend, o TornOptions) *TornRangeBackend {
 	return pdm.NewTornRangeBackend(inner, o)
+}
+
+// PowerLoss wraps inner so that its Crash method simulates a power cut:
+// every block written since a Sync last covered it gets its prior bytes
+// back, or, with o.Keep, only a seeded share of them does (a tear at
+// block granularity). Sync(block, count) makes the writes to that range
+// of every disk durable. Use it to check that a Dataset's Sync covers
+// what must survive.
+func PowerLoss(inner bmmc.Backend, o PowerLossOptions) *PowerLossBackend {
+	return pdm.NewPowerLossBackend(inner, o)
 }
 
 // Faulty wraps inner so the transfer with 0-based ordinal failAfter and

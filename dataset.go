@@ -58,7 +58,9 @@ func CreateDataset(cfg Config, opts ...Option) (*Dataset, error) {
 // first. Every pass and every Load commits by making the other portion
 // the stored records, so after an odd number of commits they sit in the
 // second and a reopen reads the previous generation: nothing on storage
-// records yet which portion holds the last commit.
+// records yet which portion holds the last commit. Nor does a Sync make
+// that previous generation durable: it flushes only the portion holding
+// the stored records.
 func OpenDataset(cfg Config, opts ...Option) (*Dataset, error) {
 	s := defaultSettings()
 	for _, o := range opts {
@@ -91,8 +93,17 @@ func (ds *Dataset) Stats() Stats { return ds.sys.Stats() }
 // ResetStats zeroes the I/O counters.
 func (ds *Dataset) ResetStats() { ds.sys.ResetStats() }
 
-// Sync flushes the storage backend's buffered writes to stable storage.
-func (ds *Dataset) Sync() error { return ds.sys.Sync() }
+// Sync makes the stored records durable: once it returns nil, they
+// survive a crash or power loss on a backend that keeps its promise. It
+// flushes only the portion of storage that holds them (see OpenDataset),
+// so the generation before the last commit is not made durable. Sync
+// holds the shared read lock, so it waits for a running execution or
+// Load to commit.
+func (ds *Dataset) Sync() error {
+	ds.sys.AcquireRead()
+	defer ds.sys.ReleaseRead()
+	return ds.sys.Sync()
+}
 
 // Close releases the underlying storage backend. The Dataset must not be
 // used afterwards; in-flight runs or reads must have finished.

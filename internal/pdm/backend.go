@@ -44,8 +44,12 @@ type Backend interface {
 	ReadBlocks(xfers []RangeXfer) error
 	// WriteBlocks stores each transfer's Data at its run of blocks.
 	WriteBlocks(xfers []RangeXfer) error
-	// Sync flushes buffered writes to stable storage.
-	Sync() error
+	// Sync makes the writes to physical blocks [block, block+count) of
+	// every disk durable: once it returns nil, those blocks survive a
+	// crash or power loss holding what was last written to them. A
+	// backend may flush more than the range (a whole file, say); writes
+	// outside it carry no durability promise.
+	Sync(block, count int) error
 	// Close releases the backend's resources. No transfers follow.
 	Close() error
 }
@@ -170,7 +174,7 @@ func (m *memBackend) BlockView(disk, block int) ([]Record, bool) {
 }
 
 // Sync implements Backend; RAM has nothing to flush.
-func (m *memBackend) Sync() error { return nil }
+func (m *memBackend) Sync(block, count int) error { return nil }
 
 // Close implements Backend by dropping every disk's records.
 func (m *memBackend) Close() error {

@@ -183,6 +183,21 @@ func TestBlockRangeBounds(t *testing.T) {
 	}
 }
 
+// TestFileSyncRangeBounds: the file backend rejects a Sync range outside
+// its blocks rather than slicing past its mapping.
+func TestFileSyncRangeBounds(t *testing.T) {
+	be := FileBackend(t.TempDir())
+	if err := be.Open(1, 4, 8); err != nil {
+		t.Fatal(err)
+	}
+	defer be.Close()
+	for _, c := range [][2]int{{-1, 1}, {0, -1}, {3, 2}} {
+		if err := be.Sync(c[0], c[1]); err == nil {
+			t.Errorf("Sync(%d, %d) accepted a range outside [0,4)", c[0], c[1])
+		}
+	}
+}
+
 // TestFileDiskWireFormat pins the on-disk bytes of the file backend: a
 // block written through WriteBlocks must appear in the file as the
 // per-record Encode sequence, whichever record path (mapping, slab view or
@@ -200,7 +215,7 @@ func TestFileDiskWireFormat(t *testing.T) {
 	if err := be.WriteBlocks([]RangeXfer{{Disk: 0, Block: 2, Data: recs}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := be.Sync(); err != nil {
+	if err := be.Sync(0, blocks); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(filepath.Join(dir, "disk0000.dat"))
@@ -265,8 +280,11 @@ func TestFileDiskMmapMatchesPread(t *testing.T) {
 		if err := be.WriteBlocks([]RangeXfer{{Disk: 0, Block: 3, Data: run}}); err != nil {
 			t.Fatal(err)
 		}
-		if err := be.Sync(); err != nil {
-			t.Fatal(err)
+		// Two ranged syncs, the second starting mid-page (byte 384).
+		for _, block := range []int{0, nb / 2} {
+			if err := be.Sync(block, nb/2); err != nil {
+				t.Fatalf("Sync(%d, %d): %v", block, nb/2, err)
+			}
 		}
 		if err := be.Close(); err != nil {
 			t.Fatal(err)

@@ -4,25 +4,27 @@ package pdm
 // wrappers. The paper's parallel-disk model assumes D independent,
 // uniformly fast, always-correct disks; these wrappers let every engine
 // path and the daemon's job/dataset lifecycle be exercised under disks
-// that are slow, skewed, flaky, or tear multi-block transfers midway —
-// with the whole adversarial schedule reproducible from a single seed, so
-// a failing chaos run shrinks to a replayable case.
+// that are slow, skewed, flaky, tear multi-block transfers midway, or lose
+// the writes no Sync made durable — with the whole adversarial schedule
+// reproducible from a single seed, so a failing chaos run shrinks to a
+// replayable case.
 //
 // Composability: each wrapper takes any Backend and is itself a Backend,
 // so adversaries stack over MemBackend, FileBackend, ShardedFileBackend,
-// a custom third-party backend, or each other. A wrapper makes one
-// decision per transfer — inject, delay, or tear — whether the transfer is
-// a single block or a coalesced run of them, so adversaries compose with
-// the grouped parallel-I/O path instead of disabling it. No wrapper offers
-// BlockView: bulk dumps through a wrapper move every block as a transfer
-// and stay exposed to the adversary.
+// a custom third-party backend, or each other. A fault or latency
+// wrapper makes one decision per transfer — inject, delay, or tear —
+// whether the transfer is a single block or a coalesced run of them, so
+// adversaries compose with the grouped parallel-I/O path instead of
+// disabling it; the power-loss wrapper decides per block, at Crash. No
+// wrapper offers BlockView: bulk dumps through a wrapper move every block
+// as a transfer and stay exposed to the adversary.
 //
 // Determinism contract:
 //
 //   - Probability decisions (FlakyOptions.Rate, TornOptions.Rate, latency
-//     jitter, tear points) are pure functions of (seed, kind, disk, block,
-//     visit), where visit counts prior armed operations on the same
-//     (kind, disk, block). They are therefore independent of goroutine
+//     jitter, tear points, PowerLossOptions.Keep) are pure functions of
+//     (seed, kind, disk, block, visit), where visit counts prior armed
+//     operations on the same (kind, disk, block); Keep uses visit 0. They are therefore independent of goroutine
 //     interleaving: pipelined and concurrent runs trigger the same fault
 //     set as sequential ones.
 //   - Count triggers (FlakyOptions.FailAfterN, TornOptions.TearNth) use
@@ -39,8 +41,9 @@ package pdm
 //
 // Every injected failure wraps ErrInjectedFault, so callers at any layer
 // (System, engine, Engine.Execute, the bmmcd job manager) can
-// errors.Is for it. Wrappers start armed; Disarm/Arm bracket setup
-// phases (initial record loads) that should run clean.
+// errors.Is for it. The fault and latency wrappers start armed;
+// Disarm/Arm bracket setup phases (initial record loads) that should run
+// clean.
 
 import (
 	"errors"
@@ -198,6 +201,7 @@ const (
 	saltJitter = 0x1b87_3f04_9c4d_66fd
 	saltTear   = 0x5ff2_ab09_d033_7e55
 	saltDist   = 0x7a44_91de_0b5c_23c9
+	saltKeep   = 0x2d6c_51a8_e90f_b473
 )
 
 // chance reports a deterministic Bernoulli draw: true with probability p.
@@ -304,7 +308,7 @@ func (c *chaosBase) Open(numDisks, numBlocks, blockSize int) error {
 }
 
 // Sync implements Backend.
-func (c *chaosBase) Sync() error { return c.inner.Sync() }
+func (c *chaosBase) Sync(block, count int) error { return c.inner.Sync(block, count) }
 
 // Close implements Backend.
 func (c *chaosBase) Close() error { return c.inner.Close() }
@@ -678,4 +682,131 @@ func (tb *TornRangeBackend) tear(kind IOKind, x RangeXfer) (int, error) {
 	}
 	tb.log.add(ent)
 	return cut, err
+}
+
+// ---------------------------------------------------------------------------
+// PowerLossBackend
+
+// PowerLossOptions configures a PowerLossBackend.
+type PowerLossOptions struct {
+	// Seed drives which unsynced blocks a crash keeps.
+	Seed int64
+	// Keep is the probability that a block written since the last Sync
+	// covering it keeps its new bytes through Crash, decided per (disk,
+	// block) from Seed: a tear at block granularity. 0 drops every
+	// unsynced write.
+	Keep float64
+}
+
+// PowerLossBackend models a power cut the way ALICE (Pillai et al., OSDI
+// 2014) and CrashMonkey (Mohan et al., OSDI 2018) do: a crash drops or
+// tears every write that no covering Sync has made durable. The first
+// write to a block since a Sync covered it saves the block's prior bytes;
+// Sync(block, count) forwards the call and forgets the saved blocks in
+// that range of every disk; Crash puts the saved bytes back. A caller
+// that syncs the wrong blocks then loses data in a test as it would on
+// real storage. The other chaos wrappers never lose a write that
+// returned, so a missing sync is invisible to them.
+//
+// Each block's first write costs one extra read. Call Crash with no
+// transfer in flight, and Sync with no write to its range in flight, as
+// the System does.
+type PowerLossBackend struct {
+	inner Backend
+	o     PowerLossOptions
+	bs    int
+
+	mu    sync.Mutex
+	saved map[diskBlock][]Record // pre-images of blocks written since their last covering Sync
+}
+
+// diskBlock names one physical block.
+type diskBlock struct{ disk, block int }
+
+// NewPowerLossBackend wraps inner so that Crash loses every write no Sync
+// has covered, or, with Keep, a seeded share of them.
+func NewPowerLossBackend(inner Backend, o PowerLossOptions) *PowerLossBackend {
+	return &PowerLossBackend{inner: inner, o: o, saved: make(map[diskBlock][]Record)}
+}
+
+// Open implements Backend.
+func (p *PowerLossBackend) Open(numDisks, numBlocks, blockSize int) error {
+	p.bs = blockSize
+	return p.inner.Open(numDisks, numBlocks, blockSize)
+}
+
+// ReadBlocks implements Backend.
+func (p *PowerLossBackend) ReadBlocks(xfers []RangeXfer) error { return p.inner.ReadBlocks(xfers) }
+
+// WriteBlocks implements Backend: it saves the prior bytes of every block
+// the batch writes for the first time since a Sync covered it, then
+// forwards the batch.
+func (p *PowerLossBackend) WriteBlocks(xfers []RangeXfer) error {
+	for _, x := range xfers {
+		for b := x.Block; b < x.Block+len(x.Data)/p.bs; b++ {
+			if err := p.save(diskBlock{x.Disk, b}); err != nil {
+				return err
+			}
+		}
+	}
+	return p.inner.WriteBlocks(xfers)
+}
+
+// save reads block k's current bytes as its pre-image, unless one is
+// saved already. The System never writes one block from two goroutines at
+// once, so nothing else saves k meanwhile.
+func (p *PowerLossBackend) save(k diskBlock) error {
+	p.mu.Lock()
+	_, ok := p.saved[k]
+	p.mu.Unlock()
+	if ok {
+		return nil
+	}
+	pre := make([]Record, p.bs)
+	if err := p.inner.ReadBlocks([]RangeXfer{{Disk: k.disk, Block: k.block, Data: pre}}); err != nil {
+		return err
+	}
+	p.mu.Lock()
+	p.saved[k] = pre
+	p.mu.Unlock()
+	return nil
+}
+
+// Sync implements Backend: once the wrapped backend has synced the range,
+// the writes to it are durable and a crash no longer loses them.
+func (p *PowerLossBackend) Sync(block, count int) error {
+	if err := p.inner.Sync(block, count); err != nil {
+		return err
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for k := range p.saved {
+		if k.block >= block && k.block < block+count {
+			delete(p.saved, k)
+		}
+	}
+	return nil
+}
+
+// Close implements Backend.
+func (p *PowerLossBackend) Close() error { return p.inner.Close() }
+
+// Crash simulates the power cut: every block written since a Sync last
+// covered it gets its prior bytes back, except the seeded share Keep of
+// them, which keep their new bytes. The wrapped backend then holds what
+// survived and the wrapper starts afresh, as after a reboot.
+func (p *PowerLossBackend) Crash() error {
+	p.mu.Lock()
+	saved := p.saved
+	p.saved = make(map[diskBlock][]Record)
+	p.mu.Unlock()
+	for k, pre := range saved {
+		if chance(p.o.Keep, chaosHash(p.o.Seed, saltKeep, IOWrite, k.disk, k.block, 0)) {
+			continue
+		}
+		if err := p.inner.WriteBlocks([]RangeXfer{{Disk: k.disk, Block: k.block, Data: pre}}); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -79,13 +79,17 @@ func (b *fileBackend) BlockView(disk, block int) ([]Record, bool) {
 	return d.mapped[block*b.blockSize : (block+1)*b.blockSize], true
 }
 
-// Sync implements Backend, fsyncing every disk's file. Stores through a
-// mapping dirty the same page cache pages pwrite would, and fsync flushes
-// them alike, so no separate msync is needed.
-func (b *fileBackend) Sync() error {
+// Sync implements Backend, one disk after another: a mapped disk flushes
+// only the blocks' bytes with one msync, an unmapped one fsyncs its whole
+// file. Pages outside the range stay dirty, and stay writable without a
+// fault, until the kernel writes them back on its own.
+func (b *fileBackend) Sync(block, count int) error {
+	if block < 0 || count < 0 || block+count > b.numBlocks {
+		return fmt.Errorf("pdm: sync range [%d,%d) out of range [0,%d)", block, block+count, b.numBlocks)
+	}
 	var firstErr error
 	for _, d := range b.disks {
-		if err := d.f.Sync(); err != nil && firstErr == nil {
+		if err := d.sync(block, count); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -210,6 +214,23 @@ func (d *fileDisk) wire(recs []Record) []byte {
 		d.buf = make([]byte, n)
 	}
 	return d.buf[:len(recs)*RecordBytes]
+}
+
+// sync makes the run of count blocks starting at block durable. On a
+// mapping that is one msync(MS_SYNC) over the run's bytes, its start
+// rounded down to a page as msync requires; on Linux that writes back and
+// waits on just that range of the file, device flush included, as a ranged
+// fdatasync would. Without a mapping it fsyncs the whole file.
+func (d *fileDisk) sync(block, count int) error {
+	if d.mapped == nil {
+		return d.f.Sync()
+	}
+	start := block * d.blockSize * RecordBytes
+	end := start + count*d.blockSize*RecordBytes
+	if err := msyncFile(d.raw[start&^(os.Getpagesize()-1) : end]); err != nil {
+		return fmt.Errorf("pdm: sync blocks [%d,%d): %w", block, block+count, err)
+	}
+	return nil
 }
 
 // close unmaps the file (when mapped) and closes it.

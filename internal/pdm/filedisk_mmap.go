@@ -5,6 +5,7 @@ package pdm
 import (
 	"os"
 	"syscall"
+	"unsafe"
 )
 
 // canMmapDisks reports whether this host can serve a file disk from a shared
@@ -28,3 +29,14 @@ func mmapFile(f *os.File, size int64) ([]byte, error) {
 }
 
 func munmapFile(b []byte) error { return syscall.Munmap(b) }
+
+// msyncFile writes back the mapped bytes b, which start on a page
+// boundary, and waits for them to reach the device. The syscall package
+// has no msync wrapper, so this is the one raw call.
+func msyncFile(b []byte) error {
+	_, _, errno := syscall.Syscall(syscall.SYS_MSYNC, uintptr(unsafe.Pointer(unsafe.SliceData(b))), uintptr(len(b)), syscall.MS_SYNC)
+	if errno != 0 {
+		return errno
+	}
+	return nil
+}

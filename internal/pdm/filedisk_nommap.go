@@ -16,3 +16,5 @@ func mmapFile(*os.File, int64) ([]byte, error) {
 }
 
 func munmapFile([]byte) error { return nil }
+
+func msyncFile([]byte) error { return nil }

@@ -49,8 +49,8 @@ func (i *instrumented) Open(numDisks, numBlocks, blockSize int) error {
 	return i.be.Open(numDisks, numBlocks, blockSize)
 }
 
-func (i *instrumented) Sync() error  { return i.be.Sync() }
-func (i *instrumented) Close() error { return i.be.Close() }
+func (i *instrumented) Sync(block, count int) error { return i.be.Sync(block, count) }
+func (i *instrumented) Close() error                { return i.be.Close() }
 
 func (i *instrumented) BlockView(disk, block int) ([]Record, bool) {
 	if v, ok := i.be.(BlockViewer); ok {

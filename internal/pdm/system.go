@@ -134,8 +134,15 @@ func (s *System) move(kind IOKind, xfers []RangeXfer) error {
 // afterwards.
 func (s *System) Close() error { return s.be.Close() }
 
-// Sync flushes the storage backend's buffered writes to stable storage.
-func (s *System) Sync() error { return s.be.Sync() }
+// Sync makes the stored records durable: it asks the backend to flush
+// the stored portion's blocks of every disk. The other portion holds
+// nothing live once a pass commits, so its writes are left to the
+// backend, and after a commit Sync no longer makes the previous
+// generation durable. Sync reads which portion is stored, so it must not
+// overlap a commit; Dataset.Sync holds the read lock.
+func (s *System) Sync() error {
+	return s.be.Sync(s.physBlock(s.source, 0), s.cfg.BlocksPerDisk())
+}
 
 // Config returns the system's model parameters.
 func (s *System) Config() Config { return s.cfg }

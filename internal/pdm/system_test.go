@@ -319,7 +319,7 @@ type nullBackend struct{}
 func (nullBackend) Open(disks, blocksPerDisk, blockRecords int) error { return nil }
 func (nullBackend) ReadBlocks([]RangeXfer) error                      { return nil }
 func (nullBackend) WriteBlocks([]RangeXfer) error                     { return nil }
-func (nullBackend) Sync() error                                       { return nil }
+func (nullBackend) Sync(int, int) error                               { return nil }
 func (nullBackend) Close() error                                      { return nil }
 
 // TestNewSystemAllocatesNoMemoryload: a System owns no memoryload, so
