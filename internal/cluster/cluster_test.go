@@ -189,6 +189,37 @@ func waitNoLeak(t *testing.T, base int) {
 	}
 }
 
+// TestClusterCreateOneWorkerCall: an unstriped create through the
+// coordinator costs its worker one round trip, the create itself. The
+// coordinator answers with the status that call returned rather than
+// asking the worker for it again.
+func TestClusterCreateOneWorkerCall(t *testing.T) {
+	var creates, gets atomic.Int32
+	tc := startTestClusterHTTP(t, 1, nil, func(_ int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch {
+			case r.Method == http.MethodPost && r.URL.Path == "/v1/datasets":
+				creates.Add(1)
+			case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/datasets/"):
+				gets.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	ds, err := tc.client().CreateDataset(ctx, client.CreateDatasetRequest{Config: testCfg, ID: "one-call"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.ID != "one-call" || ds.Config != testCfg || ds.Backend != service.BackendMem {
+		t.Fatalf("create answered %+v, want dataset one-call with the requested config on mem", ds)
+	}
+	if c, g := creates.Load(), gets.Load(); c != 1 || g != 0 {
+		t.Fatalf("one unstriped create made %d POST /v1/datasets and %d GET /v1/datasets/{id} at its worker, want 1 and 0", c, g)
+	}
+}
+
 // TestClusterDatasetLifecycle drives an ordinary (unstriped) dataset
 // through the coordinator exactly as a client would drive one daemon:
 // create, upload, two chained jobs watched over proxied SSE, download,

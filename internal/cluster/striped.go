@@ -411,10 +411,11 @@ func (c *Coordinator) NewDataset(ctx context.Context, req service.CreateDatasetR
 	c.mu.Unlock()
 
 	var created []stripeLoc
+	var st *service.DatasetStatus
 	for _, s := range stripes {
 		wc, err := c.clientFor(s.worker)
 		if err == nil {
-			_, err = wc.CreateDataset(ctx, service.CreateDatasetRequest{Config: scfg, Backend: backend, ID: s.dsID})
+			st, err = wc.CreateDataset(ctx, service.CreateDatasetRequest{Config: scfg, Backend: backend, ID: s.dsID})
 			err = asGatewayErr(err)
 		}
 		if err != nil {
@@ -424,7 +425,10 @@ func (c *Coordinator) NewDataset(ctx context.Context, req service.CreateDatasetR
 		created = append(created, s)
 	}
 	c.log.Info("dataset placed", "dataset", id, "stripes", k, "workers", workerSet(stripes))
-	return c.datasetStatus(ctx, id)
+	if p.gate != nil {
+		return p.gate.Status(), nil
+	}
+	return st, nil // an unstriped dataset is its one worker's, which just answered
 }
 
 // rollbackCreate undoes a partially provisioned placement.
