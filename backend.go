@@ -17,7 +17,9 @@ import "repro/internal/pdm"
 // goroutine) and must serialize per-disk access themselves. Sync(block,
 // count) must make the writes to that block range of every disk durable;
 // a Dataset asks only for the half of each disk that holds its stored
-// records. See README "Implementing a Backend" for the full contract, and
+// records. FileBackend and ShardedBackend flush just that range where
+// they map their disks on Linux (64-bit hosts), and fsync each whole disk
+// file elsewhere. See README "Implementing a Backend" for the full contract, and
 // chaos.PowerLoss in repro/backendtest/chaos for a crash that loses every
 // write no Sync covered. The three built-in backends — MemBackend,
 // FileBackend, ShardedBackend — cover RAM, single-directory, and

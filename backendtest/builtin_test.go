@@ -68,7 +68,7 @@ func TestChaosWrappersConform(t *testing.T) {
 			return chaos.TornRange(be, chaos.TornOptions{Seed: 1})
 		},
 		"PowerLoss": func(be bmmc.Backend) bmmc.Backend {
-			return chaos.PowerLoss(be, chaos.PowerLossOptions{Seed: 1, Keep: 0.5})
+			return chaos.PowerLoss(be, chaos.PowerLossOptions{Seed: 1})
 		},
 	}
 	inners := map[string]func(t *testing.T) bmmc.Backend{

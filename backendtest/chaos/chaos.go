@@ -9,9 +9,9 @@
 // faults surface cleanly and that zero-fault wrappers are byte-transparent.
 //
 // Every injected failure wraps ErrInjectedFault. Determinism contract:
-// probability-driven decisions (Rate, Jitter, tear points, PowerLoss's
-// Keep) are pure hashes of (seed, disk, block, visit), so the set of
-// faulted operations is independent of goroutine interleaving;
+// probability-driven decisions (Rate, Jitter, tear points, the blocks a
+// PowerLoss tear keeps) are pure hashes of (seed, disk, block, visit), so
+// the set of faulted operations is independent of goroutine interleaving;
 // count-driven triggers (FailAfterN, TearNth) use the wrapper-global
 // operation ordinal, so they reproduce only when one goroutine issues
 // every transfer in order: direct Backend calls, as backendtest.RunChaos
@@ -59,8 +59,8 @@ type (
 	// tears, TearNth (1-based; 0 disables) for a deterministic count
 	// trigger, Mode, and an optional Log.
 	TornOptions = pdm.TornOptions
-	// PowerLossOptions configures PowerLoss: Keep, the share of unsynced
-	// blocks a crash keeps (0 drops them all), and the Seed choosing them.
+	// PowerLossOptions configures PowerLoss: a zero Seed drops every
+	// unsynced block at a crash, a nonzero one keeps a seeded half.
 	PowerLossOptions = pdm.PowerLossOptions
 
 	// FlakyBackend injects failures into individual operations.
@@ -128,7 +128,7 @@ func TornRange(inner bmmc.Backend, o TornOptions) *TornRangeBackend {
 
 // PowerLoss wraps inner so that its Crash method simulates a power cut:
 // every block written since a Sync last covered it gets its prior bytes
-// back, or, with o.Keep, only a seeded share of them does (a tear at
+// back, or, with a nonzero o.Seed, a seeded half of them does (a tear at
 // block granularity). Sync(block, count) makes the writes to that range
 // of every disk durable. Use it to check that a Dataset's Sync covers
 // what must survive.

@@ -98,7 +98,7 @@ func TestChaosPowerLossAfterSync(t *testing.T) {
 		o    chaos.PowerLossOptions
 	}{
 		{"Drop", chaos.PowerLossOptions{}},
-		{"Tear", chaos.PowerLossOptions{Seed: 1, Keep: 0.5}},
+		{"Tear", chaos.PowerLossOptions{Seed: 1}},
 	}
 	dump := func(t *testing.T, ds *bmmc.Dataset) []byte {
 		t.Helper()

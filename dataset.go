@@ -58,9 +58,9 @@ func CreateDataset(cfg Config, opts ...Option) (*Dataset, error) {
 // first. Every pass and every Load commits by making the other portion
 // the stored records, so after an odd number of commits they sit in the
 // second and a reopen reads the previous generation: nothing on storage
-// records yet which portion holds the last commit. Nor does a Sync make
-// that previous generation durable: it flushes only the portion holding
-// the stored records.
+// records yet which portion holds the last commit. Nor does a Sync
+// promise that the previous generation is durable: it asks only for the
+// portion holding the stored records.
 func OpenDataset(cfg Config, opts ...Option) (*Dataset, error) {
 	s := defaultSettings()
 	for _, o := range opts {
@@ -95,10 +95,13 @@ func (ds *Dataset) ResetStats() { ds.sys.ResetStats() }
 
 // Sync makes the stored records durable: once it returns nil, they
 // survive a crash or power loss on a backend that keeps its promise. It
-// flushes only the portion of storage that holds them (see OpenDataset),
-// so the generation before the last commit is not made durable. Sync
-// holds the shared read lock, so it waits for a running execution or
-// Load to commit.
+// asks the backend for only the portion of storage that holds them (see
+// OpenDataset), so the generation before the last commit carries no
+// durability promise. The file backends flush just that portion where
+// they map their disks on Linux (64-bit hosts); on darwin, and wherever
+// they serve disks through pread/pwrite, they fsync each disk's whole
+// file, both portions alike. Sync holds the shared read lock, so it waits
+// for a running execution or Load to commit.
 func (ds *Dataset) Sync() error {
 	ds.sys.AcquireRead()
 	defer ds.sys.ReleaseRead()

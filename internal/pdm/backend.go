@@ -48,7 +48,10 @@ type Backend interface {
 	// every disk durable: once it returns nil, those blocks survive a
 	// crash or power loss holding what was last written to them. A
 	// backend may flush more than the range (a whole file, say); writes
-	// outside it carry no durability promise.
+	// outside it carry no durability promise. The file backends flush
+	// just the range where they map their disks on Linux (64-bit hosts);
+	// on darwin, and wherever they serve disks through pread/pwrite, they
+	// fsync each disk's whole file.
 	Sync(block, count int) error
 	// Close releases the backend's resources. No transfers follow.
 	Close() error

@@ -22,9 +22,10 @@ package pdm
 // Determinism contract:
 //
 //   - Probability decisions (FlakyOptions.Rate, TornOptions.Rate, latency
-//     jitter, tear points, PowerLossOptions.Keep) are pure functions of
-//     (seed, kind, disk, block, visit), where visit counts prior armed
-//     operations on the same (kind, disk, block); Keep uses visit 0. They are therefore independent of goroutine
+//     jitter, tear points, which blocks a power-loss tear keeps) are pure
+//     functions of (seed, kind, disk, block, visit), where visit counts
+//     prior armed operations on the same (kind, disk, block); a power-loss
+//     tear uses visit 0. They are therefore independent of goroutine
 //     interleaving: pipelined and concurrent runs trigger the same fault
 //     set as sequential ones.
 //   - Count triggers (FlakyOptions.FailAfterN, TornOptions.TearNth) use
@@ -689,13 +690,11 @@ func (tb *TornRangeBackend) tear(kind IOKind, x RangeXfer) (int, error) {
 
 // PowerLossOptions configures a PowerLossBackend.
 type PowerLossOptions struct {
-	// Seed drives which unsynced blocks a crash keeps.
+	// Seed, when nonzero, makes Crash tear at block granularity instead
+	// of drop: each block written since the last Sync covering it keeps
+	// its new bytes with even odds, decided per (disk, block) from Seed.
+	// Zero drops every unsynced write.
 	Seed int64
-	// Keep is the probability that a block written since the last Sync
-	// covering it keeps its new bytes through Crash, decided per (disk,
-	// block) from Seed: a tear at block granularity. 0 drops every
-	// unsynced write.
-	Keep float64
 }
 
 // PowerLossBackend models a power cut the way ALICE (Pillai et al., OSDI
@@ -724,7 +723,7 @@ type PowerLossBackend struct {
 type diskBlock struct{ disk, block int }
 
 // NewPowerLossBackend wraps inner so that Crash loses every write no Sync
-// has covered, or, with Keep, a seeded share of them.
+// has covered, or, with a Seed, a seeded half of them.
 func NewPowerLossBackend(inner Backend, o PowerLossOptions) *PowerLossBackend {
 	return &PowerLossBackend{inner: inner, o: o, saved: make(map[diskBlock][]Record)}
 }
@@ -792,16 +791,16 @@ func (p *PowerLossBackend) Sync(block, count int) error {
 func (p *PowerLossBackend) Close() error { return p.inner.Close() }
 
 // Crash simulates the power cut: every block written since a Sync last
-// covered it gets its prior bytes back, except the seeded share Keep of
-// them, which keep their new bytes. The wrapped backend then holds what
-// survived and the wrapper starts afresh, as after a reboot.
+// covered it gets its prior bytes back, except, with a Seed, a seeded
+// half of them, which keep their new bytes. The wrapped backend then
+// holds what survived and the wrapper starts afresh, as after a reboot.
 func (p *PowerLossBackend) Crash() error {
 	p.mu.Lock()
 	saved := p.saved
 	p.saved = make(map[diskBlock][]Record)
 	p.mu.Unlock()
 	for k, pre := range saved {
-		if chance(p.o.Keep, chaosHash(p.o.Seed, saltKeep, IOWrite, k.disk, k.block, 0)) {
+		if p.o.Seed != 0 && chance(0.5, chaosHash(p.o.Seed, saltKeep, IOWrite, k.disk, k.block, 0)) {
 			continue
 		}
 		if err := p.inner.WriteBlocks([]RangeXfer{{Disk: k.disk, Block: k.block, Data: pre}}); err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 )
 
 // fileBackend keeps each simulated disk in one operating-system file, with
@@ -79,10 +80,11 @@ func (b *fileBackend) BlockView(disk, block int) ([]Record, bool) {
 	return d.mapped[block*b.blockSize : (block+1)*b.blockSize], true
 }
 
-// Sync implements Backend, one disk after another: a mapped disk flushes
-// only the blocks' bytes with one msync, an unmapped one fsyncs its whole
-// file. Pages outside the range stay dirty, and stay writable without a
-// fault, until the kernel writes them back on its own.
+// Sync implements Backend, one disk after another: on Linux a mapped disk
+// flushes only the blocks' bytes with one msync, and pages outside the
+// range stay dirty, and stay writable without a fault, until the kernel
+// writes them back on its own. Elsewhere, and on an unmapped disk, it
+// fsyncs the whole file (see fileDisk.sync).
 func (b *fileBackend) Sync(block, count int) error {
 	if block < 0 || count < 0 || block+count > b.numBlocks {
 		return fmt.Errorf("pdm: sync range [%d,%d) out of range [0,%d)", block, block+count, b.numBlocks)
@@ -217,10 +219,13 @@ func (d *fileDisk) wire(recs []Record) []byte {
 }
 
 // sync makes the run of count blocks starting at block durable. On a
-// mapping that is one msync(MS_SYNC) over the run's bytes, its start
-// rounded down to a page as msync requires; on Linux that writes back and
-// waits on just that range of the file, device flush included, as a ranged
-// fdatasync would. Without a mapping it fsyncs the whole file.
+// mapping that starts with one msync(MS_SYNC) over the run's bytes, its
+// start rounded down to a page as msync requires. On Linux that is all:
+// msync writes back and waits on just that range of the file, device flush
+// included, as a ranged fdatasync would. Elsewhere (darwin) msync neither
+// flushes the drive's cache nor commits the file's metadata, so the whole
+// file is fsynced after it, which Go does there with F_FULLFSYNC. Without a
+// mapping it fsyncs the whole file.
 func (d *fileDisk) sync(block, count int) error {
 	if d.mapped == nil {
 		return d.f.Sync()
@@ -229,6 +234,9 @@ func (d *fileDisk) sync(block, count int) error {
 	end := start + count*d.blockSize*RecordBytes
 	if err := msyncFile(d.raw[start&^(os.Getpagesize()-1) : end]); err != nil {
 		return fmt.Errorf("pdm: sync blocks [%d,%d): %w", block, block+count, err)
+	}
+	if runtime.GOOS != "linux" {
+		return d.f.Sync()
 	}
 	return nil
 }

@@ -31,8 +31,9 @@ func mmapFile(f *os.File, size int64) ([]byte, error) {
 func munmapFile(b []byte) error { return syscall.Munmap(b) }
 
 // msyncFile writes back the mapped bytes b, which start on a page
-// boundary, and waits for them to reach the device. The syscall package
-// has no msync wrapper, so this is the one raw call.
+// boundary, and waits for the writes to finish; fileDisk.sync says what
+// more each host needs for durability. The syscall package has no msync
+// wrapper, so this is the one raw call.
 func msyncFile(b []byte) error {
 	_, _, errno := syscall.Syscall(syscall.SYS_MSYNC, uintptr(unsafe.Pointer(unsafe.SliceData(b))), uintptr(len(b)), syscall.MS_SYNC)
 	if errno != 0 {
