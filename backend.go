@@ -6,7 +6,10 @@ import "repro/internal/pdm"
 // Every transfer reaches the backend as a ReadBlocks or WriteBlocks batch
 // of RangeXfer runs — one counted parallel I/O, the coalesced runs of a
 // group of them, or a chunk of whole stripes of a bulk load or dump — and
-// one batch may carry several runs for the same disk. Implement it to put
+// one batch may carry several runs for the same disk. A backend that also
+// offers views of its blocks is never asked to read a block it offers a
+// view of, except in a counted read group in which some block has none
+// (see README "Implementing a Backend"). Implement it to put
 // the record store on anything — object storage, a network block service,
 // compressed files — without touching the permutation engines; the disk
 // system above the backend performs all validation and cost accounting.

@@ -17,13 +17,16 @@ type RangeXfer struct {
 	Data  []Record // a whole number of blocks, len(Data) % blockSize == 0
 }
 
-// Backend abstracts the storage a System's D disks live on. Every transfer
-// the System makes reaches the backend as a ReadBlocks or WriteBlocks batch
-// of runs: a counted parallel I/O (at most one block per disk), the
-// coalesced runs of a whole group of them, or a chunk of whole stripes of
-// a bulk load or dump. One batch may carry several runs for the same disk;
-// the backend may service a batch's runs in any order, and the System
-// never puts two runs that overlap in conflicting ways into one batch.
+// Backend abstracts the storage a System's D disks live on. Every write
+// the System makes reaches the backend as a WriteBlocks batch of runs: a
+// counted parallel I/O (at most one block per disk), the coalesced runs of
+// a whole group of them, or a chunk of whole stripes of a bulk load. Reads
+// come as ReadBlocks batches of the same shapes, except where the backend
+// offers block views (BlockViewer): the System then copies those blocks
+// from their views instead. One batch may carry several runs for the same
+// disk; the backend may service a batch's runs in any order, and the
+// System never puts two runs that overlap in conflicting ways into one
+// batch.
 //
 // Implementations must tolerate concurrent calls from distinct goroutines:
 // the pipelined pass runner overlaps a prefetch read with an in-flight
@@ -59,11 +62,17 @@ type Backend interface {
 
 // BlockViewer is an optional Backend extension: backends whose storage is
 // plain host memory can expose a physical block's records as a direct
-// view, letting bulk readers (System.DumpTo, System.RecordAt) skip the
-// copy through a transfer buffer. The view aliases live storage — callers
-// may only read it, and only while they hold a lock excluding writes to
-// the block (the dataset read lock on every bulk path). Backends without
-// an in-memory representation simply don't implement it.
+// view. Every reader in the System then copies the block straight from its
+// view — counted reads into their frames, bulk reads (System.DumpTo,
+// ScanRecords) into their chunk, RecordAt the one record — and asks
+// ReadBlocks only for blocks without a view: a counted read group in which
+// any block lacks one is staged whole. So a backend that offers a view of
+// a block is never asked to read it otherwise, and its views must hold
+// exactly what ReadBlocks would read. The view aliases live storage —
+// callers may only read it, and only while nothing writes the block: the
+// dataset read lock on the bulk paths, and on counted reads the model's
+// rule that a pass reads one portion while it writes the other. Backends
+// without an in-memory representation simply don't implement it.
 type BlockViewer interface {
 	// BlockView returns a read-only view of physical block `block` of
 	// disk `disk`, or false when no copy-free view is available.
@@ -166,9 +175,8 @@ func (m *memBackend) WriteBlocks(xfers []RangeXfer) error {
 }
 
 // BlockView implements BlockViewer. The view aliases the stored records:
-// it is safe to read only while no concurrent write targets the block —
-// the dataset-level read lock guarantees that on every bulk dump path,
-// which is where the copy-free view pays off.
+// it is safe to read only while no concurrent write targets the block,
+// which every reader in the System guarantees (see BlockViewer).
 func (m *memBackend) BlockView(disk, block int) ([]Record, bool) {
 	if disk < 0 || disk >= len(m.disks) || m.disks[disk] == nil || block < 0 || block >= m.numBlocks {
 		return nil, false

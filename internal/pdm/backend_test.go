@@ -247,15 +247,37 @@ func TestFileDiskWireFormat(t *testing.T) {
 // TestFileDiskMmapMatchesPread pins the file backend's mapped fast path
 // against the pread/pwrite reference: the same writes must leave
 // byte-identical files, and each path must read back what the other wrote.
+// A mapped disk stores a run shorter than a page through the mapping and
+// pwrites a longer one, so the writes mix both, and the pwritten run is
+// read back through ReadBlocks and the mapping's views before any Sync,
+// overwritten in one block through the mapping, and read again.
 func TestFileDiskMmapMatchesPread(t *testing.T) {
 	if !canMmapDisks || !RecordSlabViews {
 		t.Skip("no mapped fast path on this host")
 	}
-	const nb, bs = 6, 8
+	const bs = 8
+	// Blocks 0..2 are single writes, 3..5 a sub-page run, and the rest one
+	// run longer than a page, whose block `over` is then overwritten.
+	long := os.Getpagesize()/(bs*RecordBytes) + 2
+	nb := 6 + long
+	over := 6 + long/2
 	payload := func(blk int) []Record {
 		recs := make([]Record, bs)
 		for i := range recs {
 			recs[i] = MakeRecord(uint64(blk*1000 + i))
+		}
+		return recs
+	}
+	want := func(blk int) []Record {
+		if blk == over {
+			return payload(nb + blk)
+		}
+		return payload(blk)
+	}
+	run := func(from, to int, block func(int) []Record) []Record {
+		var recs []Record
+		for blk := from; blk < to; blk++ {
+			recs = append(recs, block(blk)...)
 		}
 		return recs
 	}
@@ -267,20 +289,43 @@ func TestFileDiskMmapMatchesPread(t *testing.T) {
 		}
 		return be
 	}
+	// readBack requires blocks [from, to) to hold block(blk), through one
+	// ReadBlocks run and, on a mapped disk, through every block's view.
+	readBack := func(t *testing.T, be Backend, from, to int, block func(int) []Record) {
+		t.Helper()
+		got := make([]Record, (to-from)*bs)
+		if err := be.ReadBlocks([]RangeXfer{{Disk: 0, Block: from, Data: got}}); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, run(from, to, block)) {
+			t.Errorf("ReadBlocks of blocks [%d,%d) read back wrong records", from, to)
+		}
+		for blk := from; blk < to; blk++ {
+			if v, ok := be.(BlockViewer).BlockView(0, blk); ok && !reflect.DeepEqual(v, block(blk)) {
+				t.Errorf("block %d view holds wrong records", blk)
+			}
+		}
+	}
 	writeAll := func(t *testing.T, dir string) {
 		t.Helper()
 		be := open(t, dir)
-		// Mix single-block transfers and a run.
 		for blk := 0; blk < 3; blk++ {
 			if err := be.WriteBlocks([]RangeXfer{{Disk: 0, Block: blk, Data: payload(blk)}}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		run := append(append(append([]Record{}, payload(3)...), payload(4)...), payload(5)...)
-		if err := be.WriteBlocks([]RangeXfer{{Disk: 0, Block: 3, Data: run}}); err != nil {
+		if err := be.WriteBlocks([]RangeXfer{{Disk: 0, Block: 3, Data: run(3, 6, payload)}}); err != nil {
 			t.Fatal(err)
 		}
-		// Two ranged syncs, the second starting mid-page (byte 384).
+		if err := be.WriteBlocks([]RangeXfer{{Disk: 0, Block: 6, Data: run(6, nb, payload)}}); err != nil {
+			t.Fatal(err)
+		}
+		readBack(t, be, 6, nb, payload)
+		if err := be.WriteBlocks([]RangeXfer{{Disk: 0, Block: over, Data: want(over)}}); err != nil {
+			t.Fatal(err)
+		}
+		readBack(t, be, 0, nb, want)
+		// Two ranged syncs, the second starting mid-page.
 		for _, block := range []int{0, nb / 2} {
 			if err := be.Sync(block, nb/2); err != nil {
 				t.Fatalf("Sync(%d, %d): %v", block, nb/2, err)
@@ -297,31 +342,13 @@ func TestFileDiskMmapMatchesPread(t *testing.T) {
 		if mapped := be.(*fileBackend).disks[0].raw != nil; mapped != wantMapped {
 			t.Fatalf("mapped = %v, want %v", mapped, wantMapped)
 		}
-		view := be.(BlockViewer)
-		if _, ok := view.BlockView(0, 0); ok != wantMapped {
+		if _, ok := be.(BlockViewer).BlockView(0, 0); ok != wantMapped {
 			t.Errorf("BlockView availability = %v, want %v", ok, wantMapped)
 		}
 		for blk := 0; blk < nb; blk++ {
-			got := make([]Record, bs)
-			if err := be.ReadBlocks([]RangeXfer{{Disk: 0, Block: blk, Data: got}}); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, payload(blk)) {
-				t.Errorf("block %d read back wrong records", blk)
-			}
-			if v, ok := view.BlockView(0, blk); ok && !reflect.DeepEqual(v, payload(blk)) {
-				t.Errorf("block %d view holds wrong records", blk)
-			}
+			readBack(t, be, blk, blk+1, want)
 		}
-		run := make([]Record, 3*bs)
-		if err := be.ReadBlocks([]RangeXfer{{Disk: 0, Block: 2, Data: run}}); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 3; i++ {
-			if !reflect.DeepEqual(run[i*bs:(i+1)*bs], payload(2+i)) {
-				t.Errorf("run read block %d wrong", 2+i)
-			}
-		}
+		readBack(t, be, 2, nb, want)
 	}
 
 	defer func(old bool) { fileDiskMmap = old }(fileDiskMmap)

@@ -53,20 +53,22 @@ func (b *fileBackend) Open(numDisks, numBlocks, blockSize int) error {
 }
 
 // ReadBlocks implements Backend: each run moves as one memcpy from the
-// mapping, or one ReadAt.
+// mapping, or one ReadAt. A System reads a mapped disk through its block
+// views instead, so only unmapped disks, or disks behind a wrapper that
+// hides the views, are read here.
 func (b *fileBackend) ReadBlocks(xfers []RangeXfer) error {
 	return b.serve(xfers, func(x RangeXfer) error { return b.disks[x.Disk].read(x.Block, x.Data) })
 }
 
-// WriteBlocks implements Backend: each run moves as one memcpy into the
-// mapping, or one WriteAt.
+// WriteBlocks implements Backend: each run shorter than a page moves as
+// one memcpy into the mapping, and any other run as one WriteAt.
 func (b *fileBackend) WriteBlocks(xfers []RangeXfer) error {
 	return b.serve(xfers, func(x RangeXfer) error { return b.disks[x.Disk].write(x.Block, x.Data) })
 }
 
-// BlockView implements BlockViewer on mapped disks: bulk readers
-// (System.DumpTo, RecordAt) borrow the mapping's records directly. The view
-// aliases the live mapping — read it only under a lock excluding writes to
+// BlockView implements BlockViewer on mapped disks: every reader in the
+// System, counted reads included, copies the mapping's records directly.
+// The view aliases the live mapping — read it only while nothing writes
 // the block, and never after Close (which unmaps). Unmapped disks report
 // no view.
 func (b *fileBackend) BlockView(disk, block int) ([]Record, bool) {
@@ -110,11 +112,12 @@ func (b *fileBackend) Close() error {
 }
 
 // fileDisk is one disk's file. On 64-bit little-endian unix hosts the whole
-// file is additionally served through a shared memory mapping: every run
-// is a plain memcpy against the mapping's record view, with no syscall at
-// all on the hot path — the kernel's page cache holds the same pages a
-// pread/pwrite implementation would populate, and the file's bytes are
-// identical. Where the mapping is unavailable, every run moves as one
+// file is additionally served through a shared memory mapping: every read,
+// and every write shorter than a page, is a plain memcpy against the
+// mapping's record view, with no syscall — the kernel's page cache holds
+// the same pages a pread/pwrite implementation would populate, and the
+// file's bytes are identical — while a write of a page or more is one
+// WriteAt (see write). Where the mapping is unavailable, every run moves as one
 // ReadAt/WriteAt over the caller's record slab on little-endian hosts (no
 // per-record encode/decode), and through a scratch conversion buffer on the
 // portable fallback. All paths produce byte-identical files (the wire
@@ -188,10 +191,15 @@ func (d *fileDisk) read(block int, dst []Record) error {
 	return nil
 }
 
-// write stores src at the run of blocks starting at block. On slab-view
-// hosts the record slab is handed to WriteAt as-is.
+// write stores src at the run of blocks starting at block. A mapped disk
+// copies a run shorter than a page into the mapping, and hands a longer one
+// to WriteAt like an unmapped disk: a store into a page the last msync
+// cleaned takes a write-protect fault on that page, which pwrite does not,
+// while one syscall per short run (an MLD pass's single blocks) would cost
+// more than the faults. On slab-view hosts the record slab is handed to
+// WriteAt as-is.
 func (d *fileDisk) write(block int, src []Record) error {
-	if d.mapped != nil {
+	if d.mapped != nil && len(src)*RecordBytes < os.Getpagesize() {
 		copy(d.mapped[block*d.blockSize:block*d.blockSize+len(src)], src)
 		return nil
 	}

@@ -14,6 +14,14 @@ import (
 // one syscall per block. A single parallel I/O is a group of one wave, whose
 // blocks move straight between their frames and the backend.
 //
+// Reads need none of that where the backend offers block views (RAM and
+// mapped files): each block is copied straight from its view into its
+// frame, in wave order, one copy per block and no backend call, as the
+// bulk walk and RecordAt read. A coalesced read would copy every
+// block twice, into a staging slab and out of it. Only writes, and reads
+// from backends without views (the chaos wrappers, unmapped or third-party
+// storage), are staged.
+//
 // Grouping is strictly a wall-clock optimization, like pipelining and
 // worker sharding: the model's accounting is byte-identical to issuing the
 // operations individually. Every operation is validated up front, counted
@@ -61,13 +69,18 @@ func (s *System) parallelIO(kind IOKind, group [][]BlockIO, buf *Buffer) error {
 			return err
 		}
 	}
+	if len(group) == 0 {
+		return nil
+	}
 	p := s.portionOf(kind)
+	if kind == IORead && s.viewer != nil && s.readViews(p, group, buf) {
+		s.account(kind, group)
+		return nil
+	}
 	bs := s.cfg.B
 	var xfers []RangeXfer
 	var runs []groupRun
 	switch len(group) {
-	case 0:
-		return nil
 	case 1:
 		// validate ruled out a repeated disk or frame within the wave, so
 		// every block is an independent run of one, moved in place. The
@@ -83,8 +96,8 @@ func (s *System) parallelIO(kind IOKind, group [][]BlockIO, buf *Buffer) error {
 			xfers[i] = RangeXfer{Disk: io.Disk, Block: s.physBlock(p, io.Block), Data: buf.Frame(io.Frame)}
 		}
 	default:
-		perDisk, total := s.groupRefs(kind, p, group, buf)
-		if perDisk == nil {
+		perDisk, total, ordered := s.groupRefs(kind, p, group, buf)
+		if !ordered {
 			return s.replay(kind, group, buf)
 		}
 		slab := AcquireSlab(total * bs)
@@ -124,14 +137,41 @@ type rangeRef struct {
 	phys, frame int
 }
 
+// readViews serves a counted read from the backend's block views: each
+// block is copied straight from its view into its frame, in wave order, so
+// a frame reused across waves ends up holding its last wave's block, as
+// wave by wave. Every observer gets the group as one sample. It reports
+// false, having counted and observed nothing, when some block has no view;
+// the caller then stages the whole group, which overwrites every frame the
+// group names.
+func (s *System) readViews(p portion, group [][]BlockIO, buf *Buffer) bool {
+	if len(s.observers) > 0 {
+		return s.observedViews(p, group, buf)
+	}
+	return s.copyViews(p, group, buf)
+}
+
+func (s *System) copyViews(p portion, group [][]BlockIO, buf *Buffer) bool {
+	for _, ios := range group {
+		for _, io := range ios {
+			v, ok := s.viewer.BlockView(io.Disk, s.physBlock(p, io.Block))
+			if !ok {
+				return false
+			}
+			copy(buf.Frame(io.Frame), v)
+		}
+	}
+	return true
+}
+
 // groupRefs regroups the group's blocks per disk, sorted by physical block,
-// and counts them. A nil result reports a hazard that makes the group's
+// and counts them. ordered is false for a hazard that makes the group's
 // outcome depend on operation order — a frame reused across operations, or
-// (for writes) a block written more than once — so the caller must serve
-// the group wave by wave. The lists and frame marks live in buf, which
-// never serves two parallel I/Os at once, and striped groups arrive in
-// block order, so only a list that is out of order is sorted.
-func (s *System) groupRefs(kind IOKind, p portion, group [][]BlockIO, buf *Buffer) ([][]rangeRef, int) {
+// (for writes) a block written more than once — so a staged group must be
+// served wave by wave. The lists and frame marks live in buf, which never
+// serves two parallel I/Os at once, and striped groups arrive in block
+// order, so only a list that is out of order is sorted.
+func (s *System) groupRefs(kind IOKind, p portion, group [][]BlockIO, buf *Buffer) (perDisk [][]rangeRef, total int, ordered bool) {
 	if len(buf.perDisk) != s.cfg.D {
 		buf.perDisk = make([][]rangeRef, s.cfg.D)
 		buf.frameSeen = make([]bool, s.cfg.Frames())
@@ -141,12 +181,10 @@ func (s *System) groupRefs(kind IOKind, p portion, group [][]BlockIO, buf *Buffe
 		perDisk[d] = perDisk[d][:0]
 	}
 	clear(frameSeen)
-	total := 0
+	ordered = true
 	for _, ios := range group {
 		for _, io := range ios {
-			if frameSeen[io.Frame] {
-				return nil, 0
-			}
+			ordered = ordered && !frameSeen[io.Frame]
 			frameSeen[io.Frame] = true
 			perDisk[io.Disk] = append(perDisk[io.Disk], rangeRef{phys: s.physBlock(p, io.Block), frame: io.Frame})
 			total++
@@ -159,13 +197,11 @@ func (s *System) groupRefs(kind IOKind, p portion, group [][]BlockIO, buf *Buffe
 		}
 		if kind == IOWrite {
 			for i := 1; i < len(refs); i++ {
-				if refs[i].phys == refs[i-1].phys {
-					return nil, 0
-				}
+				ordered = ordered && refs[i].phys != refs[i-1].phys
 			}
 		}
 	}
-	return perDisk, total
+	return perDisk, total, ordered
 }
 
 // groupRun is one coalesced multi-block run: the operations' refs in block

@@ -2,22 +2,36 @@ package pdm
 
 import (
 	"reflect"
+	"sync/atomic"
 	"testing"
 )
 
 // The grouped parallel-I/O path promises to be indistinguishable from
 // performing its waves one at a time, each a group of one, in everything the
 // model can observe: records moved, Stats, and the trace. These tests run
-// both side by side over the RAM and file backends and require exact
-// agreement.
+// both side by side and require exact agreement, over the RAM and file
+// backends, whose block views serve every read, and over RAM behind a
+// disarmed FlakyBackend, which offers no views, so its reads are staged.
 
-// newGroupSystem builds a system over the named backend, loads sequential
+// groupStorages names the storages the group tests run on.
+var groupStorages = []string{"mem", "file", "flaky"}
+
+// newGroupSystem builds a system over the named storage, loads sequential
 // records, and attaches a trace.
 func newGroupSystem(t *testing.T, backend string, cfg Config) (*System, *Trace) {
 	t.Helper()
-	be := MemBackend()
-	if backend == "file" {
+	var be Backend
+	switch backend {
+	case "mem":
+		be = MemBackend()
+	case "file":
 		be = FileBackend(t.TempDir())
+	case "flaky":
+		flaky := NewFlakyBackend(MemBackend(), FlakyOptions{})
+		flaky.Disarm()
+		be = flaky
+	default:
+		t.Fatalf("unknown storage %q", backend)
 	}
 	sys, err := NewSystem(cfg, be)
 	if err != nil {
@@ -56,7 +70,14 @@ func groupShapes(cfg Config) map[string][][]BlockIO {
 			scattered[w] = append(scattered[w], BlockIO{Disk: d, Block: blk, Frame: w*cfg.D + d})
 		}
 	}
-	return map[string][][]BlockIO{"striped": striped, "scattered": scattered}
+	// reused-frame: stripes 0 and 1, the second landing on half the
+	// first's frames, so those frames must end up holding stripe 1.
+	reused := [][]BlockIO{{}, {}}
+	for d := 0; d < cfg.D; d++ {
+		reused[0] = append(reused[0], BlockIO{Disk: d, Block: 0, Frame: d})
+		reused[1] = append(reused[1], BlockIO{Disk: d, Block: 1, Frame: cfg.D/2 + d})
+	}
+	return map[string][][]BlockIO{"striped": striped, "scattered": scattered, "reused-frame": reused}
 }
 
 // matchesWaveByWave runs group once whole and once wave by wave, each on
@@ -108,7 +129,7 @@ func matchesWaveByWave(t *testing.T, backend string, group [][]BlockIO, write bo
 }
 
 func TestParallelReadGroupMatchesLoop(t *testing.T) {
-	for _, backend := range []string{"mem", "file"} {
+	for _, backend := range groupStorages {
 		for shape, group := range groupShapes(testConfig()) {
 			t.Run(backend+"/"+shape, func(t *testing.T) { matchesWaveByWave(t, backend, group, false) })
 		}
@@ -116,7 +137,7 @@ func TestParallelReadGroupMatchesLoop(t *testing.T) {
 }
 
 func TestParallelWriteGroupMatchesLoop(t *testing.T) {
-	for _, backend := range []string{"mem", "file"} {
+	for _, backend := range groupStorages {
 		for shape, group := range groupShapes(testConfig()) {
 			t.Run(backend+"/"+shape, func(t *testing.T) { matchesWaveByWave(t, backend, group, true) })
 		}
@@ -124,16 +145,16 @@ func TestParallelWriteGroupMatchesLoop(t *testing.T) {
 }
 
 // TestParallelReadGroupDuplicateFrameFallsBack: a frame reused across the
-// group's waves makes the outcome order-dependent, so the group must behave
-// exactly like the loop — the later wave wins the frame — while still
-// counting each wave.
+// group's waves makes the outcome order-dependent, so a staged group (on
+// storage without block views) must fall back to the loop — the later wave
+// wins the frame — while still counting each wave.
 func TestParallelReadGroupDuplicateFrameFallsBack(t *testing.T) {
 	cfg := testConfig()
 	group := [][]BlockIO{
 		{{Disk: 0, Block: 1, Frame: 0}},
 		{{Disk: 0, Block: 2, Frame: 0}},
 	}
-	sys, _ := newGroupSystem(t, "mem", cfg)
+	sys, _ := newGroupSystem(t, "flaky", cfg)
 	buf := sys.AcquireBuffer()
 	if err := sys.ParallelReadGroup(group, buf); err != nil {
 		t.Fatal(err)
@@ -224,13 +245,70 @@ func fuzzGroup(cfg Config, data []byte) [][]BlockIO {
 
 // FuzzParallelGroupMatchesLoop: for any valid group, running it as one
 // group and running it wave by wave leave identical records in both
-// portions and in the buffer, identical Stats, and identical traces.
+// portions and in the buffer, identical Stats, and identical traces. A
+// group that does not run on file storage runs on both RAM storages, so
+// every input meets reads served from views and staged reads.
 func FuzzParallelGroupMatchesLoop(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, write, file bool) {
-		backend := "mem"
+		group := fuzzGroup(testConfig(), data)
 		if file {
-			backend = "file"
+			matchesWaveByWave(t, "file", group, write)
+			return
 		}
-		matchesWaveByWave(t, backend, fuzzGroup(testConfig(), data), write)
+		matchesWaveByWave(t, "mem", group, write)
+		matchesWaveByWave(t, "flaky", group, write)
 	})
+}
+
+// viewCounter is RAM storage that offers its block views and counts the
+// ReadBlocks batches it is asked for.
+type viewCounter struct {
+	Backend
+	reads atomic.Int64
+}
+
+func (v *viewCounter) ReadBlocks(xfers []RangeXfer) error {
+	v.reads.Add(1)
+	return v.Backend.ReadBlocks(xfers)
+}
+
+func (v *viewCounter) BlockView(disk, block int) ([]Record, bool) {
+	return v.Backend.(BlockViewer).BlockView(disk, block)
+}
+
+// TestViewReadsSkipReadBlocks: a backend that offers a view of every block
+// is never asked to read one, whatever the group's shape, and the frames
+// hold what the staged route reads.
+func TestViewReadsSkipReadBlocks(t *testing.T) {
+	cfg := testConfig()
+	for shape, group := range groupShapes(cfg) {
+		t.Run(shape, func(t *testing.T) {
+			be := &viewCounter{Backend: MemBackend()}
+			sys, err := NewSystem(cfg, be)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			if err := sys.LoadRecords(sequentialRecords(cfg.N)); err != nil {
+				t.Fatal(err)
+			}
+			staged, _ := newGroupSystem(t, "flaky", cfg)
+			got, want := sys.AcquireBuffer(), staged.AcquireBuffer()
+			if err := sys.ParallelReadGroup(group, got); err != nil {
+				t.Fatal(err)
+			}
+			if err := staged.ParallelReadGroup(group, want); err != nil {
+				t.Fatal(err)
+			}
+			if n := be.reads.Load(); n != 0 {
+				t.Errorf("%d ReadBlocks calls, want none", n)
+			}
+			if !reflect.DeepEqual(got.Records(), want.Records()) {
+				t.Error("frames diverge from the staged route's")
+			}
+			if g, w := sys.Stats(), staged.Stats(); !reflect.DeepEqual(g, w) {
+				t.Errorf("stats diverge: views %+v, staged %+v", g, w)
+			}
+		})
+	}
 }

@@ -1,6 +1,7 @@
 package pdm
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -109,5 +110,67 @@ func TestInstrumentedSystemSamplesBatches(t *testing.T) {
 		if w := samples[1]; w.Op != "write" || w.Runs != cfg.D || w.Blocks != cfg.D || w.PerDisk[cfg.D-1] != 1 {
 			t.Errorf("concurrent=%v: write sample %+v", concurrent, w)
 		}
+	}
+}
+
+// TestStackedInstrumentationSeesReads: a System looks through every
+// stacked InstrumentBackend, so each read group, served from block views
+// or staged, reaches every layer's observer once, shaped as the staged
+// batch: the same blocks, blocks per disk and runs.
+func TestStackedInstrumentationSeesReads(t *testing.T) {
+	cfg := testConfig()
+	stacked := func(t *testing.T, be Backend) (*System, *[]OpSample, *[]OpSample) {
+		t.Helper()
+		var inner, outer []OpSample
+		sys, err := NewSystem(cfg, InstrumentBackend(InstrumentBackend(be,
+			func(s OpSample) { inner = append(inner, s) }),
+			func(s OpSample) { outer = append(outer, s) }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sys.Close() })
+		if err := sys.LoadRecords(sequentialRecords(cfg.N)); err != nil {
+			t.Fatal(err)
+		}
+		inner, outer = nil, nil
+		return sys, &inner, &outer
+	}
+	groups := groupShapes(cfg)
+	groups["one wave"] = groups["striped"][:1]
+	for shape, group := range groups {
+		t.Run(shape, func(t *testing.T) {
+			views, vin, vout := stacked(t, MemBackend())
+			viewless := NewFlakyBackend(MemBackend(), FlakyOptions{})
+			viewless.Disarm()
+			staged, sin, sout := stacked(t, viewless)
+			if err := views.ParallelReadGroup(group, views.AcquireBuffer()); err != nil {
+				t.Fatal(err)
+			}
+			if len(*vin) != 1 || len(*vout) != 1 {
+				t.Fatalf("inner observer got %d samples, outer %d, want one each", len(*vin), len(*vout))
+			}
+			if err := staged.ParallelReadGroup(group, staged.AcquireBuffer()); err != nil {
+				t.Fatal(err)
+			}
+			if len(*sin) != len(*sout) {
+				t.Fatalf("staged: inner observer got %d samples, outer %d", len(*sin), len(*sout))
+			}
+			blocks := 0
+			for _, ios := range group {
+				blocks += len(ios)
+			}
+			for _, s := range append(*vin, *vout...) {
+				if s.Op != "read" || s.Blocks != blocks || s.Dur < 0 {
+					t.Errorf("sample %+v, want a read of %d blocks", s, blocks)
+				}
+			}
+			if len(*sin) != 1 {
+				return // a reused frame makes the staged route replay wave by wave
+			}
+			v, s := (*vin)[0], (*sin)[0]
+			if v.Runs != s.Runs || v.Blocks != s.Blocks || !reflect.DeepEqual(v.PerDisk, s.PerDisk) {
+				t.Errorf("view-served sample %+v, staged %+v", v, s)
+			}
+		})
 	}
 }

@@ -49,7 +49,7 @@ func (s *System) walk(kind IOKind, p portion, recs []Record, fn func(off int, ch
 	}
 	var viewer BlockViewer
 	if kind == IORead {
-		viewer, _ = s.be.(BlockViewer)
+		viewer = s.viewer
 	}
 	xs := make([]RangeXfer, 0, cs*cfg.D)
 	for stripe0 := 0; stripe0 < cfg.Stripes(); stripe0 += cs {

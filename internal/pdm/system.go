@@ -42,8 +42,9 @@ type System struct {
 	generation uint64   // commits since NewSystem
 	observer   Observer // optional per-operation trace hook
 
-	concurrent bool       // dispatch a batch's transfers on one goroutine each
-	observeIO  OpObserver // InstrumentBackend's observer, fed one sample per batch
+	concurrent bool         // dispatch a batch's transfers on one goroutine each
+	viewer     BlockViewer  // be's block views, nil when it offers none
+	observers  []OpObserver // every InstrumentBackend layer's observer, outermost first
 
 	mu    sync.Mutex   // guards stats and observer across overlapping operations
 	runMu sync.RWMutex // dataset lock: writers are runs, readers are dumps
@@ -67,12 +68,18 @@ func NewSystem(cfg Config, be Backend) (*System, error) {
 	if err := be.Open(cfg.D, 2*cfg.BlocksPerDisk(), cfg.B); err != nil {
 		return nil, err
 	}
-	// The System times an instrumented backend's batches itself, so that
-	// concurrent dispatch, which calls the backend once per transfer,
-	// still reports one sample per batch.
-	if in, ok := be.(*instrumented); ok {
-		s.be, s.observeIO = in.be, in.obs
+	// The System times an instrumented backend's batches itself, every
+	// stacked layer of it, so that concurrent dispatch, which calls the
+	// backend once per transfer, and reads served from block views, which
+	// call it not at all, still reach each observer as one sample a batch.
+	for {
+		in, ok := s.be.(*instrumented)
+		if !ok {
+			break
+		}
+		s.be, s.observers = in.be, append(s.observers, in.obs)
 	}
+	s.viewer, _ = s.be.(BlockViewer)
 	return s, nil
 }
 
@@ -85,17 +92,18 @@ func NewMemSystem(cfg Config) (*System, error) { return NewSystem(cfg, MemBacken
 // way — a batch's transfers share no memory and never write one block
 // twice, so they commute — but concurrent dispatch moves every transfer on
 // its own goroutine, letting file-backed disks overlap real storage
-// latency the way D physical spindles would.
+// latency the way D physical spindles would. Reads served from block
+// views make no batch, so they copy on the calling goroutine either way.
 func (s *System) SetConcurrent(on bool) { s.concurrent = on }
 
 // transfer hands one batch to the backend; every backend call the System
 // makes goes through it. Sequential dispatch moves the whole batch in one
 // call. Concurrent dispatch moves each transfer on its own goroutine —
 // several runs on one disk included — and returns the first error in
-// batch order. Either way an instrumented backend's observer sees the
+// batch order. Either way each instrumentation layer's observer sees the
 // batch as one sample.
 func (s *System) transfer(kind IOKind, xfers []RangeXfer) error {
-	if s.observeIO != nil {
+	if len(s.observers) > 0 {
 		return s.observedDispatch(kind, xfers)
 	}
 	return s.dispatch(kind, xfers)
@@ -305,8 +313,8 @@ func (s *System) DumpRecords() ([]Record, error) {
 func (s *System) RecordAt(x uint64) (Record, error) {
 	disk := s.cfg.DiskOf(x)
 	block := s.physBlock(s.source, s.cfg.StripeOf(x))
-	if v, ok := s.be.(BlockViewer); ok {
-		if recs, ok := v.BlockView(disk, block); ok {
+	if s.viewer != nil {
+		if recs, ok := s.viewer.BlockView(disk, block); ok {
 			return recs[s.cfg.Offset(x)], nil
 		}
 	}
