@@ -20,9 +20,13 @@ import "repro/internal/pdm"
 // goroutine) and must serialize per-disk access themselves. Sync(block,
 // count) must make the writes to that block range of every disk durable;
 // a Dataset asks only for the half of each disk that holds its stored
-// records. FileBackend and ShardedBackend flush just that range where
-// they map their disks on Linux (64-bit hosts), and fsync each whole disk
-// file elsewhere. See README "Implementing a Backend" for the full contract, and
+// records. A backend may begin writing back, early, what is written into
+// a range it was asked to sync before, but durability is promised only
+// when Sync returns. FileBackend and ShardedBackend flush just that range
+// where they map their disks on Linux (64-bit hosts), and fsync each
+// whole disk file elsewhere; on Linux they also start the writeback of
+// every run of a page or more written into the range of the last Sync.
+// See README "Implementing a Backend" for the full contract, and
 // chaos.PowerLoss in repro/backendtest/chaos for a crash that loses every
 // write no Sync covered. The three built-in backends — MemBackend,
 // FileBackend, ShardedBackend — cover RAM, single-directory, and

@@ -36,11 +36,13 @@ import (
 type Factory func(t *testing.T) bmmc.Backend
 
 // Harness geometry: small enough to be fast, large enough that batches,
-// stripes, and concurrency are all exercised.
+// stripes, and concurrency are all exercised. A block is 1 KiB, so each
+// half of a disk holds a run of a 4 KiB page and one block more, and the
+// second half starts mid-page.
 const (
 	numDisks  = 4
-	numBlocks = 8
-	blockSize = 4
+	numBlocks = 10
+	blockSize = 64
 )
 
 // rec returns the canonical record for position i of (disk, block) under
@@ -395,17 +397,42 @@ func Run(t *testing.T, factory Factory) {
 		// Sync may be called at any point between transfers, over any run
 		// of blocks, and must not disturb stored data. The two halves sync
 		// separately, as the disk system syncs one portion: the second
-		// half starts mid-page in a file (block 4 is byte 256), so a
+		// half starts mid-page in a file (block 5 is byte 5120), so a
 		// backend that hands the range to the OS must align it itself.
-		// Close succeeds after Sync and ends the backend's life (no
-		// transfers follow — the harness never reuses it).
+		// Then each half is synced and written again at once, as a pass
+		// rewrites the portion the previous job synced: one run of a page
+		// and one single block per disk. Every block must read back the
+		// new writes, and a second Sync of each half must succeed. Close
+		// succeeds after Sync and ends the backend's life (no transfers
+		// follow — the harness never reuses it).
+		const half = numBlocks / 2
 		be := open(t, factory)
 		writeAll(t, be, 7)
-		for _, block := range []int{0, numBlocks / 2} {
-			if err := be.Sync(block, numBlocks/2); err != nil {
-				t.Fatalf("Sync(%d, %d): %v", block, numBlocks/2, err)
+		for _, block := range []int{0, half} {
+			if err := be.Sync(block, half); err != nil {
+				t.Fatalf("Sync(%d, %d): %v", block, half, err)
 			}
 			checkAll(t, be, 7)
+		}
+		for _, block := range []int{0, half} {
+			if err := be.Sync(block, half); err != nil {
+				t.Fatalf("Sync(%d, %d): %v", block, half, err)
+			}
+			var xfers []bmmc.RangeXfer
+			for disk := 0; disk < numDisks; disk++ {
+				xfers = append(xfers,
+					bmmc.RangeXfer{Disk: disk, Block: block, Data: run(8, disk, block, half-1)},
+					bmmc.RangeXfer{Disk: disk, Block: block + half - 1, Data: run(8, disk, block+half-1, 1)})
+			}
+			if err := be.WriteBlocks(xfers); err != nil {
+				t.Fatalf("WriteBlocks(blocks [%d,%d) after their Sync): %v", block, block+half, err)
+			}
+		}
+		checkAll(t, be, 8)
+		for _, block := range []int{0, half} {
+			if err := be.Sync(block, half); err != nil {
+				t.Fatalf("Sync(%d, %d) after rewriting: %v", block, half, err)
+			}
 		}
 		if err := be.Close(); err != nil {
 			t.Fatalf("Close: %v", err)

@@ -100,8 +100,12 @@ func (ds *Dataset) ResetStats() { ds.sys.ResetStats() }
 // durability promise. The file backends flush just that portion where
 // they map their disks on Linux (64-bit hosts); on darwin, and wherever
 // they serve disks through pread/pwrite, they fsync each disk's whole
-// file, both portions alike. Sync holds the shared read lock, so it waits
-// for a running execution or Load to commit.
+// file, both portions alike. A backend may begin writing back a portion
+// it synced before as soon as a later pass rewrites it (on Linux the file
+// backends do, so a two-pass job's second pass overlaps the writeback
+// that this call used to start), but the records are durable only when
+// Sync returns. Sync holds the shared read lock, so it waits for a
+// running execution or Load to commit.
 func (ds *Dataset) Sync() error {
 	ds.sys.AcquireRead()
 	defer ds.sys.ReleaseRead()

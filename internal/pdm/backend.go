@@ -51,10 +51,14 @@ type Backend interface {
 	// every disk durable: once it returns nil, those blocks survive a
 	// crash or power loss holding what was last written to them. A
 	// backend may flush more than the range (a whole file, say); writes
-	// outside it carry no durability promise. The file backends flush
-	// just the range where they map their disks on Linux (64-bit hosts);
-	// on darwin, and wherever they serve disks through pread/pwrite, they
-	// fsync each disk's whole file.
+	// outside it carry no durability promise. A backend may also begin
+	// writing back, early, later writes into a range it was asked to sync
+	// before; durability is still promised only when Sync returns. The
+	// file backends flush just the range where they map their disks on
+	// Linux (64-bit hosts); on darwin, and wherever they serve disks
+	// through pread/pwrite, they fsync each disk's whole file. On Linux a
+	// write of a page or more into the range of the last Sync starts its
+	// own writeback at once.
 	Sync(block, count int) error
 	// Close releases the backend's resources. No transfers follow.
 	Close() error

@@ -3,10 +3,13 @@ package pdm
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -376,4 +379,179 @@ func TestFileDiskMmapMatchesPread(t *testing.T) {
 	readAll(t, pread, true)
 	fileDiskMmap = false
 	readAll(t, mapped, false)
+}
+
+// TestFileDiskWritebackFollowsSync pins when the file backend starts
+// writeback ahead of a Sync: only once a Sync has succeeded, and then once
+// for each run of a page or more that lies inside the range that Sync
+// covered, carrying the run's own byte offset and length. Sub-page runs,
+// runs outside the range and runs straddling its end start none, and the
+// next Sync moves the range. Mapped and unmapped disks follow the same
+// rule and leave byte-identical files, and every block reads back what was
+// last written to it. A Sync racing writes shares the range with them
+// under the disk locks (run under -race).
+func TestFileDiskWritebackFollowsSync(t *testing.T) {
+	const bs = 8
+	page := os.Getpagesize() / (bs * RecordBytes) // blocks in one page
+	half := page + 2
+	nb := 2 * half
+
+	type call struct {
+		file   string
+		off, n int64
+	}
+	var (
+		mu    sync.Mutex
+		calls []call
+	)
+	defer func(old func(*os.File, int64, int64)) { startWriteback = old }(startWriteback)
+	startWriteback = func(f *os.File, off, n int64) {
+		mu.Lock()
+		calls = append(calls, call{filepath.Base(f.Name()), off, n})
+		mu.Unlock()
+	}
+	// drain returns the calls made since it last ran.
+	drain := func() []call {
+		mu.Lock()
+		defer mu.Unlock()
+		got := calls
+		calls = nil
+		return got
+	}
+	// pageRun is the call a page-long run at (disk, block) should make.
+	pageRun := func(disk, block int) call {
+		return call{fmt.Sprintf("disk%04d.dat", disk), int64(block * bs * RecordBytes), int64(page * bs * RecordBytes)}
+	}
+
+	runOn := func(t *testing.T, dir string, mapped bool) {
+		be := FileBackend(dir)
+		if err := be.Open(2, nb, bs); err != nil {
+			t.Fatal(err)
+		}
+		defer be.Close()
+		if got := be.(*fileBackend).disks[0].raw != nil; got != mapped {
+			t.Fatalf("mapped = %v, want %v", got, mapped)
+		}
+		drain()
+		want := [2][]Record{make([]Record, nb*bs), make([]Record, nb*bs)}
+		next := uint64(1)
+		write := func(disk, block, n int) {
+			t.Helper()
+			recs := make([]Record, n*bs)
+			for i := range recs {
+				recs[i] = MakeRecord(next)
+				next++
+			}
+			if err := be.WriteBlocks([]RangeXfer{{Disk: disk, Block: block, Data: recs}}); err != nil {
+				t.Fatal(err)
+			}
+			copy(want[disk][block*bs:], recs)
+		}
+		syncHalf := func(block int) {
+			t.Helper()
+			if err := be.Sync(block, half); err != nil {
+				t.Fatalf("Sync(%d, %d): %v", block, half, err)
+			}
+		}
+		expect := func(when string, wantCalls ...call) {
+			t.Helper()
+			if got := drain(); !slices.Equal(got, wantCalls) {
+				t.Errorf("%s: writeback calls %v, want %v", when, got, wantCalls)
+			}
+		}
+
+		write(0, 0, page)
+		write(1, half, page)
+		expect("before any Sync")
+
+		syncHalf(0)
+		expect("by Sync itself")
+		write(0, 0, page)
+		write(1, 1, page)
+		write(0, page, 2)      // sub-page, inside the range
+		write(1, 0, 1)         // one block, inside the range
+		write(0, half, page)   // outside the range
+		write(1, half-1, page) // straddles the range's end
+		expect("after Sync of the first half", pageRun(0, 0), pageRun(1, 1))
+
+		syncHalf(half)
+		write(0, 0, page) // the previous range
+		write(0, half, page)
+		write(1, half+2, page) // ends at the disk's last block
+		write(1, half, 2)
+		expect("after Sync of the second half", pageRun(0, half), pageRun(1, half+2))
+
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				if err := be.Sync(i%2*half, half); err != nil {
+					t.Errorf("concurrent Sync: %v", err)
+					return
+				}
+			}
+		}()
+		for i := 0; i < 8; i++ {
+			write(1, i%2*half, page)
+		}
+		wg.Wait()
+		drain()
+
+		for disk := 0; disk < 2; disk++ {
+			got := make([]Record, nb*bs)
+			if err := be.ReadBlocks([]RangeXfer{{Disk: disk, Block: 0, Data: got}}); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want[disk]) {
+				t.Errorf("disk %d reads back records other than the last written", disk)
+			}
+			for blk := 0; blk < nb; blk++ {
+				if v, ok := be.(BlockViewer).BlockView(disk, blk); ok != mapped {
+					t.Fatalf("BlockView availability = %v, want %v", ok, mapped)
+				} else if ok && !slices.Equal(v, want[disk][blk*bs:(blk+1)*bs]) {
+					t.Errorf("disk %d block %d view holds records other than the last written", disk, blk)
+				}
+			}
+		}
+	}
+
+	defer func(old bool) { fileDiskMmap = old }(fileDiskMmap)
+	root := t.TempDir()
+	dirs := map[bool]string{}
+	for _, mapped := range []bool{true, false} {
+		name := "unmapped"
+		if mapped {
+			name = "mapped"
+		}
+		t.Run(name, func(t *testing.T) {
+			if mapped && (!canMmapDisks || !RecordSlabViews) {
+				t.Skip("no mapped fast path on this host")
+			}
+			dir := filepath.Join(root, name)
+			if err := os.Mkdir(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			fileDiskMmap = mapped
+			runOn(t, dir, mapped)
+			dirs[mapped] = dir
+		})
+	}
+	if len(dirs) < 2 {
+		return
+	}
+	for disk := 0; disk < 2; disk++ {
+		name := fmt.Sprintf("disk%04d.dat", disk)
+		a, err := os.ReadFile(filepath.Join(dirs[true], name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(dirs[false], name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s: mapped and unmapped disks wrote different bytes", name)
+		}
+	}
 }

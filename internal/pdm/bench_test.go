@@ -78,7 +78,8 @@ func BenchmarkIndependentRead(b *testing.B) {
 // disarmed FlakyBackend, which offers no views, so its reads go through
 // the staging slab. Every iteration commits, and file then syncs outside
 // the timer, so the next write group lands on pages an msync cleaned, as
-// lib-file's second pass does.
+// lib-file's second pass does. Unlike that pass, it lands in the portion
+// the last Sync left out, so it starts no writeback ahead of the next one.
 func BenchmarkMemoryloadGroup(b *testing.B) {
 	cfg := Config{N: 1 << 17, D: 8, B: 64, M: 1 << 16}
 	loads := cfg.N / cfg.M

@@ -11,7 +11,11 @@ import (
 // records serialized at RecordBytes each. It exists so that experiments can
 // be run against real file I/O: the parallel-I/O counts are identical to
 // MemBackend runs (the model counts operations, not seconds), but
-// wall-clock benchmarks then include genuine storage latency.
+// wall-clock benchmarks then include genuine storage latency. Each disk
+// remembers the range of its last successful Sync and, on Linux, begins
+// writing back a later run of a page or more into that range as soon as
+// the run is written, so the next Sync of the range waits for less. The
+// early start is a hint: durability is promised only when Sync returns.
 type fileBackend struct {
 	diskArray
 	dirs  []string
@@ -86,16 +90,24 @@ func (b *fileBackend) BlockView(disk, block int) ([]Record, bool) {
 // flushes only the blocks' bytes with one msync, and pages outside the
 // range stay dirty, and stay writable without a fault, until the kernel
 // writes them back on its own. Elsewhere, and on an unmapped disk, it
-// fsyncs the whole file (see fileDisk.sync).
+// fsyncs the whole file (see fileDisk.sync). Each disk whose sync succeeds
+// then remembers the range, under its disk lock, so that later writes into
+// it start their writeback early (see fileDisk.write).
 func (b *fileBackend) Sync(block, count int) error {
 	if block < 0 || count < 0 || block+count > b.numBlocks {
 		return fmt.Errorf("pdm: sync range [%d,%d) out of range [0,%d)", block, block+count, b.numBlocks)
 	}
 	var firstErr error
-	for _, d := range b.disks {
-		if err := d.sync(block, count); err != nil && firstErr == nil {
-			firstErr = err
+	for i, d := range b.disks {
+		if err := d.sync(block, count); err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
 		}
+		b.mu[i].Lock()
+		d.syncFrom, d.syncTo = block, block+count
+		b.mu[i].Unlock()
 	}
 	return firstErr
 }
@@ -121,18 +133,29 @@ func (b *fileBackend) Close() error {
 // ReadAt/WriteAt over the caller's record slab on little-endian hosts (no
 // per-record encode/decode), and through a scratch conversion buffer on the
 // portable fallback. All paths produce byte-identical files (the wire
-// format is pinned by the slab-view tests).
+// format is pinned by the slab-view tests). A WriteAt of a page or more
+// into the range the disk last synced also starts that run's writeback, so
+// the next Sync of the range finds it under way (see write).
 type fileDisk struct {
 	f         *os.File
 	blockSize int
 	buf       []byte   // scratch conversion buffer, portable path only
 	raw       []byte   // shared mapping of the whole file, nil without mmap
 	mapped    []Record // record view of raw
+	// syncFrom and syncTo bound the blocks [syncFrom, syncTo) of the
+	// disk's last successful sync; the disk lock guards them.
+	syncFrom, syncTo int
 }
 
 // fileDiskMmap gates the mapped fast path; tests clear it to pin the
 // pread/pwrite implementation against the mapped one.
 var fileDiskMmap = true
+
+// startWriteback queues the n bytes of f at off for writeback and does not
+// wait for them: sync_file_range(SYNC_FILE_RANGE_WRITE) on Linux, nothing
+// elsewhere. It is only a head start for a later Sync, which still waits
+// for, and reports, every byte; tests swap it to count the calls.
+var startWriteback = writeback
 
 // openFileDisk opens (or creates) the file at path and sizes it to hold
 // numBlocks blocks of blockSize records. A file that already has exactly
@@ -197,9 +220,15 @@ func (d *fileDisk) read(block int, dst []Record) error {
 // cleaned takes a write-protect fault on that page, which pwrite does not,
 // while one syscall per short run (an MLD pass's single blocks) would cost
 // more than the faults. On slab-view hosts the record slab is handed to
-// WriteAt as-is.
+// WriteAt as-is. A run of a page or more that lies inside the disk's last
+// synced range is then queued for writeback: the caller syncs that range
+// again once the pass commits (a two-pass job's second pass rewrites the
+// portion the previous job synced), so its writeback overlaps the rest of
+// the pass instead of following it. Runs outside the range, which no Sync may ever
+// ask for, stay dirty in the page cache.
 func (d *fileDisk) write(block int, src []Record) error {
-	if d.mapped != nil && len(src)*RecordBytes < os.Getpagesize() {
+	n := len(src) * RecordBytes
+	if d.mapped != nil && n < os.Getpagesize() {
 		copy(d.mapped[block*d.blockSize:block*d.blockSize+len(src)], src)
 		return nil
 	}
@@ -207,8 +236,13 @@ func (d *fileDisk) write(block int, src []Record) error {
 	if !RecordSlabViews {
 		EncodeRecords(buf, src)
 	}
-	if _, err := d.f.WriteAt(buf, int64(block)*int64(d.blockSize)*RecordBytes); err != nil {
-		return fmt.Errorf("pdm: write blocks [%d,%d): %w", block, block+len(src)/d.blockSize, err)
+	off := int64(block) * int64(d.blockSize) * RecordBytes
+	end := block + len(src)/d.blockSize
+	if _, err := d.f.WriteAt(buf, off); err != nil {
+		return fmt.Errorf("pdm: write blocks [%d,%d): %w", block, end, err)
+	}
+	if n >= os.Getpagesize() && block >= d.syncFrom && end <= d.syncTo {
+		startWriteback(d.f, off, int64(n))
 	}
 	return nil
 }
